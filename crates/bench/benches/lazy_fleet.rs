@@ -1,4 +1,4 @@
-//! Microbenchmarks of the lazy-fleet substrate: registry construction and
+//! Microbenchmarks of the device-fleet substrate: registry construction and
 //! per-round checkout/release bookkeeping at cross-device population sizes,
 //! and the streaming aggregation fold against the collect-then-average
 //! batch form it replaced. The registry work rides the round's critical

@@ -28,18 +28,17 @@
 //!
 //! Unlike FedZKT, nothing in a FedMD round touches an inactive device:
 //! scoring, digest and revisit all run over the active set, and the
-//! consensus accumulates incrementally. Under
-//! [`Materialization::Lazy`] the fleet therefore stays at
+//! consensus accumulates incrementally. The [`DeviceFleet`] (see the
+//! "Scale model" section of [`fedzkt_fl::fleet`]) therefore stays at
 //! O(active-per-round) resident devices on non-evaluation rounds — only
 //! [`prepare_eval`](FederatedAlgorithm::prepare_eval) materializes
-//! everyone, and end-of-round drops all models back to
-//! [`DeviceRegistry`] summaries. Lazy and eager runs are bit-identical.
+//! everyone.
 
 use fedzkt_autograd::Var;
 use fedzkt_data::Dataset;
 use fedzkt_fl::{
-    train_local_fleet, AlgoState, DeviceRegistry, DigestConfig, FederatedAlgorithm, FleetJob,
-    LocalTrainConfig, Materialization, RoundContext, SimConfig,
+    train_local_fleet, AlgoState, DeviceFleet, DeviceRegistry, DigestConfig, FederatedAlgorithm,
+    FleetJob, LocalTrainConfig, RoundContext, ShardStore, SimConfig,
 };
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
@@ -81,28 +80,6 @@ impl Default for FedMdConfig {
     }
 }
 
-/// One simulated device: its architecture, and the model itself while the
-/// device is materialized (`None` between rounds in a lazy fleet).
-struct MdSlot {
-    spec: ModelSpec,
-    model: Option<Box<dyn Module>>,
-}
-
-/// Private shards, stored per the fleet's materialization mode.
-enum MdData {
-    Eager(Vec<Dataset>),
-    Lazy { train: Dataset, index: Vec<Vec<usize>> },
-}
-
-impl MdData {
-    fn shard_len(&self, k: usize) -> usize {
-        match self {
-            MdData::Eager(shards) => shards[k].len(),
-            MdData::Lazy { index, .. } => index[k].len(),
-        }
-    }
-}
-
 /// Alignment state produced by `local_update`, consumed by
 /// `server_update`.
 struct Alignment {
@@ -116,12 +93,9 @@ pub struct FedMd {
     cfg: FedMdConfig,
     seed: u64,
     io: (usize, usize, usize),
-    mode: Materialization,
-    slots: Vec<MdSlot>,
-    data: MdData,
-    registry: DeviceRegistry,
-    /// Lazily set the first round a device participates. Lives outside the
-    /// slots so it survives a lazy fleet's end-of-round release.
+    fleet: DeviceFleet<Box<dyn Module>>,
+    shards: ShardStore,
+    /// Set the first round a device participates.
     warmed_up: Vec<bool>,
     /// Did the warm-up run in the round currently being accounted? The
     /// simulated clock reads `local_samples` after the phases, so the
@@ -135,8 +109,7 @@ impl FedMd {
     /// Build the federation. `public` provides the alignment inputs; its
     /// labels are taken modulo the private class count for the
     /// transfer-learning warm-up (the public task may have more classes,
-    /// e.g. CIFAR-100 vs CIFAR-10). `sim` supplies the run seed and the
-    /// fleet's [`Materialization`] mode.
+    /// e.g. CIFAR-100 vs CIFAR-10). `sim` supplies the run seed.
     ///
     /// # Panics
     /// Panics when `zoo`/`shards` lengths differ or are empty, or when the
@@ -149,7 +122,6 @@ impl FedMd {
         cfg: FedMdConfig,
         sim: &SimConfig,
     ) -> Self {
-        assert!(!zoo.is_empty(), "need at least one device");
         assert_eq!(zoo.len(), shards.len(), "zoo/shards length mismatch");
         assert_eq!(
             (public.channels(), public.img_size()),
@@ -163,37 +135,16 @@ impl FedMd {
             public.labels().iter().map(|&l| l % classes).collect(),
             classes,
         );
-        let (slots, data, registry) = match sim.materialization {
-            Materialization::Eager => (
-                zoo.iter()
-                    .enumerate()
-                    .map(|(i, spec)| MdSlot {
-                        spec: *spec,
-                        model: Some(spec.build(
-                            channels,
-                            classes,
-                            img,
-                            split_seed(sim.seed, 200 + i as u64),
-                        )),
-                    })
-                    .collect::<Vec<_>>(),
-                MdData::Eager(shards.iter().map(|idx| train.subset(idx)).collect()),
-                DeviceRegistry::eager(zoo.len()),
-            ),
-            Materialization::Lazy => (
-                zoo.iter().map(|spec| MdSlot { spec: *spec, model: None }).collect(),
-                MdData::Lazy { train: train.clone(), index: shards.to_vec() },
-                DeviceRegistry::new(zoo.len()),
-            ),
-        };
+        let seed = sim.seed;
+        let fleet = DeviceFleet::new(zoo, move |k, spec| {
+            spec.build(channels, classes, img, split_seed(seed, 200 + k as u64))
+        });
         FedMd {
             cfg,
-            seed: sim.seed,
+            seed,
             io: (channels, classes, img),
-            mode: sim.materialization,
-            slots,
-            data,
-            registry,
+            fleet,
+            shards: ShardStore::new(train, shards),
             warmed_up: vec![false; zoo.len()],
             warmed_this_round: vec![false; zoo.len()],
             public,
@@ -211,54 +162,6 @@ impl FedMd {
         self.warmed_up[k]
     }
 
-    /// Device `k`'s materialized model.
-    ///
-    /// # Panics
-    /// Panics when the device is not resident — a lifecycle bug, since
-    /// every code path that touches a model materializes it first.
-    fn model(&self, k: usize) -> &dyn Module {
-        self.slots[k].model.as_deref().expect("device model must be resident here")
-    }
-
-    /// Materialize device `k` if it is not already resident: run the same
-    /// seeded build the eager constructor runs, then restore the stored
-    /// summary, if any (the snapshot→rebuild→load round trip is lossless,
-    /// so a rematerialized device is bit-identical to one held eagerly).
-    fn ensure_resident(&mut self, k: usize) {
-        if self.slots[k].model.is_some() {
-            return;
-        }
-        let (channels, classes, img) = self.io;
-        let model =
-            self.slots[k].spec.build(channels, classes, img, split_seed(self.seed, 200 + k as u64));
-        if let Some(summary) = self.registry.take_summary(k) {
-            load_state_dict(model.as_ref(), &summary)
-                .expect("registry summary matches device architecture");
-        }
-        self.slots[k].model = Some(model);
-        self.registry.checkout(k);
-    }
-
-    /// Stage the private shards of `ids` for a lazy fleet's dispatch
-    /// (empty in eager mode, where the shards are held permanently).
-    fn stage_shards(&self, ids: &[usize]) -> Vec<Dataset> {
-        match &self.data {
-            MdData::Eager(_) => Vec::new(),
-            MdData::Lazy { train, index } => {
-                ids.iter().map(|&k| train.subset(&index[k])).collect()
-            }
-        }
-    }
-
-    /// The `i`-th staged shard of `ids` — from the permanent store in
-    /// eager mode, from `staged` in lazy mode.
-    fn shard<'a>(&'a self, staged: &'a [Dataset], ids: &[usize], i: usize) -> &'a Dataset {
-        match &self.data {
-            MdData::Eager(shards) => &shards[ids[i]],
-            MdData::Lazy { .. } => &staged[i],
-        }
-    }
-
     /// Transfer-learning warm-up for the not-yet-warmed devices of
     /// `active`: public data, then private data, both phases in **one**
     /// device-parallel fleet dispatch (the public pass rides as the job's
@@ -270,11 +173,11 @@ impl FedMd {
         if cold.is_empty() {
             return;
         }
-        let staged = self.stage_shards(&cold);
+        let staged = self.shards.stage(&cold);
         let jobs: Vec<FleetJob> = cold
             .iter()
-            .enumerate()
-            .map(|(i, &k)| {
+            .zip(&staged)
+            .map(|(&k, data)| {
                 let phase_cfg = |epochs: usize, seed_base: u64| LocalTrainConfig {
                     epochs,
                     batch_size: self.cfg.batch_size,
@@ -284,9 +187,9 @@ impl FedMd {
                     ..Default::default()
                 };
                 FleetJob {
-                    spec: self.slots[k].spec,
-                    snapshot: state_dict(self.model(k)),
-                    data: self.shard(&staged, &cold, i),
+                    spec: self.fleet.spec(k),
+                    snapshot: state_dict(self.fleet.model(k)),
+                    data,
                     cfg: phase_cfg(self.cfg.private_warmup_epochs, 400),
                     pretrain: Some((&self.public, phase_cfg(self.cfg.public_warmup_epochs, 300))),
                     digest: None,
@@ -297,7 +200,8 @@ impl FedMd {
         let results = train_local_fleet(&jobs, self.io, threads);
         drop(jobs);
         for (&k, (_, sd)) in cold.iter().zip(results) {
-            load_state_dict(self.model(k), &sd).expect("warmup result matches device architecture");
+            load_state_dict(self.fleet.model(k), &sd)
+                .expect("warmup result matches device architecture");
         }
         for &k in &cold {
             self.warmed_up[k] = true;
@@ -319,7 +223,7 @@ impl FedMd {
 
 impl FederatedAlgorithm for FedMd {
     fn devices(&self) -> usize {
-        self.slots.len()
+        self.fleet.devices()
     }
 
     /// FedMD steps 1–3: warm up first-time participants, sample the
@@ -328,7 +232,7 @@ impl FederatedAlgorithm for FedMd {
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         self.warmed_this_round.iter_mut().for_each(|w| *w = false);
         for &k in active {
-            self.ensure_resident(k);
+            self.fleet.ensure_resident(k);
         }
         self.warmup(active, ctx.threads());
 
@@ -348,7 +252,7 @@ impl FederatedAlgorithm for FedMd {
         // once at the end — the same op order as a batch average.
         let mut consensus: Option<Tensor> = None;
         for &k in active {
-            let model = self.model(k);
+            let model = self.fleet.model(k);
             model.set_training(false);
             let scores = fedzkt_autograd::no_grad(|| model.forward(&align_var).value_clone());
             model.set_training(true);
@@ -381,14 +285,14 @@ impl FederatedAlgorithm for FedMd {
         // device digests the decoded copy and is charged its wire size.
         let (decoded, logit_wire) = ctx.through_wire(&Self::logit_payload(consensus));
         let consensus = decoded.params.into_iter().next().expect("one consensus tensor");
-        let staged = self.stage_shards(active);
+        let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
             .iter()
-            .enumerate()
-            .map(|(i, &k)| FleetJob {
-                spec: self.slots[k].spec,
-                snapshot: state_dict(self.model(k)),
-                data: self.shard(&staged, active, i),
+            .zip(&staged)
+            .map(|(&k, data)| FleetJob {
+                spec: self.fleet.spec(k),
+                snapshot: state_dict(self.fleet.model(k)),
+                data,
                 cfg: LocalTrainConfig {
                     epochs: self.cfg.revisit_epochs,
                     batch_size: self.cfg.batch_size,
@@ -420,18 +324,19 @@ impl FederatedAlgorithm for FedMd {
         for (&k, (loss, sd)) in active.iter().zip(results) {
             ctx.comm.record_download(k, logit_wire);
             loss_sum += loss;
-            load_state_dict(self.model(k), &sd).expect("fleet result matches device architecture");
+            load_state_dict(self.fleet.model(k), &sd)
+                .expect("fleet result matches device architecture");
         }
         ctx.set_train_loss(loss_sum / active.len().max(1) as f32);
     }
 
     fn device_model(&self, k: usize) -> &dyn Module {
-        self.model(k)
+        self.fleet.model(k).as_ref()
     }
 
     /// FedMD's payload is logit-shaped, not model-shaped: the alignment
-    /// subset's class scores. (No device model needed — a lazy fleet
-    /// answers this without materializing anything.)
+    /// subset's class scores. (No device model needed — nothing is
+    /// materialized to answer this.)
     fn payload_template(&self, _k: usize) -> StateDict {
         Self::logit_payload(Tensor::zeros(&[self.alignment_len(), self.public.num_classes()]))
     }
@@ -440,7 +345,7 @@ impl FederatedAlgorithm for FedMd {
     /// device's first participating round, the one-off transfer-learning
     /// warm-up it just ran (public + private epochs).
     fn local_samples(&self, k: usize) -> usize {
-        let shard = self.data.shard_len(k);
+        let shard = self.shards.shard_len(k);
         let warmup = if self.warmed_this_round[k] {
             self.cfg.public_warmup_epochs * self.public.len()
                 + self.cfg.private_warmup_epochs * shard
@@ -455,80 +360,44 @@ impl FederatedAlgorithm for FedMd {
     }
 
     fn registry(&self) -> Option<&DeviceRegistry> {
-        Some(&self.registry)
+        Some(self.fleet.registry())
     }
 
     /// Evaluation borrows every device model; nothing else in a FedMD
-    /// round does, so this is the only place a lazy fleet goes beyond
+    /// round does, so this is the only place the fleet goes beyond
     /// O(active) resident devices.
     fn prepare_eval(&mut self) {
-        for k in 0..self.slots.len() {
-            self.ensure_resident(k);
-        }
+        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {
-        if self.mode.is_lazy() {
-            for k in 0..self.slots.len() {
-                if let Some(model) = self.slots[k].model.take() {
-                    self.registry.store_summary(k, state_dict(model.as_ref()));
-                    self.registry.release(k);
-                }
-            }
-        }
+        self.fleet.release_all();
     }
 
-    /// What FedMD carries across rounds: every trained device model
-    /// (resident or summarized — a never-warmed device rematerializes from
-    /// its construction seed), the warm-up ledger, and the registry's
-    /// monotone counters. `pending`/`warmed_this_round` are intra-round
-    /// scratch and never survive to a checkpoint boundary; the alignment
-    /// subset and consensus fold are pure functions of `(seed, round)`.
+    /// What FedMD carries across rounds: the warm-up ledger and the fleet
+    /// (every device model that has ever been materialized, plus the
+    /// registry's monotone counters). `pending`/`warmed_this_round` are
+    /// intra-round scratch and never survive to a checkpoint boundary; the
+    /// alignment subset and consensus fold are pure functions of
+    /// `(seed, round)`.
     fn save_state(&self) -> AlgoState {
         let mut state = AlgoState::new();
-        for (k, slot) in self.slots.iter().enumerate() {
-            if let Some(model) = &slot.model {
-                state.put_dict(format!("device_{k}"), &state_dict(model.as_ref()));
-            }
-        }
-        for (k, summary) in self.registry.summaries() {
-            state.put_dict(format!("device_{k}"), summary);
-        }
         state.put_words("warmed_up", self.warmed_up.iter().map(|&w| w as u64).collect());
-        state.put_words(
-            "registry",
-            vec![self.registry.peak_resident() as u64, self.registry.touched() as u64],
-        );
+        self.fleet.save_into(&mut state);
         state
     }
 
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
-        for k in 0..self.slots.len() {
-            let name = format!("device_{k}");
-            if !state.has_blob(&name) {
-                continue; // never trained: rematerializes from its seed
-            }
-            let sd = state.dict(&name)?;
-            match self.mode {
-                Materialization::Eager => load_state_dict(self.model(k), &sd)
-                    .map_err(|e| format!("device {k}: {e}"))?,
-                Materialization::Lazy => self.registry.store_summary(k, sd),
-            }
-        }
+        self.fleet.load_from(state)?;
         let warmed = state.words("warmed_up")?;
-        if warmed.len() != self.slots.len() {
+        if warmed.len() != self.fleet.devices() {
             return Err(format!(
                 "warm-up ledger holds {} devices, fleet has {}",
                 warmed.len(),
-                self.slots.len()
+                self.fleet.devices()
             ));
         }
         self.warmed_up = warmed.iter().map(|&w| w != 0).collect();
-        let reg = state.words("registry")?;
-        if reg.len() != 2 {
-            return Err("registry counters must be [peak_resident, touched]".into());
-        }
-        self.registry.absorb_counters(reg[0] as usize, reg[1] as usize);
         Ok(())
     }
 }
@@ -669,59 +538,20 @@ mod tests {
     }
 
     #[test]
-    fn lazy_run_is_bit_identical_to_eager() {
-        let run = |mode: Materialization| {
-            let mut sim = setup_with(
-                DataFamily::Cifar100Like,
-                SimConfig {
-                    rounds: 2,
-                    participation: 0.67,
-                    seed: 1,
-                    materialization: mode,
-                    ..Default::default()
-                },
-            );
-            sim.run().to_json()
-        };
-        let mut eager = run(Materialization::Eager);
-        let mut lazy = run(Materialization::Lazy);
-        // The residency gauge is the one *intentionally* mode-dependent
-        // column; every other logged bit must agree.
-        for log in [&mut eager, &mut lazy] {
-            *log = log
-                .split("\"peak_resident_devices\":")
-                .map(|part| match part.find('}') {
-                    Some(i) => &part[i..],
-                    None => part,
-                })
-                .collect();
-        }
-        assert_eq!(eager, lazy, "lazy FedMD diverged from eager");
-    }
-
-    #[test]
     fn checkpoint_resume_matches_the_uninterrupted_run_bit_for_bit() {
-        for mode in [Materialization::Eager, Materialization::Lazy] {
-            // Partial participation so a straggler's warm-up ledger has to
-            // survive the checkpoint boundary.
-            let sim_cfg = SimConfig {
-                rounds: 2,
-                participation: 0.67,
-                seed: 1,
-                materialization: mode,
-                ..Default::default()
-            };
-            let reference = setup_with(DataFamily::Cifar100Like, sim_cfg).run().clone();
-            let mut first = setup_with(DataFamily::Cifar100Like, sim_cfg);
-            first.round(0);
-            // Through the serialized form, as a real kill/restart would go.
-            let ck = fedzkt_fl::SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
-            drop(first);
-            let mut resumed = setup_with(DataFamily::Cifar100Like, sim_cfg);
-            resumed.resume_from(&ck).expect("resume");
-            let log = resumed.run().clone();
-            assert_eq!(log.to_json(), reference.to_json(), "mode {mode:?}");
-        }
+        // Partial participation so a straggler's warm-up ledger has to
+        // survive the checkpoint boundary.
+        let sim_cfg = SimConfig { rounds: 2, participation: 0.67, seed: 1, ..Default::default() };
+        let reference = setup_with(DataFamily::Cifar100Like, sim_cfg).run().clone();
+        let mut first = setup_with(DataFamily::Cifar100Like, sim_cfg);
+        first.round(0);
+        // Through the serialized form, as a real kill/restart would go.
+        let ck = fedzkt_fl::SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
+        drop(first);
+        let mut resumed = setup_with(DataFamily::Cifar100Like, sim_cfg);
+        resumed.resume_from(&ck).expect("resume");
+        let log = resumed.run().clone();
+        assert_eq!(log.to_json(), reference.to_json());
     }
 
     #[test]
@@ -736,7 +566,6 @@ mod tests {
                 participation: 0.67,
                 seed: 1,
                 eval_every: 0,
-                materialization: Materialization::Lazy,
                 ..Default::default()
             },
         );

@@ -4,27 +4,19 @@
 //!
 //! ## Scale model
 //!
-//! Under [`Materialization::Lazy`] the federation holds devices as
-//! [`DeviceRegistry`] summaries and materializes them on demand: active
-//! devices for the local update, and — because the zero-shot distillation
-//! game uses **every** device model as a teacher (the ensemble of Eq. 2),
-//! and evaluation borrows every device model — the whole fleet for the
-//! server phase and for evaluation rounds. Everything is dropped back to
-//! summaries at end of round, so the *between-rounds* footprint is O(1),
-//! but FedZKT's in-round peak is inherently O(fleet); the strict
-//! O(sampled) peak belongs to stateless-device algorithms (FedAvg/
-//! FedProx). Lazy and eager runs are bit-identical: a first
-//! materialization runs the same seeded build as the eager constructor,
-//! and a re-materialization restores the stored summary through the
-//! lossless snapshot→rebuild→load round trip.
+//! Devices live in a [`DeviceFleet`] (see the "Scale model" section of
+//! [`fedzkt_fl::fleet`]). The zero-shot distillation game uses **every**
+//! device model as a teacher (the ensemble of Eq. 2), so FedZKT
+//! materializes the whole fleet for the server phase: its in-round peak is
+//! inherently O(fleet), and only the *between-rounds* footprint is O(1).
 
 use crate::{FedZktConfig, GradNormProbe};
 use fedzkt_autograd::loss::kl_div_probs;
 use fedzkt_autograd::{no_grad, Var};
 use fedzkt_data::Dataset;
 use fedzkt_fl::{
-    train_local_fleet, AlgoState, DeviceRegistry, FederatedAlgorithm, FleetJob, LocalTrainConfig,
-    Materialization, RoundContext, SimConfig,
+    train_local_fleet, AlgoState, DeviceFleet, DeviceRegistry, FederatedAlgorithm, FleetJob,
+    LocalTrainConfig, RoundContext, ShardStore, SimConfig,
 };
 use fedzkt_models::{Generator, ModelSpec};
 use fedzkt_nn::{
@@ -34,27 +26,10 @@ use fedzkt_nn::{
 use fedzkt_tensor::compute::with_format;
 use fedzkt_tensor::{seeded_rng, split_seed, ComputeFormat, Prng, Tensor};
 
-/// One simulated device: an architecture chosen independently of its peers
-/// (the paper's core premise). The model is `None` while the device is not
-/// materialized (lazy fleets, between rounds).
-struct DeviceSlot {
-    spec: ModelSpec,
-    model: Option<Box<dyn Module>>,
-}
-
-/// Device shards, stored per the fleet's materialization mode.
-enum DeviceData {
-    Eager(Vec<Dataset>),
-    Lazy { train: Dataset, index: Vec<Vec<usize>> },
-}
-
-impl DeviceData {
-    fn shard_len(&self, k: usize) -> usize {
-        match self {
-            DeviceData::Eager(shards) => shards[k].len(),
-            DeviceData::Lazy { index, .. } => index[k].len(),
-        }
-    }
+/// Every device model, in device order (all must be resident). Borrows
+/// only the fleet, so the caller may hold other fields mutably.
+fn models(fleet: &DeviceFleet<Box<dyn Module>>) -> impl Iterator<Item = &dyn Module> {
+    (0..fleet.devices()).map(|k| fleet.model(k).as_ref())
 }
 
 /// The FedZKT federated-learning algorithm.
@@ -81,14 +56,14 @@ pub struct FedZkt {
     /// Data geometry `(channels, classes, img_size)`; worker threads rebuild
     /// device models against it during the parallel device update.
     io: (usize, usize, usize),
-    mode: Materialization,
     /// Compute format for the game's tape-free scoring passes (teacher
     /// ensemble + generator forwards, global-model transfer probabilities).
     /// Gradient-bearing steps always run f32.
     compute: ComputeFormat,
-    slots: Vec<DeviceSlot>,
-    data: DeviceData,
-    registry: DeviceRegistry,
+    /// One device per zoo entry, each with an architecture chosen
+    /// independently of its peers (the paper's core premise).
+    fleet: DeviceFleet<Box<dyn Module>>,
+    shards: ShardStore,
     global: Box<dyn Module>,
     generator: Generator,
     generator_opt: Adam,
@@ -101,8 +76,7 @@ impl FedZkt {
     ///
     /// * `zoo[i]` — architecture of device `i` (heterogeneous by design);
     /// * `shards[i]` — index set of device `i`'s private data in `train`;
-    /// * `sim` — the protocol config (supplies the run seed and the
-    ///   fleet's [`Materialization`] mode).
+    /// * `sim` — the protocol config (supplies the run seed).
     ///
     /// # Panics
     /// Panics when `zoo`/`shards` lengths differ or are empty.
@@ -113,37 +87,15 @@ impl FedZkt {
         cfg: FedZktConfig,
         sim: &SimConfig,
     ) -> Self {
-        assert!(!zoo.is_empty(), "need at least one device");
         assert_eq!(zoo.len(), shards.len(), "zoo/shards length mismatch");
         let seed = sim.seed;
         let (channels, classes, img) = (train.channels(), train.num_classes(), train.img_size());
         // Footnote 1 of Algorithm 1: all models Glorot-initialised; the
         // same initialisation is not required across devices, so each
-        // device gets its own stream. Lazy fleets run the identical build
-        // on first materialization instead.
-        let (slots, data, registry) = match sim.materialization {
-            Materialization::Eager => (
-                zoo.iter()
-                    .enumerate()
-                    .map(|(i, spec)| DeviceSlot {
-                        spec: *spec,
-                        model: Some(spec.build(
-                            channels,
-                            classes,
-                            img,
-                            split_seed(seed, 100 + i as u64),
-                        )),
-                    })
-                    .collect::<Vec<_>>(),
-                DeviceData::Eager(shards.iter().map(|idx| train.subset(idx)).collect()),
-                DeviceRegistry::eager(zoo.len()),
-            ),
-            Materialization::Lazy => (
-                zoo.iter().map(|spec| DeviceSlot { spec: *spec, model: None }).collect(),
-                DeviceData::Lazy { train: train.clone(), index: shards.to_vec() },
-                DeviceRegistry::new(zoo.len()),
-            ),
-        };
+        // device gets its own stream.
+        let fleet = DeviceFleet::new(zoo, move |k, spec| {
+            spec.build(channels, classes, img, split_seed(seed, 100 + k as u64))
+        });
         let global = cfg.global_model.build(channels, classes, img, split_seed(seed, 7));
         let generator = cfg.generator.build(channels, img, split_seed(seed, 8));
         let generator_opt = Adam::new(
@@ -154,11 +106,9 @@ impl FedZkt {
             cfg,
             seed,
             io: (channels, classes, img),
-            mode: sim.materialization,
             compute: sim.compute,
-            slots,
-            data,
-            registry,
+            fleet,
+            shards: ShardStore::new(train, shards),
             global,
             generator,
             generator_opt,
@@ -172,7 +122,7 @@ impl FedZkt {
     /// # Panics
     /// Panics when `k` is out of range.
     pub fn device_spec(&self, k: usize) -> ModelSpec {
-        self.slots[k].spec
+        self.fleet.spec(k)
     }
 
     /// The server-side generator `G`.
@@ -184,60 +134,6 @@ impl FedZkt {
     /// `cfg.probe_grad_norms` is set).
     pub fn probe(&self) -> &GradNormProbe {
         &self.probe
-    }
-
-    /// Device `k`'s materialized model.
-    ///
-    /// # Panics
-    /// Panics when the device is not resident — a lifecycle bug, since
-    /// every code path that touches a model materializes it first.
-    fn model(&self, k: usize) -> &dyn Module {
-        self.slots[k].model.as_deref().expect("device model must be resident here")
-    }
-
-    /// Every device model, in device order (all must be resident).
-    fn models(&self) -> impl Iterator<Item = &dyn Module> {
-        self.slots
-            .iter()
-            .map(|s| s.model.as_deref().expect("device model must be resident here"))
-    }
-
-    /// Materialize device `k` if it is not already resident: run the same
-    /// seeded build the eager constructor runs, then restore the stored
-    /// summary, if any (the snapshot→rebuild→load round trip is lossless,
-    /// so a rematerialized device is bit-identical to one held eagerly).
-    fn ensure_resident(&mut self, k: usize) {
-        if self.slots[k].model.is_some() {
-            return;
-        }
-        let (channels, classes, img) = self.io;
-        let model =
-            self.slots[k].spec.build(channels, classes, img, split_seed(self.seed, 100 + k as u64));
-        if let Some(summary) = self.registry.take_summary(k) {
-            load_state_dict(model.as_ref(), &summary)
-                .expect("registry summary matches device architecture");
-        }
-        self.slots[k].model = Some(model);
-        self.registry.checkout(k);
-    }
-
-    /// Materialize the whole fleet (the distillation game's teacher
-    /// ensemble and the evaluation pass borrow every device model).
-    fn ensure_all_resident(&mut self) {
-        for k in 0..self.slots.len() {
-            self.ensure_resident(k);
-        }
-    }
-
-    /// Drop every resident device back to its registry summary (lazy mode
-    /// only; an eager fleet stays materialized for the whole run).
-    fn release_all(&mut self) {
-        for k in 0..self.slots.len() {
-            if let Some(model) = self.slots[k].model.take() {
-                self.registry.store_summary(k, state_dict(model.as_ref()));
-                self.registry.release(k);
-            }
-        }
     }
 
     /// Algorithm 3: the zero-shot distillation game followed by the
@@ -254,7 +150,7 @@ impl FedZkt {
             self.global.params(),
             SgdConfig { lr: self.cfg.server_lr, momentum: 0.9, weight_decay: 0.0 },
         );
-        for m in self.models() {
+        for m in models(&self.fleet) {
             m.set_training(false);
         }
         self.global.set_training(true);
@@ -271,7 +167,7 @@ impl FedZkt {
             let z = Var::constant(self.generator.sample_z(self.cfg.distill_batch, &mut self.rng));
             let x = self.generator.forward(&z);
             let student = self.global.forward(&x);
-            let teacher_logits: Vec<Var> = self.models().map(|m| m.forward(&x)).collect();
+            let teacher_logits: Vec<Var> = models(&self.fleet).map(|m| m.forward(&x)).collect();
             let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
             let l_g = self.cfg.loss.eval(&student, &teacher_refs).neg();
             l_g.backward();
@@ -295,7 +191,7 @@ impl FedZkt {
                 no_grad(|| {
                     let x = self.generator.forward(&z);
                     let t: Vec<Tensor> =
-                        self.models().map(|m| m.forward(&x).value_clone()).collect();
+                        models(&self.fleet).map(|m| m.forward(&x).value_clone()).collect();
                     (x.value_clone(), t)
                 })
             });
@@ -322,11 +218,11 @@ impl FedZkt {
         let device_opts: Vec<(usize, Sgd)> = active
             .iter()
             .map(|&k| {
-                self.model(k).set_training(true);
+                self.fleet.model(k).set_training(true);
                 (
                     k,
                     Sgd::new(
-                        self.model(k).params(),
+                        self.fleet.model(k).params(),
                         SgdConfig { lr: self.cfg.transfer_lr, momentum: 0.9, weight_decay: 0.0 },
                     ),
                 )
@@ -356,7 +252,7 @@ impl FedZkt {
             for (k, opt) in &device_opts {
                 transfer_schedule.apply(opt, iter);
                 opt.zero_grad();
-                let student_probs = self.model(*k).forward(&x).softmax();
+                let student_probs = self.fleet.model(*k).forward(&x).softmax();
                 // Eq. 8 with KL loss: minimise KL(F ‖ f'_k) over f'_k.
                 let loss = kl_div_probs(&teacher_probs, &student_probs);
                 loss.backward();
@@ -364,13 +260,13 @@ impl FedZkt {
             }
         }
         self.global.set_training(true);
-        for m in self.models() {
+        for m in models(&self.fleet) {
             m.set_training(true);
         }
     }
 
     fn clear_device_grads(&self) {
-        for m in self.models() {
+        for m in models(&self.fleet) {
             for p in m.params() {
                 p.zero_grad();
             }
@@ -380,7 +276,7 @@ impl FedZkt {
 
 impl FederatedAlgorithm for FedZkt {
     fn devices(&self) -> usize {
-        self.slots.len()
+        self.fleet.devices()
     }
 
     /// On-device update (Algorithm 2). Devices are independent (the
@@ -391,26 +287,16 @@ impl FederatedAlgorithm for FedZkt {
     /// for any thread count.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         for &k in active {
-            self.ensure_resident(k);
+            self.fleet.ensure_resident(k);
         }
-        // Lazy fleet: slice the active shards for the duration of the
-        // dispatch.
-        let staged: Vec<Dataset> = match &self.data {
-            DeviceData::Eager(_) => Vec::new(),
-            DeviceData::Lazy { train, index } => {
-                active.iter().map(|&k| train.subset(&index[k])).collect()
-            }
-        };
+        let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
             .iter()
-            .enumerate()
-            .map(|(i, &k)| FleetJob {
-                spec: self.slots[k].spec,
-                snapshot: state_dict(self.model(k)),
-                data: match &self.data {
-                    DeviceData::Eager(shards) => &shards[k],
-                    DeviceData::Lazy { .. } => &staged[i],
-                },
+            .zip(&staged)
+            .map(|(&k, data)| FleetJob {
+                spec: self.fleet.spec(k),
+                snapshot: state_dict(self.fleet.model(k)),
+                data,
                 cfg: LocalTrainConfig {
                     epochs: self.cfg.local_epochs,
                     batch_size: self.cfg.device_batch,
@@ -437,12 +323,12 @@ impl FederatedAlgorithm for FedZkt {
             // (a lossless codec receives the fleet result verbatim).
             if ctx.lossless() {
                 ctx.comm.record_upload(k, ctx.wire_size(&sd));
-                load_state_dict(self.model(k), &sd)
+                load_state_dict(self.fleet.model(k), &sd)
                     .expect("fleet result matches device architecture");
             } else {
                 let (uploaded, wire) = ctx.through_wire(&sd);
                 ctx.comm.record_upload(k, wire);
-                load_state_dict(self.model(k), &uploaded)
+                load_state_dict(self.fleet.model(k), &uploaded)
                     .expect("fleet result matches device architecture");
             }
         }
@@ -455,10 +341,10 @@ impl FederatedAlgorithm for FedZkt {
         // The game's teacher ensemble (and the Figure-2 probe) forward
         // every device model, so the whole fleet must be resident for the
         // server phase — the received ŵ_k are fed into the game's teacher
-        // list one device at a time; what a lazy fleet saves is the
+        // list one device at a time; what the fleet saves is the
         // *between-rounds* footprint, not FedZKT's in-game ensemble.
         if self.cfg.distill_iters > 0 || self.cfg.probe_grad_norms {
-            self.ensure_all_resident();
+            self.fleet.ensure_all_resident();
         }
         self.distillation_game(active);
 
@@ -477,11 +363,7 @@ impl FederatedAlgorithm for FedZkt {
             let mut probe_rng = seeded_rng(split_seed(self.seed, 0xF160 + round as u64));
             let z = self.generator.sample_z(self.cfg.distill_batch.min(16), &mut probe_rng);
             let x = no_grad(|| self.generator.forward(&Var::constant(z))).value_clone();
-            let teachers: Vec<&dyn Module> = self
-                .slots
-                .iter()
-                .map(|s| s.model.as_deref().expect("fleet is resident for the probe"))
-                .collect();
+            let teachers: Vec<&dyn Module> = models(&self.fleet).collect();
             self.probe.measure(round + 1, self.global.as_ref(), &teachers, &x);
         }
 
@@ -492,7 +374,7 @@ impl FederatedAlgorithm for FedZkt {
         // A bit-exact codec makes the transfer a pure accounting event,
         // so the decode-and-reload is skipped.
         for &k in active {
-            let model = self.model(k);
+            let model = self.fleet.model(k).as_ref();
             if ctx.lossless() {
                 // Shape-only accounting: no snapshot, no reload.
                 ctx.comm.record_download(k, ctx.module_wire_size(model));
@@ -506,7 +388,7 @@ impl FederatedAlgorithm for FedZkt {
     }
 
     fn device_model(&self, k: usize) -> &dyn Module {
-        self.model(k)
+        self.fleet.model(k).as_ref()
     }
 
     fn global_model(&self) -> Option<&dyn Module> {
@@ -514,23 +396,12 @@ impl FederatedAlgorithm for FedZkt {
     }
 
     /// The O(|w_k|) claim: device `k` only ever exchanges its own model.
-    /// (Shapes are what matter here; a non-resident device answers from
-    /// its summary, or from a fresh seeded build if it never trained.)
     fn payload_template(&self, k: usize) -> StateDict {
-        if let Some(model) = &self.slots[k].model {
-            return state_dict(model.as_ref());
-        }
-        if let Some(summary) = self.registry.summary(k) {
-            return summary.clone();
-        }
-        let (channels, classes, img) = self.io;
-        let model =
-            self.slots[k].spec.build(channels, classes, img, split_seed(self.seed, 100 + k as u64));
-        state_dict(model.as_ref())
+        self.fleet.template(k)
     }
 
     fn local_samples(&self, k: usize) -> usize {
-        self.cfg.local_epochs * self.data.shard_len(k)
+        self.cfg.local_epochs * self.shards.shard_len(k)
     }
 
     fn construction_seed(&self) -> Option<u64> {
@@ -538,27 +409,24 @@ impl FederatedAlgorithm for FedZkt {
     }
 
     fn registry(&self) -> Option<&DeviceRegistry> {
-        Some(&self.registry)
+        Some(self.fleet.registry())
     }
 
-    /// Evaluation borrows every device model, so a lazy fleet materializes
-    /// the stragglers too (a no-op right after a server phase that ran the
+    /// Evaluation borrows every device model, so the stragglers are
+    /// materialized too (a no-op right after a server phase that ran the
     /// game, which already made everything resident).
     fn prepare_eval(&mut self) {
-        self.ensure_all_resident();
+        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {
-        if self.mode.is_lazy() {
-            self.release_all();
-        }
+        self.fleet.release_all();
     }
 
     /// Everything Algorithms 1–3 mutate across rounds: the global model,
     /// the generator and its Adam moments, the shared distillation RNG
-    /// cursor, every trained device model (resident or summarized — a
-    /// never-trained device has no entry and rematerializes from its
-    /// construction seed), and the registry's monotone counters. The
+    /// cursor, and the fleet (every device model that has ever been
+    /// materialized, plus the registry's monotone counters). The
     /// Figure-2 probe is a diagnostic side channel and is deliberately
     /// not checkpointed: its records never feed back into training or
     /// the `RunLog`.
@@ -583,21 +451,7 @@ impl FederatedAlgorithm for FedZkt {
         state.put_words("adam_mask", mask);
         state.put_dict("adam_moments", &packed);
         state.put_words("rng", self.rng.state().to_vec());
-        for (k, slot) in self.slots.iter().enumerate() {
-            if let Some(model) = &slot.model {
-                state.put_dict(format!("device_{k}"), &state_dict(model.as_ref()));
-            }
-        }
-        // Non-resident trained devices live as registry summaries; the
-        // walk is O(touched), so a million-device checkpoint stays
-        // O(trained), not O(registered).
-        for (k, summary) in self.registry.summaries() {
-            state.put_dict(format!("device_{k}"), summary);
-        }
-        state.put_words(
-            "registry",
-            vec![self.registry.peak_resident() as u64, self.registry.touched() as u64],
-        );
+        self.fleet.save_into(&mut state);
         state
     }
 
@@ -631,24 +485,7 @@ impl FederatedAlgorithm for FedZkt {
             return Err("all-zero RNG state".into());
         }
         self.rng = Prng::from_state(rng);
-        for k in 0..self.slots.len() {
-            let name = format!("device_{k}");
-            if !state.has_blob(&name) {
-                continue; // never trained: rematerializes from its seed
-            }
-            let sd = state.dict(&name)?;
-            match self.mode {
-                Materialization::Eager => load_state_dict(self.model(k), &sd)
-                    .map_err(|e| format!("device {k}: {e}"))?,
-                Materialization::Lazy => self.registry.store_summary(k, sd),
-            }
-        }
-        let reg = state.words("registry")?;
-        if reg.len() != 2 {
-            return Err("registry counters must be [peak_resident, touched]".into());
-        }
-        self.registry.absorb_counters(reg[0] as usize, reg[1] as usize);
-        Ok(())
+        self.fleet.load_from(state)
     }
 }
 
@@ -751,53 +588,18 @@ mod tests {
     }
 
     #[test]
-    fn lazy_run_is_bit_identical_to_eager() {
-        let run = |mode: Materialization| {
-            let sim_cfg = SimConfig {
-                rounds: 2,
-                participation: 0.67,
-                seed: 1,
-                materialization: mode,
-                ..Default::default()
-            };
-            let mut sim = tiny_setup(tiny_cfg(), sim_cfg);
-            sim.run().to_json()
-        };
-        let mut eager = run(Materialization::Eager);
-        let mut lazy = run(Materialization::Lazy);
-        // The residency gauge is the one *intentionally* mode-dependent
-        // column; every other logged bit must agree.
-        for log in [&mut eager, &mut lazy] {
-            *log = log
-                .split("\"peak_resident_devices\":")
-                .map(|part| match part.find('}') {
-                    Some(i) => &part[i..],
-                    None => part,
-                })
-                .collect();
-        }
-        assert_eq!(eager, lazy, "lazy FedZKT diverged from eager");
-    }
-
-    #[test]
     fn checkpoint_resume_matches_the_uninterrupted_run_bit_for_bit() {
-        for mode in [Materialization::Eager, Materialization::Lazy] {
-            let sim_cfg = SimConfig {
-                participation: 0.67,
-                materialization: mode,
-                ..tiny_sim()
-            };
-            let reference = tiny_setup(tiny_cfg(), sim_cfg).run().clone();
-            let mut first = tiny_setup(tiny_cfg(), sim_cfg);
-            first.round(0);
-            // Through the serialized form, as a real kill/restart would go.
-            let ck = fedzkt_fl::SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
-            drop(first);
-            let mut resumed = tiny_setup(tiny_cfg(), sim_cfg);
-            resumed.resume_from(&ck).expect("resume");
-            let log = resumed.run().clone();
-            assert_eq!(log.to_json(), reference.to_json(), "mode {mode:?}");
-        }
+        let sim_cfg = SimConfig { participation: 0.67, ..tiny_sim() };
+        let reference = tiny_setup(tiny_cfg(), sim_cfg).run().clone();
+        let mut first = tiny_setup(tiny_cfg(), sim_cfg);
+        first.round(0);
+        // Through the serialized form, as a real kill/restart would go.
+        let ck = fedzkt_fl::SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
+        drop(first);
+        let mut resumed = tiny_setup(tiny_cfg(), sim_cfg);
+        resumed.resume_from(&ck).expect("resume");
+        let log = resumed.run().clone();
+        assert_eq!(log.to_json(), reference.to_json());
     }
 
     #[test]
@@ -807,7 +609,6 @@ mod tests {
             participation: 0.67,
             seed: 1,
             eval_every: 0,
-            materialization: Materialization::Lazy,
             ..Default::default()
         };
         let mut sim = tiny_setup(tiny_cfg(), sim_cfg);

@@ -22,8 +22,7 @@
 use crate::checkpoint::{AlgoState, SimCheckpoint, CHECKPOINT_VERSION};
 use crate::{
     evaluate, ChurnProcess, ChurnSpec, CodecSpec, CommTracker, DeviceRegistry, DeviceResources,
-    Materialization, ParticipationSampler, PayloadCodec, RoundMetrics, RoundParticipant, RunLog,
-    SimClock,
+    ParticipationSampler, PayloadCodec, RoundMetrics, RoundParticipant, RunLog, SimClock,
 };
 use fedzkt_data::Dataset;
 use fedzkt_nn::{Module, StateDict};
@@ -59,22 +58,15 @@ pub struct SimConfig {
     /// the lossy codecs shrink the accounted traffic *and* perturb the
     /// decoded states the receiving side trains on.
     pub codec: CodecSpec,
-    /// Fleet materialization strategy ([`crate::registry`]). Like
-    /// `threads`, a throughput/memory knob and never a semantics knob:
-    /// lazy and eager runs of the same config are bit-identical. Eager
-    /// (the default) materializes every device up front; lazy keeps
-    /// devices as registry summaries and materializes them only while
-    /// needed, bounding peak memory by the resident set.
-    pub materialization: Materialization,
     /// Numeric format for the **inference-heavy** phases: accuracy
     /// evaluation here in the driver, plus any no-grad scoring passes an
     /// algorithm opts into (FedZKT's distillation game). `F32` (the
     /// default) is exact; `Int8` quantizes GEMM operands with the codec's
     /// QuantQ8 affine format for an integer inner product
     /// ([`fedzkt_tensor::compute`]). Training always runs f32 — unlike
-    /// `threads`/`materialization` this *is* a semantics knob for the
-    /// phases it covers, though a deterministic one: results are still
-    /// bit-identical across thread counts and materialization modes.
+    /// `threads` this *is* a semantics knob for the phases it covers,
+    /// though a deterministic one: results are still bit-identical
+    /// across thread counts.
     pub compute: ComputeFormat,
 }
 
@@ -88,7 +80,6 @@ impl Default for SimConfig {
             seed: 0,
             threads: 0,
             codec: CodecSpec::Raw,
-            materialization: Materialization::Eager,
             compute: ComputeFormat::F32,
         }
     }
@@ -293,14 +284,15 @@ pub trait FederatedAlgorithm {
         None
     }
 
-    /// Called by the driver right before it evaluates device models, so a
-    /// lazily materialized fleet can make every model the evaluation will
-    /// borrow resident ([`FederatedAlgorithm::device_model`] hands out
-    /// `&dyn Module`, which cannot materialize on demand). Default: no-op.
+    /// Called by the driver right before it evaluates device models, so
+    /// the fleet can make every model the evaluation will borrow resident
+    /// ([`FederatedAlgorithm::device_model`] hands out `&dyn Module`,
+    /// which cannot materialize on demand). Anything else that reads
+    /// device models between rounds calls this first. Default: no-op.
     fn prepare_eval(&mut self) {}
 
     /// Called by the driver at the very end of a round — after evaluation
-    /// and clock advancement — so a lazy fleet can drop the round's
+    /// and clock advancement — so the fleet can drop the round's
     /// materialized device state back to registry summaries. Default:
     /// no-op.
     fn end_round(&mut self, _round: usize) {}
@@ -560,6 +552,16 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         &mut self.algo
     }
 
+    /// The wrapped algorithm after [`FederatedAlgorithm::prepare_eval`] —
+    /// the form whose [`device_model`](FederatedAlgorithm::device_model)s
+    /// may be read between rounds, where device models are otherwise not
+    /// held ([`crate::fleet`]). The fleet then stays materialized until
+    /// the next round ends, and the residency gauge counts it.
+    pub fn algorithm_for_eval(&mut self) -> &A {
+        self.algo.prepare_eval();
+        &self.algo
+    }
+
     /// Number of devices in the federation.
     pub fn devices(&self) -> usize {
         self.algo.devices()
@@ -731,7 +733,7 @@ impl<A: FederatedAlgorithm> Simulation<A> {
             );
         }
 
-        // Let a lazy fleet drop the round's materialized state, then read
+        // Let the fleet drop the round's materialized state, then read
         // the residency gauge (peak is a monotone high-water mark, so it
         // is unaffected by the release; `resident` intentionally reflects
         // the *between-rounds* footprint).

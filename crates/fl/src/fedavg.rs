@@ -13,22 +13,24 @@
 //!
 //! FedAvg's devices are *stateless between rounds*: every round starts
 //! from the broadcast global snapshot, so the only per-device state is the
-//! data shard. Under [`Materialization::Lazy`] the federation therefore
-//! keeps just the shard **index sets** and materializes a device's shard
-//! only while it is sampled; the server folds decoded uplinks into a
-//! [`StreamingAverage`] as they arrive instead of collecting them. Peak
-//! memory is O(sampled-per-round), never O(registered fleet) — the bound
-//! the workspace memory-bound regression test enforces on the
-//! [`DeviceRegistry`] counters.
+//! data shard. The federation therefore needs only the [`ShardStore`] and
+//! a bare [`DeviceRegistry`] from [`crate::fleet`] (see its "Scale model"
+//! section): a device's shard is sliced on the worker that trains it and
+//! dropped when that device is done, and the server folds decoded uplinks
+//! into a [`StreamingAverage`] as they arrive instead of collecting them.
+//! Peak memory is O(sampled-per-round), never O(registered fleet) — the
+//! bound the workspace memory-bound regression test enforces on the
+//! registry counters.
 
+use crate::fleet::{load_counters, save_counters};
 use crate::{
     train_local_fleet, AlgoState, DeviceRegistry, FederatedAlgorithm, FleetJob, LocalTrainConfig,
-    Materialization, RoundContext, SimConfig, StreamingAverage,
+    RoundContext, ShardStore, SimConfig, StreamingAverage,
 };
 use fedzkt_data::Dataset;
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
-use fedzkt_tensor::split_seed;
+use fedzkt_tensor::{par, split_seed};
 
 /// Hyperparameters of [`FedAvg`]'s update rules. Protocol-level knobs
 /// (rounds, participation, seed, threads, evaluation) live in
@@ -53,30 +55,6 @@ impl Default for FedAvgConfig {
     }
 }
 
-/// Device data, stored per the fleet's materialization mode: eager keeps
-/// every shard sliced; lazy keeps one training set plus per-device index
-/// sets, and slices a shard only while its device is sampled.
-enum ShardStore {
-    Eager(Vec<Dataset>),
-    Lazy { train: Dataset, index: Vec<Vec<usize>> },
-}
-
-impl ShardStore {
-    fn devices(&self) -> usize {
-        match self {
-            ShardStore::Eager(shards) => shards.len(),
-            ShardStore::Lazy { index, .. } => index.len(),
-        }
-    }
-
-    fn shard_len(&self, k: usize) -> usize {
-        match self {
-            ShardStore::Eager(shards) => shards[k].len(),
-            ShardStore::Lazy { index, .. } => index[k].len(),
-        }
-    }
-}
-
 /// A FedAvg (or, with `prox_mu > 0`, FedProx) federation over homogeneous
 /// on-device models.
 pub struct FedAvg {
@@ -95,8 +73,7 @@ pub struct FedAvg {
 
 impl FedAvg {
     /// Build the federation: every device runs `spec`; `shards[i]` is the
-    /// index set of device `i` in `train`. `sim` supplies the run seed and
-    /// the fleet's [`Materialization`] mode.
+    /// index set of device `i` in `train`. `sim` supplies the run seed.
     ///
     /// # Panics
     /// Panics when `shards` is empty.
@@ -107,20 +84,17 @@ impl FedAvg {
         cfg: FedAvgConfig,
         sim: &SimConfig,
     ) -> Self {
-        assert!(!shards.is_empty(), "need at least one device");
         let io = (train.channels(), train.num_classes(), train.img_size());
-        let global = spec.build(io.0, io.1, io.2, sim.seed);
-        let (store, registry) = match sim.materialization {
-            Materialization::Eager => (
-                ShardStore::Eager(shards.iter().map(|idx| train.subset(idx)).collect()),
-                DeviceRegistry::eager(shards.len()),
-            ),
-            Materialization::Lazy => (
-                ShardStore::Lazy { train: train.clone(), index: shards.to_vec() },
-                DeviceRegistry::new(shards.len()),
-            ),
-        };
-        FedAvg { cfg, seed: sim.seed, spec, io, global, shards: store, registry, pending: None }
+        FedAvg {
+            cfg,
+            seed: sim.seed,
+            spec,
+            io,
+            global: spec.build(io.0, io.1, io.2, sim.seed),
+            shards: ShardStore::new(train, shards),
+            registry: DeviceRegistry::new(shards.len()),
+            pending: None,
+        }
     }
 }
 
@@ -132,11 +106,11 @@ impl FederatedAlgorithm for FedAvg {
     /// Every active device starts from the broadcast global snapshot —
     /// **as decoded from the wire**, so a lossy codec's quantization error
     /// is what the devices actually train from — and trains independently;
-    /// the fleet driver runs them on worker threads and returns updates in
+    /// they run on worker threads and their updates come back in
     /// `active` order (ascending device ids), so folding each decoded
     /// uplink into the running [`StreamingAverage`] as it is consumed is
-    /// bit-deterministic for any thread count **and** bit-identical to the
-    /// batch average the eager implementation used.
+    /// bit-deterministic for any thread count **and** bit-identical to a
+    /// batch average.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         // One broadcast payload: encoded once, every recipient charged its
         // wire size and handed the same decoded state (lossless codecs
@@ -150,50 +124,39 @@ impl FederatedAlgorithm for FedAvg {
                 ctx.through_wire(&sd)
             }
         };
-        // Lazy fleet: materialize the active shards for the duration of
-        // the dispatch (the data is the only per-device state — models are
-        // rebuilt from the broadcast snapshot on the workers).
-        let staged: Vec<Dataset> = match &self.shards {
-            ShardStore::Eager(_) => Vec::new(),
-            ShardStore::Lazy { train, index } => active
-                .iter()
-                .map(|&dev| {
-                    self.registry.checkout(dev);
-                    train.subset(&index[dev])
-                })
-                .collect(),
-        };
-        let jobs: Vec<FleetJob> = active
-            .iter()
-            .enumerate()
-            .map(|(i, &dev)| FleetJob {
-                spec: self.spec,
+        // The data is the only per-device state (models are rebuilt from
+        // the broadcast snapshot on the workers), and each worker slices a
+        // device's shard right before training on it: at most `threads`
+        // shards and snapshots are live at a time, however many devices
+        // the round samples. The registry counts the whole sampled set.
+        for &dev in active {
+            self.registry.checkout(dev);
+        }
+        let (shards, spec, io, cfg, seed) = (&self.shards, self.spec, self.io, self.cfg, self.seed);
+        let results = par::map_indexed(active.len(), ctx.threads(), |i| {
+            let dev = active[i];
+            let job = FleetJob {
+                spec,
                 snapshot: global_sd.clone(),
-                data: match &self.shards {
-                    ShardStore::Eager(shards) => &shards[dev],
-                    ShardStore::Lazy { .. } => &staged[i],
-                },
+                data: &shards.shard(dev),
                 cfg: LocalTrainConfig {
-                    epochs: self.cfg.local_epochs,
-                    batch_size: self.cfg.batch_size,
-                    lr: self.cfg.lr,
-                    momentum: self.cfg.momentum,
+                    epochs: cfg.local_epochs,
+                    batch_size: cfg.batch_size,
+                    lr: cfg.lr,
+                    momentum: cfg.momentum,
                     weight_decay: 0.0,
-                    prox_mu: self.cfg.prox_mu,
-                    seed: split_seed(self.seed, (round * 1000 + dev) as u64),
+                    prox_mu: cfg.prox_mu,
+                    seed: split_seed(seed, (round * 1000 + dev) as u64),
                 },
                 pretrain: None,
                 digest: None,
-                rebuild_seed: split_seed(self.seed, 0xB11D_0000 + (round * 1000 + dev) as u64),
-            })
-            .collect();
-        let results = train_local_fleet(&jobs, self.io, ctx.threads());
-        drop(jobs);
-        drop(staged);
-        if let ShardStore::Lazy { .. } = self.shards {
-            for &dev in active {
-                self.registry.release(dev);
-            }
+                rebuild_seed: split_seed(seed, 0xB11D_0000 + (round * 1000 + dev) as u64),
+            };
+            // Already on a worker: the one-job dispatch runs inline.
+            train_local_fleet(std::slice::from_ref(&job), io, 1).pop().expect("one job, one result")
+        });
+        for &dev in active {
+            self.registry.release(dev);
         }
         // Stream the aggregation: the total weight is known before any
         // uplink arrives (shard sizes), so each decoded update is folded
@@ -265,22 +228,14 @@ impl FederatedAlgorithm for FedAvg {
     fn save_state(&self) -> AlgoState {
         let mut state = AlgoState::new();
         state.put_dict("global", &state_dict(self.global.as_ref()));
-        state.put_words(
-            "registry",
-            vec![self.registry.peak_resident() as u64, self.registry.touched() as u64],
-        );
+        save_counters(&self.registry, &mut state);
         state
     }
 
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
         load_state_dict(self.global.as_ref(), &state.dict("global")?)
             .map_err(|e| format!("global model: {e}"))?;
-        let reg = state.words("registry")?;
-        if reg.len() != 2 {
-            return Err("registry counters must be [peak_resident, touched]".into());
-        }
-        self.registry.absorb_counters(reg[0] as usize, reg[1] as usize);
-        Ok(())
+        load_counters(&mut self.registry, state)
     }
 }
 
@@ -290,7 +245,7 @@ mod tests {
     use crate::{average_state_dicts, CodecSpec, PayloadCodec, Simulation};
     use fedzkt_data::{DataFamily, Partition, SynthConfig};
 
-    fn setup_mode(prox_mu: f32, participation: f32, mode: Materialization) -> Simulation<FedAvg> {
+    fn setup(prox_mu: f32, participation: f32) -> Simulation<FedAvg> {
         let (train, test) = SynthConfig {
             family: DataFamily::MnistLike,
             img: 8,
@@ -302,13 +257,7 @@ mod tests {
         }
         .generate();
         let shards = Partition::Iid.split(train.labels(), 4, 3, 7).unwrap();
-        let sim = SimConfig {
-            rounds: 4,
-            participation,
-            seed: 1,
-            materialization: mode,
-            ..Default::default()
-        };
+        let sim = SimConfig { rounds: 4, participation, seed: 1, ..Default::default() };
         let fed = FedAvg::new(
             ModelSpec::Mlp { hidden: 24 },
             &train,
@@ -317,10 +266,6 @@ mod tests {
             &sim,
         );
         Simulation::builder(fed, test, sim).build()
-    }
-
-    fn setup(prox_mu: f32, participation: f32) -> Simulation<FedAvg> {
-        setup_mode(prox_mu, participation, Materialization::Eager)
     }
 
     #[test]
@@ -346,23 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn lazy_run_is_bit_identical_to_eager() {
-        // The tentpole contract at unit scale: same seed, both modes, every
-        // logged quantity identical except the residency gauge.
-        let eager = setup_mode(0.0, 0.67, Materialization::Eager).run().clone();
-        let lazy = setup_mode(0.0, 0.67, Materialization::Lazy).run().clone();
-        assert_eq!(eager.rounds.len(), lazy.rounds.len());
-        for (a, b) in eager.rounds.iter().zip(&lazy.rounds) {
-            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits());
-            assert_eq!(a.device_accuracy, b.device_accuracy);
-            assert_eq!(a.upload_bytes, b.upload_bytes);
-            assert_eq!(a.active_devices, b.active_devices);
-        }
-    }
-
-    #[test]
     fn lazy_registry_peaks_at_the_sampled_count() {
-        let mut sim = setup_mode(0.0, 0.67, Materialization::Lazy);
+        let mut sim = setup(0.0, 0.67);
         sim.run();
         let reg = sim.algorithm().registry().expect("fedavg exposes its registry");
         assert_eq!(reg.registered(), 3);
@@ -371,29 +301,18 @@ mod tests {
     }
 
     #[test]
-    fn eager_registry_reports_the_whole_fleet_resident() {
-        let mut sim = setup_mode(0.0, 0.67, Materialization::Eager);
-        sim.run();
-        let reg = sim.algorithm().registry().unwrap();
-        assert_eq!(reg.resident(), 3);
-        assert_eq!(reg.peak_resident(), 3);
-    }
-
-    #[test]
     fn checkpoint_resume_matches_the_uninterrupted_run_bit_for_bit() {
-        for mode in [Materialization::Eager, Materialization::Lazy] {
-            let reference = setup_mode(0.0, 0.67, mode).run().clone();
-            let mut first = setup_mode(0.0, 0.67, mode);
-            first.round(0);
-            first.round(1);
-            // Through the serialized form, as a real kill/restart would go.
-            let ck = crate::SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
-            drop(first);
-            let mut resumed = setup_mode(0.0, 0.67, mode);
-            resumed.resume_from(&ck).expect("resume");
-            let log = resumed.run().clone();
-            assert_eq!(log.to_json(), reference.to_json(), "mode {mode:?}");
-        }
+        let reference = setup(0.0, 0.67).run().clone();
+        let mut first = setup(0.0, 0.67);
+        first.round(0);
+        first.round(1);
+        // Through the serialized form, as a real kill/restart would go.
+        let ck = crate::SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
+        drop(first);
+        let mut resumed = setup(0.0, 0.67);
+        resumed.resume_from(&ck).expect("resume");
+        let log = resumed.run().clone();
+        assert_eq!(log.to_json(), reference.to_json());
     }
 
     #[test]

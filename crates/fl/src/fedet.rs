@@ -23,16 +23,16 @@
 //! ## Scale model
 //!
 //! Nothing in a Fed-ET round touches an inactive device: local training,
-//! scoring, distillation and transfer all run over the active set. Under
-//! [`Materialization::Lazy`] the fleet stays at O(active) resident devices
-//! outside evaluation, exactly like FedMD, and lazy and eager runs are
-//! bit-identical.
+//! scoring, distillation and transfer all run over the active set, so the
+//! [`DeviceFleet`] (see the "Scale model" section of [`crate::fleet`])
+//! stays at O(active) resident devices outside evaluation, exactly like
+//! FedMD.
 
 use crate::checkpoint::AlgoState;
-use crate::registry::{DeviceRegistry, Materialization};
+use crate::registry::DeviceRegistry;
 use crate::{
-    digest_logits, train_local_fleet, DigestConfig, FederatedAlgorithm, FleetJob,
-    LocalTrainConfig, RoundContext, SimConfig,
+    digest_logits, train_local_fleet, DeviceFleet, DigestConfig, FederatedAlgorithm, FleetJob,
+    LocalTrainConfig, RoundContext, ShardStore, SimConfig,
 };
 use fedzkt_autograd::{no_grad, Var};
 use fedzkt_data::Dataset;
@@ -82,38 +82,14 @@ impl Default for FedEtConfig {
     }
 }
 
-/// One simulated device: its architecture, and the model itself while the
-/// device is materialized (`None` between rounds in a lazy fleet).
-struct EtSlot {
-    spec: ModelSpec,
-    model: Option<Box<dyn Module>>,
-}
-
-/// Private shards, stored per the fleet's materialization mode.
-enum EtData {
-    Eager(Vec<Dataset>),
-    Lazy { train: Dataset, index: Vec<Vec<usize>> },
-}
-
-impl EtData {
-    fn shard_len(&self, k: usize) -> usize {
-        match self {
-            EtData::Eager(shards) => shards[k].len(),
-            EtData::Lazy { index, .. } => index[k].len(),
-        }
-    }
-}
-
 /// A Fed-ET federation over heterogeneous on-device models, a public
 /// transfer set and one server model.
 pub struct FedEt {
     cfg: FedEtConfig,
     seed: u64,
     io: (usize, usize, usize),
-    mode: Materialization,
-    slots: Vec<EtSlot>,
-    data: EtData,
-    registry: DeviceRegistry,
+    fleet: DeviceFleet<Box<dyn Module>>,
+    shards: ShardStore,
     public: Dataset,
     server: Box<dyn Module>,
     /// Zero-sample dataset handed to transfer-only fleet jobs (their
@@ -129,8 +105,7 @@ impl FedEt {
     /// Build the federation. `public` provides the transfer set; its
     /// labels are taken modulo the private class count (only its inputs
     /// are ever scored, but the relabelling keeps the dataset well-formed
-    /// for the class-count accessors). `sim` supplies the run seed and the
-    /// fleet's [`Materialization`] mode.
+    /// for the class-count accessors). `sim` supplies the run seed.
     ///
     /// # Panics
     /// Panics when `zoo`/`shards` lengths differ or are empty, or when the
@@ -143,7 +118,6 @@ impl FedEt {
         cfg: FedEtConfig,
         sim: &SimConfig,
     ) -> Self {
-        assert!(!zoo.is_empty(), "need at least one device");
         assert_eq!(zoo.len(), shards.len(), "zoo/shards length mismatch");
         assert_eq!(
             (public.channels(), public.img_size()),
@@ -156,38 +130,17 @@ impl FedEt {
             public.labels().iter().map(|&l| l % classes).collect(),
             classes,
         );
-        let (slots, data, registry) = match sim.materialization {
-            Materialization::Eager => (
-                zoo.iter()
-                    .enumerate()
-                    .map(|(i, spec)| EtSlot {
-                        spec: *spec,
-                        model: Some(spec.build(
-                            channels,
-                            classes,
-                            img,
-                            split_seed(sim.seed, 0xE7_0000 + i as u64),
-                        )),
-                    })
-                    .collect::<Vec<_>>(),
-                EtData::Eager(shards.iter().map(|idx| train.subset(idx)).collect()),
-                DeviceRegistry::eager(zoo.len()),
-            ),
-            Materialization::Lazy => (
-                zoo.iter().map(|spec| EtSlot { spec: *spec, model: None }).collect(),
-                EtData::Lazy { train: train.clone(), index: shards.to_vec() },
-                DeviceRegistry::new(zoo.len()),
-            ),
-        };
-        let server = cfg.server_model.build(channels, classes, img, split_seed(sim.seed, 0xE7_5EED));
+        let seed = sim.seed;
+        let fleet = DeviceFleet::new(zoo, move |k, spec| {
+            spec.build(channels, classes, img, split_seed(seed, 0xE7_0000 + k as u64))
+        });
+        let server = cfg.server_model.build(channels, classes, img, split_seed(seed, 0xE7_5EED));
         FedEt {
             cfg,
-            seed: sim.seed,
+            seed,
             io: (channels, classes, img),
-            mode: sim.materialization,
-            slots,
-            data,
-            registry,
+            fleet,
+            shards: ShardStore::new(train, shards),
             public,
             server,
             empty: Dataset::new(Tensor::zeros(&[0, channels, img, img]), Vec::new(), classes),
@@ -205,57 +158,6 @@ impl FedEt {
         self.server.as_ref()
     }
 
-    /// Device `k`'s materialized model.
-    ///
-    /// # Panics
-    /// Panics when the device is not resident — a lifecycle bug, since
-    /// every code path that touches a model materializes it first.
-    fn model(&self, k: usize) -> &dyn Module {
-        self.slots[k].model.as_deref().expect("device model must be resident here")
-    }
-
-    /// Materialize device `k` if it is not already resident (the same
-    /// seeded build as the eager constructor, overlaid with the stored
-    /// summary, if any).
-    fn ensure_resident(&mut self, k: usize) {
-        if self.slots[k].model.is_some() {
-            return;
-        }
-        let (channels, classes, img) = self.io;
-        let model = self.slots[k].spec.build(
-            channels,
-            classes,
-            img,
-            split_seed(self.seed, 0xE7_0000 + k as u64),
-        );
-        if let Some(summary) = self.registry.take_summary(k) {
-            load_state_dict(model.as_ref(), &summary)
-                .expect("registry summary matches device architecture");
-        }
-        self.slots[k].model = Some(model);
-        self.registry.checkout(k);
-    }
-
-    /// Stage the private shards of `ids` for a lazy fleet's dispatch
-    /// (empty in eager mode, where the shards are held permanently).
-    fn stage_shards(&self, ids: &[usize]) -> Vec<Dataset> {
-        match &self.data {
-            EtData::Eager(_) => Vec::new(),
-            EtData::Lazy { train, index } => {
-                ids.iter().map(|&k| train.subset(&index[k])).collect()
-            }
-        }
-    }
-
-    /// The `i`-th staged shard of `ids` — from the permanent store in
-    /// eager mode, from `staged` in lazy mode.
-    fn shard<'a>(&'a self, staged: &'a [Dataset], ids: &[usize], i: usize) -> &'a Dataset {
-        match &self.data {
-            EtData::Eager(shards) => &shards[ids[i]],
-            EtData::Lazy { .. } => &staged[i],
-        }
-    }
-
     /// Size of the round's transfer subset.
     fn transfer_len(&self) -> usize {
         self.cfg.transfer_size.min(self.public.len())
@@ -264,7 +166,7 @@ impl FedEt {
 
 impl FederatedAlgorithm for FedEt {
     fn devices(&self) -> usize {
-        self.slots.len()
+        self.fleet.devices()
     }
 
     /// Device phase: local cross-entropy training on the fleet, then each
@@ -272,16 +174,16 @@ impl FederatedAlgorithm for FedEt {
     /// trained state; the server receives the wire (decoded) copy.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         for &k in active {
-            self.ensure_resident(k);
+            self.fleet.ensure_resident(k);
         }
-        let staged = self.stage_shards(active);
+        let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
             .iter()
-            .enumerate()
-            .map(|(i, &k)| FleetJob {
-                spec: self.slots[k].spec,
-                snapshot: state_dict(self.model(k)),
-                data: self.shard(&staged, active, i),
+            .zip(&staged)
+            .map(|(&k, data)| FleetJob {
+                spec: self.fleet.spec(k),
+                snapshot: state_dict(self.fleet.model(k)),
+                data,
                 cfg: LocalTrainConfig {
                     epochs: self.cfg.local_epochs,
                     batch_size: self.cfg.batch_size,
@@ -304,7 +206,7 @@ impl FederatedAlgorithm for FedEt {
             loss_sum += loss;
             let (decoded, wire) = ctx.through_wire(&sd);
             ctx.comm.record_upload(k, wire);
-            load_state_dict(self.model(k), &sd)
+            load_state_dict(self.fleet.model(k), &sd)
                 .expect("fleet result matches device architecture");
             self.pending.push((k, decoded));
         }
@@ -333,7 +235,7 @@ impl FederatedAlgorithm for FedEt {
         let scores: Vec<Tensor> = uploads
             .iter()
             .map(|(k, sd)| {
-                let scratch = self.slots[*k].spec.build(
+                let scratch = self.fleet.spec(*k).build(
                     channels,
                     classes,
                     img,
@@ -363,7 +265,7 @@ impl FederatedAlgorithm for FedEt {
                 let deviation: f32 =
                     s.data().iter().zip(mean.data()).map(|(a, b)| (a - b).abs()).sum();
                 let d = deviation / s.data().len().max(1) as f32;
-                self.data.shard_len(*k).max(1) as f32 * (1.0 + self.cfg.diversity_lambda * d)
+                self.shards.shard_len(*k).max(1) as f32 * (1.0 + self.cfg.diversity_lambda * d)
             })
             .collect();
         let total: f32 = weights.iter().sum();
@@ -398,7 +300,7 @@ impl FederatedAlgorithm for FedEt {
             .iter()
             .zip(states)
             .map(|(&k, snapshot)| FleetJob {
-                spec: self.slots[k].spec,
+                spec: self.fleet.spec(k),
                 snapshot,
                 data: &self.empty,
                 cfg: LocalTrainConfig { epochs: 0, ..Default::default() },
@@ -422,13 +324,13 @@ impl FederatedAlgorithm for FedEt {
         for (&k, (_, sd)) in ids.iter().zip(results) {
             let (decoded, wire) = ctx.through_wire(&sd);
             ctx.comm.record_download(k, wire);
-            load_state_dict(self.model(k), &decoded)
+            load_state_dict(self.fleet.model(k), &decoded)
                 .expect("transfer result matches device architecture");
         }
     }
 
     fn device_model(&self, k: usize) -> &dyn Module {
-        self.model(k)
+        self.fleet.model(k).as_ref()
     }
 
     fn global_model(&self) -> Option<&dyn Module> {
@@ -436,28 +338,13 @@ impl FederatedAlgorithm for FedEt {
     }
 
     /// The O(|w_k|) claim: device `k` only ever exchanges its own model,
-    /// in both directions. (A non-resident device answers from its
-    /// summary, or from a fresh seeded build if it never trained — shapes
-    /// are what matter here.)
+    /// in both directions.
     fn payload_template(&self, k: usize) -> StateDict {
-        if let Some(model) = &self.slots[k].model {
-            return state_dict(model.as_ref());
-        }
-        if let Some(summary) = self.registry.summary(k) {
-            return summary.clone();
-        }
-        let (channels, classes, img) = self.io;
-        let model = self.slots[k].spec.build(
-            channels,
-            classes,
-            img,
-            split_seed(self.seed, 0xE7_0000 + k as u64),
-        );
-        state_dict(model.as_ref())
+        self.fleet.template(k)
     }
 
     fn local_samples(&self, k: usize) -> usize {
-        self.cfg.local_epochs * self.data.shard_len(k)
+        self.cfg.local_epochs * self.shards.shard_len(k)
     }
 
     fn construction_seed(&self) -> Option<u64> {
@@ -465,69 +352,32 @@ impl FederatedAlgorithm for FedEt {
     }
 
     fn registry(&self) -> Option<&DeviceRegistry> {
-        Some(&self.registry)
+        Some(self.fleet.registry())
     }
 
     fn prepare_eval(&mut self) {
-        for k in 0..self.slots.len() {
-            self.ensure_resident(k);
-        }
+        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {
-        if self.mode.is_lazy() {
-            for k in 0..self.slots.len() {
-                if let Some(model) = self.slots[k].model.take() {
-                    self.registry.store_summary(k, state_dict(model.as_ref()));
-                    self.registry.release(k);
-                }
-            }
-        }
+        self.fleet.release_all();
     }
 
-    /// What Fed-ET carries across rounds: every trained device model
-    /// (resident or summarized), the server model, and the registry's
-    /// monotone counters. `pending` is intra-round scratch; the transfer
+    /// What Fed-ET carries across rounds: the fleet (every device model
+    /// that has ever been materialized, plus the registry's monotone
+    /// counters) and the server model. `pending` is intra-round scratch; the transfer
     /// subset and all RNG streams are pure functions of `(seed, round)`.
     fn save_state(&self) -> AlgoState {
         let mut state = AlgoState::new();
-        for (k, slot) in self.slots.iter().enumerate() {
-            if let Some(model) = &slot.model {
-                state.put_dict(format!("device_{k}"), &state_dict(model.as_ref()));
-            }
-        }
-        for (k, summary) in self.registry.summaries() {
-            state.put_dict(format!("device_{k}"), summary);
-        }
+        self.fleet.save_into(&mut state);
         state.put_dict("server", &state_dict(self.server.as_ref()));
-        state.put_words(
-            "registry",
-            vec![self.registry.peak_resident() as u64, self.registry.touched() as u64],
-        );
         state
     }
 
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
-        for k in 0..self.slots.len() {
-            let name = format!("device_{k}");
-            if !state.has_blob(&name) {
-                continue; // never trained: rematerializes from its seed
-            }
-            let sd = state.dict(&name)?;
-            match self.mode {
-                Materialization::Eager => load_state_dict(self.model(k), &sd)
-                    .map_err(|e| format!("device {k}: {e}"))?,
-                Materialization::Lazy => self.registry.store_summary(k, sd),
-            }
-        }
-        let server = state.dict("server")?;
-        load_state_dict(self.server.as_ref(), &server).map_err(|e| format!("server: {e}"))?;
-        let reg = state.words("registry")?;
-        if reg.len() != 2 {
-            return Err("registry counters must be [peak_resident, touched]".into());
-        }
-        self.registry.absorb_counters(reg[0] as usize, reg[1] as usize);
-        Ok(())
+        self.fleet.load_from(state)?;
+        load_state_dict(self.server.as_ref(), &state.dict("server")?)
+            .map_err(|e| format!("server: {e}"))
     }
 }
 
@@ -616,7 +466,7 @@ mod tests {
         let run = |codec: CodecSpec| {
             let mut sim = setup(SimConfig { codec, ..default_sim() });
             sim.round(0);
-            state_dict(sim.algorithm().device_model(0))
+            state_dict(sim.algorithm_for_eval().device_model(0))
         };
         assert_ne!(run(CodecSpec::Raw), run(CodecSpec::QuantQ8));
     }
@@ -627,59 +477,25 @@ mod tests {
         // training + transfer both ran).
         let mut sim = setup(default_sim());
         let before: Vec<StateDict> =
-            (0..3).map(|k| state_dict(sim.algorithm().device_model(k))).collect();
+            (0..3).map(|k| state_dict(sim.algorithm_for_eval().device_model(k))).collect();
         sim.round(0);
         for (k, b) in before.iter().enumerate() {
-            assert_ne!(&state_dict(sim.algorithm().device_model(k)), b, "device {k}");
+            assert_ne!(&state_dict(sim.algorithm_for_eval().device_model(k)), b, "device {k}");
         }
-    }
-
-    #[test]
-    fn lazy_run_is_bit_identical_to_eager() {
-        let run = |mode: Materialization| {
-            let mut sim = setup(SimConfig {
-                rounds: 2,
-                participation: 0.67,
-                seed: 1,
-                materialization: mode,
-                ..Default::default()
-            });
-            sim.run().to_json()
-        };
-        let mut eager = run(Materialization::Eager);
-        let mut lazy = run(Materialization::Lazy);
-        for log in [&mut eager, &mut lazy] {
-            *log = log
-                .split("\"peak_resident_devices\":")
-                .map(|part| match part.find('}') {
-                    Some(i) => &part[i..],
-                    None => part,
-                })
-                .collect();
-        }
-        assert_eq!(eager, lazy, "lazy Fed-ET diverged from eager");
     }
 
     #[test]
     fn checkpoint_resume_matches_the_uninterrupted_run_bit_for_bit() {
-        for mode in [Materialization::Eager, Materialization::Lazy] {
-            let sim_cfg = SimConfig {
-                rounds: 2,
-                participation: 0.67,
-                seed: 1,
-                materialization: mode,
-                ..Default::default()
-            };
-            let reference = setup(sim_cfg).run().clone();
-            let mut first = setup(sim_cfg);
-            first.round(0);
-            let ck = SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
-            drop(first);
-            let mut resumed = setup(sim_cfg);
-            resumed.resume_from(&ck).expect("resume");
-            let log = resumed.run().clone();
-            assert_eq!(log.to_json(), reference.to_json(), "mode {mode:?}");
-        }
+        let sim_cfg = SimConfig { rounds: 2, participation: 0.67, seed: 1, ..Default::default() };
+        let reference = setup(sim_cfg).run().clone();
+        let mut first = setup(sim_cfg);
+        first.round(0);
+        let ck = SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
+        drop(first);
+        let mut resumed = setup(sim_cfg);
+        resumed.resume_from(&ck).expect("resume");
+        let log = resumed.run().clone();
+        assert_eq!(log.to_json(), reference.to_json());
     }
 
     #[test]
@@ -689,7 +505,6 @@ mod tests {
             participation: 0.67,
             seed: 1,
             eval_every: 0,
-            materialization: Materialization::Lazy,
             ..Default::default()
         });
         sim.round(0);

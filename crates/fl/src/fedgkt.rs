@@ -26,12 +26,21 @@
 //! single-spec fleet dispatcher cannot rebuild, so local training runs
 //! serially on the driver thread; every step is a pure function of
 //! `(seed, round, k)`, which keeps runs bit-identical across thread
-//! counts, materialization modes and kill/resume boundaries.
+//! counts and kill/resume boundaries.
+//!
+//! ## Scale model
+//!
+//! The device phase trains the active set only, so the
+//! [`DeviceFleet`]`<`[`SplitModel`]`>` (see the "Scale model" section of
+//! [`crate::fleet`]) stays at O(active) resident devices outside
+//! evaluation.
 
 use crate::checkpoint::AlgoState;
-use crate::registry::{DeviceRegistry, Materialization};
-use crate::{digest_logits, train_local, DigestConfig, FederatedAlgorithm, LocalTrainConfig,
-    RoundContext, SimConfig};
+use crate::registry::DeviceRegistry;
+use crate::{
+    digest_logits, train_local, DeviceFleet, DigestConfig, FederatedAlgorithm, LocalTrainConfig,
+    RoundContext, ShardStore, SimConfig,
+};
 use fedzkt_autograd::loss::cross_entropy;
 use fedzkt_autograd::{no_grad, Var};
 use fedzkt_data::{BatchIter, Dataset};
@@ -85,9 +94,30 @@ impl Default for FedGktConfig {
 /// extractor (built with `feature_dim` outputs instead of class logits)
 /// and a throwaway local linear head that lets it train end-to-end — and
 /// lets the driver evaluate it as an image classifier.
-struct SplitModel {
+pub struct SplitModel {
     extractor: Box<dyn Module>,
     head: Linear,
+}
+
+impl SplitModel {
+    /// The deterministic split-model build for device `k` of a run seeded
+    /// `seed`: `spec` with `feature_dim` outputs as the extractor, plus a
+    /// fresh linear head onto the classes of `io = (channels, classes,
+    /// img_size)`.
+    pub fn build(
+        spec: ModelSpec,
+        io: (usize, usize, usize),
+        feature_dim: usize,
+        seed: u64,
+        k: usize,
+    ) -> Self {
+        let (channels, classes, img) = io;
+        let extractor =
+            spec.build(channels, feature_dim, img, split_seed(seed, 0x6C7_0000 + k as u64));
+        let mut rng = seeded_rng(split_seed(seed, 0x6C7_1000 + k as u64));
+        let head = Linear::new(feature_dim, classes, true, &mut rng);
+        SplitModel { extractor, head }
+    }
 }
 
 impl Module for SplitModel {
@@ -113,38 +143,14 @@ impl Module for SplitModel {
     }
 }
 
-/// One simulated device: its extractor architecture, and the split model
-/// itself while the device is materialized.
-struct GktSlot {
-    spec: ModelSpec,
-    model: Option<SplitModel>,
-}
-
-/// Private shards, stored per the fleet's materialization mode.
-enum GktData {
-    Eager(Vec<Dataset>),
-    Lazy { train: Dataset, index: Vec<Vec<usize>> },
-}
-
-impl GktData {
-    fn shard_len(&self, k: usize) -> usize {
-        match self {
-            GktData::Eager(shards) => shards[k].len(),
-            GktData::Lazy { index, .. } => index[k].len(),
-        }
-    }
-}
-
 /// A FedGKT federation: heterogeneous split devices and one shared server
 /// classifier head.
 pub struct FedGkt {
     cfg: FedGktConfig,
     seed: u64,
     io: (usize, usize, usize),
-    mode: Materialization,
-    slots: Vec<GktSlot>,
-    data: GktData,
-    registry: DeviceRegistry,
+    fleet: DeviceFleet<SplitModel>,
+    shards: ShardStore,
     /// The server's classifier head over the exchanged feature space:
     /// `Linear(d, hidden) → ReLU → Linear(hidden, classes)`.
     head: Sequential,
@@ -161,8 +167,7 @@ pub struct FedGkt {
 
 impl FedGkt {
     /// Build the federation over `zoo` extractor architectures and the
-    /// private `shards` of `train`. `sim` supplies the run seed and the
-    /// fleet's [`Materialization`] mode.
+    /// private `shards` of `train`. `sim` supplies the run seed.
     ///
     /// # Panics
     /// Panics when `zoo`/`shards` lengths differ or are empty.
@@ -173,30 +178,12 @@ impl FedGkt {
         cfg: FedGktConfig,
         sim: &SimConfig,
     ) -> Self {
-        assert!(!zoo.is_empty(), "need at least one device");
         assert_eq!(zoo.len(), shards.len(), "zoo/shards length mismatch");
         let io = (train.channels(), train.num_classes(), train.img_size());
-        let build = |spec: &ModelSpec, k: usize, seed: u64| -> SplitModel {
-            Self::build_split(spec, io, cfg.feature_dim, seed, k)
-        };
-        let (slots, data, registry) = match sim.materialization {
-            Materialization::Eager => (
-                zoo.iter()
-                    .enumerate()
-                    .map(|(k, spec)| GktSlot {
-                        spec: *spec,
-                        model: Some(build(spec, k, sim.seed)),
-                    })
-                    .collect::<Vec<_>>(),
-                GktData::Eager(shards.iter().map(|idx| train.subset(idx)).collect()),
-                DeviceRegistry::eager(zoo.len()),
-            ),
-            Materialization::Lazy => (
-                zoo.iter().map(|spec| GktSlot { spec: *spec, model: None }).collect(),
-                GktData::Lazy { train: train.clone(), index: shards.to_vec() },
-                DeviceRegistry::new(zoo.len()),
-            ),
-        };
+        let (seed, feature_dim) = (sim.seed, cfg.feature_dim);
+        let fleet = DeviceFleet::new(zoo, move |k, spec| {
+            SplitModel::build(spec, io, feature_dim, seed, k)
+        });
         let (_, classes, _) = io;
         let mut rng = seeded_rng(split_seed(sim.seed, 0x6C7_5EED));
         let head = Sequential::new(vec![
@@ -206,83 +193,20 @@ impl FedGkt {
         ]);
         FedGkt {
             cfg,
-            seed: sim.seed,
+            seed,
             io,
-            mode: sim.materialization,
             soft: vec![None; zoo.len()],
             digested_this_round: vec![false; zoo.len()],
-            slots,
-            data,
-            registry,
+            fleet,
+            shards: ShardStore::new(train, shards),
             head,
             pending: Vec::new(),
         }
     }
 
-    /// The deterministic split-model build for device `k`: the zoo spec
-    /// with `feature_dim` outputs as the extractor, plus a fresh linear
-    /// head.
-    fn build_split(
-        spec: &ModelSpec,
-        io: (usize, usize, usize),
-        feature_dim: usize,
-        seed: u64,
-        k: usize,
-    ) -> SplitModel {
-        let (channels, classes, img) = io;
-        let extractor =
-            spec.build(channels, feature_dim, img, split_seed(seed, 0x6C7_0000 + k as u64));
-        let mut rng = seeded_rng(split_seed(seed, 0x6C7_1000 + k as u64));
-        let head = Linear::new(feature_dim, classes, true, &mut rng);
-        SplitModel { extractor, head }
-    }
-
     /// The server's classifier head.
     pub fn server_head(&self) -> &dyn Module {
         &self.head
-    }
-
-    /// Device `k`'s materialized split model.
-    ///
-    /// # Panics
-    /// Panics when the device is not resident — a lifecycle bug, since
-    /// every code path that touches a model materializes it first.
-    fn model(&self, k: usize) -> &SplitModel {
-        self.slots[k].model.as_ref().expect("device model must be resident here")
-    }
-
-    /// Materialize device `k` if it is not already resident.
-    fn ensure_resident(&mut self, k: usize) {
-        if self.slots[k].model.is_some() {
-            return;
-        }
-        let model =
-            Self::build_split(&self.slots[k].spec, self.io, self.cfg.feature_dim, self.seed, k);
-        if let Some(summary) = self.registry.take_summary(k) {
-            load_state_dict(&model, &summary)
-                .expect("registry summary matches split architecture");
-        }
-        self.slots[k].model = Some(model);
-        self.registry.checkout(k);
-    }
-
-    /// Stage the private shards of `ids` for this round (empty in eager
-    /// mode, where the shards are held permanently).
-    fn stage_shards(&self, ids: &[usize]) -> Vec<Dataset> {
-        match &self.data {
-            GktData::Eager(_) => Vec::new(),
-            GktData::Lazy { train, index } => {
-                ids.iter().map(|&k| train.subset(&index[k])).collect()
-            }
-        }
-    }
-
-    /// The `i`-th staged shard of `ids`.
-    fn shard<'a>(&'a self, staged: &'a [Dataset], ids: &[usize], i: usize) -> &'a Dataset {
-        match &self.data {
-            GktData::Eager(shards) => &shards[ids[i]],
-            GktData::Lazy { .. } => &staged[i],
-        }
     }
 
     /// Device `k`'s uplink bundle over its shard: extracted features,
@@ -303,7 +227,7 @@ impl FedGkt {
                 buffers: vec![],
             };
         }
-        let model = self.model(k);
+        let model = self.fleet.model(k);
         model.set_training(false);
         let x = Var::constant(shard.images().clone());
         let (features, logits) = no_grad(|| {
@@ -357,7 +281,7 @@ impl FedGkt {
 
 impl FederatedAlgorithm for FedGkt {
     fn devices(&self) -> usize {
-        self.slots.len()
+        self.fleet.devices()
     }
 
     /// Device phase: digest last round's soft labels (if any), train the
@@ -365,17 +289,16 @@ impl FederatedAlgorithm for FedGkt {
     /// feature/logit/label bundle.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         for &k in active {
-            self.ensure_resident(k);
+            self.fleet.ensure_resident(k);
         }
-        let staged = self.stage_shards(active);
-        let mut digested = vec![false; self.slots.len()];
+        let staged = self.shards.stage(active);
+        let mut digested = vec![false; self.fleet.devices()];
         let mut pending = Vec::with_capacity(active.len());
         let mut loss_sum = 0.0f32;
-        for (i, &k) in active.iter().enumerate() {
-            let shard = self.shard(&staged, active, i);
+        for (&k, shard) in active.iter().zip(&staged) {
             if let Some(soft) = &self.soft[k] {
                 digest_logits(
-                    self.model(k),
+                    self.fleet.model(k),
                     &DigestConfig {
                         inputs: shard.images(),
                         targets: soft,
@@ -390,7 +313,7 @@ impl FederatedAlgorithm for FedGkt {
                 digested[k] = !shard.is_empty() && self.cfg.kd_epochs > 0;
             }
             loss_sum += train_local(
-                self.model(k),
+                self.fleet.model(k),
                 shard,
                 &LocalTrainConfig {
                     epochs: self.cfg.local_epochs,
@@ -452,14 +375,14 @@ impl FederatedAlgorithm for FedGkt {
     }
 
     fn device_model(&self, k: usize) -> &dyn Module {
-        self.model(k)
+        self.fleet.model(k)
     }
 
     /// The uplink claim: O(n_k) per-sample rows — features `[n,d]`,
     /// logits `[n,C]` and labels `[n]` — never model state.
     fn payload_template(&self, k: usize) -> StateDict {
         let (_, classes, _) = self.io;
-        let n = self.data.shard_len(k);
+        let n = self.shards.shard_len(k);
         StateDict {
             params: vec![
                 Tensor::zeros(&[n, self.cfg.feature_dim]),
@@ -475,13 +398,13 @@ impl FederatedAlgorithm for FedGkt {
     fn downlink_template(&self, k: usize) -> StateDict {
         let (_, classes, _) = self.io;
         StateDict {
-            params: vec![Tensor::zeros(&[self.data.shard_len(k), classes])],
+            params: vec![Tensor::zeros(&[self.shards.shard_len(k), classes])],
             buffers: vec![],
         }
     }
 
     fn local_samples(&self, k: usize) -> usize {
-        let shard = self.data.shard_len(k);
+        let shard = self.shards.shard_len(k);
         let kd = if self.digested_this_round[k] { self.cfg.kd_epochs * shard } else { 0 };
         self.cfg.local_epochs * shard + kd
     }
@@ -491,40 +414,24 @@ impl FederatedAlgorithm for FedGkt {
     }
 
     fn registry(&self) -> Option<&DeviceRegistry> {
-        Some(&self.registry)
+        Some(self.fleet.registry())
     }
 
     fn prepare_eval(&mut self) {
-        for k in 0..self.slots.len() {
-            self.ensure_resident(k);
-        }
+        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {
-        if self.mode.is_lazy() {
-            for k in 0..self.slots.len() {
-                if let Some(model) = self.slots[k].model.take() {
-                    self.registry.store_summary(k, state_dict(&model));
-                    self.registry.release(k);
-                }
-            }
-        }
+        self.fleet.release_all();
     }
 
-    /// What FedGKT carries across rounds: every split model (resident or
-    /// summarized), the server head, each device's pending soft labels
-    /// (the phase-shifted half of the alternating transfer), and the
-    /// registry's monotone counters.
+    /// What FedGKT carries across rounds: the fleet (every split model
+    /// that has ever been materialized, plus the registry's monotone
+    /// counters), the server head, and each device's pending soft labels
+    /// (the phase-shifted half of the alternating transfer).
     fn save_state(&self) -> AlgoState {
         let mut state = AlgoState::new();
-        for (k, slot) in self.slots.iter().enumerate() {
-            if let Some(model) = &slot.model {
-                state.put_dict(format!("device_{k}"), &state_dict(model));
-            }
-        }
-        for (k, summary) in self.registry.summaries() {
-            state.put_dict(format!("device_{k}"), summary);
-        }
+        self.fleet.save_into(&mut state);
         state.put_dict("server_head", &state_dict(&self.head));
         for (k, soft) in self.soft.iter().enumerate() {
             if let Some(t) = soft {
@@ -534,24 +441,12 @@ impl FederatedAlgorithm for FedGkt {
                 );
             }
         }
-        state.put_words(
-            "registry",
-            vec![self.registry.peak_resident() as u64, self.registry.touched() as u64],
-        );
         state
     }
 
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
-        for k in 0..self.slots.len() {
-            let name = format!("device_{k}");
-            if state.has_blob(&name) {
-                let sd = state.dict(&name)?;
-                match self.mode {
-                    Materialization::Eager => load_state_dict(self.model(k), &sd)
-                        .map_err(|e| format!("device {k}: {e}"))?,
-                    Materialization::Lazy => self.registry.store_summary(k, sd),
-                }
-            }
+        self.fleet.load_from(state)?;
+        for k in 0..self.soft.len() {
             let soft_name = format!("soft_{k}");
             self.soft[k] = if state.has_blob(&soft_name) {
                 let mut sd = state.dict(&soft_name)?;
@@ -563,14 +458,8 @@ impl FederatedAlgorithm for FedGkt {
                 None
             };
         }
-        let head = state.dict("server_head")?;
-        load_state_dict(&self.head, &head).map_err(|e| format!("server head: {e}"))?;
-        let reg = state.words("registry")?;
-        if reg.len() != 2 {
-            return Err("registry counters must be [peak_resident, touched]".into());
-        }
-        self.registry.absorb_counters(reg[0] as usize, reg[1] as usize);
-        Ok(())
+        load_state_dict(&self.head, &state.dict("server_head")?)
+            .map_err(|e| format!("server head: {e}"))
     }
 }
 
@@ -671,7 +560,7 @@ mod tests {
             sim.round(1);
             (
                 state_dict(sim.algorithm().server_head()),
-                state_dict(sim.algorithm().device_model(0)),
+                state_dict(sim.algorithm_for_eval().device_model(0)),
             )
         };
         let raw = run(CodecSpec::Raw);
@@ -702,64 +591,30 @@ mod tests {
             ..Default::default()
         });
         let before: Vec<StateDict> =
-            (0..3).map(|k| state_dict(sim.algorithm().device_model(k))).collect();
+            (0..3).map(|k| state_dict(sim.algorithm_for_eval().device_model(k))).collect();
         let metrics = sim.round(0);
         assert_eq!(metrics.active_devices.len(), 1);
         for (k, snapshot) in before.iter().enumerate() {
-            let same = state_dict(sim.algorithm().device_model(k)) == *snapshot;
+            let same = state_dict(sim.algorithm_for_eval().device_model(k)) == *snapshot;
             assert_eq!(same, !metrics.active_devices.contains(&k), "device {k}");
             assert_eq!(sim.algorithm().soft[k].is_some(), metrics.active_devices.contains(&k));
         }
     }
 
     #[test]
-    fn lazy_run_is_bit_identical_to_eager() {
-        let run = |mode: Materialization| {
-            let mut sim = setup(SimConfig {
-                rounds: 2,
-                participation: 0.67,
-                seed: 1,
-                materialization: mode,
-                ..Default::default()
-            });
-            sim.run().to_json()
-        };
-        let mut eager = run(Materialization::Eager);
-        let mut lazy = run(Materialization::Lazy);
-        for log in [&mut eager, &mut lazy] {
-            *log = log
-                .split("\"peak_resident_devices\":")
-                .map(|part| match part.find('}') {
-                    Some(i) => &part[i..],
-                    None => part,
-                })
-                .collect();
-        }
-        assert_eq!(eager, lazy, "lazy FedGKT diverged from eager");
-    }
-
-    #[test]
     fn checkpoint_resume_matches_the_uninterrupted_run_bit_for_bit() {
-        for mode in [Materialization::Eager, Materialization::Lazy] {
-            // Partial participation so a pending soft-label tensor has to
-            // survive the checkpoint boundary.
-            let sim_cfg = SimConfig {
-                rounds: 2,
-                participation: 0.67,
-                seed: 1,
-                materialization: mode,
-                ..Default::default()
-            };
-            let reference = setup(sim_cfg).run().clone();
-            let mut first = setup(sim_cfg);
-            first.round(0);
-            let ck = SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
-            drop(first);
-            let mut resumed = setup(sim_cfg);
-            resumed.resume_from(&ck).expect("resume");
-            let log = resumed.run().clone();
-            assert_eq!(log.to_json(), reference.to_json(), "mode {mode:?}");
-        }
+        // Partial participation so a pending soft-label tensor has to
+        // survive the checkpoint boundary.
+        let sim_cfg = SimConfig { rounds: 2, participation: 0.67, seed: 1, ..Default::default() };
+        let reference = setup(sim_cfg).run().clone();
+        let mut first = setup(sim_cfg);
+        first.round(0);
+        let ck = SimCheckpoint::from_json(&first.checkpoint().to_json()).unwrap();
+        drop(first);
+        let mut resumed = setup(sim_cfg);
+        resumed.resume_from(&ck).expect("resume");
+        let log = resumed.run().clone();
+        assert_eq!(log.to_json(), reference.to_json());
     }
 
     #[test]
@@ -769,7 +624,6 @@ mod tests {
             participation: 0.67,
             seed: 1,
             eval_every: 0,
-            materialization: Materialization::Lazy,
             ..Default::default()
         });
         sim.round(0);

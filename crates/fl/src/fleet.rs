@@ -1,0 +1,289 @@
+//! The one device fleet every algorithm runs on.
+//!
+//! ## Scale model
+//!
+//! FedZKT targets the *cross-device* regime: a large registered
+//! population of which a small fraction is sampled each round. The fleet
+//! therefore has exactly one lifecycle, shared by all algorithms:
+//!
+//! * **data** — a [`ShardStore`] keeps the training set once plus each
+//!   device's index set, and [`stage`](ShardStore::stage)s (slices) only
+//!   the shards a dispatch is about to train on;
+//! * **models** — a [`DeviceFleet`] keeps each device as its `ModelSpec`
+//!   and, in the [`DeviceRegistry`], a state summary. A device is
+//!   materialized ([`ensure_resident`](DeviceFleet::ensure_resident))
+//!   only while a phase needs it and every resident device is dropped
+//!   back to its summary at end of round
+//!   ([`release_all`](DeviceFleet::release_all)).
+//!
+//! What "needs it" means is the algorithm's business, and it sets the
+//! in-round peak the registry gauge reports:
+//!
+//! | algorithm | resident during a round | on evaluation rounds |
+//! |---|---|---|
+//! | FedAvg / FedProx | no device models at all — devices are stateless between rounds, so a worker slices a sampled device's shard right before training on it (the gauge counts the sampled set) | one shared global model |
+//! | FedMD, Fed-ET, FedGKT | the active set | the whole fleet |
+//! | FedZKT | the whole fleet: the distillation game uses every device model as a teacher (Eq. 2) | the whole fleet |
+//!
+//! Between rounds nothing is resident, so the standing footprint is the
+//! summaries of the devices that have ever trained.
+//!
+//! Rematerialization is bit-exact: a first materialization runs the
+//! device's seeded build; a later one runs the same build and overlays the
+//! stored summary through `load_state_dict`, the snapshot→rebuild→load
+//! round trip the device-parallel fleet dispatcher and the checkpoints
+//! already rely on. `tests/registry_props.rs` holds that property over
+//! both paper zoos and FedGKT's split model.
+//!
+//! [`FederatedAlgorithm::device_model`](crate::FederatedAlgorithm::device_model)
+//! hands out `&dyn Module` and cannot materialize on demand: call
+//! [`prepare_eval`](crate::FederatedAlgorithm::prepare_eval) before
+//! reading device models between rounds, as the driver does.
+
+use crate::checkpoint::AlgoState;
+use crate::registry::DeviceRegistry;
+use fedzkt_data::Dataset;
+use fedzkt_models::ModelSpec;
+use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
+
+/// Per-device private data: the training set held once, plus every
+/// device's index set into it.
+pub struct ShardStore {
+    train: Dataset,
+    index: Vec<Vec<usize>>,
+}
+
+impl ShardStore {
+    /// `shards[k]` is the index set of device `k` in `train`.
+    ///
+    /// # Panics
+    /// Panics when `shards` is empty.
+    pub fn new(train: &Dataset, shards: &[Vec<usize>]) -> Self {
+        assert!(!shards.is_empty(), "need at least one device");
+        ShardStore { train: train.clone(), index: shards.to_vec() }
+    }
+
+    /// Number of devices.
+    pub fn devices(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Number of samples device `k` holds.
+    pub fn shard_len(&self, k: usize) -> usize {
+        self.index[k].len()
+    }
+
+    /// Slice device `k`'s shard out of the training set.
+    pub fn shard(&self, k: usize) -> Dataset {
+        self.train.subset(&self.index[k])
+    }
+
+    /// Slice the shards of `ids`, in `ids` order, for one dispatch.
+    pub fn stage(&self, ids: &[usize]) -> Vec<Dataset> {
+        ids.iter().map(|&k| self.shard(k)).collect()
+    }
+}
+
+/// Store the registry's monotone counters under the `"registry"` entry.
+pub(crate) fn save_counters(registry: &DeviceRegistry, state: &mut AlgoState) {
+    state.put_words(
+        "registry",
+        vec![registry.peak_resident() as u64, registry.touched() as u64],
+    );
+}
+
+/// Merge the counters stored by [`save_counters`] into `registry`.
+pub(crate) fn load_counters(registry: &mut DeviceRegistry, state: &AlgoState) -> Result<(), String> {
+    match state.words("registry")? {
+        &[peak, touched] => {
+            registry.absorb_counters(peak as usize, touched as usize);
+            Ok(())
+        }
+        _ => Err("registry counters must be [peak_resident, touched]".into()),
+    }
+}
+
+/// A fleet of heterogeneous devices with models of type `M`, materialized
+/// on demand (see the [module docs](self)).
+///
+/// `M` is `Box<dyn Module>` for the algorithms whose devices run a zoo
+/// architecture as is, and a concrete composite for FedGKT's split model.
+pub struct DeviceFleet<M: Module> {
+    specs: Vec<ModelSpec>,
+    slots: Vec<Option<M>>,
+    registry: DeviceRegistry,
+    build: Box<dyn Fn(usize, ModelSpec) -> M>,
+}
+
+impl<M: Module> DeviceFleet<M> {
+    /// A fleet with one device per entry of `zoo`, none of them resident.
+    /// `build(k, zoo[k])` is device `k`'s deterministic, per-device seeded
+    /// construction: it must return the same model, bit for bit, every
+    /// time it is called.
+    ///
+    /// # Panics
+    /// Panics when `zoo` is empty.
+    pub fn new(zoo: &[ModelSpec], build: impl Fn(usize, ModelSpec) -> M + 'static) -> Self {
+        assert!(!zoo.is_empty(), "need at least one device");
+        DeviceFleet {
+            specs: zoo.to_vec(),
+            slots: zoo.iter().map(|_| None).collect(),
+            registry: DeviceRegistry::new(zoo.len()),
+            build: Box::new(build),
+        }
+    }
+
+    /// Number of devices.
+    pub fn devices(&self) -> usize {
+        self.specs.len()
+    }
+
+    /// The architecture of device `k`.
+    pub fn spec(&self, k: usize) -> ModelSpec {
+        self.specs[k]
+    }
+
+    /// The residency bookkeeping and its counters.
+    pub fn registry(&self) -> &DeviceRegistry {
+        &self.registry
+    }
+
+    /// Device `k`'s seeded construction, fresh.
+    fn build(&self, k: usize) -> M {
+        (self.build)(k, self.specs[k])
+    }
+
+    /// Device `k`'s materialized model.
+    ///
+    /// # Panics
+    /// Panics when the device is not resident — a lifecycle bug, since
+    /// every code path that touches a model materializes it first.
+    pub fn model(&self, k: usize) -> &M {
+        self.slots[k].as_ref().expect("device model must be resident here")
+    }
+
+    /// Materialize device `k` if it is not already resident: the seeded
+    /// build, overlaid with the stored summary when the device has one.
+    pub fn ensure_resident(&mut self, k: usize) {
+        if self.slots[k].is_some() {
+            return;
+        }
+        let model = self.build(k);
+        if let Some(summary) = self.registry.take_summary(k) {
+            load_state_dict(&model, &summary)
+                .expect("registry summary matches device architecture");
+        }
+        self.slots[k] = Some(model);
+        self.registry.checkout(k);
+    }
+
+    /// Materialize the whole fleet.
+    pub fn ensure_all_resident(&mut self) {
+        for k in 0..self.slots.len() {
+            self.ensure_resident(k);
+        }
+    }
+
+    /// Drop every resident device back to its registry summary.
+    pub fn release_all(&mut self) {
+        for (k, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(model) = slot.take() {
+                self.registry.store_summary(k, state_dict(&model));
+                self.registry.release(k);
+            }
+        }
+    }
+
+    /// Device `k`'s state, shapes being what matters: from the resident
+    /// model, else from its summary, else from a throwaway seeded build.
+    pub fn template(&self, k: usize) -> StateDict {
+        if let Some(model) = &self.slots[k] {
+            return state_dict(model);
+        }
+        match self.registry.summary(k) {
+            Some(summary) => summary.clone(),
+            None => state_dict(&self.build(k)),
+        }
+    }
+
+    /// Checkpoint the fleet: a `device_{k}` blob for every device that is
+    /// resident or has a summary (a device with neither rematerializes
+    /// from its seed alone), plus the registry counters. The summary walk
+    /// is O(touched), not O(registered).
+    pub fn save_into(&self, state: &mut AlgoState) {
+        for (k, slot) in self.slots.iter().enumerate() {
+            if let Some(model) = slot {
+                state.put_dict(format!("device_{k}"), &state_dict(model));
+            }
+        }
+        for (k, summary) in self.registry.summaries() {
+            state.put_dict(format!("device_{k}"), summary);
+        }
+        save_counters(&self.registry, state);
+    }
+
+    /// Restore what [`DeviceFleet::save_into`] stored: every `device_{k}`
+    /// blob becomes device `k`'s summary, after its tensor count and
+    /// shapes are checked against the device's architecture.
+    ///
+    /// # Errors
+    /// Returns `"device {k}: …"` when a blob is malformed or does not fit
+    /// device `k`'s architecture — a checkpoint from a different zoo —
+    /// and a message when the counters entry is missing or malformed.
+    pub fn load_from(&mut self, state: &AlgoState) -> Result<(), String> {
+        // Whatever is resident (a `prepare_eval` before the resume) goes
+        // back to summaries first, so the blobs below replace it.
+        self.release_all();
+        for k in 0..self.slots.len() {
+            let name = format!("device_{k}");
+            if !state.has_blob(&name) {
+                continue;
+            }
+            let sd = state.dict(&name)?;
+            let scratch = self.build(k);
+            load_state_dict(&scratch, &sd).map_err(|e| format!("device {k}: {e}"))?;
+            self.registry.store_summary(k, sd);
+        }
+        load_counters(&mut self.registry, state)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedzkt_tensor::split_seed;
+    use proptest::prelude::*;
+
+    fn fleet(devices: usize) -> DeviceFleet<Box<dyn Module>> {
+        let zoo = ModelSpec::assign_round_robin(
+            &[ModelSpec::Mlp { hidden: 4 }, ModelSpec::SmallCnn { base_channels: 2 }],
+            devices,
+        );
+        DeviceFleet::new(&zoo, |k, spec| spec.build(1, 3, 4, split_seed(9, k as u64)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Slots and registry never disagree: after any sequence of
+        /// `ensure_resident` / `ensure_all_resident` / `release_all`, the
+        /// registry's resident count is the number of materialized slots
+        /// and its per-device flags name exactly those slots.
+        #[test]
+        fn registry_balances_the_slots(ops in proptest::collection::vec(0usize..8, 1..24)) {
+            let mut fleet = fleet(6);
+            for op in ops {
+                match op {
+                    6 => fleet.ensure_all_resident(),
+                    7 => fleet.release_all(),
+                    k => fleet.ensure_resident(k),
+                }
+                let some = fleet.slots.iter().filter(|s| s.is_some()).count();
+                prop_assert_eq!(fleet.registry().resident(), some);
+                for (k, slot) in fleet.slots.iter().enumerate() {
+                    prop_assert_eq!(fleet.registry().is_resident(k), slot.is_some());
+                }
+            }
+        }
+    }
+}

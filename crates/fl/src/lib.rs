@@ -16,12 +16,14 @@
 //!   (raw f32, int8/int4 quantization, top-k sparsification), so the
 //!   accounted traffic is the *encoded* size and lossy-decode error flows
 //!   into training;
-//! * [`registry`] — the lazy, sharded [`DeviceRegistry`] behind
-//!   cross-device scale: under [`Materialization::Lazy`] a device is
-//!   materialized from its spec + deterministic per-device seed only while
-//!   needed and dropped back to a state summary afterwards, with
-//!   resident/peak counters exported into every
-//!   [`RoundMetrics`] row (lazy and eager runs are bit-identical);
+//! * [`fleet`] — the one device fleet every algorithm runs on
+//!   ([`ShardStore`] + [`DeviceFleet`]): a device's shard is sliced and
+//!   its model materialized from its spec + deterministic per-device seed
+//!   only while a phase needs it, and dropped back to a state summary at
+//!   end of round (the "Scale model" section there is the reference);
+//! * [`registry`] — the sharded [`DeviceRegistry`] under the fleet:
+//!   per-device summaries plus the resident/peak counters exported into
+//!   every [`RoundMetrics`] row;
 //! * [`churn`] — seeded, deterministic fleet dynamics ([`ChurnSpec`] /
 //!   [`ChurnProcess`]): device arrival/departure, per-device availability
 //!   schedules, mid-round dropout and time-varying link bandwidth, all
@@ -110,6 +112,7 @@ mod eval;
 mod fedavg;
 mod fedet;
 mod fedgkt;
+pub mod fleet;
 pub mod json;
 mod metrics;
 mod participation;
@@ -128,11 +131,12 @@ pub use driver::{
 pub use eval::{accuracy, evaluate};
 pub use fedavg::{FedAvg, FedAvgConfig};
 pub use fedet::{FedEt, FedEtConfig};
-pub use fedgkt::{FedGkt, FedGktConfig};
+pub use fedgkt::{FedGkt, FedGktConfig, SplitModel};
 pub use fedzkt_tensor::ComputeFormat;
+pub use fleet::{DeviceFleet, ShardStore};
 pub use metrics::{RoundMetrics, RunLog};
 pub use participation::ParticipationSampler;
-pub use registry::{DeviceRegistry, Materialization};
+pub use registry::DeviceRegistry;
 pub use simclock::{DeviceResources, RoundParticipant, SimClock};
 pub use training::{
     digest_logits, train_local, train_local_fleet, DigestConfig, FleetJob, LocalTrainConfig,

@@ -25,14 +25,16 @@ pub struct RoundMetrics {
     pub sim_seconds: f64,
     /// Devices that participated.
     pub active_devices: Vec<usize>,
-    /// Registered fleet size (the registry population; identical between
-    /// lazy and eager runs of one scenario).
+    /// Registered fleet size (the registry population).
     pub registered_devices: usize,
-    /// High-water mark of simultaneously materialized devices, from the
-    /// algorithm's [`DeviceRegistry`](crate::DeviceRegistry) counters (the
-    /// fleet size when no registry is attached). Deliberately
-    /// mode-dependent: this column is *the* observable difference between
-    /// a lazy and an eager run of the same scenario.
+    /// High-water mark, over the run so far, of simultaneously
+    /// materialized devices, from the algorithm's
+    /// [`DeviceRegistry`](crate::DeviceRegistry) counters (the fleet size
+    /// when no registry is attached). It is always the in-round working
+    /// set — the sampled set, FedZKT's teacher ensemble, or the whole
+    /// fleet once a round has evaluated — never the registered count as
+    /// such: logs written while fleets could also be held fully resident
+    /// report the registered count here on every round.
     pub peak_resident_devices: usize,
     /// Devices available this round under the scenario's churn model
     /// (arrived, not departed, on-duty); the whole registered fleet when
@@ -205,7 +207,7 @@ impl RunLog {
                 .collect()
         }
         let f32p = |s: &str| s.parse::<f32>().ok();
-        // The residency columns arrived with the lazy-fleet registry;
+        // The residency columns arrived with the device registry;
         // pre-registry logs parse with 0 (same spirit as an absent codec
         // field defaulting to Raw in scenario files).
         let count_or_zero = |obj: &json::Value, key: &str| -> Result<usize, String> {
@@ -407,7 +409,7 @@ mod tests {
 
     #[test]
     fn pre_registry_logs_parse_with_zero_residency_columns() {
-        // A round object written before the lazy-fleet columns existed.
+        // A round object written before the residency columns existed.
         let old = "{\"rounds\":[{\"round\":1,\"avg_device_accuracy\":0.5,\
                    \"device_accuracy\":[0.5],\"global_accuracy\":null,\
                    \"train_loss\":0.1,\"upload_bytes\":10,\"download_bytes\":20,\

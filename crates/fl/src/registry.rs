@@ -1,95 +1,27 @@
-//! The lazy, sharded device registry behind million-device fleets.
+//! The sharded device registry under million-device fleets.
 //!
 //! FedZKT targets the *cross-device* regime: a huge registered population
-//! of which only a small fraction is sampled each round. Materializing
-//! every device's model up front — the eager fleet the first PRs used —
-//! turns a 1M-device scenario into a memory wall. This module supplies the
-//! bookkeeping for the lazy alternative:
-//!
-//! * [`Materialization`] — the [`SimConfig`](crate::SimConfig) knob
-//!   selecting between the eager fleet (every device model lives for the
-//!   whole run) and the lazy fleet (a device's model and data shard are
-//!   materialized from its `ModelSpec` + deterministic per-device seed
-//!   only while needed, and dropped after merge);
-//! * [`DeviceRegistry`] — per-device slots holding only a device's
-//!   cumulative state summary (a [`StateDict`], absent until the device
-//!   first trains) plus residency flags, sharded so that slot storage for
-//!   a million registered devices is allocated on demand, never up front.
+//! of which only a small fraction is sampled each round. A
+//! [`DeviceRegistry`] is the bookkeeping that lets a fleet hold devices
+//! only while they are needed (the lifecycle itself lives in
+//! [`crate::fleet`]): per-device slots holding a device's cumulative state
+//! summary (a [`StateDict`], absent until the device is first released)
+//! plus a residency flag, sharded so that slot storage for a million
+//! registered devices is allocated on demand, never up front.
 //!
 //! The registry is also the **instrument**: it maintains `resident` /
-//! `peak_resident` / `touched` counters that the driver exports into every
-//! [`RoundMetrics`](crate::RoundMetrics) row, so the memory bound of the
-//! lazy fleet (peak resident ≤ sampled-per-round + O(1) for stateless-
-//! device algorithms such as FedAvg/FedProx) is *enforced by tests* on the
-//! counter rather than claimed from OS-level RSS readings.
-//!
-//! Determinism: rematerialization is bit-exact. A device's first
-//! materialization runs the same seeded `ModelSpec::build` an eager fleet
-//! runs at construction; a *re*-materialization rebuilds and restores the
-//! stored summary via `load_state_dict`, the same snapshot→rebuild→load
-//! round trip the device-parallel fleet driver already relies on (and the
-//! checkpoint tests prove lossless). Lazy and eager runs of the same
-//! scenario therefore produce bit-identical [`RunLog`](crate::RunLog)s —
-//! the workspace equivalence suite asserts exactly that.
+//! `peak_resident` / `touched` counters. The driver exports the peak into
+//! every [`RoundMetrics`](crate::RoundMetrics) row, so the fleet's memory
+//! bound (peak resident ≤ sampled-per-round + O(1) for stateless-device
+//! algorithms such as FedAvg/FedProx) is *enforced by tests* on the
+//! counter rather than claimed from OS-level RSS readings. `touched`
+//! counts checkouts — how much materialization work the run has done —
+//! not distinct devices.
 
 use fedzkt_nn::StateDict;
 
-/// Fleet materialization strategy — a throughput/memory knob, never a
-/// semantics knob: for any scenario, lazy and eager runs are bit-identical
-/// (up to the [`RoundMetrics`](crate::RoundMetrics) residency gauge, which
-/// reports the mode's actual memory behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Materialization {
-    /// Materialize every device at construction and keep it resident for
-    /// the whole run. Right for paper-scale fleets (tens of devices),
-    /// where slicing shards up front is cheaper than re-subsetting per
-    /// round, and for interactive use that pokes at arbitrary device
-    /// models between rounds.
-    #[default]
-    Eager,
-    /// Materialize a device only while it is needed — sampled for a
-    /// round, serving as a distillation teacher, or being evaluated — and
-    /// drop it back to its registry summary afterwards. Peak memory is
-    /// O(resident), not O(registered): the cross-device setting's only
-    /// viable mode at 10⁵–10⁶ registered devices.
-    Lazy,
-}
-
-impl Materialization {
-    /// Parse the scenario/CLI spelling (`"eager"` or `"lazy"`).
-    ///
-    /// # Errors
-    /// Returns a description of the accepted forms on any other input.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "eager" => Ok(Materialization::Eager),
-            "lazy" => Ok(Materialization::Lazy),
-            other => Err(format!("unknown materialization \"{other}\" (use \"eager\" or \"lazy\")")),
-        }
-    }
-
-    /// The canonical spelling, inverse of [`Materialization::parse`].
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Materialization::Eager => "eager",
-            Materialization::Lazy => "lazy",
-        }
-    }
-
-    /// Is this the lazy mode?
-    pub fn is_lazy(&self) -> bool {
-        matches!(self, Materialization::Lazy)
-    }
-}
-
-impl std::fmt::Display for Materialization {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// One registered device's slot: its residency flag and — once the device
-/// has trained at least once — the cumulative state summary it is
+/// has been materialized and released — the cumulative state summary it is
 /// rematerialized from.
 #[derive(Debug, Default)]
 struct Slot {
@@ -114,7 +46,8 @@ struct Slot {
 ///   now;
 /// * [`peak_resident`](DeviceRegistry::peak_resident) — the high-water
 ///   mark over the whole run (monotone, so read order never matters);
-/// * [`touched`](DeviceRegistry::touched) — devices ever materialized.
+/// * [`touched`](DeviceRegistry::touched) — checkouts so far (a device
+///   materialized in three rounds counts three times).
 ///
 /// Misuse (double checkout, releasing a non-resident device, any
 /// out-of-range id) panics: residency bugs must fail loudly in tests, not
@@ -163,18 +96,6 @@ impl DeviceRegistry {
         }
     }
 
-    /// A registry for an eager fleet: every device is checked out at
-    /// construction and stays resident for the whole run, so the gauge
-    /// honestly reports the eager mode's memory shape
-    /// (`resident == peak_resident == registered`).
-    pub fn eager(registered: usize) -> Self {
-        let mut reg = Self::new(registered);
-        for k in 0..registered {
-            reg.checkout(k);
-        }
-        reg
-    }
-
     /// Number of registered devices.
     pub fn registered(&self) -> usize {
         self.registered
@@ -190,7 +111,10 @@ impl DeviceRegistry {
         self.peak_resident
     }
 
-    /// Devices that have ever been materialized.
+    /// Checkouts so far: every [`DeviceRegistry::checkout`] counts, so a
+    /// device materialized in three rounds contributes three. This is the
+    /// resume-consistent meaning — the count absorbed from a checkpoint
+    /// plus the checkouts after it equals the uninterrupted run's.
     pub fn touched(&self) -> usize {
         self.touched
     }
@@ -270,11 +194,13 @@ impl DeviceRegistry {
         )
     }
 
-    /// Merge residency counters restored from a checkpoint: the peak
-    /// high-water mark and the touched count carry across a restart (a
-    /// resumed run must report the same gauge the uninterrupted run
-    /// reports), while `resident` always reflects the *live* slots and is
-    /// never overwritten.
+    /// Merge residency counters restored from a checkpoint into a freshly
+    /// built registry: the peak high-water mark and the checkout count
+    /// carry across a restart (a resumed run must report the same gauge
+    /// the uninterrupted run reports), while `resident` always reflects
+    /// the *live* slots and is never overwritten. Both merge by `max`, so
+    /// on a fresh registry (`touched == 0`) later checkouts continue the
+    /// absorbed count.
     pub fn absorb_counters(&mut self, peak_resident: usize, touched: usize) {
         self.peak_resident = self.peak_resident.max(peak_resident);
         self.touched = self.touched.max(touched);
@@ -323,15 +249,6 @@ mod tests {
         reg.release(3);
         reg.release(7);
         assert_eq!((reg.resident(), reg.peak_resident(), reg.touched()), (0, 2, 3));
-    }
-
-    #[test]
-    fn eager_registry_is_fully_resident() {
-        let reg = DeviceRegistry::eager(5);
-        assert_eq!(reg.resident(), 5);
-        assert_eq!(reg.peak_resident(), 5);
-        assert_eq!(reg.touched(), 5);
-        assert!((0..5).all(|k| reg.is_resident(k)));
     }
 
     #[test]
@@ -397,16 +314,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         DeviceRegistry::new(2).checkout(2);
-    }
-
-    #[test]
-    fn parse_roundtrips_materialization() {
-        for mode in [Materialization::Eager, Materialization::Lazy] {
-            assert_eq!(Materialization::parse(mode.as_str()), Ok(mode));
-        }
-        assert!(Materialization::parse("ondemand").is_err());
-        assert_eq!(Materialization::default(), Materialization::Eager);
-        assert!(Materialization::Lazy.is_lazy());
-        assert!(!Materialization::Eager.is_lazy());
     }
 }

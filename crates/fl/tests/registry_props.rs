@@ -1,12 +1,13 @@
-//! Property tests for the lazy-fleet substrate: the participation sampler
-//! replayed over [`DeviceRegistry`]s, shard-layout invariance of every
-//! registry observable, and bit-exactness of the rematerialization round
-//! trip the lazy mode's determinism guarantee rests on.
+//! Property tests for the device-fleet substrate: the participation
+//! sampler replayed over [`DeviceRegistry`]s, shard-layout invariance of
+//! every registry observable, and bit-exactness of the [`DeviceFleet`]
+//! rematerialization round trip that every run's determinism rests on.
 
-use fedzkt_fl::{DeviceRegistry, ParticipationSampler};
+use fedzkt_autograd::{no_grad, Var};
+use fedzkt_fl::{DeviceFleet, DeviceRegistry, ParticipationSampler, SplitModel};
 use fedzkt_models::ModelSpec;
-use fedzkt_nn::{load_state_dict, state_dict, StateDict};
-use fedzkt_tensor::{split_seed, Tensor};
+use fedzkt_nn::{state_dict, Module, StateDict};
+use fedzkt_tensor::{seeded_rng, split_seed, Tensor};
 use proptest::prelude::*;
 
 fn scalar_summary(v: f32) -> StateDict {
@@ -23,10 +24,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Replaying the sampler's rounds as checkout/release cycles over a
-    /// lazy registry: the active set is always a sorted, unique subset of
-    /// the registered ids; the sampled ids are a function of
-    /// `(devices, fraction, seed, round)` alone (so lazy and eager fleets,
-    /// which share one sampler construction, sample identically); and the
+    /// registry: the active set is always a sorted, unique subset of the
+    /// registered ids; the sampled ids are a function of
+    /// `(devices, fraction, seed, round)` alone; and the
     /// resulting counters — including the peak-resident gauge the memory
     /// tests read — are identical for every slot-shard size.
     #[test]
@@ -98,35 +98,71 @@ proptest! {
     }
 }
 
+/// Eval-mode logits of `model` on `x`, as raw bits.
+fn eval_bits(model: &dyn Module, x: &Tensor) -> Vec<u32> {
+    model.set_training(false);
+    let y = no_grad(|| model.forward(&Var::constant(x.clone()))).value_clone();
+    model.set_training(true);
+    y.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The fleet lifecycle on every device of `fleet`: materialize, move every
+/// parameter **and** every buffer (BatchNorm running statistics) off its
+/// seeded value, hold a copy of the state and of an eval-mode forward,
+/// release, rematerialize — the device must come back bit for bit.
+fn assert_rematerializes_bit_exactly<M: Module>(fleet: &mut DeviceFleet<M>, x: &Tensor) {
+    let n = fleet.devices();
+    for k in 0..n {
+        fleet.ensure_resident(k);
+        let fresh = bits(&state_dict(fleet.model(k)));
+        assert_eq!(bits(&fleet.template(k)), fresh, "device {k}: template of a resident device");
+        for (i, p) in fleet.model(k).params().iter().enumerate() {
+            let moved = p.value_clone().mul_scalar(0.5);
+            p.set_value(moved.add(&Tensor::full(&p.shape(), 0.01 * (i + 1) as f32)).unwrap());
+        }
+        for b in fleet.model(k).buffers() {
+            // Scale-and-shift keeps running variances positive.
+            b.set(b.get().mul_scalar(1.5).add(&Tensor::full(&b.shape(), 0.125)).unwrap());
+        }
+        assert_ne!(bits(&state_dict(fleet.model(k))), fresh, "device {k}: perturbation is real");
+    }
+    let held: Vec<(Vec<u32>, Vec<u32>)> = (0..n)
+        .map(|k| (bits(&state_dict(fleet.model(k))), eval_bits(fleet.model(k), x)))
+        .collect();
+
+    fleet.release_all();
+    assert_eq!(fleet.registry().resident(), 0);
+    for (k, (state, logits)) in held.iter().enumerate() {
+        assert_eq!(&bits(&fleet.template(k)), state, "device {k}: template of a summarized device");
+        fleet.ensure_resident(k);
+        assert_eq!(&bits(&state_dict(fleet.model(k))), state, "device {k}: state bits");
+        assert_eq!(&eval_bits(fleet.model(k), x), logits, "device {k}: eval-mode forward");
+    }
+    assert_eq!(fleet.registry().resident(), n);
+    assert_eq!(fleet.registry().touched(), 2 * n, "one checkout per materialization");
+}
+
 proptest! {
-    // Fewer cases: each one builds three models.
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    // Few cases: each one builds both paper zoos three times over.
+    #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The lazy fleet's rematerialization contract, on real zoo members:
-    /// a fresh build from the construction seed is bit-identical to the
-    /// original build, and a fresh build from a *different* seed restored
-    /// via `load_state_dict` is bit-identical to the stored summary — every
-    /// parameter and buffer, compared as raw f32 bits.
+    /// The rematerialization contract every run rests on, through the
+    /// fleet itself and on every real zoo member: both paper zoos as the
+    /// plain `Box<dyn Module>` fleet FedZKT/FedMD/Fed-ET run, and again as
+    /// FedGKT's [`SplitModel`] fleet.
     #[test]
-    fn rematerialization_roundtrip_is_bit_exact(arch in 0usize..4, img_sel in 0usize..2, seed in 0u64..1000) {
-        let spec = [
-            ModelSpec::Mlp { hidden: 8 },
-            ModelSpec::Mlp { hidden: 17 },
-            ModelSpec::SmallCnn { base_channels: 2 },
-            ModelSpec::SmallCnn { base_channels: 3 },
-        ][arch];
-        let img = [4usize, 8][img_sel];
-        let original = spec.build(1, 4, img, seed);
-        let summary = state_dict(&*original);
-
-        // First materialization: same spec, same seed, nothing to restore.
-        let fresh = spec.build(1, 4, img, seed);
-        prop_assert_eq!(bits(&state_dict(&*fresh)), bits(&summary));
-
-        // Rematerialization: deliberately different init seed, then the
-        // stored summary overwrites every parameter and buffer.
-        let rebuilt = spec.build(1, 4, img, split_seed(seed, 999));
-        load_state_dict(&*rebuilt, &summary).expect("same architecture");
-        prop_assert_eq!(bits(&state_dict(&*rebuilt)), bits(&summary));
+    fn rematerialization_roundtrip_is_bit_exact(seed in 0u64..1000) {
+        let (classes, img) = (10, 8);
+        for (zoo, channels) in [(ModelSpec::paper_zoo_small(), 1), (ModelSpec::paper_zoo_cifar(), 3)] {
+            let x = Tensor::randn(&[2, channels, img, img], &mut seeded_rng(split_seed(seed, 1)));
+            let mut plain = DeviceFleet::new(&zoo, move |k, spec| {
+                spec.build(channels, classes, img, split_seed(seed, 100 + k as u64))
+            });
+            assert_rematerializes_bit_exactly(&mut plain, &x);
+            let mut split = DeviceFleet::new(&zoo, move |k, spec| {
+                SplitModel::build(spec, (channels, classes, img), 8, seed, k)
+            });
+            assert_rematerializes_bit_exactly(&mut split, &x);
+        }
     }
 }

@@ -85,6 +85,26 @@ pub trait Module {
     fn set_training(&self, _training: bool) {}
 }
 
+/// A boxed module is a module, so code generic over `M: Module` also takes
+/// the type-erased `Box<dyn Module>` that `ModelSpec::build` returns.
+impl<M: Module + ?Sized> Module for Box<M> {
+    fn forward(&self, x: &Var) -> Var {
+        (**self).forward(x)
+    }
+
+    fn params(&self) -> Vec<Var> {
+        (**self).params()
+    }
+
+    fn buffers(&self) -> Vec<Buffer> {
+        (**self).buffers()
+    }
+
+    fn set_training(&self, training: bool) {
+        (**self).set_training(training)
+    }
+}
+
 /// A serializable snapshot of a module's parameters and buffers.
 ///
 /// This is the unit of "communication" in the federated simulation: the

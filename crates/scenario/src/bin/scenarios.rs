@@ -27,7 +27,7 @@
 //! down the queue.
 
 use fedzkt_data::Partition;
-use fedzkt_fl::{CodecSpec, ComputeFormat, Materialization, SimCheckpoint};
+use fedzkt_fl::{CodecSpec, ComputeFormat, SimCheckpoint};
 use fedzkt_scenario::{
     presets, resolve, standard_algorithm, standard_zoo, Scenario, ScenarioError,
 };
@@ -60,7 +60,6 @@ run/sweep/serve options:
   --threads N        worker threads (0 = FEDZKT_THREADS / all cores)
   --seed N           override the scenario's master seed (run only)
   --codec C          override the wire codec: raw|q8|q4|topk[:density] (run only)
-  --materialization M  override the fleet mode: eager|lazy (run only)
   --compute F        override the inference compute format: f32|int8 (run only)
 
 run durability options:
@@ -83,7 +82,6 @@ sweep/serve axes (comma-separated values; absent axes keep the base value):
   --algos fedzkt,fedmd,fedet,fedgkt   algorithms (also fedavg, fedprox),
                      each at its standard config for the cell's scale
   --codecs raw,q8,q4,topk:0.1   wire codecs
-  --materializations eager,lazy   fleet materialization modes
   --computes f32,int8   inference compute formats
 ";
 
@@ -150,10 +148,7 @@ fn cmd_describe(args: &[String]) -> Result<(), String> {
     println!("partition:  {}", scenario.partition);
     match scenario.registered_devices {
         0 => println!("devices:    {}", scenario.devices()),
-        n => println!(
-            "devices:    {n} registered (zoo re-cycled), {} fleet",
-            scenario.sim.materialization
-        ),
+        n => println!("devices:    {n} registered (zoo re-cycled)"),
     }
     for (spec, count) in &scenario.effective_zoo() {
         println!("  {:<22} x{count}", spec.name());
@@ -189,12 +184,11 @@ fn cmd_describe(args: &[String]) -> Result<(), String> {
     println!("codec:      {}", codec_label(&scenario.sim.codec));
     println!("compute:    {} (inference phases)", scenario.sim.compute.as_str());
     println!(
-        "protocol:   {} rounds, participation {}, seed {}, threads {}, {} fleet",
+        "protocol:   {} rounds, participation {}, seed {}, threads {}",
         scenario.sim.rounds,
         scenario.sim.participation,
         scenario.sim.seed,
-        scenario.sim.threads,
-        scenario.sim.materialization
+        scenario.sim.threads
     );
     Ok(())
 }
@@ -207,7 +201,6 @@ struct RunOptions {
     threads: Option<usize>,
     seed: Option<u64>,
     codec: Option<CodecSpec>,
-    materialization: Option<Materialization>,
     compute: Option<ComputeFormat>,
     checkpoint_every: Option<usize>,
     halt_at_round: Option<usize>,
@@ -222,7 +215,6 @@ fn parse_options(args: &[String]) -> Result<RunOptions, String> {
         threads: None,
         seed: None,
         codec: None,
-        materialization: None,
         compute: None,
         checkpoint_every: None,
         halt_at_round: None,
@@ -249,11 +241,6 @@ fn parse_options(args: &[String]) -> Result<RunOptions, String> {
             }
             "--codec" => {
                 opts.codec = Some(CodecSpec::parse(&value).map_err(|e| format!("--codec: {e}"))?);
-            }
-            "--materialization" => {
-                opts.materialization = Some(
-                    Materialization::parse(&value).map_err(|e| format!("--materialization: {e}"))?,
-                );
             }
             "--compute" => {
                 opts.compute = Some(ComputeFormat::parse(&value).ok_or_else(|| {
@@ -329,20 +316,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(codec) = opts.codec {
         scenario.sim.codec = codec;
     }
-    if let Some(materialization) = opts.materialization {
-        scenario.sim.materialization = materialization;
-    }
     if let Some(compute) = opts.compute {
         scenario.sim.compute = compute;
     }
     println!(
-        "running {} ({}, {} rounds, seed {}, codec {}, {} fleet, {} compute)",
+        "running {} ({}, {} rounds, seed {}, codec {}, {} compute)",
         scenario.name,
         scenario.algorithm.name(),
         scenario.sim.rounds,
         scenario.sim.seed,
         codec_label(&scenario.sim.codec),
-        scenario.sim.materialization,
         scenario.sim.compute.as_str()
     );
     let mut sim = scenario.build().map_err(|e| e.to_string())?;
@@ -431,11 +414,6 @@ fn reject_run_only(opts: &RunOptions, gridcmd: &str) -> Result<(), String> {
     if opts.codec.is_some() {
         return Err(format!("--codec is a run option; {gridcmd} over codecs with --codecs a,b,c"));
     }
-    if opts.materialization.is_some() {
-        return Err(format!(
-            "--materialization is a run option; {gridcmd} over modes with --materializations a,b"
-        ));
-    }
     if opts.compute.is_some() {
         return Err(format!("--compute is a run option; {gridcmd} over formats with --computes a,b"));
     }
@@ -461,7 +439,6 @@ fn expand_cells(base: Scenario, rest: &[(String, String)]) -> Result<Vec<Scenari
     let mut zoos: Vec<String> = Vec::new();
     let mut algos: Vec<String> = Vec::new();
     let mut codecs: Vec<CodecSpec> = Vec::new();
-    let mut materializations: Vec<Materialization> = Vec::new();
     let mut computes: Vec<ComputeFormat> = Vec::new();
     for (flag, value) in rest {
         match flag.as_str() {
@@ -476,15 +453,6 @@ fn expand_cells(base: Scenario, rest: &[(String, String)]) -> Result<Vec<Scenari
                 codecs = value
                     .split(',')
                     .map(|item| CodecSpec::parse(item.trim()).map_err(|e| format!("--codecs: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--materializations" => {
-                materializations = value
-                    .split(',')
-                    .map(|item| {
-                        Materialization::parse(item.trim())
-                            .map_err(|e| format!("--materializations: {e}"))
-                    })
                     .collect::<Result<Vec<_>, _>>()?;
             }
             "--computes" => {
@@ -567,12 +535,6 @@ fn expand_cells(base: Scenario, rest: &[(String, String)]) -> Result<Vec<Scenari
             }
         },
         |sc, &codec| sc.sim.codec = codec,
-    );
-    cells = expand(
-        cells,
-        &materializations,
-        |m| format!("m{m}"),
-        |sc, &m| sc.sim.materialization = m,
     );
     cells = expand(
         cells,

@@ -32,10 +32,9 @@
 //! * [`Scenario::registered_devices`] — optional cross-device population
 //!   override: `0` means the zoo expansion *is* the fleet; a positive
 //!   value registers that many devices, re-cycling the zoo's
-//!   architectures over them ([`Scenario::effective_zoo`]). Pair it with
-//!   `"materialization": "lazy"` in `sim` so the fleet is registry slots,
-//!   not resident models — the `mega-fleet` preset registers 10⁶ devices
-//!   this way.
+//!   architectures over them ([`Scenario::effective_zoo`]). The fleet is
+//!   registry slots, not resident models (`fedzkt_fl::fleet`), so the
+//!   `mega-fleet` preset registers 10⁶ devices this way.
 //! * [`Scenario::resources`] — optional simulated hardware
 //!   ([`ResourceSpec`]); attaching it populates `sim_seconds` in the log,
 //!   including transfer time for the codec-encoded payloads over each
@@ -67,10 +66,9 @@
 //!    [`Scenario::standard`] (the paper's standard setup for a family /
 //!    partition / [`Tier`]) and override fields. For a cross-device
 //!    preset, set `registered_devices` to the population size (the zoo
-//!    then describes the architecture mix, not the head count) and
-//!    `sim.materialization` to `Lazy` — see `mega_fleet()` for the
-//!    pattern; leave both at their defaults (`0` / `Eager`) for
-//!    paper-scale fleets. For a dynamic fleet, attach a
+//!    then describes the architecture mix, not the head count) — see
+//!    `mega_fleet()` for the pattern; leave it at `0` for paper-scale
+//!    fleets. For a dynamic fleet, attach a
 //!    [`ChurnSpec`](fedzkt_fl::ChurnSpec): start from
 //!    `ChurnSpec::default()` (quiescent) and set only the dynamics you
 //!    want — an `arrival_window`/`mean_lifetime` for flash crowds
@@ -93,14 +91,14 @@
 //! * `list` — the preset registry;
 //! * `describe <name|file> [--json]` — summary or canonical JSON;
 //! * `run <name|file>` — execute, writing `<name>.csv` + `<name>.json`
-//!   artifacts (`--codec q8` / `--materialization lazy` override the wire
-//!   format / fleet mode for one run; `--checkpoint-every N` snapshots
+//!   artifacts (`--codec q8` overrides the wire format for one run;
+//!   `--checkpoint-every N` snapshots
 //!   `<out>/<name>.ckpt`, `--halt-at-round K` stops early with a
 //!   checkpoint, and `--resume FILE` continues one — the resumed log is
 //!   bit-identical to an uninterrupted run);
-//! * `sweep <name|file> --seeds 1,2 --codecs raw,q8,q4,topk:0.1
-//!   --materializations eager,lazy …` — expand grid axes into child
-//!   scenarios and execute them fleet-parallel;
+//! * `sweep <name|file> --seeds 1,2 --codecs raw,q8,q4,topk:0.1 …` —
+//!   expand grid axes into child scenarios and execute them
+//!   fleet-parallel;
 //! * `serve <name|file> [axes]` — the durable form of `sweep`: a job
 //!   queue whose state is the artifact directory itself (`<name>.json`
 //!   present = done, `<name>.ckpt` = half-run, else fresh), so a killed

@@ -14,7 +14,7 @@ use crate::{
 use fedzkt_core::{FedMdConfig, FedZktConfig};
 use fedzkt_data::{DataFamily, Partition};
 use fedzkt_fl::{
-    ChurnSpec, CodecSpec, FedAvgConfig, FedEtConfig, FedGktConfig, Materialization, SimConfig,
+    ChurnSpec, CodecSpec, FedAvgConfig, FedEtConfig, FedGktConfig, SimConfig,
 };
 use fedzkt_models::{GeneratorSpec, ModelSpec};
 
@@ -531,11 +531,10 @@ fn fedgkt_split() -> Scenario {
 }
 
 fn mega_fleet() -> Scenario {
-    // The lazy registry's acceptance anchor: one **million** registered
+    // The device registry's acceptance anchor: one **million** registered
     // devices, ~1000 sampled per round, each holding one sample and a
-    // micro-MLP. Lazy materialization keeps the resident fleet at the
-    // sampled count, so the run completes in bounded memory; an eager run
-    // of this description would build a million models up front.
+    // micro-MLP. The fleet keeps only the sampled count resident, so the
+    // run completes in bounded memory.
     Scenario {
         name: "mega-fleet".into(),
         data: DataSpec {
@@ -562,7 +561,6 @@ fn mega_fleet() -> Scenario {
             participation: 0.001,
             eval_every: 0,
             seed: 21,
-            materialization: Materialization::Lazy,
             ..Default::default()
         },
     }
@@ -666,7 +664,7 @@ pub fn presets() -> Vec<Preset> {
         },
         Preset {
             name: "mega-fleet",
-            about: "one million registered devices, ~1k sampled/round, lazy materialization",
+            about: "one million registered devices, ~1k sampled/round, bounded resident set",
             paper_scale: false,
             build: mega_fleet,
         },

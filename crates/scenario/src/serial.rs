@@ -15,7 +15,7 @@ use fedzkt_data::{DataFamily, Partition};
 use fedzkt_fl::json::{self, Value};
 use fedzkt_fl::{
     ChurnSpec, CodecSpec, ComputeFormat, DeviceResources, FedAvgConfig, FedEtConfig,
-    FedGktConfig, Materialization, SimConfig,
+    FedGktConfig, SimConfig,
 };
 use fedzkt_models::{GeneratorSpec, ModelSpec};
 
@@ -359,7 +359,6 @@ fn sim_j(s: &SimConfig) -> J {
         ("seed", u64j(s.seed)),
         ("threads", us(s.threads)),
         ("codec", codec_j(&s.codec)),
-        ("materialization", sj(s.materialization.as_str())),
         ("compute", sj(s.compute.as_str())),
     ])
 }
@@ -665,12 +664,6 @@ fn scenario_from(v: &Value) -> Result<Scenario, String> {
                 None => CodecSpec::Raw,
                 Some(v) => codec_from(v)?,
             },
-            // Absent (a pre-registry-era file) means eager — the only
-            // materialization those files could run.
-            materialization: match sim.get("materialization") {
-                None => Materialization::Eager,
-                Some(_) => Materialization::parse(str_f(sim, "materialization")?)?,
-            },
             // Absent (a pre-compute-format-era file) means f32 — the only
             // compute format those files could run.
             compute: match sim.get("compute") {
@@ -820,31 +813,39 @@ mod tests {
 
     #[test]
     fn pre_registry_era_files_parse_with_defaults() {
-        // A scenario file written before the lazy-fleet layer has no
-        // `sim.materialization` and no `registered_devices`; it must keep
-        // loading, defaulting to an eager fleet sized by the zoo.
+        // A scenario file written before the device registry has no
+        // `registered_devices`; it must keep loading, with the fleet sized
+        // by the zoo.
         let sc = presets()[0].scenario();
         assert_eq!(sc.registered_devices, 0, "golden presets predate the override");
-        let legacy = sc
-            .to_json()
-            .replace(",\n    \"materialization\": \"eager\"", "")
-            .replace("  \"registered_devices\": 0,\n", "");
-        assert!(
-            !legacy.contains("materialization") && !legacy.contains("registered_devices"),
-            "{legacy}"
-        );
+        let canonical = sc.to_json();
+        let legacy = canonical.replace("  \"registered_devices\": 0,\n", "");
+        assert!(!legacy.contains("registered_devices"), "{legacy}");
         let back = Scenario::from_json(&legacy).expect("legacy schema parses");
         assert_eq!(back, sc);
+
+        // Files written while `sim.materialization` existed carry the key
+        // with either value; both load, and re-serialize to the canonical
+        // form without it.
+        assert!(!canonical.contains("materialization"), "{canonical}");
+        for mode in ["eager", "lazy"] {
+            let legacy = canonical.replace(
+                ",\n    \"compute\":",
+                &format!(",\n    \"materialization\": \"{mode}\",\n    \"compute\":"),
+            );
+            assert!(legacy.contains("materialization"), "{legacy}");
+            let back = Scenario::from_json(&legacy).expect("legacy schema parses");
+            assert_eq!(back, sc);
+            assert_eq!(back.to_json(), canonical);
+        }
     }
 
     #[test]
-    fn registered_devices_and_materialization_roundtrip() {
+    fn registered_devices_roundtrip() {
         let mut sc = presets()[0].scenario();
         sc.registered_devices = 1_000_000;
-        sc.sim.materialization = Materialization::Lazy;
         let json = sc.to_json();
         assert!(json.contains("\"registered_devices\": 1000000"), "{json}");
-        assert!(json.contains("\"materialization\": \"lazy\""), "{json}");
         let back = Scenario::from_json(&json).unwrap();
         assert_eq!(sc, back);
         assert_eq!(back.devices(), 1_000_000);

@@ -255,9 +255,8 @@ pub struct Scenario {
     /// this many devices instead (per-architecture counts as in §IV-C2's
     /// round-robin assignment). The idiom for cross-device scale: a
     /// one-line zoo plus `"registered_devices": 1000000` describes a
-    /// million-device fleet without a million-entry expansion, and
-    /// [`SimConfig::materialization`] `lazy` keeps it resident only while
-    /// sampled.
+    /// million-device fleet without a million-entry expansion, and the
+    /// fleet keeps a device resident only while it is sampled.
     pub registered_devices: usize,
     /// Simulated device resources (None = no simulated clock).
     pub resources: Option<ResourceSpec>,

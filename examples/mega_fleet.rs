@@ -3,10 +3,10 @@
 //! The cross-device regime FedZKT targets registers a huge population of
 //! which only a tiny fraction is sampled per round. The `mega-fleet`
 //! scenario (also checked in as `scenarios/mega-fleet.json`) registers
-//! 1,000,000 devices and samples ~1,000 per round; with
-//! `"materialization": "lazy"` the fleet exists as registry slots — a
-//! device's model is built from its spec + per-device seed only while
-//! sampled, and dropped back to a state summary after merge. This example
+//! 1,000,000 devices and samples ~1,000 per round; the fleet exists as
+//! registry slots — a device's shard is sliced and its model built from
+//! the spec + per-device seed only while sampled, and dropped after
+//! merge. This example
 //! runs it and narrates the scale columns of the `RunLog`: the registered
 //! population, the peak number of simultaneously materialized devices
 //! (the memory bound), and the sampled set.
@@ -20,11 +20,10 @@ use fedzkt::scenario::preset;
 fn main() {
     let scenario = preset("mega-fleet").expect("registry preset");
     println!(
-        "scenario \"{}\": {} registered devices, {:.2}% sampled per round, {} fleet\n",
+        "scenario \"{}\": {} registered devices, {:.2}% sampled per round\n",
         scenario.name,
         scenario.devices(),
         100.0 * scenario.sim.participation,
-        scenario.sim.materialization,
     );
 
     println!("round  registered  peak-resident  sampled  avg-acc");
@@ -48,6 +47,5 @@ fn main() {
         scenario.devices(),
         100.0 * peak as f64 / scenario.devices() as f64
     );
-    println!("same run, eagerly (don't): the fleet would materialize all 10^6 models up front.");
     println!("same run from the CLI: cargo run -p fedzkt_scenario --bin scenarios -- run mega-fleet");
 }

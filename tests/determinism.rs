@@ -184,7 +184,9 @@ fn scenario_file_runs_bit_identically_across_thread_counts() {
     // The declarative path end to end: a checked-in scenario *file* parsed
     // and executed through the erased runner must carry the same guarantee
     // as the hand-wired runs above — the description layer cannot introduce
-    // nondeterminism.
+    // nondeterminism. (Nor can the fleet: checkout/release bookkeeping and
+    // on-demand rebuilds happen on the driver thread, outside the parallel
+    // region.)
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/tiny.json");
     let mut scenario = fedzkt::scenario::Scenario::load(path).expect("checked-in tiny scenario");
     scenario.sim.threads = 1;
@@ -224,26 +226,6 @@ fn lossy_codec_scenario_runs_bit_identically_across_thread_counts() {
     assert_eq!(one.to_json(), four.to_json());
     // The preset attaches smartphone links, so transfer time is charged.
     assert!(one.rounds.iter().all(|r| r.sim_seconds > 0.0));
-}
-
-#[test]
-fn lazy_scenario_runs_bit_identically_across_thread_counts() {
-    let _guard = serial_guard();
-    // The lazy fleet adds a third determinism axis next to seed and thread
-    // count: materialization. A lazily materialized run must carry the
-    // thread-count guarantee just like the eager runs above — checkout/
-    // release bookkeeping and on-demand rebuilds happen on the driver
-    // thread, outside the fleet's parallel region.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/tiny.json");
-    let mut scenario = fedzkt::scenario::Scenario::load(path).expect("checked-in tiny scenario");
-    scenario.sim.materialization = fedzkt::fl::Materialization::Lazy;
-    scenario.sim.threads = 1;
-    let one = scenario.run().expect("runnable scenario");
-    scenario.sim.threads = 4;
-    let four = scenario.run().expect("runnable scenario");
-    assert_eq!(one, four, "lazy threads=1 vs threads=4 diverged");
-    assert_bit_identical(&one, &four);
-    assert_eq!(one.to_json(), four.to_json());
 }
 
 #[test]
@@ -346,8 +328,8 @@ fn different_seeds_produce_different_runs() {
 #[test]
 fn int8_compute_scenario_runs_bit_identically_across_thread_counts() {
     let _guard = serial_guard();
-    // The compute format is the fourth determinism axis next to seed,
-    // thread count and materialization. The int8 path is integer
+    // The compute format is the third determinism axis next to seed and
+    // thread count. The int8 path is integer
     // arithmetic plus a fixed affine correction, and operands are
     // quantized before the row partition forks, so a distillation-game
     // round scored under int8 must carry the same thread-count guarantee

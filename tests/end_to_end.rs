@@ -352,7 +352,7 @@ fn eval_cadence_spans_a_real_run() {
 }
 
 /// The two knowledge-transfer presets run end-to-end through the scenario
-/// layer (miniaturized like the lazy/eager sweep — same family, partition,
+/// layer (miniaturized like the resume sweep — same family, partition,
 /// algorithm and codec, tiny sizes). Fed-ET's symmetric state-dict traffic
 /// and FedGKT's asymmetric feature/soft-label exchange must both show up
 /// in the RunLog exactly as the protocol defines them.

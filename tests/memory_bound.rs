@@ -1,4 +1,4 @@
-//! Tier-1 memory-bound regression for the lazy fleet.
+//! Tier-1 memory-bound regression for the device fleet.
 //!
 //! The bound is asserted on the [`DeviceRegistry`] residency counters the
 //! driver exports into every `RunLog` row — a deterministic, allocator- and
@@ -18,7 +18,6 @@ use fedzkt::scenario::Scenario;
 fn lazy_fleet_peak_residency_is_bounded_by_the_sampled_set() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/mega-fleet.json");
     let mut sc = Scenario::load(path).expect("checked-in mega-fleet scenario");
-    assert!(sc.sim.materialization.is_lazy(), "mega-fleet is the lazy-mode preset");
 
     sc.registered_devices = 100_000;
     sc.data.train_n = 100_000;
@@ -35,8 +34,8 @@ fn lazy_fleet_peak_residency_is_bounded_by_the_sampled_set() {
 
     for round in &log.rounds {
         assert_eq!(round.registered_devices, 100_000);
-        // Peak resident ≤ sampled-per-round + O(1): the eager fleet would
-        // report 100 000 here.
+        // Peak resident ≤ sampled-per-round + O(1), not the 100 000
+        // registered.
         assert!(
             round.peak_resident_devices <= max_sampled + 1,
             "round {}: peak resident {} exceeds the sampled working set {}",

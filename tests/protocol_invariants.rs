@@ -177,7 +177,8 @@ fn fedgkt_sim(sim: SimConfig) -> Simulation<FedGkt> {
 /// updates, in every algorithm.
 fn assert_stragglers_untouched<A: FederatedAlgorithm>(sim: &mut Simulation<A>) {
     let n = sim.devices();
-    let before: Vec<_> = (0..n).map(|k| state_dict(sim.algorithm().device_model(k))).collect();
+    let before: Vec<_> =
+        (0..n).map(|k| state_dict(sim.algorithm_for_eval().device_model(k))).collect();
     let metrics = sim.round(0);
     assert!(
         metrics.active_devices.len() < n,
@@ -185,7 +186,7 @@ fn assert_stragglers_untouched<A: FederatedAlgorithm>(sim: &mut Simulation<A>) {
         metrics.active_devices.len()
     );
     for (k, snapshot) in before.iter().enumerate() {
-        let unchanged = state_dict(sim.algorithm().device_model(k)) == *snapshot;
+        let unchanged = state_dict(sim.algorithm_for_eval().device_model(k)) == *snapshot;
         assert_eq!(
             unchanged,
             !metrics.active_devices.contains(&k),
@@ -252,9 +253,9 @@ fn stragglers_untouched_under_every_lossy_codec() {
         // FedAvg's shared-model degeneration of the invariant, as above:
         // one active device must still be able to move the global model.
         let mut sim = fedavg_sim(SimConfig { codec, ..partial() });
-        let before = state_dict(sim.algorithm().device_model(0));
+        let before = state_dict(sim.algorithm_for_eval().device_model(0));
         sim.round(0);
-        assert_ne!(state_dict(sim.algorithm().device_model(0)), before, "{codec:?}");
+        assert_ne!(state_dict(sim.algorithm_for_eval().device_model(0)), before, "{codec:?}");
     }
 }
 
@@ -265,10 +266,10 @@ fn stragglers_keep_their_stale_models_fedavg() {
     // global model changing only through active devices. A round with one
     // active device must still change it (that device trains).
     let mut sim = fedavg_sim(partial());
-    let before = state_dict(sim.algorithm().device_model(0));
+    let before = state_dict(sim.algorithm_for_eval().device_model(0));
     let metrics = sim.round(0);
     assert_eq!(metrics.active_devices.len(), 1);
-    assert_ne!(state_dict(sim.algorithm().device_model(0)), before);
+    assert_ne!(state_dict(sim.algorithm_for_eval().device_model(0)), before);
 }
 
 #[test]
@@ -369,11 +370,11 @@ fn lossy_codecs_record_less_traffic_than_raw() {
 /// invariant 2 above is not vacuously true.
 #[test]
 fn payload_semantics_per_algorithm() {
-    let sim = fedzkt_sim(tiny_cfg(), full());
+    let mut sim = fedzkt_sim(tiny_cfg(), full());
     for k in 0..sim.devices() {
         assert_eq!(
             sim.algorithm().payload_template(k).byte_size(),
-            state_dict(sim.algorithm().device_model(k)).byte_size()
+            state_dict(sim.algorithm_for_eval().device_model(k)).byte_size()
         );
     }
     let sim = fedmd_sim(full());
@@ -414,12 +415,12 @@ fn device_traffic_independent_of_server_model_sizes() {
 /// parameter layouts, so FedAvg-style element-wise averaging is impossible.
 #[test]
 fn zoo_is_architecturally_incompatible() {
-    let sim = fedzkt_sim(tiny_cfg(), full());
+    let mut sim = fedzkt_sim(tiny_cfg(), full());
     let k = sim.devices();
     for a in 0..k {
         for b in (a + 1)..k {
-            let sa = state_dict(sim.algorithm().device_model(a));
-            let sb = state_dict(sim.algorithm().device_model(b));
+            let sa = state_dict(sim.algorithm_for_eval().device_model(a));
+            let sb = state_dict(sim.algorithm_for_eval().device_model(b));
             let layout = |sd: &fedzkt::nn::StateDict| -> Vec<Vec<usize>> {
                 sd.params.iter().map(|t| t.shape().to_vec()).collect()
             };
@@ -436,13 +437,13 @@ fn server_distillation_changes_device_models() {
     let with_server = {
         let mut sim = fedzkt_sim(tiny_cfg(), full());
         sim.round(0);
-        state_dict(sim.algorithm().device_model(0))
+        state_dict(sim.algorithm_for_eval().device_model(0))
     };
     let without_server = {
         let cfg = FedZktConfig { distill_iters: 0, transfer_iters: 0, ..tiny_cfg() };
         let mut sim = fedzkt_sim(cfg, full());
         sim.round(0);
-        state_dict(sim.algorithm().device_model(0))
+        state_dict(sim.algorithm_for_eval().device_model(0))
     };
     assert_ne!(with_server, without_server, "server update had no effect on device 0");
 }
@@ -461,7 +462,7 @@ fn training_stays_finite_under_aggressive_settings() {
     sim.run();
     let k = sim.devices();
     for d in 0..k {
-        for p in sim.algorithm().device_model(d).params() {
+        for p in sim.algorithm_for_eval().device_model(d).params() {
             assert!(p.value().all_finite(), "device {d} has non-finite parameters");
         }
     }
@@ -479,8 +480,8 @@ fn probe_is_side_effect_free() {
     probed.round(0);
     plain.round(0);
     assert_eq!(
-        state_dict(probed.algorithm().device_model(0)),
-        state_dict(plain.algorithm().device_model(0)),
+        state_dict(probed.algorithm_for_eval().device_model(0)),
+        state_dict(plain.algorithm_for_eval().device_model(0)),
         "probe changed training trajectory"
     );
 }
