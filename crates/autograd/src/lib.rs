@@ -15,6 +15,10 @@
 //! 2. the Figure-2 probe reports `‖∇ₓ L‖` for the three candidate
 //!    disagreement losses (KL, logit-ℓ1, softmax-ℓ1).
 //!
+//! Both differentiate *through* the models and not *into* them, so they run
+//! the model forwards inside [`frozen_params`] and the models' own weight
+//! gradients are never computed.
+//!
 //! The op set is exactly what the paper's models need: dense and
 //! convolutional layers (with groups/depthwise), batch normalisation,
 //! pooling, nearest upsampling (generator), the usual activations, softmax,
@@ -41,4 +45,4 @@ mod var;
 
 pub use gradcheck::{check_gradients, finite_difference};
 pub use loss::DistillLoss;
-pub use var::{no_grad, Var};
+pub use var::{frozen_params, no_grad, Var};

@@ -118,7 +118,7 @@ impl Var {
     pub fn add_bias(&self, bias: &Var) -> Var {
         let value = self.value().add_bias(&bias.value()).expect("add_bias");
         let d = bias.value().len();
-        let need = (self.requires_grad(), bias.requires_grad());
+        let need = (self.requires_grad(), bias.param_requires_grad());
         Var::from_op(value, vec![self.clone(), bias.clone()], move |g| {
             let gb = need.1.then(|| {
                 let mut acc = vec![0.0f32; d];

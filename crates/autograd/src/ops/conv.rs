@@ -1,5 +1,19 @@
-//! 2-D convolution (with groups/depthwise support) via **fused** im2col +
-//! GEMM lowering.
+//! 2-D convolution (with groups) — **fused** im2col + GEMM lowering for
+//! dense and grouped shapes, direct kernels for depthwise ones.
+//!
+//! ## Depthwise (`C / groups == 1`, `OC == C`)
+//!
+//! A depthwise conv lowered like the others is `C` one-row GEMMs with
+//! nothing to reuse, so in the f32 compute scope [`Var::conv2d`] hands
+//! those shapes to the direct kernels in `fedzkt_tensor::ops`
+//! ([`depthwise_conv2d`], [`depthwise_conv2d_dx`], [`depthwise_conv2d_dw`]).
+//! They reproduce the lowering's float sequence exactly — forward, `dX`
+//! and `dW` are bitwise the lowering's (pinned by
+//! `depthwise_direct_matches_lowering` below, with the lowering as the
+//! oracle) — so the selection is invisible in every result. The int8 scope
+//! and non-finite weights keep the lowering.
+//!
+//! ## Everything else: the fused lowering
 //!
 //! The forward pass never materialises the full `[kvol, N·OH·OW]` column
 //! matrix: it lowers and consumes the batch **panel by panel**
@@ -31,7 +45,10 @@
 
 use crate::Var;
 use fedzkt_tensor::compute::{current_format, ComputeFormat};
-use fedzkt_tensor::ops::{col2im, gemm, im2col_batch, im2col_panel, Conv2dGeometry};
+use fedzkt_tensor::ops::{
+    col2im, depthwise_conv2d, depthwise_conv2d_dw, depthwise_conv2d_dx, gemm, im2col_batch,
+    im2col_panel, Conv2dGeometry,
+};
 use fedzkt_tensor::typed;
 use fedzkt_tensor::{par, Tensor};
 
@@ -54,164 +71,25 @@ impl Var {
     /// Panics when shapes are inconsistent, `groups` does not divide both
     /// `C` and `OC`, or the kernel does not fit the padded input.
     pub fn conv2d(&self, weight: &Var, stride: usize, pad: usize, groups: usize) -> Var {
-        let x = self.value_clone();
-        let w = weight.value_clone();
-        let xs = x.shape().to_vec();
-        let ws = w.shape().to_vec();
+        let (xs, ws) = (self.shape(), weight.shape());
         assert_eq!(xs.len(), 4, "conv2d input must be [N, C, H, W], got {xs:?}");
         assert_eq!(ws.len(), 4, "conv2d weight must be [OC, C/g, KH, KW], got {ws:?}");
-        let (n, c, h, width) = (xs[0], xs[1], xs[2], xs[3]);
-        let (oc, c_per_g, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
+        let (c, oc, c_per_g) = (xs[1], ws[0], ws[1]);
         assert!(groups > 0 && c.is_multiple_of(groups) && oc.is_multiple_of(groups), "groups {groups} must divide C={c} and OC={oc}");
         assert_eq!(c / groups, c_per_g, "weight in-channels {c_per_g} != C/groups {}", c / groups);
-
-        let geom = Conv2dGeometry::new(c_per_g, h, width, kh, kw, stride, pad)
+        let geom = Conv2dGeometry::new(c_per_g, xs[2], xs[3], ws[2], ws[3], stride, pad)
             .expect("conv2d geometry");
-        let (oh, ow) = (geom.out_h, geom.out_w);
-        let oc_per_g = oc / groups;
-        let group_in = c_per_g * h * width;
-        let kvol = c_per_g * kh * kw;
-
-        // Forward: fused lowering. Per group, the column matrix is built
-        // and consumed FUSE_PANEL columns at a time:
-        //   out_g[:, c0..c0+pw] = W_g [OCg, kvol] x col_g[:, c0..c0+pw],
-        // with col_g's columns sample-major (im2col_panel). Panels are
-        // independent, so they run one-per-worker; splitting N this way
-        // leaves each output element's k-accumulation order untouched, so
-        // the result is bit-identical to the unfused whole-batch GEMM.
-        let hw_out = oh * ow;
-        let ncols = n * hw_out;
-        let sample_stride = c * h * width;
-        let format = current_format();
-        let mut out = vec![0.0f32; n * oc * hw_out];
-        let panels = ncols.div_ceil(FUSE_PANEL.max(1));
-        let threads =
-            if oc * kvol * ncols >= gemm::PAR_MIN_MACS { par::max_threads() } else { 1 };
-        for g in 0..groups {
-            let wg = &w.data()[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
-            let panel_outs: Vec<Vec<f32>> = par::map_indexed(panels, threads, |p| {
-                let c0 = p * FUSE_PANEL;
-                let pw = FUSE_PANEL.min(ncols - c0);
-                let mut col = vec![0.0f32; kvol * pw];
-                im2col_panel(x.data(), g * group_in, sample_stride, n, &geom, c0, &mut col);
-                let mut og = vec![0.0f32; oc_per_g * pw];
-                // Explicit-format calls: workers don't inherit the caller's
-                // thread-local compute scope. Full panels have a
-                // compile-time width, so the typed wrapper proves the
-                // column/output lengths by construction and enters below
-                // the shape guards; the last (narrower) panel keeps the
-                // dynamic entry. Same kernels, same order — bit-identical.
-                if pw == FUSE_PANEL && typed::enabled() {
-                    typed::gemm_nn_cols_with::<FUSE_PANEL>(
-                        format,
-                        wg,
-                        typed::Rows2D::with_rows(&col, kvol),
-                        typed::RowsMut2D::with_rows(&mut og, oc_per_g),
-                    );
-                } else {
-                    gemm::gemm_nn_with(format, wg, &col, &mut og, oc_per_g, kvol, pw);
-                }
-                og
-            });
-            // Scatter [OCg, panel] blocks (sample-major columns) into NCHW.
-            for (p, og) in panel_outs.iter().enumerate() {
-                let c0 = p * FUSE_PANEL;
-                let pw = FUSE_PANEL.min(ncols - c0);
-                for ol in 0..oc_per_g {
-                    let src_row = &og[ol * pw..(ol + 1) * pw];
-                    let mut j = 0usize;
-                    while j < pw {
-                        let s = (c0 + j) / hw_out;
-                        let px = (c0 + j) % hw_out;
-                        let run = (hw_out - px).min(pw - j);
-                        out[s * oc * hw_out + (g * oc_per_g + ol) * hw_out + px..][..run]
-                            .copy_from_slice(&src_row[j..j + run]);
-                        j += run;
-                    }
-                }
-            }
+        // Non-finite weights keep the lowering: the direct dX kernel is
+        // bitwise the lowering's for finite weights only.
+        let direct = c_per_g == 1
+            && oc == c
+            && current_format() == ComputeFormat::F32
+            && weight.value().data().iter().all(|v| v.is_finite());
+        if direct {
+            conv2d_depthwise(self, weight, &geom)
+        } else {
+            conv2d_lowered(self, weight, &geom, groups)
         }
-        let value = Tensor::from_vec(out, &[n, oc, oh, ow]).expect("conv2d output");
-
-        let need = (self.requires_grad(), weight.requires_grad());
-        Var::from_op(value, vec![self.clone(), weight.clone()], move |grad| {
-            let mut gx = need.0.then(|| vec![0.0f32; n * sample_stride]);
-            let mut gw = need.1.then(|| vec![0.0f32; oc * kvol]);
-            // dcol_g is needed per group before the sample-parallel col2im
-            // scatter, so groups are processed in two phases.
-            let mut dcols: Vec<Vec<f32>> = Vec::with_capacity(if need.0 { groups } else { 0 });
-            for g in 0..groups {
-                // Recompute this group's whole-batch column matrix from the
-                // saved input — the forward consumed it panel by panel and
-                // deliberately retained nothing (see module docs). Bitwise
-                // the matrix the pre-fusion code kept alive.
-                let col = im2col_batch(x.data(), g * group_in, sample_stride, n, &geom);
-                let col = &col;
-                // Gather grad group g into [OCg, N·OHOW] sample-major columns.
-                let mut go = vec![0.0f32; oc_per_g * ncols];
-                for s in 0..n {
-                    for ol in 0..oc_per_g {
-                        let src = &grad.data()
-                            [s * oc * hw_out + (g * oc_per_g + ol) * hw_out..][..hw_out];
-                        go[ol * ncols + s * hw_out..][..hw_out].copy_from_slice(src);
-                    }
-                }
-                if let Some(gw) = gw.as_mut() {
-                    // dW_g += go [OCg, N·OHOW] x col_g^T [N·OHOW, kvol].
-                    // Explicit f32: gradients must never take the lossy
-                    // int8 path, whatever scope the caller left active.
-                    let dst = &mut gw[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
-                    gemm::gemm_nt_with(ComputeFormat::F32, &go, col, dst, oc_per_g, ncols, kvol);
-                }
-                if need.0 {
-                    // dcol_g = W_g^T [kvol, OCg] x go [OCg, N·OHOW]
-                    let wg = &w.data()[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
-                    let mut dcol = vec![0.0f32; kvol * ncols];
-                    gemm::gemm_tn_with(
-                        ComputeFormat::F32,
-                        wg,
-                        &go,
-                        &mut dcol,
-                        oc_per_g,
-                        kvol,
-                        ncols,
-                    );
-                    dcols.push(dcol);
-                }
-            }
-            if let Some(gx) = gx.as_mut() {
-                // col2im is independent per sample; samples own disjoint
-                // contiguous [C, H, W] gradient slices, so they scatter in
-                // parallel (bit-identical for any thread count).
-                let threads = if n * groups * kvol * hw_out >= par::PAR_MIN_ELEMS {
-                    par::max_threads()
-                } else {
-                    1
-                };
-                par::for_each_chunk_mut(gx, sample_stride, threads, |s0, chunk| {
-                    let mut dcol_s = vec![0.0f32; kvol * hw_out];
-                    for (ds, slice) in chunk.chunks_mut(sample_stride).enumerate() {
-                        let s = s0 + ds;
-                        for (g, dcol) in dcols.iter().enumerate() {
-                            for r in 0..kvol {
-                                dcol_s[r * hw_out..(r + 1) * hw_out].copy_from_slice(
-                                    &dcol[r * ncols + s * hw_out..][..hw_out],
-                                );
-                            }
-                            let gslice = col2im(&dcol_s, &geom);
-                            let dst = &mut slice[g * group_in..(g + 1) * group_in];
-                            for (d, v) in dst.iter_mut().zip(gslice) {
-                                *d += v;
-                            }
-                        }
-                    }
-                });
-            }
-            vec![
-                gx.map(|v| Tensor::from_vec(v, &[n, c, h, width]).expect("conv2d dX")),
-                gw.map(|v| Tensor::from_vec(v, &[oc, c_per_g, kh, kw]).expect("conv2d dW")),
-            ]
-        })
     }
 
     /// Add a per-channel bias `[C]` over an NCHW batch.
@@ -238,7 +116,7 @@ impl Var {
             }
         }
         let value = Tensor::from_vec(out, &xs).expect("add_channel_bias");
-        let need = (self.requires_grad(), bias.requires_grad());
+        let need = (self.requires_grad(), bias.param_requires_grad());
         Var::from_op(value, vec![self.clone(), bias.clone()], move |g| {
             let gb = need.1.then(|| {
                 let mut acc = vec![0.0f32; c];
@@ -253,6 +131,200 @@ impl Var {
             vec![need.0.then(|| g.clone()), gb]
         })
     }
+}
+
+/// Depthwise `conv2d` on the direct kernels: `weight` is `[C, 1, KH, KW]`,
+/// `geom` the single-channel geometry. Bitwise [`conv2d_lowered`] with
+/// `groups = C` for finite weights in the f32 scope.
+fn conv2d_depthwise(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
+    let geom = *geom;
+    let w = weight.value_clone();
+    let xs = input.shape();
+    let (n, c) = (xs[0], xs[1]);
+    let out_shape = [n, c, geom.out_h, geom.out_w];
+    let mut out = vec![0.0f32; out_shape.iter().product()];
+    depthwise_conv2d(input.value().data(), w.data(), n, c, &geom, &mut out);
+    let value = Tensor::from_vec(out, &out_shape).expect("conv2d output");
+
+    let need = (input.requires_grad(), weight.param_requires_grad());
+    // Only dW reads the input, so it is copied only for a pass that will
+    // record a tape node and differentiate the weights — never on tape-free
+    // or frozen-parameter forwards.
+    let saved_x = (crate::var::grad_enabled() && need.1).then(|| input.value_clone());
+    Var::from_op(value, vec![input.clone(), weight.clone()], move |grad| {
+        let gx = need.0.then(|| {
+            let mut gx = vec![0.0f32; xs.iter().product()];
+            depthwise_conv2d_dx(grad.data(), w.data(), n, c, &geom, &mut gx);
+            Tensor::from_vec(gx, &xs).expect("conv2d dX")
+        });
+        let gw = saved_x.as_ref().map(|x| {
+            let mut gw = vec![0.0f32; w.len()];
+            depthwise_conv2d_dw(x.data(), grad.data(), n, c, &geom, &mut gw);
+            Tensor::from_vec(gw, w.shape()).expect("conv2d dW")
+        });
+        vec![gx, gw]
+    })
+}
+
+/// `conv2d` by fused im2col + GEMM lowering (module docs), for any `groups`
+/// dividing `C` and `OC`; `geom` describes one group (`channels = C/groups`).
+/// Production path for dense and grouped shapes and for the int8 scope, and
+/// the oracle the direct depthwise kernels are tested against.
+fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usize) -> Var {
+    let x = input.value_clone();
+    let w = weight.value_clone();
+    let geom = *geom;
+    let xs = x.shape().to_vec();
+    let ws = w.shape().to_vec();
+    let (n, c, h, width) = (xs[0], xs[1], xs[2], xs[3]);
+    let (oc, c_per_g, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
+
+    let (oh, ow) = (geom.out_h, geom.out_w);
+    let oc_per_g = oc / groups;
+    let group_in = c_per_g * h * width;
+    let kvol = c_per_g * kh * kw;
+
+    // Forward: fused lowering. Per group, the column matrix is built
+    // and consumed FUSE_PANEL columns at a time:
+    //   out_g[:, c0..c0+pw] = W_g [OCg, kvol] x col_g[:, c0..c0+pw],
+    // with col_g's columns sample-major (im2col_panel). Panels are
+    // independent, so they run one-per-worker; splitting N this way
+    // leaves each output element's k-accumulation order untouched, so
+    // the result is bit-identical to the unfused whole-batch GEMM.
+    let hw_out = oh * ow;
+    let ncols = n * hw_out;
+    let sample_stride = c * h * width;
+    let format = current_format();
+    let mut out = vec![0.0f32; n * oc * hw_out];
+    let panels = ncols.div_ceil(FUSE_PANEL.max(1));
+    // Panels fork once per group, so the gate is the per-group product.
+    let threads =
+        if oc_per_g * kvol * ncols >= gemm::PAR_MIN_MACS { par::max_threads() } else { 1 };
+    for g in 0..groups {
+        let wg = &w.data()[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
+        let panel_outs: Vec<Vec<f32>> = par::map_indexed(panels, threads, |p| {
+            let c0 = p * FUSE_PANEL;
+            let pw = FUSE_PANEL.min(ncols - c0);
+            let mut col = vec![0.0f32; kvol * pw];
+            im2col_panel(x.data(), g * group_in, sample_stride, n, &geom, c0, &mut col);
+            let mut og = vec![0.0f32; oc_per_g * pw];
+            // Explicit-format calls: workers don't inherit the caller's
+            // thread-local compute scope. Full panels have a
+            // compile-time width, so the typed wrapper proves the
+            // column/output lengths by construction and enters below
+            // the shape guards; the last (narrower) panel keeps the
+            // dynamic entry. Same kernels, same order — bit-identical.
+            if pw == FUSE_PANEL && typed::enabled() {
+                typed::gemm_nn_cols_with::<FUSE_PANEL>(
+                    format,
+                    wg,
+                    typed::Rows2D::with_rows(&col, kvol),
+                    typed::RowsMut2D::with_rows(&mut og, oc_per_g),
+                );
+            } else {
+                gemm::gemm_nn_with(format, wg, &col, &mut og, oc_per_g, kvol, pw);
+            }
+            og
+        });
+        // Scatter [OCg, panel] blocks (sample-major columns) into NCHW.
+        for (p, og) in panel_outs.iter().enumerate() {
+            let c0 = p * FUSE_PANEL;
+            let pw = FUSE_PANEL.min(ncols - c0);
+            for ol in 0..oc_per_g {
+                let src_row = &og[ol * pw..(ol + 1) * pw];
+                let mut j = 0usize;
+                while j < pw {
+                    let s = (c0 + j) / hw_out;
+                    let px = (c0 + j) % hw_out;
+                    let run = (hw_out - px).min(pw - j);
+                    out[s * oc * hw_out + (g * oc_per_g + ol) * hw_out + px..][..run]
+                        .copy_from_slice(&src_row[j..j + run]);
+                    j += run;
+                }
+            }
+        }
+    }
+    let value = Tensor::from_vec(out, &[n, oc, oh, ow]).expect("conv2d output");
+
+    let need = (input.requires_grad(), weight.param_requires_grad());
+    Var::from_op(value, vec![input.clone(), weight.clone()], move |grad| {
+        let mut gx = need.0.then(|| vec![0.0f32; n * sample_stride]);
+        let mut gw = need.1.then(|| vec![0.0f32; oc * kvol]);
+        // dcol_g is needed per group before the sample-parallel col2im
+        // scatter, so groups are processed in two phases.
+        let mut dcols: Vec<Vec<f32>> = Vec::with_capacity(if need.0 { groups } else { 0 });
+        for g in 0..groups {
+            // Recompute this group's whole-batch column matrix from the
+            // saved input — the forward consumed it panel by panel and
+            // deliberately retained nothing (see module docs). Bitwise
+            // the matrix the pre-fusion code kept alive.
+            let col = im2col_batch(x.data(), g * group_in, sample_stride, n, &geom);
+            let col = &col;
+            // Gather grad group g into [OCg, N·OHOW] sample-major columns.
+            let mut go = vec![0.0f32; oc_per_g * ncols];
+            for s in 0..n {
+                for ol in 0..oc_per_g {
+                    let src = &grad.data()
+                        [s * oc * hw_out + (g * oc_per_g + ol) * hw_out..][..hw_out];
+                    go[ol * ncols + s * hw_out..][..hw_out].copy_from_slice(src);
+                }
+            }
+            if let Some(gw) = gw.as_mut() {
+                // dW_g += go [OCg, N·OHOW] x col_g^T [N·OHOW, kvol].
+                // Explicit f32: gradients must never take the lossy
+                // int8 path, whatever scope the caller left active.
+                let dst = &mut gw[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
+                gemm::gemm_nt_with(ComputeFormat::F32, &go, col, dst, oc_per_g, ncols, kvol);
+            }
+            if need.0 {
+                // dcol_g = W_g^T [kvol, OCg] x go [OCg, N·OHOW]
+                let wg = &w.data()[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
+                let mut dcol = vec![0.0f32; kvol * ncols];
+                gemm::gemm_tn_with(
+                    ComputeFormat::F32,
+                    wg,
+                    &go,
+                    &mut dcol,
+                    oc_per_g,
+                    kvol,
+                    ncols,
+                );
+                dcols.push(dcol);
+            }
+        }
+        if let Some(gx) = gx.as_mut() {
+            // col2im is independent per sample; samples own disjoint
+            // contiguous [C, H, W] gradient slices, so they scatter in
+            // parallel (bit-identical for any thread count).
+            let threads = if n * groups * kvol * hw_out >= par::PAR_MIN_ELEMS {
+                par::max_threads()
+            } else {
+                1
+            };
+            par::for_each_chunk_mut(gx, sample_stride, threads, |s0, chunk| {
+                let mut dcol_s = vec![0.0f32; kvol * hw_out];
+                for (ds, slice) in chunk.chunks_mut(sample_stride).enumerate() {
+                    let s = s0 + ds;
+                    for (g, dcol) in dcols.iter().enumerate() {
+                        for r in 0..kvol {
+                            dcol_s[r * hw_out..(r + 1) * hw_out].copy_from_slice(
+                                &dcol[r * ncols + s * hw_out..][..hw_out],
+                            );
+                        }
+                        let gslice = col2im(&dcol_s, &geom);
+                        let dst = &mut slice[g * group_in..(g + 1) * group_in];
+                        for (d, v) in dst.iter_mut().zip(gslice) {
+                            *d += v;
+                        }
+                    }
+                }
+            });
+        }
+        vec![
+            gx.map(|v| Tensor::from_vec(v, &[n, c, h, width]).expect("conv2d dX")),
+            gw.map(|v| Tensor::from_vec(v, &[oc, c_per_g, kh, kw]).expect("conv2d dW")),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -348,6 +420,98 @@ mod tests {
         for (a, b) in out.value().data().iter().zip(expected.data()) {
             assert!((a - b).abs() < 1e-4);
         }
+    }
+
+    /// Output, dX and dW bits of `build(x, w)` under the loss `Σ y·r`, where
+    /// `r` is a fixed random tensor so the output gradient is not flat.
+    fn conv_bits(
+        x: &Tensor,
+        w: &Tensor,
+        build: impl Fn(&Var, &Var) -> Var,
+    ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let (xv, wv) = (Var::parameter(x.clone()), Var::parameter(w.clone()));
+        let y = build(&xv, &wv);
+        let r = Tensor::randn(&y.shape(), &mut seeded_rng(77));
+        y.mul(&Var::constant(r)).sum_all().backward();
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        (bits(y.value_clone()), bits(xv.grad().unwrap()), bits(wv.grad().unwrap()))
+    }
+
+    /// The direct depthwise kernels against the lowering oracle, **bitwise**
+    /// on forward, dX and dW, over remainder-heavy shapes (batch and channel
+    /// counts off every block size, H ≠ W, every kernel/stride/pad the zoo
+    /// could ask for, plus non-square kernels, stride 3 and a plane narrower
+    /// than the stride), at one worker thread and at four — the larger
+    /// shapes cross the fork thresholds of all three kernels.
+    #[test]
+    fn depthwise_direct_matches_lowering() {
+        // (N, C, H, W, KH, KW, stride, pad)
+        let mut cases = Vec::new();
+        for n in [1usize, 3, 32] {
+            for c in [1usize, 5, 32] {
+                for k in [1usize, 3, 5] {
+                    for stride in [1usize, 2] {
+                        for pad in [0usize, 1, 2] {
+                            cases.push((n, c, 9, 7, k, k, stride, pad));
+                        }
+                    }
+                }
+            }
+        }
+        cases.extend([
+            (3, 5, 9, 7, 3, 1, 1, 0),
+            (3, 5, 9, 7, 1, 3, 2, 1),
+            (3, 5, 9, 7, 5, 3, 2, 2),
+            (3, 5, 9, 7, 3, 3, 3, 1),
+            (3, 5, 8, 8, 3, 3, 2, 1),
+            (2, 3, 5, 1, 3, 3, 2, 1),
+        ]);
+        let mut rng = seeded_rng(41);
+        for threads in [1usize, 4] {
+            par::set_threads(threads);
+            for &(n, c, h, wid, kh, kw, stride, pad) in &cases {
+                let x = Tensor::randn(&[n, c, h, wid], &mut rng);
+                let w = Tensor::randn(&[c, 1, kh, kw], &mut rng);
+                let geom = Conv2dGeometry::new(1, h, wid, kh, kw, stride, pad).unwrap();
+                let direct = conv_bits(&x, &w, |x, w| conv2d_depthwise(x, w, &geom));
+                let oracle = conv_bits(&x, &w, |x, w| conv2d_lowered(x, w, &geom, c));
+                let case = format!(
+                    "n={n} c={c} {h}x{wid} k={kh}x{kw} s={stride} p={pad} t={threads}"
+                );
+                assert_eq!(direct.0, oracle.0, "forward, {case}");
+                assert_eq!(direct.1, oracle.1, "dX, {case}");
+                assert_eq!(direct.2, oracle.2, "dW, {case}");
+            }
+        }
+        par::set_threads(0);
+    }
+
+    /// `conv2d` routes depthwise shapes to the direct kernels only where they
+    /// are bitwise the lowering: a non-finite weight (the direct dX would
+    /// spread it further than `col2im` does) and the int8 scope stay lowered.
+    #[test]
+    fn depthwise_selection_keeps_the_lowering_where_it_must() {
+        let mut rng = seeded_rng(42);
+        let x = Tensor::randn(&[2, 3, 6, 5], &mut rng);
+        let geom = Conv2dGeometry::new(1, 6, 5, 3, 3, 1, 1).unwrap();
+        for bad in [f32::INFINITY, f32::NAN] {
+            let mut w = Tensor::randn(&[3, 1, 3, 3], &mut rng);
+            w.data_mut()[4] = bad;
+            let routed = conv_bits(&x, &w, |x, w| x.conv2d(w, 1, 1, 3));
+            let oracle = conv_bits(&x, &w, |x, w| conv2d_lowered(x, w, &geom, 3));
+            assert_eq!(routed, oracle, "weight {bad}");
+        }
+        let w = Tensor::randn(&[3, 1, 3, 3], &mut rng);
+        let int8 = |build: &dyn Fn(&Var, &Var) -> Var| {
+            fedzkt_tensor::compute::with_format(ComputeFormat::Int8, || conv_bits(&x, &w, build))
+        };
+        assert_eq!(int8(&|x, w| x.conv2d(w, 1, 1, 3)), int8(&|x, w| conv2d_lowered(x, w, &geom, 3)));
+        // ...and a finite f32 depthwise conv does take the direct path's bits
+        // (which are the oracle's — the point of the whole exercise).
+        assert_eq!(
+            conv_bits(&x, &w, |x, w| x.conv2d(w, 1, 1, 3)),
+            conv_bits(&x, &w, |x, w| conv2d_lowered(x, w, &geom, 3))
+        );
     }
 
     /// The fused panel-by-panel forward must reproduce the unfused

@@ -34,7 +34,7 @@ impl Var {
         let x = self.value_clone();
         let w = weight.value_clone();
         let value = x.matmul_nt(&w).expect("linear forward");
-        let need = (self.requires_grad(), weight.requires_grad());
+        let need = (self.requires_grad(), weight.param_requires_grad());
         let out = Var::from_op(value, vec![self.clone(), weight.clone()], move |g| {
             vec![
                 // dX = g W
@@ -83,7 +83,7 @@ impl Var {
             RowsMut2D::with_rows(&mut y, batch),
         );
         let value = Tensor::from_vec(y, &[batch, OUT]).expect("linear_typed forward");
-        let need = (self.requires_grad(), weight.requires_grad());
+        let need = (self.requires_grad(), weight.param_requires_grad());
         let out = Var::from_op(value, vec![self.clone(), weight.clone()], move |g| {
             let gr = Rows2D::<OUT>::with_rows(g.data(), batch);
             vec![

@@ -40,6 +40,20 @@ fn channel_var(x: &Tensor, mean: &[f32]) -> Vec<f32> {
     out
 }
 
+/// Per-channel `Σ term(i)` over an NCHW batch, in (sample, pixel) order.
+fn channel_sums(n: usize, c: usize, hw: usize, term: impl Fn(usize) -> f32) -> Vec<f32> {
+    let mut out = vec![0.0f32; c];
+    for smp in 0..n {
+        for (ch, o) in out.iter_mut().enumerate() {
+            let base = smp * c * hw + ch * hw;
+            for i in base..base + hw {
+                *o += term(i);
+            }
+        }
+    }
+    out
+}
+
 impl Var {
     /// Training-mode batch normalisation.
     ///
@@ -92,7 +106,8 @@ impl Var {
         let gamma_val = gamma.value_clone();
         let xhat_t = xhat;
         let shape = s.clone();
-        let need = (self.requires_grad(), gamma.requires_grad(), beta.requires_grad());
+        let need =
+            (self.requires_grad(), gamma.param_requires_grad(), beta.param_requires_grad());
         let node = Var::from_op(
             value,
             vec![self.clone(), gamma.clone(), beta.clone()],
@@ -158,7 +173,11 @@ impl Var {
         assert_eq!(running_var.len(), c, "running_var must be [C]");
         let inv_std: Vec<f32> =
             running_var.data().iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
-        let mut xhat = vec![0.0f32; x.len()];
+        let need =
+            (self.requires_grad(), gamma.param_requires_grad(), beta.param_requires_grad());
+        // Only dγ reads x̂, so it is kept only for a pass that will record a
+        // tape node and differentiate γ — never on teacher or eval forwards.
+        let mut xhat = (crate::var::grad_enabled() && need.1).then(|| vec![0.0f32; x.len()]);
         let mut out = vec![0.0f32; x.len()];
         {
             let gm = gamma.value();
@@ -168,10 +187,14 @@ impl Var {
                     let base = smp * c * hw + ch * hw;
                     let mu = running_mean.data()[ch];
                     let (gv, bv) = (gm.data()[ch], bt.data()[ch]);
-                    for i in 0..hw {
-                        let xh = (x.data()[base + i] - mu) * is;
-                        xhat[base + i] = xh;
-                        out[base + i] = gv * xh + bv;
+                    let xs = &x.data()[base..base + hw];
+                    for (o, &xv) in out[base..base + hw].iter_mut().zip(xs) {
+                        *o = gv * ((xv - mu) * is) + bv;
+                    }
+                    if let Some(xhat) = xhat.as_mut() {
+                        for (xh, &xv) in xhat[base..base + hw].iter_mut().zip(xs) {
+                            *xh = (xv - mu) * is;
+                        }
                     }
                 }
             }
@@ -179,7 +202,6 @@ impl Var {
         let value = Tensor::from_vec(out, &s).expect("bn eval output");
         let gamma_val = gamma.value_clone();
         let shape = s.clone();
-        let need = (self.requires_grad(), gamma.requires_grad(), beta.requires_grad());
         Var::from_op(
             value,
             vec![self.clone(), gamma.clone(), beta.clone()],
@@ -197,21 +219,14 @@ impl Var {
                     }
                     Tensor::from_vec(dx, &shape).expect("bn eval dX")
                 });
-                let mut dgamma = vec![0.0f32; c];
-                let mut dbeta = vec![0.0f32; c];
-                for smp in 0..n {
-                    for ch in 0..c {
-                        let base = smp * c * hw + ch * hw;
-                        for i in 0..hw {
-                            dgamma[ch] += g.data()[base + i] * xhat[base + i];
-                            dbeta[ch] += g.data()[base + i];
-                        }
-                    }
-                }
+                let gd = g.data();
+                let dgamma =
+                    xhat.as_deref().map(|xhat| channel_sums(n, c, hw, |i| gd[i] * xhat[i]));
+                let dbeta = need.2.then(|| channel_sums(n, c, hw, |i| gd[i]));
                 vec![
                     dx,
-                    need.1.then(|| Tensor::from_vec(dgamma, &[c]).expect("dgamma")),
-                    need.2.then(|| Tensor::from_vec(dbeta, &[c]).expect("dbeta")),
+                    dgamma.map(|v| Tensor::from_vec(v, &[c]).expect("dgamma")),
+                    dbeta.map(|v| Tensor::from_vec(v, &[c]).expect("dbeta")),
                 ]
             },
         )

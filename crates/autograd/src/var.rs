@@ -5,11 +5,27 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::LocalKey;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static NO_GRAD_DEPTH: Cell<u32> = const { Cell::new(0) };
+    static FROZEN_PARAMS_DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Run `f` with `depth` raised by one on this thread; the guard lowers it
+/// again when `f` returns or unwinds.
+fn scoped<T>(depth: &'static LocalKey<Cell<u32>>, f: impl FnOnce() -> T) -> T {
+    struct Guard(&'static LocalKey<Cell<u32>>);
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            self.0.with(|d| d.set(d.get() - 1));
+        }
+    }
+    depth.with(|d| d.set(d.get() + 1));
+    let _guard = Guard(depth);
+    f()
 }
 
 /// Run `f` with gradient recording disabled on this thread.
@@ -21,18 +37,34 @@ thread_local! {
 /// Nesting is supported; recording resumes when the outermost guard exits,
 /// even if `f` panics.
 pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            NO_GRAD_DEPTH.with(|d| d.set(d.get() - 1));
-        }
-    }
-    NO_GRAD_DEPTH.with(|d| d.set(d.get() + 1));
-    let _guard = Guard;
-    f()
+    scoped(&NO_GRAD_DEPTH, f)
 }
 
-fn grad_enabled() -> bool {
+/// Run `f` with layer parameters frozen on this thread — the twin of
+/// [`no_grad`] for passes that differentiate *through* a model but not
+/// *into* it (the generator step of the distillation game, the Figure-2
+/// input-gradient probe).
+///
+/// Ops recorded inside the closure treat a **leaf** in a parameter operand
+/// — the `weight` of [`Var::conv2d`] / [`Var::linear`] /
+/// [`Var::linear_typed`], the `bias` of [`Var::add_bias`] /
+/// [`Var::add_channel_bias`], `gamma` and `beta` of the batch-norm ops — as
+/// a constant: its gradient is neither computed (no `dW` GEMM, no dγ/dβ
+/// reduction) nor deposited, so `.grad()` stays `None` and there is nothing
+/// to zero afterwards. Activation operands are untouched: the tape is
+/// recorded as usual and the gradient that reaches every other node
+/// (inputs, upstream parameters) is bitwise what an unfrozen pass produces.
+/// The decision is taken when an op is recorded, so [`Var::backward`] may
+/// run inside or outside the scope.
+///
+/// Nesting is supported and composes with [`no_grad`] (which wins: nothing
+/// is recorded at all); the scope ends when the outermost guard exits, even
+/// if `f` panics.
+pub fn frozen_params<T>(f: impl FnOnce() -> T) -> T {
+    scoped(&FROZEN_PARAMS_DEPTH, f)
+}
+
+pub(crate) fn grad_enabled() -> bool {
     NO_GRAD_DEPTH.with(|d| d.get()) == 0
 }
 
@@ -143,8 +175,19 @@ impl Var {
     }
 
     /// Whether gradients flow into this node.
+    ///
+    /// This is a property of the node and does not change inside a
+    /// [`frozen_params`] scope; there, ops additionally ignore it for leaves
+    /// in their parameter operands (see the scope's docs).
     pub fn requires_grad(&self) -> bool {
         self.inner.requires_grad
+    }
+
+    /// [`Var::requires_grad`] for an op's parameter operand (weight, bias,
+    /// γ, β): false for a leaf inside a [`frozen_params`] scope.
+    pub(crate) fn param_requires_grad(&self) -> bool {
+        let frozen = self.inner.backward_fn.is_none() && FROZEN_PARAMS_DEPTH.with(Cell::get) > 0;
+        self.inner.requires_grad && !frozen
     }
 
     /// Borrow the node's value.
@@ -353,6 +396,81 @@ mod tests {
             assert!(!p.scale(1.0).requires_grad());
         });
         assert!(p.scale(1.0).requires_grad());
+    }
+
+    /// A small model touching every op with a parameter operand: depthwise
+    /// conv + channel bias, eval- and train-mode batch norm, dense conv,
+    /// linear + bias. Returns the parameters and a scalar loss of `x`.
+    fn layered(x: &Var) -> (Vec<Var>, Var) {
+        let mut rng = fedzkt_tensor::seeded_rng(3);
+        let mut p = |shape: &[usize]| Var::parameter(Tensor::randn(shape, &mut rng));
+        let ps = vec![
+            p(&[2, 1, 3, 3]),
+            p(&[2]),
+            p(&[2]),
+            p(&[2]),
+            p(&[3, 2, 3, 3]),
+            p(&[3]),
+            p(&[3]),
+            p(&[4, 48]),
+            p(&[4]),
+        ];
+        let (mean, var) = (Tensor::zeros(&[2]), Tensor::ones(&[2]));
+        let h = x.conv2d(&ps[0], 1, 1, 2).add_channel_bias(&ps[1]);
+        let h = h.batch_norm2d_eval(&ps[2], &ps[3], &mean, &var, 1e-5).relu();
+        let (h, _, _) = h.conv2d(&ps[4], 1, 1, 1).batch_norm2d_train(&ps[5], &ps[6], 1e-5);
+        let loss = h.flatten_batch().linear(&ps[7], Some(&ps[8])).square().sum_all();
+        (ps, loss)
+    }
+
+    fn input() -> Var {
+        Var::parameter(Tensor::randn(&[2, 2, 4, 4], &mut fedzkt_tensor::seeded_rng(9)))
+    }
+
+    #[test]
+    fn frozen_params_keeps_the_input_gradient_and_deposits_nothing() {
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let x = input();
+        let (params, loss) = layered(&x);
+        loss.backward();
+        assert!(params.iter().all(|p| p.grad().is_some()));
+        let unfrozen = bits(x.grad().unwrap());
+
+        // Backward outside the scope: the decision was taken at record time.
+        let x = input();
+        let (params, loss) = frozen_params(|| layered(&x));
+        loss.backward();
+        assert_eq!(bits(x.grad().unwrap()), unfrozen);
+        assert!(params.iter().all(|p| p.grad().is_none()));
+        // A non-leaf in a parameter operand is an activation and stays live.
+        let w = Var::parameter(t(vec![2.0, 3.0]));
+        let ones = Var::constant(t(vec![1.0, 1.0])).reshape(&[1, 2]);
+        let y = frozen_params(|| ones.add_bias(&w.scale(1.0)));
+        y.sum_all().backward();
+        assert_eq!(w.grad().unwrap().data(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn frozen_params_nests_unwinds_and_composes_with_no_grad() {
+        let deposits = || {
+            let (params, loss) = layered(&input());
+            loss.backward();
+            params.iter().all(|p| p.grad().is_some())
+        };
+        frozen_params(|| {
+            frozen_params(|| assert!(!deposits()));
+            assert!(!deposits(), "inner exit must not end the outer scope");
+        });
+        assert!(deposits());
+        let unwound = std::panic::catch_unwind(|| frozen_params(|| panic!("inside the scope")));
+        assert!(unwound.is_err());
+        assert!(deposits(), "a panic inside the scope must restore the depth");
+        // no_grad wins in either nesting order: nothing is recorded at all.
+        let x = input();
+        let a = no_grad(|| frozen_params(|| layered(&x).1));
+        let b = frozen_params(|| no_grad(|| layered(&x).1));
+        assert!(!a.requires_grad() && !b.requires_grad());
+        assert!(deposits());
     }
 
     #[test]

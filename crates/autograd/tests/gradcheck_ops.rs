@@ -165,6 +165,32 @@ fn grad_conv2d_grouped_depthwise() {
     );
 }
 
+/// The direct depthwise kernels off their easy case: stride 2 (four phase
+/// planes, one of them tap-free rows/columns short) with no padding on a
+/// non-square plane, input and weight gradients both.
+#[test]
+fn grad_depthwise_stride2_pad0() {
+    let x = randn(&[2, 3, 6, 5], 40);
+    let w = randn(&[3, 1, 3, 3], 41).mul_scalar(0.5);
+    check_gradients(
+        "depthwise_s2p0_input",
+        |v| v.conv2d(&Var::constant(w.clone()), 2, 0, 3).square().sum_all(),
+        &x,
+        2e-2,
+    );
+    check_gradients(
+        "depthwise_s2p0_weight",
+        |v| {
+            Var::constant(x.clone())
+                .conv2d(&v.reshape(&[3, 1, 3, 3]), 2, 0, 3)
+                .square()
+                .sum_all()
+        },
+        &w.reshape(&[27]).unwrap(),
+        2e-2,
+    );
+}
+
 #[test]
 fn grad_channel_bias() {
     let x = randn(&[2, 3, 3, 3], 17);
@@ -249,6 +275,13 @@ fn grad_batch_norm_eval() {
         &x,
         2e-2,
     );
+    // γ is the one gradient that reads the normalised input, which the
+    // forward keeps only when γ is differentiated.
+    let bn = |gamma: &Var, beta: &Var| {
+        Var::constant(x.clone()).batch_norm2d_eval(gamma, beta, &rm, &rv, 1e-3).square().sum_all()
+    };
+    check_gradients("bn_eval_gamma", |v| bn(v, &Var::constant(beta.clone())), &gamma, 2e-2);
+    check_gradients("bn_eval_beta", |v| bn(&Var::constant(gamma.clone()), v), &beta, 2e-2);
 }
 
 #[test]

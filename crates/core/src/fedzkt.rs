@@ -12,7 +12,7 @@
 
 use crate::{FedZktConfig, GradNormProbe};
 use fedzkt_autograd::loss::kl_div_probs;
-use fedzkt_autograd::{no_grad, Var};
+use fedzkt_autograd::{frozen_params, no_grad, Var};
 use fedzkt_data::Dataset;
 use fedzkt_fl::{
     train_local_fleet, AlgoState, DeviceFleet, DeviceRegistry, FederatedAlgorithm, FleetJob,
@@ -162,22 +162,22 @@ impl FedZkt {
             server_schedule.apply(&global_opt, iter);
 
             // Generator step: maximise disagreement. Gradients flow through
-            // the student AND the teachers into x = G(z), then into θ.
+            // the student AND the teachers into x = G(z), then into θ; the
+            // student's and teachers' own parameters are frozen for the
+            // pass, so their gradients are never computed and their
+            // optimizers have nothing to discard.
             self.generator_opt.zero_grad();
             let z = Var::constant(self.generator.sample_z(self.cfg.distill_batch, &mut self.rng));
             let x = self.generator.forward(&z);
-            let student = self.global.forward(&x);
-            let teacher_logits: Vec<Var> = models(&self.fleet).map(|m| m.forward(&x)).collect();
+            let (student, teacher_logits) = frozen_params(|| {
+                let student = self.global.forward(&x);
+                let teachers: Vec<Var> = models(&self.fleet).map(|m| m.forward(&x)).collect();
+                (student, teachers)
+            });
             let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
             let l_g = self.cfg.loss.eval(&student, &teacher_refs).neg();
             l_g.backward();
             self.generator_opt.step();
-            // Discard gradients the generator step deposited on the student
-            // and teachers (their optimizers must not see them).
-            for p in self.global.params() {
-                p.zero_grad();
-            }
-            self.clear_device_grads();
 
             // Global-model step: minimise disagreement on a fresh batch.
             // x is fixed here, so the generator and teachers run without
@@ -262,14 +262,6 @@ impl FedZkt {
         self.global.set_training(true);
         for m in models(&self.fleet) {
             m.set_training(true);
-        }
-    }
-
-    fn clear_device_grads(&self) {
-        for m in models(&self.fleet) {
-            for p in m.params() {
-                p.zero_grad();
-            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //! records `‖∇ₓ L‖₂`. The paper's Hypotheses 1–2 predict, as `F → f_ens`:
 //! `‖∇ₓ L_KL‖ ≤ ‖∇ₓ L_SL‖ ≤ ‖∇ₓ L_ℓ1‖`.
 
-use fedzkt_autograd::{DistillLoss, Var};
+use fedzkt_autograd::{frozen_params, DistillLoss, Var};
 use fedzkt_nn::Module;
 use fedzkt_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -55,22 +55,17 @@ impl GradNormProbe {
         }
         let norm_for = |loss: DistillLoss| -> f32 {
             let input = Var::parameter(x.clone());
-            let student = global.forward(&input);
-            let teacher_logits: Vec<Var> = devices.iter().map(|d| d.forward(&input)).collect();
+            // Only ∇ₓ is wanted: with the models' parameters frozen the pass
+            // leaves no parameter gradient behind to perturb training.
+            let (student, teacher_logits) = frozen_params(|| {
+                let student = global.forward(&input);
+                let teachers: Vec<Var> = devices.iter().map(|d| d.forward(&input)).collect();
+                (student, teachers)
+            });
             let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
             let l = loss.eval(&student, &teacher_refs);
             l.backward();
             let g = input.grad().expect("input gradient");
-            // Zero any parameter gradients this probe produced so it never
-            // perturbs the surrounding training loop.
-            for p in global.params() {
-                p.zero_grad();
-            }
-            for d in devices {
-                for p in d.params() {
-                    p.zero_grad();
-                }
-            }
             g.norm_l2()
         };
         let record = GradNormRecord {
@@ -146,15 +141,32 @@ mod tests {
         assert!(r.logit_l1 >= r.sl, "l1 {} should dominate SL {}", r.logit_l1, r.sl);
     }
 
+    /// Over the whole CIFAR zoo (depthwise and dense convs, batch norm,
+    /// linear heads): no layer deposits a parameter gradient under the
+    /// probe's `frozen_params` scope, and the norm it records is bitwise
+    /// the one an unfrozen pass computes.
     #[test]
     fn probe_does_not_leave_gradients_behind() {
-        let global = ModelSpec::Mlp { hidden: 8 }.build(1, 2, 8, 1);
-        let dev = ModelSpec::Mlp { hidden: 8 }.build(1, 2, 8, 2);
+        let global = ModelSpec::SmallCnn { base_channels: 4 }.build(3, 4, 8, 1);
+        let zoo: Vec<_> = ModelSpec::paper_zoo_cifar()
+            .iter()
+            .zip(2u64..)
+            .map(|(spec, seed)| spec.build(3, 4, 8, seed))
+            .collect();
+        let devices: Vec<&dyn Module> = zoo.iter().map(|m| m.as_ref()).collect();
         let mut rng = seeded_rng(5);
-        let x = Tensor::randn(&[2, 1, 8, 8], &mut rng);
-        GradNormProbe::new().measure(1, global.as_ref(), &[dev.as_ref()], &x);
-        assert!(global.params().iter().all(|p| p.grad().is_none()));
-        assert!(dev.params().iter().all(|p| p.grad().is_none()));
+        let x = Tensor::randn(&[2, 3, 8, 8], &mut rng);
+        let r = GradNormProbe::new().measure(1, global.as_ref(), &devices, &x);
+        let all = || devices.iter().copied().chain([global.as_ref()]);
+        assert!(all().all(|m| m.params().iter().all(|p| p.grad().is_none())));
+
+        all().for_each(|m| m.set_training(false));
+        let input = Var::parameter(x.clone());
+        let teachers: Vec<Var> = devices.iter().map(|d| d.forward(&input)).collect();
+        let loss = DistillLoss::Sl.eval(&global.forward(&input), &teachers.iter().collect::<Vec<_>>());
+        loss.backward();
+        assert!(all().all(|m| m.params().iter().all(|p| p.grad().is_some())));
+        assert_eq!(input.grad().unwrap().norm_l2().to_bits(), r.sl.to_bits());
     }
 
     #[test]
