@@ -4,14 +4,14 @@
 //! ## Depthwise (`C / groups == 1`, `OC == C`)
 //!
 //! A depthwise conv lowered like the others is `C` one-row GEMMs with
-//! nothing to reuse, so in the f32 compute scope [`Var::conv2d`] hands
-//! those shapes to the direct kernels in `fedzkt_tensor::ops`
+//! nothing to reuse, so [`Var::conv2d`] hands those shapes to the direct
+//! kernels in `fedzkt_tensor::ops`
 //! ([`depthwise_conv2d`], [`depthwise_conv2d_dx`], [`depthwise_conv2d_dw`]).
 //! They reproduce the lowering's float sequence exactly — forward, `dX`
 //! and `dW` are bitwise the lowering's (pinned by
 //! `depthwise_direct_matches_lowering` below, with the lowering as the
-//! oracle) — so the selection is invisible in every result. The int8 scope
-//! and non-finite weights keep the lowering.
+//! oracle) — so the selection is invisible in every result. Non-finite
+//! weights keep the lowering.
 //!
 //! ## Everything else: the fused lowering
 //!
@@ -37,19 +37,12 @@
 //! extra lowering per backward for not holding a `KH·KW`-times-input-sized
 //! buffer across the whole forward/backward gap. The recomputed matrix is
 //! bitwise the one the old code retained, so gradients are unchanged.
-//!
-//! The forward GEMMs run in the caller's [`fedzkt_tensor::ComputeFormat`]
-//! scope, resolved once at entry (worker threads don't inherit the
-//! thread-local scope — see the `compute` module docs); the backward GEMMs
-//! always run in f32, since int8 is an inference-only format.
 
 use crate::Var;
-use fedzkt_tensor::compute::{current_format, ComputeFormat};
 use fedzkt_tensor::ops::{
     col2im, depthwise_conv2d, depthwise_conv2d_dw, depthwise_conv2d_dx, gemm, im2col_batch,
     im2col_panel, Conv2dGeometry,
 };
-use fedzkt_tensor::typed;
 use fedzkt_tensor::{par, Tensor};
 
 /// Columns lowered and consumed per fused-forward panel. 256 output pixels
@@ -83,7 +76,6 @@ impl Var {
         // bitwise the lowering's for finite weights only.
         let direct = c_per_g == 1
             && oc == c
-            && current_format() == ComputeFormat::F32
             && weight.value().data().iter().all(|v| v.is_finite());
         if direct {
             conv2d_depthwise(self, weight, &geom)
@@ -135,7 +127,7 @@ impl Var {
 
 /// Depthwise `conv2d` on the direct kernels: `weight` is `[C, 1, KH, KW]`,
 /// `geom` the single-channel geometry. Bitwise [`conv2d_lowered`] with
-/// `groups = C` for finite weights in the f32 scope.
+/// `groups = C` for finite weights.
 fn conv2d_depthwise(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
     let geom = *geom;
     let w = weight.value_clone();
@@ -168,8 +160,8 @@ fn conv2d_depthwise(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
 
 /// `conv2d` by fused im2col + GEMM lowering (module docs), for any `groups`
 /// dividing `C` and `OC`; `geom` describes one group (`channels = C/groups`).
-/// Production path for dense and grouped shapes and for the int8 scope, and
-/// the oracle the direct depthwise kernels are tested against.
+/// Production path for dense and grouped shapes, and the oracle the direct
+/// depthwise kernels are tested against.
 fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usize) -> Var {
     let x = input.value_clone();
     let w = weight.value_clone();
@@ -194,7 +186,6 @@ fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usiz
     let hw_out = oh * ow;
     let ncols = n * hw_out;
     let sample_stride = c * h * width;
-    let format = current_format();
     let mut out = vec![0.0f32; n * oc * hw_out];
     let panels = ncols.div_ceil(FUSE_PANEL.max(1));
     // Panels fork once per group, so the gate is the per-group product.
@@ -208,22 +199,7 @@ fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usiz
             let mut col = vec![0.0f32; kvol * pw];
             im2col_panel(x.data(), g * group_in, sample_stride, n, &geom, c0, &mut col);
             let mut og = vec![0.0f32; oc_per_g * pw];
-            // Explicit-format calls: workers don't inherit the caller's
-            // thread-local compute scope. Full panels have a
-            // compile-time width, so the typed wrapper proves the
-            // column/output lengths by construction and enters below
-            // the shape guards; the last (narrower) panel keeps the
-            // dynamic entry. Same kernels, same order — bit-identical.
-            if pw == FUSE_PANEL && typed::enabled() {
-                typed::gemm_nn_cols_with::<FUSE_PANEL>(
-                    format,
-                    wg,
-                    typed::Rows2D::with_rows(&col, kvol),
-                    typed::RowsMut2D::with_rows(&mut og, oc_per_g),
-                );
-            } else {
-                gemm::gemm_nn_with(format, wg, &col, &mut og, oc_per_g, kvol, pw);
-            }
+            gemm::gemm_nn(wg, &col, &mut og, oc_per_g, kvol, pw);
             og
         });
         // Scatter [OCg, panel] blocks (sample-major columns) into NCHW.
@@ -271,24 +247,14 @@ fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usiz
             }
             if let Some(gw) = gw.as_mut() {
                 // dW_g += go [OCg, N·OHOW] x col_g^T [N·OHOW, kvol].
-                // Explicit f32: gradients must never take the lossy
-                // int8 path, whatever scope the caller left active.
                 let dst = &mut gw[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
-                gemm::gemm_nt_with(ComputeFormat::F32, &go, col, dst, oc_per_g, ncols, kvol);
+                gemm::gemm_nt(&go, col, dst, oc_per_g, ncols, kvol);
             }
             if need.0 {
                 // dcol_g = W_g^T [kvol, OCg] x go [OCg, N·OHOW]
                 let wg = &w.data()[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
                 let mut dcol = vec![0.0f32; kvol * ncols];
-                gemm::gemm_tn_with(
-                    ComputeFormat::F32,
-                    wg,
-                    &go,
-                    &mut dcol,
-                    oc_per_g,
-                    kvol,
-                    ncols,
-                );
+                gemm::gemm_tn(wg, &go, &mut dcol, oc_per_g, kvol, ncols);
                 dcols.push(dcol);
             }
         }
@@ -488,7 +454,7 @@ mod tests {
 
     /// `conv2d` routes depthwise shapes to the direct kernels only where they
     /// are bitwise the lowering: a non-finite weight (the direct dX would
-    /// spread it further than `col2im` does) and the int8 scope stay lowered.
+    /// spread it further than `col2im` does) stays lowered.
     #[test]
     fn depthwise_selection_keeps_the_lowering_where_it_must() {
         let mut rng = seeded_rng(42);
@@ -501,13 +467,9 @@ mod tests {
             let oracle = conv_bits(&x, &w, |x, w| conv2d_lowered(x, w, &geom, 3));
             assert_eq!(routed, oracle, "weight {bad}");
         }
-        let w = Tensor::randn(&[3, 1, 3, 3], &mut rng);
-        let int8 = |build: &dyn Fn(&Var, &Var) -> Var| {
-            fedzkt_tensor::compute::with_format(ComputeFormat::Int8, || conv_bits(&x, &w, build))
-        };
-        assert_eq!(int8(&|x, w| x.conv2d(w, 1, 1, 3)), int8(&|x, w| conv2d_lowered(x, w, &geom, 3)));
-        // ...and a finite f32 depthwise conv does take the direct path's bits
+        // ...and a finite depthwise conv does take the direct path's bits
         // (which are the oracle's — the point of the whole exercise).
+        let w = Tensor::randn(&[3, 1, 3, 3], &mut rng);
         assert_eq!(
             conv_bits(&x, &w, |x, w| x.conv2d(w, 1, 1, 3)),
             conv_bits(&x, &w, |x, w| conv2d_lowered(x, w, &geom, 3))
@@ -555,49 +517,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{xs:?} x {ws:?}");
             }
         }
-    }
-
-    /// The typed full-panel path must be bit-identical to the dynamic
-    /// panel GEMM it shims (it enters the same dispatch below the shape
-    /// guards). ncols = 576 exercises two full `FUSE_PANEL` panels *and* a
-    /// narrower last panel, which stays on the dynamic entry.
-    #[test]
-    fn typed_panel_path_bit_identical_to_dynamic() {
-        let mut rng = seeded_rng(33);
-        let x = Tensor::randn(&[4, 3, 12, 12], &mut rng);
-        let w = Tensor::randn(&[8, 3, 3, 3], &mut rng);
-        assert!(typed::enabled(), "typed paths default on");
-        let on = Var::constant(x.clone()).conv2d(&Var::constant(w.clone()), 1, 1, 1);
-        typed::set_enabled(false);
-        let off = Var::constant(x.clone()).conv2d(&Var::constant(w.clone()), 1, 1, 1);
-        typed::set_enabled(true);
-        for (a, b) in on.value().data().iter().zip(off.value().data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// A conv forward inside an int8 compute scope stays close to the f32
-    /// result (the scope must reach the per-panel GEMMs through the
-    /// explicit-format plumbing, workers notwithstanding).
-    #[test]
-    fn conv2d_int8_scope_approximates_f32() {
-        let mut rng = seeded_rng(32);
-        let x = Tensor::randn(&[2, 3, 8, 8], &mut rng);
-        let w = Tensor::randn(&[4, 3, 3, 3], &mut rng);
-        let f32_out = Var::constant(x.clone()).conv2d(&Var::constant(w.clone()), 1, 1, 1);
-        let q_out = fedzkt_tensor::compute::with_format(ComputeFormat::Int8, || {
-            Var::constant(x.clone()).conv2d(&Var::constant(w.clone()), 1, 1, 1)
-        });
-        let mut max_err = 0.0f32;
-        let mut distinct = false;
-        for (a, b) in q_out.value().data().iter().zip(f32_out.value().data()) {
-            max_err = max_err.max((a - b).abs());
-            distinct |= a.to_bits() != b.to_bits();
-        }
-        // kvol = 27 taps; the codec scale/2 bound accumulates well under
-        // 0.5 for unit-normal data — and the path must actually quantize.
-        assert!(max_err < 0.5, "int8 conv drifted: {max_err}");
-        assert!(distinct, "int8 scope did not reach the conv GEMMs");
     }
 
     #[test]

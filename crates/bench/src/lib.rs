@@ -17,7 +17,6 @@
 //! | `table4` | Table IV — ℓ2-regularization ablation |
 //! | `fig7`   | Figure 7 — device counts K |
 //! | `run_all`| every preset of the `fedzkt_scenario` registry |
-//! | `bench_gemm` | execution-model baseline: GEMM / conv-lowering / round throughput across thread counts → `BENCH_gemm.json` |
 //!
 //! Every binary constructs its workloads declaratively through
 //! [`Scenario`] (see [`ExpOptions::scenario`]) — the experiment grid is

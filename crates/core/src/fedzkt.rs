@@ -23,8 +23,7 @@ use fedzkt_nn::{
     load_state_dict, state_dict, Adam, AdamConfig, Module, MultiStepLr, Optimizer, Sgd,
     SgdConfig, StateDict,
 };
-use fedzkt_tensor::compute::with_format;
-use fedzkt_tensor::{seeded_rng, split_seed, ComputeFormat, Prng, Tensor};
+use fedzkt_tensor::{seeded_rng, split_seed, Prng, Tensor};
 
 /// Every device model, in device order (all must be resident). Borrows
 /// only the fleet, so the caller may hold other fields mutably.
@@ -56,10 +55,6 @@ pub struct FedZkt {
     /// Data geometry `(channels, classes, img_size)`; worker threads rebuild
     /// device models against it during the parallel device update.
     io: (usize, usize, usize),
-    /// Compute format for the game's tape-free scoring passes (teacher
-    /// ensemble + generator forwards, global-model transfer probabilities).
-    /// Gradient-bearing steps always run f32.
-    compute: ComputeFormat,
     /// One device per zoo entry, each with an architecture chosen
     /// independently of its peers (the paper's core premise).
     fleet: DeviceFleet<Box<dyn Module>>,
@@ -106,7 +101,6 @@ impl FedZkt {
             cfg,
             seed,
             io: (channels, classes, img),
-            compute: sim.compute,
             fleet,
             shards: ShardStore::new(train, shards),
             global,
@@ -184,16 +178,11 @@ impl FedZkt {
             // tape and the teacher signal enters as constants.
             global_opt.zero_grad();
             let z = Var::constant(self.generator.sample_z(self.cfg.distill_batch, &mut self.rng));
-            // Tape-free, so the configured compute format applies: under
-            // int8 the generator and every teacher forward run the integer
-            // kernels. The student's training step below stays f32.
-            let (x, teacher_logits) = with_format(self.compute, || {
-                no_grad(|| {
-                    let x = self.generator.forward(&z);
-                    let t: Vec<Tensor> =
-                        models(&self.fleet).map(|m| m.forward(&x).value_clone()).collect();
-                    (x.value_clone(), t)
-                })
+            let (x, teacher_logits) = no_grad(|| {
+                let x = self.generator.forward(&z);
+                let t: Vec<Tensor> =
+                    models(&self.fleet).map(|m| m.forward(&x).value_clone()).collect();
+                (x.value_clone(), t)
             });
             let x = Var::constant(x);
             let student = self.global.forward(&x);
@@ -237,15 +226,12 @@ impl FedZkt {
         for iter in 0..self.cfg.transfer_iters {
             let z =
                 Var::constant(transfer_generator.sample_z(self.cfg.distill_batch, &mut self.rng));
-            // Tape-free teacher side of Eq. 8 — compute-format scoped like
-            // the game's scoring pass; the per-device student steps below
-            // carry gradients and stay f32.
-            let (x, global_probs) = with_format(self.compute, || {
-                no_grad(|| {
-                    let x = transfer_generator.forward(&z);
-                    let p = self.global.forward(&x).softmax().value_clone();
-                    (x.value_clone(), p)
-                })
+            // Tape-free teacher side of Eq. 8; the per-device student steps
+            // below carry gradients.
+            let (x, global_probs) = no_grad(|| {
+                let x = transfer_generator.forward(&z);
+                let p = self.global.forward(&x).softmax().value_clone();
+                (x.value_clone(), p)
             });
             let x = Var::constant(x);
             let teacher_probs = Var::constant(global_probs);

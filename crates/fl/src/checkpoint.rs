@@ -223,8 +223,10 @@ impl SimCheckpoint {
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| format!("missing or malformed \"{key}\""))
         };
-        let version = int("version")? as u32;
-        if version != CHECKPOINT_VERSION {
+        // Compared at full width: a narrowing cast would let 2^32 + 1 pass
+        // as version 1.
+        let version = int("version")?;
+        if version != u64::from(CHECKPOINT_VERSION) {
             return Err(format!(
                 "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
             ));
@@ -273,7 +275,7 @@ impl SimCheckpoint {
             ));
         }
         Ok(SimCheckpoint {
-            version,
+            version: CHECKPOINT_VERSION,
             seed: int("seed")?,
             devices: int("devices")? as usize,
             rounds_done,
@@ -378,6 +380,9 @@ mod tests {
         let future = sample().to_json().replacen("\"version\":1", "\"version\":2", 1);
         let err = SimCheckpoint::from_json(&future).unwrap_err();
         assert!(err.contains("version 2"), "{err}");
+        let wrapped = sample().to_json().replacen("\"version\":1", "\"version\":4294967297", 1);
+        let err = SimCheckpoint::from_json(&wrapped).unwrap_err();
+        assert!(err.contains("version 4294967297"), "{err}");
         let torn = sample().to_json().replacen("\"rounds_done\":1", "\"rounds_done\":5", 1);
         assert!(SimCheckpoint::from_json(&torn).is_err(), "round count must match the log");
     }

@@ -323,8 +323,8 @@ fn tensor_from(shape: &[usize], data: Vec<f32>) -> Result<Tensor, CodecError> {
 // ---- per-tensor codecs --------------------------------------------------
 //
 // The affine range/quantize arithmetic lives in `fedzkt_tensor::ops::quant`
-// (imported at the top): one definition shared with the int8 *compute*
-// format, so the wire codecs and the int8 GEMM agree on `(min, scale)`
+// (imported at the top): one definition shared with the int8 GEMM
+// kernel, so the wire codecs and that kernel agree on `(min, scale)`
 // semantics — and on the `scale/2` per-element error bound — by
 // construction.
 

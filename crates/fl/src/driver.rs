@@ -26,8 +26,7 @@ use crate::{
 };
 use fedzkt_data::Dataset;
 use fedzkt_nn::{Module, StateDict};
-use fedzkt_tensor::compute::with_format;
-use fedzkt_tensor::{par, split_seed, ComputeFormat};
+use fedzkt_tensor::{par, split_seed};
 use std::any::Any;
 
 /// Protocol-level knobs shared by every federated algorithm. Algorithm
@@ -58,16 +57,6 @@ pub struct SimConfig {
     /// the lossy codecs shrink the accounted traffic *and* perturb the
     /// decoded states the receiving side trains on.
     pub codec: CodecSpec,
-    /// Numeric format for the **inference-heavy** phases: accuracy
-    /// evaluation here in the driver, plus any no-grad scoring passes an
-    /// algorithm opts into (FedZKT's distillation game). `F32` (the
-    /// default) is exact; `Int8` quantizes GEMM operands with the codec's
-    /// QuantQ8 affine format for an integer inner product
-    /// ([`fedzkt_tensor::compute`]). Training always runs f32 — unlike
-    /// `threads` this *is* a semantics knob for the phases it covers,
-    /// though a deterministic one: results are still bit-identical
-    /// across thread counts.
-    pub compute: ComputeFormat,
 }
 
 impl Default for SimConfig {
@@ -80,7 +69,6 @@ impl Default for SimConfig {
             seed: 0,
             threads: 0,
             codec: CodecSpec::Raw,
-            compute: ComputeFormat::F32,
         }
     }
 }
@@ -599,18 +587,12 @@ impl<A: FederatedAlgorithm> Simulation<A> {
     fn evaluate_all(&self) -> EvalSnapshot {
         let n = self.algo.devices();
         let mut cache: Vec<(*const u8, f32)> = Vec::new();
-        let compute = self.cfg.compute;
         let mut eval_cached = |model: &dyn Module| -> f32 {
             let ptr = model as *const dyn Module as *const u8;
             match cache.iter().find(|(p, _)| std::ptr::eq(*p, ptr)) {
                 Some((_, acc)) => *acc,
                 None => {
-                    // Eval is tape-free, so the configured compute format
-                    // applies; the scope is entered here on the driving
-                    // thread so every forward GEMM inside resolves it.
-                    let acc = with_format(compute, || {
-                        evaluate(model, &self.test, self.cfg.eval_batch)
-                    });
+                    let acc = evaluate(model, &self.test, self.cfg.eval_batch);
                     cache.push((ptr, acc));
                     acc
                 }

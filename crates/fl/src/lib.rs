@@ -132,7 +132,6 @@ pub use eval::{accuracy, evaluate};
 pub use fedavg::{FedAvg, FedAvgConfig};
 pub use fedet::{FedEt, FedEtConfig};
 pub use fedgkt::{FedGkt, FedGktConfig, SplitModel};
-pub use fedzkt_tensor::ComputeFormat;
 pub use fleet::{DeviceFleet, ShardStore};
 pub use metrics::{RoundMetrics, RunLog};
 pub use participation::ParticipationSampler;

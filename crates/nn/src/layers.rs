@@ -59,12 +59,6 @@ impl Linear {
 
 impl Module for Linear {
     fn forward(&self, x: &Var) -> Var {
-        // Zoo-width layers take the statically-shaped fast path (same
-        // kernels, bit-identical — see `crate::typed`); anything else, or
-        // a disabled toggle, falls through to the dynamic entry.
-        if let Some(y) = crate::typed::dispatch_linear(x, &self.weight, self.bias.as_ref()) {
-            return y;
-        }
         x.linear(&self.weight, self.bias.as_ref())
     }
 

@@ -1,28 +1,18 @@
 //! Statically-shaped layer fronts over the dynamic layer set.
 //!
-//! Two things live here, both built on `fedzkt_tensor::typed`:
-//!
-//! * [`TypedLinear`] and the width-tagged activation token [`Feat`] — a
-//!   dense layer whose feature widths are const generics, so **chaining
-//!   two layers whose widths disagree is a compile error** (the model
-//!   builders in `fedzkt-models` wire their dense stacks through these),
-//!   and whose three GEMMs enter the kernel dispatch below the runtime
-//!   shape guards.
-//! * [`dispatch_linear`] — the table that routes the *dynamic* [`Linear`]
-//!   layer onto monomorphized typed calls when its widths match one of
-//!   the paper zoo's recurring dense shapes (hidden-to-hidden and head
-//!   layers, whose widths are architecture constants). Resolution-derived
-//!   widths (a flattened `C·H·W` input) stay on the dynamic entry.
+//! [`TypedLinear`] and the width-tagged activation token [`Feat`], built on
+//! `fedzkt_tensor::typed`: a dense layer whose feature widths are const
+//! generics, so **chaining two layers whose widths disagree is a compile
+//! error** (`fedzkt_models::typed::TypedMlp` wires its dense stack through
+//! these), and whose three GEMMs enter the kernel dispatch below the
+//! runtime shape guards. Opt-in: the dynamic [`Linear`] never routes here.
 //!
 //! Everything here is bit-identical to the dynamic path by construction —
-//! same kernels, same `(m, k, n)`, same order — pinned end to end by the
-//! typed-vs-dynamic scenario equivalence suite, which flips
-//! [`fedzkt_tensor::typed::set_enabled`] around whole runs.
+//! same kernels, same `(m, k, n)`, same order.
 
 use crate::layers::Linear;
 use crate::module::Module;
 use fedzkt_autograd::Var;
-use fedzkt_tensor::typed;
 use fedzkt_tensor::Prng;
 
 /// A rank-2 activation `[batch, D]` whose feature width is part of the
@@ -123,68 +113,6 @@ impl<const IN: usize, const OUT: usize> Module for TypedLinear<IN, OUT> {
     }
 }
 
-/// Route a dynamic linear forward onto a monomorphized typed call when
-/// `(in, out)` matches one of the zoo's recurring dense shapes and the
-/// typed paths are enabled; `None` falls back to the dynamic entry.
-///
-/// The table covers the architecture-constant widths of the checked-in
-/// zoo: MLP hidden stacks (`hidden` 64/16/8 with the `hidden/2`
-/// follow-up), LeNet fc widths at scales 1.0 and 0.5, the FedGKT device
-/// head and server head (full-size and miniaturized), and class counts 4
-/// and 10. Growing the zoo does not *require* extending it — unlisted
-/// widths just keep the dynamic path — but hot recurring shapes belong
-/// here.
-pub(crate) fn dispatch_linear(x: &Var, weight: &Var, bias: Option<&Var>) -> Option<Var> {
-    if !typed::enabled() {
-        return None;
-    }
-    let ws = weight.shape();
-    let xs = x.shape();
-    // Only a plain rank-2 activation whose width agrees with the weight
-    // qualifies; anything else keeps the dynamic entry (and its richer
-    // shape diagnostics).
-    if ws.len() != 2 || xs.len() != 2 || xs[1] != ws[1] {
-        return None;
-    }
-    macro_rules! table {
-        ($(($i:literal, $o:literal)),+ $(,)?) => {
-            match (ws[1], ws[0]) {
-                $(($i, $o) => Some(x.linear_typed::<$i, $o>(weight, bias)),)+
-                _ => None,
-            }
-        };
-    }
-    table!(
-        // MLP hidden/head widths: hidden ∈ {64, 16, 8}, hidden/2 chains,
-        // classes ∈ {4, 10}.
-        (64, 64),
-        (64, 32),
-        (32, 16),
-        (16, 8),
-        (8, 4),
-        (64, 10),
-        (64, 4),
-        (32, 10),
-        (32, 4),
-        (16, 10),
-        (16, 4),
-        (8, 10),
-        (4, 10),
-        (4, 4),
-        // LeNet fc stacks: scale 1.0 (120 -> 84) and 0.5 (60 -> 42).
-        (120, 84),
-        (84, 10),
-        (84, 4),
-        (60, 42),
-        (42, 10),
-        (42, 4),
-        // FedGKT server head (feature_dim -> server_hidden -> classes),
-        // full-size (32 -> 64) and miniaturized (8 -> 16).
-        (32, 64),
-        (8, 16),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,26 +137,6 @@ mod tests {
         let typed_y = t.forward_typed(&Feat::new(x.clone())).into_var();
         let dyn_y = x.linear(t.as_linear().weight(), t.as_linear().bias_param());
         assert_eq!(bits(&typed_y), bits(&dyn_y));
-    }
-
-    /// The zoo dispatch table must be a pure routing decision: a width in
-    /// the table and the same width with the toggle off give bit-identical
-    /// outputs.
-    #[test]
-    fn dispatch_table_is_bit_transparent() {
-        let mut rng = seeded_rng(6);
-        let l = Linear::new(64, 32, true, &mut rng); // in the table
-        let x = Var::constant(Tensor::randn(&[3, 64], &mut rng));
-        assert!(typed::enabled());
-        let routed = l.forward(&x);
-        typed::set_enabled(false);
-        let dynamic = l.forward(&x);
-        typed::set_enabled(true);
-        assert_eq!(bits(&routed), bits(&dynamic));
-        // And a width outside the table still works (dynamic fallback).
-        let odd = Linear::new(7, 5, true, &mut rng);
-        let y = odd.forward(&Var::constant(Tensor::zeros(&[2, 7])));
-        assert_eq!(y.shape(), vec![2, 5]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! down the queue.
 
 use fedzkt_data::Partition;
-use fedzkt_fl::{CodecSpec, ComputeFormat, SimCheckpoint};
+use fedzkt_fl::{CodecSpec, SimCheckpoint};
 use fedzkt_scenario::{
     presets, resolve, standard_algorithm, standard_zoo, Scenario, ScenarioError,
 };
@@ -60,7 +60,6 @@ run/sweep/serve options:
   --threads N        worker threads (0 = FEDZKT_THREADS / all cores)
   --seed N           override the scenario's master seed (run only)
   --codec C          override the wire codec: raw|q8|q4|topk[:density] (run only)
-  --compute F        override the inference compute format: f32|int8 (run only)
 
 run durability options:
   --checkpoint-every N  snapshot <out>/<name>.ckpt every N completed rounds
@@ -82,7 +81,6 @@ sweep/serve axes (comma-separated values; absent axes keep the base value):
   --algos fedzkt,fedmd,fedet,fedgkt   algorithms (also fedavg, fedprox),
                      each at its standard config for the cell's scale
   --codecs raw,q8,q4,topk:0.1   wire codecs
-  --computes f32,int8   inference compute formats
 ";
 
 fn main() -> ExitCode {
@@ -182,7 +180,6 @@ fn cmd_describe(args: &[String]) -> Result<(), String> {
         );
     }
     println!("codec:      {}", codec_label(&scenario.sim.codec));
-    println!("compute:    {} (inference phases)", scenario.sim.compute.as_str());
     println!(
         "protocol:   {} rounds, participation {}, seed {}, threads {}",
         scenario.sim.rounds,
@@ -201,7 +198,6 @@ struct RunOptions {
     threads: Option<usize>,
     seed: Option<u64>,
     codec: Option<CodecSpec>,
-    compute: Option<ComputeFormat>,
     checkpoint_every: Option<usize>,
     halt_at_round: Option<usize>,
     resume: Option<PathBuf>,
@@ -215,7 +211,6 @@ fn parse_options(args: &[String]) -> Result<RunOptions, String> {
         threads: None,
         seed: None,
         codec: None,
-        compute: None,
         checkpoint_every: None,
         halt_at_round: None,
         resume: None,
@@ -241,11 +236,6 @@ fn parse_options(args: &[String]) -> Result<RunOptions, String> {
             }
             "--codec" => {
                 opts.codec = Some(CodecSpec::parse(&value).map_err(|e| format!("--codec: {e}"))?);
-            }
-            "--compute" => {
-                opts.compute = Some(ComputeFormat::parse(&value).ok_or_else(|| {
-                    format!("--compute: unknown compute format \"{value}\" (f32|int8)")
-                })?);
             }
             "--checkpoint-every" => {
                 let every: usize = value
@@ -316,17 +306,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(codec) = opts.codec {
         scenario.sim.codec = codec;
     }
-    if let Some(compute) = opts.compute {
-        scenario.sim.compute = compute;
-    }
     println!(
-        "running {} ({}, {} rounds, seed {}, codec {}, {} compute)",
+        "running {} ({}, {} rounds, seed {}, codec {})",
         scenario.name,
         scenario.algorithm.name(),
         scenario.sim.rounds,
         scenario.sim.seed,
-        codec_label(&scenario.sim.codec),
-        scenario.sim.compute.as_str()
+        codec_label(&scenario.sim.codec)
     );
     let mut sim = scenario.build().map_err(|e| e.to_string())?;
     if let Some(path) = &opts.resume {
@@ -414,9 +400,6 @@ fn reject_run_only(opts: &RunOptions, gridcmd: &str) -> Result<(), String> {
     if opts.codec.is_some() {
         return Err(format!("--codec is a run option; {gridcmd} over codecs with --codecs a,b,c"));
     }
-    if opts.compute.is_some() {
-        return Err(format!("--compute is a run option; {gridcmd} over formats with --computes a,b"));
-    }
     if opts.halt_at_round.is_some() || opts.resume.is_some() {
         return Err(format!(
             "--halt-at-round/--resume are run options; {gridcmd} manages per-cell checkpoints \
@@ -439,7 +422,6 @@ fn expand_cells(base: Scenario, rest: &[(String, String)]) -> Result<Vec<Scenari
     let mut zoos: Vec<String> = Vec::new();
     let mut algos: Vec<String> = Vec::new();
     let mut codecs: Vec<CodecSpec> = Vec::new();
-    let mut computes: Vec<ComputeFormat> = Vec::new();
     for (flag, value) in rest {
         match flag.as_str() {
             "--seeds" => seeds = parse_list(flag, value)?,
@@ -453,16 +435,6 @@ fn expand_cells(base: Scenario, rest: &[(String, String)]) -> Result<Vec<Scenari
                 codecs = value
                     .split(',')
                     .map(|item| CodecSpec::parse(item.trim()).map_err(|e| format!("--codecs: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--computes" => {
-                computes = value
-                    .split(',')
-                    .map(|item| {
-                        ComputeFormat::parse(item.trim()).ok_or_else(|| {
-                            format!("--computes: unknown compute format \"{item}\" (f32|int8)")
-                        })
-                    })
                     .collect::<Result<Vec<_>, _>>()?;
             }
             other => return Err(format!("unknown sweep axis {other}\n{USAGE}")),
@@ -536,12 +508,6 @@ fn expand_cells(base: Scenario, rest: &[(String, String)]) -> Result<Vec<Scenari
         },
         |sc, &codec| sc.sim.codec = codec,
     );
-    cells = expand(
-        cells,
-        &computes,
-        |f| format!("f{}", f.as_str()),
-        |sc, &f| sc.sim.compute = f,
-    );
     for zoo in &zoos {
         if zoo != "small" && zoo != "cifar" {
             return Err(format!("--zoos: unknown zoo \"{zoo}\" (small|cifar)"));
@@ -582,7 +548,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     // every successful cell's artifacts and the summary first, then report
     // the failures.
     let mut summary = String::from(
-        "cell,algorithm,codec,compute,rounds,final_accuracy,best_accuracy,upload_bytes,download_bytes,sim_seconds,error\n",
+        "cell,algorithm,codec,rounds,final_accuracy,best_accuracy,upload_bytes,download_bytes,sim_seconds,error\n",
     );
     let mut failures = Vec::new();
     println!("{:<44} {:>10} {:>10} {:>12}", "cell", "final", "best", "uplink-KiB");
@@ -600,11 +566,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     upload as f64 / 1024.0
                 );
                 summary.push_str(&format!(
-                    "{},{},{},{},{},{:.4},{:.4},{},{},{:.2},\n",
+                    "{},{},{},{},{:.4},{:.4},{},{},{:.2},\n",
                     cell.name,
                     cell.algorithm.name(),
                     codec_label(&cell.sim.codec),
-                    cell.sim.compute.as_str(),
                     log.rounds.len(),
                     log.final_accuracy(),
                     log.best_accuracy(),
@@ -621,11 +586,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             Err(e) => {
                 println!("{:<44} {:>10} {:>10} {:>12}", cell.name, "FAILED", "", "");
                 summary.push_str(&format!(
-                    "{},{},{},{},0,,,,,,\"{e}\"\n",
+                    "{},{},{},0,,,,,,\"{e}\"\n",
                     cell.name,
                     cell.algorithm.name(),
                     codec_label(&cell.sim.codec),
-                    cell.sim.compute.as_str(),
                 ));
                 failures.push(format!("{}: {e}", cell.name));
             }

@@ -14,7 +14,7 @@ use fedzkt_core::{DistillLoss, FedMdConfig, FedZktConfig};
 use fedzkt_data::{DataFamily, Partition};
 use fedzkt_fl::json::{self, Value};
 use fedzkt_fl::{
-    ChurnSpec, CodecSpec, ComputeFormat, DeviceResources, FedAvgConfig, FedEtConfig,
+    ChurnSpec, CodecSpec, DeviceResources, FedAvgConfig, FedEtConfig,
     FedGktConfig, SimConfig,
 };
 use fedzkt_models::{GeneratorSpec, ModelSpec};
@@ -359,7 +359,6 @@ fn sim_j(s: &SimConfig) -> J {
         ("seed", u64j(s.seed)),
         ("threads", us(s.threads)),
         ("codec", codec_j(&s.codec)),
-        ("compute", sj(s.compute.as_str())),
     ])
 }
 
@@ -630,6 +629,18 @@ fn scenario_from(v: &Value) -> Result<Scenario, String> {
         None | Some(Value::Null) => None,
         Some(other) => Some(churn_from(other)?),
     };
+    // `sim.compute` used to select the numeric format of the inference
+    // phases. Every run is f32 now, so a legacy `"f32"` means what it always
+    // did; any other value must not be dropped like an unknown key, or the
+    // file would silently run as something it did not ask for.
+    if sim.get("compute").is_some() {
+        let format = str_f(sim, "compute")?;
+        if format != "f32" {
+            return Err(format!(
+                "sim.compute \"{format}\": that compute format was removed, every run is f32"
+            ));
+        }
+    }
     Ok(Scenario {
         name: str_f(v, "name")?.to_string(),
         data: DataSpec {
@@ -663,16 +674,6 @@ fn scenario_from(v: &Value) -> Result<Scenario, String> {
             codec: match sim.get("codec") {
                 None => CodecSpec::Raw,
                 Some(v) => codec_from(v)?,
-            },
-            // Absent (a pre-compute-format-era file) means f32 — the only
-            // compute format those files could run.
-            compute: match sim.get("compute") {
-                None => ComputeFormat::F32,
-                Some(_) => {
-                    let s = str_f(sim, "compute")?;
-                    ComputeFormat::parse(s)
-                        .ok_or_else(|| format!("unknown compute format \"{s}\""))?
-                }
             },
         },
     })
@@ -830,8 +831,8 @@ mod tests {
         assert!(!canonical.contains("materialization"), "{canonical}");
         for mode in ["eager", "lazy"] {
             let legacy = canonical.replace(
-                ",\n    \"compute\":",
-                &format!(",\n    \"materialization\": \"{mode}\",\n    \"compute\":"),
+                "    \"codec\":",
+                &format!("    \"materialization\": \"{mode}\",\n    \"codec\":"),
             );
             assert!(legacy.contains("materialization"), "{legacy}");
             let back = Scenario::from_json(&legacy).expect("legacy schema parses");
@@ -852,28 +853,28 @@ mod tests {
     }
 
     #[test]
-    fn pre_compute_format_era_files_parse_with_defaults() {
-        // A scenario file written before the compute-format layer has no
-        // `sim.compute`; it must keep loading, defaulting to f32 — the
-        // only compute format those files could run.
+    fn removed_compute_key_loads_as_f32_and_rejects_other_formats() {
+        // Files written while `sim.compute` existed: "f32" is what every
+        // run does now, so it loads and re-serializes without the key…
         let sc = presets()[0].scenario();
-        assert_eq!(sc.sim.compute, ComputeFormat::F32);
-        let legacy = sc.to_json().replace(",\n    \"compute\": \"f32\"", "");
-        assert!(!legacy.contains("compute"), "{legacy}");
-        let back = Scenario::from_json(&legacy).expect("legacy schema parses");
+        let canonical = sc.to_json();
+        assert!(!canonical.contains("\"compute\""), "{canonical}");
+        let with = |format: &str| {
+            canonical
+                .replace("    \"codec\":", &format!("    \"compute\": \"{format}\",\n    \"codec\":"))
+        };
+        let back = Scenario::from_json(&with("f32")).expect("legacy f32 file parses");
         assert_eq!(back, sc);
-    }
-
-    #[test]
-    fn compute_format_roundtrips_and_rejects_unknown_names() {
-        let mut sc = presets()[0].scenario();
-        sc.sim.compute = ComputeFormat::Int8;
-        let json = sc.to_json();
-        assert!(json.contains("\"compute\": \"int8\""), "{json}");
-        let back = Scenario::from_json(&json).unwrap();
-        assert_eq!(sc, back);
-        let broken = json.replace("\"compute\": \"int8\"", "\"compute\": \"fp8\"");
-        assert!(matches!(Scenario::from_json(&broken), Err(ScenarioError::Parse(_))));
+        assert_eq!(back.to_json(), canonical);
+        // …while a removed format is an error naming it, never a silent
+        // f32 run of a file that asked for something else.
+        for removed in ["int8", "fp8"] {
+            let err = Scenario::from_json(&with(removed)).unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Parse(msg) if msg.contains(removed)),
+                "{removed}: {err:?}"
+            );
+        }
     }
 
     #[test]

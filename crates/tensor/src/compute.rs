@@ -1,124 +1,26 @@
-//! Selectable numeric formats for the dense compute kernels.
+//! Numeric formats of the dense compute kernels.
 //!
-//! The GEMM layer (`crate::ops::gemm`) can evaluate matrix products either in
-//! plain `f32` or in a quantized int8 format (`i8 × i8 → i32` integer dot with
-//! an `f32` affine correction — see `ops::gemm::int8`). Training always runs in
-//! `f32`; the int8 format exists for inference-heavy phases (server-side
-//! distillation scoring, accuracy evaluation) where the activations and
-//! weights tolerate 8-bit affine quantization and the integer kernel is
-//! faster on wide machines.
+//! Every run computes in plain `f32`: [`gemm_nn`]/[`gemm_nt`]/[`gemm_tn`]
+//! take no format and nothing ambient selects one. The int8 kernel
+//! (`i8 × i8 → i32` integer dot with an `f32` affine correction — see
+//! `ops::gemm::int8`) is reachable only by naming [`ComputeFormat::Int8`] at
+//! an explicit [`gemm_nn_with`]-style call, which is how the kernel
+//! benchmarks measure it.
 //!
-//! The active format is a **thread-local scope**, not a global: callers wrap
-//! an inference region in [`with_format`] and every GEMM issued from that
-//! thread inside the closure uses the requested format. Worker threads forked
-//! by `crate::par` do **not** inherit the scope — the GEMM entry points
-//! resolve the format *once on the calling thread* before partitioning work,
-//! so a parallel product still computes uniformly in the scoped format. Code
-//! that dispatches GEMMs from inside `par` workers (e.g. the fused conv
-//! lowering) must capture [`current_format`] outside the worker and call the
-//! explicit `gemm_*_with` variants.
+//! [`gemm_nn`]: crate::ops::gemm::gemm_nn
+//! [`gemm_nt`]: crate::ops::gemm::gemm_nt
+//! [`gemm_tn`]: crate::ops::gemm::gemm_tn
+//! [`gemm_nn_with`]: crate::ops::gemm::gemm_nn_with
 
-use std::cell::Cell;
-
-/// Numeric format used by the GEMM kernels for a scoped region.
+/// Numeric format of one explicit `gemm_*_with` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ComputeFormat {
-    /// IEEE single precision everywhere — the default, used for all training.
+    /// IEEE single precision everywhere — what every run uses.
     #[default]
     F32,
     /// Per-tensor affine int8 quantization of both operands with an exact
-    /// `i32` integer dot and `f32` affine correction. Inference only: the
-    /// quantization error (bounded by the codec-style `scale/2` per element)
-    /// is acceptable for scoring but would corrupt gradient accumulation.
+    /// `i32` integer dot and `f32` affine correction. The quantization error
+    /// (bounded by the codec-style `scale/2` per element) would corrupt
+    /// gradient accumulation, so no layer selects it.
     Int8,
-}
-
-impl ComputeFormat {
-    /// Canonical lower-case name, matching the scenario JSON encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ComputeFormat::F32 => "f32",
-            ComputeFormat::Int8 => "int8",
-        }
-    }
-
-    /// Parse the canonical name produced by [`ComputeFormat::as_str`].
-    pub fn parse(s: &str) -> Option<ComputeFormat> {
-        match s {
-            "f32" => Some(ComputeFormat::F32),
-            "int8" => Some(ComputeFormat::Int8),
-            _ => None,
-        }
-    }
-}
-
-thread_local! {
-    static ACTIVE: Cell<ComputeFormat> = const { Cell::new(ComputeFormat::F32) };
-}
-
-/// The compute format active on this thread ([`ComputeFormat::F32`] unless
-/// inside a [`with_format`] scope).
-pub fn current_format() -> ComputeFormat {
-    ACTIVE.with(Cell::get)
-}
-
-/// Run `f` with `format` active on this thread, restoring the previous format
-/// afterwards (including on unwind). Scopes nest; the innermost wins.
-pub fn with_format<R>(format: ComputeFormat, f: impl FnOnce() -> R) -> R {
-    struct Restore(ComputeFormat);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ACTIVE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(ACTIVE.with(|c| c.replace(format)));
-    f()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_f32() {
-        assert_eq!(current_format(), ComputeFormat::F32);
-        assert_eq!(ComputeFormat::default(), ComputeFormat::F32);
-    }
-
-    #[test]
-    fn scopes_nest_and_restore() {
-        with_format(ComputeFormat::Int8, || {
-            assert_eq!(current_format(), ComputeFormat::Int8);
-            with_format(ComputeFormat::F32, || {
-                assert_eq!(current_format(), ComputeFormat::F32);
-            });
-            assert_eq!(current_format(), ComputeFormat::Int8);
-        });
-        assert_eq!(current_format(), ComputeFormat::F32);
-    }
-
-    #[test]
-    fn scope_restores_on_unwind() {
-        let caught = std::panic::catch_unwind(|| {
-            with_format(ComputeFormat::Int8, || panic!("boom"));
-        });
-        assert!(caught.is_err());
-        assert_eq!(current_format(), ComputeFormat::F32);
-    }
-
-    #[test]
-    fn parse_roundtrips() {
-        for f in [ComputeFormat::F32, ComputeFormat::Int8] {
-            assert_eq!(ComputeFormat::parse(f.as_str()), Some(f));
-        }
-        assert_eq!(ComputeFormat::parse("fp16"), None);
-    }
-
-    #[test]
-    fn scope_is_thread_local() {
-        with_format(ComputeFormat::Int8, || {
-            let seen = std::thread::spawn(current_format).join().unwrap();
-            assert_eq!(seen, ComputeFormat::F32);
-        });
-    }
 }

@@ -19,7 +19,7 @@
 //!   nothing; callers keep the lowering when a weight is non-finite;
 //! * [`depthwise_conv2d_dw`] — builds, tap by tap, the very row of the
 //!   column matrix the lowering would, and reduces it through the same
-//!   [`gemm::gemm_nt_with`] dispatch (`m = 1`), so the AVX2 reduction tree
+//!   [`gemm::gemm_nt`] dispatch (`m = 1`), so the AVX2 reduction tree
 //!   and the scalar dot stay matched per backend by construction.
 //!
 //! ## Layout
@@ -41,7 +41,6 @@
 
 use super::gemm;
 use super::image::Conv2dGeometry;
-use crate::compute::ComputeFormat;
 use crate::par;
 
 /// Elements per register-tiled block of [`correlate`]'s main loop.
@@ -197,8 +196,7 @@ fn check(
 /// `w: [C, 1, KH, KW]`, `out: [N, C, OH, OW]` (overwritten), with `g` the
 /// single-channel geometry (`g.channels == 1`).
 ///
-/// Bit-identical to the `im2col` + `gemm_nn` lowering in
-/// [`ComputeFormat::F32`] (module docs).
+/// Bit-identical to the `im2col` + `gemm_nn` lowering (module docs).
 ///
 /// # Panics
 /// When a slice length disagrees with `(n, c, g)` or `g.channels != 1`.
@@ -337,15 +335,7 @@ pub fn depthwise_conv2d_dw(
                 {
                     lay.compact(&buf[off..], row);
                 }
-                gemm::gemm_nt_with(
-                    ComputeFormat::F32,
-                    &go_row,
-                    &col_row,
-                    std::slice::from_mut(d),
-                    1,
-                    ncols,
-                    1,
-                );
+                gemm::gemm_nt(&go_row, &col_row, std::slice::from_mut(d), 1, ncols, 1);
             }
         }
     });

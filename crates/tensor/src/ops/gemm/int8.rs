@@ -32,10 +32,10 @@
 //!
 //! The error versus the f32 product is the codec's per-element `scale/2`
 //! quantization bound accumulated over the contraction (property-tested in
-//! `tests/properties.rs`). That is acceptable for inference scoring and
-//! wrong for training, which is why `ComputeFormat::Int8` is only engaged
-//! by inference phases (driver eval, the distillation game's no-grad
-//! scoring passes).
+//! `tests/properties.rs`). That is wrong for training, and it measured
+//! slower than the dispatched f32 kernels on whole runs, which is why no
+//! layer engages `ComputeFormat::Int8`: only an explicit `gemm_*_with`
+//! call reaches this module.
 //!
 //! Overflow: centered levels are in `[-128, 127]`, so `|qa·qb| ≤ 16384` and
 //! an `i32` accumulator is exact for `k ≤ 131071` — far beyond any layer in

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | scalar reference | [`scalar`] | always available; the baseline |
 //! | vectorized f32 microkernels | `vector` | x86-64 with AVX2 at runtime |
-//! | int8 integer kernels | `int8` | [`ComputeFormat::Int8`] scope |
+//! | int8 integer kernels | `int8` | an explicit `gemm_*_with(ComputeFormat::Int8, …)` call |
 //!
 //! ## The accumulate-into contract
 //!
@@ -44,19 +44,15 @@
 //! float sequence exactly (see `vector` module docs), so enabling them
 //! never changes results. The vectorized `nt` kernel uses a documented
 //! multi-accumulator reduction tree — a *different* deterministic rounding
-//! than the scalar dot — and the int8 path quantizes, so which backend runs
-//! is fixed per host (CPU features) and per scope (compute format), never
-//! per thread count.
+//! than the scalar dot — so which f32 backend runs is fixed per host (CPU
+//! features), never per thread count.
 //!
 //! ## Compute formats
 //!
-//! [`gemm_nn`]/[`gemm_nt`]/[`gemm_tn`] resolve the thread-local
-//! [`ComputeFormat`](crate::compute) scope **once at entry, on the calling
-//! thread**, before any row partitioning — worker threads do not inherit
-//! the scope, so resolving early keeps a parallel product uniform. Code
-//! that issues GEMMs from inside `par` workers (the fused conv lowering)
-//! must capture the format outside the worker and call the explicit
-//! [`gemm_nn_with`]-style variants.
+//! [`gemm_nn`]/[`gemm_nt`]/[`gemm_tn`] are plain `f32`, and they are what
+//! every layer calls. The [`gemm_nn_with`]-style variants take a
+//! [`ComputeFormat`] argument; they exist so the kernel benchmarks can time
+//! the int8 kernel, and nothing in a run passes anything but `F32`.
 //!
 //! ## Parallelism
 //!
@@ -91,16 +87,15 @@
 //! 3. **Gate it.** CPU features are runtime-detected once (see
 //!    `vector::available`); `#[target_feature]` functions are the only
 //!    `unsafe` in the crate and each call site documents the detection
-//!    guard. New *formats* (as opposed to faster f32 paths) get a
-//!    [`ComputeFormat`] variant and a `match` arm in the `*_with` entry
-//!    points instead.
+//!    guard.
 //! 4. **Test + bench it.** Add the backend to the property suite
 //!    (`tests/properties.rs` compares every path against the naive
-//!    triple loop on remainder-heavy shapes) and a row to `bench_gemm` so
-//!    `BENCH_gemm.json` tracks its GFLOPs against the scalar baseline.
+//!    triple loop on remainder-heavy shapes) and a row to the criterion
+//!    `gemm_kernels` group (`crates/bench/benches/tensor_ops.rs`) so its
+//!    throughput is read against the scalar baseline.
 //! 5. **Respect the typed shim contract.** The [`crate::typed`] wrappers
-//!    enter through the `*_unchecked` seam *above* the format `match`, so a
-//!    new backend wired into that `match` is automatically reachable from
+//!    enter through the `*_unchecked` seam *above* the backend selection,
+//!    so a new backend wired in there is automatically reachable from
 //!    both the dynamic and the typed path — never add a kernel entry that
 //!    bypasses `gemm_{nn,nt,tn}_unchecked`, or the two paths (and their
 //!    bit-identity contract, pinned by `typed_matches_dynamic_bitwise` in
@@ -112,7 +107,7 @@ pub mod int8;
 pub mod scalar;
 pub mod vector;
 
-use crate::compute::{current_format, ComputeFormat};
+use crate::compute::ComputeFormat;
 use crate::par;
 
 /// Contraction-dimension panel size: one `B` panel (`K_BLOCK × n` floats)
@@ -180,17 +175,16 @@ fn shape_panic(
 }
 
 /// `out += A × B` with `A: [m, k]`, `B: [k, n]`, `out: [m, n]`, all dense
-/// row-major, in the thread-local [`ComputeFormat`] scope.
+/// row-major, in `f32`.
 ///
 /// # Panics
 /// In every build profile, if a slice length disagrees with `(m, k, n)` —
 /// the message names the operand, its length, and the full problem size.
 pub fn gemm_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_nn_with(current_format(), a, b, out, m, k, n);
+    gemm_nn_with(ComputeFormat::F32, a, b, out, m, k, n);
 }
 
-/// [`gemm_nn`] with an explicit compute format (for callers already inside
-/// a `par` worker, where the thread-local scope is not inherited).
+/// [`gemm_nn`] with an explicit compute format.
 pub fn gemm_nn_with(
     format: ComputeFormat,
     a: &[f32],
@@ -232,8 +226,7 @@ pub(crate) fn gemm_nn_unchecked(
     }
 }
 
-/// `out += A × Bᵀ` with `A: [m, k]`, `B: [n, k]`, `out: [m, n]`, in the
-/// thread-local [`ComputeFormat`] scope.
+/// `out += A × Bᵀ` with `A: [m, k]`, `B: [n, k]`, `out: [m, n]`, in `f32`.
 ///
 /// Both operands are traversed along contiguous rows (each output element is
 /// a dot product of two rows), so no transpose is ever materialised.
@@ -242,7 +235,7 @@ pub(crate) fn gemm_nn_unchecked(
 /// In every build profile, if a slice length disagrees with `(m, k, n)` —
 /// the message names the operand, its length, and the full problem size.
 pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_nt_with(current_format(), a, b, out, m, k, n);
+    gemm_nt_with(ComputeFormat::F32, a, b, out, m, k, n);
 }
 
 /// [`gemm_nt`] with an explicit compute format.
@@ -285,14 +278,13 @@ pub(crate) fn gemm_nt_unchecked(
     }
 }
 
-/// `out += Aᵀ × B` with `A: [k, m]`, `B: [k, n]`, `out: [m, n]`, in the
-/// thread-local [`ComputeFormat`] scope.
+/// `out += Aᵀ × B` with `A: [k, m]`, `B: [k, n]`, `out: [m, n]`, in `f32`.
 ///
 /// # Panics
 /// In every build profile, if a slice length disagrees with `(k, m, n)` —
 /// the message names the operand, its length, and the full problem size.
 pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    gemm_tn_with(current_format(), a, b, out, k, m, n);
+    gemm_tn_with(ComputeFormat::F32, a, b, out, k, m, n);
 }
 
 /// [`gemm_tn`] with an explicit compute format.
@@ -356,7 +348,6 @@ fn row_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::with_format;
     use crate::{seeded_rng, Tensor};
 
     fn naive_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -481,7 +472,7 @@ mod tests {
         let a = rand_vec(m * k, 21);
         let b = rand_vec(k * n, 22);
         let mut q = vec![0.0f32; m * n];
-        with_format(ComputeFormat::Int8, || gemm_nn(&a, &b, &mut q, m, k, n));
+        gemm_nn_with(ComputeFormat::Int8, &a, &b, &mut q, m, k, n);
         let exact = naive_nn(&a, &b, m, k, n);
         // Loose smoke bound here; tests/properties.rs pins the codec-derived
         // scale/2 accumulation bound per variant.
@@ -553,14 +544,13 @@ mod tests {
     }
 
     #[test]
-    fn int8_scope_selects_int8_kernels() {
+    fn int8_format_is_exact_on_constant_operands() {
         // A constant×constant product is exact under affine quantization
-        // (scale = 0), so the scoped call must agree with f32 exactly while
-        // still travelling the int8 path (exercised via the scope).
+        // (scale = 0), so the int8 call must agree with f32 exactly.
         let a = [2.0f32; 6];
         let b = [3.0f32; 6];
         let mut out = [0.0f32; 4];
-        with_format(ComputeFormat::Int8, || gemm_nn(&a, &b, &mut out, 2, 3, 2));
+        gemm_nn_with(ComputeFormat::Int8, &a, &b, &mut out, 2, 3, 2);
         assert_eq!(out, [18.0f32; 4]);
     }
 }

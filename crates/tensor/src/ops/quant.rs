@@ -5,7 +5,7 @@
 //!
 //! * the **wire codecs** in `fedzkt-fl` (`QuantQ8`/`QuantQ4` payload
 //!   encodings), which historically owned these functions;
-//! * the **int8 compute format** (`crate::ops::gemm` with
+//! * the **int8 GEMM kernel** (`crate::ops::gemm::gemm_nn_with` with
 //!   [`crate::ComputeFormat::Int8`]), which quantizes GEMM operands with the
 //!   exact same `(min, scale)` semantics so its error bound is the codec's
 //!   familiar `scale/2` per element.

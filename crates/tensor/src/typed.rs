@@ -30,10 +30,12 @@
 //! The typed wrappers are shims onto the *same* kernel dispatch as the
 //! dynamic entry points — same backend selection, same threading, same
 //! accumulation order — so typed and dynamic paths produce byte-identical
-//! results. `tests/properties.rs` pins this per layout and per compute
-//! format, and the scenario-level equivalence suite pins it end to end on
-//! whole `RunLog`s. [`set_enabled`] exists purely as the seam those
-//! comparisons (and `bench_gemm`) flip; it must never change numerics.
+//! results; `tests/properties.rs` pins this per layout.
+//!
+//! The layer is opt-in: a caller that knows its shapes at compile time
+//! builds views and calls these wrappers (`Var::linear_typed`,
+//! `fedzkt_nn::typed::TypedLinear`, the codec's `Rows2D::<2>::split`).
+//! Dynamic layers never route here on their own.
 //!
 //! ## Example
 //!
@@ -66,31 +68,8 @@
 //! );
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use crate::compute::{current_format, ComputeFormat};
+use crate::compute::ComputeFormat::F32;
 use crate::ops::gemm;
-
-/// Whether the statically-shaped fast paths are taken by the layers that
-/// thread them under dynamic APIs (`fedzkt-nn` linear layers, the fused
-/// conv panels, codec stride loops). Defaults to `true`.
-static TYPED_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Toggle the typed fast paths (default: enabled).
-///
-/// This is a test/bench seam, not a tuning knob: the typed and dynamic
-/// paths are bit-identical by contract, and the equivalence suites flip
-/// this switch to prove it on whole runs. Global and racy-by-design
-/// (relaxed atomic) — flip it only from test or bench harness code, around
-/// whole runs, never mid-computation.
-pub fn set_enabled(on: bool) {
-    TYPED_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether layers should take the typed fast paths. See [`set_enabled`].
-pub fn enabled() -> bool {
-    TYPED_ENABLED.load(Ordering::Relaxed)
-}
 
 #[cold]
 #[inline(never)]
@@ -206,8 +185,8 @@ fn rows_with_panic(what: &'static str, cols: usize, rows: usize, got: usize) -> 
 }
 
 /// Immutable view with a **const column width** and a **dynamic row
-/// count** — the shape of a batch: `[batch, features]`, an im2col panel's
-/// `[k, FUSE_PANEL]`, a FedGKT bundle's `[n, d]`.
+/// count** — the shape of a batch: `[batch, features]`, a FedGKT bundle's
+/// `[n, d]`.
 ///
 /// Construction proves `data.len() == rows * C` (deriving `rows` by exact
 /// division in [`Rows2D::new`]); only row-count *agreement* between
@@ -379,48 +358,28 @@ fn rows_mismatch(kernel: &'static str, left: &'static str, lr: usize, right: &'s
 // agreement is enforced by unification of M/K/N across the operand types.
 // ---------------------------------------------------------------------------
 
-/// Typed `out += A × B` (`A: [M, K]`, `B: [K, N]`, `out: [M, N]`) in the
-/// thread-local [`ComputeFormat`] scope. Zero runtime shape checks.
+/// Typed `out += A × B` (`A: [M, K]`, `B: [K, N]`, `out: [M, N]`).
+/// Zero runtime shape checks.
 pub fn gemm_nn<const M: usize, const K: usize, const N: usize>(
     a: View2D<M, K>,
     b: View2D<K, N>,
     out: ViewMut2D<M, N>,
 ) {
-    gemm_nn_with(current_format(), a, b, out);
+    gemm::gemm_nn_unchecked(F32, a.data, b.data, out.data, M, K, N);
 }
 
-/// [`gemm_nn`] with an explicit compute format.
-pub fn gemm_nn_with<const M: usize, const K: usize, const N: usize>(
-    format: ComputeFormat,
-    a: View2D<M, K>,
-    b: View2D<K, N>,
-    out: ViewMut2D<M, N>,
-) {
-    gemm::gemm_nn_unchecked(format, a.data, b.data, out.data, M, K, N);
-}
-
-/// Typed `out += A × Bᵀ` (`A: [M, K]`, `B: [N, K]`, `out: [M, N]`) in the
-/// thread-local [`ComputeFormat`] scope. Zero runtime shape checks.
+/// Typed `out += A × Bᵀ` (`A: [M, K]`, `B: [N, K]`, `out: [M, N]`).
+/// Zero runtime shape checks.
 pub fn gemm_nt<const M: usize, const K: usize, const N: usize>(
     a: View2D<M, K>,
     b: View2D<N, K>,
     out: ViewMut2D<M, N>,
 ) {
-    gemm_nt_with(current_format(), a, b, out);
+    gemm::gemm_nt_unchecked(F32, a.data, b.data, out.data, M, K, N);
 }
 
-/// [`gemm_nt`] with an explicit compute format.
-pub fn gemm_nt_with<const M: usize, const K: usize, const N: usize>(
-    format: ComputeFormat,
-    a: View2D<M, K>,
-    b: View2D<N, K>,
-    out: ViewMut2D<M, N>,
-) {
-    gemm::gemm_nt_unchecked(format, a.data, b.data, out.data, M, K, N);
-}
-
-/// Typed `out += Aᵀ × B` (`A: [K, M]`, `B: [K, N]`, `out: [M, N]`) in the
-/// thread-local [`ComputeFormat`] scope. Zero runtime shape checks.
+/// Typed `out += Aᵀ × B` (`A: [K, M]`, `B: [K, N]`, `out: [M, N]`).
+/// Zero runtime shape checks.
 ///
 /// Unlike the dynamic [`crate::ops::gemm::gemm_tn`], whose argument order
 /// leads with `k`, the const parameters here keep the uniform `M, K, N`
@@ -430,17 +389,7 @@ pub fn gemm_tn<const M: usize, const K: usize, const N: usize>(
     b: View2D<K, N>,
     out: ViewMut2D<M, N>,
 ) {
-    gemm_tn_with(current_format(), a, b, out);
-}
-
-/// [`gemm_tn`] with an explicit compute format.
-pub fn gemm_tn_with<const M: usize, const K: usize, const N: usize>(
-    format: ComputeFormat,
-    a: View2D<K, M>,
-    b: View2D<K, N>,
-    out: ViewMut2D<M, N>,
-) {
-    gemm::gemm_tn_unchecked(format, a.data, b.data, out.data, K, M, N);
+    gemm::gemm_tn_unchecked(F32, a.data, b.data, out.data, K, M, N);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,20 +409,10 @@ pub fn gemm_nt_rows<const K: usize, const N: usize>(
     b: View2D<N, K>,
     out: RowsMut2D<N>,
 ) {
-    gemm_nt_rows_with(current_format(), a, b, out);
-}
-
-/// [`gemm_nt_rows`] with an explicit compute format.
-pub fn gemm_nt_rows_with<const K: usize, const N: usize>(
-    format: ComputeFormat,
-    a: Rows2D<K>,
-    b: View2D<N, K>,
-    out: RowsMut2D<N>,
-) {
     if a.rows != out.rows {
         rows_mismatch("gemm_nt_rows", "a", a.rows, "out", out.rows);
     }
-    gemm::gemm_nt_unchecked(format, a.data, b.data, out.data, a.rows, K, N);
+    gemm::gemm_nt_unchecked(F32, a.data, b.data, out.data, a.rows, K, N);
 }
 
 /// Typed linear-backward input gradient: `out += A × B` with a dynamic
@@ -486,20 +425,10 @@ pub fn gemm_nn_rows<const K: usize, const N: usize>(
     b: View2D<K, N>,
     out: RowsMut2D<N>,
 ) {
-    gemm_nn_rows_with(current_format(), a, b, out);
-}
-
-/// [`gemm_nn_rows`] with an explicit compute format.
-pub fn gemm_nn_rows_with<const K: usize, const N: usize>(
-    format: ComputeFormat,
-    a: Rows2D<K>,
-    b: View2D<K, N>,
-    out: RowsMut2D<N>,
-) {
     if a.rows != out.rows {
         rows_mismatch("gemm_nn_rows", "a", a.rows, "out", out.rows);
     }
-    gemm::gemm_nn_unchecked(format, a.data, b.data, out.data, a.rows, K, N);
+    gemm::gemm_nn_unchecked(F32, a.data, b.data, out.data, a.rows, K, N);
 }
 
 /// Typed linear-backward weight gradient: `out += Aᵀ × B` with a dynamic
@@ -513,43 +442,10 @@ pub fn gemm_tn_rows<const M: usize, const N: usize>(
     b: Rows2D<N>,
     out: ViewMut2D<M, N>,
 ) {
-    gemm_tn_rows_with(current_format(), a, b, out);
-}
-
-/// [`gemm_tn_rows`] with an explicit compute format.
-pub fn gemm_tn_rows_with<const M: usize, const N: usize>(
-    format: ComputeFormat,
-    a: Rows2D<M>,
-    b: Rows2D<N>,
-    out: ViewMut2D<M, N>,
-) {
     if a.rows != b.rows {
         rows_mismatch("gemm_tn_rows", "a", a.rows, "b", b.rows);
     }
-    gemm::gemm_tn_unchecked(format, a.data, b.data, out.data, a.rows, M, N);
-}
-
-/// Typed im2col-panel product: `out += A × B` where only the panel width
-/// `N` is const — `A: [m, k]` (a weight group, the one dynamic operand,
-/// checked here), `B: [k, N]` (a full `FUSE_PANEL`-wide im2col panel),
-/// `out: [m, N]`.
-///
-/// Takes an explicit format because the fused conv lowering calls it from
-/// inside `par` workers, where the thread-local scope is not inherited.
-///
-/// # Panics
-/// If `a.len() != m * k` for the `m`/`k` implied by `out`/`b` row counts.
-pub fn gemm_nn_cols_with<const N: usize>(
-    format: ComputeFormat,
-    a: &[f32],
-    b: Rows2D<N>,
-    out: RowsMut2D<N>,
-) {
-    let (m, k) = (out.rows, b.rows);
-    if a.len() != m * k {
-        rows_with_panic("gemm_nn_cols: a as Rows2D", k, m, a.len());
-    }
-    gemm::gemm_nn_unchecked(format, a, b.data, out.data, m, k, N);
+    gemm::gemm_tn_unchecked(F32, a.data, b.data, out.data, a.rows, M, N);
 }
 
 #[cfg(test)]
@@ -639,21 +535,6 @@ mod tests {
         let empty = Rows2D::<0>::with_rows(&[], 5);
         assert_eq!(empty.rows(), 5);
         assert_eq!(empty.row(3), &[0.0f32; 0]);
-        // Panel wrapper with zero panel rows (k == 0) and zero out rows.
-        let mut og = [9.0f32; 8];
-        gemm_nn_cols_with(
-            ComputeFormat::F32,
-            &[],
-            Rows2D::<4>::new(&[]),
-            RowsMut2D::<4>::new(&mut og),
-        );
-        assert_eq!(og, [9.0f32; 8]);
-        gemm_nn_cols_with(
-            ComputeFormat::F32,
-            &[],
-            Rows2D::<4>::new(&w[..4]),
-            RowsMut2D::<4>::new(&mut []),
-        );
     }
 
     #[test]
@@ -738,14 +619,5 @@ mod tests {
         }
         tail[0] = 9.0;
         assert_eq!(data, [0.0, -0.0, 1.0, -1.0, 9.0]);
-    }
-
-    #[test]
-    fn toggle_round_trips() {
-        assert!(enabled(), "typed paths default to enabled");
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
     }
 }

@@ -254,16 +254,15 @@ proptest! {
 
     #[test]
     fn typed_matches_dynamic_bitwise(
-        seed in 0u64..500, shape_idx in 0usize..12, batch in 0usize..20, fmt in 0usize..2,
+        seed in 0u64..500, shape_idx in 0usize..12, batch in 0usize..20,
     ) {
         // The typed shims promise *bit* identity with the dynamic entries:
         // they land on the same `gemm_*_unchecked` dispatch with the same
         // `(m, k, n)`, so not a single rounding step may differ. Checked
-        // for all three layouts and both compute formats, over a shape
-        // table that sweeps zero extents, degenerate 1s, and sizes off the
-        // microkernel lane/tile widths — plus the batch-dynamic `*_rows`
-        // wrapper with a random batch.
-        let format = if fmt == 1 { ComputeFormat::Int8 } else { ComputeFormat::F32 };
+        // for all three layouts over a shape table that sweeps zero
+        // extents, degenerate 1s, and sizes off the microkernel lane/tile
+        // widths — plus the batch-dynamic `*_rows` wrapper with a random
+        // batch.
         macro_rules! case {
             ($m:literal, $k:literal, $n:literal) => {{
                 const M: usize = $m;
@@ -281,38 +280,36 @@ proptest! {
                 let at = &at_t.data()[..K * M];
                 let ab = &ab_t.data()[..batch * K];
 
-                let d_nn = run_f32(|o| gemm::gemm_nn_with(format, a, b, o, M, K, N), M * N);
+                let d_nn = run_f32(|o| gemm::gemm_nn(a, b, o, M, K, N), M * N);
                 let t_nn = run_f32(
-                    |o| typed::gemm_nn_with::<M, K, N>(
-                        format, View2D::new(a), View2D::new(b), ViewMut2D::new(o),
+                    |o| typed::gemm_nn::<M, K, N>(
+                        View2D::new(a), View2D::new(b), ViewMut2D::new(o),
                     ),
                     M * N,
                 );
                 prop_assert_eq!(bits(&d_nn), bits(&t_nn), "nn m={} k={} n={}", M, K, N);
 
-                let d_nt = run_f32(|o| gemm::gemm_nt_with(format, a, bt, o, M, K, N), M * N);
+                let d_nt = run_f32(|o| gemm::gemm_nt(a, bt, o, M, K, N), M * N);
                 let t_nt = run_f32(
-                    |o| typed::gemm_nt_with::<M, K, N>(
-                        format, View2D::new(a), View2D::new(bt), ViewMut2D::new(o),
+                    |o| typed::gemm_nt::<M, K, N>(
+                        View2D::new(a), View2D::new(bt), ViewMut2D::new(o),
                     ),
                     M * N,
                 );
                 prop_assert_eq!(bits(&d_nt), bits(&t_nt), "nt m={} k={} n={}", M, K, N);
 
-                let d_tn = run_f32(|o| gemm::gemm_tn_with(format, at, b, o, K, M, N), M * N);
+                let d_tn = run_f32(|o| gemm::gemm_tn(at, b, o, K, M, N), M * N);
                 let t_tn = run_f32(
-                    |o| typed::gemm_tn_with::<M, K, N>(
-                        format, View2D::new(at), View2D::new(b), ViewMut2D::new(o),
+                    |o| typed::gemm_tn::<M, K, N>(
+                        View2D::new(at), View2D::new(b), ViewMut2D::new(o),
                     ),
                     M * N,
                 );
                 prop_assert_eq!(bits(&d_tn), bits(&t_tn), "tn m={} k={} n={}", M, K, N);
 
-                let d_rows =
-                    run_f32(|o| gemm::gemm_nt_with(format, ab, bt, o, batch, K, N), batch * N);
+                let d_rows = run_f32(|o| gemm::gemm_nt(ab, bt, o, batch, K, N), batch * N);
                 let t_rows = run_f32(
-                    |o| typed::gemm_nt_rows_with::<K, N>(
-                        format,
+                    |o| typed::gemm_nt_rows::<K, N>(
                         Rows2D::with_rows(ab, batch),
                         View2D::new(bt),
                         RowsMut2D::with_rows(o, batch),

@@ -324,25 +324,3 @@ fn different_seeds_produce_different_runs() {
     let c = run_once(12);
     assert_ne!(a, c, "different seeds produced identical runs");
 }
-
-#[test]
-fn int8_compute_scenario_runs_bit_identically_across_thread_counts() {
-    let _guard = serial_guard();
-    // The compute format is the third determinism axis next to seed and
-    // thread count. The int8 path is integer
-    // arithmetic plus a fixed affine correction, and operands are
-    // quantized before the row partition forks, so a distillation-game
-    // round scored under int8 must carry the same thread-count guarantee
-    // as the f32 runs above.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/tiny.json");
-    let mut scenario = fedzkt::scenario::Scenario::load(path).expect("checked-in tiny scenario");
-    scenario.sim.compute = fedzkt::fl::ComputeFormat::Int8;
-    scenario.sim.threads = 1;
-    let one = scenario.run().expect("runnable scenario");
-    scenario.sim.threads = 4;
-    let four = scenario.run().expect("runnable scenario");
-    assert_eq!(one, four, "int8 threads=1 vs threads=4 diverged");
-    assert_bit_identical(&one, &four);
-    assert_eq!(one.to_json(), four.to_json());
-    assert_eq!(one.rounds.len(), scenario.sim.rounds);
-}

@@ -410,43 +410,3 @@ fn knowledge_transfer_presets_run_end_to_end() {
         assert!(r.download_bytes > 0);
     }
 }
-
-/// The int8 compute format is an accuracy/semantics knob for inference
-/// phases only; on the checked-in `tiny` preset it must land within one
-/// accuracy point of the f32 run.
-#[test]
-fn int8_compute_accuracy_is_close_to_f32() {
-    let base = fedzkt::scenario::preset("tiny").expect("registry preset");
-    let f32_log = base.clone().run().expect("runnable scenario");
-    let mut int8 = base;
-    int8.sim.compute = fedzkt::fl::ComputeFormat::Int8;
-    let int8_log = int8.run().expect("runnable scenario");
-    let gap = (f32_log.final_accuracy() - int8_log.final_accuracy()).abs();
-    assert!(
-        gap <= 0.01 + 1e-6,
-        "int8 accuracy drifted {:.4} points from f32 ({:.4} vs {:.4})",
-        100.0 * gap,
-        f32_log.final_accuracy(),
-        int8_log.final_accuracy()
-    );
-}
-
-/// A full distillation-game round runs under int8 compute and produces a
-/// valid RunLog: finite accuracies, real traffic, every round present.
-#[test]
-fn fedzkt_round_runs_under_int8_compute() {
-    let (train, test) = mnist_like(14);
-    let shards = Partition::Iid.split(train.labels(), 4, 3, 14).unwrap();
-    let sim_cfg = SimConfig {
-        rounds: 2,
-        seed: 14,
-        compute: fedzkt::fl::ComputeFormat::Int8,
-        ..Default::default()
-    };
-    let fed = FedZkt::new(&tiny_zoo(), &train, &shards, tiny_zkt_cfg(), &sim_cfg);
-    let mut sim = Simulation::builder(fed, test, sim_cfg).build();
-    let log = sim.run();
-    assert_eq!(log.rounds.len(), 2);
-    assert!(log.rounds.iter().all(|r| r.avg_device_accuracy.is_finite()));
-    assert!(log.rounds.iter().all(|r| r.upload_bytes > 0 && r.download_bytes > 0));
-}
