@@ -385,6 +385,10 @@ mod tests {
         assert!(err.contains("version 4294967297"), "{err}");
         let torn = sample().to_json().replacen("\"rounds_done\":1", "\"rounds_done\":5", 1);
         assert!(SimCheckpoint::from_json(&torn).is_err(), "round count must match the log");
+        // Hostile nesting is an error, not a stack overflow.
+        for open in ["[", "{\"a\":"] {
+            assert!(SimCheckpoint::from_json(&open.repeat(1_000_000)).is_err());
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! objects, arrays, numbers (kept as raw text so integer width and float
 //! precision are decided by the caller), strings (with the two escapes the
 //! workspace writers emit, `\"` and `\\`), booleans and `null`. Anything
-//! else is rejected rather than guessed at.
+//! else is rejected rather than guessed at, and containers may nest at most
+//! [`MAX_DEPTH`] deep, so a hostile file cannot overflow the parser's stack.
 
 use std::borrow::Cow;
 
@@ -95,13 +96,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest container nesting [`parse`] accepts. The parser recurses once
+/// per level; no document the workspace writes nests deeper than 6.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document (trailing whitespace allowed).
 ///
 /// # Errors
 /// Returns a byte-positioned message when the input is not in the
-/// supported subset.
+/// supported subset or nests deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value<'_>, String> {
-    let mut p = Parser { bytes: input.as_bytes(), input, pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), input, pos: 0, depth: 0 };
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -114,6 +119,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     input: &'a str,
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -145,8 +152,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value<'a>, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string(),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
@@ -154,6 +161,20 @@ impl<'a> Parser<'a> {
             Some(b) if *b == b'-' || b.is_ascii_digit() => Ok(self.number()),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one container, refusing to recurse past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value<'a>, String>,
+    ) -> Result<Value<'a>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Value<'a> {
@@ -294,6 +315,18 @@ mod tests {
         assert!(parse("{\"s\": \"\\n\"}").is_err(), "unsupported escape");
         assert!(parse("nul").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(1_000_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128 at byte"), "{err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&too_deep).is_err());
     }
 
     #[test]

@@ -448,6 +448,10 @@ mod tests {
         assert!(RunLog::from_json("{}").is_err());
         assert!(RunLog::from_json("{\"rounds\":[{\"round\":1}]}").is_err());
         assert!(RunLog::from_json("{\"rounds\":[]} trailing").is_err());
+        // Hostile nesting is an error, not a stack overflow.
+        for open in ["[", "{\"a\":"] {
+            assert!(RunLog::from_json(&open.repeat(1_000_000)).is_err());
+        }
         let empty = RunLog::from_json("{\"rounds\":[]}").expect("empty log");
         assert_eq!(empty, RunLog::new());
     }

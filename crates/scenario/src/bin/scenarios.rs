@@ -1,5 +1,5 @@
 //! The `scenarios` CLI: list, describe, run, sweep and serve declarative
-//! experiment scenarios.
+//! experiment scenarios, and regenerate the paper's tables and figures.
 //!
 //! ```sh
 //! scenarios list
@@ -9,6 +9,8 @@
 //! scenarios run tiny --resume target/ck/tiny.ckpt --out target/ck  # …resume
 //! scenarios sweep tiny --seeds 1,2 --participations 0.5,1 --out target/sweep
 //! scenarios serve tiny --seeds 1,2,3,4 --out target/jobs   # durable queue
+//! scenarios repro list                                     # paper artifacts
+//! scenarios repro table1 --scale tiny --out target/experiments
 //! ```
 //!
 //! `run` and `sweep` write one `<name>.csv` + `<name>.json` artifact pair
@@ -25,11 +27,16 @@
 //! with a `<name>.ckpt` snapshot from that exact round, and starts the
 //! rest fresh; a cell that panics is isolated and reported without taking
 //! down the queue.
+//!
+//! `repro <target>` regenerates one artifact of the paper's evaluation
+//! (`fedzkt_scenario::repro` holds the table of targets): it builds the
+//! target's cells, runs them through the same fleet-parallel runner as
+//! `sweep`, and writes the target's CSV (or JSON) into `--out`.
 
 use fedzkt_data::Partition;
 use fedzkt_fl::{CodecSpec, SimCheckpoint};
 use fedzkt_scenario::{
-    presets, resolve, standard_algorithm, standard_zoo, Scenario, ScenarioError,
+    presets, repro, resolve, run_cells, standard_algorithm, standard_zoo, Scenario, Tier,
 };
 use fedzkt_tensor::par;
 use std::path::{Path, PathBuf};
@@ -54,17 +61,22 @@ subcommands:
   serve <name|file> [axes]       durable job queue over the expanded grid:
                                  skips finished cells, resumes half-done ones
                                  from their checkpoints, survives kills
+  repro <target|list> [options]  regenerate one table/figure of the paper's
+                                 evaluation (`repro list` names them)
 
-run/sweep/serve options:
+run/sweep/serve/repro options:
   --out DIR          artifact directory (default target/scenarios)
   --threads N        worker threads (0 = FEDZKT_THREADS / all cores)
-  --seed N           override the scenario's master seed (run only)
+  --seed N           override the scenario's master seed (run, repro)
   --codec C          override the wire codec: raw|q8|q4|topk[:density] (run only)
 
 run durability options:
   --checkpoint-every N  snapshot <out>/<name>.ckpt every N completed rounds
   --halt-at-round K     stop once K rounds are done, leaving a checkpoint
   --resume FILE         restore a checkpoint and run the remaining rounds
+
+repro options:
+  --scale tiny|quick|paper  workload tier (default quick)
 
 serve options:
   --checkpoint-every N  per-cell snapshot cadence in rounds (default 1)
@@ -91,6 +103,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
+        Some("repro") => cmd_repro(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -205,7 +218,22 @@ struct RunOptions {
     rest: Vec<(String, String)>,
 }
 
-fn parse_options(args: &[String]) -> Result<RunOptions, String> {
+/// The named flags, the subcommands that take each, and where a refused
+/// one's intent lives instead. The one place that decides which subcommand
+/// takes which flag; a flag not listed here lands in `rest` for the
+/// subcommand's own axes (`--seeds`, `--scale`, ...).
+const FLAGS: [(&str, &[&str], &str); 8] = [
+    ("--out", &["run", "sweep", "serve", "repro"], ""),
+    ("--threads", &["run", "sweep", "serve", "repro"], ""),
+    ("--seed", &["run", "repro"], "; sweep/serve take --seeds a,b,c"),
+    ("--codec", &["run"], "; sweep/serve take --codecs a,b,c"),
+    ("--checkpoint-every", &["run", "serve"], ""),
+    ("--halt-at-round", &["run"], "; serve checkpoints its cells itself"),
+    ("--resume", &["run"], "; serve checkpoints its cells itself"),
+    ("--stop-after", &["serve"], ""),
+];
+
+fn parse_options(cmd: &str, args: &[String]) -> Result<RunOptions, String> {
     let mut opts = RunOptions {
         out_dir: PathBuf::from("target/scenarios"),
         threads: None,
@@ -219,6 +247,14 @@ fn parse_options(args: &[String]) -> Result<RunOptions, String> {
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        if let Some((_, takers, instead)) = FLAGS.iter().find(|(name, ..)| name == flag) {
+            if !takers.contains(&cmd) {
+                return Err(format!(
+                    "{flag} is a {} option, not a {cmd} option{instead}",
+                    takers.join("/")
+                ));
+            }
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag {flag} needs a value"))?
@@ -290,12 +326,9 @@ fn save_checkpoint(ck: &SimCheckpoint, path: &Path) -> Result<(), String> {
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let reference = args.first().ok_or("run needs a scenario name or file")?;
     let mut scenario = load(reference)?;
-    let opts = parse_options(&args[1..])?;
+    let opts = parse_options("run", &args[1..])?;
     if let Some((flag, _)) = opts.rest.first() {
         return Err(format!("unknown flag {flag} for run"));
-    }
-    if opts.stop_after.is_some() {
-        return Err("--stop-after is a serve option".into());
     }
     if let Some(threads) = opts.threads {
         scenario.sim.threads = threads;
@@ -389,24 +422,6 @@ fn expand<T: Clone>(
         }
     }
     out
-}
-
-/// Reject the run-only overrides for the grid subcommands (sweep/serve),
-/// which spell the same intents as axes.
-fn reject_run_only(opts: &RunOptions, gridcmd: &str) -> Result<(), String> {
-    if opts.seed.is_some() {
-        return Err(format!("--seed is a run option; {gridcmd} over seeds with --seeds a,b,c"));
-    }
-    if opts.codec.is_some() {
-        return Err(format!("--codec is a run option; {gridcmd} over codecs with --codecs a,b,c"));
-    }
-    if opts.halt_at_round.is_some() || opts.resume.is_some() {
-        return Err(format!(
-            "--halt-at-round/--resume are run options; {gridcmd} manages per-cell checkpoints \
-             itself"
-        ));
-    }
-    Ok(())
 }
 
 /// Expand the grid axes in `rest` over `base` — the one cell-expansion
@@ -523,25 +538,17 @@ fn expand_cells(base: Scenario, rest: &[(String, String)]) -> Result<Vec<Scenari
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let reference = args.first().ok_or("sweep needs a scenario name or file")?;
     let base = load(reference)?;
-    let opts = parse_options(&args[1..])?;
-    reject_run_only(&opts, "sweep")?;
-    if opts.checkpoint_every.is_some() || opts.stop_after.is_some() {
-        return Err(
-            "--checkpoint-every/--stop-after are serve options; sweep runs the grid in one shot"
-                .into(),
-        );
-    }
+    let opts = parse_options("sweep", &args[1..])?;
     let cells = expand_cells(base, &opts.rest)?;
 
-    let workers = par::resolve_threads(opts.threads.unwrap_or(0));
+    let threads = opts.threads.unwrap_or(0);
     println!(
         "sweep: {} cells from \"{}\", {} worker thread(s)",
         cells.len(),
         reference,
-        workers
+        par::resolve_threads(threads)
     );
-    let results: Vec<Result<fedzkt_fl::RunLog, ScenarioError>> =
-        par::map_indexed(cells.len(), workers, |i| cells[i].run());
+    let results = run_cells(cells.len(), threads, |i| &cells[i]);
 
     // A failed cell (e.g. a partition that only turns out impossible for
     // the realized labels) must not discard the rest of the grid: write
@@ -676,8 +683,7 @@ fn serve_cell(cell: &Scenario, dir: &Path, every: usize) -> Result<String, Strin
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let reference = args.first().ok_or("serve needs a scenario name or file")?;
     let base = load(reference)?;
-    let opts = parse_options(&args[1..])?;
-    reject_run_only(&opts, "serve")?;
+    let opts = parse_options("serve", &args[1..])?;
     let cells = expand_cells(base, &opts.rest)?;
     let every = opts.checkpoint_every.unwrap_or(1);
     let dir = opts.out_dir.clone();
@@ -760,4 +766,51 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             failures.join("\n  ")
         ))
     }
+}
+
+fn cmd_repro(args: &[String]) -> Result<(), String> {
+    let names = || repro::targets().iter().map(|t| t.name).collect::<Vec<_>>().join("|");
+    let name = args.first().ok_or_else(|| format!("repro needs a target: list|{}", names()))?;
+    if name == "list" {
+        println!("{:<10} {:<20} paper artifact", "target", "writes");
+        for target in repro::targets() {
+            println!("{:<10} {:<20} {}", target.name, target.artifact, target.title);
+        }
+        return Ok(());
+    }
+    let target = repro::target(name)
+        .ok_or_else(|| format!("unknown repro target \"{name}\" (list|{})", names()))?;
+    let opts = parse_options("repro", &args[1..])?;
+    let mut tier = Tier::Quick;
+    for (flag, value) in &opts.rest {
+        tier = match (flag.as_str(), value.as_str()) {
+            ("--scale", "tiny") => Tier::Tiny,
+            ("--scale", "quick") => Tier::Quick,
+            ("--scale", "paper") => Tier::Paper,
+            ("--scale", other) => {
+                return Err(format!("--scale: unknown scale \"{other}\" (tiny|quick|paper)"))
+            }
+            _ => return Err(format!("unknown flag {flag} for repro")),
+        };
+    }
+    let threads = opts.threads.unwrap_or(0);
+    println!(
+        "{}\nrepro {name}: tier {tier:?}, seed {}, {} worker thread(s)",
+        target.title,
+        opts.seed.map_or("default".into(), |seed| seed.to_string()),
+        par::resolve_threads(threads)
+    );
+    let files = target.run(tier, opts.seed, threads).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(&opts.out_dir)
+        .map_err(|e| format!("creating {}: {e}", opts.out_dir.display()))?;
+    for (file, contents) in &files {
+        let path = opts.out_dir.join(file);
+        std::fs::write(&path, contents).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        println!("  [artifact] {}", path.display());
+    }
+    // The target's own artifact comes last; it is small enough to read.
+    if let Some((_, contents)) = files.last() {
+        print!("{contents}");
+    }
+    Ok(())
 }

@@ -105,12 +105,16 @@
 //!   process loses at most `--checkpoint-every` rounds per in-flight
 //!   cell and a restart picks up exactly where it stopped; panicking
 //!   cells are isolated and reported, and `--stop-after N` bounds one
-//!   invocation's work.
+//!   invocation's work;
+//! * `repro <target|list> [--scale tiny|quick|paper] [--seed N]
+//!   [--threads N] [--out DIR]` — regenerate one table or figure of the
+//!   paper's evaluation from the [`repro`] table of targets.
 
 #![warn(missing_docs)]
 
 mod error;
 mod registry;
+pub mod repro;
 mod serial;
 mod spec;
 
@@ -120,7 +124,8 @@ pub use registry::{
     Tier,
 };
 pub use spec::{
-    Algo, DataSpec, LinkBandwidth, Materialized, ResourceAssignment, ResourceSpec, Scenario,
+    run_cells, Algo, DataSpec, LinkBandwidth, Materialized, ResourceAssignment, ResourceSpec,
+    Scenario,
 };
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! [`Scenario::standard`] is the single place the paper's standard
 //! evaluation setup (§IV-A) is encoded — the per-family model zoos, the
 //! tier-scaled dataset/round/iteration sizes, and the learning rates tuned
-//! for each tier. Everything downstream (examples, figure/table binaries,
-//! sweeps) derives its scenarios from here or from the [`presets`] built on
-//! top, instead of hand-wiring datasets and configs.
+//! for each tier. Everything downstream (examples, the
+//! [`repro`](crate::repro) targets, sweeps) derives its scenarios from here
+//! or from the [`presets`] built on top, instead of hand-wiring datasets
+//! and configs.
 
 use crate::{
     Algo, DataSpec, LinkBandwidth, ResourceAssignment, ResourceSpec, Scenario, ScenarioError,
@@ -212,7 +213,7 @@ pub fn fedmd_public_family(private: DataFamily) -> DataFamily {
 
 /// The [`Scale`]-derived standard configuration of a named algorithm for
 /// an existing scenario — the `scenarios sweep --algos` axis and the
-/// algorithm bench share this mapping. The scale is rebuilt from the
+/// `repro algos` target share this mapping. The scale is rebuilt from the
 /// scenario's *own* data geometry (train/test sizes, image side, device
 /// count, rounds), so the swapped-in algorithm stays a controlled
 /// comparison with whatever the base cell runs; the tier — which only
@@ -251,7 +252,7 @@ pub fn standard_algorithm(scenario: &Scenario, name: &str) -> Option<Algo> {
 
 impl Scenario {
     /// The standard FedZKT scenario for a family, partition and tier —
-    /// the declarative successor of the old `fedzkt_bench::build_workload`.
+    /// the cell every [`repro`](crate::repro) target starts from.
     pub fn standard(family: DataFamily, partition: Partition, tier: Tier, seed: u64) -> Scenario {
         Scenario::standard_scaled(family, partition, tier, seed, Scale::for_family(family, tier))
     }

@@ -914,5 +914,10 @@ mod tests {
         let valid = presets()[0].scenario().to_json();
         let broken = valid.replace("\"kind\": \"iid\"", "\"kind\": \"zipf\"");
         assert!(matches!(Scenario::from_json(&broken), Err(ScenarioError::Parse(_))));
+        // Hostile nesting is an error, not a stack overflow.
+        for open in ["[", "{\"a\":"] {
+            let hostile = open.repeat(1_000_000);
+            assert!(matches!(Scenario::from_json(&hostile), Err(ScenarioError::Parse(_))));
+        }
     }
 }

@@ -8,6 +8,7 @@ use fedzkt_fl::{
     FedGkt, FedGktConfig, RoundMetrics, RunLog, SimConfig, Simulation,
 };
 use fedzkt_models::ModelSpec;
+use fedzkt_tensor::par;
 use serde::{Deserialize, Serialize};
 
 /// The private (and, for FedMD, public) dataset description — a
@@ -851,4 +852,18 @@ impl Scenario {
         let mut sim = self.build()?;
         Ok(sim.run_with(observer).clone())
     }
+}
+
+/// Run a grid of `n` scenarios (`cell(i)` is the `i`-th) fleet-parallel —
+/// one cell per worker on up to `threads` workers (0 = the workspace
+/// default) — returning the results in cell order. This is the one cell runner behind `scenarios sweep` and
+/// `scenarios repro`; a worker executes its cells' device-parallel phases
+/// inline (nested `par` regions run serially), and the logs are
+/// bit-identical for every thread count.
+pub fn run_cells<'a>(
+    n: usize,
+    threads: usize,
+    cell: impl Fn(usize) -> &'a Scenario + Sync,
+) -> Vec<Result<RunLog, ScenarioError>> {
+    par::map_indexed(n, par::resolve_threads(threads), |i| cell(i).run())
 }

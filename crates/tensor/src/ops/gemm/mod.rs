@@ -90,9 +90,9 @@
 //!    guard.
 //! 4. **Test + bench it.** Add the backend to the property suite
 //!    (`tests/properties.rs` compares every path against the naive
-//!    triple loop on remainder-heavy shapes) and a row to the criterion
-//!    `gemm_kernels` group (`crates/bench/benches/tensor_ops.rs`) so its
-//!    throughput is read against the scalar baseline.
+//!    triple loop on remainder-heavy shapes); its throughput is read from
+//!    the `tensor.gemm_*_gflops.*` per-layer metrics of `benchmark/`
+//!    (`BENCHMARK.json`), parent against change.
 //! 5. **Respect the typed shim contract.** The [`crate::typed`] wrappers
 //!    enter through the `*_unchecked` seam *above* the backend selection,
 //!    so a new backend wired in there is automatically reachable from

@@ -22,8 +22,8 @@
 //!   runner behind the `scenarios` CLI.
 //!
 //! See `examples/` for runnable entry points, `scenarios/*.json` for the
-//! checked-in experiment descriptions, and `crates/bench/src/bin/` for the
-//! per-table/figure experiment harness.
+//! checked-in experiment descriptions, and [`scenario::repro`] (the
+//! `scenarios repro <target>` command) for the paper's tables and figures.
 //!
 //! ```no_run
 //! use fedzkt::scenario::preset;
