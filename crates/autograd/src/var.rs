@@ -263,10 +263,10 @@ impl Var {
         for var in order {
             let inner = &var.inner;
             let Some(backward_fn) = &inner.backward_fn else { continue };
-            let grad = match inner.grad.borrow().clone() {
-                Some(g) => g,
-                None => continue,
-            };
+            // Intermediate gradients are consumed; only leaves accumulate
+            // across backward calls (PyTorch semantics — optimizers read
+            // leaf grads, probes read input-leaf grads).
+            let Some(grad) = inner.grad.borrow_mut().take() else { continue };
             let parent_grads = backward_fn(&grad);
             debug_assert_eq!(parent_grads.len(), inner.parents.len());
             for (parent, pg) in inner.parents.iter().zip(parent_grads) {
@@ -276,10 +276,6 @@ impl Var {
                     }
                 }
             }
-            // Intermediate gradients are consumed; only leaves accumulate
-            // across backward calls (PyTorch semantics — optimizers read
-            // leaf grads, probes read input-leaf grads).
-            *inner.grad.borrow_mut() = None;
         }
     }
 }

@@ -191,6 +191,33 @@ fn grad_depthwise_stride2_pad0() {
     );
 }
 
+/// The padded path off its easy case: a LeNet-style 5×5 kernel with
+/// padding 2 on a non-square plane narrower than the padded pitch is wide
+/// (pitch-layout gap columns on every output row), input and weight
+/// gradients both.
+#[test]
+fn grad_conv2d_padded_5x5_pad2() {
+    let x = randn(&[2, 2, 6, 5], 42);
+    let w = randn(&[3, 2, 5, 5], 43).mul_scalar(0.3);
+    check_gradients(
+        "padded_5x5p2_input",
+        |v| v.conv2d(&Var::constant(w.clone()), 1, 2, 1).square().sum_all(),
+        &x,
+        2e-2,
+    );
+    check_gradients(
+        "padded_5x5p2_weight",
+        |v| {
+            Var::constant(x.clone())
+                .conv2d(&v.reshape(&[3, 2, 5, 5]), 1, 2, 1)
+                .square()
+                .sum_all()
+        },
+        &w.reshape(&[150]).unwrap(),
+        2e-2,
+    );
+}
+
 #[test]
 fn grad_channel_bias() {
     let x = randn(&[2, 3, 3, 3], 17);

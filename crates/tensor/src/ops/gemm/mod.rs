@@ -21,13 +21,26 @@
 //! running buffer directly and avoid a temporary. `out` must have exactly
 //! `m * n` elements.
 //!
+//! ## Rows of `B` by offset
+//!
+//! [`gemm_nn_rows`] is [`gemm_nn`] over a `B` whose row `t` is the `n`
+//! floats at `b[b_rows[t]..]` instead of at `b[t · n..]`. Rows may overlap,
+//! which is the point: a stride-1 convolution's column matrix is its padded
+//! input read from `KH·KW` shifted starts, so `fedzkt-autograd` multiplies
+//! by it without ever copying it out. It is the same chunk kernels — they
+//! take the map from a row's index to its start as a closure, and the dense
+//! entry points pass `|t| t · n` — so the per-element float sequence, the
+//! backends and the threading are those of [`gemm_nn`].
+//!
 //! ## Shape checks
 //!
 //! The public entry points assert every operand length against `(m, k, n)`
 //! **in every build profile** — a mismatch panics at the call boundary with
 //! the operand name and the full problem size instead of computing on a
 //! mis-sized prefix or faulting deep inside a kernel. The checks are three
-//! integer compares per call, negligible next to the kernel. Fixed-shape
+//! integer compares per call, negligible next to the kernel
+//! ([`gemm_nn_rows`] adds one per table entry: the table must hold exactly
+//! `k` starts and every row must end inside `b`). Fixed-shape
 //! hot loops that want even those compares gone go through
 //! [`crate::typed`], whose const-generic views prove the lengths at
 //! construction and enter below the guards.
@@ -76,7 +89,15 @@
 //!    `fn(a, b, row0, rows, k, n)` that computes output rows
 //!    `row0..row0 + rows.len()/n`, accumulating into `rows`. The dispatch
 //!    layer owns threading ([`row_partitioned`] hands each worker a chunk)
-//!    — your kernel must be a pure function of its input rows.
+//!    — your kernel must be a pure function of its input rows. An `nn`
+//!    kernel also takes a `b_row: impl Fn(usize) -> usize` and must find
+//!    row `t` of `B` **only** through it: `n` contiguous floats from
+//!    `b[b_row(t)]`, nothing assumed about where row `t + 1` is (it may
+//!    overlap row `t`, or precede it). The entry has already checked that
+//!    each row ends inside `b`; the kernel reads no float past
+//!    `b_row(t) + n`.
+//!    Copying a row's tail into a scratch panel is fine — packing never
+//!    changes bits.
 //! 2. **State its numerics.** Either reproduce the scalar reference's
 //!    per-element float sequence exactly (load-accumulate-store register
 //!    tiles, ascending k, no FMA contraction — see `vector::tile`), in
@@ -117,6 +138,12 @@ const K_BLOCK: usize = 128;
 /// Minimum number of multiply–accumulates (`m * k * n`) before a kernel
 /// forks; below this the spawn cost of scoped threads outweighs the work.
 pub const PAR_MIN_MACS: usize = 1 << 20;
+
+/// Columns in one register tile of the vectorized `nn`/`tn` kernel: there a
+/// product `n` columns wide costs what `n.next_multiple_of(NN_TILE_COLUMNS)`
+/// columns cost, which a caller choosing between one wide product and many
+/// narrow ones (the convolution selector in `fedzkt-autograd`) has to count.
+pub const NN_TILE_COLUMNS: usize = 16;
 
 /// Name of the f32 backend the dispatch layer selects on this host
 /// (`"avx2"` or `"scalar"`), for benchmark metadata and diagnostics.
@@ -174,6 +201,15 @@ fn shape_panic(
     panic!("{kernel}: {operand}.len() = {got}, expected {want} for (m={m}, k={k}, n={n})");
 }
 
+#[cold]
+#[inline(never)]
+fn row_range_panic(t: usize, start: usize, b_len: usize, m: usize, k: usize, n: usize) -> ! {
+    panic!(
+        "gemm_nn_rows: b_rows[{t}] = {start} puts row {t} at b[{start}..{start} + {n}], \
+         b.len() = {b_len} for (m={m}, k={k}, n={n})"
+    );
+}
+
 /// `out += A × B` with `A: [m, k]`, `B: [k, n]`, `out: [m, n]`, all dense
 /// row-major, in `f32`.
 ///
@@ -217,13 +253,52 @@ pub(crate) fn gemm_nn_unchecked(
             #[cfg(target_arch = "x86_64")]
             if vector::available() {
                 // SAFETY: gated on runtime AVX2 detection.
-                unsafe { vector::nn_chunk_avx2(a, b, row0, rows, k, n) };
+                unsafe { vector::nn_chunk_avx2(a, b, |t| t * n, row0, rows, k, n) };
                 return;
             }
-            scalar::nn_chunk(a, b, row0, rows, k, n);
+            scalar::nn_chunk(a, b, |t| t * n, row0, rows, k, n);
         }),
         ComputeFormat::Int8 => int8::gemm_nn(a, b, out, m, k, n),
     }
+}
+
+/// [`gemm_nn`] over a `B` whose rows lie wherever `b_rows` says: row `t` is
+/// `b[b_rows[t]..][..n]`. Rows may overlap and come in any order — a
+/// stride-1 convolution reads its column matrix straight out of the padded
+/// input this way, one table entry per `(c, kh, kw)`, without building it.
+/// `b_rows[t] = t · n` is [`gemm_nn`] exactly: same kernels, same float
+/// sequence per output element, same threading.
+///
+/// # Panics
+/// In every build profile, if `a` or `out` disagrees with `(m, k, n)`, if
+/// `b_rows` does not hold exactly `k` entries, or if any row would run past
+/// the end of `b` — the message names the operand and the problem size.
+pub fn gemm_nn_rows(
+    a: &[f32],
+    b: &[f32],
+    b_rows: &[usize],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    check_len("gemm_nn_rows", "a", a.len(), m * k, m, k, n);
+    check_len("gemm_nn_rows", "b_rows", b_rows.len(), k, m, k, n);
+    check_len("gemm_nn_rows", "out", out.len(), m * n, m, k, n);
+    for (t, &start) in b_rows.iter().enumerate() {
+        if start.checked_add(n).is_none_or(|end| end > b.len()) {
+            row_range_panic(t, start, b.len(), m, k, n);
+        }
+    }
+    row_partitioned(out, m, k, n, |row0, rows| {
+        #[cfg(target_arch = "x86_64")]
+        if vector::available() {
+            // SAFETY: gated on runtime AVX2 detection.
+            unsafe { vector::nn_chunk_avx2(a, b, |t| b_rows[t], row0, rows, k, n) };
+            return;
+        }
+        scalar::nn_chunk(a, b, |t| b_rows[t], row0, rows, k, n);
+    });
 }
 
 /// `out += A × Bᵀ` with `A: [m, k]`, `B: [n, k]`, `out: [m, n]`, in `f32`.
@@ -462,6 +537,34 @@ mod tests {
             scalar::gemm_tn(&at, &b, &mut reference, k, m, n);
             for (x, y) in fast.iter().zip(&reference) {
                 assert_eq!(x.to_bits(), y.to_bits(), "tn ({m},{k},{n})");
+            }
+        }
+    }
+
+    /// The offset-row entry against [`gemm_nn`] on a gathered copy of `B`,
+    /// bitwise, with rows that overlap and come out of order (what a
+    /// convolution reading its padded input produces) — and the scalar
+    /// kernel against the dispatched one through the same table.
+    #[test]
+    fn nn_rows_bit_identical_to_nn_on_the_gathered_rows() {
+        for &(m, k, n) in SHAPES {
+            let a = rand_vec(m * k, 31);
+            // Rows start every 3 floats, last first: neighbours share n - 3.
+            let arena = rand_vec(3 * k + n, 32);
+            let starts: Vec<usize> = (0..k).rev().map(|t| 3 * t).collect();
+            let gathered: Vec<f32> =
+                starts.iter().flat_map(|&s| arena[s..s + n].iter().copied()).collect();
+            let mut by_table = vec![0.25f32; m * n];
+            let mut by_copy = vec![0.25f32; m * n];
+            let mut scalar_by_table = vec![0.25f32; m * n];
+            gemm_nn_rows(&a, &arena, &starts, &mut by_table, m, k, n);
+            gemm_nn(&a, &gathered, &mut by_copy, m, k, n);
+            if m * n > 0 {
+                scalar::nn_chunk(&a, &arena, |t| starts[t], 0, &mut scalar_by_table, k, n);
+            }
+            for ((x, y), z) in by_table.iter().zip(&by_copy).zip(&scalar_by_table) {
+                assert_eq!(x.to_bits(), y.to_bits(), "table vs copy ({m},{k},{n})");
+                assert_eq!(x.to_bits(), z.to_bits(), "dispatched vs scalar ({m},{k},{n})");
             }
         }
     }

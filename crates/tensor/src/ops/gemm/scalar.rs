@@ -19,7 +19,7 @@ pub fn gemm_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    row_partitioned(out, m, k, n, |row0, rows| nn_chunk(a, b, row0, rows, k, n));
+    row_partitioned(out, m, k, n, |row0, rows| nn_chunk(a, b, |t| t * n, row0, rows, k, n));
 }
 
 /// `out += A × Bᵀ` on the scalar path; see [`super::gemm_nt`].
@@ -39,7 +39,15 @@ pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usi
 }
 
 /// One worker's share of `gemm_nn`: rows `row0..` of the output.
-pub(super) fn nn_chunk(a: &[f32], b: &[f32], row0: usize, rows: &mut [f32], k: usize, n: usize) {
+pub(super) fn nn_chunk(
+    a: &[f32],
+    b: &[f32],
+    b_row: impl Fn(usize) -> usize,
+    row0: usize,
+    rows: &mut [f32],
+    k: usize,
+    n: usize,
+) {
     // i–k–j with K panels: the B panel is reused across every row of
     // the worker's chunk; out[i][j] accumulates k in ascending order.
     for k0 in (0..k).step_by(K_BLOCK) {
@@ -48,7 +56,7 @@ pub(super) fn nn_chunk(a: &[f32], b: &[f32], row0: usize, rows: &mut [f32], k: u
             let ar = &a[(row0 + i) * k..(row0 + i + 1) * k];
             for t in k0..k1 {
                 let av = ar[t];
-                let br = &b[t * n..(t + 1) * n];
+                let br = &b[b_row(t)..][..n];
                 for (o, &bv) in or.iter_mut().zip(br) {
                     *o += av * bv;
                 }

@@ -21,6 +21,10 @@
 //! multiply-add, k ascending, panel by panel. Lane tiling spans the N
 //! dimension only, so vector width never changes the per-element order,
 //! and the test suite asserts bit-identity against the scalar kernels.
+//! The `n mod NR` columns past the last whole tile take the same register
+//! tile over a zero-extended copy of their B panel (a conv's per-sample
+//! product is a few tiles wide, so a scalar edge would be a third of it);
+//! the padding lanes are computed and never stored.
 //!
 //! ## The `nt` reduction tree
 //!
@@ -48,7 +52,8 @@ const MR: usize = 4;
 
 /// Microkernel tile columns: two LANES-wide vectors per row, so the
 /// `MR × NR` accumulator block fills 8 of the 16 ymm registers.
-const NR: usize = 2 * LANES;
+const NR: usize = super::NN_TILE_COLUMNS;
+const _: () = assert!(NR == 2 * LANES);
 
 /// Partial accumulators in the vectorized `nt` dot (4 × LANES).
 const NT_ACCS: usize = 32;
@@ -64,15 +69,16 @@ pub fn available() -> bool {
 /// # Safety
 /// The caller must ensure AVX2 is available ([`available`] returned true).
 #[target_feature(enable = "avx2")]
-pub unsafe fn nn_chunk_avx2(
+pub(super) unsafe fn nn_chunk_avx2(
     a: &[f32],
     b: &[f32],
+    b_row: impl Fn(usize) -> usize,
     row0: usize,
     rows: &mut [f32],
     k: usize,
     n: usize,
 ) {
-    blocked_chunk(APanel::RowMajor { a, k }, b, row0, rows, k, n);
+    blocked_chunk(APanel::RowMajor { a, k }, b, b_row, row0, rows, k, n);
 }
 
 /// AVX2 entry for one worker's rows of `gemm_tn` (`A` stored `[k, m]`).
@@ -89,7 +95,7 @@ pub unsafe fn tn_chunk_avx2(
     n: usize,
     m: usize,
 ) {
-    blocked_chunk(APanel::ColMajor { a, m }, b, row0, rows, k, n);
+    blocked_chunk(APanel::ColMajor { a, m }, b, move |t| t * n, row0, rows, k, n);
 }
 
 /// AVX2 entry for one worker's rows of `gemm_nt` (`B` stored `[n, k]`).
@@ -140,16 +146,36 @@ impl APanel<'_> {
 }
 
 /// Shared body of the `nn`/`tn` vectorized chunk kernels: K panels, MR-row
-/// groups with a packed A panel, NR-column register tiles, scalar
-/// remainders that replay the reference kernel's loop order exactly.
+/// groups with a packed A panel, NR-column register tiles (the last one
+/// over a zero-extended edge panel), and a scalar row remainder that replays
+/// the reference kernel's loop order exactly. Row `t` of `B` is the `n`
+/// floats from `b[b_row(t)]`.
 #[inline(always)]
-fn blocked_chunk(a: APanel<'_>, b: &[f32], row0: usize, rows: &mut [f32], k: usize, n: usize) {
+fn blocked_chunk(
+    a: APanel<'_>,
+    b: &[f32],
+    b_row: impl Fn(usize) -> usize,
+    row0: usize,
+    rows: &mut [f32],
+    k: usize,
+    n: usize,
+) {
     let chunk_rows = rows.len().checked_div(n).unwrap_or(0);
     let n_main = n - n % NR;
     let mut pack = [0.0f32; MR * K_BLOCK];
+    // The last `n % NR` columns of the B panel, zero-extended to a full
+    // tile's width so they take the register tile like every other column;
+    // zero-filled only for a chunk that has both such columns and a tile row.
+    let mut edge =
+        if n_main < n && chunk_rows >= MR { Some([0.0f32; K_BLOCK * NR]) } else { None };
     for k0 in (0..k).step_by(K_BLOCK) {
         let k1 = (k0 + K_BLOCK).min(k);
         let kl = k1 - k0;
+        if let Some(edge) = &mut edge {
+            for (t, dst) in edge.chunks_exact_mut(NR).take(kl).enumerate() {
+                dst[..n - n_main].copy_from_slice(&b[b_row(k0 + t)..][n_main..n]);
+            }
+        }
         let mut i0 = 0;
         while i0 + MR <= chunk_rows {
             for r in 0..MR {
@@ -157,21 +183,15 @@ fn blocked_chunk(a: APanel<'_>, b: &[f32], row0: usize, rows: &mut [f32], k: usi
             }
             let mut j0 = 0;
             while j0 + NR <= n {
-                tile(&pack, kl, b, k0, n, rows, i0, j0);
+                let b_at = |t: usize| b[b_row(k0 + t) + j0..].first_chunk::<NR>().unwrap();
+                tile(&pack, kl, b_at, n, rows, i0, j0, NR);
                 j0 += NR;
             }
-            if n_main < n {
-                // Column remainder: scalar per row, ascending k — the same
-                // per-element sequence as the reference kernel.
-                for r in 0..MR {
-                    let or = &mut rows[(i0 + r) * n + n_main..(i0 + r + 1) * n];
-                    for (t, &av) in pack[r * kl..(r + 1) * kl].iter().enumerate() {
-                        let br = &b[(k0 + t) * n + n_main..(k0 + t) * n + n];
-                        for (o, &bv) in or.iter_mut().zip(br) {
-                            *o += av * bv;
-                        }
-                    }
-                }
+            if let Some(edge) = &edge {
+                // The padding lanes accumulate `a · 0.0` and are never
+                // stored; the real ones follow the reference sequence.
+                let b_at = |t: usize| edge[t * NR..].first_chunk::<NR>().unwrap();
+                tile(&pack, kl, b_at, n, rows, i0, n_main, n - n_main);
             }
             i0 += MR;
         }
@@ -180,7 +200,7 @@ fn blocked_chunk(a: APanel<'_>, b: &[f32], row0: usize, rows: &mut [f32], k: usi
             a.pack_row(row0 + i, k0, kl, &mut pack[..kl]);
             let or = &mut rows[i * n..(i + 1) * n];
             for (t, &av) in pack[..kl].iter().enumerate() {
-                let br = &b[(k0 + t) * n..(k0 + t + 1) * n];
+                let br = &b[b_row(k0 + t)..][..n];
                 for (o, &bv) in or.iter_mut().zip(br) {
                     *o += av * bv;
                 }
@@ -189,28 +209,30 @@ fn blocked_chunk(a: APanel<'_>, b: &[f32], row0: usize, rows: &mut [f32], k: usi
     }
 }
 
-/// One `MR × NR` register tile: load the output tile into accumulators,
-/// add the K panel's products in ascending-k order, store the tile back.
-/// Loading `out` first (rather than summing into fresh zeros) keeps the
-/// per-element rounding sequence identical to the scalar reference.
+/// One `MR × NR` register tile over output columns `j0..j0 + width`
+/// (`width ≤ NR`; `b_at(t)` is row `t` of the matching B columns): load the
+/// output tile into accumulators, add the K panel's products in ascending-k
+/// order, store the tile back. Loading `out` first (rather than summing into
+/// fresh zeros) keeps the per-element rounding sequence identical to the
+/// scalar reference.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile(
+fn tile<'b>(
     pack: &[f32],
     kl: usize,
-    b: &[f32],
-    k0: usize,
+    b_at: impl Fn(usize) -> &'b [f32; NR],
     n: usize,
     rows: &mut [f32],
     i0: usize,
     j0: usize,
+    width: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&rows[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR]);
+        accr[..width].copy_from_slice(&rows[(i0 + r) * n + j0..][..width]);
     }
     for t in 0..kl {
-        let br: &[f32; NR] = b[(k0 + t) * n + j0..].first_chunk::<NR>().unwrap();
+        let br = b_at(t);
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = pack[r * kl + t];
             for (x, &y) in accr.iter_mut().zip(br.iter()) {
@@ -219,7 +241,7 @@ fn tile(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        rows[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR].copy_from_slice(accr);
+        rows[(i0 + r) * n + j0..][..width].copy_from_slice(&accr[..width]);
     }
 }
 

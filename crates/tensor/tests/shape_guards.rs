@@ -114,6 +114,47 @@ fn gemm_tn_rejects_mis_sized_operands() {
 }
 
 #[test]
+fn gemm_nn_rows_rejects_a_short_table_and_a_row_past_the_end() {
+    // B's rows are wherever the table says, so the table is an operand like
+    // any other: one entry short, or one row reaching past `b`, must panic
+    // at the entry — not index out of range somewhere inside a tile.
+    let a = vec![0.0f32; 2 * 3];
+    let b = vec![0.0f32; 10];
+
+    let msg = panic_message(AssertUnwindSafe(|| {
+        let mut out = vec![0.0f32; 2 * 4];
+        gemm::gemm_nn_rows(&a, &b, &[0, 1], &mut out, 2, 3, 4);
+    }));
+    assert!(msg.contains("gemm_nn_rows") && msg.contains("b_rows.len() = 2"), "{msg}");
+    assert!(msg.contains("expected 3") && msg.contains("(m=2, k=3, n=4)"), "{msg}");
+
+    // 7 + 4 > 10; the rows before it are fine and overlap each other.
+    let msg = panic_message(AssertUnwindSafe(|| {
+        let mut out = vec![0.0f32; 2 * 4];
+        gemm::gemm_nn_rows(&a, &b, &[0, 1, 7], &mut out, 2, 3, 4);
+    }));
+    assert!(msg.contains("gemm_nn_rows") && msg.contains("b_rows[2] = 7"), "{msg}");
+    assert!(msg.contains("b.len() = 10") && msg.contains("(m=2, k=3, n=4)"), "{msg}");
+
+    // An offset near usize::MAX must not wrap past the check.
+    let msg = panic_message(AssertUnwindSafe(|| {
+        let mut out = vec![0.0f32; 2 * 4];
+        gemm::gemm_nn_rows(&a, &b, &[0, usize::MAX - 1, 2], &mut out, 2, 3, 4);
+    }));
+    assert!(msg.contains("b_rows[1]"), "{msg}");
+
+    let msg = panic_message(AssertUnwindSafe(|| {
+        let mut out = vec![0.0f32; 2 * 4 - 1];
+        gemm::gemm_nn_rows(&a, &b, &[0, 1, 6], &mut out, 2, 3, 4);
+    }));
+    assert!(msg.contains("gemm_nn_rows") && msg.contains("out.len() = 7"), "{msg}");
+
+    // The last row may end exactly at the end of `b`.
+    let mut out = vec![0.0f32; 2 * 4];
+    gemm::gemm_nn_rows(&a, &b, &[0, 1, 6], &mut out, 2, 3, 4);
+}
+
+#[test]
 fn guards_fire_for_both_compute_formats() {
     use fedzkt_tensor::ComputeFormat;
     // The check sits above the format dispatch, so int8 is guarded too.
