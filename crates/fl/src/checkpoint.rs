@@ -36,6 +36,7 @@
 
 use crate::{json, RunLog};
 use fedzkt_nn::{decode_state_dict, encode_state_dict, StateDict};
+use std::fmt::Write;
 use std::path::Path;
 
 /// The `format` tag every checkpoint file carries.
@@ -142,14 +143,14 @@ pub struct SimCheckpoint {
     pub log: RunLog,
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
+/// Append `bytes` to `out` as lowercase hex.
+fn hex_encode(out: &mut String, bytes: &[u8]) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
+    out.reserve(bytes.len() * 2);
     for &b in bytes {
         out.push(HEX[(b >> 4) as usize] as char);
         out.push(HEX[(b & 0xF) as usize] as char);
     }
-    out
 }
 
 fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
@@ -170,38 +171,46 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 impl SimCheckpoint {
     /// Render the checkpoint as one JSON document.
     pub fn to_json(&self) -> String {
-        let clock = match self.clock_now {
-            Some(t) if t.is_finite() => format!("{t}"),
-            _ => "null".into(),
-        };
-        let blobs: Vec<String> = self
-            .algo
-            .blobs
-            .iter()
-            .map(|(n, b)| format!("[\"{}\",\"{}\"]", json::escape(n), hex_encode(b)))
-            .collect();
-        let words: Vec<String> = self
-            .algo
-            .words
-            .iter()
-            .map(|(n, w)| {
-                let ws: Vec<String> = w.iter().map(u64::to_string).collect();
-                format!("[\"{}\",[{}]]", json::escape(n), ws.join(","))
-            })
-            .collect();
-        format!(
+        let mut out = String::new();
+        let _ = write!(
+            out,
             "{{\"format\":\"{CHECKPOINT_FORMAT}\",\"version\":{},\"seed\":{},\
-             \"devices\":{},\"rounds_done\":{},\"clock_now\":{},\
-             \"algo\":{{\"blobs\":[{}],\"words\":[{}]}},\"log\":{}}}",
-            self.version,
-            self.seed,
-            self.devices,
-            self.rounds_done,
-            clock,
-            blobs.join(","),
-            words.join(","),
-            self.log.to_json(),
-        )
+             \"devices\":{},\"rounds_done\":{},\"clock_now\":",
+            self.version, self.seed, self.devices, self.rounds_done,
+        );
+        match self.clock_now {
+            Some(t) if t.is_finite() => {
+                let _ = write!(out, "{t}");
+            }
+            _ => out.push_str("null"),
+        }
+        out.push_str(",\"algo\":{\"blobs\":[");
+        for (i, (name, bytes)) in self.algo.blobs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "[\"{}\",\"", json::escape(name));
+            hex_encode(&mut out, bytes);
+            out.push_str("\"]");
+        }
+        out.push_str("],\"words\":[");
+        for (i, (name, words)) in self.algo.words.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "[\"{}\",[", json::escape(name));
+            for (j, w) in words.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{w}");
+            }
+            out.push_str("]]");
+        }
+        out.push_str("]},\"log\":");
+        self.log.write_json(&mut out);
+        out.push('}');
+        out
     }
 
     /// Parse a checkpoint written by [`SimCheckpoint::to_json`].
@@ -357,6 +366,49 @@ mod tests {
         assert_eq!(back.algo.words("rng").unwrap(), &[u64::MAX, 0, 7, 42]);
     }
 
+    /// The exact bytes of the envelope around the log (whose own bytes
+    /// `metrics` pins): the text the writer of every committed
+    /// checkpoint produced.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut algo = AlgoState::new();
+        algo.put_blob("raw \"quoted\"", vec![0, 1, 254, 255]);
+        algo.put_blob("device_7", vec![0xab]);
+        algo.put_words("rng", vec![u64::MAX, 0, 7, 42]);
+        algo.put_words("empty", vec![]);
+        let ck = SimCheckpoint { algo, ..sample() };
+        assert_eq!(
+            ck.to_json(),
+            concat!(
+                "{\"format\":\"fedzkt-checkpoint\",\"version\":1,\"seed\":9,\"devices\":3,",
+                "\"rounds_done\":1,\"clock_now\":12.25,\"algo\":{\"blobs\":",
+                "[[\"raw \\\"quoted\\\"\",\"0001feff\"],[\"device_7\",\"ab\"]],",
+                "\"words\":[[\"rng\",[18446744073709551615,0,7,42]],[\"empty\",[]]]},",
+                "\"log\":{\"rounds\":[{\"round\":1,\"avg_device_accuracy\":0.5,",
+                "\"device_accuracy\":[0.5],\"global_accuracy\":null,\"train_loss\":0,",
+                "\"upload_bytes\":0,\"download_bytes\":0,\"sim_seconds\":12.25,",
+                "\"active_devices\":[],\"registered_devices\":0,\"peak_resident_devices\":0,",
+                "\"available_devices\":0,\"dropped_devices\":0}]}}",
+            )
+        );
+        let bare = SimCheckpoint {
+            seed: u64::MAX,
+            devices: 1,
+            rounds_done: 0,
+            clock_now: Some(f64::NAN),
+            algo: AlgoState::new(),
+            log: RunLog::new(),
+            ..sample()
+        };
+        let expected = concat!(
+            "{\"format\":\"fedzkt-checkpoint\",\"version\":1,\"seed\":18446744073709551615,",
+            "\"devices\":1,\"rounds_done\":0,\"clock_now\":null,",
+            "\"algo\":{\"blobs\":[],\"words\":[]},\"log\":{\"rounds\":[]}}",
+        );
+        assert_eq!(bare.to_json(), expected);
+        assert_eq!(SimCheckpoint { clock_now: None, ..bare }.to_json(), expected);
+    }
+
     #[test]
     fn file_save_is_atomic_and_loads_back() {
         let dir = std::env::temp_dir().join("fedzkt_sim_ckpt_test");
@@ -393,7 +445,9 @@ mod tests {
 
     #[test]
     fn hex_is_strict() {
-        assert_eq!(hex_decode(&hex_encode(&[0xde, 0xad, 0x00])).unwrap(), vec![0xde, 0xad, 0x00]);
+        let mut hex = String::new();
+        hex_encode(&mut hex, &[0xde, 0xad, 0x00]);
+        assert_eq!(hex_decode(&hex).unwrap(), vec![0xde, 0xad, 0x00]);
         assert!(hex_decode("abc").is_err(), "odd length");
         assert!(hex_decode("zz").is_err(), "bad digit");
         assert!(hex_decode("AB").is_err(), "uppercase is not emitted, so not accepted");

@@ -6,9 +6,11 @@
 //! population of which a small fraction is sampled each round. The fleet
 //! therefore has exactly one lifecycle, shared by all algorithms:
 //!
-//! * **data** — a [`ShardStore`] keeps the training set once plus each
-//!   device's index set, and [`stage`](ShardStore::stage)s (slices) only
-//!   the shards a dispatch is about to train on;
+//! * **data** — a [`ShardStore`] keeps the training set once plus one
+//!   flat index (every device's index set concatenated in device order,
+//!   with per-device end offsets: two allocations however many devices),
+//!   and [`stage`](ShardStore::stage)s (slices) only the shards a
+//!   dispatch is about to train on;
 //! * **models** — a [`DeviceFleet`] keeps each device as its `ModelSpec`
 //!   and, in the [`DeviceRegistry`], a state summary. A device is
 //!   materialized ([`ensure_resident`](DeviceFleet::ensure_resident))
@@ -47,10 +49,15 @@ use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
 
 /// Per-device private data: the training set held once, plus every
-/// device's index set into it.
+/// device's index set into it, stored flat — all index sets concatenated
+/// in device order, and where each one ends — so a million one-sample
+/// shards are two allocations, not a million.
 pub struct ShardStore {
     train: Dataset,
-    index: Vec<Vec<usize>>,
+    /// Every device's index set, concatenated in device order.
+    index: Vec<usize>,
+    /// `ends[k]` is one past device `k`'s last entry in `index`.
+    ends: Vec<usize>,
 }
 
 impl ShardStore {
@@ -60,22 +67,35 @@ impl ShardStore {
     /// Panics when `shards` is empty.
     pub fn new(train: &Dataset, shards: &[Vec<usize>]) -> Self {
         assert!(!shards.is_empty(), "need at least one device");
-        ShardStore { train: train.clone(), index: shards.to_vec() }
+        let ends = shards
+            .iter()
+            .scan(0, |end, shard| {
+                *end += shard.len();
+                Some(*end)
+            })
+            .collect();
+        ShardStore { train: train.clone(), index: shards.concat(), ends }
     }
 
     /// Number of devices.
     pub fn devices(&self) -> usize {
-        self.index.len()
+        self.ends.len()
+    }
+
+    /// Device `k`'s index set.
+    fn indices(&self, k: usize) -> &[usize] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.index[start..self.ends[k]]
     }
 
     /// Number of samples device `k` holds.
     pub fn shard_len(&self, k: usize) -> usize {
-        self.index[k].len()
+        self.indices(k).len()
     }
 
     /// Slice device `k`'s shard out of the training set.
     pub fn shard(&self, k: usize) -> Dataset {
-        self.train.subset(&self.index[k])
+        self.train.subset(self.indices(k))
     }
 
     /// Slice the shards of `ids`, in `ids` order, for one dispatch.
@@ -251,8 +271,33 @@ impl<M: Module> DeviceFleet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedzkt_tensor::split_seed;
+    use fedzkt_tensor::{split_seed, Tensor};
     use proptest::prelude::*;
+
+    /// The flat index hands out exactly the shards it was given: an empty
+    /// shard, overlapping and unsorted index sets, and the first and last
+    /// device included.
+    #[test]
+    fn flat_index_slices_every_shard() {
+        let images: Vec<f32> = (0..10 * 2 * 2).map(|i| i as f32).collect();
+        let labels = (0..10).map(|i| i % 3).collect();
+        let train = Dataset::new(Tensor::from_vec(images, &[10, 1, 2, 2]).unwrap(), labels, 3);
+        let shards = vec![vec![4, 1], vec![], vec![0, 1, 2, 3, 9], vec![9], vec![], vec![7, 7, 5]];
+        let store = ShardStore::new(&train, &shards);
+        assert_eq!(store.devices(), shards.len());
+        for (k, shard) in shards.iter().enumerate() {
+            assert_eq!(store.shard_len(k), shard.len(), "device {k}");
+            assert_eq!(store.shard(k), train.subset(shard), "device {k}");
+        }
+        assert_eq!(store.stage(&[5, 0]), vec![train.subset(&shards[5]), train.subset(&shards[0])]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn flat_index_rejects_out_of_range_device() {
+        let train = Dataset::new(Tensor::zeros(&[2, 1, 1, 1]), vec![0, 1], 2);
+        ShardStore::new(&train, &[vec![0], vec![1]]).shard_len(2);
+    }
 
     fn fleet(devices: usize) -> DeviceFleet<Box<dyn Module>> {
         let zoo = ModelSpec::assign_round_robin(

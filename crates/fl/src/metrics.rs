@@ -2,6 +2,7 @@
 
 use crate::json;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Metrics recorded after one communication round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,43 +113,68 @@ impl RunLog {
     /// have no JSON literal; they are emitted as `null` — still valid
     /// JSON — and parse back as NaN.
     pub fn to_json(&self) -> String {
-        fn f32j(v: f32) -> String {
-            if v.is_finite() { format!("{v}") } else { "null".into() }
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append [`RunLog::to_json`]'s document to `out`, every value written
+    /// in place — the embedding simulation checkpoints use.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        fn float<T: Copy + std::fmt::Display + Into<f64>>(out: &mut String, v: T) {
+            if v.into().is_finite() {
+                let _ = write!(out, "{v}");
+            } else {
+                out.push_str("null");
+            }
         }
-        fn f64j(v: f64) -> String {
-            if v.is_finite() { format!("{v}") } else { "null".into() }
+        fn list<T: Copy>(out: &mut String, items: &[T], write: impl Fn(&mut String, T)) {
+            out.push('[');
+            for (i, &item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write(out, item);
+            }
+            out.push(']');
         }
-        let mut out = String::from("{\"rounds\":[");
+        out.push_str("{\"rounds\":[");
         for (i, r) in self.rounds.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let device_accuracy: Vec<String> =
-                r.device_accuracy.iter().copied().map(f32j).collect();
-            let active: Vec<String> = r.active_devices.iter().map(|d| d.to_string()).collect();
-            out.push_str(&format!(
-                "{{\"round\":{},\"avg_device_accuracy\":{},\"device_accuracy\":[{}],\
-                 \"global_accuracy\":{},\"train_loss\":{},\"upload_bytes\":{},\
-                 \"download_bytes\":{},\"sim_seconds\":{},\"active_devices\":[{}],\
-                 \"registered_devices\":{},\"peak_resident_devices\":{},\
+            let _ = write!(out, "{{\"round\":{},\"avg_device_accuracy\":", r.round);
+            float(out, r.avg_device_accuracy);
+            out.push_str(",\"device_accuracy\":");
+            list(out, &r.device_accuracy, float);
+            out.push_str(",\"global_accuracy\":");
+            match r.global_accuracy {
+                Some(g) => float(out, g),
+                None => out.push_str("null"),
+            }
+            out.push_str(",\"train_loss\":");
+            float(out, r.train_loss);
+            let _ = write!(
+                out,
+                ",\"upload_bytes\":{},\"download_bytes\":{},\"sim_seconds\":",
+                r.upload_bytes, r.download_bytes
+            );
+            float(out, r.sim_seconds);
+            out.push_str(",\"active_devices\":");
+            list(out, &r.active_devices, |out, d| {
+                let _ = write!(out, "{d}");
+            });
+            let _ = write!(
+                out,
+                ",\"registered_devices\":{},\"peak_resident_devices\":{},\
                  \"available_devices\":{},\"dropped_devices\":{}}}",
-                r.round,
-                f32j(r.avg_device_accuracy),
-                device_accuracy.join(","),
-                r.global_accuracy.map(f32j).unwrap_or_else(|| "null".into()),
-                f32j(r.train_loss),
-                r.upload_bytes,
-                r.download_bytes,
-                f64j(r.sim_seconds),
-                active.join(","),
                 r.registered_devices,
                 r.peak_resident_devices,
                 r.available_devices,
                 r.dropped_devices,
-            ));
+            );
         }
         out.push_str("]}");
-        out
     }
 
     /// Parse a log emitted by [`RunLog::to_json`].
@@ -375,6 +401,75 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    /// The exact bytes, not just a parseable document: the round trip
+    /// above would still pass if the writer changed float spelling,
+    /// separators or key order. The expected text is the output of the
+    /// writer that produced every committed RunLog.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut log = RunLog::new();
+        assert_eq!(log.to_json(), "{\"rounds\":[]}");
+        log.push(RoundMetrics {
+            round: 1,
+            avg_device_accuracy: 0.123_456_79,
+            device_accuracy: vec![0.1, f32::NAN, f32::INFINITY, 0.070_123_45, -0.0, 1.0, 3.0e-9],
+            global_accuracy: Some(0.998),
+            train_loss: f32::NEG_INFINITY,
+            upload_bytes: u64::MAX,
+            download_bytes: 0,
+            sim_seconds: 1_234.567_890_123,
+            active_devices: vec![0, 2, 999_999],
+            registered_devices: 1_000_000,
+            peak_resident_devices: 1_024,
+            available_devices: 250_000,
+            dropped_devices: 3,
+        });
+        log.push(RoundMetrics {
+            avg_device_accuracy: f32::NAN,
+            train_loss: 2.5,
+            upload_bytes: 17,
+            download_bytes: u64::MAX,
+            sim_seconds: 1e-7,
+            ..RoundMetrics::new(2)
+        });
+        log.push(RoundMetrics {
+            avg_device_accuracy: 0.5,
+            device_accuracy: vec![0.25],
+            global_accuracy: Some(f32::NAN),
+            sim_seconds: f64::INFINITY,
+            active_devices: vec![4],
+            ..RoundMetrics::new(3)
+        });
+        log.push(RoundMetrics { sim_seconds: 1.5e21, ..RoundMetrics::new(4) });
+        let expected = concat!(
+            "{\"rounds\":[",
+            "{\"round\":1,\"avg_device_accuracy\":0.12345679,",
+            "\"device_accuracy\":[0.1,null,null,0.07012345,-0,1,0.000000003],",
+            "\"global_accuracy\":0.998,\"train_loss\":null,",
+            "\"upload_bytes\":18446744073709551615,\"download_bytes\":0,",
+            "\"sim_seconds\":1234.567890123,\"active_devices\":[0,2,999999],",
+            "\"registered_devices\":1000000,\"peak_resident_devices\":1024,",
+            "\"available_devices\":250000,\"dropped_devices\":3},",
+            "{\"round\":2,\"avg_device_accuracy\":null,\"device_accuracy\":[],",
+            "\"global_accuracy\":null,\"train_loss\":2.5,\"upload_bytes\":17,",
+            "\"download_bytes\":18446744073709551615,\"sim_seconds\":0.0000001,",
+            "\"active_devices\":[],\"registered_devices\":0,\"peak_resident_devices\":0,",
+            "\"available_devices\":0,\"dropped_devices\":0},",
+            "{\"round\":3,\"avg_device_accuracy\":0.5,\"device_accuracy\":[0.25],",
+            "\"global_accuracy\":null,\"train_loss\":0,\"upload_bytes\":0,",
+            "\"download_bytes\":0,\"sim_seconds\":null,\"active_devices\":[4],",
+            "\"registered_devices\":0,\"peak_resident_devices\":0,",
+            "\"available_devices\":0,\"dropped_devices\":0},",
+            "{\"round\":4,\"avg_device_accuracy\":0,\"device_accuracy\":[],",
+            "\"global_accuracy\":null,\"train_loss\":0,\"upload_bytes\":0,",
+            "\"download_bytes\":0,\"sim_seconds\":1500000000000000000000,",
+            "\"active_devices\":[],\"registered_devices\":0,\"peak_resident_devices\":0,",
+            "\"available_devices\":0,\"dropped_devices\":0}",
+            "]}",
+        );
+        assert_eq!(log.to_json(), expected);
     }
 
     #[test]

@@ -7,9 +7,16 @@ use fedzkt_fl::{
 };
 use proptest::prelude::*;
 
+/// Duty periods at the edges of the availability scan's phase draw (22
+/// hash bits): one that a quarter of the draws exceed, the smallest that
+/// none does, one past `i32::MAX` and one past `u32::MAX`.
+const WIDE_PERIODS: [usize; 4] = [3 << 20, 1 << 22, (1 << 31) + 7, (1 << 40) + 3];
+
 /// Arbitrary *valid* churn specs: every field ranges over its legal
 /// domain, with a flags word forcing the degenerate branches (no
-/// departures, no dropout, steady links) back in so they stay covered.
+/// departures, no dropout, steady links) back in so they stay covered,
+/// and one flag swapping the short duty period for a [`WIDE_PERIODS`]
+/// entry with an on-window about as wide as the phase draw.
 fn churn_spec() -> impl Strategy<Value = ChurnSpec> {
     (
         0u64..1000,
@@ -19,16 +26,21 @@ fn churn_spec() -> impl Strategy<Value = ChurnSpec> {
         0usize..8,
         0.0f32..0.95,
         0.05f32..1.0,
-        0usize..8,
+        0usize..16,
     )
-        .prop_map(|(seed, arrival_window, life, duty_period, on, drop, floor, flags)| {
+        .prop_map(|(seed, arrival_window, life, period, on, drop, floor, flags)| {
+            let duty_period = if flags & 8 != 0 { WIDE_PERIODS[period % 4] } else { period };
             ChurnSpec {
                 seed,
                 arrival_window,
                 mean_lifetime: if flags & 1 != 0 { 0.0 } else { life },
                 duty_period,
                 // duty_on must sit in 1..=duty_period when cycling at all.
-                duty_on: if duty_period == 0 { 0 } else { on % duty_period + 1 },
+                duty_on: match duty_period {
+                    0 => 0,
+                    p if flags & 8 != 0 => ((on % 4 + 1) << 20).min(p),
+                    p => on % p + 1,
+                },
                 dropout: if flags & 2 != 0 { 0.0 } else { drop },
                 bandwidth_floor: if flags & 4 != 0 { 1.0 } else { floor },
             }
@@ -91,14 +103,26 @@ proptest! {
     /// every chunk size, walking the fleet a chunk at a time (as a
     /// sharded registry does) yields exactly the monolithic scan. The
     /// registry's internal layout can never leak into which devices
-    /// exist in a round.
+    /// exist in a round. The chunked walk asks `is_available` device by
+    /// device, so this also holds the whole-fleet scan to the per-device
+    /// definition — rounds taken `depth` duty periods deep, counted
+    /// forward from a period's start or `back` from its end, where a
+    /// device's phase wraps.
     #[test]
     fn churn_timeline_is_shard_invariant(
         spec in churn_spec(),
         devices in 1usize..200,
         chunk in 1usize..300,
         round in 0usize..30,
+        depth in 0usize..4,
+        back in 0u8..2,
     ) {
+        let period = spec.duty_period.max(1);
+        let round = if back == 1 {
+            (depth + 1) * period - 1 - round.min(period - 1)
+        } else {
+            depth * period + round
+        };
         let p = ChurnProcess::new(spec, devices);
         prop_assert_eq!(p.available_chunked(round, chunk), p.available(round));
     }
