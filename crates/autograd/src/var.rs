@@ -46,9 +46,9 @@ pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
 /// input-gradient probe).
 ///
 /// Ops recorded inside the closure treat a **leaf** in a parameter operand
-/// — the `weight` of [`Var::conv2d`] / [`Var::linear`] /
-/// [`Var::linear_typed`], the `bias` of [`Var::add_bias`] /
-/// [`Var::add_channel_bias`], `gamma` and `beta` of the batch-norm ops — as
+/// — the `weight` of [`Var::conv2d`] / [`Var::linear`], the `bias` of
+/// [`Var::add_bias`] / [`Var::add_channel_bias`], `gamma` and `beta` of the
+/// batch-norm ops — as
 /// a constant: its gradient is neither computed (no `dW` GEMM, no dγ/dβ
 /// reduction) nor deposited, so `.grad()` stays `None` and there is nothing
 /// to zero afterwards. Activation operands are untouched: the tape is

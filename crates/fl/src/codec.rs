@@ -51,6 +51,10 @@
 //!   to the minimum (the zero-point). A tensor with no finite element
 //!   quantizes to all zeros.
 //!
+//! Decoding holds the wire to what an encoder can write: a quantizer range
+//! with a non-finite `min` or a non-finite or negative `scale`, and `TopK`
+//! indices that are not strictly ascending, are a [`CodecError`].
+//!
 //! ## Adding a codec
 //!
 //! 1. Add a variant to [`CodecSpec`] with its parameters, a wire id in
@@ -66,7 +70,6 @@
 
 use fedzkt_nn::StateDict;
 use fedzkt_tensor::ops::quant::{quant_range, quantize};
-use fedzkt_tensor::typed::{Rows2D, RowsMut2D};
 use fedzkt_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -333,12 +336,12 @@ fn encode_tensor_quant(data: &[f32], levels: f32, packed: bool, out: &mut Vec<u8
     put_f32(out, min);
     put_f32(out, scale);
     if packed {
-        // The nibble-pair stride is a compile-time fact: walk the largest
-        // exact [_, 2] prefix through a typed view (pair width proven once
-        // at the split, not per iteration), then the odd trailing element
-        // explicitly — same bytes as a `chunks(2)` walk, stated in types.
-        let (pairs, tail) = Rows2D::<2>::split(data);
-        for &[lo, hi] in pairs.iter() {
+        // Two values per byte, low nibble first; an odd trailing element
+        // fills the low nibble of the final byte on its own.
+        let pairs = data.chunks_exact(2);
+        let tail = pairs.remainder();
+        for pair in pairs {
+            let (lo, hi) = (pair[0], pair[1]);
             out.push(quantize(lo, min, scale, levels) | (quantize(hi, min, scale, levels) << 4));
         }
         if let Some(&last) = tail.first() {
@@ -358,20 +361,28 @@ fn decode_tensor_quant(
 ) -> Result<Vec<f32>, CodecError> {
     let min = r.f32()?;
     let scale = r.f32()?;
+    // `quant_range` only ever writes a finite `min` and a finite `scale ≥ 0`;
+    // anything else would decode to a silently NaN/∞ tensor. `min + scale ·
+    // levels` may still overflow, as a legitimate `[-f32::MAX, f32::MAX]`
+    // tensor's range does.
+    if !min.is_finite() || !scale.is_finite() || scale < 0.0 {
+        return Err(CodecError(format!(
+            "quantization range (min {min}, scale {scale}) is invalid"
+        )));
+    }
     // take() validates the length against the actual payload before any
     // n-sized allocation happens.
     if packed {
         let bytes = r.take(n.div_ceil(2))?;
-        // Mirror of the packed encode: unpack nibble pairs through the
-        // typed [_, 2] prefix, then the odd trailing element (low nibble
-        // of the final byte) explicitly.
+        // Mirror of the packed encode: unpack nibble pairs, then the odd
+        // trailing element from the low nibble of the final byte.
         let mut data = vec![0.0f32; n];
-        let (mut pairs, tail) = RowsMut2D::<2>::split(&mut data);
-        for (pair, &b) in pairs.iter_mut().zip(bytes) {
+        let mut pairs = data.chunks_exact_mut(2);
+        for (pair, &b) in pairs.by_ref().zip(bytes) {
             pair[0] = min + scale * (b & 0x0F) as f32;
             pair[1] = min + scale * (b >> 4) as f32;
         }
-        if let (Some(last), Some(&b)) = (tail.first_mut(), bytes.last()) {
+        if let (Some(last), Some(&b)) = (pairs.into_remainder().first_mut(), bytes.last()) {
             *last = min + scale * (b & 0x0F) as f32;
         }
         Ok(data)
@@ -418,12 +429,22 @@ fn decode_tensor_topk(r: &mut Reader, n: usize) -> Result<Vec<f32>, CodecError> 
         return Err(CodecError(format!("top-k count {k} exceeds tensor length {n}")));
     }
     let mut data = vec![0.0f32; n];
+    // The encoder writes unique indices in ascending order; a repeat would
+    // silently overwrite an earlier value.
+    let mut next = 0;
     for _ in 0..k {
         let idx = r.u32()? as usize;
         if idx >= n {
             return Err(CodecError(format!("top-k index {idx} out of range {n}")));
         }
+        if idx < next {
+            return Err(CodecError(format!(
+                "top-k index {idx} after index {}: indices must be strictly ascending",
+                next - 1
+            )));
+        }
         data[idx] = r.f32()?;
+        next = idx + 1;
     }
     Ok(data)
 }
@@ -650,6 +671,49 @@ mod tests {
         huge_shape.extend_from_slice(&(1u32 << 30).to_le_bytes());
         let err = CodecSpec::Raw.decode(&huge_shape).unwrap_err();
         assert!(err.0.contains("elements"), "{err}");
+    }
+
+    /// A two-element `[2]` payload under `codec`: the header, then `body`.
+    fn hand_built(codec: CodecSpec, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_header(&codec, &sd(vec![Tensor::zeros(&[2])]), &mut out);
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_or_negative_quant_ranges() {
+        let bad = [(0.0, f32::NAN), (0.0, f32::INFINITY), (0.0, -1.0), (f32::NAN, 1.0)];
+        // Two Q8 level bytes, or one Q4 byte holding both nibbles.
+        let bodies = [(CodecSpec::QuantQ8, &[7u8, 9][..]), (CodecSpec::QuantQ4, &[0x97])];
+        for (codec, levels) in bodies {
+            for (min, scale) in bad {
+                let mut body = [min.to_le_bytes(), scale.to_le_bytes()].concat();
+                body.extend_from_slice(levels);
+                let err = codec.decode(&hand_built(codec, &body)).unwrap_err();
+                assert!(err.0.contains("range"), "{codec:?} ({min}, {scale}): {err}");
+            }
+        }
+        // The widest legitimate range overflows `min + scale · levels` and
+        // must still decode.
+        let dict = sd(vec![Tensor::from_vec(vec![-f32::MAX, f32::MAX], &[2]).unwrap()]);
+        for codec in [CodecSpec::QuantQ8, CodecSpec::QuantQ4] {
+            assert!(codec.decode(&codec.encode(&dict)).is_ok(), "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_and_descending_topk_indices() {
+        let codec = CodecSpec::TopK { density: 1.0 };
+        for indices in [[0u32, 0], [1, 0]] {
+            let mut body = 2u32.to_le_bytes().to_vec();
+            for idx in indices {
+                body.extend_from_slice(&idx.to_le_bytes());
+                body.extend_from_slice(&1.0f32.to_le_bytes());
+            }
+            let err = codec.decode(&hand_built(codec, &body)).unwrap_err();
+            assert!(err.0.contains("ascending"), "{indices:?}: {err}");
+        }
     }
 
     /// An empty FedGKT bundle — a device with zero local samples ships

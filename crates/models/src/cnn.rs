@@ -222,6 +222,19 @@ mod tests {
         assert_eq!(y.shape(), vec![2, 10]);
     }
 
+    /// The FedGKT zero-sample device: an `n = 0` batch flows through the
+    /// dense stack forward and backward, leaving every gradient zero.
+    #[test]
+    fn mlp_trains_an_empty_batch() {
+        let m = Mlp::new(1, 10, 4, 8, 1);
+        let y = m.forward(&Var::constant(Tensor::zeros(&[0, 1, 4, 4])));
+        assert_eq!(y.shape(), vec![0, 10]);
+        y.sum_all().backward();
+        for p in m.params() {
+            assert!(p.grad().unwrap().data().iter().all(|&g| g == 0.0));
+        }
+    }
+
     #[test]
     fn lenet_depth_and_width_vary_param_count() {
         let shallow_small = LeNet::new(1, 10, 16, 0.5, false, 3);

@@ -41,7 +41,6 @@ mod generator;
 mod mobilenet;
 mod shufflenet;
 mod spec;
-pub mod typed;
 
 pub use cnn::{LeNet, Mlp, SmallCnn};
 pub use generator::{Generator, GeneratorSpec};

@@ -46,7 +46,6 @@ mod error;
 mod layers;
 mod module;
 mod optim;
-pub mod typed;
 
 pub use checkpoint::{decode_state_dict, encode_state_dict, load_state_dict_file, save_state_dict};
 pub use error::NnError;

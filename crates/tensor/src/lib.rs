@@ -35,7 +35,6 @@ pub mod par;
 mod rng;
 mod shape;
 mod tensor;
-pub mod typed;
 
 pub use compute::ComputeFormat;
 pub use error::TensorError;

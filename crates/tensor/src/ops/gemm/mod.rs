@@ -40,10 +40,8 @@
 //! mis-sized prefix or faulting deep inside a kernel. The checks are three
 //! integer compares per call, negligible next to the kernel
 //! ([`gemm_nn_rows`] adds one per table entry: the table must hold exactly
-//! `k` starts and every row must end inside `b`). Fixed-shape
-//! hot loops that want even those compares gone go through
-//! [`crate::typed`], whose const-generic views prove the lengths at
-//! construction and enter below the guards.
+//! `k` starts and every row must end inside `b`). There is no entry below
+//! the guards: every product, whatever its format, passes them.
 //!
 //! ## Determinism
 //!
@@ -114,15 +112,10 @@
 //!    triple loop on remainder-heavy shapes); its throughput is read from
 //!    the `tensor.gemm_*_gflops.*` per-layer metrics of `benchmark/`
 //!    (`BENCHMARK.json`), parent against change.
-//! 5. **Respect the typed shim contract.** The [`crate::typed`] wrappers
-//!    enter through the `*_unchecked` seam *above* the backend selection,
-//!    so a new backend wired in there is automatically reachable from
-//!    both the dynamic and the typed path — never add a kernel entry that
-//!    bypasses `gemm_{nn,nt,tn}_unchecked`, or the two paths (and their
-//!    bit-identity contract, pinned by `typed_matches_dynamic_bitwise` in
-//!    `tests/properties.rs`) can diverge. Shape validation belongs in the
-//!    public entries and the typed constructors only; kernels may assume
-//!    proven lengths.
+//! 5. **Wire it in behind the guards.** Select the backend inside the
+//!    `gemm_*_with` body, after its `check_len` calls, so every caller
+//!    reaches it through the one entry. Shape validation belongs in the
+//!    public entries only; kernels may assume checked lengths.
 
 pub mod int8;
 pub mod scalar;
@@ -169,9 +162,8 @@ pub fn vector_available() -> bool {
 
 /// Always-on entry guard: one compare per operand, with the cold panic
 /// path outlined so the check costs a predictable branch next to an
-/// `O(m·k·n)` kernel. The `typed` layer (`crate::typed`) proves lengths at
-/// view construction and calls the `*_unchecked` seam directly, skipping
-/// even these three compares.
+/// `O(m·k·n)` kernel. Every public entry runs it on each operand before
+/// dispatching to a backend.
 #[inline(always)]
 fn check_len(
     kernel: &'static str,
@@ -233,21 +225,6 @@ pub fn gemm_nn_with(
     check_len("gemm_nn", "a", a.len(), m * k, m, k, n);
     check_len("gemm_nn", "b", b.len(), k * n, m, k, n);
     check_len("gemm_nn", "out", out.len(), m * n, m, k, n);
-    gemm_nn_unchecked(format, a, b, out, m, k, n);
-}
-
-/// Dispatch seam below the entry guards: callers must have proven the slice
-/// lengths (`crate::typed` does so by construction). Threading, backend
-/// selection, and the accumulate order are identical to [`gemm_nn_with`].
-pub(crate) fn gemm_nn_unchecked(
-    format: ComputeFormat,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     match format {
         ComputeFormat::F32 => row_partitioned(out, m, k, n, |row0, rows| {
             #[cfg(target_arch = "x86_64")]
@@ -326,19 +303,6 @@ pub fn gemm_nt_with(
     check_len("gemm_nt", "a", a.len(), m * k, m, k, n);
     check_len("gemm_nt", "b", b.len(), n * k, m, k, n);
     check_len("gemm_nt", "out", out.len(), m * n, m, k, n);
-    gemm_nt_unchecked(format, a, b, out, m, k, n);
-}
-
-/// Guard-free dispatch seam for [`gemm_nt_with`]; see [`gemm_nn_unchecked`].
-pub(crate) fn gemm_nt_unchecked(
-    format: ComputeFormat,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     match format {
         ComputeFormat::F32 => row_partitioned(out, m, k, n, |row0, rows| {
             #[cfg(target_arch = "x86_64")]
@@ -375,20 +339,6 @@ pub fn gemm_tn_with(
     check_len("gemm_tn", "a", a.len(), k * m, m, k, n);
     check_len("gemm_tn", "b", b.len(), k * n, m, k, n);
     check_len("gemm_tn", "out", out.len(), m * n, m, k, n);
-    gemm_tn_unchecked(format, a, b, out, k, m, n);
-}
-
-/// Guard-free dispatch seam for [`gemm_tn_with`]; see [`gemm_nn_unchecked`].
-/// Argument order follows [`gemm_tn`]: `k` first.
-pub(crate) fn gemm_tn_unchecked(
-    format: ComputeFormat,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
     match format {
         ComputeFormat::F32 => row_partitioned(out, m, k, n, |row0, rows| {
             #[cfg(target_arch = "x86_64")]
