@@ -35,7 +35,7 @@
 //! everyone.
 
 use fedzkt_autograd::Var;
-use fedzkt_data::Dataset;
+use fedzkt_data::{Corpus, Dataset};
 use fedzkt_fl::{
     train_local_fleet, AlgoState, DeviceFleet, DeviceRegistry, DigestConfig, FederatedAlgorithm,
     FleetJob, LocalTrainConfig, RoundContext, ShardStore, SimConfig,
@@ -116,7 +116,7 @@ impl FedMd {
     /// public set's image geometry differs from the private one.
     pub fn new(
         zoo: &[ModelSpec],
-        train: &Dataset,
+        train: &Corpus,
         shards: &[Vec<usize>],
         public: Dataset,
         cfg: FedMdConfig,
@@ -422,7 +422,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         }
-        .generate();
+        .generate_corpus();
         let (public, _) = SynthConfig {
             family: public_family,
             img: 8,

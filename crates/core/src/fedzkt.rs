@@ -13,7 +13,7 @@
 use crate::{FedZktConfig, GradNormProbe};
 use fedzkt_autograd::loss::kl_div_probs;
 use fedzkt_autograd::{frozen_params, no_grad, Var};
-use fedzkt_data::Dataset;
+use fedzkt_data::Corpus;
 use fedzkt_fl::{
     train_local_fleet, AlgoState, DeviceFleet, DeviceRegistry, FederatedAlgorithm, FleetJob,
     LocalTrainConfig, RoundContext, ShardStore, SimConfig,
@@ -41,7 +41,7 @@ fn models(fleet: &DeviceFleet<Box<dyn Module>>) -> impl Iterator<Item = &dyn Mod
 /// # use fedzkt_data::{DataFamily, Partition, SynthConfig};
 /// # use fedzkt_fl::{SimConfig, Simulation};
 /// # use fedzkt_models::ModelSpec;
-/// # let (train, test) = SynthConfig { family: DataFamily::MnistLike, ..Default::default() }.generate();
+/// # let (train, test) = SynthConfig { family: DataFamily::MnistLike, ..Default::default() }.generate_corpus();
 /// # let shards = Partition::Iid.split(train.labels(), train.num_classes(), 5, 1).unwrap();
 /// # let zoo = ModelSpec::assign_round_robin(&ModelSpec::paper_zoo_small(), 5);
 /// let sim_cfg = SimConfig::default();
@@ -77,7 +77,7 @@ impl FedZkt {
     /// Panics when `zoo`/`shards` lengths differ or are empty.
     pub fn new(
         zoo: &[ModelSpec],
-        train: &Dataset,
+        train: &Corpus,
         shards: &[Vec<usize>],
         cfg: FedZktConfig,
         sim: &SimConfig,
@@ -485,7 +485,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         }
-        .generate();
+        .generate_corpus();
         let shards = Partition::Iid.split(train.labels(), 4, 3, 5).unwrap();
         let zoo = vec![
             ModelSpec::Mlp { hidden: 16 },

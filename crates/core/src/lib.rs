@@ -40,7 +40,7 @@
 //! use fedzkt_fl::{SimConfig, Simulation};
 //! use fedzkt_models::ModelSpec;
 //!
-//! let (train, test) = SynthConfig { family: DataFamily::MnistLike, ..Default::default() }.generate();
+//! let (train, test) = SynthConfig { family: DataFamily::MnistLike, ..Default::default() }.generate_corpus();
 //! let shards = Partition::Iid.split(train.labels(), train.num_classes(), 5, 1).unwrap();
 //! let zoo = ModelSpec::assign_round_robin(&ModelSpec::paper_zoo_small(), 5);
 //! let sim_cfg = SimConfig::default();

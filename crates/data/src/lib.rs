@@ -19,6 +19,12 @@
 //!   patterns with different pixel statistics) — the "wrong public
 //!   dataset" regime where FedMD collapses.
 //!
+//! [`SynthConfig::generate`] synthesizes a split up front;
+//! [`SynthConfig::generate_corpus`] returns the training split as a
+//! [`Corpus`] that synthesizes a sample only when asked for it, bit for bit
+//! the same, so a cross-device run pays for the samples its sampled devices
+//! hold rather than for the whole population's.
+//!
 //! Partitioners implement the paper's §IV-A4 scenarios: IID, quantity-based
 //! label imbalance (`c` classes per device) and distribution-based label
 //! imbalance (Dirichlet `β`).
@@ -46,4 +52,4 @@ mod synth;
 pub use dataset::{DataError, Dataset};
 pub use loader::BatchIter;
 pub use partition::{Partition, PartitionError};
-pub use synth::{DataFamily, SynthConfig};
+pub use synth::{Corpus, DataFamily, SynthConfig};

@@ -16,8 +16,9 @@
 
 use crate::Dataset;
 use fedzkt_tensor::{seeded_rng, split_seed, standard_normal, Prng, Tensor};
-use rand::RngExt;
+use rand::{RngCore, RngExt};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A synthetic dataset family standing in for one of the paper's corpora.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -277,55 +278,252 @@ impl SynthConfig {
         }
     }
 
-    /// Generate `(train, test)` datasets with balanced class frequencies.
+    /// Generate `(train, test)` datasets with balanced class frequencies,
+    /// every sample synthesized up front.
+    ///
+    /// Each split draws from its own RNG stream (`split_seed(seed, 1)` for
+    /// train, `split_seed(seed, 2)` for test), one sample after another:
+    /// sample `i` consumes exactly the words `[W·i, W·(i+1))` of its
+    /// split's stream, where `W = 5 + 2·C·img²` (2 words each for the
+    /// `dx`/`dy` shift, 1 for the gain, 2 per pixel for the noise).
+    /// [`Corpus`] relies on that layout to synthesize any sample alone.
     pub fn generate(&self) -> (Dataset, Dataset) {
-        let train = self.generate_split(self.train_n, split_seed(self.seed, 1));
-        let test = self.generate_split(self.test_n, split_seed(self.seed, 2));
+        let kernel = Kernel::new(self);
+        let train = kernel.generate(self.train_n, split_seed(self.seed, 1));
+        let test = kernel.generate(self.test_n, split_seed(self.seed, 2));
         (train, test)
     }
 
-    fn generate_split(&self, n: usize, seed: u64) -> Dataset {
-        let img = self.img;
-        let channels = self.family.channels();
-        let classes = self.num_classes();
-        let noise = if self.noise_std < 0.0 {
-            self.family.default_noise()
-        } else {
-            self.noise_std
-        };
+    /// [`SynthConfig::generate`] with the training split as an on-demand
+    /// [`Corpus`]: its samples are synthesized when first asked for,
+    /// bit-identical to the eager split's. The test split is eager.
+    pub fn generate_corpus(&self) -> (Corpus, Dataset) {
+        let kernel = Kernel::new(self);
+        let test = kernel.generate(self.test_n, split_seed(self.seed, 2));
+        (Corpus::new(kernel, self.train_n, split_seed(self.seed, 1)), test)
+    }
+}
+
+/// RNG words between two generator states a [`Corpus`] saves. A sample
+/// that is not the first of its block is reached by skipping fewer words
+/// than this, whatever the geometry; a sample wider than this gets a saved
+/// state of its own.
+const STATE_EVERY_WORDS: usize = 1024;
+
+/// One split's per-sample synthesis: the class prototypes and the noise
+/// level, shared by the eager splits and the [`Corpus`].
+#[derive(Debug, Clone)]
+struct Kernel {
+    img: usize,
+    channels: usize,
+    noise: f32,
+    prototypes: Vec<Vec<f32>>,
+}
+
+impl Kernel {
+    fn new(cfg: &SynthConfig) -> Self {
+        let (family, img) = (cfg.family, cfg.img);
+        let noise = if cfg.noise_std < 0.0 { family.default_noise() } else { cfg.noise_std };
+        Kernel {
+            img,
+            channels: family.channels(),
+            noise,
+            prototypes: (0..cfg.num_classes()).map(|c| family.prototype(c, img)).collect(),
+        }
+    }
+
+    fn classes(&self) -> usize {
+        self.prototypes.len()
+    }
+
+    /// Floats in one image.
+    fn sample_len(&self) -> usize {
+        self.channels * self.img * self.img
+    }
+
+    /// RNG words one sample consumes (`W`, see [`SynthConfig::generate`]).
+    fn words(&self) -> usize {
+        5 + 2 * self.sample_len()
+    }
+
+    /// `[n, C, img, img]` for an `n`-image batch.
+    fn shape(&self, n: usize) -> [usize; 4] {
+        [n, self.channels, self.img, self.img]
+    }
+
+    /// Balanced labels: sample `i` is of class `i % classes`.
+    fn label(&self, i: usize) -> usize {
+        i % self.classes()
+    }
+
+    /// A whole split, sample after sample from one stream.
+    fn generate(&self, n: usize, seed: u64) -> Dataset {
         let mut rng = seeded_rng(seed);
-        let prototypes: Vec<Vec<f32>> =
-            (0..classes).map(|c| self.family.prototype(c, img)).collect();
+        let labels: Vec<usize> = (0..n).map(|i| self.label(i)).collect();
+        let mut images = Vec::with_capacity(n * self.sample_len());
+        for &class in &labels {
+            self.push_sample(class, &mut rng, &mut images);
+        }
+        let images = Tensor::from_vec(images, &self.shape(n)).expect("image batch");
+        Dataset::new(images, labels, self.classes())
+    }
+
+    /// Append one sample of `class` to `out`, drawing exactly
+    /// [`Kernel::words`] words from `rng`: the prototype under a random
+    /// shift and gain, plus pixel noise, clamped to `[-1, 1]`.
+    fn push_sample<R: RngCore>(&self, class: usize, rng: &mut R, out: &mut Vec<f32>) {
+        let img = self.img;
+        let proto = &self.prototypes[class];
+        let dx = rng.random_range(0..5) as isize - 2;
+        let dy = rng.random_range(0..5) as isize - 2;
+        let gain = 0.8 + rng.random::<f32>() * 0.4;
         // Grayscale prototypes are one plane; tile across channels.
         let plane = img * img;
-        let mut images = Vec::with_capacity(n * channels * plane);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let class = i % classes; // balanced
-            let proto = &prototypes[class];
-            let dx = rng.random_range(0..5) as isize - 2;
-            let dy = rng.random_range(0..5) as isize - 2;
-            let gain = 0.8 + rng.random::<f32>() * 0.4;
-            for c in 0..channels {
-                let src = if proto.len() == plane { &proto[..] } else { &proto[c * plane..(c + 1) * plane] };
-                for y in 0..img {
-                    for x in 0..img {
-                        let sx = x as isize - dx;
-                        let sy = y as isize - dy;
-                        let base = if sx >= 0 && sy >= 0 && (sx as usize) < img && (sy as usize) < img {
-                            src[sy as usize * img + sx as usize]
-                        } else {
-                            -1.0
-                        };
-                        let v = base * gain + standard_normal(&mut rng) * noise;
-                        images.push(v.clamp(-1.0, 1.0));
-                    }
+        for c in 0..self.channels {
+            let src = if proto.len() == plane { &proto[..] } else { &proto[c * plane..(c + 1) * plane] };
+            for y in 0..img {
+                for x in 0..img {
+                    let sx = x as isize - dx;
+                    let sy = y as isize - dy;
+                    let base = if sx >= 0 && sy >= 0 && (sx as usize) < img && (sy as usize) < img {
+                        src[sy as usize * img + sx as usize]
+                    } else {
+                        -1.0
+                    };
+                    let v = base * gain + standard_normal(rng) * self.noise;
+                    out.push(v.clamp(-1.0, 1.0));
                 }
             }
-            labels.push(class);
         }
-        let images = Tensor::from_vec(images, &[n, channels, img, img]).expect("image batch");
-        Dataset::new(images, labels, classes)
+    }
+}
+
+/// Advance `rng` by `words` words.
+fn skip(rng: &mut Prng, words: usize) {
+    for _ in 0..words {
+        rng.next_u64();
+    }
+}
+
+/// A synthetic training split whose samples are synthesized on demand,
+/// bit-identical to the eager split of [`SynthConfig::generate`].
+///
+/// Stream-layout contract: sample `i` occupies words `[W·i, W·(i+1))` of
+/// the split's RNG stream (`W` as documented on [`SynthConfig::generate`]),
+/// so the corpus keeps the generator state at the start of every block of
+/// samples spanning about [`STATE_EVERY_WORDS`] words — found by one pass
+/// that only advances the generator — and reaches sample `i` by restoring
+/// the state at or before it and skipping `W·(i − start)` words. Labels
+/// are held as they are in a [`Dataset`]. Clones share the labels and
+/// states.
+#[derive(Debug, Clone)]
+pub struct Corpus {
+    kernel: Kernel,
+    labels: Arc<[usize]>,
+    /// `states[b]` is the generator at the start of sample `b · block`.
+    states: Arc<[[u64; 4]]>,
+    /// Samples per saved state.
+    block: usize,
+}
+
+impl Corpus {
+    fn new(kernel: Kernel, n: usize, seed: u64) -> Self {
+        let block = (STATE_EVERY_WORDS / kernel.words()).max(1);
+        let blocks = n.div_ceil(block);
+        let mut rng = seeded_rng(seed);
+        let mut states = Vec::with_capacity(blocks);
+        for b in 0..blocks {
+            states.push(rng.state());
+            if b + 1 < blocks {
+                skip(&mut rng, block * kernel.words());
+            }
+        }
+        Corpus {
+            labels: (0..n).map(|i| kernel.label(i)).collect(),
+            states: states.into(),
+            block,
+            kernel,
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// True when the corpus has no samples.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Number of classes.
+    pub fn num_classes(&self) -> usize {
+        self.kernel.classes()
+    }
+
+    /// Image channel count.
+    pub fn channels(&self) -> usize {
+        self.kernel.channels
+    }
+
+    /// Image side length (images are square).
+    pub fn img_size(&self) -> usize {
+        self.kernel.img
+    }
+
+    /// Floats in one image (`C·img²`).
+    pub fn sample_len(&self) -> usize {
+        self.kernel.sample_len()
+    }
+
+    /// All labels.
+    pub fn labels(&self) -> &[usize] {
+        &self.labels
+    }
+
+    /// Append the images of `indices`, in order, to `out`
+    /// ([`Corpus::sample_len`] floats each). A run of ascending indices
+    /// within one block continues the generator instead of restoring it.
+    ///
+    /// # Panics
+    /// Panics when an index is out of bounds.
+    pub fn extend_images(&self, indices: &[usize], out: &mut Vec<f32>) {
+        out.reserve(indices.len() * self.sample_len());
+        let words = self.kernel.words();
+        // The generator, positioned at the start of sample `pos`.
+        let mut cursor: Option<(Prng, usize)> = None;
+        for &i in indices {
+            assert!(i < self.len(), "sample {i} out of range for {} samples", self.len());
+            let start = i - i % self.block;
+            if !matches!(cursor, Some((_, pos)) if (start..=i).contains(&pos)) {
+                cursor = Some((Prng::from_state(self.states[i / self.block]), start));
+            }
+            let (rng, pos) = cursor.as_mut().expect("cursor set above");
+            skip(rng, (i - *pos) * words);
+            self.kernel.push_sample(self.labels[i], rng, out);
+            *pos = i + 1;
+        }
+    }
+
+    /// Gather a mini-batch by sample indices.
+    ///
+    /// # Panics
+    /// Panics when an index is out of bounds.
+    pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
+        let mut images = Vec::new();
+        self.extend_images(indices, &mut images);
+        let shape = self.kernel.shape(indices.len());
+        let images = Tensor::from_vec(images, &shape).expect("image batch");
+        (images, indices.iter().map(|&i| self.labels[i]).collect())
+    }
+
+    /// A dataset of the given samples (a device shard).
+    ///
+    /// # Panics
+    /// Panics when an index is out of bounds.
+    pub fn subset(&self, indices: &[usize]) -> Dataset {
+        let (images, labels) = self.batch(indices);
+        Dataset::new(images, labels, self.num_classes())
     }
 }
 
@@ -437,5 +635,105 @@ mod tests {
         let cfg = SynthConfig { classes: 4, img: 8, train_n: 8, test_n: 4, ..Default::default() };
         let (train, _) = cfg.generate();
         assert_eq!(train.num_classes(), 4);
+    }
+
+    const FAMILIES: [DataFamily; 6] = [
+        DataFamily::MnistLike,
+        DataFamily::KmnistLike,
+        DataFamily::FashionLike,
+        DataFamily::Cifar10Like,
+        DataFamily::Cifar100Like,
+        DataFamily::SvhnLike,
+    ];
+
+    fn assert_bitwise(a: &Dataset, b: &Dataset, what: &str) {
+        assert_eq!(a.labels(), b.labels(), "{what}: labels");
+        assert_eq!(a.images().shape(), b.images().shape(), "{what}: shape");
+        let bits = |d: &Dataset| d.images().data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(a) == bits(b), "{what}: image bits differ");
+    }
+
+    /// Any index set the corpus is asked for — block boundaries, the last
+    /// sample, random, unsorted and repeated indices — comes out bit for
+    /// bit as the eager split's, for every family and geometry.
+    #[test]
+    fn corpus_is_bit_identical_to_the_eager_split() {
+        for family in FAMILIES {
+            for img in [4, 8, 12] {
+                for seed in [0, 5, 0xC0FFEE] {
+                    let base = SynthConfig { family, img, test_n: 3, seed, ..Default::default() };
+                    let block = (STATE_EVERY_WORDS / Kernel::new(&base).words()).max(1);
+                    // Three blocks and a partial one (a single-sample
+                    // block divides every `n`).
+                    let n = 3 * block + 1 + block / 2;
+                    let cfg = SynthConfig { train_n: n, ..base };
+                    let (eager, eager_test) = cfg.generate();
+                    let (corpus, test) = cfg.generate_corpus();
+                    let what = format!("{family:?} img {img} seed {seed} n {n} block {block}");
+                    assert_eq!(corpus.block, block, "{what}");
+                    assert_bitwise(&test, &eager_test, &what);
+                    assert_eq!(corpus.labels(), eager.labels(), "{what}");
+                    let mut rng = seeded_rng(seed);
+                    let random: Vec<usize> = (0..2 * n).map(|_| rng.random_range(0..n)).collect();
+                    let boundaries: Vec<usize> =
+                        [0, block - 1, block, 2 * block - 1, 2 * block, 3 * block, n - 1]
+                            .into_iter()
+                            .filter(|&i| i < n)
+                            .collect();
+                    for idx in [
+                        (0..n).collect::<Vec<_>>(),
+                        (0..n).rev().collect(),
+                        boundaries,
+                        random,
+                        vec![n - 1, 0, n - 1, n - 1, 1, 0],
+                        vec![],
+                    ] {
+                        let what = format!("{what} idx {idx:?}");
+                        assert_bitwise(&corpus.subset(&idx), &eager.subset(&idx), &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts the words drawn through it.
+    struct Counting<R> {
+        inner: R,
+        words: usize,
+    }
+
+    impl<R: RngCore> RngCore for Counting<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// The stream-layout contract the corpus relies on: every sample draws
+    /// exactly `W` words. A rejection sampler in `random_range` or a
+    /// different normal sampler breaks it here, not silently in a corpus.
+    #[test]
+    fn every_sample_draws_exactly_w_words() {
+        for family in FAMILIES {
+            for img in [4, 8, 12] {
+                let kernel = Kernel::new(&SynthConfig { family, img, ..Default::default() });
+                assert_eq!(kernel.words(), 5 + 2 * family.channels() * img * img);
+                let mut rng = Counting { inner: seeded_rng(img as u64), words: 0 };
+                let mut out = Vec::new();
+                for i in 0..3 * kernel.classes() {
+                    let before = rng.words;
+                    kernel.push_sample(kernel.label(i), &mut rng, &mut out);
+                    let drawn = rng.words - before;
+                    assert_eq!(drawn, kernel.words(), "{family:?} img {img} sample {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn corpus_rejects_out_of_range_samples() {
+        let cfg = SynthConfig { img: 4, train_n: 5, test_n: 1, ..Default::default() };
+        cfg.generate_corpus().0.subset(&[5]);
     }
 }

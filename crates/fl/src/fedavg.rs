@@ -15,7 +15,8 @@
 //! from the broadcast global snapshot, so the only per-device state is the
 //! data shard. The federation therefore needs only the [`ShardStore`] and
 //! a bare [`DeviceRegistry`] from [`crate::fleet`] (see its "Scale model"
-//! section): a device's shard is sliced on the worker that trains it and
+//! section): a device's shard is synthesized into the store's cache the
+//! first time it is sampled, copied out on the worker that trains it and
 //! dropped when that device is done, and the server folds decoded uplinks
 //! into a [`StreamingAverage`] as they arrive instead of collecting them.
 //! Peak memory is O(sampled-per-round), never O(registered fleet) — the
@@ -27,7 +28,7 @@ use crate::{
     train_local_fleet, AlgoState, DeviceRegistry, FederatedAlgorithm, FleetJob, LocalTrainConfig,
     RoundContext, ShardStore, SimConfig, StreamingAverage,
 };
-use fedzkt_data::Dataset;
+use fedzkt_data::Corpus;
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
 use fedzkt_tensor::{par, split_seed};
@@ -79,7 +80,7 @@ impl FedAvg {
     /// Panics when `shards` is empty.
     pub fn new(
         spec: ModelSpec,
-        train: &Dataset,
+        train: &Corpus,
         shards: &[Vec<usize>],
         cfg: FedAvgConfig,
         sim: &SimConfig,
@@ -95,6 +96,11 @@ impl FedAvg {
             registry: DeviceRegistry::new(shards.len()),
             pending: None,
         }
+    }
+
+    /// The devices' private data and its first-touch cache.
+    pub fn shards(&self) -> &ShardStore {
+        &self.shards
     }
 }
 
@@ -125,13 +131,16 @@ impl FederatedAlgorithm for FedAvg {
             }
         };
         // The data is the only per-device state (models are rebuilt from
-        // the broadcast snapshot on the workers), and each worker slices a
-        // device's shard right before training on it: at most `threads`
-        // shards and snapshots are live at a time, however many devices
-        // the round samples. The registry counts the whole sampled set.
+        // the broadcast snapshot on the workers). Shards sampled for the
+        // first time are synthesized into the store's cache here, and each
+        // worker copies a device's shard out right before training on it:
+        // at most `threads` shards and snapshots are live at a time,
+        // however many devices the round samples. The registry counts the
+        // whole sampled set.
         for &dev in active {
             self.registry.checkout(dev);
         }
+        self.shards.cache(active);
         let (shards, spec, io, cfg, seed) = (&self.shards, self.spec, self.io, self.cfg, self.seed);
         let results = par::map_indexed(active.len(), ctx.threads(), |i| {
             let dev = active[i];
@@ -255,7 +264,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         }
-        .generate();
+        .generate_corpus();
         let shards = Partition::Iid.split(train.labels(), 4, 3, 7).unwrap();
         let sim = SimConfig { rounds: 4, participation, seed: 1, ..Default::default() };
         let fed = FedAvg::new(
@@ -339,7 +348,7 @@ mod tests {
                 seed: 5,
                 ..Default::default()
             }
-            .generate();
+            .generate_corpus();
             let shards = Partition::Iid.split(train.labels(), 4, 3, 7).unwrap();
             let sim = SimConfig { rounds: 1, seed: 1, codec, ..Default::default() };
             let fed = FedAvg::new(

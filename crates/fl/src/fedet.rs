@@ -35,7 +35,7 @@ use crate::{
     LocalTrainConfig, RoundContext, ShardStore, SimConfig,
 };
 use fedzkt_autograd::{no_grad, Var};
-use fedzkt_data::Dataset;
+use fedzkt_data::{Corpus, Dataset};
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
 use fedzkt_tensor::{seeded_rng, split_seed, Tensor};
@@ -112,7 +112,7 @@ impl FedEt {
     /// public set's image geometry differs from the private one.
     pub fn new(
         zoo: &[ModelSpec],
-        train: &Dataset,
+        train: &Corpus,
         shards: &[Vec<usize>],
         public: Dataset,
         cfg: FedEtConfig,
@@ -397,7 +397,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         }
-        .generate();
+        .generate_corpus();
         let (public, _) = SynthConfig {
             family: DataFamily::Cifar100Like,
             img: 8,

@@ -43,7 +43,7 @@ use crate::{
 };
 use fedzkt_autograd::loss::cross_entropy;
 use fedzkt_autograd::{no_grad, Var};
-use fedzkt_data::{BatchIter, Dataset};
+use fedzkt_data::{BatchIter, Corpus, Dataset};
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{
     load_state_dict, state_dict, Activation, Linear, Module, Optimizer, Sequential, Sgd,
@@ -173,7 +173,7 @@ impl FedGkt {
     /// Panics when `zoo`/`shards` lengths differ or are empty.
     pub fn new(
         zoo: &[ModelSpec],
-        train: &Dataset,
+        train: &Corpus,
         shards: &[Vec<usize>],
         cfg: FedGktConfig,
         sim: &SimConfig,
@@ -479,7 +479,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         }
-        .generate();
+        .generate_corpus();
         let shards = Partition::Iid.split(train.labels(), 4, 3, 5).unwrap();
         let zoo = vec![
             ModelSpec::Mlp { hidden: 16 },

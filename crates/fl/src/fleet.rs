@@ -6,11 +6,17 @@
 //! population of which a small fraction is sampled each round. The fleet
 //! therefore has exactly one lifecycle, shared by all algorithms:
 //!
-//! * **data** — a [`ShardStore`] keeps the training set once plus one
-//!   flat index (every device's index set concatenated in device order,
-//!   with per-device end offsets: two allocations however many devices),
-//!   and [`stage`](ShardStore::stage)s (slices) only the shards a
-//!   dispatch is about to train on;
+//! * **data** — a [`ShardStore`] holds the training [`Corpus`] — a
+//!   generator (labels, class prototypes, saved RNG states), not the
+//!   images — plus one flat index (every device's index set concatenated
+//!   in device order, with per-device end offsets: two allocations however
+//!   many devices) and a first-touch cache: the first time a dispatch
+//!   needs a device's shard ([`cache`](ShardStore::cache),
+//!   [`stage`](ShardStore::stage)), its samples are synthesized into an
+//!   append-only arena and its slot points there, so each sample is
+//!   synthesized once per process and an untouched device costs one slot.
+//!   The cache is not state: a resumed run starts it empty and
+//!   synthesizes the same bits;
 //! * **models** — a [`DeviceFleet`] keeps each device as its `ModelSpec`
 //!   and, in the [`DeviceRegistry`], a state summary. A device is
 //!   materialized ([`ensure_resident`](DeviceFleet::ensure_resident))
@@ -23,7 +29,7 @@
 //!
 //! | algorithm | resident during a round | on evaluation rounds |
 //! |---|---|---|
-//! | FedAvg / FedProx | no device models at all — devices are stateless between rounds, so a worker slices a sampled device's shard right before training on it (the gauge counts the sampled set) | one shared global model |
+//! | FedAvg / FedProx | no device models at all — devices are stateless between rounds, so a worker copies a sampled device's cached shard out right before training on it (the gauge counts the sampled set) | one shared global model |
 //! | FedMD, Fed-ET, FedGKT | the active set | the whole fleet |
 //! | FedZKT | the whole fleet: the distillation game uses every device model as a teacher (Eq. 2) | the whole fleet |
 //!
@@ -44,20 +50,30 @@
 
 use crate::checkpoint::AlgoState;
 use crate::registry::DeviceRegistry;
-use fedzkt_data::Dataset;
+use fedzkt_data::{Corpus, Dataset};
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
+use fedzkt_tensor::Tensor;
 
-/// Per-device private data: the training set held once, plus every
-/// device's index set into it, stored flat — all index sets concatenated
-/// in device order, and where each one ends — so a million one-sample
-/// shards are two allocations, not a million.
+/// A [`ShardStore`] slot of a device whose shard is not cached yet.
+const UNCACHED: usize = usize::MAX;
+
+/// Per-device private data: the training [`Corpus`], every device's index
+/// set into it, stored flat — all index sets concatenated in device order,
+/// and where each one ends — so a million one-sample shards are two
+/// allocations, not a million; and a first-touch cache of the shards
+/// staged so far (see the [module docs](self)).
 pub struct ShardStore {
-    train: Dataset,
+    train: Corpus,
     /// Every device's index set, concatenated in device order.
     index: Vec<usize>,
     /// `ends[k]` is one past device `k`'s last entry in `index`.
     ends: Vec<usize>,
+    /// `slots[k]` is where device `k`'s cached images start in `arena`,
+    /// or [`UNCACHED`].
+    slots: Vec<usize>,
+    /// The cached shards' images, appended in first-touch order.
+    arena: Vec<f32>,
 }
 
 impl ShardStore {
@@ -65,7 +81,7 @@ impl ShardStore {
     ///
     /// # Panics
     /// Panics when `shards` is empty.
-    pub fn new(train: &Dataset, shards: &[Vec<usize>]) -> Self {
+    pub fn new(train: &Corpus, shards: &[Vec<usize>]) -> Self {
         assert!(!shards.is_empty(), "need at least one device");
         let ends = shards
             .iter()
@@ -74,7 +90,13 @@ impl ShardStore {
                 Some(*end)
             })
             .collect();
-        ShardStore { train: train.clone(), index: shards.concat(), ends }
+        ShardStore {
+            train: train.clone(),
+            index: shards.concat(),
+            ends,
+            slots: vec![UNCACHED; shards.len()],
+            arena: Vec::new(),
+        }
     }
 
     /// Number of devices.
@@ -82,24 +104,55 @@ impl ShardStore {
         self.ends.len()
     }
 
-    /// Device `k`'s index set.
-    fn indices(&self, k: usize) -> &[usize] {
+    /// Where device `k`'s entries sit in `index`.
+    fn span(&self, k: usize) -> std::ops::Range<usize> {
         let start = if k == 0 { 0 } else { self.ends[k - 1] };
-        &self.index[start..self.ends[k]]
+        start..self.ends[k]
     }
 
     /// Number of samples device `k` holds.
     pub fn shard_len(&self, k: usize) -> usize {
-        self.indices(k).len()
+        self.span(k).len()
     }
 
-    /// Slice device `k`'s shard out of the training set.
+    /// Samples held in the first-touch cache: Σ [`ShardStore::shard_len`]
+    /// over the devices cached so far.
+    pub fn cached_samples(&self) -> usize {
+        self.arena.len() / self.train.sample_len()
+    }
+
+    /// Synthesize the shards of `ids` that are not cached yet into the
+    /// cache — the `&mut` step before a parallel dispatch reads them
+    /// through [`ShardStore::shard`].
+    pub fn cache(&mut self, ids: &[usize]) {
+        for &k in ids {
+            if self.slots[k] == UNCACHED {
+                self.slots[k] = self.arena.len();
+                let span = self.span(k);
+                self.train.extend_images(&self.index[span], &mut self.arena);
+            }
+        }
+    }
+
+    /// Device `k`'s shard: copied out of the cache when the device has
+    /// been cached, synthesized afresh otherwise.
     pub fn shard(&self, k: usize) -> Dataset {
-        self.train.subset(self.indices(k))
+        let indices = &self.index[self.span(k)];
+        if self.slots[k] == UNCACHED {
+            return self.train.subset(indices);
+        }
+        let (t, at, n) = (&self.train, self.slots[k], indices.len());
+        let images = self.arena[at..at + n * t.sample_len()].to_vec();
+        let images = Tensor::from_vec(images, &[n, t.channels(), t.img_size(), t.img_size()])
+            .expect("a cached shard holds its samples' images");
+        let labels = indices.iter().map(|&i| t.labels()[i]).collect();
+        Dataset::new(images, labels, t.num_classes())
     }
 
-    /// Slice the shards of `ids`, in `ids` order, for one dispatch.
-    pub fn stage(&self, ids: &[usize]) -> Vec<Dataset> {
+    /// Cache, then hand out, the shards of `ids`, in `ids` order, for one
+    /// dispatch.
+    pub fn stage(&mut self, ids: &[usize]) -> Vec<Dataset> {
+        self.cache(ids);
         ids.iter().map(|&k| self.shard(k)).collect()
     }
 }
@@ -271,32 +324,54 @@ impl<M: Module> DeviceFleet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedzkt_tensor::{split_seed, Tensor};
+    use fedzkt_data::SynthConfig;
+    use fedzkt_tensor::split_seed;
     use proptest::prelude::*;
 
-    /// The flat index hands out exactly the shards it was given: an empty
+    /// A ten-sample corpus and, as the oracle, the same split synthesized
+    /// eagerly.
+    fn corpus() -> (Corpus, Dataset) {
+        let cfg = SynthConfig {
+            img: 4,
+            train_n: 10,
+            test_n: 1,
+            classes: 3,
+            seed: 4,
+            ..Default::default()
+        };
+        (cfg.generate_corpus().0, cfg.generate().0)
+    }
+
+    /// The flat index hands out exactly the shards it was given — an empty
     /// shard, overlapping and unsorted index sets, and the first and last
-    /// device included.
+    /// device included — whether a shard is cached or not, and the cache
+    /// holds exactly the staged devices' samples, each device once.
     #[test]
     fn flat_index_slices_every_shard() {
-        let images: Vec<f32> = (0..10 * 2 * 2).map(|i| i as f32).collect();
-        let labels = (0..10).map(|i| i % 3).collect();
-        let train = Dataset::new(Tensor::from_vec(images, &[10, 1, 2, 2]).unwrap(), labels, 3);
+        let (corpus, train) = corpus();
         let shards = vec![vec![4, 1], vec![], vec![0, 1, 2, 3, 9], vec![9], vec![], vec![7, 7, 5]];
-        let store = ShardStore::new(&train, &shards);
+        let mut store = ShardStore::new(&corpus, &shards);
         assert_eq!(store.devices(), shards.len());
-        for (k, shard) in shards.iter().enumerate() {
-            assert_eq!(store.shard_len(k), shard.len(), "device {k}");
-            assert_eq!(store.shard(k), train.subset(shard), "device {k}");
-        }
+        let check = |store: &ShardStore| {
+            for (k, shard) in shards.iter().enumerate() {
+                assert_eq!(store.shard_len(k), shard.len(), "device {k}");
+                assert_eq!(store.shard(k), train.subset(shard), "device {k}");
+            }
+        };
+        check(&store);
+        assert_eq!(store.cached_samples(), 0);
         assert_eq!(store.stage(&[5, 0]), vec![train.subset(&shards[5]), train.subset(&shards[0])]);
+        assert_eq!(store.cached_samples(), 5);
+        check(&store);
+        store.cache(&[0, 1, 2, 5]);
+        assert_eq!(store.cached_samples(), 10, "staged devices are not cached twice");
+        check(&store);
     }
 
     #[test]
     #[should_panic]
     fn flat_index_rejects_out_of_range_device() {
-        let train = Dataset::new(Tensor::zeros(&[2, 1, 1, 1]), vec![0, 1], 2);
-        ShardStore::new(&train, &[vec![0], vec![1]]).shard_len(2);
+        ShardStore::new(&corpus().0, &[vec![0], vec![1]]).shard_len(2);
     }
 
     fn fleet(devices: usize) -> DeviceFleet<Box<dyn Module>> {

@@ -17,10 +17,11 @@
 //!   accounted traffic is the *encoded* size and lossy-decode error flows
 //!   into training;
 //! * [`fleet`] — the one device fleet every algorithm runs on
-//!   ([`ShardStore`] + [`DeviceFleet`]): a device's shard is sliced and
-//!   its model materialized from its spec + deterministic per-device seed
-//!   only while a phase needs it, and dropped back to a state summary at
-//!   end of round (the "Scale model" section there is the reference);
+//!   ([`ShardStore`] + [`DeviceFleet`]): a device's shard is synthesized
+//!   the first time it is staged, and its model materialized from its
+//!   spec + deterministic per-device seed only while a phase needs it and
+//!   dropped back to a state summary at end of round (the "Scale model"
+//!   section there is the reference);
 //! * [`registry`] — the sharded [`DeviceRegistry`] under the fleet:
 //!   per-device summaries plus the resident/peak counters exported into
 //!   every [`RoundMetrics`] row;
@@ -86,7 +87,7 @@
 //! let (train, test) = SynthConfig {
 //!     family: DataFamily::MnistLike, img: 8, train_n: 64, test_n: 32, seed: 1,
 //!     ..Default::default()
-//! }.generate();
+//! }.generate_corpus();
 //! let shards = Partition::Iid.split(train.labels(), 10, 2, 3).unwrap();
 //! let sim_cfg = SimConfig { rounds: 1, ..Default::default() };
 //! let fed = FedAvg::new(

@@ -189,6 +189,24 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_image_geometry_is_a_typed_error() {
+        // `img²` alone overflows a 64-bit `usize` here.
+        let mut sc = base();
+        sc.data.img = 1 << 32;
+        assert!(matches!(sc.validate(), Err(ScenarioError::InvalidData(_))));
+        assert!(matches!(sc.materialize(), Err(ScenarioError::InvalidData(_))));
+        // `img²·C` fits, `img²·C·n` does not, for either split.
+        let mut sc = base();
+        sc.data.img = 1 << 16;
+        sc.data.train_n = 1 << 32;
+        assert!(matches!(sc.validate(), Err(ScenarioError::InvalidData(_))));
+        let mut sc = base();
+        sc.data.img = 1 << 16;
+        sc.data.test_n = 1 << 32;
+        assert!(matches!(sc.validate(), Err(ScenarioError::InvalidData(_))));
+    }
+
+    #[test]
     fn too_many_classes_per_device_is_a_typed_error() {
         let mut sc = base();
         sc.partition = Partition::QuantitySkew { classes_per_device: 11 };

@@ -603,7 +603,7 @@ fn grad_norm_probe(scenario: &Scenario) -> Result<String, ScenarioError> {
 }
 
 fn device_bounds(tier: Tier, scenario: &Scenario) -> Result<String, ScenarioError> {
-    // The bound trainers consume the raw materials — datasets, shards and
+    // The bound trainers consume the raw materials — corpus, shards and
     // zoo — rather than a federated run.
     let m = scenario.materialize()?;
     let fedzkt = scenario.fedzkt_cfg().expect("standard scenarios run fedzkt");

@@ -2,7 +2,7 @@
 
 use crate::ScenarioError;
 use fedzkt_core::{FedMd, FedMdConfig, FedZkt, FedZktConfig};
-use fedzkt_data::{DataFamily, Dataset, Partition, PartitionError, SynthConfig};
+use fedzkt_data::{Corpus, DataFamily, Dataset, Partition, PartitionError, SynthConfig};
 use fedzkt_fl::{
     ChurnSpec, DeviceResources, ErasedSimulation, FedAvg, FedAvgConfig, FedEt, FedEtConfig,
     FedGkt, FedGktConfig, RoundMetrics, RunLog, SimConfig, Simulation,
@@ -277,8 +277,8 @@ pub struct Scenario {
 /// the datasets or shard layout themselves (bound trainers, shard
 /// statistics) rather than a full run.
 pub struct Materialized {
-    /// Private training data.
-    pub train: Dataset,
+    /// Private training data, synthesized on demand.
+    pub train: Corpus,
     /// Held-out test data.
     pub test: Dataset,
     /// The public dataset, when the algorithm needs one (FedMD's
@@ -464,6 +464,24 @@ impl Scenario {
             return Err(ScenarioError::InvalidData(format!(
                 "img {} must be a positive multiple of 4 (every zoo member downsamples twice)",
                 d.img
+            )));
+        }
+        // Each split is one `[n, C, img, img]` allocation: its length must
+        // be a `usize` before anything multiplies it unchecked.
+        let split_fits = |n: usize| {
+            d.img
+                .checked_mul(d.img)
+                .and_then(|plane| plane.checked_mul(d.family.channels()))
+                .and_then(|sample| sample.checked_mul(n))
+                .is_some()
+        };
+        if !split_fits(d.train_n) || !split_fits(d.test_n) {
+            return Err(ScenarioError::InvalidData(format!(
+                "img {}² × {} channel(s) × {} train / {} test samples overflows the address space",
+                d.img,
+                d.family.channels(),
+                d.train_n,
+                d.test_n
             )));
         }
         let classes = d.effective_classes();
@@ -741,7 +759,7 @@ impl Scenario {
     /// every sample of an unowned class).
     pub fn materialize(&self) -> Result<Materialized, ScenarioError> {
         self.validate()?;
-        let (train, test) = self.data.synth(self.sim.seed).generate();
+        let (train, test) = self.data.synth(self.sim.seed).generate_corpus();
         let shards = self.partition.split(
             train.labels(),
             train.num_classes(),

@@ -20,7 +20,7 @@ fn tiny_run() -> Simulation<FedZkt> {
         seed: 31,
         ..Default::default()
     }
-    .generate();
+    .generate_corpus();
     let shards = Partition::Iid.split(train.labels(), 4, 3, 31).unwrap();
     let zoo = vec![
         ModelSpec::Mlp { hidden: 16 },
@@ -80,7 +80,7 @@ fn tiny_gkt_run(seed: u64) -> Simulation<FedGkt> {
         seed: 31,
         ..Default::default()
     }
-    .generate();
+    .generate_corpus();
     let shards = Partition::Iid.split(train.labels(), 4, 3, 31).unwrap();
     let zoo = vec![
         ModelSpec::Mlp { hidden: 16 },

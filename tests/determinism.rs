@@ -45,7 +45,7 @@ fn run_with_threads(seed: u64, threads: usize) -> RunLog {
         seed: 7,
         ..Default::default()
     }
-    .generate();
+    .generate_corpus();
     let shards = Partition::Dirichlet { beta: 0.5 }
         .split(train.labels(), 4, 3, 7)
         .unwrap();
@@ -82,7 +82,7 @@ fn run_fedmd_with_threads(seed: u64, threads: usize) -> RunLog {
         seed: 3,
         ..Default::default()
     }
-    .generate();
+    .generate_corpus();
     let (public, _) = SynthConfig {
         family: DataFamily::Cifar100Like,
         img: 8,

@@ -2,13 +2,13 @@
 //! every algorithm in the workspace, all through the `Simulation` driver.
 
 use fedzkt::core::{FedMd, FedMdConfig, FedZkt, FedZktConfig};
-use fedzkt::data::{DataFamily, Dataset, Partition, SynthConfig};
+use fedzkt::data::{Corpus, DataFamily, Dataset, Partition, SynthConfig};
 use fedzkt::fl::{
     DeviceResources, FedAvg, FedAvgConfig, RunLog, SimConfig, Simulation,
 };
 use fedzkt::models::{GeneratorSpec, ModelSpec};
 
-fn mnist_like(seed: u64) -> (Dataset, Dataset) {
+fn mnist_like(seed: u64) -> (Corpus, Dataset) {
     SynthConfig {
         family: DataFamily::MnistLike,
         img: 8,
@@ -18,7 +18,7 @@ fn mnist_like(seed: u64) -> (Dataset, Dataset) {
         seed,
         ..Default::default()
     }
-    .generate()
+    .generate_corpus()
 }
 
 fn tiny_zkt_cfg() -> FedZktConfig {
@@ -219,7 +219,7 @@ fn fedzkt_beats_local_only_on_skewed_data() {
         seed: 3,
         ..Default::default()
     }
-    .generate();
+    .generate_corpus();
     let shards = Partition::QuantitySkew { classes_per_device: 2 }
         .split(train.labels(), 4, 4, 3)
         .unwrap();

@@ -7,8 +7,9 @@
 //! on any checkout/release imbalance, so the counter cannot silently
 //! undercount.
 
-use fedzkt::fl::ChurnSpec;
+use fedzkt::fl::{ChurnSpec, ErasedSimulation, FedAvg, SimCheckpoint, Simulation};
 use fedzkt::scenario::Scenario;
+use std::collections::BTreeSet;
 
 /// A 100 000-device tiny-model scenario (the checked-in `mega-fleet`
 /// preset, shrunk 10× to stay seconds-scale in debug builds) must complete
@@ -45,6 +46,47 @@ fn lazy_fleet_peak_residency_is_bounded_by_the_sampled_set() {
         );
         assert!(round.peak_resident_devices >= round.active_devices.len());
     }
+}
+
+/// The training data follows the same rule: the shard store synthesizes a
+/// device's samples the first time it trains, so its cache holds exactly
+/// the touched devices' shards — far fewer samples than the corpus — and
+/// it is no part of the run's state: a run halted and resumed from its
+/// checkpoint starts with an empty cache and still reproduces the straight
+/// run's log.
+#[test]
+fn shard_cache_holds_the_touched_devices_only_and_is_not_state() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/mega-fleet.json");
+    let mut sc = Scenario::load(path).expect("checked-in mega-fleet scenario");
+    sc.registered_devices = 100_000;
+    sc.data.train_n = 100_000;
+    sc.data.test_n = 32;
+    sc.sim.participation = 0.01;
+    sc.sim.rounds = 3;
+    let store = |sim: &dyn ErasedSimulation| {
+        let fed = sim.as_any().downcast_ref::<Simulation<FedAvg>>();
+        let store = fed.expect("mega-fleet runs fedavg").algorithm().shards();
+        let touched: BTreeSet<usize> =
+            sim.log().rounds.iter().flat_map(|r| r.active_devices.iter().copied()).collect();
+        let expected: usize = touched.iter().map(|&k| store.shard_len(k)).sum();
+        (store.cached_samples(), expected)
+    };
+
+    let mut straight = sc.build().expect("shrunk mega-fleet builds");
+    straight.run();
+    let (cached, expected) = store(straight.as_ref());
+    assert_eq!(cached, expected, "the cache holds exactly the trained devices' samples");
+    assert!(cached > 0 && cached * 10 < sc.data.train_n, "{cached} cached of {}", sc.data.train_n);
+
+    let mut first = sc.build().expect("shrunk mega-fleet builds");
+    first.round(0);
+    let ck = SimCheckpoint::from_json(&first.checkpoint().to_json()).expect("checkpoint parses");
+    drop(first);
+    let mut resumed = sc.build().expect("shrunk mega-fleet builds");
+    resumed.resume_from(&ck).expect("resume");
+    assert_eq!(store(resumed.as_ref()).0, 0, "a resumed run starts with an empty cache");
+    resumed.run();
+    assert_eq!(resumed.log().to_json(), straight.log().to_json());
 }
 
 /// Churn must not change the memory story: the availability scan is a

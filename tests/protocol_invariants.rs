@@ -13,7 +13,7 @@
 //! side-effect freedom) follow below.
 
 use fedzkt::core::{FedMd, FedMdConfig, FedZkt, FedZktConfig};
-use fedzkt::data::{DataFamily, Dataset, Partition, SynthConfig};
+use fedzkt::data::{Corpus, DataFamily, Dataset, Partition, SynthConfig};
 use fedzkt::fl::{
     CodecSpec, FedAvg, FedAvgConfig, FedEt, FedEtConfig, FedGkt, FedGktConfig,
     FederatedAlgorithm, PayloadCodec, SimConfig, Simulation,
@@ -29,7 +29,7 @@ const CODECS: [CodecSpec; 4] = [
     CodecSpec::TopK { density: 0.25 },
 ];
 
-fn data(seed: u64) -> (Dataset, Dataset) {
+fn data(seed: u64) -> (Corpus, Dataset) {
     SynthConfig {
         family: DataFamily::MnistLike,
         img: 8,
@@ -39,7 +39,7 @@ fn data(seed: u64) -> (Dataset, Dataset) {
         seed,
         ..Default::default()
     }
-    .generate()
+    .generate_corpus()
 }
 
 fn zoo() -> Vec<ModelSpec> {
