@@ -105,7 +105,7 @@ pub fn l2_penalty(params: &[Var], references: &[Tensor]) -> Var {
 
 /// The disagreement loss `L` of the zero-shot distillation game (Eq. 2),
 /// selecting between the paper's three candidates (§III-B2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistillLoss {
     /// KL divergence on softmax outputs (Eq. 3) — suffers gradient
     /// vanishing as the student converges to the teacher.

@@ -2,7 +2,6 @@
 
 use fedzkt_autograd::DistillLoss;
 use fedzkt_models::{GeneratorSpec, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 /// The knobs of FedZKT's update rules (defaults follow §IV-A3, scaled to
 /// the synthetic quick workloads; the `paper-small` / `paper-cifar`
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// evaluation — live in [`SimConfig`](fedzkt_fl::SimConfig): they are
 /// owned by the [`Simulation`](fedzkt_fl::Simulation) driver and shared by
 /// every algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedZktConfig {
     /// Local epochs per round `T_l` (paper: 5 small / 10 CIFAR).
     pub local_epochs: usize,

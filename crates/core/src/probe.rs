@@ -8,10 +8,9 @@
 use fedzkt_autograd::{frozen_params, DistillLoss, Var};
 use fedzkt_nn::Module;
 use fedzkt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// One probe measurement (a point on Figure 2's three curves).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradNormRecord {
     /// Communication round (1-based).
     pub round: usize,
@@ -24,7 +23,7 @@ pub struct GradNormRecord {
 }
 
 /// Collects [`GradNormRecord`]s across a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GradNormProbe {
     records: Vec<GradNormRecord>,
 }

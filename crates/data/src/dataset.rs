@@ -1,7 +1,6 @@
 //! The labelled image [`Dataset`] container.
 
 use fedzkt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error from constructing a [`Dataset`] out of inconsistent pieces — the
@@ -56,7 +55,7 @@ impl fmt::Display for DataError {
 impl std::error::Error for DataError {}
 
 /// An in-memory labelled image dataset (NCHW images in `[-1, 1]`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     images: Tensor,
     labels: Vec<usize>,

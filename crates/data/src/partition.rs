@@ -3,7 +3,6 @@
 use fedzkt_tensor::{seeded_rng, Prng};
 use rand::seq::SliceRandom;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error from an impossible partition request.
@@ -38,7 +37,7 @@ impl fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 /// How to split a dataset across federated devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Partition {
     /// Uniformly random assignment (the paper's IID setting).
     Iid,

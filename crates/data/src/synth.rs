@@ -17,11 +17,10 @@
 use crate::Dataset;
 use fedzkt_tensor::{seeded_rng, split_seed, standard_normal, Prng, Tensor};
 use rand::{RngCore, RngExt};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A synthetic dataset family standing in for one of the paper's corpora.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataFamily {
     /// MNIST stand-in: smooth single-stroke grayscale digits.
     MnistLike,
@@ -235,7 +234,7 @@ fn stripe_digits(img: usize, channels: usize, class: usize, rng: &mut Prng) -> V
 }
 
 /// Configuration for synthetic dataset generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthConfig {
     /// Which family to draw from.
     pub family: DataFamily,

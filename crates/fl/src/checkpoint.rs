@@ -34,7 +34,8 @@
 //! rename) so a crash mid-write can never leave a torn checkpoint where
 //! a resumable one used to be.
 
-use crate::{json, RunLog};
+use crate::json::{self, FromJson, Value};
+use crate::RunLog;
 use fedzkt_nn::{decode_state_dict, encode_state_dict, StateDict};
 use std::fmt::Write;
 use std::path::Path;
@@ -118,6 +119,21 @@ impl AlgoState {
     /// such as per-device summaries of never-touched devices.)
     pub fn has_blob(&self, name: &str) -> bool {
         self.blobs.iter().any(|(n, _)| n == name)
+    }
+}
+
+/// The `{"blobs": [[name, hex], …], "words": [[name, [u64, …]], …]}`
+/// embedding; hex is decoded straight from the parsed document.
+impl FromJson<'_> for AlgoState {
+    fn from_json(value: &Value<'_>) -> Result<Self, String> {
+        let mut algo = AlgoState::new();
+        for (name, hex) in value.field::<Vec<(&str, &str)>>("blobs")? {
+            algo.put_blob(name, hex_decode(hex).map_err(|e| format!("blob \"{name}\": {e}"))?);
+        }
+        for (name, words) in value.field::<Vec<(&str, Vec<u64>)>>("words")? {
+            algo.put_words(name, words);
+        }
+        Ok(algo)
     }
 }
 
@@ -221,62 +237,20 @@ impl SimCheckpoint {
     /// refused, never partially applied.
     pub fn from_json(input: &str) -> Result<SimCheckpoint, String> {
         let value = json::parse(input)?;
-        match value.get("format").and_then(json::Value::as_str) {
+        match value.field::<&str>("format").ok() {
             Some(CHECKPOINT_FORMAT) => {}
             other => return Err(format!("not a checkpoint file (format tag {other:?})")),
         }
-        let int = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(json::Value::as_number)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("missing or malformed \"{key}\""))
-        };
         // Compared at full width: a narrowing cast would let 2^32 + 1 pass
         // as version 1.
-        let version = int("version")?;
+        let version: u64 = value.field("version")?;
         if version != u64::from(CHECKPOINT_VERSION) {
             return Err(format!(
                 "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
             ));
         }
-        let clock_now = match value.get("clock_now") {
-            None | Some(json::Value::Null) => None,
-            Some(v) => Some(
-                v.as_number()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| "malformed \"clock_now\"".to_string())?,
-            ),
-        };
-        let algo_value = value.get("algo").ok_or_else(|| "missing \"algo\"".to_string())?;
-        let pairs = |key: &str| -> Result<&[json::Value], String> {
-            algo_value
-                .get(key)
-                .and_then(json::Value::as_array)
-                .ok_or_else(|| format!("missing \"algo.{key}\" array"))
-        };
-        let mut algo = AlgoState::new();
-        for entry in pairs("blobs")? {
-            let pair = entry.as_array().filter(|p| p.len() == 2).ok_or("malformed blob entry")?;
-            let name = pair[0].as_str().ok_or("blob name must be a string")?;
-            let hex = pair[1].as_str().ok_or("blob payload must be a hex string")?;
-            algo.put_blob(name, hex_decode(hex).map_err(|e| format!("blob \"{name}\": {e}"))?);
-        }
-        for entry in pairs("words")? {
-            let pair = entry.as_array().filter(|p| p.len() == 2).ok_or("malformed words entry")?;
-            let name = pair[0].as_str().ok_or("words name must be a string")?;
-            let ws: Vec<u64> = pair[1]
-                .as_array()
-                .ok_or("words payload must be an array")?
-                .iter()
-                .map(|w| w.as_number().and_then(|s| s.parse().ok()))
-                .collect::<Option<_>>()
-                .ok_or_else(|| format!("words \"{name}\": non-integer entry"))?;
-            algo.put_words(name, ws);
-        }
-        let log_value = value.get("log").ok_or_else(|| "missing \"log\"".to_string())?;
-        let log = RunLog::from_value(log_value)?;
-        let rounds_done = int("rounds_done")? as usize;
+        let log: RunLog = value.field("log")?;
+        let rounds_done = value.field("rounds_done")?;
         if rounds_done != log.rounds.len() {
             return Err(format!(
                 "checkpoint claims {rounds_done} rounds but its log holds {}",
@@ -285,11 +259,11 @@ impl SimCheckpoint {
         }
         Ok(SimCheckpoint {
             version: CHECKPOINT_VERSION,
-            seed: int("seed")?,
-            devices: int("devices")? as usize,
+            seed: value.field("seed")?,
+            devices: value.field("devices")?,
             rounds_done,
-            clock_now,
-            algo,
+            clock_now: value.field_or("clock_now", None)?,
+            algo: value.field("algo")?,
             log,
         })
     }

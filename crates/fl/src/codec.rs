@@ -62,8 +62,9 @@
 //! 2. Implement its per-tensor `encode_tensor_*` / `decode_tensor_*` pair
 //!    and its arm in [`PayloadCodec::wire_bytes`] (the size must equal the
 //!    encoded length *exactly* — the property suite enforces it).
-//! 3. Serialize it in `fedzkt_scenario::serial` (writer + reader arm) and
-//!    regenerate any golden preset that uses it.
+//! 3. Add its arm to the `tagged!` table in `fedzkt_scenario::serial` (one
+//!    line declares both the writer and the reader) and regenerate any
+//!    golden preset that uses it.
 //! 4. The codec property suite (`crates/fl/tests/codec_props.rs`), the
 //!    protocol-invariant matrix and the determinism tests then apply to
 //!    the new codec unchanged.
@@ -71,7 +72,6 @@
 use fedzkt_nn::StateDict;
 use fedzkt_tensor::ops::quant::{quant_range, quantize};
 use fedzkt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Wire-format version byte; bump on any incompatible layout change.
 const WIRE_VERSION: u8 = 1;
@@ -98,7 +98,7 @@ impl std::error::Error for CodecError {}
 /// Which payload codec a run uses — serializable, `Copy`, and itself the
 /// [`PayloadCodec`] implementation (enum dispatch; there is no boxed
 /// registry to keep in sync).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CodecSpec {
     /// Uncompressed little-endian `f32` — bit-exact, today's behaviour.
     #[default]

@@ -9,11 +9,10 @@
 //! on a million-device fleet that samples a thousand builds, totals and
 //! reads a thousand entries.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulates uplink/downlink bytes per device for one round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommTracker {
     devices: usize,
     /// Bytes of every device that recorded an upload, by device id.

@@ -325,6 +325,23 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_with_an_overflowing_shape_is_refused_on_resume() {
+        let mut first = setup(0.0, 0.67);
+        first.round(0);
+        // The global model replaced by a 28-byte FZKT header claiming one
+        // [2^31, 2^31] tensor: resume must refuse it, not panic.
+        let mut blob = b"FZKT".to_vec();
+        for word in [1u32, 1, 0, 2, 1 << 31, 1 << 31] {
+            blob.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut ck = first.checkpoint();
+        ck.algo.blobs.iter_mut().find(|(name, _)| name == "global").expect("global blob").1 = blob;
+        let ck = crate::SimCheckpoint::from_json(&ck.to_json()).unwrap();
+        let err = setup(0.0, 0.67).resume_from(&ck).unwrap_err();
+        assert!(err.contains("global"), "{err}");
+    }
+
+    #[test]
     fn comm_bytes_match_model_wire_size() {
         let mut sim = setup(0.0, 1.0);
         let metrics = sim.round(0);

@@ -1,10 +1,12 @@
 //! A deliberately small JSON reader shared by the workspace's artifact
-//! formats ([`RunLog::from_json`](crate::RunLog::from_json)) and the
+//! formats ([`RunLog::from_json`](crate::RunLog::from_json),
+//! [`SimCheckpoint::from_json`](crate::SimCheckpoint::from_json)) and the
 //! declarative scenario files (`fedzkt_scenario`).
 //!
-//! The offline vendored `serde` is a derive shim without serialization, so
-//! the wire formats are owned by the crates that write them; this module
-//! only provides the value model and parser they read back with. Supported:
+//! The wire formats are owned by the crates that write them; this module
+//! provides the value model and parser they read back with, and the one
+//! set of typed readers ([`FromJson`], [`Value::field`],
+//! [`Value::field_or`]) every format reads its fields through. Supported:
 //! objects, arrays, numbers (kept as raw text so integer width and float
 //! precision are decided by the caller), strings (with the two escapes the
 //! workspace writers emit, `\"` and `\\`), booleans and `null`. Anything
@@ -76,6 +78,104 @@ impl<'a> Value<'a> {
         match self {
             Value::Object(fields) => Some(fields),
             _ => None,
+        }
+    }
+
+    /// Read the required object field `key` as a `T`.
+    ///
+    /// # Errors
+    /// Names `key` when it is missing or is not a `T`.
+    pub fn field<'s, T: FromJson<'s>>(&'s self, key: &str) -> Result<T, String> {
+        let value = self.get(key).ok_or_else(|| format!("missing field \"{key}\""))?;
+        T::from_json(value).map_err(|e| format!("field \"{key}\": {e}"))
+    }
+
+    /// Read the optional object field `key` as a `T`, `default` when the
+    /// key is absent (a present `null` is read like any other value).
+    ///
+    /// # Errors
+    /// Names `key` when it is present but not a `T`.
+    pub fn field_or<'s, T: FromJson<'s>>(&'s self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(value) => T::from_json(value).map_err(|e| format!("field \"{key}\": {e}")),
+        }
+    }
+}
+
+/// A type read from one JSON value; `'v` is the borrow of the parsed tree,
+/// so `&str` reads without copying.
+///
+/// Floats read `null` (the writers' spelling of a non-finite value) as
+/// NaN, and `Option` reads it as `None`.
+pub trait FromJson<'v>: Sized {
+    /// Read `value`.
+    ///
+    /// # Errors
+    /// Says what `value` should have been.
+    fn from_json(value: &'v Value<'_>) -> Result<Self, String>;
+}
+
+macro_rules! from_json_number {
+    ($($t:ty: $what:literal $(, null $nan:expr)?;)*) => {$(
+        impl FromJson<'_> for $t {
+            fn from_json(value: &Value<'_>) -> Result<Self, String> {
+                $(if let Value::Null = value {
+                    return Ok($nan);
+                })?
+                Ok(value.as_number().and_then(|raw| raw.parse().ok()).ok_or($what)?)
+            }
+        }
+    )*};
+}
+
+from_json_number! {
+    usize: "not a non-negative integer";
+    u64: "not a 64-bit unsigned integer";
+    f32: "not a number", null f32::NAN;
+    f64: "not a number", null f64::NAN;
+}
+
+impl FromJson<'_> for bool {
+    fn from_json(value: &Value<'_>) -> Result<Self, String> {
+        Ok(value.as_bool().ok_or("not a boolean")?)
+    }
+}
+
+impl<'v> FromJson<'v> for &'v str {
+    fn from_json(value: &'v Value<'_>) -> Result<Self, String> {
+        Ok(value.as_str().ok_or("not a string")?)
+    }
+}
+
+impl FromJson<'_> for String {
+    fn from_json(value: &Value<'_>) -> Result<Self, String> {
+        <&str>::from_json(value).map(str::to_string)
+    }
+}
+
+impl<'v, T: FromJson<'v>> FromJson<'v> for Vec<T> {
+    fn from_json(value: &'v Value<'_>) -> Result<Self, String> {
+        let items = value.as_array().ok_or("not an array")?;
+        items.iter().map(T::from_json).collect()
+    }
+}
+
+/// A two-element array.
+impl<'v, A: FromJson<'v>, B: FromJson<'v>> FromJson<'v> for (A, B) {
+    fn from_json(value: &'v Value<'_>) -> Result<Self, String> {
+        match value.as_array() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err("not a two-element array".into()),
+        }
+    }
+}
+
+impl<'v, T: FromJson<'v>> FromJson<'v> for Option<T> {
+    fn from_json(value: &'v Value<'_>) -> Result<Self, String> {
+        match value {
+            Value::Null => Ok(None),
+            other => T::from_json(other).map(Some),
         }
     }
 }
@@ -327,6 +427,34 @@ mod tests {
         assert!(parse(&deepest).is_ok());
         let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert!(parse(&too_deep).is_err());
+    }
+
+    #[test]
+    fn typed_field_readers() {
+        let v = parse(
+            r#"{"n": 7, "x": null, "s": "hi", "b": true, "l": [1, null], "p": ["k", [2]], "o": null}"#,
+        )
+        .unwrap();
+        assert_eq!(v.field::<usize>("n"), Ok(7));
+        assert!(v.field::<f32>("x").unwrap().is_nan(), "null reads NaN");
+        assert!(v.field::<u64>("x").is_err(), "but never an integer");
+        assert_eq!(v.field::<&str>("s"), Ok("hi"));
+        assert_eq!(v.field::<String>("s"), Ok("hi".to_string()));
+        assert_eq!(v.field::<bool>("b"), Ok(true));
+        assert!(v.field::<bool>("n").is_err());
+        let list: Vec<f64> = v.field("l").unwrap();
+        assert_eq!(list[0], 1.0);
+        assert!(list[1].is_nan());
+        assert_eq!(v.field::<(&str, Vec<u64>)>("p"), Ok(("k", vec![2])));
+        assert!(v.field::<(&str, &str)>("l").is_err());
+        assert_eq!(v.field::<Option<usize>>("o"), Ok(None));
+        assert_eq!(v.field::<Option<usize>>("n"), Ok(Some(7)));
+        let missing = v.field::<usize>("absent").unwrap_err();
+        assert!(missing.contains("\"absent\""), "{missing}");
+        assert_eq!(v.field_or("absent", 3usize), Ok(3));
+        assert_eq!(v.field_or("n", 3usize), Ok(7));
+        assert!(v.field_or("s", 3usize).is_err(), "present but malformed is an error");
+        assert_eq!(v.field_or("o", Some(3usize)), Ok(None), "present null is read, not defaulted");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Per-round metrics and run logs.
 
-use crate::json;
-use serde::{Deserialize, Serialize};
+use crate::json::{self, FromJson, Value};
 use std::fmt::Write;
 
 /// Metrics recorded after one communication round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundMetrics {
     /// 1-based communication round.
     pub round: usize,
@@ -68,11 +67,42 @@ impl RoundMetrics {
     }
 }
 
+/// Floats read `null` (the writer's spelling of a non-finite value) as NaN.
+/// `global_accuracy` and the residency and churn count columns arrived
+/// after the first logs were written; a log without them reads `None` and
+/// 0 (`null` also reads `None` for the accuracy).
+impl FromJson<'_> for RoundMetrics {
+    fn from_json(r: &Value<'_>) -> Result<Self, String> {
+        Ok(RoundMetrics {
+            round: r.field("round")?,
+            avg_device_accuracy: r.field("avg_device_accuracy")?,
+            device_accuracy: r.field("device_accuracy")?,
+            global_accuracy: r.field_or("global_accuracy", None)?,
+            train_loss: r.field("train_loss")?,
+            upload_bytes: r.field("upload_bytes")?,
+            download_bytes: r.field("download_bytes")?,
+            sim_seconds: r.field("sim_seconds")?,
+            active_devices: r.field("active_devices")?,
+            registered_devices: r.field_or("registered_devices", 0)?,
+            peak_resident_devices: r.field_or("peak_resident_devices", 0)?,
+            available_devices: r.field_or("available_devices", 0)?,
+            dropped_devices: r.field_or("dropped_devices", 0)?,
+        })
+    }
+}
+
 /// The full trace of a federated run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     /// One record per round, in order.
     pub rounds: Vec<RoundMetrics>,
+}
+
+/// Also the embedding simulation checkpoints read the log through.
+impl FromJson<'_> for RunLog {
+    fn from_json(value: &Value<'_>) -> Result<Self, String> {
+        Ok(RunLog { rounds: value.field("rounds")? })
+    }
 }
 
 impl RunLog {
@@ -91,19 +121,9 @@ impl RunLog {
         self.rounds.last().map(|r| r.avg_device_accuracy).unwrap_or(0.0)
     }
 
-    /// Final global-model accuracy, when available.
-    pub fn final_global_accuracy(&self) -> Option<f32> {
-        self.rounds.last().and_then(|r| r.global_accuracy)
-    }
-
     /// Best average device accuracy across rounds.
     pub fn best_accuracy(&self) -> f32 {
         self.rounds.iter().map(|r| r.avg_device_accuracy).fold(0.0, f32::max)
-    }
-
-    /// The accuracy series (for learning-curve figures).
-    pub fn accuracy_series(&self) -> Vec<f32> {
-        self.rounds.iter().map(|r| r.avg_device_accuracy).collect()
     }
 
     /// Render as JSON (`{"rounds": [...]}`), one object per round with every
@@ -182,110 +202,7 @@ impl RunLog {
     /// # Errors
     /// Returns a message when the input is not the expected JSON shape.
     pub fn from_json(input: &str) -> Result<RunLog, String> {
-        let value = json::parse(input)?;
-        RunLog::from_value(&value)
-    }
-
-    /// Parse a log from an already-parsed JSON value — the embedding used
-    /// by simulation checkpoints, which nest the log inside a larger
-    /// document.
-    pub(crate) fn from_value(value: &json::Value) -> Result<RunLog, String> {
-        let rounds = value
-            .get("rounds")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| "missing \"rounds\" array".to_string())?;
-        fn field<'v, T>(
-            obj: &'v json::Value,
-            key: &str,
-            parse: impl Fn(&'v str) -> Option<T>,
-        ) -> Result<T, String> {
-            obj.get(key)
-                .and_then(json::Value::as_number)
-                .and_then(parse)
-                .ok_or_else(|| format!("missing or malformed numeric field \"{key}\""))
-        }
-        // Floats additionally accept `null`, `to_json`'s spelling of a
-        // non-finite value, and read it back as NaN.
-        fn float<'v, T: Copy>(
-            value: Option<&'v json::Value>,
-            key: &str,
-            parse: impl Fn(&'v str) -> Option<T>,
-            nan: T,
-        ) -> Result<T, String> {
-            match value {
-                Some(json::Value::Null) => Ok(nan),
-                other => other
-                    .and_then(json::Value::as_number)
-                    .and_then(parse)
-                    .ok_or_else(|| format!("missing or malformed float field \"{key}\"")),
-            }
-        }
-        fn list<'v, T>(
-            obj: &'v json::Value,
-            key: &str,
-            parse: impl Fn(&'v json::Value) -> Result<T, String>,
-        ) -> Result<Vec<T>, String> {
-            obj.get(key)
-                .and_then(json::Value::as_array)
-                .ok_or_else(|| format!("missing array field \"{key}\""))?
-                .iter()
-                .map(parse)
-                .collect()
-        }
-        let f32p = |s: &str| s.parse::<f32>().ok();
-        // The residency columns arrived with the device registry;
-        // pre-registry logs parse with 0 (same spirit as an absent codec
-        // field defaulting to Raw in scenario files).
-        let count_or_zero = |obj: &json::Value, key: &str| -> Result<usize, String> {
-            match obj.get(key) {
-                None => Ok(0),
-                Some(v) => v
-                    .as_number()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("malformed count field \"{key}\"")),
-            }
-        };
-        let f32_field = |obj: &json::Value, key: &str| -> Result<f32, String> {
-            float(obj.get(key), key, f32p, f32::NAN)
-        };
-        let mut log = RunLog::new();
-        for obj in rounds {
-            let global_accuracy = match obj.get("global_accuracy") {
-                None | Some(json::Value::Null) => None,
-                Some(v) => Some(
-                    v.as_number()
-                        .and_then(f32p)
-                        .ok_or_else(|| "malformed \"global_accuracy\"".to_string())?,
-                ),
-            };
-            log.push(RoundMetrics {
-                round: field(obj, "round", |s| s.parse().ok())?,
-                avg_device_accuracy: f32_field(obj, "avg_device_accuracy")?,
-                device_accuracy: list(obj, "device_accuracy", |v| {
-                    float(Some(v), "device_accuracy", f32p, f32::NAN)
-                })?,
-                global_accuracy,
-                train_loss: f32_field(obj, "train_loss")?,
-                upload_bytes: field(obj, "upload_bytes", |s| s.parse().ok())?,
-                download_bytes: field(obj, "download_bytes", |s| s.parse().ok())?,
-                sim_seconds: float(
-                    obj.get("sim_seconds"),
-                    "sim_seconds",
-                    |s| s.parse::<f64>().ok(),
-                    f64::NAN,
-                )?,
-                active_devices: list(obj, "active_devices", |v| {
-                    v.as_number()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| "malformed entry in \"active_devices\"".to_string())
-                })?,
-                registered_devices: count_or_zero(obj, "registered_devices")?,
-                peak_resident_devices: count_or_zero(obj, "peak_resident_devices")?,
-                available_devices: count_or_zero(obj, "available_devices")?,
-                dropped_devices: count_or_zero(obj, "dropped_devices")?,
-            });
-        }
-        Ok(log)
+        <RunLog as FromJson>::from_json(&json::parse(input)?)
     }
 
     /// Write the log as `<dir>/<name>.csv` and `<dir>/<name>.json`,
@@ -347,7 +264,6 @@ mod tests {
         log.push(record(3, 0.7));
         assert_eq!(log.final_accuracy(), 0.7);
         assert_eq!(log.best_accuracy(), 0.8);
-        assert_eq!(log.accuracy_series(), vec![0.5, 0.8, 0.7]);
     }
 
     #[test]
@@ -364,7 +280,6 @@ mod tests {
     fn empty_log_defaults() {
         let log = RunLog::new();
         assert_eq!(log.final_accuracy(), 0.0);
-        assert_eq!(log.final_global_accuracy(), None);
     }
 
     #[test]

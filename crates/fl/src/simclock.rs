@@ -8,10 +8,9 @@
 //! the server-side distillation.
 
 use fedzkt_tensor::{seeded_rng, split_seed, standard_normal};
-use serde::{Deserialize, Serialize};
 
 /// Compute and link capabilities of one simulated device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceResources {
     /// Local-training throughput (samples/second).
     pub compute_samples_per_sec: f32,
@@ -103,7 +102,7 @@ impl RoundParticipant {
 }
 
 /// Virtual clock advancing by synchronous federated rounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimClock {
     devices: Vec<DeviceResources>,
     now_s: f64,

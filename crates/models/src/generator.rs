@@ -12,10 +12,9 @@
 use fedzkt_autograd::Var;
 use fedzkt_nn::{BatchNorm2d, Buffer, Conv2d, Conv2dConfig, Linear, Module};
 use fedzkt_tensor::{seeded_rng, Prng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`Generator`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorSpec {
     /// Dimension of the Gaussian noise input `z`.
     pub z_dim: usize,

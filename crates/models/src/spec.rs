@@ -2,13 +2,12 @@
 
 use crate::{LeNet, Mlp, MobileNetV2, ShuffleNetV2, SmallCnn};
 use fedzkt_nn::Module;
-use serde::{Deserialize, Serialize};
 
 /// A declarative description of an on-device architecture, sufficient to
 /// construct the model. Devices in the simulation pick a `ModelSpec`
 /// independently — the paper's core premise is that these need not agree
 /// across devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ModelSpec {
     /// Compact two-block CNN with the given base width.
     SmallCnn {

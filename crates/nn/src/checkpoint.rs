@@ -1,8 +1,7 @@
 //! Compact binary checkpoints for [`StateDict`]s.
 //!
 //! The federated simulation "transmits" models as state dicts; this module
-//! gives them a wire format so runs can be checkpointed to disk and so the
-//! communication accounting in `fedzkt-fl` corresponds to real bytes. The
+//! gives them a binary form that simulation checkpoints embed. The
 //! format is deliberately simple and versioned:
 //!
 //! ```text
@@ -76,8 +75,13 @@ pub fn decode_state_dict(mut data: &[u8]) -> Result<StateDict, NnError> {
         for _ in 0..rank {
             shape.push(data.get_u32_le() as usize);
         }
-        let len: usize = shape.iter().product();
-        if data.remaining() < 4 * len {
+        // Checked before allocating: a crafted shape must not overflow the
+        // element count or size a vector past the bytes actually present.
+        let len = shape
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| fail("tensor shape overflow"))?;
+        if len > data.remaining() / 4 {
             return Err(fail("truncated tensor data"));
         }
         let mut values = Vec::with_capacity(len);
@@ -91,25 +95,6 @@ pub fn decode_state_dict(mut data: &[u8]) -> Result<StateDict, NnError> {
     }
     let buffers = tensors.split_off(n_params);
     Ok(StateDict { params: tensors, buffers })
-}
-
-/// Write a state dict to a file.
-///
-/// # Errors
-/// Returns any I/O error from the filesystem.
-pub fn save_state_dict(sd: &StateDict, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, encode_state_dict(sd))
-}
-
-/// Read a state dict from a file written by [`save_state_dict`].
-///
-/// # Errors
-/// Returns I/O errors, or [`NnError`] mapped into
-/// [`std::io::ErrorKind::InvalidData`] for malformed contents.
-pub fn load_state_dict_file(path: &std::path::Path) -> std::io::Result<StateDict> {
-    let data = std::fs::read(path)?;
-    decode_state_dict(&data)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 #[cfg(test)]
@@ -174,14 +159,20 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let sd = sample_sd();
-        let dir = std::env::temp_dir().join("fedzkt_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.fzkt");
-        save_state_dict(&sd, &path).unwrap();
-        let loaded = load_state_dict_file(&path).unwrap();
-        assert_eq!(sd, loaded);
-        std::fs::remove_file(&path).ok();
+    fn huge_shape_is_an_error_not_a_panic() {
+        // FZKT v1, one param, no buffers, rank 2, dims [2^31, 2^31]: the
+        // element count overflows 64-bit arithmetic once multiplied by 4.
+        let mut blob = b"FZKT".to_vec();
+        for word in [1u32, 1, 0, 2, 1 << 31, 1 << 31] {
+            blob.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(blob.len(), 28);
+        assert!(decode_state_dict(&blob).is_err());
+        // A count that fits but claims more data than the buffer holds.
+        let mut blob = b"FZKT".to_vec();
+        for word in [1u32, 1, 0, 2, 1 << 16, 1 << 16] {
+            blob.extend_from_slice(&word.to_le_bytes());
+        }
+        assert!(decode_state_dict(&blob).is_err());
     }
 }

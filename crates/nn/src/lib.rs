@@ -47,7 +47,7 @@ mod layers;
 mod module;
 mod optim;
 
-pub use checkpoint::{decode_state_dict, encode_state_dict, load_state_dict_file, save_state_dict};
+pub use checkpoint::{decode_state_dict, encode_state_dict};
 pub use error::NnError;
 pub use layers::{
     Activation, AvgPool2d, BatchNorm2d, Conv2d, Conv2dConfig, Dropout, Flatten, GlobalAvgPool,

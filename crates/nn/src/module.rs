@@ -3,7 +3,6 @@
 use crate::NnError;
 use fedzkt_autograd::Var;
 use fedzkt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -119,7 +118,7 @@ impl<M: Module + ?Sized> Module for Box<M> {
 /// The snapshot-rebuild round trip is lossless
 /// ([`state_dict`] → [`load_state_dict`] restores every parameter and
 /// buffer bit-for-bit), which the checkpoint tests guard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateDict {
     /// Parameter tensors, in `Module::params` order.
     pub params: Vec<Tensor>,

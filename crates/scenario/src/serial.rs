@@ -1,21 +1,28 @@
 //! Canonical JSON serialization for [`Scenario`].
 //!
-//! The offline vendored `serde` is a derive-only shim, so the wire format
-//! is owned here: a hand-rolled writer emitting one canonical pretty
-//! form (2-space indent, struct field order, Rust's shortest round-trip
-//! float formatting) and a reader over the workspace JSON parser
-//! ([`fedzkt_fl::json`]). Canonical output is what makes the checked-in
-//! preset files *golden*: `parse → to_json` reproduces them byte for byte.
+//! The wire format is owned here. Each type's JSON form is declared once,
+//! as a `Schema` impl generated from a table — `record!` for a struct,
+//! `tagged!` for an enum whose JSON carries a `"kind"` tag, `slugs!` for a
+//! field-less enum — and that one declaration yields both the writer and
+//! the reader. Only the irregular shapes ([`Algo`], [`ResourceAssignment`],
+//! [`ResourceSpec`], [`SimConfig`], [`Scenario`] and the `{model, count}`
+//! zoo entry) are written by hand.
+//!
+//! The writer builds a `J` tree and prints one canonical pretty form
+//! (2-space indent, table field order, Rust's shortest round-trip float
+//! formatting); the reader goes through the workspace JSON parser's typed
+//! field readers ([`fedzkt_fl::json`]). Canonical output is what makes the
+//! checked-in preset files *golden*: `parse → to_json` reproduces them
+//! byte for byte.
 
 use crate::{
     Algo, DataSpec, LinkBandwidth, ResourceAssignment, ResourceSpec, Scenario, ScenarioError,
 };
 use fedzkt_core::{DistillLoss, FedMdConfig, FedZktConfig};
 use fedzkt_data::{DataFamily, Partition};
-use fedzkt_fl::json::{self, Value};
+use fedzkt_fl::json::{self, FromJson, Value};
 use fedzkt_fl::{
-    ChurnSpec, CodecSpec, DeviceResources, FedAvgConfig, FedEtConfig,
-    FedGktConfig, SimConfig,
+    ChurnSpec, CodecSpec, DeviceResources, FedAvgConfig, FedEtConfig, FedGktConfig, SimConfig,
 };
 use fedzkt_models::{GeneratorSpec, ModelSpec};
 
@@ -27,34 +34,6 @@ enum J {
     Str(String),
     Arr(Vec<J>),
     Obj(Vec<(&'static str, J)>),
-}
-
-fn us(v: usize) -> J {
-    J::Num(v.to_string())
-}
-
-fn u64j(v: u64) -> J {
-    J::Num(v.to_string())
-}
-
-fn f32j(v: f32) -> J {
-    if v.is_finite() {
-        J::Num(format!("{v}"))
-    } else {
-        J::Null // no JSON literal; readers of fields that allow it map it back
-    }
-}
-
-fn f64j(v: f64) -> J {
-    if v.is_finite() {
-        J::Num(format!("{v}"))
-    } else {
-        J::Null
-    }
-}
-
-fn sj(v: &str) -> J {
-    J::Str(v.to_string())
 }
 
 fn pretty(j: &J, indent: usize, out: &mut String) {
@@ -103,580 +82,366 @@ fn pretty(j: &J, indent: usize, out: &mut String) {
     }
 }
 
-fn family_slug(f: DataFamily) -> &'static str {
-    match f {
-        DataFamily::MnistLike => "mnist",
-        DataFamily::KmnistLike => "kmnist",
-        DataFamily::FashionLike => "fashion",
-        DataFamily::Cifar10Like => "cifar10",
-        DataFamily::Cifar100Like => "cifar100",
-        DataFamily::SvhnLike => "svhn",
+/// One type's JSON form: both directions, declared together.
+trait Schema: Sized {
+    fn write(&self) -> J;
+    fn read(v: &Value) -> Result<Self, String>;
+}
+
+/// Lets a [`Schema`] type go through the `json` field readers.
+struct Read<T>(T);
+
+impl<T: Schema> FromJson<'_> for Read<T> {
+    fn from_json(v: &Value<'_>) -> Result<Self, String> {
+        T::read(v).map(Read)
     }
 }
 
-fn family_from_slug(s: &str) -> Result<DataFamily, String> {
-    Ok(match s {
-        "mnist" => DataFamily::MnistLike,
-        "kmnist" => DataFamily::KmnistLike,
-        "fashion" => DataFamily::FashionLike,
-        "cifar10" => DataFamily::Cifar10Like,
-        "cifar100" => DataFamily::Cifar100Like,
-        "svhn" => DataFamily::SvhnLike,
-        other => return Err(format!("unknown data family \"{other}\"")),
-    })
+/// The required field `key` of `v`.
+fn field<T: Schema>(v: &Value, key: &str) -> Result<T, String> {
+    v.field::<Read<T>>(key).map(|Read(t)| t)
 }
 
-fn loss_slug(l: DistillLoss) -> &'static str {
-    match l {
-        DistillLoss::Kl => "kl",
-        DistillLoss::LogitL1 => "logit_l1",
-        DistillLoss::Sl => "sl",
+macro_rules! primitive {
+    ($($t:ty => |$v:ident| $write:expr;)*) => {$(
+        impl Schema for $t {
+            fn write(&self) -> J {
+                let $v = *self;
+                $write
+            }
+            fn read(v: &Value) -> Result<Self, String> {
+                <$t>::from_json(v)
+            }
+        }
+    )*};
+}
+
+// A non-finite float has no JSON literal: it writes `null`, which reads
+// back as NaN; [`Scenario::validate`] rejects it wherever NaN is not
+// meaningful.
+primitive! {
+    usize => |v| J::Num(v.to_string());
+    u64 => |v| J::Num(v.to_string());
+    bool => |v| J::Bool(v);
+    f32 => |v| if v.is_finite() { J::Num(format!("{v}")) } else { J::Null };
+    f64 => |v| if v.is_finite() { J::Num(format!("{v}")) } else { J::Null };
+}
+
+impl<T: Schema> Schema for Option<T> {
+    fn write(&self) -> J {
+        self.as_ref().map_or(J::Null, T::write)
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        Ok(Option::<Read<T>>::from_json(v)?.map(|Read(t)| t))
     }
 }
 
-fn loss_from_slug(s: &str) -> Result<DistillLoss, String> {
-    Ok(match s {
-        "kl" => DistillLoss::Kl,
-        "logit_l1" => DistillLoss::LogitL1,
-        "sl" => DistillLoss::Sl,
-        other => return Err(format!("unknown distill loss \"{other}\"")),
-    })
-}
-
-fn model_j(m: &ModelSpec) -> J {
-    J::Obj(match *m {
-        ModelSpec::SmallCnn { base_channels } => {
-            vec![("kind", sj("small_cnn")), ("base_channels", us(base_channels))]
-        }
-        ModelSpec::Mlp { hidden } => vec![("kind", sj("mlp")), ("hidden", us(hidden))],
-        ModelSpec::LeNet { scale, deep } => {
-            vec![("kind", sj("lenet")), ("scale", f32j(scale)), ("deep", J::Bool(deep))]
-        }
-        ModelSpec::MobileNetV2 { width } => {
-            vec![("kind", sj("mobilenet_v2")), ("width", f32j(width))]
-        }
-        ModelSpec::ShuffleNetV2 { size } => {
-            vec![("kind", sj("shufflenet_v2")), ("size", f32j(size))]
-        }
-    })
-}
-
-fn partition_j(p: &Partition) -> J {
-    J::Obj(match *p {
-        Partition::Iid => vec![("kind", sj("iid"))],
-        Partition::QuantitySkew { classes_per_device } => {
-            vec![("kind", sj("quantity_skew")), ("classes_per_device", us(classes_per_device))]
-        }
-        Partition::Dirichlet { beta } => {
-            vec![("kind", sj("dirichlet")), ("beta", f32j(beta))]
-        }
-    })
-}
-
-fn generator_j(g: &GeneratorSpec) -> J {
-    J::Obj(vec![("z_dim", us(g.z_dim)), ("ngf", us(g.ngf))])
-}
-
-fn fedzkt_cfg_j(c: &FedZktConfig) -> J {
-    J::Obj(vec![
-        ("local_epochs", us(c.local_epochs)),
-        ("distill_iters", us(c.distill_iters)),
-        ("transfer_iters", us(c.transfer_iters)),
-        ("device_batch", us(c.device_batch)),
-        ("distill_batch", us(c.distill_batch)),
-        ("device_lr", f32j(c.device_lr)),
-        ("device_momentum", f32j(c.device_momentum)),
-        ("server_lr", f32j(c.server_lr)),
-        ("transfer_lr", f32j(c.transfer_lr)),
-        ("generator_lr", f32j(c.generator_lr)),
-        ("loss", sj(loss_slug(c.loss))),
-        // `null` spells an infinitely fast (free) server — +∞ only. The
-        // other non-finite values are invalid (validate() rejects them);
-        // they serialize as -1 so they read back as a *rejected* config
-        // rather than borrowing the free-server spelling.
-        (
-            "server_samples_per_sec",
-            if c.server_samples_per_sec == f32::INFINITY {
-                J::Null
-            } else if c.server_samples_per_sec.is_finite() {
-                f32j(c.server_samples_per_sec)
-            } else {
-                J::Num("-1".into())
-            },
-        ),
-        ("prox_mu", f32j(c.prox_mu)),
-        ("generator", generator_j(&c.generator)),
-        ("global_model", model_j(&c.global_model)),
-        ("probe_grad_norms", J::Bool(c.probe_grad_norms)),
-        ("fresh_generator_for_transfer", J::Bool(c.fresh_generator_for_transfer)),
-    ])
-}
-
-fn fedavg_cfg_j(c: &FedAvgConfig) -> J {
-    J::Obj(vec![
-        ("local_epochs", us(c.local_epochs)),
-        ("batch_size", us(c.batch_size)),
-        ("lr", f32j(c.lr)),
-        ("momentum", f32j(c.momentum)),
-        ("prox_mu", f32j(c.prox_mu)),
-    ])
-}
-
-fn fedmd_cfg_j(c: &FedMdConfig) -> J {
-    J::Obj(vec![
-        ("public_warmup_epochs", us(c.public_warmup_epochs)),
-        ("private_warmup_epochs", us(c.private_warmup_epochs)),
-        ("alignment_size", us(c.alignment_size)),
-        ("digest_epochs", us(c.digest_epochs)),
-        ("revisit_epochs", us(c.revisit_epochs)),
-        ("batch_size", us(c.batch_size)),
-        ("lr", f32j(c.lr)),
-    ])
-}
-
-fn fedet_cfg_j(c: &FedEtConfig) -> J {
-    J::Obj(vec![
-        ("local_epochs", us(c.local_epochs)),
-        ("batch_size", us(c.batch_size)),
-        ("lr", f32j(c.lr)),
-        ("transfer_size", us(c.transfer_size)),
-        ("distill_epochs", us(c.distill_epochs)),
-        ("transfer_epochs", us(c.transfer_epochs)),
-        ("server_lr", f32j(c.server_lr)),
-        ("diversity_lambda", f32j(c.diversity_lambda)),
-        ("server_model", model_j(&c.server_model)),
-    ])
-}
-
-fn fedgkt_cfg_j(c: &FedGktConfig) -> J {
-    J::Obj(vec![
-        ("local_epochs", us(c.local_epochs)),
-        ("kd_epochs", us(c.kd_epochs)),
-        ("server_epochs", us(c.server_epochs)),
-        ("batch_size", us(c.batch_size)),
-        ("lr", f32j(c.lr)),
-        ("server_lr", f32j(c.server_lr)),
-        ("feature_dim", us(c.feature_dim)),
-        ("server_hidden", us(c.server_hidden)),
-    ])
-}
-
-fn device_resources_j(r: &DeviceResources) -> J {
-    J::Obj(vec![
-        ("compute_samples_per_sec", f32j(r.compute_samples_per_sec)),
-        ("uplink_bytes_per_sec", f32j(r.uplink_bytes_per_sec)),
-        ("downlink_bytes_per_sec", f32j(r.downlink_bytes_per_sec)),
-    ])
-}
-
-/// An unlimited link (`+∞`) serializes as `null`, mirroring the
-/// free-server spelling of `server_samples_per_sec`; other non-finite
-/// values write `-1` so they come back *rejected* rather than unlimited.
-fn link_j(v: f32) -> J {
-    if v == f32::INFINITY {
-        J::Null
-    } else if v.is_finite() {
-        f32j(v)
-    } else {
-        J::Num("-1".into())
+impl<T: Schema> Schema for Vec<T> {
+    fn write(&self) -> J {
+        J::Arr(self.iter().map(T::write).collect())
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        Ok(Vec::<Read<T>>::from_json(v)?.into_iter().map(|Read(t)| t).collect())
     }
 }
 
-fn bandwidth_j(b: &LinkBandwidth) -> J {
-    J::Obj(vec![
-        ("up_bytes_per_sec", link_j(b.up_bytes_per_sec)),
-        ("down_bytes_per_sec", link_j(b.down_bytes_per_sec)),
-    ])
-}
+/// An `f32` whose `null` spells +∞: a free server, an unlimited link. The
+/// other non-finite values write `-1`, so they read back as a *rejected*
+/// value rather than borrowing the unlimited spelling.
+struct Unlimited(f32);
 
-fn resources_j(r: &ResourceSpec) -> J {
-    let assignment = J::Obj(match &r.assignment {
-        ResourceAssignment::Smartphone => vec![("kind", sj("smartphone"))],
-        ResourceAssignment::Microcontroller => vec![("kind", sj("microcontroller"))],
-        ResourceAssignment::Heterogeneous { seed } => {
-            vec![("kind", sj("heterogeneous")), ("seed", u64j(*seed))]
+impl Schema for Unlimited {
+    fn write(&self) -> J {
+        if self.0 == f32::INFINITY {
+            J::Null
+        } else if self.0.is_finite() {
+            self.0.write()
+        } else {
+            J::Num("-1".into())
         }
-        ResourceAssignment::Explicit(list) => vec![
-            ("kind", sj("explicit")),
-            ("devices", J::Arr(list.iter().map(device_resources_j).collect())),
-        ],
-    });
-    J::Obj(vec![
-        ("assignment", assignment),
-        ("bandwidth", r.bandwidth.as_ref().map_or(J::Null, bandwidth_j)),
-        ("server_seconds", f64j(r.server_seconds)),
-    ])
-}
-
-fn churn_j(c: &ChurnSpec) -> J {
-    J::Obj(vec![
-        ("seed", u64j(c.seed)),
-        ("arrival_window", us(c.arrival_window)),
-        ("mean_lifetime", f32j(c.mean_lifetime)),
-        ("duty_period", us(c.duty_period)),
-        ("duty_on", us(c.duty_on)),
-        ("dropout", f32j(c.dropout)),
-        ("bandwidth_floor", f32j(c.bandwidth_floor)),
-    ])
-}
-
-fn codec_j(c: &CodecSpec) -> J {
-    J::Obj(match *c {
-        CodecSpec::Raw => vec![("kind", sj("raw"))],
-        CodecSpec::QuantQ8 => vec![("kind", sj("quant_q8"))],
-        CodecSpec::QuantQ4 => vec![("kind", sj("quant_q4"))],
-        CodecSpec::TopK { density } => {
-            vec![("kind", sj("top_k")), ("density", f32j(density))]
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(Unlimited(f32::INFINITY)),
+            v => f32::read(v).map(Unlimited),
         }
-    })
-}
-
-fn algo_j(a: &Algo) -> J {
-    J::Obj(match a {
-        Algo::FedZkt(cfg) => vec![("kind", sj("fedzkt")), ("config", fedzkt_cfg_j(cfg))],
-        Algo::FedAvg(cfg) => vec![("kind", sj("fedavg")), ("config", fedavg_cfg_j(cfg))],
-        Algo::FedProx(cfg) => vec![("kind", sj("fedprox")), ("config", fedavg_cfg_j(cfg))],
-        Algo::FedMd { public, cfg } => vec![
-            ("kind", sj("fedmd")),
-            ("public", sj(family_slug(*public))),
-            ("config", fedmd_cfg_j(cfg)),
-        ],
-        Algo::FedEt { public, cfg } => vec![
-            ("kind", sj("fedet")),
-            ("public", sj(family_slug(*public))),
-            ("config", fedet_cfg_j(cfg)),
-        ],
-        Algo::FedGkt(cfg) => vec![("kind", sj("fedgkt")), ("config", fedgkt_cfg_j(cfg))],
-    })
-}
-
-fn sim_j(s: &SimConfig) -> J {
-    J::Obj(vec![
-        ("rounds", us(s.rounds)),
-        ("participation", f32j(s.participation)),
-        ("eval_batch", us(s.eval_batch)),
-        ("eval_every", us(s.eval_every)),
-        ("seed", u64j(s.seed)),
-        ("threads", us(s.threads)),
-        ("codec", codec_j(&s.codec)),
-    ])
-}
-
-// ---- reader helpers ------------------------------------------------------
-
-fn req<'a, 'b>(v: &'a Value<'b>, key: &str) -> Result<&'a Value<'b>, String> {
-    v.get(key).ok_or_else(|| format!("missing field \"{key}\""))
-}
-
-fn usize_f(v: &Value, key: &str) -> Result<usize, String> {
-    req(v, key)?
-        .as_number()
-        .and_then(|raw| raw.parse().ok())
-        .ok_or_else(|| format!("field \"{key}\" is not a non-negative integer"))
-}
-
-fn u64_f(v: &Value, key: &str) -> Result<u64, String> {
-    req(v, key)?
-        .as_number()
-        .and_then(|raw| raw.parse().ok())
-        .ok_or_else(|| format!("field \"{key}\" is not a 64-bit unsigned integer"))
-}
-
-/// `null` (the writer's spelling of a non-finite value — like
-/// `RunLog::to_json`) reads back as NaN; [`Scenario::validate`] rejects it
-/// everywhere NaN is not meaningful.
-fn f32_f(v: &Value, key: &str) -> Result<f32, String> {
-    match req(v, key)? {
-        Value::Null => Ok(f32::NAN),
-        other => other
-            .as_number()
-            .and_then(|raw| raw.parse().ok())
-            .ok_or_else(|| format!("field \"{key}\" is not a number")),
     }
 }
 
-/// Same `null` → NaN convention as [`f32_f`], for the schema's f64 fields.
-fn f64_f(v: &Value, key: &str) -> Result<f64, String> {
-    match req(v, key)? {
-        Value::Null => Ok(f64::NAN),
-        other => other
-            .as_number()
-            .and_then(|raw| raw.parse().ok())
-            .ok_or_else(|| format!("field \"{key}\" is not a number")),
+/// Structs: one JSON key per field, in table order. `field as Wrapper`
+/// routes one field through a newtype's form.
+macro_rules! record {
+    ($($ty:ident { $($f:ident $(as $wrap:ident)?),* $(,)? })*) => {$(
+        impl Schema for $ty {
+            fn write(&self) -> J {
+                J::Obj(vec![$((stringify!($f), record!(@write self.$f $(, $wrap)?))),*])
+            }
+            fn read(v: &Value) -> Result<Self, String> {
+                Ok($ty { $($f: record!(@read v, $f $(, $wrap)?)),* })
+            }
+        }
+    )*};
+    (@write $e:expr) => { $e.write() };
+    (@write $e:expr, $wrap:ident) => { $wrap($e).write() };
+    (@read $v:ident, $f:ident) => { field($v, stringify!($f))? };
+    (@read $v:ident, $f:ident, $wrap:ident) => { field::<$wrap>($v, stringify!($f))?.0 };
+}
+
+/// Enums with data: `{"kind": tag, field…}`.
+macro_rules! tagged {
+    ($($ty:ident $what:literal { $($tag:literal => $variant:ident { $($f:ident),* }),* $(,)? })*) => {$(
+        impl Schema for $ty {
+            fn write(&self) -> J {
+                match self {
+                    $($ty::$variant { $($f),* } => {
+                        J::Obj(vec![kind($tag), $((stringify!($f), $f.write())),*])
+                    })*
+                }
+            }
+            fn read(v: &Value) -> Result<Self, String> {
+                Ok(match v.field::<&str>("kind")? {
+                    $($tag => $ty::$variant { $($f: field(v, stringify!($f))?),* },)*
+                    other => return Err(format!("unknown {} kind \"{other}\"", $what)),
+                })
+            }
+        }
+    )*};
+}
+
+/// Field-less enums: one string per variant.
+macro_rules! slugs {
+    ($($ty:ident $what:literal { $($variant:ident => $slug:literal),* $(,)? })*) => {$(
+        impl Schema for $ty {
+            fn write(&self) -> J {
+                J::Str(match self { $($ty::$variant => $slug),* }.into())
+            }
+            fn read(v: &Value) -> Result<Self, String> {
+                Ok(match <&str>::from_json(v)? {
+                    $($slug => $ty::$variant,)*
+                    other => return Err(format!("unknown {} \"{other}\"", $what)),
+                })
+            }
+        }
+    )*};
+}
+
+slugs! {
+    DataFamily "data family" {
+        MnistLike => "mnist",
+        KmnistLike => "kmnist",
+        FashionLike => "fashion",
+        Cifar10Like => "cifar10",
+        Cifar100Like => "cifar100",
+        SvhnLike => "svhn",
+    }
+    DistillLoss "distill loss" { Kl => "kl", LogitL1 => "logit_l1", Sl => "sl" }
+}
+
+tagged! {
+    ModelSpec "model" {
+        "small_cnn" => SmallCnn { base_channels },
+        "mlp" => Mlp { hidden },
+        "lenet" => LeNet { scale, deep },
+        "mobilenet_v2" => MobileNetV2 { width },
+        "shufflenet_v2" => ShuffleNetV2 { size },
+    }
+    Partition "partition" {
+        "iid" => Iid {},
+        "quantity_skew" => QuantitySkew { classes_per_device },
+        "dirichlet" => Dirichlet { beta },
+    }
+    CodecSpec "codec" {
+        "raw" => Raw {},
+        "quant_q8" => QuantQ8 {},
+        "quant_q4" => QuantQ4 {},
+        "top_k" => TopK { density },
     }
 }
 
-fn bool_f(v: &Value, key: &str) -> Result<bool, String> {
-    req(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field \"{key}\" is not a boolean"))
-}
-
-fn str_f<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field \"{key}\" is not a string"))
-}
-
-fn model_from(v: &Value) -> Result<ModelSpec, String> {
-    Ok(match str_f(v, "kind")? {
-        "small_cnn" => ModelSpec::SmallCnn { base_channels: usize_f(v, "base_channels")? },
-        "mlp" => ModelSpec::Mlp { hidden: usize_f(v, "hidden")? },
-        "lenet" => ModelSpec::LeNet { scale: f32_f(v, "scale")?, deep: bool_f(v, "deep")? },
-        "mobilenet_v2" => ModelSpec::MobileNetV2 { width: f32_f(v, "width")? },
-        "shufflenet_v2" => ModelSpec::ShuffleNetV2 { size: f32_f(v, "size")? },
-        other => return Err(format!("unknown model kind \"{other}\"")),
-    })
-}
-
-fn partition_from(v: &Value) -> Result<Partition, String> {
-    Ok(match str_f(v, "kind")? {
-        "iid" => Partition::Iid,
-        "quantity_skew" => Partition::QuantitySkew {
-            classes_per_device: usize_f(v, "classes_per_device")?,
-        },
-        "dirichlet" => Partition::Dirichlet { beta: f32_f(v, "beta")? },
-        other => return Err(format!("unknown partition kind \"{other}\"")),
-    })
-}
-
-fn fedzkt_cfg_from(v: &Value) -> Result<FedZktConfig, String> {
-    let generator = req(v, "generator")?;
-    let server_sps = match req(v, "server_samples_per_sec")? {
-        Value::Null => f32::INFINITY, // the "free server" spelling
-        _ => f32_f(v, "server_samples_per_sec")?,
-    };
-    Ok(FedZktConfig {
-        local_epochs: usize_f(v, "local_epochs")?,
-        distill_iters: usize_f(v, "distill_iters")?,
-        transfer_iters: usize_f(v, "transfer_iters")?,
-        device_batch: usize_f(v, "device_batch")?,
-        distill_batch: usize_f(v, "distill_batch")?,
-        device_lr: f32_f(v, "device_lr")?,
-        device_momentum: f32_f(v, "device_momentum")?,
-        server_lr: f32_f(v, "server_lr")?,
-        transfer_lr: f32_f(v, "transfer_lr")?,
-        generator_lr: f32_f(v, "generator_lr")?,
-        loss: loss_from_slug(str_f(v, "loss")?)?,
-        server_samples_per_sec: server_sps,
-        prox_mu: f32_f(v, "prox_mu")?,
-        generator: GeneratorSpec {
-            z_dim: usize_f(generator, "z_dim")?,
-            ngf: usize_f(generator, "ngf")?,
-        },
-        global_model: model_from(req(v, "global_model")?)?,
-        probe_grad_norms: bool_f(v, "probe_grad_norms")?,
-        fresh_generator_for_transfer: bool_f(v, "fresh_generator_for_transfer")?,
-    })
-}
-
-fn fedavg_cfg_from(v: &Value) -> Result<FedAvgConfig, String> {
-    Ok(FedAvgConfig {
-        local_epochs: usize_f(v, "local_epochs")?,
-        batch_size: usize_f(v, "batch_size")?,
-        lr: f32_f(v, "lr")?,
-        momentum: f32_f(v, "momentum")?,
-        prox_mu: f32_f(v, "prox_mu")?,
-    })
-}
-
-fn fedmd_cfg_from(v: &Value) -> Result<FedMdConfig, String> {
-    Ok(FedMdConfig {
-        public_warmup_epochs: usize_f(v, "public_warmup_epochs")?,
-        private_warmup_epochs: usize_f(v, "private_warmup_epochs")?,
-        alignment_size: usize_f(v, "alignment_size")?,
-        digest_epochs: usize_f(v, "digest_epochs")?,
-        revisit_epochs: usize_f(v, "revisit_epochs")?,
-        batch_size: usize_f(v, "batch_size")?,
-        lr: f32_f(v, "lr")?,
-    })
-}
-
-fn fedet_cfg_from(v: &Value) -> Result<FedEtConfig, String> {
-    Ok(FedEtConfig {
-        local_epochs: usize_f(v, "local_epochs")?,
-        batch_size: usize_f(v, "batch_size")?,
-        lr: f32_f(v, "lr")?,
-        transfer_size: usize_f(v, "transfer_size")?,
-        distill_epochs: usize_f(v, "distill_epochs")?,
-        transfer_epochs: usize_f(v, "transfer_epochs")?,
-        server_lr: f32_f(v, "server_lr")?,
-        diversity_lambda: f32_f(v, "diversity_lambda")?,
-        server_model: model_from(req(v, "server_model")?)?,
-    })
-}
-
-fn fedgkt_cfg_from(v: &Value) -> Result<FedGktConfig, String> {
-    Ok(FedGktConfig {
-        local_epochs: usize_f(v, "local_epochs")?,
-        kd_epochs: usize_f(v, "kd_epochs")?,
-        server_epochs: usize_f(v, "server_epochs")?,
-        batch_size: usize_f(v, "batch_size")?,
-        lr: f32_f(v, "lr")?,
-        server_lr: f32_f(v, "server_lr")?,
-        feature_dim: usize_f(v, "feature_dim")?,
-        server_hidden: usize_f(v, "server_hidden")?,
-    })
-}
-
-fn device_resources_from(v: &Value) -> Result<DeviceResources, String> {
-    Ok(DeviceResources {
-        compute_samples_per_sec: f32_f(v, "compute_samples_per_sec")?,
-        uplink_bytes_per_sec: f32_f(v, "uplink_bytes_per_sec")?,
-        downlink_bytes_per_sec: f32_f(v, "downlink_bytes_per_sec")?,
-    })
-}
-
-/// `null` reads back as the unlimited-link spelling (`+∞`), inverting
-/// [`link_j`].
-fn link_f(v: &Value, key: &str) -> Result<f32, String> {
-    match req(v, key)? {
-        Value::Null => Ok(f32::INFINITY),
-        _ => f32_f(v, key),
+record! {
+    DataSpec { family, img, train_n, test_n, classes, noise_std }
+    GeneratorSpec { z_dim, ngf }
+    FedZktConfig {
+        local_epochs, distill_iters, transfer_iters, device_batch, distill_batch, device_lr,
+        device_momentum, server_lr, transfer_lr, generator_lr, loss,
+        server_samples_per_sec as Unlimited,
+        prox_mu, generator, global_model, probe_grad_norms, fresh_generator_for_transfer,
+    }
+    FedAvgConfig { local_epochs, batch_size, lr, momentum, prox_mu }
+    FedMdConfig {
+        public_warmup_epochs, private_warmup_epochs, alignment_size, digest_epochs,
+        revisit_epochs, batch_size, lr,
+    }
+    FedEtConfig {
+        local_epochs, batch_size, lr, transfer_size, distill_epochs, transfer_epochs, server_lr,
+        diversity_lambda, server_model,
+    }
+    FedGktConfig {
+        local_epochs, kd_epochs, server_epochs, batch_size, lr, server_lr, feature_dim,
+        server_hidden,
+    }
+    DeviceResources { compute_samples_per_sec, uplink_bytes_per_sec, downlink_bytes_per_sec }
+    LinkBandwidth { up_bytes_per_sec as Unlimited, down_bytes_per_sec as Unlimited }
+    ChurnSpec {
+        seed, arrival_window, mean_lifetime, duty_period, duty_on, dropout, bandwidth_floor,
     }
 }
 
-fn bandwidth_from(v: &Value) -> Result<LinkBandwidth, String> {
-    Ok(LinkBandwidth {
-        up_bytes_per_sec: link_f(v, "up_bytes_per_sec")?,
-        down_bytes_per_sec: link_f(v, "down_bytes_per_sec")?,
-    })
+fn kind(tag: &str) -> (&'static str, J) {
+    ("kind", J::Str(tag.into()))
 }
 
-fn resources_from(v: &Value) -> Result<ResourceSpec, String> {
-    let assignment = req(v, "assignment")?;
-    let assignment = match str_f(assignment, "kind")? {
-        "smartphone" => ResourceAssignment::Smartphone,
-        "microcontroller" => ResourceAssignment::Microcontroller,
-        "heterogeneous" => ResourceAssignment::Heterogeneous { seed: u64_f(assignment, "seed")? },
-        "explicit" => ResourceAssignment::Explicit(
-            req(assignment, "devices")?
-                .as_array()
-                .ok_or_else(|| "\"devices\" is not an array".to_string())?
-                .iter()
-                .map(device_resources_from)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        other => return Err(format!("unknown resource assignment \"{other}\"")),
-    };
-    // Absent (a pre-codec-era file) reads like `null`: no override.
-    let bandwidth = match v.get("bandwidth") {
-        None | Some(Value::Null) => None,
-        Some(other) => Some(bandwidth_from(other)?),
-    };
-    Ok(ResourceSpec { assignment, bandwidth, server_seconds: f64_f(v, "server_seconds")? })
-}
-
-fn churn_from(v: &Value) -> Result<ChurnSpec, String> {
-    Ok(ChurnSpec {
-        seed: u64_f(v, "seed")?,
-        arrival_window: usize_f(v, "arrival_window")?,
-        mean_lifetime: f32_f(v, "mean_lifetime")?,
-        duty_period: usize_f(v, "duty_period")?,
-        duty_on: usize_f(v, "duty_on")?,
-        dropout: f32_f(v, "dropout")?,
-        bandwidth_floor: f32_f(v, "bandwidth_floor")?,
-    })
-}
-
-fn codec_from(v: &Value) -> Result<CodecSpec, String> {
-    Ok(match str_f(v, "kind")? {
-        "raw" => CodecSpec::Raw,
-        "quant_q8" => CodecSpec::QuantQ8,
-        "quant_q4" => CodecSpec::QuantQ4,
-        "top_k" => CodecSpec::TopK { density: f32_f(v, "density")? },
-        other => return Err(format!("unknown codec kind \"{other}\"")),
-    })
-}
-
-fn algo_from(v: &Value) -> Result<Algo, String> {
-    let config = req(v, "config")?;
-    Ok(match str_f(v, "kind")? {
-        "fedzkt" => Algo::FedZkt(fedzkt_cfg_from(config)?),
-        "fedavg" => Algo::FedAvg(fedavg_cfg_from(config)?),
-        "fedprox" => Algo::FedProx(fedavg_cfg_from(config)?),
-        "fedmd" => Algo::FedMd {
-            public: family_from_slug(str_f(v, "public")?)?,
-            cfg: fedmd_cfg_from(config)?,
-        },
-        "fedet" => Algo::FedEt {
-            public: family_from_slug(str_f(v, "public")?)?,
-            cfg: fedet_cfg_from(config)?,
-        },
-        "fedgkt" => Algo::FedGkt(fedgkt_cfg_from(config)?),
-        other => return Err(format!("unknown algorithm kind \"{other}\"")),
-    })
-}
-
-fn scenario_from(v: &Value) -> Result<Scenario, String> {
-    let data = req(v, "data")?;
-    let sim = req(v, "sim")?;
-    let zoo = req(v, "zoo")?
-        .as_array()
-        .ok_or_else(|| "\"zoo\" is not an array".to_string())?
-        .iter()
-        .map(|entry| {
-            Ok::<_, String>((model_from(req(entry, "model")?)?, usize_f(entry, "count")?))
+/// A tuple variant: its list sits under `"devices"`.
+impl Schema for ResourceAssignment {
+    fn write(&self) -> J {
+        J::Obj(match self {
+            ResourceAssignment::Smartphone => vec![kind("smartphone")],
+            ResourceAssignment::Microcontroller => vec![kind("microcontroller")],
+            ResourceAssignment::Heterogeneous { seed } => {
+                vec![kind("heterogeneous"), ("seed", seed.write())]
+            }
+            ResourceAssignment::Explicit(list) => vec![kind("explicit"), ("devices", list.write())],
         })
-        .collect::<Result<Vec<_>, _>>()?;
-    let resources = match req(v, "resources")? {
-        Value::Null => None,
-        other => Some(resources_from(other)?),
-    };
-    // Absent (a pre-churn-era file, or any static-fleet file — the
-    // writer omits the field for `None`) means no fleet dynamics.
-    let churn = match v.get("churn") {
-        None | Some(Value::Null) => None,
-        Some(other) => Some(churn_from(other)?),
-    };
-    // `sim.compute` used to select the numeric format of the inference
-    // phases. Every run is f32 now, so a legacy `"f32"` means what it always
-    // did; any other value must not be dropped like an unknown key, or the
-    // file would silently run as something it did not ask for.
-    if sim.get("compute").is_some() {
-        let format = str_f(sim, "compute")?;
-        if format != "f32" {
-            return Err(format!(
-                "sim.compute \"{format}\": that compute format was removed, every run is f32"
-            ));
-        }
     }
-    Ok(Scenario {
-        name: str_f(v, "name")?.to_string(),
-        data: DataSpec {
-            family: family_from_slug(str_f(data, "family")?)?,
-            img: usize_f(data, "img")?,
-            train_n: usize_f(data, "train_n")?,
-            test_n: usize_f(data, "test_n")?,
-            classes: usize_f(data, "classes")?,
-            noise_std: f32_f(data, "noise_std")?,
-        },
-        partition: partition_from(req(v, "partition")?)?,
-        zoo,
-        // Absent (a pre-registry-era file) means the zoo expansion *is*
-        // the population — no override.
-        registered_devices: match v.get("registered_devices") {
-            None => 0,
-            Some(_) => usize_f(v, "registered_devices")?,
-        },
-        resources,
-        churn,
-        algorithm: algo_from(req(v, "algorithm")?)?,
-        sim: SimConfig {
-            rounds: usize_f(sim, "rounds")?,
-            participation: f32_f(sim, "participation")?,
-            eval_batch: usize_f(sim, "eval_batch")?,
-            eval_every: usize_f(sim, "eval_every")?,
-            seed: u64_f(sim, "seed")?,
-            threads: usize_f(sim, "threads")?,
-            // Absent (a pre-codec-era file) means raw — the wire format
-            // those files were written against.
-            codec: match sim.get("codec") {
-                None => CodecSpec::Raw,
-                Some(v) => codec_from(v)?,
-            },
-        },
-    })
+    fn read(v: &Value) -> Result<Self, String> {
+        Ok(match v.field::<&str>("kind")? {
+            "smartphone" => ResourceAssignment::Smartphone,
+            "microcontroller" => ResourceAssignment::Microcontroller,
+            "heterogeneous" => ResourceAssignment::Heterogeneous { seed: field(v, "seed")? },
+            "explicit" => ResourceAssignment::Explicit(field(v, "devices")?),
+            other => return Err(format!("unknown resource assignment \"{other}\"")),
+        })
+    }
+}
+
+/// `bandwidth` may be absent (a pre-codec-era file): it reads like `null`,
+/// no override.
+impl Schema for ResourceSpec {
+    fn write(&self) -> J {
+        J::Obj(vec![
+            ("assignment", self.assignment.write()),
+            ("bandwidth", self.bandwidth.write()),
+            ("server_seconds", self.server_seconds.write()),
+        ])
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        Ok(ResourceSpec {
+            assignment: field(v, "assignment")?,
+            bandwidth: v.field_or("bandwidth", Read(None))?.0,
+            server_seconds: field(v, "server_seconds")?,
+        })
+    }
+}
+
+/// `{"kind": name, ["public": family,] "config": {…}}`: the variants share
+/// the tag, and FedAvg and FedProx share a config type.
+impl Schema for Algo {
+    fn write(&self) -> J {
+        let (public, config) = match self {
+            Algo::FedZkt(cfg) => (None, cfg.write()),
+            Algo::FedAvg(cfg) | Algo::FedProx(cfg) => (None, cfg.write()),
+            Algo::FedMd { public, cfg } => (Some(public), cfg.write()),
+            Algo::FedEt { public, cfg } => (Some(public), cfg.write()),
+            Algo::FedGkt(cfg) => (None, cfg.write()),
+        };
+        let mut fields = vec![kind(self.name())];
+        fields.extend(public.map(|p| ("public", p.write())));
+        fields.push(("config", config));
+        J::Obj(fields)
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        Ok(match v.field::<&str>("kind")? {
+            "fedzkt" => Algo::FedZkt(field(v, "config")?),
+            "fedavg" => Algo::FedAvg(field(v, "config")?),
+            "fedprox" => Algo::FedProx(field(v, "config")?),
+            "fedmd" => Algo::FedMd { public: field(v, "public")?, cfg: field(v, "config")? },
+            "fedet" => Algo::FedEt { public: field(v, "public")?, cfg: field(v, "config")? },
+            "fedgkt" => Algo::FedGkt(field(v, "config")?),
+            other => return Err(format!("unknown algorithm kind \"{other}\"")),
+        })
+    }
+}
+
+/// `codec` may be absent (a pre-codec-era file): it reads as raw, the wire
+/// format those files were written against. The removed `compute` key is
+/// never written; a legacy `"f32"` means what it always did, and any other
+/// value must not be dropped like an unknown key, or the file would
+/// silently run as something it did not ask for.
+impl Schema for SimConfig {
+    fn write(&self) -> J {
+        J::Obj(vec![
+            ("rounds", self.rounds.write()),
+            ("participation", self.participation.write()),
+            ("eval_batch", self.eval_batch.write()),
+            ("eval_every", self.eval_every.write()),
+            ("seed", self.seed.write()),
+            ("threads", self.threads.write()),
+            ("codec", self.codec.write()),
+        ])
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        if v.get("compute").is_some() {
+            let format: &str = v.field("compute")?;
+            if format != "f32" {
+                return Err(format!(
+                    "sim.compute \"{format}\": that compute format was removed, every run is f32"
+                ));
+            }
+        }
+        Ok(SimConfig {
+            rounds: field(v, "rounds")?,
+            participation: field(v, "participation")?,
+            eval_batch: field(v, "eval_batch")?,
+            eval_every: field(v, "eval_every")?,
+            seed: field(v, "seed")?,
+            threads: field(v, "threads")?,
+            codec: v.field_or("codec", Read(CodecSpec::Raw))?.0,
+        })
+    }
+}
+
+/// A zoo entry, `{"model": {…}, "count": n}`.
+impl Schema for (ModelSpec, usize) {
+    fn write(&self) -> J {
+        J::Obj(vec![("model", self.0.write()), ("count", self.1.write())])
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        Ok((field(v, "model")?, field(v, "count")?))
+    }
+}
+
+/// `registered_devices` may be absent (a pre-registry-era file): the zoo
+/// expansion *is* the population. `churn` is omitted, not `null`, for a
+/// static fleet, so every pre-churn file stays byte-identical under
+/// parse → to_json; absent or `null`, it reads as no fleet dynamics.
+impl Schema for Scenario {
+    fn write(&self) -> J {
+        let mut fields = vec![
+            ("name", J::Str(self.name.clone())),
+            ("data", self.data.write()),
+            ("partition", self.partition.write()),
+            ("zoo", self.zoo.write()),
+            ("registered_devices", self.registered_devices.write()),
+            ("resources", self.resources.write()),
+        ];
+        fields.extend(self.churn.as_ref().map(|churn| ("churn", churn.write())));
+        fields.push(("algorithm", self.algorithm.write()));
+        fields.push(("sim", self.sim.write()));
+        J::Obj(fields)
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        Ok(Scenario {
+            name: v.field("name")?,
+            data: field(v, "data")?,
+            partition: field(v, "partition")?,
+            zoo: field(v, "zoo")?,
+            registered_devices: v.field_or("registered_devices", 0)?,
+            resources: field(v, "resources")?,
+            churn: v.field_or("churn", Read(None))?.0,
+            algorithm: field(v, "algorithm")?,
+            sim: field(v, "sim")?,
+        })
+    }
 }
 
 impl Scenario {
@@ -687,44 +452,8 @@ impl Scenario {
     /// it byte for byte — the property the checked-in `scenarios/*.json`
     /// golden files are tested under.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("name", sj(&self.name)),
-            (
-                "data",
-                J::Obj(vec![
-                    ("family", sj(family_slug(self.data.family))),
-                    ("img", us(self.data.img)),
-                    ("train_n", us(self.data.train_n)),
-                    ("test_n", us(self.data.test_n)),
-                    ("classes", us(self.data.classes)),
-                    ("noise_std", f32j(self.data.noise_std)),
-                ]),
-            ),
-            ("partition", partition_j(&self.partition)),
-            (
-                "zoo",
-                J::Arr(
-                    self.zoo
-                        .iter()
-                        .map(|(model, count)| {
-                            J::Obj(vec![("model", model_j(model)), ("count", us(*count))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("registered_devices", us(self.registered_devices)),
-            ("resources", self.resources.as_ref().map_or(J::Null, resources_j)),
-        ];
-        // Omitted (not `null`) for a static fleet: every pre-churn file
-        // stays byte-identical under parse → to_json.
-        if let Some(churn) = &self.churn {
-            fields.push(("churn", churn_j(churn)));
-        }
-        fields.push(("algorithm", algo_j(&self.algorithm)));
-        fields.push(("sim", sim_j(&self.sim)));
-        let tree = J::Obj(fields);
         let mut out = String::new();
-        pretty(&tree, 0, &mut out);
+        pretty(&self.write(), 0, &mut out);
         out.push('\n');
         out
     }
@@ -737,7 +466,7 @@ impl Scenario {
     /// [`Scenario::validate`] (or just run it) for semantic checks.
     pub fn from_json(input: &str) -> Result<Scenario, ScenarioError> {
         let value = json::parse(input).map_err(ScenarioError::Parse)?;
-        scenario_from(&value).map_err(ScenarioError::Parse)
+        Scenario::read(&value).map_err(ScenarioError::Parse)
     }
 
     /// Read and parse a scenario file.

@@ -9,12 +9,11 @@ use fedzkt_fl::{
 };
 use fedzkt_models::ModelSpec;
 use fedzkt_tensor::par;
-use serde::{Deserialize, Serialize};
 
 /// The private (and, for FedMD, public) dataset description — a
 /// [`SynthConfig`] without a seed: the data is derived from the scenario's
 /// master seed so that sweeping the seed re-derives everything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataSpec {
     /// Synthetic family standing in for one of the paper's corpora.
     pub family: DataFamily,
@@ -56,7 +55,7 @@ impl DataSpec {
 
 /// How simulated compute/link resources are assigned across the device
 /// population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResourceAssignment {
     /// Every device is smartphone-class.
     Smartphone,
@@ -79,7 +78,7 @@ pub enum ResourceAssignment {
 /// link (transfer time zero — the pre-codec accounting), serialized as
 /// `null`; finite values make `sim_seconds` include real transfer time
 /// for the codec-encoded payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBandwidth {
     /// Device → server link (bytes/second).
     pub up_bytes_per_sec: f32,
@@ -100,7 +99,7 @@ impl LinkBandwidth {
 
 /// Simulated-time modelling: a resource assignment plus the constant
 /// server-side orchestration latency added to every round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceSpec {
     /// Per-device compute/link capabilities.
     pub assignment: ResourceAssignment,
@@ -138,7 +137,7 @@ impl ResourceSpec {
 /// The device architectures always come from [`Scenario::zoo`]; the
 /// homogeneous algorithms (FedAvg/FedProx) require every zoo entry to name
 /// the same architecture, which [`Scenario::validate`] enforces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Algo {
     /// FedZKT (the paper's Algorithms 1–3).
     FedZkt(FedZktConfig),
@@ -240,7 +239,7 @@ pub(crate) fn cycle_counts(specs: &[ModelSpec], k: usize) -> Vec<(ModelSpec, usi
 /// let log = scenario.run().unwrap();
 /// assert_eq!(log.rounds.len(), scenario.sim.rounds);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Identifier; used for artifact file names (printable ASCII).
     pub name: String,
@@ -358,23 +357,8 @@ impl Scenario {
         }
     }
 
-    /// The FedAvg/FedProx config, when this scenario runs either.
-    pub fn fedavg_cfg(&self) -> Option<&FedAvgConfig> {
-        match &self.algorithm {
-            Algo::FedAvg(cfg) | Algo::FedProx(cfg) => Some(cfg),
-            _ => None,
-        }
-    }
-
-    /// The FedMD config, when this scenario runs FedMD.
-    pub fn fedmd_cfg(&self) -> Option<&FedMdConfig> {
-        match &self.algorithm {
-            Algo::FedMd { cfg, .. } => Some(cfg),
-            _ => None,
-        }
-    }
-
-    /// Mutable form of [`Scenario::fedavg_cfg`].
+    /// The FedAvg/FedProx config, when this scenario runs either, for
+    /// editing in place.
     pub fn fedavg_cfg_mut(&mut self) -> Option<&mut FedAvgConfig> {
         match &mut self.algorithm {
             Algo::FedAvg(cfg) | Algo::FedProx(cfg) => Some(cfg),
@@ -382,7 +366,8 @@ impl Scenario {
         }
     }
 
-    /// Mutable form of [`Scenario::fedmd_cfg`].
+    /// The FedMD config, when this scenario runs FedMD, for editing in
+    /// place.
     pub fn fedmd_cfg_mut(&mut self) -> Option<&mut FedMdConfig> {
         match &mut self.algorithm {
             Algo::FedMd { cfg, .. } => Some(cfg),
@@ -390,15 +375,8 @@ impl Scenario {
         }
     }
 
-    /// The Fed-ET config, when this scenario runs Fed-ET.
-    pub fn fedet_cfg(&self) -> Option<&FedEtConfig> {
-        match &self.algorithm {
-            Algo::FedEt { cfg, .. } => Some(cfg),
-            _ => None,
-        }
-    }
-
-    /// Mutable form of [`Scenario::fedet_cfg`].
+    /// The Fed-ET config, when this scenario runs Fed-ET, for editing in
+    /// place.
     pub fn fedet_cfg_mut(&mut self) -> Option<&mut FedEtConfig> {
         match &mut self.algorithm {
             Algo::FedEt { cfg, .. } => Some(cfg),
@@ -406,15 +384,8 @@ impl Scenario {
         }
     }
 
-    /// The FedGKT config, when this scenario runs FedGKT.
-    pub fn fedgkt_cfg(&self) -> Option<&FedGktConfig> {
-        match &self.algorithm {
-            Algo::FedGkt(cfg) => Some(cfg),
-            _ => None,
-        }
-    }
-
-    /// Mutable form of [`Scenario::fedgkt_cfg`].
+    /// The FedGKT config, when this scenario runs FedGKT, for editing in
+    /// place.
     pub fn fedgkt_cfg_mut(&mut self) -> Option<&mut FedGktConfig> {
         match &mut self.algorithm {
             Algo::FedGkt(cfg) => Some(cfg),

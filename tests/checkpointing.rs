@@ -142,21 +142,16 @@ fn fedgkt_split_models_survive_the_wire_format() {
 
 #[test]
 fn checkpoint_files_resume_training() {
-    // Unique per process: parallel test invocations must not race.
-    let dir = std::env::temp_dir().join(format!("fedzkt_resume_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Run one round, checkpoint device 0 to disk.
+    // Run one round and encode device 0 as a checkpoint file embeds it.
     let mut sim = tiny_run();
     sim.round(0);
     let fed = sim.algorithm_for_eval();
-    let path = dir.join("device0.fzkt");
-    fedzkt::nn::save_state_dict(&state_dict(fed.device_model(0)), &path).unwrap();
+    let bytes = encode_state_dict(&state_dict(fed.device_model(0)));
 
     // "Restart": rebuild the architecture, restore, verify behavioural
     // equivalence on a fixed input.
     let restored = fed.device_spec(0).build(1, 4, 8, 12345);
-    let loaded = fedzkt::nn::load_state_dict_file(&path).unwrap();
+    let loaded = decode_state_dict(&bytes).unwrap();
     load_state_dict(restored.as_ref(), &loaded).unwrap();
     let x = fedzkt::autograd::Var::constant(fedzkt::tensor::Tensor::ones(&[2, 1, 8, 8]));
     restored.set_training(false);
@@ -164,7 +159,6 @@ fn checkpoint_files_resume_training() {
     let a = fedzkt::autograd::no_grad(|| restored.forward(&x)).value_clone();
     let b = fedzkt::autograd::no_grad(|| fed.device_model(0).forward(&x)).value_clone();
     assert_eq!(a.data(), b.data());
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -187,26 +181,21 @@ fn corrupted_checkpoint_is_rejected_not_loaded() {
 
 #[test]
 fn every_paper_zoo_architecture_survives_a_file_roundtrip() {
-    // The save→load path must be lossless for every architecture a device
-    // can pick: the small zoo (1-channel input) and the CIFAR zoo, whose
-    // ShuffleNetV2/MobileNetV2 members carry batch-norm running-stat
-    // buffers — the part of a state dict most easily lost in a wire
-    // format. Unique per-process dir: parallel `cargo test` invocations on
-    // one machine must not race on the checkpoint files.
-    let dir = std::env::temp_dir().join(format!("fedzkt_zoo_ckpt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    // The encode→decode path checkpoint files embed must be lossless for
+    // every architecture a device can pick: the small zoo (1-channel
+    // input) and the CIFAR zoo, whose ShuffleNetV2/MobileNetV2 members
+    // carry batch-norm running-stat buffers — the part of a state dict
+    // most easily lost in a wire format.
     let zoos = [
         (ModelSpec::paper_zoo_small(), 1usize),
         (ModelSpec::paper_zoo_cifar(), 3usize),
     ];
-    for (z, (zoo, in_channels)) in zoos.iter().enumerate() {
+    for (zoo, in_channels) in &zoos {
         for (i, spec) in zoo.iter().enumerate() {
             let model = spec.build(*in_channels, 10, 8, 1000 + i as u64);
             let sd = state_dict(model.as_ref());
-            let path = dir.join(format!("zoo_{z}_{i}.fzkt"));
-            fedzkt::nn::save_state_dict(&sd, &path).unwrap();
-            let loaded = fedzkt::nn::load_state_dict_file(&path).unwrap();
-            assert_eq!(sd, loaded, "{}: file round-trip lost data", spec.name());
+            let loaded = decode_state_dict(&encode_state_dict(&sd)).unwrap();
+            assert_eq!(sd, loaded, "{}: round-trip lost data", spec.name());
             // Restoring into a differently-seeded twin reproduces the exact
             // state dict, so a checkpoint fully determines the model.
             let twin = spec.build(*in_channels, 10, 8, 9_999);
@@ -219,5 +208,4 @@ fn every_paper_zoo_architecture_survives_a_file_roundtrip() {
             );
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
