@@ -3,6 +3,7 @@
 use fedzkt_tensor::{seeded_rng, Prng};
 use rand::seq::SliceRandom;
 use rand::RngExt;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Error from an impossible partition request.
@@ -124,11 +125,9 @@ impl Partition {
 fn iid_split(n: usize, k: usize, rng: &mut Prng) -> Vec<Vec<usize>> {
     let mut idx: Vec<usize> = (0..n).collect();
     idx.shuffle(rng);
-    let mut shards = vec![Vec::with_capacity(n / k + 1); k];
-    for (i, sample) in idx.into_iter().enumerate() {
-        shards[i % k].push(sample);
-    }
-    shards
+    // Device `d` deals every `k`-th sample from `d`, each shard collected
+    // at its exact size.
+    (0..k).map(|d| idx[d..].iter().step_by(k).copied().collect()).collect()
 }
 
 /// Each device draws `c` classes; samples of each class are divided evenly
@@ -247,21 +246,30 @@ fn dirichlet_split(
 /// `false` when the assigned samples cannot cover every shard (the caller
 /// reports that as a [`PartitionError`] rather than returning an empty
 /// device).
+///
+/// Empty shards are filled in ascending order, each from the longest shard
+/// at that moment (the last of equals). A filled shard never empties again
+/// and a donor keeps at least one sample, so the empties are known up
+/// front and the donors come from a max-heap of `(len, index)` holding
+/// the shards that can spare a sample.
 fn rebalance_empty(shards: &mut [Vec<usize>]) -> bool {
-    loop {
-        let Some(empty) = shards.iter().position(Vec::is_empty) else { return true };
-        let donor = shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.len())
-            .map(|(i, _)| i)
-            .expect("non-empty shard set");
-        if shards[donor].len() <= 1 {
+    let empties: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_empty()).collect();
+    if empties.is_empty() {
+        return true; // the usual case: no heap over every shard
+    }
+    let mut donors: BinaryHeap<(usize, usize)> =
+        shards.iter().enumerate().filter(|(_, s)| s.len() > 1).map(|(i, s)| (s.len(), i)).collect();
+    for empty in empties {
+        let Some((len, donor)) = donors.pop() else {
             return false; // nothing left to donate: a shard stays empty
-        }
+        };
         let moved = shards[donor].pop().expect("donor has samples");
         shards[empty].push(moved);
+        if len > 2 {
+            donors.push((len - 1, donor));
+        }
     }
+    true
 }
 
 #[cfg(test)]
@@ -402,6 +410,55 @@ mod tests {
             }
         }
         assert!(saw_error, "no seed exercised the dropped-corpus path");
+    }
+
+    /// The rebalance as first written: rescan for the first empty shard
+    /// and the last longest one on every move.
+    fn rebalance_oracle(shards: &mut [Vec<usize>]) -> bool {
+        loop {
+            let Some(empty) = shards.iter().position(Vec::is_empty) else { return true };
+            let donor = shards
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, s)| s.len())
+                .map(|(i, _)| i)
+                .expect("non-empty shard set");
+            if shards[donor].len() <= 1 {
+                return false;
+            }
+            let moved = shards[donor].pop().expect("donor has samples");
+            shards[empty].push(moved);
+        }
+    }
+
+    #[test]
+    fn rebalance_matches_the_rescanning_oracle() {
+        let mut rng = seeded_rng(29);
+        let mut failures = 0;
+        for case in 0..400 {
+            let k = rng.random_range(1..=60usize);
+            // Mostly empty shards, with ties among the long ones, and a
+            // sample budget that sometimes cannot cover every shard.
+            let empty_share = rng.random::<f32>();
+            let mut next = 0usize;
+            let shards: Vec<Vec<usize>> = (0..k)
+                .map(|_| {
+                    let len = if rng.random::<f32>() < empty_share {
+                        0
+                    } else {
+                        rng.random_range(1..=6usize)
+                    };
+                    next += len;
+                    (next - len..next).collect()
+                })
+                .collect();
+            let (mut fast, mut slow) = (shards.clone(), shards);
+            let ok = rebalance_empty(&mut fast);
+            assert_eq!(ok, rebalance_oracle(&mut slow), "case {case}");
+            assert_eq!(fast, slow, "case {case}");
+            failures += usize::from(!ok);
+        }
+        assert!(failures > 0 && failures < 400, "both outcomes exercised: {failures} failures");
     }
 
     #[test]

@@ -340,6 +340,25 @@ mod tests {
         assert_eq!(back.algo.words("rng").unwrap(), &[u64::MAX, 0, 7, 42]);
     }
 
+    #[test]
+    fn repeated_accuracies_roundtrip_inside_a_checkpoint() {
+        let mut ck = sample();
+        for (k, values) in crate::metrics::tests::repetitive_accuracies().into_iter().enumerate() {
+            ck.log.push(RoundMetrics { device_accuracy: values, ..RoundMetrics::new(k + 2) });
+        }
+        ck.rounds_done = ck.log.rounds.len();
+        let json = ck.to_json();
+        assert!(json.contains(&ck.log.to_json()), "the log is embedded byte for byte");
+        let back = SimCheckpoint::from_json(&json).expect("parse back");
+        assert_eq!(back.log.rounds.len(), ck.log.rounds.len());
+        for (a, b) in ck.log.rounds.iter().zip(&back.log.rounds) {
+            let bits = |v: &[f32]| -> Vec<Option<u32>> {
+                v.iter().map(|x| x.is_finite().then(|| x.to_bits())).collect()
+            };
+            assert_eq!(bits(&a.device_accuracy), bits(&b.device_accuracy));
+        }
+    }
+
     /// The exact bytes of the envelope around the log (whose own bytes
     /// `metrics` pins): the text the writer of every committed
     /// checkpoint produced.

@@ -623,8 +623,8 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         );
         // Sample from the round's available pool. Without churn the pool
         // is the whole fleet and `active_among` is bit-identical to the
-        // pre-churn `active` path (same shuffle stream over the same
-        // elements), so attaching no churn changes nothing.
+        // pre-churn `active` path (same draws over the same positions),
+        // so attaching no churn changes nothing.
         let (available, sampled) = match &self.churn {
             Some(churn) => {
                 let pool = churn.available(round);

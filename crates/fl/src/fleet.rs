@@ -83,16 +83,15 @@ impl ShardStore {
     /// Panics when `shards` is empty.
     pub fn new(train: &Corpus, shards: &[Vec<usize>]) -> Self {
         assert!(!shards.is_empty(), "need at least one device");
-        let ends = shards
-            .iter()
-            .scan(0, |end, shard| {
-                *end += shard.len();
-                Some(*end)
-            })
-            .collect();
+        let mut index = Vec::with_capacity(shards.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(shards.len());
+        for shard in shards {
+            index.extend_from_slice(shard);
+            ends.push(index.len());
+        }
         ShardStore {
             train: train.clone(),
-            index: shards.concat(),
+            index,
             ends,
             slots: vec![UNCACHED; shards.len()],
             arena: Vec::new(),

@@ -148,7 +148,7 @@ impl RunLog {
                 out.push_str("null");
             }
         }
-        fn list<T: Copy>(out: &mut String, items: &[T], write: impl Fn(&mut String, T)) {
+        fn list<T: Copy>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, T)) {
             out.push('[');
             for (i, &item) in items.iter().enumerate() {
                 if i > 0 {
@@ -158,6 +158,21 @@ impl RunLog {
             }
             out.push(']');
         }
+        // A fleet's accuracies repeat in long runs (every device that
+        // holds the same model scores the same), so a value with the bits
+        // of the one before it reuses that one's text.
+        let (mut last_bits, mut last_text) = (None, String::new());
+        let mut accuracy = |out: &mut String, v: f32| {
+            if last_bits == Some(v.to_bits()) {
+                out.push_str(&last_text);
+            } else {
+                let start = out.len();
+                float(out, v);
+                last_bits = Some(v.to_bits());
+                last_text.clear();
+                last_text.push_str(&out[start..]);
+            }
+        };
         out.push_str("{\"rounds\":[");
         for (i, r) in self.rounds.iter().enumerate() {
             if i > 0 {
@@ -166,7 +181,7 @@ impl RunLog {
             let _ = write!(out, "{{\"round\":{},\"avg_device_accuracy\":", r.round);
             float(out, r.avg_device_accuracy);
             out.push_str(",\"device_accuracy\":");
-            list(out, &r.device_accuracy, float);
+            list(out, &r.device_accuracy, &mut accuracy);
             out.push_str(",\"global_accuracy\":");
             match r.global_accuracy {
                 Some(g) => float(out, g),
@@ -249,7 +264,7 @@ impl RunLog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn record(round: usize, acc: f32) -> RoundMetrics {
@@ -385,6 +400,65 @@ mod tests {
             "]}",
         );
         assert_eq!(log.to_json(), expected);
+    }
+
+    /// Accuracy lists that stress the writer's reuse of repeated text:
+    /// long equal runs, values equal as floats but not as bits, NaN runs
+    /// with two payloads, and subnormals.
+    pub(crate) fn repetitive_accuracies() -> Vec<Vec<f32>> {
+        let subnormal = f32::from_bits(1);
+        let other_nan = f32::from_bits(f32::NAN.to_bits() | 1);
+        vec![
+            vec![0.123_456_79; 10_000],
+            (0..1_000).map(|i| if i % 2 == 0 { 0.0 } else { -0.0 }).collect(),
+            [[f32::NAN; 3], [other_nan; 3], [f32::INFINITY; 3], [f32::NAN; 3]].concat(),
+            [vec![subnormal; 5], vec![f32::MIN_POSITIVE / 3.0; 4], vec![subnormal; 2]].concat(),
+            vec![0.5, 0.5, 0.25, 0.5, 0.5],
+        ]
+    }
+
+    #[test]
+    fn repeated_accuracies_keep_per_value_bytes() {
+        let per_value = |values: &[f32]| {
+            let text: Vec<String> = values
+                .iter()
+                .map(|v| if v.is_finite() { format!("{v}") } else { "null".into() })
+                .collect();
+            format!(
+                "{{\"round\":1,\"avg_device_accuracy\":0,\"device_accuracy\":[{}],\
+                 \"global_accuracy\":null,\"train_loss\":0,\"upload_bytes\":0,\
+                 \"download_bytes\":0,\"sim_seconds\":0,\"active_devices\":[],\
+                 \"registered_devices\":0,\"peak_resident_devices\":0,\
+                 \"available_devices\":0,\"dropped_devices\":0}}",
+                text.join(",")
+            )
+        };
+        let lists = repetitive_accuracies();
+        let mut log = RunLog::new();
+        for values in &lists {
+            let round = RoundMetrics { device_accuracy: values.clone(), ..RoundMetrics::new(1) };
+            let alone = RunLog { rounds: vec![round.clone()] };
+            assert_eq!(alone.to_json(), format!("{{\"rounds\":[{}]}}", per_value(values)));
+            log.push(round);
+        }
+        // The kept text carries across rounds, and the reverse order too:
+        // each round's bytes are still its values' own.
+        log.rounds.extend(log.rounds.clone().into_iter().rev());
+        let rounds: Vec<String> =
+            log.rounds.iter().map(|r| per_value(&r.device_accuracy)).collect();
+        let json = log.to_json();
+        assert_eq!(json, format!("{{\"rounds\":[{}]}}", rounds.join(",")));
+        let back = RunLog::from_json(&json).expect("parse back");
+        for (a, b) in log.rounds.iter().zip(&back.rounds) {
+            assert_eq!(a.device_accuracy.len(), b.device_accuracy.len());
+            for (x, y) in a.device_accuracy.iter().zip(&b.device_accuracy) {
+                if x.is_finite() {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                } else {
+                    assert!(y.is_nan(), "non-finite {x} reads back as NaN, got {y}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Active-device sampling: the straggler model of §IV-C3.
 
 use fedzkt_tensor::{seeded_rng, split_seed};
-use rand::seq::SliceRandom;
+use rand::RngExt;
 
 /// Samples which devices participate in each round.
 ///
@@ -20,9 +20,10 @@ impl ParticipationSampler {
     /// `fraction` (clamped to `(0, 1]`).
     ///
     /// # Panics
-    /// Panics when `devices == 0` or `fraction <= 0`.
+    /// Panics when `devices == 0`, `devices > u32::MAX` or `fraction <= 0`.
     pub fn new(devices: usize, fraction: f32, seed: u64) -> Self {
         assert!(devices > 0, "need at least one device");
+        assert!(u32::try_from(devices).is_ok(), "at most u32::MAX devices");
         assert!(fraction > 0.0, "participation fraction must be positive");
         ParticipationSampler { fraction: fraction.min(1.0), devices, seed }
     }
@@ -33,18 +34,14 @@ impl ParticipationSampler {
     }
 
     /// The sorted set of active devices for `round` (deterministic in
-    /// `(seed, round)`).
+    /// `(seed, round)`): the first [`ParticipationSampler::active_count`]
+    /// devices of a seeded Fisher–Yates shuffle of `0..devices`.
     pub fn active(&self, round: usize) -> Vec<usize> {
         let m = self.active_count();
         if m == self.devices {
             return (0..self.devices).collect();
         }
-        let mut rng = seeded_rng(split_seed(self.seed, round as u64));
-        let mut ids: Vec<usize> = (0..self.devices).collect();
-        ids.shuffle(&mut rng);
-        let mut active = ids[..m].to_vec();
-        active.sort_unstable();
-        active
+        self.shuffled_prefix(round, self.devices, m)
     }
 
     /// The sorted active subset of `pool` for `round` — the churn-aware
@@ -53,10 +50,18 @@ impl ParticipationSampler {
     /// fields at least one participant while anyone is online, and an
     /// empty pool yields an empty round.
     ///
-    /// Over the full pool this is bit-identical to
-    /// [`ParticipationSampler::active`]: the shuffle consumes the same
-    /// seeded stream over the same elements, so attaching a quiescent
-    /// churn model to a scenario changes nothing.
+    /// The subset is the first `m` elements of a seeded Fisher–Yates
+    /// shuffle of `pool`, sorted. It is found without shuffling: run from
+    /// the end, the shuffle fixes position `i` at step `i`, so the *set*
+    /// left in the first `m` slots is final after step `m` and the last
+    /// `m − 1` draws only reorder it. The first `len − m` draws are taken
+    /// from the round's stream in the shuffle's order, then replayed in
+    /// reverse over a bitmap of the `m` tracked slots to find where each
+    /// came from. The cost is one sequential pass of draws plus
+    /// `len / 8` bytes of bitmap, and the answer depends only on the
+    /// stream and the pool's order — so over the full pool this is
+    /// bit-identical to [`ParticipationSampler::active`], and attaching
+    /// a quiescent churn model to a scenario changes nothing.
     pub fn active_among(&self, round: usize, pool: &[usize]) -> Vec<usize> {
         if pool.is_empty() {
             return Vec::new();
@@ -65,18 +70,121 @@ impl ParticipationSampler {
         if m == pool.len() {
             return pool.to_vec();
         }
-        let mut rng = seeded_rng(split_seed(self.seed, round as u64));
-        let mut ids = pool.to_vec();
-        ids.shuffle(&mut rng);
-        let mut active = ids[..m].to_vec();
+        let mut active: Vec<usize> =
+            self.shuffled_prefix(round, pool.len(), m).into_iter().map(|p| pool[p]).collect();
         active.sort_unstable();
         active
+    }
+
+    /// The positions, ascending, that a Fisher–Yates shuffle of `len`
+    /// elements on `round`'s stream leaves in its first `m < len` slots.
+    fn shuffled_prefix(&self, round: usize, len: usize, m: usize) -> Vec<usize> {
+        assert!(u32::try_from(len).is_ok(), "at most u32::MAX positions");
+        let mut rng = seeded_rng(split_seed(self.seed, round as u64));
+        // The shuffle's steps `i = len−1 … m`, each swapping `i` with `j`.
+        let draws: Vec<u32> =
+            (m..len).rev().map(|i| rng.random_range(0..=i) as u32).collect();
+        // Undo them last to first: a tracked element at `j` was at `i`
+        // before step `i` (which never holds one, as later steps only
+        // touch slots below `i`).
+        let mut bits = vec![0u64; len.div_ceil(64)];
+        bits[..m / 64].fill(!0);
+        bits[m / 64] = (1 << (m % 64)) - 1; // in range, as m < len
+        for (i, j) in (m..len).zip(draws.into_iter().rev()) {
+            let j = j as usize;
+            if bits[j / 64] >> (j % 64) & 1 == 1 {
+                bits[j / 64] &= !(1 << (j % 64));
+                bits[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let mut positions = Vec::with_capacity(m);
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                positions.push(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        positions
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
+
+    /// The sampler as first written: shuffle a copy of the whole pool and
+    /// sort the first `m` — the answer the bitmap trace must reproduce.
+    fn shuffle_oracle(s: &ParticipationSampler, round: usize, pool: &[usize]) -> Vec<usize> {
+        if pool.is_empty() {
+            return Vec::new();
+        }
+        let m = ((pool.len() as f32 * s.fraction).round() as usize).clamp(1, pool.len());
+        if m == pool.len() {
+            return pool.to_vec();
+        }
+        let mut rng = seeded_rng(split_seed(s.seed, round as u64));
+        let mut ids = pool.to_vec();
+        ids.shuffle(&mut rng);
+        let mut active = ids[..m].to_vec();
+        active.sort_unstable();
+        active
+    }
+
+    /// `active` and `active_among` over contiguous, strided and unsorted
+    /// pools of `len` equal the oracle on rounds `0..rounds`.
+    fn assert_matches_oracle(len: usize, fraction: f32, rounds: usize) {
+        let contiguous: Vec<usize> = (0..len).collect();
+        let strided: Vec<usize> = (0..len).map(|k| 3 * k + 1).collect();
+        // An even-spaced pool in a fixed scrambled order: 11 is coprime to
+        // every `len` tested, so `11k + 5 mod len` permutes `0..len`.
+        let unsorted: Vec<usize> = (0..len).map(|k| 2 * ((11 * k + 5) % len)).collect();
+        let s = ParticipationSampler::new(3 * len + 1, fraction, len as u64 ^ 0x5eed);
+        let whole = ParticipationSampler::new(len, fraction, 17);
+        for round in 0..rounds {
+            assert_eq!(whole.active(round), shuffle_oracle(&whole, round, &contiguous));
+            for pool in [&contiguous, &strided, &unsorted] {
+                assert_eq!(
+                    s.active_among(round, pool),
+                    shuffle_oracle(&s, round, pool),
+                    "len {len}, fraction {fraction}, round {round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trace_equals_the_shuffle_oracle() {
+        for len in [1usize, 2, 3, 63, 64, 65, 1000, 4099] {
+            for fraction in [0.001f32, 0.3, 0.5, 0.99, 1.0] {
+                assert_matches_oracle(len, fraction, 20);
+            }
+        }
+    }
+
+    #[test]
+    fn trace_equals_the_shuffle_oracle_at_one_and_all_but_one() {
+        for len in [2usize, 3, 63, 64, 65, 1000, 4099] {
+            // m = 1 and m = len − 1, by fractions that round to them.
+            let one = 1.0 / len as f32;
+            let all_but_one = (len as f32 - 1.0) / len as f32;
+            for fraction in [one, all_but_one] {
+                let m = ((len as f32 * fraction).round() as usize).clamp(1, len);
+                assert!(m == 1 || m == len - 1, "len {len}: m = {m}");
+                assert_matches_oracle(len, fraction, 20);
+            }
+        }
+    }
+
+    #[test]
+    fn trace_equals_the_shuffle_oracle_on_a_fleet_sized_pool() {
+        // The `mega-fleet` regime: ~750k of 10⁶ devices available. Two
+        // rounds, as each costs eight 750k-draw passes in a debug build.
+        for fraction in [0.001f32, 0.3, 0.5, 0.99, 1.0] {
+            assert_matches_oracle(750_000, fraction, 2);
+        }
+    }
 
     #[test]
     fn full_participation_selects_everyone() {
