@@ -267,19 +267,17 @@ fn conv2d_depthwise(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
     let value = Tensor::from_vec(out, &out_shape).expect("conv2d output");
 
     let need = (input.requires_grad(), weight.param_requires_grad());
-    // Only dW reads the input, so it is copied only for a pass that will
-    // record a tape node and differentiate the weights — never on tape-free
-    // or frozen-parameter forwards.
-    let saved_x = (crate::var::grad_enabled() && need.1).then(|| input.value_clone());
+    // Only dW reads the input, and it reads it from the tape.
+    let x = input.parent_ref();
     Var::from_op(value, vec![input.clone(), weight.clone()], move |grad| {
         let gx = need.0.then(|| {
             let mut gx = vec![0.0f32; xs.iter().product()];
             depthwise_conv2d_dx(grad.data(), w.data(), n, c, &geom, &mut gx);
             Tensor::from_vec(gx, &xs).expect("conv2d dX")
         });
-        let gw = saved_x.as_ref().map(|x| {
+        let gw = need.1.then(|| {
             let mut gw = vec![0.0f32; w.len()];
-            depthwise_conv2d_dw(x.data(), grad.data(), n, c, &geom, &mut gw);
+            x.with_value(|x| depthwise_conv2d_dw(x.data(), grad.data(), n, c, &geom, &mut gw));
             Tensor::from_vec(gw, w.shape()).expect("conv2d dW")
         });
         vec![gx, gw]
@@ -768,42 +766,69 @@ mod tests {
     /// on forward, dX and dW, over remainder-heavy shapes (batch and channel
     /// counts off every block size, H ≠ W, every kernel/stride/pad the zoo
     /// could ask for, plus non-square kernels, stride 3 and a plane narrower
-    /// than the stride), at one worker thread and at four — the larger
-    /// shapes cross the fork thresholds of all three kernels.
+    /// than the stride) and over the zoo's own: its 12×12, 6×6 and 3×3
+    /// planes and odd 7×7 and 5×5 ones at `k3 p1`, both strides, its channel
+    /// counts, batch 1 and 32, with inputs laced with `-0.0` and subnormals.
+    /// At one worker thread and at four — the larger shapes cross the fork
+    /// thresholds of all three kernels. A debug build runs the batch-32 zoo
+    /// cells at the two smaller channel counts only; CI's thread-count loop
+    /// runs the whole product optimised.
     #[test]
     fn depthwise_direct_matches_lowering() {
-        // (N, C, H, W, KH, KW, stride, pad)
+        // (N, C, H, W, KH, KW, stride, pad, laced)
         let mut cases = Vec::new();
         for n in [1usize, 3, 32] {
             for c in [1usize, 5, 32] {
                 for k in [1usize, 3, 5] {
                     for stride in [1usize, 2] {
                         for pad in [0usize, 1, 2] {
-                            cases.push((n, c, 9, 7, k, k, stride, pad));
+                            cases.push((n, c, 9, 7, k, k, stride, pad, false));
                         }
                     }
                 }
             }
         }
         cases.extend([
-            (3, 5, 9, 7, 3, 1, 1, 0),
-            (3, 5, 9, 7, 1, 3, 2, 1),
-            (3, 5, 9, 7, 5, 3, 2, 2),
-            (3, 5, 9, 7, 3, 3, 3, 1),
-            (3, 5, 8, 8, 3, 3, 2, 1),
-            (2, 3, 5, 1, 3, 3, 2, 1),
+            (3, 5, 9, 7, 3, 1, 1, 0, false),
+            (3, 5, 9, 7, 1, 3, 2, 1, false),
+            (3, 5, 9, 7, 5, 3, 2, 2, false),
+            (3, 5, 9, 7, 3, 3, 3, 1, false),
+            (3, 5, 8, 8, 3, 3, 2, 1, false),
+            (2, 3, 5, 1, 3, 3, 2, 1, false),
         ]);
+        for n in [1usize, 32] {
+            for c in [6usize, 13, 48, 64] {
+                if cfg!(debug_assertions) && n == 32 && c > 13 {
+                    continue;
+                }
+                for side in [12usize, 6, 3, 7, 5] {
+                    for stride in [1usize, 2] {
+                        cases.push((n, c, side, side, 3, 3, stride, 1, true));
+                    }
+                }
+            }
+        }
         let mut rng = seeded_rng(41);
         for threads in [1usize, 4] {
             par::set_threads(threads);
-            for &(n, c, h, wid, kh, kw, stride, pad) in &cases {
-                let x = Tensor::randn(&[n, c, h, wid], &mut rng);
+            for &(n, c, h, wid, kh, kw, stride, pad, laced) in &cases {
+                let mut x = Tensor::randn(&[n, c, h, wid], &mut rng);
+                if laced {
+                    for (i, v) in x.data_mut().iter_mut().enumerate() {
+                        match i % 7 {
+                            2 => *v = -0.0,
+                            4 => *v = 3.0e-40,
+                            6 => *v = -1.0e-39,
+                            _ => {}
+                        }
+                    }
+                }
                 let w = Tensor::randn(&[c, 1, kh, kw], &mut rng);
                 let geom = Conv2dGeometry::new(1, h, wid, kh, kw, stride, pad).unwrap();
                 let direct = conv_bits(&x, &w, |x, w| conv2d_depthwise(x, w, &geom));
                 let oracle = conv_bits(&x, &w, |x, w| conv2d_lowered(x, w, &geom, c));
                 let case = format!(
-                    "n={n} c={c} {h}x{wid} k={kh}x{kw} s={stride} p={pad} t={threads}"
+                    "n={n} c={c} {h}x{wid} k={kh}x{kw} s={stride} p={pad} laced={laced} t={threads}"
                 );
                 assert_eq!(direct.0, oracle.0, "forward, {case}");
                 assert_eq!(direct.1, oracle.1, "dX, {case}");

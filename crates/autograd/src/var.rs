@@ -3,7 +3,7 @@
 use fedzkt_tensor::Tensor;
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::LocalKey;
 
@@ -95,6 +95,28 @@ impl Drop for VarInner {
                 stack.append(&mut inner.parents);
             }
         }
+    }
+}
+
+/// A non-owning handle on an op's parent, held by the op's backward
+/// closure to read the parent's value in place of a copy.
+///
+/// The node's own parent list keeps the parent alive for as long as the
+/// closure can run. Not owning it keeps teardown iterative: dropping the
+/// closure never drops a parent, so a long chain of such ops is torn down
+/// by [`VarInner`]'s loop rather than by nested drops.
+pub(crate) struct ParentRef(Weak<VarInner>);
+
+impl ParentRef {
+    /// Run `f` on the parent's value.
+    ///
+    /// # Panics
+    /// Panics if the parent is gone, which cannot happen while the node
+    /// whose closure holds this handle is alive.
+    pub(crate) fn with_value<T>(&self, f: impl FnOnce(&Tensor) -> T) -> T {
+        let parent = self.0.upgrade().expect("a node's parents outlive its backward closure");
+        let value = parent.value.borrow();
+        f(&value)
     }
 }
 
@@ -202,6 +224,13 @@ impl Var {
     /// Clone the node's value out of the tape.
     pub fn value_clone(&self) -> Tensor {
         self.inner.value.borrow().clone()
+    }
+
+    /// A handle through which a backward closure of an op reads this node,
+    /// one of the op's parents, without copying its value (see
+    /// [`ParentRef`]).
+    pub(crate) fn parent_ref(&self) -> ParentRef {
+        ParentRef(Rc::downgrade(&self.inner))
     }
 
     /// Shape of the node's value.
@@ -500,6 +529,21 @@ mod tests {
         }
         let loss = y.sum_all();
         loss.backward();
+        assert_eq!(x.grad().unwrap().data(), &[1.0]);
+    }
+
+    /// The same for ops whose backward reads a parent through a
+    /// [`ParentRef`]: dropping the chain must not nest one drop per op.
+    #[test]
+    fn deep_chain_of_parent_readers_does_not_overflow_stack() {
+        let x = Var::parameter(Tensor::ones(&[1, 1, 1, 1]));
+        let (gamma, beta) = (Var::parameter(t(vec![1.0])), Var::parameter(t(vec![0.0])));
+        let (mean, var) = (t(vec![0.0]), t(vec![1.0]));
+        let mut y = x.clone();
+        for _ in 0..20_000 {
+            y = y.batch_norm2d_eval(&gamma, &beta, &mean, &var, 0.0);
+        }
+        y.sum_all().backward();
         assert_eq!(x.grad().unwrap().data(), &[1.0]);
     }
 }

@@ -303,7 +303,7 @@ fn grad_batch_norm_eval() {
         2e-2,
     );
     // γ is the one gradient that reads the normalised input, which the
-    // forward keeps only when γ is differentiated.
+    // backward recomputes from the input the tape holds.
     let bn = |gamma: &Var, beta: &Var| {
         Var::constant(x.clone()).batch_norm2d_eval(gamma, beta, &rm, &rv, 1e-3).square().sum_all()
     };

@@ -156,6 +156,14 @@ impl Module for Conv2d {
 }
 
 /// Batch normalisation over NCHW batches with running statistics.
+///
+/// **Deviation from PyTorch, recorded rather than fixed.** Training mode
+/// folds the *biased* batch variance (divided by `m = N·H·W`) into
+/// `running_var`. PyTorch's `BatchNorm2d` folds the unbiased one, larger by
+/// `m / (m − 1)`: +0.35 % at a 32×3×3 batch. Eval mode, which the teachers
+/// run in, normalises with these running statistics, so changing this moves
+/// result bits. It is left for the one regeneration that changes FedZKT's
+/// artifacts on purpose.
 pub struct BatchNorm2d {
     gamma: Var,
     beta: Var,

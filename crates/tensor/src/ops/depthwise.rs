@@ -17,20 +17,40 @@
 //!   taps multiply `0.0` where `col2im` skips them: for finite weights that
 //!   adds `±0.0` to an accumulator that is never `-0.0`, which changes
 //!   nothing; callers keep the lowering when a weight is non-finite;
-//! * [`depthwise_conv2d_dw`] — builds, tap by tap, the very row of the
-//!   column matrix the lowering would, and reduces it through the same
-//!   [`gemm::gemm_nt`] dispatch (`m = 1`), so the AVX2 reduction tree
-//!   and the scalar dot stay matched per backend by construction.
+//! * [`depthwise_conv2d_dw`] — builds the very `KH·KW` rows of the column
+//!   matrix the lowering would for a channel, and reduces them with one call
+//!   into the same [`gemm::gemm_nt`] dispatch (`m = 1`, one output per tap),
+//!   so the AVX2 reduction tree and the scalar dot stay matched per backend
+//!   by construction.
 //!
 //! ## Layout
 //!
-//! All three kernels share one scratch layout, [`Layout`]: the zero-padded
-//! plane split into `stride²` *phase planes* (padded row `R`, column `C`
-//! lives in phase `(R mod s, C mod s)` at `(R div s, C div s)`). In that
-//! layout tap `(ky, kx)` of output pixel `(oy, ox)` sits at a fixed offset
-//! from `oy·q + ox` (`q` = phase-plane pitch) for **every** stride, so a
-//! whole plane is one flat, branch-free, vectorizable loop per tap — the
+//! The forward and `dX` share one scratch layout, [`Layout`]: the
+//! zero-padded plane split into `stride²` *phase planes* (padded row `R`,
+//! column `C` lives in phase `(R mod s, C mod s)` at `(R div s, C div s)`).
+//! In that layout tap `(ky, kx)` of output pixel `(oy, ox)` sits at a fixed
+//! offset from `oy·q + ox` (`q` = phase-plane pitch) for **every** stride, so
+//! a whole plane is one flat, branch-free, vectorizable loop per tap — the
 //! few elements computed for the pitch gap are discarded.
+//!
+//! ## Copies
+//!
+//! On the zoo's planes (12×12 down to 3×3) moving a plane into and out of
+//! the scratch costs as much as the arithmetic, so every move follows a
+//! plan made once per call, [`Placement`]. It holds the scratch index of
+//! each element of the dense plane. Rows that are contiguous in the scratch
+//! and at least [`BLOCK_COPY_MIN`] long move as block copies. The others
+//! move element by element through the indices: a stride-2 phase split,
+//! and 3-wide rows.
+//!
+//! `dW` needs each tap's row dense, so it copies twice as much. At stride 1
+//! with an output the size of its input (the zoo's `k3 p1`), tap `(ky, kx)`'s
+//! row is the plane itself moved by `(ky − p)·W + kx − p`. That is one block
+//! copy per tap and plane, followed by writing zeros at the positions where
+//! the tap falls on padding, the row's ends and its wraps across a row edge.
+//! Other geometries split the plane once and gather each tap's row out of
+//! the scratch. Either way a channel's rows are reduced by one `gemm_nt`
+//! call.
 //!
 //! ## Parallelism
 //!
@@ -50,12 +70,68 @@ const BLOCK: usize = 32;
 /// up to this, and scratch buffers carry this much slack for the overhang.
 const TAIL: usize = 8;
 
+/// Rows at least this long move as block copies; shorter rows, and rows
+/// that are not contiguous in the scratch (stride > 1), move element by
+/// element through an index map. On the zoo's planes a block copy pays
+/// from 6-wide rows on and loses on 3-wide ones.
+const BLOCK_COPY_MIN: usize = 4;
+
+/// Where each element of a dense `[rows, len]` plane sits in a scratch
+/// buffer, with the copies in both directions.
+#[derive(Default)]
+struct Placement {
+    /// Scratch index of every element, row-major.
+    at: Vec<usize>,
+    /// The row length when rows move as block copies.
+    block: Option<usize>,
+}
+
+impl Placement {
+    /// Element `(r, i)` at `at(r, i)`; `contiguous` says that each row
+    /// occupies consecutive scratch indices.
+    fn new(rows: usize, len: usize, contiguous: bool, at: impl Fn(usize, usize) -> usize) -> Self {
+        Placement {
+            at: (0..rows * len).map(|e| at(e / len, e % len)).collect(),
+            block: (contiguous && len >= BLOCK_COPY_MIN).then_some(len),
+        }
+    }
+
+    /// Write the dense plane `src` into `buf`, touching nothing else.
+    fn scatter(&self, src: &[f32], buf: &mut [f32]) {
+        match self.block {
+            Some(len) => {
+                for (row, &at) in src.chunks_exact(len).zip(self.at.iter().step_by(len)) {
+                    buf[at..at + len].copy_from_slice(row);
+                }
+            }
+            None => {
+                for (&at, &v) in self.at.iter().zip(src) {
+                    buf[at] = v;
+                }
+            }
+        }
+    }
+
+    /// Read the dense plane `dst` out of `buf`.
+    fn gather(&self, buf: &[f32], dst: &mut [f32]) {
+        match self.block {
+            Some(len) => {
+                for (row, &at) in dst.chunks_exact_mut(len).zip(self.at.iter().step_by(len)) {
+                    row.copy_from_slice(&buf[at..at + len]);
+                }
+            }
+            None => {
+                for (d, &at) in dst.iter_mut().zip(&self.at) {
+                    *d = buf[at];
+                }
+            }
+        }
+    }
+}
+
 /// The phase-split, zero-padded plane layout (module docs).
 struct Layout {
     stride: usize,
-    pad: usize,
-    in_w: usize,
-    out_w: usize,
     /// Phase-plane pitch: `ceil((W + 2·pad) / stride)`.
     pitch: usize,
     /// Elements per phase plane: `ceil((H + 2·pad) / stride) · pitch`.
@@ -63,20 +139,27 @@ struct Layout {
     /// Output pixels addressed with the phase pitch, rounded up to [`TAIL`]:
     /// `(OH − 1)·pitch + OW`.
     flat: usize,
+    /// The `[H, W]` input pixels in the split scratch.
+    input: Placement,
+    /// The `[OH, OW]` output pixels at the phase pitch: `(oy, ox)` at
+    /// `oy·pitch + ox`.
+    output: Placement,
 }
 
 impl Layout {
     fn new(g: &Conv2dGeometry) -> Self {
-        let pitch = (g.in_w + 2 * g.pad).div_ceil(g.stride);
-        Layout {
-            stride: g.stride,
-            pad: g.pad,
-            in_w: g.in_w,
-            out_w: g.out_w,
+        let (s, pad) = (g.stride, g.pad);
+        let pitch = (g.in_w + 2 * pad).div_ceil(s);
+        let mut lay = Layout {
+            stride: s,
             pitch,
-            plane: (g.in_h + 2 * g.pad).div_ceil(g.stride) * pitch,
+            plane: (g.in_h + 2 * pad).div_ceil(s) * pitch,
             flat: ((g.out_h - 1) * pitch + g.out_w).next_multiple_of(TAIL),
-        }
+            input: Placement::default(),
+            output: Placement::new(g.out_h, g.out_w, true, |oy, ox| oy * pitch + ox),
+        };
+        lay.input = Placement::new(g.in_h, g.in_w, s == 1, |iy, ix| lay.at(iy + pad, ix + pad));
+        lay
     }
 
     /// Scratch length for one split plane, overhang slack included.
@@ -88,54 +171,6 @@ impl Layout {
     fn at(&self, row: usize, col: usize) -> usize {
         let s = self.stride;
         ((row % s) * s + col % s) * self.plane + (row / s) * self.pitch + col / s
-    }
-
-    /// For input row `iy`, the `(first ix, scratch index)` of each column
-    /// phase: elements `ix, ix + s, ix + 2s, …` of the row are contiguous in
-    /// the scratch from that index on.
-    fn row_runs(&self, iy: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let s = self.stride;
-        (0..s.min(self.in_w)).map(move |ix0| (ix0, self.at(iy + self.pad, ix0 + self.pad)))
-    }
-
-    /// Write an `[H, W]` plane into the interior of a split scratch plane.
-    /// The border is never written, so a zero-initialised scratch can be
-    /// reused plane after plane.
-    fn split(&self, src: &[f32], buf: &mut [f32]) {
-        for (iy, row) in src.chunks_exact(self.in_w).enumerate() {
-            if self.stride == 1 {
-                buf[self.at(iy + self.pad, self.pad)..][..self.in_w].copy_from_slice(row);
-                continue;
-            }
-            for (ix0, at) in self.row_runs(iy) {
-                for (d, &v) in buf[at..].iter_mut().zip(row[ix0..].iter().step_by(self.stride)) {
-                    *d = v;
-                }
-            }
-        }
-    }
-
-    /// Read the interior of a split scratch plane back into `[H, W]`.
-    fn unsplit(&self, buf: &[f32], dst: &mut [f32]) {
-        for (iy, row) in dst.chunks_exact_mut(self.in_w).enumerate() {
-            if self.stride == 1 {
-                row.copy_from_slice(&buf[self.at(iy + self.pad, self.pad)..][..self.in_w]);
-                continue;
-            }
-            for (ix0, at) in self.row_runs(iy) {
-                for (d, &v) in row[ix0..].iter_mut().step_by(self.stride).zip(&buf[at..]) {
-                    *d = v;
-                }
-            }
-        }
-    }
-
-    /// Copy the `OH` rows of `OW` valid pixels out of a pitch-addressed
-    /// buffer into a dense `[OH, OW]` plane.
-    fn compact(&self, flat: &[f32], dst: &mut [f32]) {
-        for (d, s) in dst.chunks_exact_mut(self.out_w).zip(flat.chunks(self.pitch)) {
-            d.copy_from_slice(&s[..self.out_w]);
-        }
     }
 }
 
@@ -219,12 +254,13 @@ pub fn depthwise_conv2d(
     par::for_each_chunk_mut(out, c * hw_out, threads, |s0, chunk| {
         let mut buf = vec![0.0f32; lay.buf_len()];
         let mut flat = vec![0.0f32; lay.flat];
-        // Planes of the worker's samples are consecutive in both tensors.
-        let planes = x[s0 * c * hw_in..].chunks_exact(hw_in);
-        for (p, (dst, src)) in chunk.chunks_exact_mut(hw_out).zip(planes).enumerate() {
-            lay.split(src, &mut buf);
-            correlate(&buf, &taps[p % c * ktaps..][..ktaps], &mut flat);
-            lay.compact(&flat, dst);
+        // Planes of the worker's samples are consecutive in both tensors,
+        // and their channels cycle from 0.
+        let planes = x[s0 * c * hw_in..].chunks_exact(hw_in).zip(taps.chunks_exact(ktaps).cycle());
+        for (dst, (src, taps)) in chunk.chunks_exact_mut(hw_out).zip(planes) {
+            lay.input.scatter(src, &mut buf);
+            correlate(&buf, taps, &mut flat);
+            lay.output.gather(&flat, dst);
         }
     });
 }
@@ -277,13 +313,10 @@ pub fn depthwise_conv2d_dx(
     par::for_each_chunk_mut(gx, c * hw_in, threads, |s0, chunk| {
         let mut frame = vec![0.0f32; top * q + left + plane_flat];
         let mut buf = vec![0.0f32; lay.buf_len()];
-        let planes = go[s0 * c * hw_out..].chunks_exact(hw_out);
-        for (p, (dst, src)) in chunk.chunks_exact_mut(hw_in).zip(planes).enumerate() {
-            for (d, row) in frame[top * q + left..].chunks_mut(q).zip(src.chunks_exact(lay.out_w))
-            {
-                d[..lay.out_w].copy_from_slice(row);
-            }
-            let taps = &taps[p % c * ktaps..][..ktaps];
+        let planes =
+            go[s0 * c * hw_out..].chunks_exact(hw_out).zip(taps.chunks_exact(ktaps).cycle());
+        for (dst, (src, taps)) in chunk.chunks_exact_mut(hw_in).zip(planes) {
+            lay.output.scatter(src, &mut frame[top * q + left..]);
             let mut t0 = 0;
             for (phase, &t1) in phase_ends.iter().enumerate() {
                 // A phase plane's rounded-up tail spills into the next one
@@ -291,7 +324,7 @@ pub fn depthwise_conv2d_dx(
                 correlate(&frame, &taps[t0..t1], &mut buf[phase * lay.plane..][..plane_flat]);
                 t0 = t1;
             }
-            lay.unsplit(&buf, dst);
+            lay.input.gather(&buf, dst);
         }
     });
 }
@@ -300,8 +333,10 @@ pub fn depthwise_conv2d_dx(
 /// by tap `t`, for `gw: [C, 1, KH, KW]` (accumulated into, like the GEMMs).
 ///
 /// Bit-identical to the `im2col` + `gemm_nt` lowering on every backend: the
-/// column-matrix row of each tap is rebuilt verbatim (sample-major, explicit
-/// zeros on padding) and reduced by the same `gemm_nt` dispatch.
+/// `KH·KW` column-matrix rows of a channel are built verbatim (sample-major,
+/// explicit zeros on padding) and reduced by one call into the same
+/// `gemm_nt` dispatch, which dots each row with the output gradient exactly
+/// as the lowering's per-channel product does.
 ///
 /// # Panics
 /// When a slice length disagrees with `(n, c, g)` or `g.channels != 1`.
@@ -315,28 +350,105 @@ pub fn depthwise_conv2d_dw(
 ) {
     let (hw_in, hw_out, ktaps) =
         check("depthwise_conv2d_dw", n, c, g, x.len(), gw.len(), go.len());
-    let lay = Layout::new(g);
-    let offs: Vec<usize> = (0..ktaps).map(|t| lay.at(t / g.kernel_w, t % g.kernel_w)).collect();
-    let (ncols, buf_len) = (n * hw_out, lay.buf_len());
+    let rows = ColumnRows::new(g);
+    let ncols = n * hw_out;
     let threads = if go.len() * ktaps >= gemm::PAR_MIN_MACS { par::max_threads() } else { 1 };
     par::for_each_chunk_mut(gw, ktaps, threads, |c0, chunk| {
-        let mut bufs = vec![0.0f32; n * buf_len];
+        let mut buf = rows.scratch();
         let mut go_row = vec![0.0f32; ncols];
-        let mut col_row = vec![0.0f32; ncols];
+        let mut cols = vec![0.0f32; ktaps * ncols];
         for (dc, dst) in chunk.chunks_exact_mut(ktaps).enumerate() {
             let ch = c0 + dc;
-            for (s, buf) in bufs.chunks_exact_mut(buf_len).enumerate() {
-                lay.split(&x[(s * c + ch) * hw_in..][..hw_in], buf);
+            for s in 0..n {
                 go_row[s * hw_out..][..hw_out]
                     .copy_from_slice(&go[(s * c + ch) * hw_out..][..hw_out]);
+                let plane = &x[(s * c + ch) * hw_in..][..hw_in];
+                let at = s * hw_out..(s + 1) * hw_out;
+                let tap_rows = cols.chunks_exact_mut(ncols).map(|r| &mut r[at.clone()]);
+                rows.emit(plane, &mut buf, tap_rows);
             }
-            for (d, &off) in dst.iter_mut().zip(&offs) {
-                for (row, buf) in col_row.chunks_exact_mut(hw_out).zip(bufs.chunks_exact(buf_len))
-                {
-                    lay.compact(&buf[off..], row);
-                }
-                gemm::gemm_nt(&go_row, &col_row, std::slice::from_mut(d), 1, ncols, 1);
-            }
+            gemm::gemm_nt(&go_row, &cols, dst, 1, ncols, ktaps);
         }
     });
+}
+
+/// How [`depthwise_conv2d_dw`] writes the `KH·KW` column-matrix rows of
+/// one plane, each `OH·OW` long.
+enum ColumnRows {
+    /// Stride 1 with an output the size of the input (the zoo's `k3 p1`),
+    /// rows long enough for block copies: tap `t`'s row is the plane itself
+    /// moved by a fixed shift, one block copy, with zeros written where the
+    /// tap falls on padding.
+    Shifted(Vec<(isize, Vec<usize>)>),
+    /// Every other geometry: split the plane once, then gather each tap's
+    /// row out of the scratch at the tap's offset.
+    Split(Layout, Vec<usize>),
+}
+
+impl ColumnRows {
+    fn new(g: &Conv2dGeometry) -> Self {
+        let taps = (0..g.kernel_h).flat_map(|ky| (0..g.kernel_w).map(move |kx| (ky, kx)));
+        if g.stride == 1 && (g.out_h, g.out_w) == (g.in_h, g.in_w) && g.in_w >= BLOCK_COPY_MIN {
+            let (h, w, pad) = (g.in_h as isize, g.in_w as isize, g.pad as isize);
+            ColumnRows::Shifted(
+                taps.map(|(ky, kx)| {
+                    let (dy, dx) = (ky as isize - pad, kx as isize - pad);
+                    let padding = (0..h * w)
+                        .filter(|j| {
+                            !(0..h).contains(&(j / w + dy)) || !(0..w).contains(&(j % w + dx))
+                        })
+                        .map(|j| j as usize)
+                        .collect();
+                    (dy * w + dx, padding)
+                })
+                .collect(),
+            )
+        } else {
+            let lay = Layout::new(g);
+            let offs = taps.map(|(ky, kx)| lay.at(ky, kx)).collect();
+            ColumnRows::Split(lay, offs)
+        }
+    }
+
+    /// Per-worker scratch for [`ColumnRows::emit`].
+    fn scratch(&self) -> Vec<f32> {
+        match self {
+            ColumnRows::Shifted(_) => Vec::new(),
+            ColumnRows::Split(lay, _) => vec![0.0f32; lay.buf_len()],
+        }
+    }
+
+    /// Write the row of every tap of the `[H, W]` plane `plane`, in tap
+    /// order, into `rows`.
+    fn emit<'a>(
+        &self,
+        plane: &[f32],
+        buf: &mut [f32],
+        rows: impl Iterator<Item = &'a mut [f32]>,
+    ) {
+        match self {
+            ColumnRows::Shifted(taps) => {
+                for (row, (shift, padding)) in rows.zip(taps) {
+                    // Row element `j` is plane element `j + shift`. The ends
+                    // the shift leaves uncovered, and every wrap across a
+                    // row edge, fall on padding and are zeroed after.
+                    let (len, by) = (plane.len(), shift.unsigned_abs().min(plane.len()));
+                    if *shift < 0 {
+                        row[by..].copy_from_slice(&plane[..len - by]);
+                    } else {
+                        row[..len - by].copy_from_slice(&plane[by..]);
+                    }
+                    for &j in padding {
+                        row[j] = 0.0;
+                    }
+                }
+            }
+            ColumnRows::Split(lay, offs) => {
+                lay.input.scatter(plane, buf);
+                for (row, &off) in rows.zip(offs) {
+                    lay.output.gather(&buf[off..], row);
+                }
+            }
+        }
+    }
 }
