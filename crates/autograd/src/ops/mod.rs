@@ -12,7 +12,6 @@
 mod activations;
 mod arith;
 mod conv;
-mod dropout;
 mod linear;
 mod norm;
 mod pool;

@@ -5,59 +5,6 @@ use fedzkt_tensor::ops::Conv2dGeometry;
 use fedzkt_tensor::Tensor;
 
 impl Var {
-    /// Average pooling with a square `k`×`k` window.
-    ///
-    /// # Panics
-    /// Panics when `self` is not NCHW or the window does not fit.
-    pub fn avg_pool2d(&self, k: usize, stride: usize) -> Var {
-        let x = self.value_clone();
-        let s = x.shape().to_vec();
-        assert_eq!(s.len(), 4, "avg_pool2d input must be NCHW");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let geom = Conv2dGeometry::new(1, h, w, k, k, stride, 0).expect("avg_pool2d geometry");
-        let (oh, ow) = (geom.out_h, geom.out_w);
-        let inv = 1.0 / (k * k) as f32;
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        for smp in 0..n {
-            for ch in 0..c {
-                let plane = &x.data()[(smp * c + ch) * h * w..(smp * c + ch + 1) * h * w];
-                let dst = &mut out[(smp * c + ch) * oh * ow..(smp * c + ch + 1) * oh * ow];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                acc += plane[(oy * stride + ky) * w + ox * stride + kx];
-                            }
-                        }
-                        dst[oy * ow + ox] = acc * inv;
-                    }
-                }
-            }
-        }
-        let value = Tensor::from_vec(out, &[n, c, oh, ow]).expect("avg_pool2d out");
-        Var::from_op(value, vec![self.clone()], move |g| {
-            let mut dx = vec![0.0f32; n * c * h * w];
-            for smp in 0..n {
-                for ch in 0..c {
-                    let gsrc = &g.data()[(smp * c + ch) * oh * ow..(smp * c + ch + 1) * oh * ow];
-                    let dst = &mut dx[(smp * c + ch) * h * w..(smp * c + ch + 1) * h * w];
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let gv = gsrc[oy * ow + ox] * inv;
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    dst[(oy * stride + ky) * w + ox * stride + kx] += gv;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            vec![Some(Tensor::from_vec(dx, &[n, c, h, w]).expect("avg_pool2d dX"))]
-        })
-    }
-
     /// Max pooling with a square `k`×`k` window.
     ///
     /// # Panics
@@ -182,15 +129,6 @@ mod tests {
 
     fn img(data: Vec<f32>, shape: &[usize]) -> Var {
         Var::parameter(Tensor::from_vec(data, shape).unwrap())
-    }
-
-    #[test]
-    fn avg_pool_values_and_grad() {
-        let x = img(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = x.avg_pool2d(2, 2);
-        assert_eq!(y.value().data(), &[2.5]);
-        y.sum_all().backward();
-        assert_eq!(x.grad().unwrap().data(), &[0.25; 4]);
     }
 
     #[test]

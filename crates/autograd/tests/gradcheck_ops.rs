@@ -314,7 +314,6 @@ fn grad_batch_norm_eval() {
 #[test]
 fn grad_pooling_and_upsample() {
     let x = randn(&[2, 2, 4, 4], 25);
-    check_gradients("avg_pool", |v| v.avg_pool2d(2, 2).square().sum_all(), &x, 1e-2);
     check_gradients("global_avg_pool", |v| v.global_avg_pool().square().sum_all(), &x, 1e-2);
     check_gradients("upsample", |v| v.upsample_nearest2d(2).square().sum_all(), &x, 1e-2);
     // Max pool: spread values so the argmax is stable under probing.

@@ -7,7 +7,7 @@
 //! CIFAR-100 and SVHN as FedMD's public datasets. Those corpora are not
 //! available in this offline environment, so this crate generates
 //! *synthetic class-conditional image families* with the properties the
-//! experiments actually depend on (see DESIGN.md §2):
+//! experiments actually depend on:
 //!
 //! * each family is a classifiable distribution over `[-1, 1]` images with
 //!   per-class structure (prototype + jitter + noise);

@@ -9,9 +9,10 @@
 //! function of `(spec, device, round)`**. There is no mutable churn state
 //! anywhere:
 //!
-//! * the availability timeline is identical however the fleet is chunked
-//!   or sharded (the registry's shard size can never leak into which
-//!   devices exist);
+//! * the availability timeline is identical however the fleet is walked:
+//!   the whole-fleet scan accepts exactly the devices the per-device
+//!   predicate does, so the registry's shard size can never leak into
+//!   which devices exist;
 //! * whether a round was ever *queried* cannot shift any other round's
 //!   answer, so checkpoint/resume needs no churn cursor at all — a
 //!   resumed run re-derives the exact timeline from the spec;
@@ -313,22 +314,6 @@ impl ChurnProcess {
         out
     }
 
-    /// [`ChurnProcess::available`] evaluated a chunk at a time — the walk
-    /// a sharded registry performs. Exposed so the property suite can
-    /// assert chunk-size invariance: for every chunk size the
-    /// concatenation equals the monolithic scan.
-    pub fn available_chunked(&self, round: usize, chunk: usize) -> Vec<usize> {
-        assert!(chunk > 0, "chunk size must be positive");
-        let mut out = Vec::new();
-        let mut lo = 0;
-        while lo < self.devices {
-            let hi = (lo + chunk).min(self.devices);
-            out.extend((lo..hi).filter(|&k| self.is_available(k, round)));
-            lo = hi;
-        }
-        out
-    }
-
     /// Mid-round dropout decision for an available, sampled device:
     /// `Some(fraction)` when device `k` drops out of `round` after
     /// completing `fraction ∈ [0, 1)` of its local compute, `None` when
@@ -460,9 +445,9 @@ mod tests {
         }
     }
 
-    /// The chunked walk asks `is_available` device by device, so this
-    /// also holds the whole-fleet scan to the per-device definition, over
-    /// specs that reach every branch of [`DutyWindow`].
+    /// The whole-fleet scan equals the per-device definition: `available`
+    /// accepts exactly the devices `is_available` does, over specs that
+    /// reach every branch of [`DutyWindow`].
     #[test]
     fn chunked_scan_matches_monolithic_scan() {
         let duty = |duty_period, duty_on| ChurnSpec {
@@ -501,10 +486,9 @@ mod tests {
                 .into_iter()
                 .flat_map(|n| [n * period, n * period + 1, (n + 1) * period - 2]);
             for round in (0..6).chain(deep) {
-                let scan = p.available(round);
-                for chunk in [1, 2, 7, 64, 256, 300] {
-                    assert_eq!(p.available_chunked(round, chunk), scan, "{spec:?} round {round}");
-                }
+                let oracle: Vec<usize> =
+                    (0..p.devices()).filter(|&k| p.is_available(k, round)).collect();
+                assert_eq!(p.available(round), oracle, "{spec:?} round {round}");
             }
         }
     }

@@ -18,7 +18,7 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f32 {
 }
 
 /// Test-set accuracy of a classifier, evaluated in eval mode (batch-norm
-/// running statistics, no dropout) without building autograd tape.
+/// running statistics) without building autograd tape.
 ///
 /// Restores the module to training mode before returning.
 pub fn evaluate(model: &dyn Module, data: &Dataset, batch_size: usize) -> f32 {

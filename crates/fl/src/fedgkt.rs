@@ -125,21 +125,8 @@ impl Module for SplitModel {
         self.head.forward(&self.extractor.forward(x))
     }
 
-    fn params(&self) -> Vec<Var> {
-        let mut params = self.extractor.params();
-        params.extend(self.head.params());
-        params
-    }
-
-    fn buffers(&self) -> Vec<fedzkt_nn::Buffer> {
-        let mut buffers = self.extractor.buffers();
-        buffers.extend(self.head.buffers());
-        buffers
-    }
-
-    fn set_training(&self, training: bool) {
-        self.extractor.set_training(training);
-        self.head.set_training(training);
+    fn children(&self) -> Vec<&dyn Module> {
+        vec![self.extractor.as_ref(), &self.head]
     }
 }
 
@@ -615,6 +602,68 @@ mod tests {
         resumed.resume_from(&ck).expect("resume");
         let log = resumed.run().clone();
         assert_eq!(log.to_json(), reference.to_json());
+    }
+
+    /// A MobileNetV2 split model (inverted residuals with and without an
+    /// expansion conv, under the local head) and a batch of 4 images.
+    fn split_model() -> (SplitModel, Tensor) {
+        let m = SplitModel::build(ModelSpec::MobileNetV2 { width: 0.6 }, (3, 10, 12), 8, 21, 2);
+        (m, Tensor::randn(&[4, 3, 12, 12], &mut seeded_rng(22)))
+    }
+
+    /// FNV-1a over a state dict: the param and buffer counts, then each
+    /// tensor's rank, dims and f32 bits, params first.
+    fn state_fnv64(m: &dyn Module) -> u64 {
+        let sd = state_dict(m);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(sd.params.len() as u64);
+        eat(sd.buffers.len() as u64);
+        for t in sd.iter_tensors() {
+            eat(t.shape().len() as u64);
+            t.shape().iter().for_each(|&d| eat(d as u64));
+            t.data().iter().for_each(|v| eat(u64::from(v.to_bits())));
+        }
+        h
+    }
+
+    /// The split model's state order (extractor, then head) is what its
+    /// checkpoints encode; pinned after one training-mode forward so every
+    /// batch norm's running statistics are distinct.
+    #[test]
+    fn split_model_state_order_is_pinned() {
+        let (m, x) = split_model();
+        let _ = m.forward(&Var::constant(x));
+        assert_eq!(state_fnv64(&m), 0x5660_c97a_6edb_89a0);
+    }
+
+    /// `set_training` reaches every batch norm inside the extractor: eval
+    /// mode moves no buffer and keeps samples independent, training mode
+    /// moves every buffer.
+    #[test]
+    fn split_model_set_training_reaches_every_batch_norm() {
+        let (m, x) = split_model();
+        let buffers = |m: &SplitModel| state_dict(m).buffers;
+        m.set_training(false);
+        let before = buffers(&m);
+        let y = no_grad(|| m.forward(&Var::constant(x.clone()))).value_clone();
+        assert_eq!(buffers(&m), before, "eval mode moved a buffer");
+        let mut other = Tensor::randn(x.shape(), &mut seeded_rng(23)).data().to_vec();
+        let row = x.len() / 4;
+        other[..row].copy_from_slice(&x.data()[..row]);
+        let y2 = no_grad(|| m.forward(&Var::constant(Tensor::from_vec(other, x.shape()).unwrap())))
+            .value_clone();
+        assert_eq!(y.data()[..10], y2.data()[..10], "eval-mode sample 0 depends on its batch");
+        m.set_training(true);
+        let _ = m.forward(&Var::constant(x));
+        assert!(!before.is_empty());
+        for (i, (a, b)) in before.iter().zip(buffers(&m)).enumerate() {
+            assert_ne!(*a, b, "training-mode forward left buffer {i} unchanged");
+        }
     }
 
     #[test]

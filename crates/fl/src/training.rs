@@ -95,8 +95,8 @@ pub fn train_local(model: &dyn Module, data: &Dataset, cfg: &LocalTrainConfig) -
 ///
 /// `rebuild_seed` seeds the rebuild's construction: the weight/buffer
 /// initialisation it produces is immediately overwritten by the snapshot,
-/// but any layer state *outside* the state dict (e.g. a dropout layer's
-/// internal RNG — none of the current zoo uses one) is re-derived from it
+/// but any layer state *outside* the state dict (e.g. a stochastic layer's
+/// internal RNG — no layer in the workspace has one) is re-derived from it
 /// rather than carried over from the live model. Callers must therefore
 /// derive `rebuild_seed` from their run seed **per round and device** so
 /// such state gets a fresh deterministic stream each round instead of

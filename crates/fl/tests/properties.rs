@@ -99,20 +99,17 @@ proptest! {
         prop_assert!(big >= small - 1e-9);
     }
 
-    /// The availability timeline is invariant under fleet sharding: for
-    /// every chunk size, walking the fleet a chunk at a time (as a
-    /// sharded registry does) yields exactly the monolithic scan. The
-    /// registry's internal layout can never leak into which devices
-    /// exist in a round. The chunked walk asks `is_available` device by
-    /// device, so this also holds the whole-fleet scan to the per-device
-    /// definition — rounds taken `depth` duty periods deep, counted
-    /// forward from a period's start or `back` from its end, where a
-    /// device's phase wraps.
+    /// The availability timeline is one predicate however the fleet is
+    /// walked: the whole-fleet scan `available` accepts exactly the
+    /// devices the per-device definition `is_available` does, so no
+    /// registry layout can change which devices exist in a round —
+    /// rounds taken `depth` duty periods deep, counted forward from a
+    /// period's start or `back` from its end, where a device's phase
+    /// wraps.
     #[test]
     fn churn_timeline_is_shard_invariant(
         spec in churn_spec(),
         devices in 1usize..200,
-        chunk in 1usize..300,
         round in 0usize..30,
         depth in 0usize..4,
         back in 0u8..2,
@@ -124,7 +121,8 @@ proptest! {
             depth * period + round
         };
         let p = ChurnProcess::new(spec, devices);
-        prop_assert_eq!(p.available_chunked(round, chunk), p.available(round));
+        let oracle: Vec<usize> = (0..devices).filter(|&k| p.is_available(k, round)).collect();
+        prop_assert_eq!(p.available(round), oracle);
     }
 
     /// The timeline is a pure function of (spec, device, round): querying

@@ -2,7 +2,7 @@
 //! LeNet-like family.
 
 use fedzkt_autograd::Var;
-use fedzkt_nn::{BatchNorm2d, Buffer, Conv2d, Conv2dConfig, Linear, MaxPool2d, Module};
+use fedzkt_nn::{BatchNorm2d, Conv2d, Conv2dConfig, Linear, MaxPool2d, Module};
 use fedzkt_tensor::{seeded_rng, Prng};
 
 fn conv(
@@ -74,24 +74,8 @@ impl Module for SmallCnn {
         self.head.forward(&h.flatten_batch())
     }
 
-    fn params(&self) -> Vec<Var> {
-        [
-            self.conv1.params(),
-            self.bn1.params(),
-            self.conv2.params(),
-            self.bn2.params(),
-            self.head.params(),
-        ]
-        .concat()
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        [self.bn1.buffers(), self.bn2.buffers()].concat()
-    }
-
-    fn set_training(&self, training: bool) {
-        self.bn1.set_training(training);
-        self.bn2.set_training(training);
+    fn children(&self) -> Vec<&dyn Module> {
+        vec![&self.conv1, &self.bn1, &self.conv2, &self.bn2, &self.pool, &self.head]
     }
 }
 
@@ -129,8 +113,8 @@ impl Module for Mlp {
         self.head.forward(&h)
     }
 
-    fn params(&self) -> Vec<Var> {
-        [self.fc1.params(), self.fc2.params(), self.head.params()].concat()
+    fn children(&self) -> Vec<&dyn Module> {
+        vec![&self.fc1, &self.fc2, &self.head]
     }
 }
 
@@ -191,13 +175,13 @@ impl Module for LeNet {
         self.head.forward(&h)
     }
 
-    fn params(&self) -> Vec<Var> {
-        let mut p = [self.conv1.params(), self.conv2.params(), self.fc1.params()].concat();
+    fn children(&self) -> Vec<&dyn Module> {
+        let mut c: Vec<&dyn Module> = vec![&self.conv1, &self.conv2, &self.pool, &self.fc1];
         if let Some(fc2) = &self.fc2 {
-            p.extend(fc2.params());
+            c.push(fc2);
         }
-        p.extend(self.head.params());
-        p
+        c.push(&self.head);
+        c
     }
 }
 
@@ -271,18 +255,5 @@ mod tests {
             opt.step();
         }
         assert!(last < 0.1, "did not overfit: loss {last}");
-    }
-
-    #[test]
-    fn set_training_propagates_to_bn() {
-        let m = SmallCnn::new(1, 2, 8, 2, 7);
-        let x = Var::constant(Tensor::randn(&[4, 1, 8, 8], &mut seeded_rng(8)));
-        m.set_training(false);
-        let before = m.buffers()[0].get();
-        let _ = m.forward(&x);
-        assert_eq!(before, m.buffers()[0].get(), "eval mode must not touch stats");
-        m.set_training(true);
-        let _ = m.forward(&x);
-        assert_ne!(before, m.buffers()[0].get(), "train mode must update stats");
     }
 }

@@ -10,7 +10,7 @@
 //! datasets).
 
 use fedzkt_autograd::Var;
-use fedzkt_nn::{BatchNorm2d, Buffer, Conv2d, Conv2dConfig, Linear, Module};
+use fedzkt_nn::{BatchNorm2d, Conv2d, Conv2dConfig, Linear, Module};
 use fedzkt_tensor::{seeded_rng, Prng, Tensor};
 
 /// Configuration for [`Generator`].
@@ -115,27 +115,10 @@ impl Module for Generator {
         self.conv3.forward(&h).tanh()
     }
 
-    fn params(&self) -> Vec<Var> {
-        [
-            self.fc.params(),
-            self.bn0.params(),
-            self.conv1.params(),
-            self.bn1.params(),
-            self.conv2.params(),
-            self.bn2.params(),
-            self.conv3.params(),
+    fn children(&self) -> Vec<&dyn Module> {
+        vec![
+            &self.fc, &self.bn0, &self.conv1, &self.bn1, &self.conv2, &self.bn2, &self.conv3,
         ]
-        .concat()
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        [self.bn0.buffers(), self.bn1.buffers(), self.bn2.buffers()].concat()
-    }
-
-    fn set_training(&self, training: bool) {
-        self.bn0.set_training(training);
-        self.bn1.set_training(training);
-        self.bn2.set_training(training);
     }
 }
 

@@ -17,7 +17,11 @@
 //! width multiplier; ShuffleNetV2 keeps channel split + depthwise
 //! convolutions + channel shuffle + net-size multiplier. Channel counts and
 //! stage depths are scaled down so the whole federated simulation runs on a
-//! 2-core CPU (see DESIGN.md §2 for the substitution rationale).
+//! 2-core CPU.
+//!
+//! Every model is a tree of `fedzkt_nn` layers: it implements `forward`
+//! and `children`, and its state order (what goes on the wire and into
+//! checkpoints) is the depth-first order of its children.
 //!
 //! ## Example
 //!

@@ -6,7 +6,7 @@
 //! reduced stage plan suitable for small synthetic images on CPU.
 
 use fedzkt_autograd::Var;
-use fedzkt_nn::{BatchNorm2d, Buffer, Conv2d, Conv2dConfig, Linear, Module};
+use fedzkt_nn::{BatchNorm2d, Conv2d, Conv2dConfig, Linear, Module};
 use fedzkt_tensor::{seeded_rng, Prng};
 
 fn conv_bn(
@@ -64,35 +64,14 @@ impl Module for InvertedResidual {
         h
     }
 
-    fn params(&self) -> Vec<Var> {
-        let mut p = Vec::new();
-        if let Some((c, bn)) = &self.expand {
-            p.extend(c.params());
-            p.extend(bn.params());
+    fn children(&self) -> Vec<&dyn Module> {
+        let mut c: Vec<&dyn Module> = Vec::new();
+        if let Some((conv, bn)) = &self.expand {
+            c.extend([conv as &dyn Module, bn]);
         }
-        p.extend(self.depthwise.0.params());
-        p.extend(self.depthwise.1.params());
-        p.extend(self.project.0.params());
-        p.extend(self.project.1.params());
-        p
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        let mut b = Vec::new();
-        if let Some((_, bn)) = &self.expand {
-            b.extend(bn.buffers());
-        }
-        b.extend(self.depthwise.1.buffers());
-        b.extend(self.project.1.buffers());
-        b
-    }
-
-    fn set_training(&self, training: bool) {
-        if let Some((_, bn)) = &self.expand {
-            bn.set_training(training);
-        }
-        self.depthwise.1.set_training(training);
-        self.project.1.set_training(training);
+        c.extend([&self.depthwise.0 as &dyn Module, &self.depthwise.1]);
+        c.extend([&self.project.0 as &dyn Module, &self.project.1]);
+        c
     }
 }
 
@@ -139,33 +118,11 @@ impl Module for MobileNetV2 {
         self.classifier.forward(&h.global_avg_pool())
     }
 
-    fn params(&self) -> Vec<Var> {
-        let mut p = self.stem.0.params();
-        p.extend(self.stem.1.params());
-        for b in &self.blocks {
-            p.extend(b.params());
-        }
-        p.extend(self.head_conv.0.params());
-        p.extend(self.head_conv.1.params());
-        p.extend(self.classifier.params());
-        p
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        let mut b = self.stem.1.buffers();
-        for blk in &self.blocks {
-            b.extend(blk.buffers());
-        }
-        b.extend(self.head_conv.1.buffers());
-        b
-    }
-
-    fn set_training(&self, training: bool) {
-        self.stem.1.set_training(training);
-        for b in &self.blocks {
-            b.set_training(training);
-        }
-        self.head_conv.1.set_training(training);
+    fn children(&self) -> Vec<&dyn Module> {
+        let mut c: Vec<&dyn Module> = vec![&self.stem.0, &self.stem.1];
+        c.extend(self.blocks.iter().map(|b| b as &dyn Module));
+        c.extend([&self.head_conv.0 as &dyn Module, &self.head_conv.1, &self.classifier]);
+        c
     }
 }
 

@@ -6,7 +6,7 @@
 //! downsampling unit — with a reduced stage plan for CPU-scale images.
 
 use fedzkt_autograd::Var;
-use fedzkt_nn::{BatchNorm2d, Buffer, Conv2d, Conv2dConfig, Linear, Module};
+use fedzkt_nn::{BatchNorm2d, Conv2d, Conv2dConfig, Linear, Module};
 use fedzkt_tensor::{seeded_rng, Prng};
 
 fn conv_bn(
@@ -94,41 +94,15 @@ impl Module for ShuffleUnit {
         out.channel_shuffle(2)
     }
 
-    fn params(&self) -> Vec<Var> {
-        let mut p = Vec::new();
-        for (c, bn) in [&self.r1, &self.rdw, &self.r2] {
-            p.extend(c.params());
-            p.extend(bn.params());
+    fn children(&self) -> Vec<&dyn Module> {
+        let mut c: Vec<&dyn Module> = Vec::new();
+        for (conv, bn) in [&self.r1, &self.rdw, &self.r2] {
+            c.extend([conv as &dyn Module, bn]);
         }
         if let Some(((ldw, ldw_bn), (l1, l1_bn))) = &self.left {
-            p.extend(ldw.params());
-            p.extend(ldw_bn.params());
-            p.extend(l1.params());
-            p.extend(l1_bn.params());
+            c.extend([ldw as &dyn Module, ldw_bn, l1, l1_bn]);
         }
-        p
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        let mut b = Vec::new();
-        for (_, bn) in [&self.r1, &self.rdw, &self.r2] {
-            b.extend(bn.buffers());
-        }
-        if let Some(((_, ldw_bn), (_, l1_bn))) = &self.left {
-            b.extend(ldw_bn.buffers());
-            b.extend(l1_bn.buffers());
-        }
-        b
-    }
-
-    fn set_training(&self, training: bool) {
-        for (_, bn) in [&self.r1, &self.rdw, &self.r2] {
-            bn.set_training(training);
-        }
-        if let Some(((_, ldw_bn), (_, l1_bn))) = &self.left {
-            ldw_bn.set_training(training);
-            l1_bn.set_training(training);
-        }
+        c
     }
 }
 
@@ -177,33 +151,11 @@ impl Module for ShuffleNetV2 {
         self.classifier.forward(&h.global_avg_pool())
     }
 
-    fn params(&self) -> Vec<Var> {
-        let mut p = self.stem.0.params();
-        p.extend(self.stem.1.params());
-        for u in &self.units {
-            p.extend(u.params());
-        }
-        p.extend(self.head_conv.0.params());
-        p.extend(self.head_conv.1.params());
-        p.extend(self.classifier.params());
-        p
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        let mut b = self.stem.1.buffers();
-        for u in &self.units {
-            b.extend(u.buffers());
-        }
-        b.extend(self.head_conv.1.buffers());
-        b
-    }
-
-    fn set_training(&self, training: bool) {
-        self.stem.1.set_training(training);
-        for u in &self.units {
-            u.set_training(training);
-        }
-        self.head_conv.1.set_training(training);
+    fn children(&self) -> Vec<&dyn Module> {
+        let mut c: Vec<&dyn Module> = vec![&self.stem.0, &self.stem.1];
+        c.extend(self.units.iter().map(|u| u as &dyn Module));
+        c.extend([&self.head_conv.0 as &dyn Module, &self.head_conv.1, &self.classifier]);
+        c
     }
 }
 

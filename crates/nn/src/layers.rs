@@ -2,11 +2,8 @@
 
 use crate::module::{Buffer, Module};
 use fedzkt_autograd::Var;
-use fedzkt_tensor::{
-    fan_in_out_conv2d, fan_in_out_linear, seeded_rng, Init, Prng, Tensor,
-};
-use rand::RngExt;
-use std::cell::{Cell, RefCell};
+use fedzkt_tensor::{fan_in_out_conv2d, fan_in_out_linear, Init, Prng, Tensor};
+use std::cell::Cell;
 
 /// Fully connected layer `y = x Wᵀ + b` with Glorot-initialised weights
 /// (`W: [out, in]`).
@@ -247,43 +244,6 @@ impl Module for Activation {
             Activation::Sigmoid => x.sigmoid(),
         }
     }
-
-    fn params(&self) -> Vec<Var> {
-        Vec::new()
-    }
-}
-
-/// Flatten `[N, ...]` to `[N, rest]` (transition from conv to dense head).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Flatten;
-
-impl Module for Flatten {
-    fn forward(&self, x: &Var) -> Var {
-        x.flatten_batch()
-    }
-
-    fn params(&self) -> Vec<Var> {
-        Vec::new()
-    }
-}
-
-/// Average pooling layer with a square window.
-#[derive(Debug, Clone, Copy)]
-pub struct AvgPool2d {
-    /// Window size.
-    pub kernel: usize,
-    /// Stride.
-    pub stride: usize,
-}
-
-impl Module for AvgPool2d {
-    fn forward(&self, x: &Var) -> Var {
-        x.avg_pool2d(self.kernel, self.stride)
-    }
-
-    fn params(&self) -> Vec<Var> {
-        Vec::new()
-    }
 }
 
 /// Max pooling layer with a square window.
@@ -299,92 +259,13 @@ impl Module for MaxPool2d {
     fn forward(&self, x: &Var) -> Var {
         x.max_pool2d(self.kernel, self.stride)
     }
-
-    fn params(&self) -> Vec<Var> {
-        Vec::new()
-    }
-}
-
-/// Global average pooling `[N, C, H, W] -> [N, C]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalAvgPool;
-
-impl Module for GlobalAvgPool {
-    fn forward(&self, x: &Var) -> Var {
-        x.global_avg_pool()
-    }
-
-    fn params(&self) -> Vec<Var> {
-        Vec::new()
-    }
-}
-
-/// Nearest-neighbour upsampling by an integer factor (generator blocks).
-#[derive(Debug, Clone, Copy)]
-pub struct UpsampleNearest2d {
-    /// Integer scale factor.
-    pub factor: usize,
-}
-
-impl Module for UpsampleNearest2d {
-    fn forward(&self, x: &Var) -> Var {
-        x.upsample_nearest2d(self.factor)
-    }
-
-    fn params(&self) -> Vec<Var> {
-        Vec::new()
-    }
-}
-
-/// Inverted dropout layer with an owned RNG stream (active only in
-/// training mode).
-pub struct Dropout {
-    p: f32,
-    rng: RefCell<Prng>,
-    training: Cell<bool>,
-}
-
-impl Dropout {
-    /// Create a dropout layer with drop probability `p` and a dedicated
-    /// RNG stream derived from `seed`.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 <= p < 1.0`.
-    pub fn new(p: f32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
-        Dropout { p, rng: RefCell::new(seeded_rng(seed)), training: Cell::new(true) }
-    }
-}
-
-impl Module for Dropout {
-    fn forward(&self, x: &Var) -> Var {
-        if self.training.get() && self.p > 0.0 {
-            x.dropout(self.p, &mut self.rng.borrow_mut())
-        } else {
-            x.clone()
-        }
-    }
-
-    fn params(&self) -> Vec<Var> {
-        Vec::new()
-    }
-
-    fn set_training(&self, training: bool) {
-        self.training.set(training);
-    }
-}
-
-// Touch `RngExt` so the import is used on all paths (dropout uses it via
-// the autograd op).
-#[allow(dead_code)]
-fn _rng_ext_used(rng: &mut Prng) -> f32 {
-    rng.random()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::module::{load_state_dict, state_dict};
+    use fedzkt_tensor::seeded_rng;
 
     #[test]
     fn linear_shapes() {
@@ -451,29 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn dropout_eval_is_identity() {
-        let d = Dropout::new(0.5, 1);
-        d.set_training(false);
-        let x = Var::constant(Tensor::ones(&[8]));
-        assert_eq!(d.forward(&x).value().data(), &[1.0; 8]);
-    }
-
-    #[test]
-    fn dropout_train_masks() {
-        let d = Dropout::new(0.5, 2);
-        let x = Var::constant(Tensor::ones(&[256]));
-        let y = d.forward(&x);
-        let zeros = y.value().data().iter().filter(|&&v| v == 0.0).count();
-        assert!(zeros > 64 && zeros < 192, "{zeros} zeros");
-    }
-
-    #[test]
     fn pooling_layers_shapes() {
         let x = Var::constant(Tensor::zeros(&[1, 2, 8, 8]));
-        assert_eq!(AvgPool2d { kernel: 2, stride: 2 }.forward(&x).shape(), vec![1, 2, 4, 4]);
         assert_eq!(MaxPool2d { kernel: 2, stride: 2 }.forward(&x).shape(), vec![1, 2, 4, 4]);
-        assert_eq!(GlobalAvgPool.forward(&x).shape(), vec![1, 2]);
-        assert_eq!(UpsampleNearest2d { factor: 2 }.forward(&x).shape(), vec![1, 2, 16, 16]);
-        assert_eq!(Flatten.forward(&x).shape(), vec![1, 128]);
     }
 }

@@ -1,11 +1,19 @@
 //! # fedzkt-nn
 //!
 //! Neural-network building blocks over `fedzkt-autograd`: the [`Module`]
-//! trait, the layer set used by the FedZKT model zoo (dense, convolution
-//! with groups, batch-norm, pooling, upsampling, activations, dropout),
-//! optimizers (SGD with momentum/weight decay, Adam), the paper's
-//! multi-step learning-rate schedule, and serializable state dicts for
-//! moving model parameters between the simulated server and devices.
+//! trait, the layers the FedZKT model zoo builds ([`Linear`], [`Conv2d`]
+//! with groups, [`BatchNorm2d`], [`MaxPool2d`], [`Activation`]) and
+//! [`Sequential`], optimizers (SGD with momentum/weight decay, Adam), the
+//! paper's multi-step learning-rate schedule, and serializable state dicts
+//! for moving model parameters between the simulated server and devices.
+//! Flattening, global average pooling and upsampling are `Var` ops the
+//! models call directly (`fedzkt_autograd`), not layers.
+//!
+//! A model is a tree of modules: a composite implements
+//! [`Module::forward`] and [`Module::children`], and its parameters,
+//! buffers and training mode come from one depth-first walk over the
+//! children. That walk's order is the model's state order (see
+//! [`Module`]).
 //!
 //! A [`StateDict`] is deliberately just an ordered **named tensor
 //! bundle** — shaped tensors split into params and buffers, with no
@@ -49,10 +57,7 @@ mod optim;
 
 pub use checkpoint::{decode_state_dict, encode_state_dict};
 pub use error::NnError;
-pub use layers::{
-    Activation, AvgPool2d, BatchNorm2d, Conv2d, Conv2dConfig, Dropout, Flatten, GlobalAvgPool,
-    Linear, MaxPool2d, UpsampleNearest2d,
-};
+pub use layers::{Activation, BatchNorm2d, Conv2d, Conv2dConfig, Linear, MaxPool2d};
 pub use module::{
     load_state_dict, param_bytes, param_count, state_bytes, state_dict, Buffer, Module,
     Sequential, StateDict,

@@ -64,24 +64,48 @@ impl Buffer {
 /// A neural-network component: a differentiable function with trainable
 /// parameters and optional non-trainable buffers.
 ///
+/// A model is a tree. A composite implements [`Module::forward`] and
+/// [`Module::children`] only; [`Module::params`], [`Module::buffers`] and
+/// [`Module::set_training`] walk the children depth-first, in the order
+/// `children` lists them. Only the stateful leaves ([`crate::Linear`],
+/// [`crate::Conv2d`], [`crate::BatchNorm2d`]) override them, each for the
+/// state it holds.
+///
+/// **Order contract:** a module's state order — the order of its
+/// [`StateDict`], of what goes on the wire and into checkpoints — is the
+/// depth-first child order. Reordering a composite's `children` changes
+/// every snapshot it writes.
+///
 /// All methods take `&self`; mutable layer state (training mode, running
-/// statistics, dropout RNG) lives in interior-mutable cells so modules can
-/// be freely shared inside a computation graph.
+/// statistics) lives in interior-mutable cells so modules can be freely
+/// shared inside a computation graph.
 pub trait Module {
     /// Apply the module to an input node.
     fn forward(&self, x: &Var) -> Var;
 
-    /// Trainable parameters in deterministic order.
-    fn params(&self) -> Vec<Var>;
-
-    /// Non-trainable state (running statistics), deterministic order.
-    fn buffers(&self) -> Vec<Buffer> {
+    /// The direct sub-modules, in state order. Default: none (a leaf).
+    fn children(&self) -> Vec<&dyn Module> {
         Vec::new()
     }
 
+    /// Trainable parameters, depth-first over [`Module::children`].
+    fn params(&self) -> Vec<Var> {
+        self.children().iter().flat_map(|c| c.params()).collect()
+    }
+
+    /// Non-trainable state (running statistics), depth-first over
+    /// [`Module::children`].
+    fn buffers(&self) -> Vec<Buffer> {
+        self.children().iter().flat_map(|c| c.buffers()).collect()
+    }
+
     /// Switch between training and evaluation behaviour (batch-norm
-    /// statistics, dropout). Default: stateless, nothing to do.
-    fn set_training(&self, _training: bool) {}
+    /// statistics) on every descendant.
+    fn set_training(&self, training: bool) {
+        for c in self.children() {
+            c.set_training(training);
+        }
+    }
 }
 
 /// A boxed module is a module, so code generic over `M: Module` also takes
@@ -89,6 +113,10 @@ pub trait Module {
 impl<M: Module + ?Sized> Module for Box<M> {
     fn forward(&self, x: &Var) -> Var {
         (**self).forward(x)
+    }
+
+    fn children(&self) -> Vec<&dyn Module> {
+        (**self).children()
     }
 
     fn params(&self) -> Vec<Var> {
@@ -273,25 +301,15 @@ impl Module for Sequential {
         out
     }
 
-    fn params(&self) -> Vec<Var> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    fn buffers(&self) -> Vec<Buffer> {
-        self.layers.iter().flat_map(|l| l.buffers()).collect()
-    }
-
-    fn set_training(&self, training: bool) {
-        for layer in &self.layers {
-            layer.set_training(training);
-        }
+    fn children(&self) -> Vec<&dyn Module> {
+        self.layers.iter().map(|l| l.as_ref()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, Linear};
+    use crate::layers::{Activation, BatchNorm2d, Conv2d, Conv2dConfig, Linear};
     use fedzkt_tensor::seeded_rng;
 
     fn tiny_model(seed: u64) -> Sequential {
@@ -376,6 +394,23 @@ mod tests {
         b.ema_update(&Tensor::ones(&[2]), 0.1);
         let v = b.get();
         assert!((v.data()[0] - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sequential_walks_nested_children_depth_first() {
+        let mut rng = seeded_rng(8);
+        let cfg = Conv2dConfig { in_channels: 1, out_channels: 2, ..Default::default() };
+        let inner =
+            Sequential::new(vec![Box::new(BatchNorm2d::new(2)), Box::new(Activation::Relu)]);
+        let m = Sequential::new(vec![Box::new(Conv2d::new(cfg, &mut rng)), Box::new(inner)]);
+        let shapes: Vec<Vec<usize>> = m.params().iter().map(Var::shape).collect();
+        assert_eq!(shapes, [vec![2, 1, 3, 3], vec![2], vec![2], vec![2]]);
+        assert_eq!(m.params()[2].value().data(), &[1.0, 1.0], "γ follows the conv's bias");
+        assert_eq!(m.buffers().len(), 2);
+        m.set_training(false);
+        let before = state_dict(&m);
+        let _ = m.forward(&Var::constant(Tensor::randn(&[2, 1, 4, 4], &mut rng)));
+        assert_eq!(state_dict(&m), before, "eval mode must reach the nested batch norm");
     }
 
     #[test]

@@ -291,11 +291,13 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<RunOptions, String> {
             }
             "--resume" => opts.resume = Some(PathBuf::from(value)),
             "--stop-after" => {
-                opts.stop_after = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--stop-after: bad cell count \"{value}\""))?,
-                );
+                let cells: usize = value
+                    .parse()
+                    .map_err(|_| format!("--stop-after: bad cell count \"{value}\""))?;
+                if cells == 0 {
+                    return Err("--stop-after must be at least 1".into());
+                }
+                opts.stop_after = Some(cells);
             }
             other => opts.rest.push((other.to_string(), value)),
         }

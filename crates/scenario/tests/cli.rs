@@ -1,5 +1,6 @@
 //! `scenarios repro` rejects what it does not understand: a typo must not
-//! silently run the default experiment.
+//! silently run the default experiment. Nor may `serve` report a drained
+//! queue for an option that runs nothing.
 
 use std::process::Command;
 
@@ -44,5 +45,24 @@ fn repro_list_names_every_target() {
             "{} missing from:\n{stdout}",
             target.name
         );
+    }
+}
+
+#[test]
+fn serve_refuses_to_stop_after_zero_cells() {
+    // `--stop-after 0` used to defer every cell, print "queue drained" and
+    // exit 0 without running anything. It is refused while parsing, like
+    // `--checkpoint-every 0`, so nothing is written to `--out`.
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-stop-after-0");
+    let out = out.to_str().expect("utf-8 temp path");
+    for (flag, message) in [
+        ("--stop-after", "--stop-after must be at least 1"),
+        ("--checkpoint-every", "--checkpoint-every must be at least 1"),
+    ] {
+        let (code, stdout, stderr) =
+            scenarios(&["serve", "tiny", "--seeds", "1,2", flag, "0", "--out", out]);
+        assert_eq!(code, Some(1), "{flag} 0: {stdout}{stderr}");
+        assert!(stderr.contains(message), "{flag} 0: {stderr}");
+        assert!(!stdout.contains("queue drained"), "{flag} 0: {stdout}");
     }
 }

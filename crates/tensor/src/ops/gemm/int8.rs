@@ -21,20 +21,19 @@
 //! is *trivially* deterministic, with none of the FP-ordering care the f32
 //! kernels need.
 //!
-//! All three layouts (`nn`/`nt`/`tn`) are normalized to one shape before
-//! the kernel runs: the A operand as row-major `[m, k]` and the B operand
-//! as row-major `[n, k]` (transposing whichever operand needs it, once,
-//! before the row partition forks). Every output element is then one
-//! contiguous·contiguous `i16` dot — the form LLVM turns into `vpmaddwd`
-//! under AVX2, which measures ~2× the broadcast-style integer tile on the
-//! same host. Integer accumulation is order-free, so the normalization
-//! cannot change results.
+//! Only the `nn` layout exists: it is the one the kernel benchmarks time.
+//! The B operand is transposed once, before the row partition forks, so A
+//! is row-major `[m, k]` and B row-major `[n, k]`. Every output element is
+//! then one contiguous·contiguous `i16` dot — the form LLVM turns into
+//! `vpmaddwd` under AVX2, which measures ~2× the broadcast-style integer
+//! tile on the same host. Integer accumulation is order-free, so the
+//! transpose cannot change results.
 //!
 //! The error versus the f32 product is the codec's per-element `scale/2`
 //! quantization bound accumulated over the contraction (property-tested in
 //! `tests/properties.rs`). That is wrong for training, and it measured
 //! slower than the dispatched f32 kernels on whole runs, which is why no
-//! layer engages `ComputeFormat::Int8`: only an explicit `gemm_*_with`
+//! layer engages `ComputeFormat::Int8`: only an explicit `gemm_nn_with`
 //! call reaches this module.
 //!
 //! Overflow: centered levels are in `[-128, 127]`, so `|qa·qb| ≤ 16384` and
@@ -149,7 +148,7 @@ unsafe fn quantize_levels_avx2(data: &[f32]) -> (Vec<i16>, f32, f32) {
     (out, min, scale)
 }
 
-/// Per-element affine correction constants shared by all three kernels.
+/// Per-element affine correction constants.
 struct Affine {
     /// Multiplies the integer dot: `sA·sB`.
     dot: f64,
@@ -216,41 +215,7 @@ pub(super) fn gemm_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     });
 }
 
-/// Int8 `out += A × Bᵀ` (`A: [m, k]`, `B: [n, k]`).
-pub(super) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert!(k <= K_MAX, "int8 gemm contraction {k} exceeds exact i32 range");
-    if m * n == 0 || k == 0 {
-        return;
-    }
-    let (qa, qb) = (quantize_mat(a), quantize_mat(b));
-    let aff = Affine::new(&qa, &qb, k);
-    // Both operands are already one contiguous length-k row per output
-    // row/column — the kernel's native shape.
-    let rsums = row_sums(&qa.q, k);
-    let csums = row_sums(&qb.q, k);
-    row_partitioned(out, m, k, n, |row0, rows| {
-        dots_chunk(&qa.q, &qb.q, row0, rows, k, n, &aff, &rsums, &csums);
-    });
-}
-
-/// Int8 `out += Aᵀ × B` (`A: [k, m]`, `B: [k, n]`).
-pub(super) fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    debug_assert!(k <= K_MAX, "int8 gemm contraction {k} exceeds exact i32 range");
-    if m * n == 0 || k == 0 {
-        return;
-    }
-    let (qa, qb) = (quantize_mat(a), quantize_mat(b));
-    let aff = Affine::new(&qa, &qb, k);
-    let qat = transpose(&qa.q, k, m); // [m, k]: one row per output row.
-    let qbt = transpose(&qb.q, k, n); // [n, k]: one row per output column.
-    let rsums = row_sums(&qat, k);
-    let csums = row_sums(&qbt, k);
-    row_partitioned(out, m, k, n, |row0, rows| {
-        dots_chunk(&qat, &qbt, row0, rows, k, n, &aff, &rsums, &csums);
-    });
-}
-
-/// One worker's rows of the shared integer kernel: operands normalized to
+/// One worker's rows of the integer kernel: operands normalized to
 /// row-major `[m, k]` × row-major `[n, k]`, each output element one
 /// contiguous `i16` dot plus the affine correction. Dispatches to an
 /// AVX2-compiled copy of itself when the host supports it.

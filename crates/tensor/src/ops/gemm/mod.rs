@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | scalar reference | [`scalar`] | always available; the baseline |
 //! | vectorized f32 microkernels | `vector` | x86-64 with AVX2 at runtime |
-//! | int8 integer kernels | `int8` | an explicit `gemm_*_with(ComputeFormat::Int8, …)` call |
+//! | int8 integer kernel (`nn` only) | `int8` | an explicit `gemm_nn_with(ComputeFormat::Int8, …)` call |
 //!
 //! ## The accumulate-into contract
 //!
@@ -61,9 +61,9 @@
 //! ## Compute formats
 //!
 //! [`gemm_nn`]/[`gemm_nt`]/[`gemm_tn`] are plain `f32`, and they are what
-//! every layer calls. The [`gemm_nn_with`]-style variants take a
-//! [`ComputeFormat`] argument; they exist so the kernel benchmarks can time
-//! the int8 kernel, and nothing in a run passes anything but `F32`.
+//! every layer calls. [`gemm_nn_with`] takes a [`ComputeFormat`] argument;
+//! it exists so the kernel benchmarks can time the int8 kernel, and nothing
+//! in a run passes anything but `F32`.
 //!
 //! ## Parallelism
 //!
@@ -113,9 +113,10 @@
 //!    the `tensor.gemm_*_gflops.*` per-layer metrics of `benchmark/`
 //!    (`BENCHMARK.json`), parent against change.
 //! 5. **Wire it in behind the guards.** Select the backend inside the
-//!    `gemm_*_with` body, after its `check_len` calls, so every caller
-//!    reaches it through the one entry. Shape validation belongs in the
-//!    public entries only; kernels may assume checked lengths.
+//!    entry's body (`gemm_nn_with`, `gemm_nt`, `gemm_tn`), after its
+//!    `check_len` calls, so every caller reaches it through the one entry.
+//!    Shape validation belongs in the public entries only; kernels may
+//!    assume checked lengths.
 
 pub mod int8;
 pub mod scalar;
@@ -287,34 +288,18 @@ pub fn gemm_nn_rows(
 /// In every build profile, if a slice length disagrees with `(m, k, n)` —
 /// the message names the operand, its length, and the full problem size.
 pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_nt_with(ComputeFormat::F32, a, b, out, m, k, n);
-}
-
-/// [`gemm_nt`] with an explicit compute format.
-pub fn gemm_nt_with(
-    format: ComputeFormat,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     check_len("gemm_nt", "a", a.len(), m * k, m, k, n);
     check_len("gemm_nt", "b", b.len(), n * k, m, k, n);
     check_len("gemm_nt", "out", out.len(), m * n, m, k, n);
-    match format {
-        ComputeFormat::F32 => row_partitioned(out, m, k, n, |row0, rows| {
-            #[cfg(target_arch = "x86_64")]
-            if vector::available() {
-                // SAFETY: gated on runtime AVX2 detection.
-                unsafe { vector::nt_chunk_avx2(a, b, row0, rows, k, n) };
-                return;
-            }
-            scalar::nt_chunk(a, b, row0, rows, k, n);
-        }),
-        ComputeFormat::Int8 => int8::gemm_nt(a, b, out, m, k, n),
-    }
+    row_partitioned(out, m, k, n, |row0, rows| {
+        #[cfg(target_arch = "x86_64")]
+        if vector::available() {
+            // SAFETY: gated on runtime AVX2 detection.
+            unsafe { vector::nt_chunk_avx2(a, b, row0, rows, k, n) };
+            return;
+        }
+        scalar::nt_chunk(a, b, row0, rows, k, n);
+    });
 }
 
 /// `out += Aᵀ × B` with `A: [k, m]`, `B: [k, n]`, `out: [m, n]`, in `f32`.
@@ -323,34 +308,18 @@ pub fn gemm_nt_with(
 /// In every build profile, if a slice length disagrees with `(k, m, n)` —
 /// the message names the operand, its length, and the full problem size.
 pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    gemm_tn_with(ComputeFormat::F32, a, b, out, k, m, n);
-}
-
-/// [`gemm_tn`] with an explicit compute format.
-pub fn gemm_tn_with(
-    format: ComputeFormat,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
     check_len("gemm_tn", "a", a.len(), k * m, m, k, n);
     check_len("gemm_tn", "b", b.len(), k * n, m, k, n);
     check_len("gemm_tn", "out", out.len(), m * n, m, k, n);
-    match format {
-        ComputeFormat::F32 => row_partitioned(out, m, k, n, |row0, rows| {
-            #[cfg(target_arch = "x86_64")]
-            if vector::available() {
-                // SAFETY: gated on runtime AVX2 detection.
-                unsafe { vector::tn_chunk_avx2(a, b, row0, rows, k, n, m) };
-                return;
-            }
-            scalar::tn_chunk(a, b, row0, rows, k, n, m);
-        }),
-        ComputeFormat::Int8 => int8::gemm_tn(a, b, out, k, m, n),
-    }
+    row_partitioned(out, m, k, n, |row0, rows| {
+        #[cfg(target_arch = "x86_64")]
+        if vector::available() {
+            // SAFETY: gated on runtime AVX2 detection.
+            unsafe { vector::tn_chunk_avx2(a, b, row0, rows, k, n, m) };
+            return;
+        }
+        scalar::tn_chunk(a, b, row0, rows, k, n, m);
+    });
 }
 
 /// Run `body(first_row, row_chunk)` over `out`, forking across threads when
@@ -558,27 +527,27 @@ mod tests {
         assert!(m * k * n >= PAR_MIN_MACS);
         let a = rand_vec(m * k, 7);
         let b = rand_vec(k * n, 8);
-        let run = |threads: usize, format: ComputeFormat| {
+        // The f32 kernels in all three layouts, and the int8 kernel.
+        let run = |threads: usize| {
             crate::par::set_threads(threads);
             let mut nn = vec![0.0f32; m * n];
-            gemm_nn_with(format, &a, &b, &mut nn, m, k, n);
+            gemm_nn(&a, &b, &mut nn, m, k, n);
             let mut nt = vec![0.0f32; m * n];
-            gemm_nt_with(format, &a, &b, &mut nt, m, k, n);
+            gemm_nt(&a, &b, &mut nt, m, k, n);
             let mut tn = vec![0.0f32; m * n];
-            gemm_tn_with(format, &a, &b, &mut tn, k, m, n);
+            gemm_tn(&a, &b, &mut tn, k, m, n);
+            let mut int8_nn = vec![0.0f32; m * n];
+            gemm_nn_with(ComputeFormat::Int8, &a, &b, &mut int8_nn, m, k, n);
             crate::par::set_threads(0);
-            (nn, nt, tn)
+            [nn, nt, tn, int8_nn]
         };
-        for format in [ComputeFormat::F32, ComputeFormat::Int8] {
-            let serial = run(1, format);
-            for threads in [2usize, 4, 7] {
-                let parallel = run(threads, format);
-                for (s, p) in
-                    [(&serial.0, &parallel.0), (&serial.1, &parallel.1), (&serial.2, &parallel.2)]
-                {
-                    for (x, y) in s.iter().zip(p.iter()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "threads={threads} {format:?}");
-                    }
+        let serial = run(1);
+        for threads in [2usize, 4, 7] {
+            let parallel = run(threads);
+            let variants = ["nn", "nt", "tn", "int8 nn"];
+            for (variant, (s, p)) in variants.iter().zip(serial.iter().zip(&parallel)) {
+                for (x, y) in s.iter().zip(p.iter()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads} {variant}");
                 }
             }
         }

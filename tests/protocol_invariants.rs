@@ -1,5 +1,5 @@
 //! Invariants of the federated protocol that hold by design and must hold
-//! in the implementation — the properties DESIGN.md §6 calls out.
+//! in the implementation (see the README's "Architecture" section).
 //!
 //! Since the `Simulation` redesign these are stated once, **at the trait
 //! level**, and checked for the whole algorithm family (FedZKT,
