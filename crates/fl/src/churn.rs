@@ -11,7 +11,7 @@
 //!
 //! * the availability timeline is identical however the fleet is walked:
 //!   the whole-fleet scan accepts exactly the devices the per-device
-//!   predicate does, so the registry's shard size can never leak into
+//!   predicate does, so how the fleet is stored can never leak into
 //!   which devices exist;
 //! * whether a round was ever *queried* cannot shift any other round's
 //!   answer, so checkpoint/resume needs no churn cursor at all — a

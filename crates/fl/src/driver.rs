@@ -100,7 +100,7 @@ pub struct RoundContext {
 }
 
 impl RoundContext {
-    fn new(devices: usize, codec: CodecSpec, threads: usize) -> Self {
+    pub(crate) fn new(devices: usize, codec: CodecSpec, threads: usize) -> Self {
         RoundContext {
             comm: CommTracker::new(devices),
             codec,
@@ -281,7 +281,7 @@ pub trait FederatedAlgorithm {
 
     /// Called by the driver at the very end of a round — after evaluation
     /// and clock advancement — so the fleet can drop the round's
-    /// materialized device state back to registry summaries. Default:
+    /// materialized device state back to state summaries. Default:
     /// no-op.
     fn end_round(&mut self, _round: usize) {}
 

@@ -13,17 +13,17 @@
 //!
 //! FedAvg's devices are *stateless between rounds*: every round starts
 //! from the broadcast global snapshot, so the only per-device state is the
-//! data shard. The federation therefore needs only the [`ShardStore`] and
-//! a bare [`DeviceRegistry`] from [`crate::fleet`] (see its "Scale model"
-//! section): a device's shard is synthesized into the store's cache the
-//! first time it is sampled, copied out on the worker that trains it and
-//! dropped when that device is done, and the server folds decoded uplinks
-//! into a [`StreamingAverage`] as they arrive instead of collecting them.
+//! data shard. The federation therefore needs only the [`ShardStore`] from
+//! [`crate::fleet`] (see its "Scale model" section) and a
+//! [`DeviceRegistry`] gauge: a device's shard is synthesized into the
+//! store's cache the first time it is sampled, copied out on the worker
+//! that trains it and dropped when that device is done, and the server
+//! folds decoded uplinks into a [`StreamingAverage`] as they arrive
+//! instead of collecting them.
 //! Peak memory is O(sampled-per-round), never O(registered fleet) — the
 //! bound the workspace memory-bound regression test enforces on the
 //! registry counters.
 
-use crate::fleet::{load_counters, save_counters};
 use crate::{
     train_local_fleet, AlgoState, DeviceRegistry, FederatedAlgorithm, FleetJob, LocalTrainConfig,
     RoundContext, ShardStore, SimConfig, StreamingAverage,
@@ -93,7 +93,7 @@ impl FedAvg {
             io,
             global: spec.build(io.0, io.1, io.2, sim.seed),
             shards: ShardStore::new(train, shards),
-            registry: DeviceRegistry::new(shards.len()),
+            registry: DeviceRegistry::default(),
             pending: None,
         }
     }
@@ -136,9 +136,11 @@ impl FederatedAlgorithm for FedAvg {
         // worker copies a device's shard out right before training on it:
         // at most `threads` shards and snapshots are live at a time,
         // however many devices the round samples. The registry counts the
-        // whole sampled set.
-        for &dev in active {
-            self.registry.checkout(dev);
+        // whole sampled set, which must not repeat a device (the fold
+        // order below relies on ascending ids too).
+        assert!(active.windows(2).all(|w| w[0] < w[1]), "active ids must be strictly ascending");
+        for _ in active {
+            self.registry.checkout();
         }
         self.shards.cache(active);
         let (shards, spec, io, cfg, seed) = (&self.shards, self.spec, self.io, self.cfg, self.seed);
@@ -164,8 +166,8 @@ impl FederatedAlgorithm for FedAvg {
             // Already on a worker: the one-job dispatch runs inline.
             train_local_fleet(std::slice::from_ref(&job), io, 1).pop().expect("one job, one result")
         });
-        for &dev in active {
-            self.registry.release(dev);
+        for _ in active {
+            self.registry.release();
         }
         // Stream the aggregation: the total weight is known before any
         // uplink arrives (shard sizes), so each decoded update is folded
@@ -237,14 +239,14 @@ impl FederatedAlgorithm for FedAvg {
     fn save_state(&self) -> AlgoState {
         let mut state = AlgoState::new();
         state.put_dict("global", &state_dict(self.global.as_ref()));
-        save_counters(&self.registry, &mut state);
+        self.registry.save_into(&mut state);
         state
     }
 
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
         load_state_dict(self.global.as_ref(), &state.dict("global")?)
             .map_err(|e| format!("global model: {e}"))?;
-        load_counters(&mut self.registry, state)
+        self.registry.load_from(state)
     }
 }
 
@@ -304,9 +306,18 @@ mod tests {
         let mut sim = setup(0.0, 0.67);
         sim.run();
         let reg = sim.algorithm().registry().expect("fedavg exposes its registry");
-        assert_eq!(reg.registered(), 3);
         assert_eq!(reg.peak_resident(), 2, "peak must be the 2 sampled devices");
         assert_eq!(reg.resident(), 0, "everything released after merge");
+    }
+
+    /// The registry counts checkouts without device ids, so a repeated id
+    /// in `active` is caught by the ascending-ids assert instead.
+    #[test]
+    #[should_panic]
+    fn repeated_active_id_panics() {
+        let mut sim = setup(0.0, 1.0);
+        let mut ctx = RoundContext::new(3, CodecSpec::Raw, 1);
+        sim.algorithm_mut().local_update(0, &[1, 1], &mut ctx);
     }
 
     #[test]

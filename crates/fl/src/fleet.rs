@@ -18,11 +18,13 @@
 //!   The cache is not state: a resumed run starts it empty and
 //!   synthesizes the same bits;
 //! * **models** — a [`DeviceFleet`] keeps each device as its `ModelSpec`
-//!   and, in the [`DeviceRegistry`], a state summary. A device is
-//!   materialized ([`ensure_resident`](DeviceFleet::ensure_resident))
-//!   only while a phase needs it and every resident device is dropped
-//!   back to its summary at end of round
-//!   ([`release_all`](DeviceFleet::release_all)).
+//!   and one slot that is exactly one of *unbuilt*, *resident* (the
+//!   materialized model) or *summary* (its cumulative state dict). A
+//!   device is materialized
+//!   ([`ensure_resident`](DeviceFleet::ensure_resident)) only while a
+//!   phase needs it and every resident device is dropped back to its
+//!   summary at end of round ([`release_all`](DeviceFleet::release_all)).
+//!   The [`DeviceRegistry`] only counts those transitions.
 //!
 //! What "needs it" means is the algorithm's business, and it sets the
 //! in-round peak the registry gauge reports:
@@ -33,8 +35,11 @@
 //! | FedMD, Fed-ET, FedGKT | the active set | the whole fleet |
 //! | FedZKT | the whole fleet: the distillation game uses every device model as a teacher (Eq. 2) | the whole fleet |
 //!
-//! Between rounds nothing is resident, so the standing footprint is the
-//! summaries of the devices that have ever trained.
+//! Between rounds nothing is resident, so the standing footprint is one
+//! small slot per registered device plus the summaries of the devices that
+//! have ever trained. Walks over the slots — `release_all` every round,
+//! the checkpoint's [`save_into`](DeviceFleet::save_into) — are
+//! O(registered).
 //!
 //! Rematerialization is bit-exact: a first materialization runs the
 //! device's seeded build; a later one runs the same build and overlays the
@@ -156,23 +161,15 @@ impl ShardStore {
     }
 }
 
-/// Store the registry's monotone counters under the `"registry"` entry.
-pub(crate) fn save_counters(registry: &DeviceRegistry, state: &mut AlgoState) {
-    state.put_words(
-        "registry",
-        vec![registry.peak_resident() as u64, registry.touched() as u64],
-    );
-}
-
-/// Merge the counters stored by [`save_counters`] into `registry`.
-pub(crate) fn load_counters(registry: &mut DeviceRegistry, state: &AlgoState) -> Result<(), String> {
-    match state.words("registry")? {
-        &[peak, touched] => {
-            registry.absorb_counters(peak as usize, touched as usize);
-            Ok(())
-        }
-        _ => Err("registry counters must be [peak_resident, touched]".into()),
-    }
+/// One device's model state: exactly one of the three lifecycle stages.
+enum Slot<M> {
+    /// Never materialized: the seeded build alone reproduces it.
+    Unbuilt,
+    /// Materialized for the current phase.
+    Resident(M),
+    /// Released: the cumulative state a rematerialization restores. Boxed
+    /// so the dense per-device vector stays small.
+    Summary(Box<StateDict>),
 }
 
 /// A fleet of heterogeneous devices with models of type `M`, materialized
@@ -182,7 +179,7 @@ pub(crate) fn load_counters(registry: &mut DeviceRegistry, state: &AlgoState) ->
 /// architecture as is, and a concrete composite for FedGKT's split model.
 pub struct DeviceFleet<M: Module> {
     specs: Vec<ModelSpec>,
-    slots: Vec<Option<M>>,
+    slots: Vec<Slot<M>>,
     registry: DeviceRegistry,
     build: Box<dyn Fn(usize, ModelSpec) -> M>,
 }
@@ -199,8 +196,8 @@ impl<M: Module> DeviceFleet<M> {
         assert!(!zoo.is_empty(), "need at least one device");
         DeviceFleet {
             specs: zoo.to_vec(),
-            slots: zoo.iter().map(|_| None).collect(),
-            registry: DeviceRegistry::new(zoo.len()),
+            slots: zoo.iter().map(|_| Slot::Unbuilt).collect(),
+            registry: DeviceRegistry::default(),
             build: Box::new(build),
         }
     }
@@ -215,7 +212,7 @@ impl<M: Module> DeviceFleet<M> {
         self.specs[k]
     }
 
-    /// The residency bookkeeping and its counters.
+    /// The residency counters.
     pub fn registry(&self) -> &DeviceRegistry {
         &self.registry
     }
@@ -231,22 +228,26 @@ impl<M: Module> DeviceFleet<M> {
     /// Panics when the device is not resident — a lifecycle bug, since
     /// every code path that touches a model materializes it first.
     pub fn model(&self, k: usize) -> &M {
-        self.slots[k].as_ref().expect("device model must be resident here")
+        match &self.slots[k] {
+            Slot::Resident(model) => model,
+            _ => panic!("device model must be resident here"),
+        }
     }
 
     /// Materialize device `k` if it is not already resident: the seeded
-    /// build, overlaid with the stored summary when the device has one.
+    /// build, overlaid with its summary when the device has one.
     pub fn ensure_resident(&mut self, k: usize) {
-        if self.slots[k].is_some() {
-            return;
-        }
-        let model = self.build(k);
-        if let Some(summary) = self.registry.take_summary(k) {
-            load_state_dict(&model, &summary)
-                .expect("registry summary matches device architecture");
-        }
-        self.slots[k] = Some(model);
-        self.registry.checkout(k);
+        let model = match &self.slots[k] {
+            Slot::Resident(_) => return,
+            Slot::Unbuilt => self.build(k),
+            Slot::Summary(summary) => {
+                let model = self.build(k);
+                load_state_dict(&model, summary).expect("summary matches device architecture");
+                model
+            }
+        };
+        self.slots[k] = Slot::Resident(model);
+        self.registry.checkout();
     }
 
     /// Materialize the whole fleet.
@@ -256,12 +257,12 @@ impl<M: Module> DeviceFleet<M> {
         }
     }
 
-    /// Drop every resident device back to its registry summary.
+    /// Drop every resident device back to its summary.
     pub fn release_all(&mut self) {
-        for (k, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(model) = slot.take() {
-                self.registry.store_summary(k, state_dict(&model));
-                self.registry.release(k);
+        for slot in &mut self.slots {
+            if let Slot::Resident(model) = slot {
+                *slot = Slot::Summary(Box::new(state_dict(model)));
+                self.registry.release();
             }
         }
     }
@@ -269,29 +270,29 @@ impl<M: Module> DeviceFleet<M> {
     /// Device `k`'s state, shapes being what matters: from the resident
     /// model, else from its summary, else from a throwaway seeded build.
     pub fn template(&self, k: usize) -> StateDict {
-        if let Some(model) = &self.slots[k] {
-            return state_dict(model);
-        }
-        match self.registry.summary(k) {
-            Some(summary) => summary.clone(),
-            None => state_dict(&self.build(k)),
+        match &self.slots[k] {
+            Slot::Resident(model) => state_dict(model),
+            Slot::Summary(summary) => (**summary).clone(),
+            Slot::Unbuilt => state_dict(&self.build(k)),
         }
     }
 
     /// Checkpoint the fleet: a `device_{k}` blob for every device that is
-    /// resident or has a summary (a device with neither rematerializes
-    /// from its seed alone), plus the registry counters. The summary walk
-    /// is O(touched), not O(registered).
+    /// resident or summarized (an unbuilt device rematerializes from its
+    /// seed alone) — resident devices first, then summarized ones, each in
+    /// device order — plus the registry counters.
     pub fn save_into(&self, state: &mut AlgoState) {
         for (k, slot) in self.slots.iter().enumerate() {
-            if let Some(model) = slot {
+            if let Slot::Resident(model) = slot {
                 state.put_dict(format!("device_{k}"), &state_dict(model));
             }
         }
-        for (k, summary) in self.registry.summaries() {
-            state.put_dict(format!("device_{k}"), summary);
+        for (k, slot) in self.slots.iter().enumerate() {
+            if let Slot::Summary(summary) = slot {
+                state.put_dict(format!("device_{k}"), summary);
+            }
         }
-        save_counters(&self.registry, state);
+        self.registry.save_into(state);
     }
 
     /// Restore what [`DeviceFleet::save_into`] stored: every `device_{k}`
@@ -312,11 +313,10 @@ impl<M: Module> DeviceFleet<M> {
                 continue;
             }
             let sd = state.dict(&name)?;
-            let scratch = self.build(k);
-            load_state_dict(&scratch, &sd).map_err(|e| format!("device {k}: {e}"))?;
-            self.registry.store_summary(k, sd);
+            load_state_dict(&self.build(k), &sd).map_err(|e| format!("device {k}: {e}"))?;
+            self.slots[k] = Slot::Summary(Box::new(sd));
         }
-        load_counters(&mut self.registry, state)
+        self.registry.load_from(state)
     }
 }
 
@@ -381,13 +381,54 @@ mod tests {
         DeviceFleet::new(&zoo, |k, spec| spec.build(1, 3, 4, split_seed(9, k as u64)))
     }
 
+    /// The summary is boxed, so a million-device slot vector stays at
+    /// three words per device.
+    #[test]
+    fn a_slot_is_at_most_three_words() {
+        assert!(std::mem::size_of::<Slot<Box<dyn Module>>>() <= 24);
+    }
+
+    /// A released device keeps its state as a summary, and materializing
+    /// it again moves the summary back into the model rather than keeping
+    /// a copy in the slot.
+    #[test]
+    fn summaries_store_and_take() {
+        let mut fleet = fleet(3);
+        fleet.ensure_resident(1);
+        let trained = Tensor::full(&fleet.model(1).params()[0].shape(), 0.25);
+        fleet.model(1).params()[0].set_value(trained.clone());
+        fleet.release_all();
+        assert!(matches!(&fleet.slots[1], Slot::Summary(sd) if sd.params[0] == trained));
+        assert!(matches!(fleet.slots[0], Slot::Unbuilt) && matches!(fleet.slots[2], Slot::Unbuilt));
+        fleet.ensure_resident(1);
+        assert!(matches!(fleet.slots[1], Slot::Resident(_)));
+        assert_eq!(fleet.model(1).params()[0].value_clone(), trained);
+    }
+
+    /// Checkpoint blobs come resident devices first, then summarized
+    /// ones, each in device order; unbuilt devices write nothing.
+    #[test]
+    fn save_into_orders_resident_before_summarized_devices() {
+        let mut fleet = fleet(6);
+        fleet.ensure_resident(4);
+        fleet.ensure_resident(1);
+        fleet.release_all();
+        fleet.ensure_resident(4);
+        fleet.ensure_resident(3);
+        let mut state = AlgoState::new();
+        fleet.save_into(&mut state);
+        let names: Vec<&str> = state.blobs.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["device_3", "device_4", "device_1"]);
+        let words: Vec<&str> = state.words.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(words, ["registry"]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Slots and registry never disagree: after any sequence of
+        /// The gauge follows the slots: after any sequence of
         /// `ensure_resident` / `ensure_all_resident` / `release_all`, the
-        /// registry's resident count is the number of materialized slots
-        /// and its per-device flags name exactly those slots.
+        /// registry's resident count is the number of resident slots.
         #[test]
         fn registry_balances_the_slots(ops in proptest::collection::vec(0usize..8, 1..24)) {
             let mut fleet = fleet(6);
@@ -397,11 +438,9 @@ mod tests {
                     7 => fleet.release_all(),
                     k => fleet.ensure_resident(k),
                 }
-                let some = fleet.slots.iter().filter(|s| s.is_some()).count();
-                prop_assert_eq!(fleet.registry().resident(), some);
-                for (k, slot) in fleet.slots.iter().enumerate() {
-                    prop_assert_eq!(fleet.registry().is_resident(k), slot.is_some());
-                }
+                let resident =
+                    fleet.slots.iter().filter(|s| matches!(s, Slot::Resident(_))).count();
+                prop_assert_eq!(fleet.registry().resident(), resident);
             }
         }
     }

@@ -22,8 +22,8 @@
 //!   spec + deterministic per-device seed only while a phase needs it and
 //!   dropped back to a state summary at end of round (the "Scale model"
 //!   section there is the reference);
-//! * [`registry`] — the sharded [`DeviceRegistry`] under the fleet:
-//!   per-device summaries plus the resident/peak counters exported into
+//! * [`registry`] — the [`DeviceRegistry`] residency gauge: the
+//!   resident/peak/touched counters of the fleet, the peak exported into
 //!   every [`RoundMetrics`] row;
 //! * [`churn`] — seeded, deterministic fleet dynamics ([`ChurnSpec`] /
 //!   [`ChurnProcess`]): device arrival/departure, per-device availability
@@ -31,8 +31,8 @@
 //!   pure functions of `(spec, device, round)` so availability timelines
 //!   survive resharding and restarts unchanged;
 //! * [`checkpoint`] — versioned whole-simulation snapshots
-//!   ([`SimCheckpoint`]): `RunLog`, RNG cursors, round index, registry
-//!   summaries and clock serialized so that kill-at-round-k + resume
+//!   ([`SimCheckpoint`]): `RunLog`, RNG cursors, round index, device
+//!   summaries, registry counters and clock serialized so that kill-at-round-k + resume
 //!   reproduces the uninterrupted `RunLog` bit for bit;
 //! * [`FedAvg`] — FedAvg (McMahan et al.) and FedProx (ℓ2-proximal local
 //!   objective) over homogeneous models, used both as substrate validation

@@ -102,7 +102,7 @@ proptest! {
     /// The availability timeline is one predicate however the fleet is
     /// walked: the whole-fleet scan `available` accepts exactly the
     /// devices the per-device definition `is_available` does, so no
-    /// registry layout can change which devices exist in a round —
+    /// fleet layout can change which devices exist in a round —
     /// rounds taken `depth` duty periods deep, counted forward from a
     /// period's start or `back` from its end, where a device's phase
     /// wraps.

@@ -318,10 +318,6 @@ fn checkpoint_path(dir: &Path, name: &str) -> PathBuf {
 }
 
 fn save_checkpoint(ck: &SimCheckpoint, path: &Path) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)
-            .map_err(|e| format!("creating {}: {e}", parent.display()))?;
-    }
     ck.save(path).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
@@ -349,16 +345,23 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         scenario.sim.seed,
         codec_label(&scenario.sim.codec)
     );
+    let total = scenario.sim.rounds;
+    let halt = opts.halt_at_round.map_or(total, |k| k.min(total));
     let mut sim = scenario.build().map_err(|e| e.to_string())?;
     if let Some(path) = &opts.resume {
         let ck = SimCheckpoint::load(path)
             .map_err(|e| format!("loading {}: {e}", path.display()))?;
         sim.resume_from(&ck)
             .map_err(|e| format!("{}: checkpoint does not fit this scenario: {e}", path.display()))?;
+        if halt < ck.rounds_done {
+            return Err(format!(
+                "--halt-at-round {halt}: {} already holds {} rounds",
+                path.display(),
+                ck.rounds_done
+            ));
+        }
         println!("resumed from {} ({} rounds already done)", path.display(), ck.rounds_done);
     }
-    let total = scenario.sim.rounds;
-    let halt = opts.halt_at_round.map_or(total, |k| k.min(total));
     let ckpt = checkpoint_path(&opts.out_dir, &scenario.name);
     println!("{:>6} {:>9} {:>11} {:>12} {:>10}", "round", "avg-acc", "train-loss", "uplink-KiB", "sim-time");
     for round in sim.log().rounds.len()..halt {

@@ -32,9 +32,10 @@
 //! * [`Scenario::registered_devices`] — optional cross-device population
 //!   override: `0` means the zoo expansion *is* the fleet; a positive
 //!   value registers that many devices, re-cycling the zoo's
-//!   architectures over them ([`Scenario::effective_zoo`]). The fleet is
-//!   registry slots, not resident models (`fedzkt_fl::fleet`), so the
-//!   `mega-fleet` preset registers 10⁶ devices this way.
+//!   architectures over them ([`Scenario::effective_zoo`]). A device is
+//!   a spec and a small slot, not a resident model
+//!   (`fedzkt_fl::fleet`), so the `mega-fleet` preset registers 10⁶
+//!   devices this way.
 //! * [`Scenario::resources`] — optional simulated hardware
 //!   ([`ResourceSpec`]); attaching it populates `sim_seconds` in the log,
 //!   including transfer time for the codec-encoded payloads over each

@@ -304,17 +304,13 @@ impl Scenario {
     /// runs FedZKT — so the two legs stay a controlled comparison even for
     /// non-standard bases; `tier` only picks the learning rate.
     pub fn fedmd_counterpart(&self, tier: Tier, public: DataFamily) -> Scenario {
-        let epochs = self.fedzkt_cfg().map_or(2, |c| c.local_epochs);
-        let batch = self.fedzkt_cfg().map_or(32, |c| c.device_batch);
-        let cfg = FedMdConfig {
-            public_warmup_epochs: epochs,
-            private_warmup_epochs: epochs,
-            alignment_size: (self.data.train_n / 4).clamp(32, 5000),
-            digest_epochs: 1,
-            revisit_epochs: epochs,
-            batch_size: batch,
-            lr: if tier == Tier::Paper { 0.01 } else { 0.05 },
+        let scale = Scale {
+            local_epochs: self.fedzkt_cfg().map_or(2, |c| c.local_epochs),
+            batch: self.fedzkt_cfg().map_or(32, |c| c.device_batch),
+            train_n: self.data.train_n,
+            ..Scale::for_family(self.data.family, tier)
         };
+        let cfg = scale.fedmd_config(tier);
         let mut counterpart = self.clone().with_algorithm(Algo::FedMd { public, cfg });
         counterpart.name = format!("{}-fedmd", self.name);
         counterpart

@@ -1,6 +1,7 @@
 //! `scenarios repro` rejects what it does not understand: a typo must not
 //! silently run the default experiment. Nor may `serve` report a drained
-//! queue for an option that runs nothing.
+//! queue for an option that runs nothing, or `run` report a halt that
+//! never happened.
 
 use std::process::Command;
 
@@ -65,4 +66,34 @@ fn serve_refuses_to_stop_after_zero_cells() {
         assert!(stderr.contains(message), "{flag} 0: {stderr}");
         assert!(!stdout.contains("queue drained"), "{flag} 0: {stdout}");
     }
+}
+
+#[test]
+fn run_refuses_to_resume_into_a_halt_it_has_passed() {
+    // Resuming a 3-round checkpoint with `--halt-at-round 1` used to print
+    // "halted after 1 of 4 rounds", exit 0 and rewrite the checkpoint,
+    // which still held 3 rounds. It is refused before anything is written.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("run-resume-past-halt");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let tiny = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/tiny.json");
+    let tiny = std::fs::read_to_string(tiny).expect("checked-in tiny scenario");
+    assert!(tiny.contains("\"rounds\": 2,"), "tiny's round count moved");
+    let four_rounds = dir.join("tiny4.json");
+    std::fs::write(&four_rounds, tiny.replace("\"rounds\": 2,", "\"rounds\": 4,")).expect("write");
+    let (scenario, out) = (four_rounds.to_str().expect("utf-8"), dir.to_str().expect("utf-8"));
+
+    let (code, stdout, stderr) =
+        scenarios(&["run", scenario, "--halt-at-round", "3", "--out", out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    let ckpt = dir.join("tiny.ckpt");
+    let written = std::fs::read(&ckpt).expect("a halted run leaves its checkpoint");
+
+    let resume = ckpt.to_str().expect("utf-8");
+    let (code, stdout, stderr) =
+        scenarios(&["run", scenario, "--resume", resume, "--halt-at-round", "1", "--out", out]);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    let named = stderr.contains("--halt-at-round 1: ") && stderr.contains("already holds 3 rounds");
+    assert!(named, "{stderr}");
+    assert!(!stdout.contains("halted after"), "{stdout}");
+    assert_eq!(std::fs::read(&ckpt).expect("checkpoint kept"), written, "checkpoint rewritten");
 }

@@ -11,7 +11,7 @@
 //! Checkpoints cross a JSON round-trip on the way, so the serialized form
 //! — not just the in-memory struct — carries the full simulation state.
 //!
-//! Every device is dropped to its registry summary at the end of every
+//! Every device is dropped to its state summary at the end of every
 //! round, so each of these runs also rematerializes the whole fleet from
 //! summaries (uninterrupted) and from checkpoint blobs (resumed).
 

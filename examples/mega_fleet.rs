@@ -4,8 +4,8 @@
 //! which only a tiny fraction is sampled per round. The `mega-fleet`
 //! scenario (also checked in as `scenarios/mega-fleet.json`) registers
 //! 1,000,000 devices and samples ~1,000 per round; the fleet exists as
-//! registry slots — a device's shard is sliced and its model built from
-//! the spec + per-device seed only while sampled, and dropped after
+//! one flat shard index — a device's shard is sliced and its model built
+//! from the spec + per-device seed only while sampled, and dropped after
 //! merge. This example
 //! runs it and narrates the scale columns of the `RunLog`: the registered
 //! population, the peak number of simultaneously materialized devices

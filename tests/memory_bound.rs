@@ -3,9 +3,12 @@
 //! The bound is asserted on the [`DeviceRegistry`] residency counters the
 //! driver exports into every `RunLog` row — a deterministic, allocator- and
 //! OS-independent gauge — **not** on process RSS, which measures the
-//! allocator and the test harness as much as the fleet. The registry panics
-//! on any checkout/release imbalance, so the counter cannot silently
-//! undercount.
+//! allocator and the test harness as much as the fleet. The counter cannot
+//! silently undercount: a fleet device sits in one slot that is either
+//! resident or not, so it is checked out and released at most once per
+//! materialization, and FedAvg, which counts its sampled set without a
+//! fleet, asserts that the set's ids are strictly ascending, so no device
+//! is counted twice.
 
 use fedzkt::fl::{ChurnSpec, ErasedSimulation, FedAvg, SimCheckpoint, Simulation};
 use fedzkt::scenario::Scenario;
