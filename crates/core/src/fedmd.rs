@@ -406,7 +406,7 @@ impl FederatedAlgorithm for FedMd {
 mod tests {
     use super::*;
     use fedzkt_data::{DataFamily, Partition, SynthConfig};
-    use fedzkt_fl::Simulation;
+    use fedzkt_fl::{ErasedSimulation, Simulation};
 
     fn setup(public_family: DataFamily) -> Simulation<FedMd> {
         setup_with(public_family, SimConfig { rounds: 2, seed: 1, ..Default::default() })

@@ -39,7 +39,7 @@ fn models(fleet: &DeviceFleet<Box<dyn Module>>) -> impl Iterator<Item = &dyn Mod
 /// ```no_run
 /// # use fedzkt_core::{FedZkt, FedZktConfig};
 /// # use fedzkt_data::{DataFamily, Partition, SynthConfig};
-/// # use fedzkt_fl::{SimConfig, Simulation};
+/// # use fedzkt_fl::{ErasedSimulation, SimConfig, Simulation};
 /// # use fedzkt_models::ModelSpec;
 /// # let (train, test) = SynthConfig { family: DataFamily::MnistLike, ..Default::default() }.generate_corpus();
 /// # let shards = Partition::Iid.split(train.labels(), train.num_classes(), 5, 1).unwrap();
@@ -472,7 +472,7 @@ mod tests {
     use super::*;
     use fedzkt_autograd::DistillLoss;
     use fedzkt_data::{DataFamily, Partition, SynthConfig};
-    use fedzkt_fl::Simulation;
+    use fedzkt_fl::{ErasedSimulation, Simulation};
     use fedzkt_models::GeneratorSpec;
 
     fn tiny_setup(cfg: FedZktConfig, sim: SimConfig) -> Simulation<FedZkt> {

@@ -37,7 +37,7 @@
 //! ```no_run
 //! use fedzkt_core::{FedZkt, FedZktConfig};
 //! use fedzkt_data::{DataFamily, Partition, SynthConfig};
-//! use fedzkt_fl::{SimConfig, Simulation};
+//! use fedzkt_fl::{ErasedSimulation, SimConfig, Simulation};
 //! use fedzkt_models::ModelSpec;
 //!
 //! let (train, test) = SynthConfig { family: DataFamily::MnistLike, ..Default::default() }.generate_corpus();

@@ -160,11 +160,6 @@ impl Dataset {
         counts
     }
 
-    /// Number of distinct classes present.
-    pub fn distinct_classes(&self) -> usize {
-        self.class_counts().iter().filter(|&&c| c > 0).count()
-    }
-
     /// Concatenate several datasets (e.g. the centralized "upper bound"
     /// union of all device shards in Table III).
     ///
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(d.channels(), 1);
         assert_eq!(d.img_size(), 2);
         assert_eq!(d.class_counts(), vec![2, 2]);
-        assert_eq!(d.distinct_classes(), 2);
     }
 
     #[test]
@@ -279,6 +273,5 @@ mod tests {
         let d = toy();
         let e = d.subset(&[]);
         assert!(e.is_empty());
-        assert_eq!(e.distinct_classes(), 0);
     }
 }

@@ -5,14 +5,12 @@ use rand::seq::SliceRandom;
 
 /// An iterator over shuffled mini-batches of sample indices.
 ///
-/// Reshuffles at construction; call [`BatchIter::new`] once per epoch (or
-/// use [`BatchIter::epochs`] to get a flat multi-epoch stream of batches).
+/// Reshuffles at construction; call [`BatchIter::new`] once per epoch.
 #[derive(Debug, Clone)]
 pub struct BatchIter {
     order: Vec<usize>,
     batch_size: usize,
     cursor: usize,
-    drop_last: bool,
 }
 
 impl BatchIter {
@@ -26,22 +24,7 @@ impl BatchIter {
         let mut rng: Prng = seeded_rng(seed);
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut rng);
-        BatchIter { order, batch_size, cursor: 0, drop_last: false }
-    }
-
-    /// Like [`BatchIter::new`] but dropping a trailing partial batch
-    /// (useful for batch-norm stability with tiny remainders).
-    pub fn new_drop_last(n: usize, batch_size: usize, seed: u64) -> Self {
-        let mut it = BatchIter::new(n, batch_size, seed);
-        it.drop_last = true;
-        it
-    }
-
-    /// Flatten `epochs` reshuffled epochs into one batch stream.
-    pub fn epochs(n: usize, batch_size: usize, epochs: usize, seed: u64) -> Vec<Vec<usize>> {
-        (0..epochs)
-            .flat_map(|e| BatchIter::new(n, batch_size, seed.wrapping_add(e as u64)))
-            .collect()
+        BatchIter { order, batch_size, cursor: 0 }
     }
 }
 
@@ -53,9 +36,6 @@ impl Iterator for BatchIter {
             return None;
         }
         let end = (self.cursor + self.batch_size).min(self.order.len());
-        if self.drop_last && end - self.cursor < self.batch_size {
-            return None;
-        }
         let batch = self.order[self.cursor..end].to_vec();
         self.cursor = end;
         Some(batch)
@@ -73,20 +53,6 @@ mod tests {
         let mut all: Vec<usize> = batches.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn drop_last_discards_partial() {
-        let batches: Vec<Vec<usize>> = BatchIter::new_drop_last(10, 3, 1).collect();
-        assert_eq!(batches.len(), 3);
-        assert!(batches.iter().all(|b| b.len() == 3));
-    }
-
-    #[test]
-    fn epochs_reshuffle() {
-        let batches = BatchIter::epochs(8, 8, 2, 5);
-        assert_eq!(batches.len(), 2);
-        assert_ne!(batches[0], batches[1], "epochs should reshuffle");
     }
 
     #[test]

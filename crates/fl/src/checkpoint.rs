@@ -138,8 +138,10 @@ impl FromJson<'_> for AlgoState {
 }
 
 /// A complete, versioned snapshot of a [`Simulation`](crate::Simulation)
-/// between rounds; produced by `Simulation::checkpoint`, consumed by
-/// `Simulation::resume_from`.
+/// between rounds; produced by
+/// [`ErasedSimulation::checkpoint`](crate::ErasedSimulation::checkpoint),
+/// consumed by
+/// [`ErasedSimulation::resume_from`](crate::ErasedSimulation::resume_from).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimCheckpoint {
     /// Schema version ([`CHECKPOINT_VERSION`] when written by this build).

@@ -70,17 +70,17 @@
 //!    the new codec unchanged.
 
 use fedzkt_nn::StateDict;
-use fedzkt_tensor::ops::quant::{quant_range, quantize};
+use fedzkt_tensor::ops::quant::{dequantize, quant_range, quantize};
 use fedzkt_tensor::Tensor;
 
 /// Wire-format version byte; bump on any incompatible layout change.
 const WIRE_VERSION: u8 = 1;
 
-/// Upper bound on a decoded tensor's element count (2^28 ≈ 268M values,
-/// 1 GiB of f32) — orders of magnitude above any model in the workspace.
-/// Decoding is exposed to *wire* data, so a corrupt or hostile header
-/// claiming an absurd shape must surface as a [`CodecError`], not as an
-/// allocation abort.
+/// Upper bound on a decoded payload's element count, summed over its
+/// tensors (2^28 ≈ 268M values, 1 GiB of f32) — orders of magnitude above
+/// any model in the workspace. Decoding is exposed to *wire* data, so a
+/// corrupt or hostile header claiming absurd shapes must surface as a
+/// [`CodecError`], not as an allocation abort.
 const MAX_TENSOR_ELEMENTS: usize = 1 << 28;
 
 /// A malformed or truncated wire payload.
@@ -289,21 +289,24 @@ fn read_header(
     // Capacity hints are capped: the counts are wire-controlled, and a
     // corrupt header must fail on the next read, not on an allocation.
     let mut shapes = Vec::with_capacity(total.min(1024));
+    let mut claimed = 0usize;
     for _ in 0..total {
         let ndim = r.u8()? as usize;
         let mut shape = Vec::with_capacity(ndim);
         for _ in 0..ndim {
             shape.push(r.u32()? as usize);
         }
-        // Reject shapes whose element count cannot be addressed — or is
-        // implausibly large for this workspace — before allocating.
+        // Reject shapes whose element count cannot be addressed — or whose
+        // running total is implausibly large for this workspace — before
+        // allocating: TopK zero-fills every claimed element.
         let elements = shape
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
             .ok_or_else(|| CodecError("tensor shape overflow".into()))?;
-        if elements > MAX_TENSOR_ELEMENTS {
+        claimed = claimed.saturating_add(elements);
+        if claimed > MAX_TENSOR_ELEMENTS {
             return Err(CodecError(format!(
-                "tensor claims {elements} elements (limit {MAX_TENSOR_ELEMENTS})"
+                "payload claims {claimed} elements (limit {MAX_TENSOR_ELEMENTS})"
             )));
         }
         shapes.push(shape);
@@ -379,15 +382,15 @@ fn decode_tensor_quant(
         let mut data = vec![0.0f32; n];
         let mut pairs = data.chunks_exact_mut(2);
         for (pair, &b) in pairs.by_ref().zip(bytes) {
-            pair[0] = min + scale * (b & 0x0F) as f32;
-            pair[1] = min + scale * (b >> 4) as f32;
+            pair[0] = dequantize(b & 0x0F, min, scale);
+            pair[1] = dequantize(b >> 4, min, scale);
         }
         if let (Some(last), Some(&b)) = (pairs.into_remainder().first_mut(), bytes.last()) {
-            *last = min + scale * (b & 0x0F) as f32;
+            *last = dequantize(b & 0x0F, min, scale);
         }
         Ok(data)
     } else {
-        Ok(r.take(n)?.iter().map(|&b| min + scale * b as f32).collect())
+        Ok(r.take(n)?.iter().map(|&b| dequantize(b, min, scale)).collect())
     }
 }
 
@@ -670,6 +673,22 @@ mod tests {
         huge_shape.push(1); // ndim 1
         huge_shape.extend_from_slice(&(1u32 << 30).to_le_bytes());
         let err = CodecSpec::Raw.decode(&huge_shape).unwrap_err();
+        assert!(err.0.contains("elements"), "{err}");
+
+        // 28 bytes: a TopK header claiming two 2^28-element tensors, each
+        // shipping k = 0 values. Every tensor is at the cap, so only the
+        // payload-wide sum stops a 2 GiB zero-fill.
+        let codec = CodecSpec::TopK { density: 0.1 };
+        let mut payload = vec![codec.wire_id(), WIRE_VERSION];
+        payload.extend_from_slice(&2u32.to_le_bytes()); // 2 params
+        payload.extend_from_slice(&0u32.to_le_bytes()); // 0 buffers
+        for _ in 0..2 {
+            payload.push(1); // ndim 1
+            payload.extend_from_slice(&(1u32 << 28).to_le_bytes());
+        }
+        payload.extend_from_slice(&[0u8; 8]); // k = 0, twice
+        assert_eq!(payload.len(), 28);
+        let err = codec.decode(&payload).unwrap_err();
         assert!(err.0.contains("elements"), "{err}");
     }
 

@@ -311,16 +311,20 @@ pub trait FederatedAlgorithm {
     }
 }
 
-/// An object-safe view of a [`Simulation`], independent of the algorithm
-/// type parameter.
+/// The driver's one face: stepping, the run loop, snapshots and the log
+/// of a [`Simulation`], independent of the algorithm type parameter.
 ///
 /// `Simulation<FedZkt>` and `Simulation<FedAvg>` are distinct types, so a
 /// harness that compares algorithms — or executes a declaratively described
 /// experiment whose algorithm is chosen at runtime — cannot hold them in
 /// one collection or return them from one constructor. Every
-/// `Simulation<A>` implements this trait, so such call sites work with
-/// `Box<dyn ErasedSimulation>` instead and keep the full driver surface:
-/// stepping, the run loop, the per-round observer hook, and the log.
+/// `Simulation<A>` implements this trait, and the trait is the *only*
+/// place the driver surface lives: typed callers import it just as
+/// `Box<dyn ErasedSimulation>` callers do, and [`ErasedSimulation::run_with`]
+/// is the library's one loop over [`ErasedSimulation::round`]. The names
+/// (`round`, `run_with`, `checkpoint`, `resume_from`) are the ones the
+/// benchmark harness compiles against, so they stay until that harness
+/// changes with them.
 ///
 /// The algorithm itself is reachable through [`ErasedSimulation::as_any`]:
 /// downcast to the concrete `Simulation<A>` when an experiment needs an
@@ -335,76 +339,61 @@ pub trait ErasedSimulation {
     /// The run log so far.
     fn log(&self) -> &RunLog;
 
-    /// Execute one communication round; see [`Simulation::round`].
+    /// Execute one communication round (0-based `round`): sample the
+    /// active set, run the algorithm's two phases, evaluate (per cadence),
+    /// advance the clock, and append the metrics to the log.
     ///
     /// # Panics
-    /// Panics when rounds are driven out of order, like the typed form.
+    /// Rounds must be driven in order: `round` is required to be the next
+    /// undriven index (`log().rounds.len()`). Skipping or replaying an
+    /// index would silently desync the participation sampler, the
+    /// per-round seed streams, and the log.
     fn round(&mut self, round: usize) -> RoundMetrics;
 
     /// Run the remaining configured rounds, invoking `observer` with each
-    /// round's metrics as it completes; see [`Simulation::run_with`].
-    fn run_with(&mut self, observer: &mut dyn FnMut(&RoundMetrics)) -> &RunLog;
+    /// round's metrics as it completes — the hook experiments use for
+    /// live progress, early stopping criteria collection, or custom
+    /// artifact streaming.
+    fn run_with(&mut self, observer: &mut dyn FnMut(&RoundMetrics)) -> &RunLog {
+        for round in self.log().rounds.len()..self.config().rounds {
+            let metrics = self.round(round);
+            observer(&metrics);
+        }
+        self.log()
+    }
 
     /// Run the remaining configured rounds, returning the full log.
     fn run(&mut self) -> &RunLog {
         self.run_with(&mut |_| {})
     }
 
-    /// Snapshot the full simulation state between rounds; see
-    /// [`Simulation::checkpoint`].
+    /// Snapshot the full simulation state between rounds: the log (which
+    /// doubles as the round cursor), the clock instant, and the
+    /// algorithm's [`FederatedAlgorithm::save_state`] bag. The sampler
+    /// and churn model are pure functions of `(seed, round)` and need no
+    /// snapshot. Resuming the checkpoint into a freshly built simulation
+    /// of the same configuration continues the run bit-identically.
     fn checkpoint(&self) -> SimCheckpoint;
 
-    /// Restore a snapshot into this (freshly built) simulation; see
-    /// [`Simulation::resume_from`].
+    /// Restore a [`ErasedSimulation::checkpoint`] snapshot into this —
+    /// freshly built, not yet stepped — simulation: the log, clock and
+    /// algorithm state are overwritten and the next
+    /// [`ErasedSimulation::round`] index is `ck.rounds_done`. The
+    /// carried-forward evaluation snapshot is reconstructed from the last
+    /// logged round (the log carries accuracies forward over skipped
+    /// rounds by design).
     ///
     /// # Errors
-    /// Returns a message when the checkpoint does not belong to this
-    /// configuration.
+    /// Returns a message when the checkpoint's seed, fleet size, depth or
+    /// clock presence does not match this simulation's configuration,
+    /// when its log is not rounds `1..=rounds_done` in order or holds an
+    /// accuracy row that is not one entry per device, or when the
+    /// algorithm rejects its state bag. On error the simulation may be
+    /// partially overwritten and must be discarded.
     fn resume_from(&mut self, ck: &SimCheckpoint) -> Result<(), String>;
 
     /// The concrete `Simulation<A>` behind the erasure, for downcasting.
     fn as_any(&self) -> &dyn Any;
-
-    /// Mutable access to the concrete `Simulation<A>`, for downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
-    fn devices(&self) -> usize {
-        Simulation::devices(self)
-    }
-
-    fn config(&self) -> &SimConfig {
-        Simulation::config(self)
-    }
-
-    fn log(&self) -> &RunLog {
-        Simulation::log(self)
-    }
-
-    fn round(&mut self, round: usize) -> RoundMetrics {
-        Simulation::round(self, round)
-    }
-
-    fn run_with(&mut self, observer: &mut dyn FnMut(&RoundMetrics)) -> &RunLog {
-        Simulation::run_with(self, |m| observer(m))
-    }
-
-    fn checkpoint(&self) -> SimCheckpoint {
-        Simulation::checkpoint(self)
-    }
-
-    fn resume_from(&mut self, ck: &SimCheckpoint) -> Result<(), String> {
-        Simulation::resume_from(self, ck)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Accuracies from the most recent evaluation, carried forward over
@@ -418,11 +407,12 @@ struct EvalSnapshot {
 /// The generic simulation driver: one round loop for any
 /// [`FederatedAlgorithm`].
 ///
-/// Construct with [`Simulation::builder`]; drive with [`Simulation::run`]
-/// (or [`Simulation::run_with`] for a per-round observer, or
-/// [`Simulation::round`] for manual stepping). The driver appends every
-/// round's [`RoundMetrics`] to its [`RunLog`]; when device resources are
-/// attached, `sim_seconds` is populated from the simulated clock.
+/// Construct with [`Simulation::builder`]; drive, snapshot and resume
+/// through [`ErasedSimulation`], its one face ([`ErasedSimulation::run`],
+/// [`ErasedSimulation::run_with`] for a per-round observer,
+/// [`ErasedSimulation::round`] for manual stepping). The driver appends
+/// every round's [`RoundMetrics`] to its [`RunLog`]; when device resources
+/// are attached, `sim_seconds` is populated from the simulated clock.
 pub struct Simulation<A: FederatedAlgorithm> {
     algo: A,
     cfg: SimConfig,
@@ -550,16 +540,6 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         &self.algo
     }
 
-    /// Number of devices in the federation.
-    pub fn devices(&self) -> usize {
-        self.algo.devices()
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The simulated clock, when resources are attached.
     pub fn clock(&self) -> Option<&SimClock> {
         self.clock.as_ref()
@@ -568,11 +548,6 @@ impl<A: FederatedAlgorithm> Simulation<A> {
     /// The churn model, when a non-quiescent one is attached.
     pub fn churn(&self) -> Option<&ChurnProcess> {
         self.churn.as_ref()
-    }
-
-    /// The run log so far.
-    pub fn log(&self) -> &RunLog {
-        &self.log
     }
 
     /// Is `round` (0-based) one the evaluation cadence covers?
@@ -604,17 +579,22 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         let global = self.algo.global_model().map(&mut eval_cached);
         EvalSnapshot { device_accuracy, avg, global }
     }
+}
 
-    /// Execute one communication round (0-based `round`): sample the
-    /// active set, run the algorithm's two phases, evaluate (per cadence),
-    /// advance the clock, and append the metrics to the log.
-    ///
-    /// # Panics
-    /// Rounds must be driven in order: `round` is required to be the next
-    /// undriven index (`log().rounds.len()`). Skipping or replaying an
-    /// index would silently desync the participation sampler, the
-    /// per-round seed streams, and the log.
-    pub fn round(&mut self, round: usize) -> RoundMetrics {
+impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
+    fn devices(&self) -> usize {
+        self.algo.devices()
+    }
+
+    fn config(&self) -> &SimConfig {
+        &self.cfg
+    }
+
+    fn log(&self) -> &RunLog {
+        &self.log
+    }
+
+    fn round(&mut self, round: usize) -> RoundMetrics {
         assert_eq!(
             round,
             self.log.rounds.len(),
@@ -731,13 +711,7 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         metrics
     }
 
-    /// Snapshot the full simulation state between rounds: the log (which
-    /// doubles as the round cursor), the clock instant, and the
-    /// algorithm's [`FederatedAlgorithm::save_state`] bag. The sampler
-    /// and churn model are pure functions of `(seed, round)` and need no
-    /// snapshot. Resuming the checkpoint into a freshly built simulation
-    /// of the same configuration continues the run bit-identically.
-    pub fn checkpoint(&self) -> SimCheckpoint {
+    fn checkpoint(&self) -> SimCheckpoint {
         SimCheckpoint {
             version: CHECKPOINT_VERSION,
             seed: self.cfg.seed,
@@ -749,19 +723,7 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         }
     }
 
-    /// Restore a [`Simulation::checkpoint`] snapshot into this — freshly
-    /// built, not yet stepped — simulation: the log, clock and algorithm
-    /// state are overwritten and the next [`Simulation::round`] index is
-    /// `ck.rounds_done`. The carried-forward evaluation snapshot is
-    /// reconstructed from the last logged round (the log carries
-    /// accuracies forward over skipped rounds by design).
-    ///
-    /// # Errors
-    /// Returns a message when the checkpoint's seed, fleet size or clock
-    /// presence does not match this simulation's configuration, or when
-    /// the algorithm rejects its state bag. On error the simulation may
-    /// be partially overwritten and must be discarded.
-    pub fn resume_from(&mut self, ck: &SimCheckpoint) -> Result<(), String> {
+    fn resume_from(&mut self, ck: &SimCheckpoint) -> Result<(), String> {
         if ck.seed != self.cfg.seed {
             return Err(format!(
                 "checkpoint seed {} does not match this run's seed {}",
@@ -779,6 +741,23 @@ impl<A: FederatedAlgorithm> Simulation<A> {
             return Err(format!(
                 "checkpoint is {} rounds deep but this run is configured for {}",
                 ck.rounds_done, self.cfg.rounds
+            ));
+        }
+        // The log is the round cursor and the source of the carried-forward
+        // accuracies, so it must be this run's shape too.
+        let rounds = &ck.log.rounds;
+        if rounds.len() != ck.rounds_done || rounds.iter().zip(1..).any(|(r, k)| r.round != k) {
+            return Err(format!("checkpoint log is not rounds 1..={} in order", ck.rounds_done));
+        }
+        let ragged = |r: &&RoundMetrics| {
+            !r.device_accuracy.is_empty() && r.device_accuracy.len() != ck.devices
+        };
+        if let Some(r) = rounds.iter().find(ragged) {
+            return Err(format!(
+                "checkpoint round {} holds {} device accuracies for {} devices",
+                r.round,
+                r.device_accuracy.len(),
+                ck.devices
             ));
         }
         match (&mut self.clock, ck.clock_now) {
@@ -803,21 +782,8 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         Ok(())
     }
 
-    /// Run the remaining configured rounds, returning the full log.
-    pub fn run(&mut self) -> &RunLog {
-        self.run_with(|_| {})
-    }
-
-    /// Run the remaining configured rounds, invoking `observer` with each
-    /// round's metrics as it completes — the hook experiments use for
-    /// live progress, early stopping criteria collection, or custom
-    /// artifact streaming.
-    pub fn run_with(&mut self, mut observer: impl FnMut(&RoundMetrics)) -> &RunLog {
-        for round in self.log.rounds.len()..self.cfg.rounds {
-            let metrics = self.round(round);
-            observer(&metrics);
-        }
-        &self.log
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -994,10 +960,10 @@ mod tests {
         let cfg = SimConfig { rounds: 3, ..Default::default() };
         let mut sim = Simulation::builder(Stub::new(2), test_set(), cfg).build();
         let mut seen = Vec::new();
-        sim.run_with(|m| seen.push(m.round));
+        sim.run_with(&mut |m| seen.push(m.round));
         assert_eq!(seen, vec![1, 2, 3]);
         // A second run() is a no-op: all configured rounds are done.
-        sim.run_with(|m| seen.push(m.round));
+        sim.run_with(&mut |m| seen.push(m.round));
         assert_eq!(seen, vec![1, 2, 3]);
     }
 
@@ -1162,6 +1128,17 @@ mod tests {
         let ck = deep.checkpoint();
         let mut sim = clocked(2, shallow);
         assert!(sim.resume_from(&ck).unwrap_err().contains("rounds deep"));
+        // A log whose rounds are not 1..=rounds_done in order.
+        let mut renumbered = ck.clone();
+        renumbered.log.rounds[1].round = 1;
+        assert!(clocked(2, cfg).resume_from(&renumbered).unwrap_err().contains("in order"));
+        let mut short = ck.clone();
+        short.log.rounds.pop();
+        assert!(clocked(2, cfg).resume_from(&short).unwrap_err().contains("in order"));
+        // An accuracy row that is not one entry per device.
+        let mut ragged = ck;
+        ragged.log.rounds[0].device_accuracy.push(0.5);
+        assert!(clocked(2, cfg).resume_from(&ragged).unwrap_err().contains("device accuracies"));
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl FederatedAlgorithm for FedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{average_state_dicts, CodecSpec, PayloadCodec, Simulation};
+    use crate::{average_state_dicts, CodecSpec, ErasedSimulation, PayloadCodec, Simulation};
     use fedzkt_data::{DataFamily, Partition, SynthConfig};
 
     fn setup(prox_mu: f32, participation: f32) -> Simulation<FedAvg> {

@@ -384,7 +384,7 @@ impl FederatedAlgorithm for FedEt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CodecSpec, PayloadCodec, SimCheckpoint, Simulation};
+    use crate::{CodecSpec, ErasedSimulation, PayloadCodec, SimCheckpoint, Simulation};
     use fedzkt_data::{DataFamily, Partition, SynthConfig};
 
     fn setup(sim: SimConfig) -> Simulation<FedEt> {

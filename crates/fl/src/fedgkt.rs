@@ -453,7 +453,7 @@ impl FederatedAlgorithm for FedGkt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CodecSpec, PayloadCodec, SimCheckpoint, Simulation};
+    use crate::{CodecSpec, ErasedSimulation, PayloadCodec, SimCheckpoint, Simulation};
     use fedzkt_data::{DataFamily, Partition, SynthConfig};
 
     fn setup(sim: SimConfig) -> Simulation<FedGkt> {

@@ -8,6 +8,12 @@
 //!   training, accuracy evaluation with a configurable cadence,
 //!   communication accounting, a simulated wall clock over heterogeneous
 //!   [`DeviceResources`], and per-round metrics with CSV/JSON export;
+//! * [`ErasedSimulation`] — the driver's one face, for typed and
+//!   type-erased callers alike: stepping (`round`), the run loop (`run`,
+//!   `run_with`, the library's only loop over `round`), snapshots
+//!   (`checkpoint`, `resume_from`) and the log. `Simulation` itself keeps
+//!   only its builder and typed accessors. The names are the ones the
+//!   benchmark harness compiles against, so they stay until it changes;
 //! * [`FederatedAlgorithm`] — the trait an algorithm implements to run
 //!   under the driver: a device-side phase, a server-side phase, and
 //!   accessors for its evaluable models and per-device payload shapes;
@@ -81,7 +87,7 @@
 //!
 //! ```
 //! use fedzkt_data::{DataFamily, Partition, SynthConfig};
-//! use fedzkt_fl::{FedAvg, FedAvgConfig, SimConfig, Simulation};
+//! use fedzkt_fl::{ErasedSimulation, FedAvg, FedAvgConfig, SimConfig, Simulation};
 //! use fedzkt_models::ModelSpec;
 //!
 //! let (train, test) = SynthConfig {

@@ -47,11 +47,6 @@ impl Linear {
     pub fn weight(&self) -> &Var {
         &self.weight
     }
-
-    /// The bias parameter `[out_features]`, if the layer has one.
-    pub fn bias_param(&self) -> Option<&Var> {
-        self.bias.as_ref()
-    }
 }
 
 impl Module for Linear {

@@ -34,7 +34,7 @@
 //! `sweep`, and writes the target's CSV (or JSON) into `--out`.
 
 use fedzkt_data::Partition;
-use fedzkt_fl::{CodecSpec, SimCheckpoint};
+use fedzkt_fl::{CodecSpec, ErasedSimulation, RoundMetrics, SimCheckpoint};
 use fedzkt_scenario::{
     presets, repro, resolve, run_cells, standard_algorithm, standard_zoo, Scenario, Tier,
 };
@@ -317,8 +317,42 @@ fn checkpoint_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.ckpt"))
 }
 
-fn save_checkpoint(ck: &SimCheckpoint, path: &Path) -> Result<(), String> {
-    ck.save(path).map_err(|e| format!("writing {}: {e}", path.display()))
+fn save_checkpoint(sim: &dyn ErasedSimulation, path: &Path) -> Result<(), String> {
+    sim.checkpoint().save(path).map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+/// Restore the checkpoint at `path` into the freshly built `sim`; returns
+/// the rounds it already holds.
+fn resume(sim: &mut dyn ErasedSimulation, path: &Path) -> Result<usize, String> {
+    let ck = SimCheckpoint::load(path).map_err(|e| format!("loading {}: {e}", path.display()))?;
+    sim.resume_from(&ck)
+        .map_err(|e| format!("{}: checkpoint does not fit this scenario: {e}", path.display()))?;
+    Ok(ck.rounds_done)
+}
+
+/// The one checkpointed loop behind `run` and `serve`: step `sim` from its
+/// next round until `halt` rounds are done, snapshotting to `ckpt` after
+/// every `every`-th round short of the configured total (a final-round
+/// snapshot would have nothing left to resume). `report` sees each round's
+/// metrics and whether a snapshot followed them.
+fn drive(
+    sim: &mut dyn ErasedSimulation,
+    halt: usize,
+    every: Option<usize>,
+    ckpt: &Path,
+    report: &mut dyn FnMut(&RoundMetrics, bool),
+) -> Result<(), String> {
+    let total = sim.config().rounds;
+    for round in sim.log().rounds.len()..halt {
+        let metrics = sim.round(round);
+        let done = round + 1;
+        let snapshot = done < total && every.is_some_and(|every| done.is_multiple_of(every));
+        if snapshot {
+            save_checkpoint(sim, ckpt)?;
+        }
+        report(&metrics, snapshot);
+    }
+    Ok(())
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -349,23 +383,18 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let halt = opts.halt_at_round.map_or(total, |k| k.min(total));
     let mut sim = scenario.build().map_err(|e| e.to_string())?;
     if let Some(path) = &opts.resume {
-        let ck = SimCheckpoint::load(path)
-            .map_err(|e| format!("loading {}: {e}", path.display()))?;
-        sim.resume_from(&ck)
-            .map_err(|e| format!("{}: checkpoint does not fit this scenario: {e}", path.display()))?;
-        if halt < ck.rounds_done {
+        let done = resume(sim.as_mut(), path)?;
+        if halt < done {
             return Err(format!(
-                "--halt-at-round {halt}: {} already holds {} rounds",
-                path.display(),
-                ck.rounds_done
+                "--halt-at-round {halt}: {} already holds {done} rounds",
+                path.display()
             ));
         }
-        println!("resumed from {} ({} rounds already done)", path.display(), ck.rounds_done);
+        println!("resumed from {} ({done} rounds already done)", path.display());
     }
     let ckpt = checkpoint_path(&opts.out_dir, &scenario.name);
     println!("{:>6} {:>9} {:>11} {:>12} {:>10}", "round", "avg-acc", "train-loss", "uplink-KiB", "sim-time");
-    for round in sim.log().rounds.len()..halt {
-        let m = sim.round(round);
+    drive(sim.as_mut(), halt, opts.checkpoint_every, &ckpt, &mut |m, snapshot| {
         println!(
             "{:>6} {:>8.1}% {:>11.4} {:>12.1} {:>9.0}s",
             m.round,
@@ -374,17 +403,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             m.upload_bytes as f64 / 1024.0,
             m.sim_seconds
         );
-        if let Some(every) = opts.checkpoint_every {
-            if (round + 1).is_multiple_of(every) {
-                save_checkpoint(&sim.checkpoint(), &ckpt)?;
-                println!("  [checkpoint] {} ({} rounds)", ckpt.display(), round + 1);
-            }
+        if snapshot {
+            println!("  [checkpoint] {} ({} rounds)", ckpt.display(), m.round);
         }
-    }
+    })?;
     if halt < total {
         // A deliberate mid-run stop always leaves a snapshot, whether or
         // not a periodic cadence was requested.
-        save_checkpoint(&sim.checkpoint(), &ckpt)?;
+        save_checkpoint(sim.as_ref(), &ckpt)?;
         println!(
             "halted after {halt} of {total} rounds; resume with: scenarios run {reference} \
              --resume {} --out {}",
@@ -654,9 +680,7 @@ fn serve_cell(cell: &Scenario, dir: &Path, every: usize) -> Result<String, Strin
         // A snapshot that fails to load or fit (schema drift, an edited
         // scenario reusing a cell name) falls back to a fresh start — a
         // stale file must not wedge the queue forever.
-        match SimCheckpoint::load(&ckpt).map_err(|e| e.to_string()).and_then(|ck| {
-            sim.resume_from(&ck).map(|()| ck.rounds_done)
-        }) {
+        match resume(sim.as_mut(), &ckpt) {
             Ok(rounds) => resumed = rounds,
             Err(e) => {
                 eprintln!("  [{}] discarding stale checkpoint: {e}", cell.name);
@@ -665,13 +689,7 @@ fn serve_cell(cell: &Scenario, dir: &Path, every: usize) -> Result<String, Strin
         }
     }
     let total = cell.sim.rounds;
-    for round in sim.log().rounds.len()..total {
-        sim.round(round);
-        let done = round + 1;
-        if done < total && done.is_multiple_of(every) {
-            save_checkpoint(&sim.checkpoint(), &ckpt)?;
-        }
-    }
+    drive(sim.as_mut(), total, Some(every), &ckpt, &mut |_, _| {})?;
     let log = sim.log().clone();
     log.write_artifacts(dir, &cell.name)
         .map_err(|e| format!("writing artifacts for {}: {e}", cell.name))?;

@@ -309,13 +309,6 @@ impl Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Combine two same-shaped tensors elementwise.
     ///
     /// # Errors
@@ -415,32 +408,9 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// ℓ1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f32 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// ℓ2 (Euclidean) norm.
     pub fn norm_l2(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Column sums of a 2-D tensor: `[N, D] -> [D]`.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn sum_rows(&self) -> Result<Self> {
-        if self.ndim() != 2 {
-            return Err(TensorError::RankMismatch { expected: 2, actual: self.ndim() });
-        }
-        let (n, d) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; d];
-        for i in 0..n {
-            for (j, acc) in out.iter_mut().enumerate() {
-                *acc += self.data[i * d + j];
-            }
-        }
-        Tensor::from_vec(out, &[d])
     }
 
     /// Per-row argmax of a 2-D tensor (predicted class of each sample).
@@ -598,14 +568,7 @@ mod tests {
         assert_eq!(t.mean(), -0.5);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -4.0);
-        assert_eq!(t.norm_l1(), 10.0);
         assert!((t.norm_l2() - 30.0f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sum_rows_columns() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        assert_eq!(t.sum_rows().unwrap().data(), &[5.0, 7.0, 9.0]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 
 use fedzkt::core::{FedZkt, FedZktConfig};
 use fedzkt::data::{DataFamily, Partition, SynthConfig};
-use fedzkt::fl::{FedGkt, FedGktConfig, FederatedAlgorithm, SimConfig, Simulation};
+use fedzkt::fl::{
+    ErasedSimulation, FedGkt, FedGktConfig, FederatedAlgorithm, SimConfig, Simulation,
+};
 use fedzkt::models::{GeneratorSpec, ModelSpec};
 use fedzkt::nn::{
     decode_state_dict, encode_state_dict, load_state_dict, state_dict,

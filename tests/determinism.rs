@@ -1,6 +1,6 @@
 //! Whole-run determinism: the `seeded_rng`/`split_seed` contract promises
 //! that a federated run is a pure function of its seed. Guarded here at the
-//! outermost API — two `Simulation::run` invocations with the same seed
+//! outermost API — two `ErasedSimulation::run` invocations with the same seed
 //! must produce bit-identical `RunLog` metrics, and different seeds must
 //! not.
 //!
@@ -16,7 +16,7 @@
 use fedzkt::autograd::Var;
 use fedzkt::core::{FedMd, FedMdConfig, FedZkt, FedZktConfig};
 use fedzkt::data::{DataFamily, Partition, SynthConfig};
-use fedzkt::fl::{RunLog, SimConfig, Simulation};
+use fedzkt::fl::{ErasedSimulation, RunLog, SimConfig, Simulation};
 use fedzkt::models::{GeneratorSpec, ModelSpec};
 use fedzkt::tensor::{par, seeded_rng, Tensor};
 use std::sync::Mutex;

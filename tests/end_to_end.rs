@@ -4,7 +4,7 @@
 use fedzkt::core::{FedMd, FedMdConfig, FedZkt, FedZktConfig};
 use fedzkt::data::{Corpus, DataFamily, Dataset, Partition, SynthConfig};
 use fedzkt::fl::{
-    DeviceResources, FedAvg, FedAvgConfig, RunLog, SimConfig, Simulation,
+    DeviceResources, ErasedSimulation, FedAvg, FedAvgConfig, RunLog, SimConfig, Simulation,
 };
 use fedzkt::models::{GeneratorSpec, ModelSpec};
 

@@ -15,7 +15,7 @@
 use fedzkt::core::{FedMd, FedMdConfig, FedZkt, FedZktConfig};
 use fedzkt::data::{Corpus, DataFamily, Dataset, Partition, SynthConfig};
 use fedzkt::fl::{
-    CodecSpec, FedAvg, FedAvgConfig, FedEt, FedEtConfig, FedGkt, FedGktConfig,
+    CodecSpec, ErasedSimulation, FedAvg, FedAvgConfig, FedEt, FedEtConfig, FedGkt, FedGktConfig,
     FederatedAlgorithm, PayloadCodec, SimConfig, Simulation,
 };
 use fedzkt::models::{GeneratorSpec, ModelSpec};
@@ -175,7 +175,7 @@ fn fedgkt_sim(sim: SimConfig) -> Simulation<FedGkt> {
 /// Trait-level invariant 1: devices outside the active set are
 /// bit-unchanged by a round — stragglers neither train nor receive
 /// updates, in every algorithm.
-fn assert_stragglers_untouched<A: FederatedAlgorithm>(sim: &mut Simulation<A>) {
+fn assert_stragglers_untouched<A: FederatedAlgorithm + 'static>(sim: &mut Simulation<A>) {
     let n = sim.devices();
     let before: Vec<_> =
         (0..n).map(|k| state_dict(sim.algorithm_for_eval().device_model(k))).collect();
@@ -205,7 +205,7 @@ fn assert_stragglers_untouched<A: FederatedAlgorithm>(sim: &mut Simulation<A>) {
 /// FedGKT. (Every codec's wire size is a pure function of a template's
 /// shapes, so both expectations are computable without replaying the
 /// round.)
-fn assert_traffic_is_wire_sized<A: FederatedAlgorithm>(sim: &mut Simulation<A>) {
+fn assert_traffic_is_wire_sized<A: FederatedAlgorithm + 'static>(sim: &mut Simulation<A>) {
     let codec = sim.config().codec;
     let metrics = sim.round(0);
     let expected_up: u64 = metrics
