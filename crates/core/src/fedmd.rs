@@ -256,8 +256,7 @@ impl FederatedAlgorithm for FedMd {
             model.set_training(false);
             let scores = fedzkt_autograd::no_grad(|| model.forward(&align_var).value_clone());
             model.set_training(true);
-            let (decoded, wire) = ctx.through_wire(&Self::logit_payload(scores));
-            ctx.comm.record_upload(k, wire);
+            let decoded = ctx.upload(k, Self::logit_payload(scores));
             let decoded = decoded.params.into_iter().next().expect("one logit tensor");
             match &mut consensus {
                 None => consensus = Some(decoded),
@@ -283,7 +282,7 @@ impl FederatedAlgorithm for FedMd {
             self.pending.take().expect("local_update ran this round");
         // The consensus broadcast goes through the wire once; every active
         // device digests the decoded copy and is charged its wire size.
-        let (decoded, logit_wire) = ctx.through_wire(&Self::logit_payload(consensus));
+        let decoded = ctx.broadcast(active, Self::logit_payload(consensus));
         let consensus = decoded.params.into_iter().next().expect("one consensus tensor");
         let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
@@ -322,7 +321,6 @@ impl FederatedAlgorithm for FedMd {
         drop(staged);
         let mut loss_sum = 0.0f32;
         for (&k, (loss, sd)) in active.iter().zip(results) {
-            ctx.comm.record_download(k, logit_wire);
             loss_sum += loss;
             load_state_dict(self.fleet.model(k), &sd)
                 .expect("fleet result matches device architecture");

@@ -299,16 +299,8 @@ impl FederatedAlgorithm for FedZkt {
             // through the round's wire codec — the server distills from
             // what it *received*, so lossy-codec error reaches the game
             // (a lossless codec receives the fleet result verbatim).
-            if ctx.lossless() {
-                ctx.comm.record_upload(k, ctx.wire_size(&sd));
-                load_state_dict(self.fleet.model(k), &sd)
-                    .expect("fleet result matches device architecture");
-            } else {
-                let (uploaded, wire) = ctx.through_wire(&sd);
-                ctx.comm.record_upload(k, wire);
-                load_state_dict(self.fleet.model(k), &uploaded)
-                    .expect("fleet result matches device architecture");
-            }
+            load_state_dict(self.fleet.model(k), &ctx.upload(k, sd))
+                .expect("fleet result matches device architecture");
         }
         loss_sum / active.len().max(1) as f32
     }
@@ -349,19 +341,10 @@ impl FederatedAlgorithm for FedZkt {
         // receives its own updated model over the wire, and keeps the
         // *decoded* state — under a lossy codec the device trains next
         // round from the quantized/sparsified transfer it actually got.
-        // A bit-exact codec makes the transfer a pure accounting event,
-        // so the decode-and-reload is skipped.
         for &k in active {
             let model = self.fleet.model(k).as_ref();
-            if ctx.lossless() {
-                // Shape-only accounting: no snapshot, no reload.
-                ctx.comm.record_download(k, ctx.module_wire_size(model));
-            } else {
-                let (received, wire) = ctx.through_wire(&state_dict(model));
-                ctx.comm.record_download(k, wire);
-                load_state_dict(model, &received)
-                    .expect("wire round-trip preserves the device architecture");
-            }
+            load_state_dict(model, &ctx.download(k, state_dict(model)))
+                .expect("wire round-trip preserves the device architecture");
         }
     }
 

@@ -498,23 +498,12 @@ impl PayloadCodec for CodecSpec {
     }
 
     fn wire_bytes(&self, sd: &StateDict) -> usize {
-        self.wire_bytes_for_shapes(sd.iter_tensors().map(Tensor::shape))
-    }
-}
-
-impl CodecSpec {
-    /// [`PayloadCodec::wire_bytes`] from tensor shapes alone — every
-    /// codec's wire size is a pure function of shapes, so accounting
-    /// paths (e.g. a lossless transfer that skips the decode-and-reload)
-    /// need not materialise a [`StateDict`] snapshot at all.
-    pub fn wire_bytes_for_shapes<'a>(
-        &self,
-        shapes: impl Iterator<Item = &'a [usize]>,
-    ) -> usize {
         // Fixed header (id, version, two counts) + per-tensor shape
         // record + per-tensor body.
-        10 + shapes
-            .map(|shape| {
+        10 + sd
+            .iter_tensors()
+            .map(|t| {
+                let shape = t.shape();
                 let n: usize = shape.iter().product();
                 let body = match *self {
                     CodecSpec::Raw => 4 * n,

@@ -1,9 +1,13 @@
-//! Communication accounting.
+//! Communication accounting: the round's private ledger.
 //!
 //! A central claim of FedZKT is that devices only ever exchange *their own
 //! on-device model parameters* — never the (large) global model or the
-//! generator. The tracker lets experiments assert that per-round traffic
-//! for device `k` is `O(|w_k|)`.
+//! generator. The ledger lets experiments assert that per-round traffic
+//! for device `k` is `O(|w_k|)`. Only [`RoundContext`]'s wire calls
+//! (`upload`, `download`, `broadcast`) write to it, each at the payload's
+//! encoded size, so no payload can cross without being charged.
+//!
+//! [`RoundContext`]: crate::RoundContext
 //!
 //! The ledger is O(devices that moved bytes), not O(registered): a round
 //! on a million-device fleet that samples a thousand builds, totals and

@@ -20,8 +20,9 @@
 //! applies to every algorithm.
 
 use crate::checkpoint::{AlgoState, SimCheckpoint, CHECKPOINT_VERSION};
+use crate::comm::CommTracker;
 use crate::{
-    evaluate, ChurnProcess, ChurnSpec, CodecSpec, CommTracker, DeviceRegistry, DeviceResources,
+    evaluate, ChurnProcess, ChurnSpec, CodecSpec, DeviceRegistry, DeviceResources,
     ParticipationSampler, PayloadCodec, RoundMetrics, RoundParticipant, RunLog, SimClock,
 };
 use fedzkt_data::Dataset;
@@ -84,15 +85,16 @@ impl SimConfig {
 
 /// Per-round state the driver hands to an algorithm's phases.
 ///
-/// Algorithms push every transmitted payload through
-/// [`RoundContext::through_wire`] and record the returned wire size into
-/// [`RoundContext::comm`] (the driver totals it into the metrics and feeds
-/// the per-device byte counts to the simulated clock), and read the
-/// resolved worker-thread count from [`RoundContext::threads`].
+/// Every payload crosses the wire through [`RoundContext::upload`],
+/// [`RoundContext::download`] or [`RoundContext::broadcast`]: each call
+/// encodes the payload once with the round's codec ([`SimConfig::codec`]),
+/// charges the encoded size to the device(s) it names, and returns what
+/// the receiving side decodes. The driver totals the charges into the
+/// metrics and feeds the per-device byte counts to the simulated clock.
+/// Algorithms read the resolved worker-thread count from
+/// [`RoundContext::threads`].
 pub struct RoundContext {
-    /// Uplink/downlink accounting for this round; record every payload a
-    /// device sends or receives at its **wire** (encoded) size.
-    pub comm: CommTracker,
+    comm: CommTracker,
     codec: CodecSpec,
     threads: usize,
     server_seconds: f64,
@@ -116,58 +118,45 @@ impl RoundContext {
         self.threads
     }
 
-    /// The round's wire-format codec ([`SimConfig::codec`]).
-    pub fn codec(&self) -> &CodecSpec {
-        &self.codec
+    /// Device `k` sends `sd` to the server: charged to `k`'s uplink at its
+    /// encoded size; returns the state the server decodes.
+    pub fn upload(&mut self, k: usize, sd: StateDict) -> StateDict {
+        let (received, wire) = self.cross(sd);
+        self.comm.record_upload(k, wire);
+        received
     }
 
-    /// Is the round's codec bit-exact (`decode(encode(x)) == x`)? When it
-    /// is, a transfer is a pure accounting event: record
-    /// [`RoundContext::wire_size`] and skip the decode-and-reload, since
-    /// the receiver would observe the sender's state verbatim.
-    pub fn lossless(&self) -> bool {
-        matches!(self.codec, CodecSpec::Raw)
+    /// The server sends `sd` to device `k`: charged to `k`'s downlink at
+    /// its encoded size; returns the state the device decodes.
+    pub fn download(&mut self, k: usize, sd: StateDict) -> StateDict {
+        let (received, wire) = self.cross(sd);
+        self.comm.record_download(k, wire);
+        received
     }
 
-    /// The wire size of `sd` under the round's codec, without encoding.
-    pub fn wire_size(&self, sd: &StateDict) -> usize {
-        self.codec.wire_bytes(sd)
-    }
-
-    /// The wire size of `module`'s transferable state under the round's
-    /// codec, computed from tensor shapes alone — no snapshot, no
-    /// encoding. The accounting path for lossless transfers.
-    pub fn module_wire_size(&self, module: &dyn Module) -> usize {
-        let shapes: Vec<Vec<usize>> = module
-            .params()
-            .iter()
-            .map(|p| p.shape())
-            .chain(module.buffers().iter().map(|b| b.shape()))
-            .collect();
-        self.codec.wire_bytes_for_shapes(shapes.iter().map(Vec::as_slice))
-    }
-
-    /// Push a payload through the wire once: encode with the round's
-    /// codec, then decode. Returns what the *receiving* side observes —
-    /// the (possibly lossy) decoded state — and the wire size in bytes to
-    /// record into [`RoundContext::comm`]. Under [`CodecSpec::Raw`] the
-    /// returned state is bit-identical to `sd`.
-    ///
-    /// A broadcast (one server payload to many devices) goes through the
-    /// wire **once**; record the returned size once per recipient.
-    pub fn through_wire(&self, sd: &StateDict) -> (StateDict, usize) {
-        // Raw is bit-exact by contract (property-tested), so the default
-        // path skips the encode/decode memcpys and pays one clone.
-        if matches!(self.codec, CodecSpec::Raw) {
-            return (sd.clone(), self.codec.wire_bytes(sd));
+    /// The server sends one payload to every device in `ids`: encoded
+    /// once, charged once to each recipient's downlink; returns the state
+    /// every recipient decodes.
+    pub fn broadcast(&mut self, ids: &[usize], sd: StateDict) -> StateDict {
+        let (received, wire) = self.cross(sd);
+        for &k in ids {
+            self.comm.record_download(k, wire);
         }
-        let bytes = self.codec.encode(sd);
-        let wire = bytes.len();
-        let decoded = self
-            .codec
-            .decode(&bytes)
-            .expect("a payload this codec just encoded must decode");
-        (decoded, wire)
+        received
+    }
+
+    /// One wire crossing: the decoded payload and its wire size. Raw is
+    /// bit-exact by contract (property-tested), so it moves the payload
+    /// through and charges its size without the encode/decode memcpys.
+    fn cross(&self, sd: StateDict) -> (StateDict, usize) {
+        if matches!(self.codec, CodecSpec::Raw) {
+            let wire = self.codec.wire_bytes(&sd);
+            return (sd, wire);
+        }
+        let bytes = self.codec.encode(&sd);
+        let decoded =
+            self.codec.decode(&bytes).expect("a payload this codec just encoded must decode");
+        (decoded, bytes.len())
     }
 
     /// Add simulated *server-side* compute time for this round (seconds);
@@ -195,10 +184,11 @@ impl RoundContext {
 ///
 /// * only devices in `active` may change state during a round — stragglers
 ///   stay bit-identical;
-/// * every payload a device sends or receives goes through
-///   [`RoundContext::through_wire`] and is recorded in `ctx.comm` at its
-///   encoded size; a device's per-round traffic is the wire size of its
-///   own named tensor bundle — uplink per
+/// * every payload a device sends or receives crosses the wire through
+///   [`RoundContext::upload`], [`RoundContext::download`] or
+///   [`RoundContext::broadcast`], which charge its encoded size and hand
+///   the receiver the decoded state; a device's per-round traffic is the
+///   wire size of its own named tensor bundle — uplink per
 ///   [`FederatedAlgorithm::payload_template`], downlink per
 ///   [`FederatedAlgorithm::downlink_template`] — never a function of
 ///   server-side state;
@@ -207,12 +197,14 @@ pub trait FederatedAlgorithm {
     /// Number of devices in the federation.
     fn devices(&self) -> usize;
 
-    /// Device-side phase: train the `active` devices locally, record their
-    /// uplink traffic, and return the mean training loss over them.
+    /// Device-side phase: train the `active` devices locally, send their
+    /// uplinks with [`RoundContext::upload`], and return the mean training
+    /// loss over them.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32;
 
-    /// Server-side phase: aggregate / distill, transfer state back to the
-    /// `active` devices, and record their downlink traffic.
+    /// Server-side phase: aggregate / distill, and transfer state back to
+    /// the `active` devices with [`RoundContext::download`] or
+    /// [`RoundContext::broadcast`].
     fn server_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext);
 
     /// Device `k`'s current evaluable model.
@@ -236,7 +228,7 @@ pub trait FederatedAlgorithm {
     /// size is a pure function of the template's tensor *shapes*, so
     /// [`PayloadCodec::wire_bytes`]`(template)` is the device's expected
     /// per-round uplink — the invariant the workspace protocol suite
-    /// checks against the recorded [`CommTracker`] totals. Values need not
+    /// checks against the round's charged traffic. Values need not
     /// match what a live round ships.
     fn payload_template(&self, k: usize) -> StateDict;
 
@@ -645,16 +637,16 @@ impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
             self.algo.server_update(round, &active, &mut ctx);
         }
         // A dropout received the round's broadcast before dying: charge
-        // its downlink at the wire size of its own downlink template.
+        // its downlink as its own downlink template crossing the wire.
         for &(k, _) in &dropouts {
-            let wire = ctx.wire_size(&self.algo.downlink_template(k));
-            ctx.comm.record_download(k, wire);
+            ctx.download(k, self.algo.downlink_template(k));
         }
+        let RoundContext { comm, server_seconds, train_loss, .. } = ctx;
 
         let mut metrics = RoundMetrics::new(round + 1);
-        metrics.train_loss = ctx.train_loss.unwrap_or(local_loss);
-        metrics.upload_bytes = ctx.comm.total_upload();
-        metrics.download_bytes = ctx.comm.total_download();
+        metrics.train_loss = train_loss.unwrap_or(local_loss);
+        metrics.upload_bytes = comm.total_upload();
+        metrics.download_bytes = comm.total_download();
         metrics.available_devices = available;
         metrics.dropped_devices = dropouts.len();
 
@@ -689,9 +681,9 @@ impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
             metrics.sim_seconds = clock.advance_round(
                 &participants,
                 &|d| algo.local_samples(d),
-                &|d| ctx.comm.download_bytes(d) as usize,
-                &|d| ctx.comm.upload_bytes(d) as usize,
-                self.server_seconds + ctx.server_seconds,
+                &|d| comm.download_bytes(d) as usize,
+                &|d| comm.upload_bytes(d) as usize,
+                self.server_seconds + server_seconds,
             );
         }
 
@@ -821,16 +813,14 @@ mod tests {
         fn local_update(&mut self, _r: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
             self.local_calls.push(active.to_vec());
             for &k in active {
-                let (_, wire) = ctx.through_wire(&self.payload_template(k));
-                ctx.comm.record_upload(k, wire);
+                ctx.upload(k, self.payload_template(k));
             }
             0.5
         }
         fn server_update(&mut self, _r: usize, active: &[usize], ctx: &mut RoundContext) {
             self.server_calls.push(active.to_vec());
             for &k in active {
-                let (_, wire) = ctx.through_wire(&self.payload_template(k));
-                ctx.comm.record_download(k, wire);
+                ctx.download(k, self.payload_template(k));
             }
         }
         fn device_model(&self, k: usize) -> &dyn Module {
@@ -856,6 +846,74 @@ mod tests {
 
     fn test_set() -> Dataset {
         Dataset::new(fedzkt_tensor::Tensor::zeros(&[6, 1, 8, 8]), vec![0, 1, 0, 1, 0, 1], 2)
+    }
+
+    /// A two-tensor payload with a signed zero, a NaN and a subnormal, so
+    /// "bit-identical" means more than `==`.
+    fn wire_payload() -> StateDict {
+        let mut values: Vec<f32> = (0..15).map(|i| (i as f32 - 7.0) * 0.37).collect();
+        values[3] = -0.0;
+        values[8] = f32::NAN;
+        values[11] = f32::MIN_POSITIVE / 4.0;
+        StateDict {
+            params: vec![fedzkt_tensor::Tensor::from_vec(values, &[3, 5]).unwrap()],
+            buffers: vec![
+                fedzkt_tensor::Tensor::from_vec(vec![1.5, -2.0, 0.25, 9.0], &[4]).unwrap()
+            ],
+        }
+    }
+
+    /// The param and buffer counts, then each tensor's rank, dims and f32
+    /// bits, params first.
+    fn bits(sd: &StateDict) -> Vec<u64> {
+        let mut words = vec![sd.params.len() as u64, sd.buffers.len() as u64];
+        for t in sd.iter_tensors() {
+            words.push(t.shape().len() as u64);
+            words.extend(t.shape().iter().map(|&d| d as u64));
+            words.extend(t.data().iter().map(|v| u64::from(v.to_bits())));
+        }
+        words
+    }
+
+    /// Per-device (uplink, downlink) bytes charged so far.
+    fn charged(ctx: &RoundContext, devices: usize) -> (Vec<u64>, Vec<u64>) {
+        let RoundContext { comm, .. } = ctx;
+        (
+            (0..devices).map(|k| comm.upload_bytes(k)).collect(),
+            (0..devices).map(|k| comm.download_bytes(k)).collect(),
+        )
+    }
+
+    #[test]
+    fn wire_calls_return_the_decoded_payload_and_charge_its_encoded_size() {
+        let codecs = [
+            CodecSpec::Raw,
+            CodecSpec::QuantQ8,
+            CodecSpec::QuantQ4,
+            CodecSpec::TopK { density: 0.5 },
+        ];
+        for codec in codecs {
+            let bytes = codec.encode(&wire_payload());
+            let received = bits(&codec.decode(&bytes).unwrap());
+            let wire = bytes.len() as u64;
+            if matches!(codec, CodecSpec::Raw) {
+                // Raw hands every receiver the sender's payload bit for bit.
+                assert_eq!(received, bits(&wire_payload()));
+            }
+
+            let mut ctx = RoundContext::new(4, codec, 1);
+            assert_eq!(bits(&ctx.upload(1, wire_payload())), received, "{codec:?}");
+            assert_eq!(charged(&ctx, 4), (vec![0, wire, 0, 0], vec![0; 4]), "{codec:?}");
+
+            let mut ctx = RoundContext::new(4, codec, 1);
+            assert_eq!(bits(&ctx.download(2, wire_payload())), received, "{codec:?}");
+            assert_eq!(charged(&ctx, 4), (vec![0; 4], vec![0, 0, wire, 0]), "{codec:?}");
+
+            // One encode, and each recipient is charged exactly once.
+            let mut ctx = RoundContext::new(4, codec, 1);
+            assert_eq!(bits(&ctx.broadcast(&[0, 2, 3], wire_payload())), received, "{codec:?}");
+            assert_eq!(charged(&ctx, 4), (vec![0; 4], vec![wire, 0, wire, wire]), "{codec:?}");
+        }
     }
 
     #[test]

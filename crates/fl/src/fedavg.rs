@@ -119,17 +119,8 @@ impl FederatedAlgorithm for FedAvg {
     /// batch average.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         // One broadcast payload: encoded once, every recipient charged its
-        // wire size and handed the same decoded state (lossless codecs
-        // broadcast the snapshot itself — no wire round-trip).
-        let (global_sd, down_wire) = {
-            let sd = state_dict(self.global.as_ref());
-            if ctx.lossless() {
-                let wire = ctx.wire_size(&sd);
-                (sd, wire)
-            } else {
-                ctx.through_wire(&sd)
-            }
-        };
+        // wire size and handed the same decoded state.
+        let global_sd = ctx.broadcast(active, state_dict(self.global.as_ref()));
         // The data is the only per-device state (models are rebuilt from
         // the broadcast snapshot on the workers). Shards sampled for the
         // first time are synthesized into the store's cache here, and each
@@ -177,20 +168,11 @@ impl FederatedAlgorithm for FedAvg {
         let mut fold = StreamingAverage::new(total);
         let mut loss_sum = 0.0f32;
         for (&dev, (loss, sd)) in active.iter().zip(results) {
-            ctx.comm.record_download(dev, down_wire);
             loss_sum += loss;
             let weight = self.shards.shard_len(dev) as f32;
             // The server aggregates what it received over the wire, not
-            // the device's exact local state (a lossless codec makes the
-            // two identical, so the update moves without a round-trip).
-            if ctx.lossless() {
-                ctx.comm.record_upload(dev, ctx.wire_size(&sd));
-                fold.fold(weight, &sd);
-            } else {
-                let (uploaded, up_wire) = ctx.through_wire(&sd);
-                ctx.comm.record_upload(dev, up_wire);
-                fold.fold(weight, &uploaded);
-            }
+            // the device's exact local state.
+            fold.fold(weight, &ctx.upload(dev, sd));
         }
         self.pending = Some(fold);
         loss_sum / active.len().max(1) as f32

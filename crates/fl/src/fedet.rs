@@ -204,11 +204,9 @@ impl FederatedAlgorithm for FedEt {
         self.pending.clear();
         for (&k, (loss, sd)) in active.iter().zip(results) {
             loss_sum += loss;
-            let (decoded, wire) = ctx.through_wire(&sd);
-            ctx.comm.record_upload(k, wire);
             load_state_dict(self.fleet.model(k), &sd)
                 .expect("fleet result matches device architecture");
-            self.pending.push((k, decoded));
+            self.pending.push((k, ctx.upload(k, sd)));
         }
         loss_sum / active.len().max(1) as f32
     }
@@ -322,9 +320,7 @@ impl FederatedAlgorithm for FedEt {
         let results = train_local_fleet(&jobs, self.io, ctx.threads());
         drop(jobs);
         for (&k, (_, sd)) in ids.iter().zip(results) {
-            let (decoded, wire) = ctx.through_wire(&sd);
-            ctx.comm.record_download(k, wire);
-            load_state_dict(self.fleet.model(k), &decoded)
+            load_state_dict(self.fleet.model(k), &ctx.download(k, sd))
                 .expect("transfer result matches device architecture");
         }
     }

@@ -311,10 +311,7 @@ impl FederatedAlgorithm for FedGkt {
                     ..Default::default()
                 },
             );
-            let bundle = self.bundle(k, shard);
-            let (decoded, wire) = ctx.through_wire(&bundle);
-            ctx.comm.record_upload(k, wire);
-            pending.push((k, decoded));
+            pending.push((k, ctx.upload(k, self.bundle(k, shard))));
         }
         self.digested_this_round = digested;
         self.pending = pending;
@@ -355,8 +352,7 @@ impl FederatedAlgorithm for FedGkt {
                 soft
             };
             let reply = StateDict { params: vec![soft], buffers: vec![] };
-            let (mut decoded, wire) = ctx.through_wire(&reply);
-            ctx.comm.record_download(k, wire);
+            let mut decoded = ctx.download(k, reply);
             self.soft[k] = Some(decoded.params.pop().expect("soft-label tensor"));
         }
     }
@@ -433,12 +429,16 @@ impl FederatedAlgorithm for FedGkt {
 
     fn load_state(&mut self, state: &AlgoState) -> Result<(), String> {
         self.fleet.load_from(state)?;
+        let (_, classes, _) = self.io;
         for k in 0..self.soft.len() {
             let soft_name = format!("soft_{k}");
             self.soft[k] = if state.has_blob(&soft_name) {
+                // Next round's digest gathers one soft-label row per shard
+                // sample, so any other shape is a stale checkpoint.
+                let shape = [self.shards.shard_len(k), classes];
                 let mut sd = state.dict(&soft_name)?;
-                if sd.params.len() != 1 {
-                    return Err(format!("soft_{k} must hold exactly one tensor"));
+                if sd.params.len() != 1 || sd.params[0].shape() != shape {
+                    return Err(format!("soft_{k} must hold exactly one {shape:?} tensor"));
                 }
                 Some(sd.params.pop().expect("checked above"))
             } else {
@@ -602,6 +602,28 @@ mod tests {
         resumed.resume_from(&ck).expect("resume");
         let log = resumed.run().clone();
         assert_eq!(log.to_json(), reference.to_json());
+    }
+
+    #[test]
+    fn resume_refuses_a_soft_label_tensor_of_the_wrong_shape() {
+        let mut first = setup(default_sim());
+        first.round(0);
+        let ck = first.checkpoint();
+        let rows = first.algorithm().shards.shard_len(0);
+        for shape in [[rows - 1, 4], [rows, 3]] {
+            let mut stale = ck.clone();
+            stale.algo.blobs.retain(|(name, _)| name != "soft_0");
+            stale.algo.put_dict(
+                "soft_0",
+                &StateDict {
+                    params: vec![Tensor::zeros(&shape)],
+                    buffers: vec![],
+                },
+            );
+            let err = setup(default_sim()).resume_from(&stale).unwrap_err();
+            assert!(err.contains("soft_0"), "{shape:?}: {err}");
+        }
+        setup(default_sim()).resume_from(&ck).expect("the unedited checkpoint resumes");
     }
 
     /// A MobileNetV2 split model (inverted residuals with and without an

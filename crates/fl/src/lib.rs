@@ -57,9 +57,10 @@
 //!
 //! Implement [`FederatedAlgorithm`]: put device-side work (local SGD,
 //! logit scoring, …) in `local_update`, server-side aggregation in
-//! `server_update`, push every transmitted payload through
-//! [`RoundContext::through_wire`] (recording the returned wire size into
-//! the tracker, and handing the *decoded* state to the receiving side),
+//! `server_update`, send every transmitted payload with
+//! [`RoundContext::upload`], [`RoundContext::download`] or
+//! [`RoundContext::broadcast`] (each encodes it once, charges its wire
+//! size, and returns the *decoded* state to hand the receiving side),
 //! and keep inactive devices untouched. The driver then gives you
 //! stragglers, wire-format codecs, comm accounting, simulated time,
 //! evaluation cadence and run logging for free — and the workspace's
@@ -131,7 +132,6 @@ pub use aggregate::{average_state_dicts, StreamingAverage};
 pub use checkpoint::{AlgoState, SimCheckpoint};
 pub use churn::{ChurnProcess, ChurnSpec};
 pub use codec::{CodecError, CodecSpec, PayloadCodec};
-pub use comm::CommTracker;
 pub use driver::{
     ErasedSimulation, FederatedAlgorithm, RoundContext, SimConfig, Simulation, SimulationBuilder,
 };

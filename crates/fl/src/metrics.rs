@@ -222,7 +222,9 @@ impl RunLog {
 
     /// Write the log as `<dir>/<name>.csv` and `<dir>/<name>.json`,
     /// creating `dir` if needed — the artifact pair every example and
-    /// experiment binary emits.
+    /// experiment binary emits. Each file is written to a `.part` sibling
+    /// and renamed into place, so a reader never sees a torn artifact, and
+    /// the JSON (the file that marks a `serve` cell done) lands last.
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -233,8 +235,13 @@ impl RunLog {
     ) -> std::io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{name}.csv")), self.to_csv())?;
-        std::fs::write(dir.join(format!("{name}.json")), self.to_json())
+        for (ext, text) in [("csv", self.to_csv()), ("json", self.to_json())] {
+            let path = dir.join(format!("{name}.{ext}"));
+            let part = dir.join(format!("{name}.{ext}.part"));
+            std::fs::write(&part, text)?;
+            std::fs::rename(&part, path)?;
+        }
+        Ok(())
     }
 
     /// Render as CSV (header + one row per round).

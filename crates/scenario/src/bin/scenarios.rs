@@ -23,10 +23,10 @@
 //! `serve` is the long-run form of `sweep`: the same grid expansion, but
 //! the queue's state lives on disk in `--out`, so a killed process loses
 //! at most `--checkpoint-every` rounds per in-flight cell. On restart it
-//! skips cells whose `<name>.json` artifact already exists, resumes cells
-//! with a `<name>.ckpt` snapshot from that exact round, and starts the
-//! rest fresh; a cell that panics is isolated and reported without taking
-//! down the queue.
+//! skips cells whose `<name>.json` artifact holds all of the cell's
+//! rounds, resumes cells with a `<name>.ckpt` snapshot from that exact
+//! round, and starts the rest fresh; a cell that panics is isolated and
+//! reported without taking down the queue.
 //!
 //! `repro <target>` regenerates one artifact of the paper's evaluation
 //! (`fedzkt_scenario::repro` holds the table of targets): it builds the
@@ -34,7 +34,7 @@
 //! `sweep`, and writes the target's CSV (or JSON) into `--out`.
 
 use fedzkt_data::Partition;
-use fedzkt_fl::{CodecSpec, ErasedSimulation, RoundMetrics, SimCheckpoint};
+use fedzkt_fl::{CodecSpec, ErasedSimulation, RoundMetrics, RunLog, SimCheckpoint};
 use fedzkt_scenario::{
     presets, repro, resolve, run_cells, standard_algorithm, standard_zoo, Scenario, Tier,
 };
@@ -305,7 +305,7 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<RunOptions, String> {
     Ok(opts)
 }
 
-fn write_artifacts(log: &fedzkt_fl::RunLog, dir: &PathBuf, name: &str) -> Result<(), String> {
+fn write_artifacts(log: &RunLog, dir: &PathBuf, name: &str) -> Result<(), String> {
     log.write_artifacts(dir, name)
         .map_err(|e| format!("writing artifacts for {name}: {e}"))?;
     println!("  [artifacts] {}/{name}.{{csv,json}}", dir.display());
@@ -650,7 +650,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// How a serve cell stands, derived entirely from the artifact directory —
 /// the queue has no state file to corrupt or lose.
 enum CellStatus {
-    /// `<name>.json` artifact present: nothing to do.
+    /// `<name>.json` holds the cell's complete log: nothing to do.
     Done,
     /// `<name>.ckpt` present: continue from its round.
     Resumable,
@@ -658,10 +658,16 @@ enum CellStatus {
     Fresh,
 }
 
-fn cell_status(dir: &Path, name: &str) -> CellStatus {
-    if dir.join(format!("{name}.json")).exists() {
+fn cell_status(dir: &Path, cell: &Scenario) -> CellStatus {
+    // Done means a complete log of this cell: a torn file, or one left by
+    // an edited scenario that reuses the cell name, is run again.
+    let done = std::fs::read_to_string(dir.join(format!("{}.json", cell.name)))
+        .ok()
+        .and_then(|text| RunLog::from_json(&text).ok())
+        .is_some_and(|log| log.rounds.len() == cell.sim.rounds);
+    if done {
         CellStatus::Done
-    } else if checkpoint_path(dir, name).exists() {
+    } else if checkpoint_path(dir, &cell.name).exists() {
         CellStatus::Resumable
     } else {
         CellStatus::Fresh
@@ -716,7 +722,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut resuming = 0;
     let mut pending: Vec<&Scenario> = Vec::new();
     for cell in &cells {
-        match cell_status(&dir, &cell.name) {
+        match cell_status(&dir, cell) {
             CellStatus::Done => done += 1,
             CellStatus::Resumable => {
                 resuming += 1;

@@ -102,11 +102,11 @@
 //!   fleet-parallel;
 //! * `serve <name|file> [axes]` — the durable form of `sweep`: a job
 //!   queue whose state is the artifact directory itself (`<name>.json`
-//!   present = done, `<name>.ckpt` = half-run, else fresh), so a killed
-//!   process loses at most `--checkpoint-every` rounds per in-flight
-//!   cell and a restart picks up exactly where it stopped; panicking
-//!   cells are isolated and reported, and `--stop-after N` bounds one
-//!   invocation's work;
+//!   holding every round = done, `<name>.ckpt` = half-run, else
+//!   fresh), so a killed process loses at most `--checkpoint-every`
+//!   rounds per in-flight cell and a restart picks up exactly where it
+//!   stopped; panicking cells are isolated and reported, and
+//!   `--stop-after N` bounds one invocation's work;
 //! * `repro <target|list> [--scale tiny|quick|paper] [--seed N]
 //!   [--threads N] [--out DIR]` — regenerate one table or figure of the
 //!   paper's evaluation from the [`repro`] table of targets.

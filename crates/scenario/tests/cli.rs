@@ -97,3 +97,35 @@ fn run_refuses_to_resume_into_a_halt_it_has_passed() {
     assert!(!stdout.contains("halted after"), "{stdout}");
     assert_eq!(std::fs::read(&ckpt).expect("checkpoint kept"), written, "checkpoint rewritten");
 }
+
+#[test]
+fn serve_reruns_a_cell_whose_log_is_torn() {
+    // A kill mid-write used to leave a truncated `<cell>.json` that `serve`
+    // counted as done ("1 already done") and never repaired. Only a log
+    // that parses with every one of the cell's rounds marks it done.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-torn-artifact");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let artifact = dir.join("tiny_s1.json");
+    std::fs::write(&artifact, "{\"rounds\": [{\"round\": 1, \"avg_dev").expect("write");
+    let out = dir.to_str().expect("utf-8 temp path");
+
+    let (code, stdout, stderr) = scenarios(&["serve", "tiny", "--seeds", "1", "--out", out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("(0 already done, 0 resuming, 1 fresh, 0 deferred)"), "{stdout}");
+    assert!(stdout.contains("[done] tiny_s1"), "{stdout}");
+    let text = std::fs::read_to_string(&artifact).expect("the rerun rewrites the log");
+    let log = fedzkt_fl::RunLog::from_json(&text).expect("a complete log");
+    assert_eq!(log.rounds.len(), 2, "tiny runs two rounds");
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .expect("out dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .filter(|name| name.ends_with(".part") || name.ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "{leftovers:?}");
+
+    // Done now: a second serve finds nothing to run.
+    let (code, stdout, stderr) = scenarios(&["serve", "tiny", "--seeds", "1", "--out", out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("(1 already done,"), "{stdout}");
+}

@@ -349,7 +349,7 @@ fn fedgkt_templates_are_per_sample_and_asymmetric() {
     }
 }
 
-/// The lossy codecs genuinely shrink what the tracker records — the
+/// The lossy codecs genuinely shrink what the round charges — the
 /// invariant above is not satisfied by everything reporting raw sizes.
 #[test]
 fn lossy_codecs_record_less_traffic_than_raw() {
