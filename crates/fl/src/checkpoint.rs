@@ -302,7 +302,7 @@ impl SimCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RoundMetrics;
+    use crate::{AccuracyRow, RoundMetrics};
     use fedzkt_tensor::Tensor;
 
     fn sample() -> SimCheckpoint {
@@ -316,7 +316,7 @@ mod tests {
         let mut log = RunLog::new();
         log.push(RoundMetrics {
             avg_device_accuracy: 0.5,
-            device_accuracy: vec![0.5],
+            device_accuracy: vec![0.5].into(),
             sim_seconds: 12.25,
             ..RoundMetrics::new(1)
         });
@@ -346,7 +346,8 @@ mod tests {
     fn repeated_accuracies_roundtrip_inside_a_checkpoint() {
         let mut ck = sample();
         for (k, values) in crate::metrics::tests::repetitive_accuracies().into_iter().enumerate() {
-            ck.log.push(RoundMetrics { device_accuracy: values, ..RoundMetrics::new(k + 2) });
+            let device_accuracy = values.into();
+            ck.log.push(RoundMetrics { device_accuracy, ..RoundMetrics::new(k + 2) });
         }
         ck.rounds_done = ck.log.rounds.len();
         let json = ck.to_json();
@@ -354,7 +355,7 @@ mod tests {
         let back = SimCheckpoint::from_json(&json).expect("parse back");
         assert_eq!(back.log.rounds.len(), ck.log.rounds.len());
         for (a, b) in ck.log.rounds.iter().zip(&back.log.rounds) {
-            let bits = |v: &[f32]| -> Vec<Option<u32>> {
+            let bits = |v: &AccuracyRow| -> Vec<Option<u32>> {
                 v.iter().map(|x| x.is_finite().then(|| x.to_bits())).collect()
             };
             assert_eq!(bits(&a.device_accuracy), bits(&b.device_accuracy));

@@ -22,7 +22,7 @@
 use crate::checkpoint::{AlgoState, SimCheckpoint, CHECKPOINT_VERSION};
 use crate::comm::CommTracker;
 use crate::{
-    evaluate, ChurnProcess, ChurnSpec, CodecSpec, DeviceRegistry, DeviceResources,
+    evaluate, AccuracyRow, ChurnProcess, ChurnSpec, CodecSpec, DeviceRegistry, DeviceResources,
     ParticipationSampler, PayloadCodec, RoundMetrics, RoundParticipant, RunLog, SimClock,
 };
 use fedzkt_data::Dataset;
@@ -389,9 +389,10 @@ pub trait ErasedSimulation {
 }
 
 /// Accuracies from the most recent evaluation, carried forward over
-/// rounds the cadence skips.
+/// rounds the cadence skips (a copy per round, O(1) for a fleet that
+/// scores alike).
 struct EvalSnapshot {
-    device_accuracy: Vec<f32>,
+    device_accuracy: AccuracyRow,
     avg: f32,
     global: Option<f32>,
 }
@@ -565,7 +566,7 @@ impl<A: FederatedAlgorithm> Simulation<A> {
                 }
             }
         };
-        let device_accuracy: Vec<f32> =
+        let device_accuracy: AccuracyRow =
             (0..n).map(|k| eval_cached(self.algo.device_model(k))).collect();
         let avg = device_accuracy.iter().sum::<f32>() / n.max(1) as f32;
         let global = self.algo.global_model().map(&mut eval_cached);
@@ -1195,7 +1196,7 @@ mod tests {
         assert!(clocked(2, cfg).resume_from(&short).unwrap_err().contains("in order"));
         // An accuracy row that is not one entry per device.
         let mut ragged = ck;
-        ragged.log.rounds[0].device_accuracy.push(0.5);
+        ragged.log.rounds[0].device_accuracy = vec![0.5, 0.25, 0.5].into();
         assert!(clocked(2, cfg).resume_from(&ragged).unwrap_err().contains("device accuracies"));
     }
 
@@ -1293,8 +1294,7 @@ mod tests {
         let mut sim = Simulation::builder(algo, test_set(), cfg).build();
         let log = sim.run().clone();
         let r = &log.rounds[0];
-        assert!(r.device_accuracy.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(r.global_accuracy, Some(r.device_accuracy[0]));
+        assert_eq!(r.device_accuracy.uniform(), r.global_accuracy, "one model, one stored score");
         assert!((r.avg_device_accuracy - r.device_accuracy[0]).abs() < 1e-5);
         // Evaluation is side-effect-free on the model.
         assert_eq!(state_dict(sim.algorithm().model.as_ref()), before);

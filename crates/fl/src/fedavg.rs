@@ -386,11 +386,10 @@ mod tests {
     fn device_accuracy_equals_global_accuracy() {
         let mut sim = setup(0.0, 1.0);
         let metrics = sim.round(0);
-        // One shared model: every device reports the same accuracy, which
-        // is also the global accuracy (the average may differ by an ulp
-        // from the summation).
-        assert!(metrics.device_accuracy.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(metrics.global_accuracy, Some(metrics.device_accuracy[0]));
+        // One shared model: every device reports the same accuracy, stored
+        // once, which is also the global accuracy (the average may differ
+        // by an ulp from the summation).
+        assert_eq!(metrics.device_accuracy.uniform(), metrics.global_accuracy);
         assert!((metrics.avg_device_accuracy - metrics.device_accuracy[0]).abs() < 1e-5);
     }
 

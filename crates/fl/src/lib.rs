@@ -140,7 +140,7 @@ pub use fedavg::{FedAvg, FedAvgConfig};
 pub use fedet::{FedEt, FedEtConfig};
 pub use fedgkt::{FedGkt, FedGktConfig, SplitModel};
 pub use fleet::{DeviceFleet, ShardStore};
-pub use metrics::{RoundMetrics, RunLog};
+pub use metrics::{AccuracyRow, RoundMetrics, RunLog};
 pub use participation::ParticipationSampler;
 pub use registry::DeviceRegistry;
 pub use simclock::{DeviceResources, RoundParticipant, SimClock};

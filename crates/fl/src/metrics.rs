@@ -1,7 +1,132 @@
 //! Per-round metrics and run logs.
 
 use crate::json::{self, FromJson, Value};
-use std::fmt::Write;
+use std::fmt::{self, Write};
+use std::ops::Index;
+
+/// One evaluation's per-device test accuracies, in device order.
+///
+/// Devices that hold the same model score the same bits, as every device
+/// does under FedAvg/FedProx; such a row is stored as one value and a
+/// device count, so carrying it into every later round and every
+/// checkpoint costs O(1) however large the fleet. Any other row is stored
+/// per device. The one constructor ([`FromIterator`], which
+/// `From<Vec<f32>>` and the JSON reader go through) keeps the choice
+/// canonical: a non-empty row whose values all share their bits is always
+/// the compact one. The choice is invisible outside this type: equality
+/// is element-wise (so NaN ≠ NaN, as for `Vec<f32>`), `Debug` prints the
+/// list, and the JSON writer spells out every element.
+#[derive(Clone, Default)]
+pub struct AccuracyRow(Row);
+
+#[derive(Clone)]
+enum Row {
+    /// `len ≥ 1` devices, each scoring `value`'s bits.
+    Uniform { value: f32, len: usize },
+    /// Any other row, the empty one included.
+    PerDevice(Vec<f32>),
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::PerDevice(Vec::new())
+    }
+}
+
+impl AccuracyRow {
+    /// Number of devices in the row.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Row::Uniform { len, .. } => *len,
+            Row::PerDevice(values) => values.len(),
+        }
+    }
+
+    /// Is the row empty (a round before the first evaluation)?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The accuracies in device order.
+    pub fn iter(&self) -> impl Iterator<Item = f32> + '_ {
+        let (uniform, per_device) = match &self.0 {
+            Row::Uniform { value, len } => (std::iter::repeat_n(*value, *len), &[][..]),
+            Row::PerDevice(values) => (std::iter::repeat_n(0.0, 0), &values[..]),
+        };
+        uniform.chain(per_device.iter().copied())
+    }
+
+    /// The one value every device scored, when the row is stored as one.
+    pub fn uniform(&self) -> Option<f32> {
+        match self.0 {
+            Row::Uniform { value, .. } => Some(value),
+            Row::PerDevice(_) => None,
+        }
+    }
+}
+
+/// The canonical constructor: a non-empty run of values with one bit
+/// pattern is counted, not stored.
+impl FromIterator<f32> for AccuracyRow {
+    fn from_iter<I: IntoIterator<Item = f32>>(values: I) -> Self {
+        let mut values = values.into_iter();
+        let Some(value) = values.next() else {
+            return AccuracyRow::default();
+        };
+        let mut len = 1;
+        while let Some(next) = values.next() {
+            if next.to_bits() != value.to_bits() {
+                let mut row = Vec::with_capacity(len + 1 + values.size_hint().0);
+                row.resize(len, value);
+                row.push(next);
+                row.extend(values);
+                return AccuracyRow(Row::PerDevice(row));
+            }
+            len += 1;
+        }
+        AccuracyRow(Row::Uniform { value, len })
+    }
+}
+
+impl From<Vec<f32>> for AccuracyRow {
+    fn from(values: Vec<f32>) -> Self {
+        values.into_iter().collect()
+    }
+}
+
+impl Index<usize> for AccuracyRow {
+    type Output = f32;
+
+    fn index(&self, device: usize) -> &f32 {
+        match &self.0 {
+            Row::Uniform { value, len } => {
+                assert!(device < *len, "device {device} out of range for a row of {len}");
+                value
+            }
+            Row::PerDevice(values) => &values[device],
+        }
+    }
+}
+
+impl PartialEq for AccuracyRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+    }
+}
+
+impl fmt::Debug for AccuracyRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A JSON array of floats (`null` reads as NaN), in canonical form.
+impl FromJson<'_> for AccuracyRow {
+    fn from_json(value: &Value<'_>) -> Result<Self, String> {
+        let items = value.as_array().ok_or("not an array")?;
+        items.iter().map(f32::from_json).collect()
+    }
+}
 
 /// Metrics recorded after one communication round.
 #[derive(Debug, Clone, PartialEq)]
@@ -11,8 +136,10 @@ pub struct RoundMetrics {
     /// Mean test accuracy over on-device models (the paper's "average
     /// accuracy").
     pub avg_device_accuracy: f32,
-    /// Per-device test accuracies.
-    pub device_accuracy: Vec<f32>,
+    /// Per-device test accuracies from the latest evaluation, carried
+    /// forward over rounds the cadence skips (empty before the first). A
+    /// fleet that scores alike is stored as one value ([`AccuracyRow`]).
+    pub device_accuracy: AccuracyRow,
     /// Global/server model test accuracy, when the algorithm has one.
     pub global_accuracy: Option<f32>,
     /// Mean last-epoch local training loss over active devices.
@@ -52,7 +179,7 @@ impl RoundMetrics {
         RoundMetrics {
             round,
             avg_device_accuracy: 0.0,
-            device_accuracy: Vec::new(),
+            device_accuracy: AccuracyRow::default(),
             global_accuracy: None,
             train_loss: 0.0,
             upload_bytes: 0,
@@ -148,9 +275,13 @@ impl RunLog {
                 out.push_str("null");
             }
         }
-        fn list<T: Copy>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, T)) {
+        fn list<T>(
+            out: &mut String,
+            items: impl IntoIterator<Item = T>,
+            mut write: impl FnMut(&mut String, T),
+        ) {
             out.push('[');
-            for (i, &item) in items.iter().enumerate() {
+            for (i, item) in items.into_iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -181,7 +312,7 @@ impl RunLog {
             let _ = write!(out, "{{\"round\":{},\"avg_device_accuracy\":", r.round);
             float(out, r.avg_device_accuracy);
             out.push_str(",\"device_accuracy\":");
-            list(out, &r.device_accuracy, &mut accuracy);
+            list(out, r.device_accuracy.iter(), &mut accuracy);
             out.push_str(",\"global_accuracy\":");
             match r.global_accuracy {
                 Some(g) => float(out, g),
@@ -196,7 +327,7 @@ impl RunLog {
             );
             float(out, r.sim_seconds);
             out.push_str(",\"active_devices\":");
-            list(out, &r.active_devices, |out, d| {
+            list(out, r.active_devices.iter(), |out, d| {
                 let _ = write!(out, "{d}");
             });
             let _ = write!(
@@ -273,6 +404,209 @@ impl RunLog {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::SimCheckpoint;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The writer every committed RunLog came from, kept as the byte
+    /// oracle for [`AccuracyRow`]: each row is spelled from a `Vec<f32>`.
+    pub(crate) fn vec_row_json(log: &RunLog) -> String {
+        fn float<T: Copy + std::fmt::Display + Into<f64>>(out: &mut String, v: T) {
+            if v.into().is_finite() {
+                let _ = write!(out, "{v}");
+            } else {
+                out.push_str("null");
+            }
+        }
+        fn list<T: Copy>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, T)) {
+            out.push('[');
+            for (i, &item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write(out, item);
+            }
+            out.push(']');
+        }
+        let mut out = String::new();
+        let (mut last_bits, mut last_text) = (None, String::new());
+        let mut accuracy = |out: &mut String, v: f32| {
+            if last_bits == Some(v.to_bits()) {
+                out.push_str(&last_text);
+            } else {
+                let start = out.len();
+                float(out, v);
+                last_bits = Some(v.to_bits());
+                last_text.clear();
+                last_text.push_str(&out[start..]);
+            }
+        };
+        out.push_str("{\"rounds\":[");
+        for (i, r) in log.rounds.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{{\"round\":{},\"avg_device_accuracy\":", r.round);
+            float(&mut out, r.avg_device_accuracy);
+            out.push_str(",\"device_accuracy\":");
+            let row: Vec<f32> = r.device_accuracy.iter().collect();
+            list(&mut out, &row, &mut accuracy);
+            out.push_str(",\"global_accuracy\":");
+            match r.global_accuracy {
+                Some(g) => float(&mut out, g),
+                None => out.push_str("null"),
+            }
+            out.push_str(",\"train_loss\":");
+            float(&mut out, r.train_loss);
+            let _ = write!(
+                out,
+                ",\"upload_bytes\":{},\"download_bytes\":{},\"sim_seconds\":",
+                r.upload_bytes, r.download_bytes
+            );
+            float(&mut out, r.sim_seconds);
+            out.push_str(",\"active_devices\":");
+            list(&mut out, &r.active_devices, |out, d| {
+                let _ = write!(out, "{d}");
+            });
+            let _ = write!(
+                out,
+                ",\"registered_devices\":{},\"peak_resident_devices\":{},\
+                 \"available_devices\":{},\"dropped_devices\":{}}}",
+                r.registered_devices,
+                r.peak_resident_devices,
+                r.available_devices,
+                r.dropped_devices,
+            );
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// Values a row is drawn from: both zeros, two NaN payloads, both
+    /// infinities, subnormals and ordinary accuracies.
+    const PALETTE: [f32; 10] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::from_bits(0x7fc0_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        f32::MIN_POSITIVE / 3.0,
+        0.5,
+        0.123_456_79,
+    ];
+
+    /// A row of one of five shapes: empty, single, all-equal,
+    /// all-equal-but-one, or mixed.
+    fn shaped_row((shape, len, a, b, pick): (usize, usize, usize, usize, Vec<usize>)) -> Vec<f32> {
+        let (a, b) = (PALETTE[a], PALETTE[b]);
+        match shape {
+            0 => Vec::new(),
+            1 => vec![a],
+            2 => vec![a; len],
+            3 => {
+                let mut row = vec![a; len];
+                row[pick[0] % len] = b;
+                row
+            }
+            _ => pick.iter().map(|&i| PALETTE[i % PALETTE.len()]).collect(),
+        }
+    }
+
+    /// Is `row` one bit pattern repeated (the compact form's condition)?
+    fn one_pattern(row: &[f32]) -> bool {
+        row.first().is_some_and(|v| row.iter().all(|x| x.to_bits() == v.to_bits()))
+    }
+
+    #[test]
+    fn rows_are_canonical_and_compare_element_wise() {
+        for row in [vec![0.5; 4], vec![f32::NAN], vec![-0.0; 2]] {
+            let compact = AccuracyRow::from(row.clone());
+            assert_eq!(compact.uniform().map(f32::to_bits), Some(row[0].to_bits()));
+        }
+        let other_nan = f32::from_bits(0x7fc0_0001);
+        for row in [vec![], vec![0.0, -0.0], vec![f32::NAN, other_nan], vec![0.5, 0.5, 0.25]] {
+            let compact = AccuracyRow::from(row.clone());
+            assert_eq!(compact.uniform(), None, "{row:?}");
+            assert_eq!(compact.len(), row.len());
+            assert_eq!(format!("{compact:?}"), format!("{row:?}"));
+        }
+        let uniform = AccuracyRow::from(vec![0.25; 3]);
+        assert_eq!((uniform.len(), uniform[2]), (3, 0.25));
+        assert_eq!(format!("{uniform:?}"), "[0.25, 0.25, 0.25]");
+        // Element-wise, like `Vec<f32>`: NaN ≠ NaN, 0.0 == −0.0.
+        assert_ne!(AccuracyRow::from(vec![f32::NAN; 2]), AccuracyRow::from(vec![f32::NAN; 2]));
+        assert_eq!(AccuracyRow::from(vec![0.0; 2]), AccuracyRow::from(vec![0.0, -0.0]));
+        assert_ne!(AccuracyRow::from(vec![0.5; 2]), AccuracyRow::from(vec![0.5; 3]));
+        assert_eq!(AccuracyRow::from(vec![]), AccuracyRow::default());
+        assert!(AccuracyRow::default().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_uniform_row_is_indexed_within_its_length() {
+        let _ = AccuracyRow::from(vec![0.5; 3])[3];
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compact rows write the bytes the `Vec<f32>` writer wrote,
+        /// in a RunLog, its CSV and a checkpoint, and read back canonical.
+        #[test]
+        fn compact_rows_keep_every_byte(
+            rows in vec(
+                (0usize..5, 1usize..24, 0usize..10, 0usize..10, vec(0usize..100, 1..24))
+                    .prop_map(shaped_row),
+                0..6,
+            )
+        ) {
+            let mut log = RunLog::new();
+            for (k, row) in rows.iter().enumerate() {
+                let device_accuracy = AccuracyRow::from(row.clone());
+                prop_assert_eq!(device_accuracy.uniform().is_some(), one_pattern(row));
+                let round = RoundMetrics::new(k + 1);
+                log.push(RoundMetrics { avg_device_accuracy: 0.25, device_accuracy, ..round });
+            }
+            let json = vec_row_json(&log);
+            prop_assert_eq!(&log.to_json(), &json);
+            let back = RunLog::from_json(&json).expect("oracle bytes parse");
+            prop_assert_eq!(back.to_csv(), log.to_csv());
+            // Finite values read back bit for bit and non-finite ones as NaN,
+            // so the canonical form is decided on the values read.
+            let spelled = |v: f32| v.is_finite().then(|| v.to_bits());
+            for (row, read) in rows.iter().zip(&back.rounds) {
+                let values: Vec<f32> = read.device_accuracy.iter().collect();
+                prop_assert_eq!(
+                    values.iter().map(|&v| spelled(v)).collect::<Vec<_>>(),
+                    row.iter().map(|&v| spelled(v)).collect::<Vec<_>>()
+                );
+                prop_assert!(values.iter().all(|v| v.is_finite() || v.is_nan()));
+                prop_assert_eq!(read.device_accuracy.uniform().is_some(), one_pattern(&values));
+            }
+            let ck = SimCheckpoint {
+                version: crate::checkpoint::CHECKPOINT_VERSION,
+                seed: 3,
+                devices: 24,
+                rounds_done: log.rounds.len(),
+                clock_now: None,
+                algo: crate::AlgoState::new(),
+                log,
+            };
+            let envelope = SimCheckpoint { log: RunLog::new(), ..ck.clone() }.to_json();
+            let envelope = envelope.strip_suffix("{\"rounds\":[]}}").expect("log is last");
+            let ck_json = ck.to_json();
+            prop_assert_eq!(&ck_json, &format!("{envelope}{json}}}"));
+            let ck_back = SimCheckpoint::from_json(&ck_json).expect("checkpoint parses");
+            for (read, again) in back.rounds.iter().zip(&ck_back.log.rounds) {
+                prop_assert_eq!(
+                    read.device_accuracy.uniform().map(f32::to_bits),
+                    again.device_accuracy.uniform().map(f32::to_bits)
+                );
+            }
+        }
+    }
 
     fn record(round: usize, acc: f32) -> RoundMetrics {
         RoundMetrics { avg_device_accuracy: acc, ..RoundMetrics::new(round) }
@@ -310,7 +644,7 @@ pub(crate) mod tests {
         log.push(RoundMetrics {
             round: 1,
             avg_device_accuracy: 0.123_456_79,
-            device_accuracy: vec![0.1, 0.2, 0.070_123_45],
+            device_accuracy: vec![0.1, 0.2, 0.070_123_45].into(),
             global_accuracy: Some(0.998),
             train_loss: 1.5e-3,
             upload_bytes: u64::MAX,
@@ -334,7 +668,7 @@ pub(crate) mod tests {
         for (a, b) in log.rounds.iter().zip(&back.rounds) {
             assert_eq!(a.sim_seconds.to_bits(), b.sim_seconds.to_bits());
             assert_eq!(a.avg_device_accuracy.to_bits(), b.avg_device_accuracy.to_bits());
-            for (x, y) in a.device_accuracy.iter().zip(&b.device_accuracy) {
+            for (x, y) in a.device_accuracy.iter().zip(b.device_accuracy.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
@@ -351,7 +685,8 @@ pub(crate) mod tests {
         log.push(RoundMetrics {
             round: 1,
             avg_device_accuracy: 0.123_456_79,
-            device_accuracy: vec![0.1, f32::NAN, f32::INFINITY, 0.070_123_45, -0.0, 1.0, 3.0e-9],
+            device_accuracy: vec![0.1, f32::NAN, f32::INFINITY, 0.070_123_45, -0.0, 1.0, 3.0e-9]
+                .into(),
             global_accuracy: Some(0.998),
             train_loss: f32::NEG_INFINITY,
             upload_bytes: u64::MAX,
@@ -373,7 +708,7 @@ pub(crate) mod tests {
         });
         log.push(RoundMetrics {
             avg_device_accuracy: 0.5,
-            device_accuracy: vec![0.25],
+            device_accuracy: vec![0.25].into(),
             global_accuracy: Some(f32::NAN),
             sim_seconds: f64::INFINITY,
             active_devices: vec![4],
@@ -426,7 +761,7 @@ pub(crate) mod tests {
 
     #[test]
     fn repeated_accuracies_keep_per_value_bytes() {
-        let per_value = |values: &[f32]| {
+        let per_value = |values: &AccuracyRow| {
             let text: Vec<String> = values
                 .iter()
                 .map(|v| if v.is_finite() { format!("{v}") } else { "null".into() })
@@ -443,9 +778,11 @@ pub(crate) mod tests {
         let lists = repetitive_accuracies();
         let mut log = RunLog::new();
         for values in &lists {
-            let round = RoundMetrics { device_accuracy: values.clone(), ..RoundMetrics::new(1) };
+            let device_accuracy = values.clone().into();
+            let round = RoundMetrics { device_accuracy, ..RoundMetrics::new(1) };
             let alone = RunLog { rounds: vec![round.clone()] };
-            assert_eq!(alone.to_json(), format!("{{\"rounds\":[{}]}}", per_value(values)));
+            let expected = per_value(&round.device_accuracy);
+            assert_eq!(alone.to_json(), format!("{{\"rounds\":[{expected}]}}"));
             log.push(round);
         }
         // The kept text carries across rounds, and the reverse order too:
@@ -458,7 +795,7 @@ pub(crate) mod tests {
         let back = RunLog::from_json(&json).expect("parse back");
         for (a, b) in log.rounds.iter().zip(&back.rounds) {
             assert_eq!(a.device_accuracy.len(), b.device_accuracy.len());
-            for (x, y) in a.device_accuracy.iter().zip(&b.device_accuracy) {
+            for (x, y) in a.device_accuracy.iter().zip(b.device_accuracy.iter()) {
                 if x.is_finite() {
                     assert_eq!(x.to_bits(), y.to_bits());
                 } else {
@@ -486,7 +823,7 @@ pub(crate) mod tests {
         log.push(RoundMetrics {
             train_loss: f32::NAN,
             avg_device_accuracy: f32::INFINITY,
-            device_accuracy: vec![0.5, f32::NAN],
+            device_accuracy: vec![0.5, f32::NAN].into(),
             ..RoundMetrics::new(1)
         });
         let json = log.to_json();

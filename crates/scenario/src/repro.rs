@@ -533,7 +533,7 @@ fn per_device_series(scenario: &Scenario, log: &RunLog) -> String {
     csv.push('\n');
     for round in &log.rounds {
         csv.push_str(&round.round.to_string());
-        for acc in &round.device_accuracy {
+        for acc in round.device_accuracy.iter() {
             csv.push_str(&format!(",{acc:.4}"));
         }
         csv.push('\n');

@@ -305,7 +305,7 @@ fn sample_log() -> RunLog {
     log.push(RoundMetrics {
         round: 1,
         avg_device_accuracy: 0.5,
-        device_accuracy: vec![0.25, 0.75],
+        device_accuracy: vec![0.25, 0.75].into(),
         global_accuracy: Some(0.625),
         train_loss: 1.5,
         upload_bytes: 1_000,
@@ -319,7 +319,7 @@ fn sample_log() -> RunLog {
     });
     log.push(RoundMetrics {
         avg_device_accuracy: 0.125,
-        device_accuracy: vec![0.125],
+        device_accuracy: vec![0.125].into(),
         sim_seconds: 3.0,
         active_devices: vec![1],
         registered_devices: 7,

@@ -126,7 +126,7 @@ fn assert_bit_identical(a: &RunLog, b: &RunLog) {
             rb.avg_device_accuracy.to_bits()
         );
         assert_eq!(ra.device_accuracy.len(), rb.device_accuracy.len());
-        for (x, y) in ra.device_accuracy.iter().zip(&rb.device_accuracy) {
+        for (x, y) in ra.device_accuracy.iter().zip(rb.device_accuracy.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         match (ra.global_accuracy, rb.global_accuracy) {

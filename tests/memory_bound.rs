@@ -138,3 +138,30 @@ fn churning_fleet_peak_residency_stays_o_of_sampled() {
         );
     }
 }
+
+/// A fleet that scores alike is stored alike: under FedAvg every device
+/// evaluates the one global model, so each evaluated round's accuracy row
+/// is one stored value and a device count — never 100 000 floats carried
+/// into every later round — and so is the row a checkpoint reads back.
+#[test]
+fn a_fleet_that_scores_alike_stores_one_accuracy_per_round() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/mega-fleet.json");
+    let mut sc = Scenario::load(path).expect("checked-in mega-fleet scenario");
+    sc.registered_devices = 100_000;
+    sc.data.train_n = 100_000;
+    sc.data.test_n = 32;
+    sc.sim.participation = 0.01;
+    sc.sim.rounds = 3;
+    sc.sim.eval_every = 1;
+
+    let mut sim = sc.build().expect("shrunk mega-fleet builds");
+    sim.round(0);
+    let ck = SimCheckpoint::from_json(&sim.checkpoint().to_json()).expect("checkpoint parses");
+    sim.run();
+    for round in ck.log.rounds.iter().chain(&sim.log().rounds) {
+        let row = &round.device_accuracy;
+        assert_eq!(row.len(), 100_000, "round {}", round.round);
+        assert!(row.uniform().is_some(), "round {}: stored per device", round.round);
+        assert_eq!(row.uniform(), round.global_accuracy, "round {}", round.round);
+    }
+}
