@@ -26,8 +26,9 @@
 //!   3-of-4 duty cycle it takes about 2.6 ms a round (one core of a
 //!   2-vCPU x86-64 Xeon, the benchmark's `fl.churn_available_ms` on
 //!   `fleet_wire`; 11–12 ms with two 64-bit divisions and a conditional
-//!   push per device), under half the participation sampler's shuffle
-//!   of the same pool.
+//!   push per device). The participation sampler that then picks from
+//!   the available pool takes one draw per *sampled* device, so it costs
+//!   a small fraction of this scan.
 //!
 //! The per-device static schedule packs three independent draws into one
 //! 64-bit hash (21 + 21 + 22 bits); at those resolutions the arrival and

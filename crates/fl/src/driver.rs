@@ -595,9 +595,8 @@ impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
             self.log.rounds.len()
         );
         // Sample from the round's available pool. Without churn the pool
-        // is the whole fleet and `active_among` is bit-identical to the
-        // pre-churn `active` path (same draws over the same positions),
-        // so attaching no churn changes nothing.
+        // is the whole fleet, over which `active_among` and `active` take
+        // the same draws over the same positions and return the same set.
         let (available, sampled) = match &self.churn {
             Some(churn) => {
                 let pool = churn.available(round);

@@ -1,7 +1,13 @@
 //! Active-device sampling: the straggler model of §IV-C3.
+//!
+//! Each round's participants are a uniform subset of the fleet (or of the
+//! round's available pool under churn), drawn by Floyd's algorithm from a
+//! stream seeded by `(seed, round)`: as many draws as devices sampled, so
+//! a round that samples 10³ of 10⁶ devices costs O(10³), not O(10⁶).
 
 use fedzkt_tensor::{seeded_rng, split_seed};
 use rand::RngExt;
+use std::collections::HashSet;
 
 /// Samples which devices participate in each round.
 ///
@@ -34,34 +40,29 @@ impl ParticipationSampler {
     }
 
     /// The sorted set of active devices for `round` (deterministic in
-    /// `(seed, round)`): the first [`ParticipationSampler::active_count`]
-    /// devices of a seeded Fisher–Yates shuffle of `0..devices`.
+    /// `(seed, round)`): a [`ParticipationSampler::active_count`]-subset
+    /// of `0..devices`, every such subset equally likely. At full
+    /// participation it is everyone, with no draw taken.
     pub fn active(&self, round: usize) -> Vec<usize> {
         let m = self.active_count();
         if m == self.devices {
             return (0..self.devices).collect();
         }
-        self.shuffled_prefix(round, self.devices, m)
+        self.sample_positions(round, self.devices, m)
     }
 
     /// The sorted active subset of `pool` for `round` — the churn-aware
     /// sampling path. The participation fraction applies to the pool
     /// (the round's *available* devices), so a thinned fleet still
     /// fields at least one participant while anyone is online, and an
-    /// empty pool yields an empty round.
+    /// empty pool yields an empty round. When the fraction covers the
+    /// whole pool, the pool comes back as given, with no draw taken.
     ///
-    /// The subset is the first `m` elements of a seeded Fisher–Yates
-    /// shuffle of `pool`, sorted. It is found without shuffling: run from
-    /// the end, the shuffle fixes position `i` at step `i`, so the *set*
-    /// left in the first `m` slots is final after step `m` and the last
-    /// `m − 1` draws only reorder it. The first `len − m` draws are taken
-    /// from the round's stream in the shuffle's order, then replayed in
-    /// reverse over a bitmap of the `m` tracked slots to find where each
-    /// came from. The cost is one sequential pass of draws plus
-    /// `len / 8` bytes of bitmap, and the answer depends only on the
-    /// stream and the pool's order — so over the full pool this is
-    /// bit-identical to [`ParticipationSampler::active`], and attaching
-    /// a quiescent churn model to a scenario changes nothing.
+    /// The subset is drawn over pool *positions* with the draws
+    /// [`ParticipationSampler::active`] takes over device ids, so over
+    /// the full pool `0..devices` the two agree exactly, and attaching a
+    /// quiescent churn model to a scenario changes nothing. Time and
+    /// memory follow the sample, not the pool.
     pub fn active_among(&self, round: usize, pool: &[usize]) -> Vec<usize> {
         if pool.is_empty() {
             return Vec::new();
@@ -71,40 +72,27 @@ impl ParticipationSampler {
             return pool.to_vec();
         }
         let mut active: Vec<usize> =
-            self.shuffled_prefix(round, pool.len(), m).into_iter().map(|p| pool[p]).collect();
+            self.sample_positions(round, pool.len(), m).into_iter().map(|p| pool[p]).collect();
         active.sort_unstable();
         active
     }
 
-    /// The positions, ascending, that a Fisher–Yates shuffle of `len`
-    /// elements on `round`'s stream leaves in its first `m < len` slots.
-    fn shuffled_prefix(&self, round: usize, len: usize, m: usize) -> Vec<usize> {
-        assert!(u32::try_from(len).is_ok(), "at most u32::MAX positions");
+    /// `m < len` positions of `0..len`, ascending, drawn on `round`'s
+    /// stream by Floyd's algorithm: for `j` in `len − m..len` draw `t`
+    /// in `0..=j` and keep `t`, or `j` when `t` is already kept (`j`
+    /// never is: everything kept so far is below it). By induction on
+    /// `j`, every `m`-subset comes out with probability 1 / C(len, m),
+    /// after exactly `m` draws into an `m`-entry set and one sort.
+    fn sample_positions(&self, round: usize, len: usize, m: usize) -> Vec<usize> {
         let mut rng = seeded_rng(split_seed(self.seed, round as u64));
-        // The shuffle's steps `i = len−1 … m`, each swapping `i` with `j`.
-        let draws: Vec<u32> =
-            (m..len).rev().map(|i| rng.random_range(0..=i) as u32).collect();
-        // Undo them last to first: a tracked element at `j` was at `i`
-        // before step `i` (which never holds one, as later steps only
-        // touch slots below `i`).
-        let mut bits = vec![0u64; len.div_ceil(64)];
-        bits[..m / 64].fill(!0);
-        bits[m / 64] = (1 << (m % 64)) - 1; // in range, as m < len
-        for (i, j) in (m..len).zip(draws.into_iter().rev()) {
-            let j = j as usize;
-            if bits[j / 64] >> (j % 64) & 1 == 1 {
-                bits[j / 64] &= !(1 << (j % 64));
-                bits[i / 64] |= 1 << (i % 64);
+        let mut kept = HashSet::with_capacity(m);
+        for j in len - m..len {
+            if !kept.insert(rng.random_range(0..=j)) {
+                kept.insert(j);
             }
         }
-        let mut positions = Vec::with_capacity(m);
-        for (w, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                positions.push(w * 64 + word.trailing_zeros() as usize);
-                word &= word - 1;
-            }
-        }
+        let mut positions: Vec<usize> = kept.into_iter().collect();
+        positions.sort_unstable();
         positions
     }
 }
@@ -112,59 +100,85 @@ impl ParticipationSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::seq::SliceRandom;
+    use std::collections::HashMap;
 
-    /// The sampler as first written: shuffle a copy of the whole pool and
-    /// sort the first `m` — the answer the bitmap trace must reproduce.
-    fn shuffle_oracle(s: &ParticipationSampler, round: usize, pool: &[usize]) -> Vec<usize> {
-        if pool.is_empty() {
-            return Vec::new();
-        }
+    /// `s.active_among(round, pool)` is a sorted, duplicate-free subset of
+    /// `pool` (whose ascending copy is `sorted`) of the size the fraction
+    /// asks for, or the pool as given when that size is all of it.
+    fn assert_valid_sample(
+        s: &ParticipationSampler,
+        round: usize,
+        pool: &[usize],
+        sorted: &[usize],
+    ) {
         let m = ((pool.len() as f32 * s.fraction).round() as usize).clamp(1, pool.len());
+        let active = s.active_among(round, pool);
         if m == pool.len() {
-            return pool.to_vec();
+            assert_eq!(active, pool);
+            return;
         }
-        let mut rng = seeded_rng(split_seed(s.seed, round as u64));
-        let mut ids = pool.to_vec();
-        ids.shuffle(&mut rng);
-        let mut active = ids[..m].to_vec();
-        active.sort_unstable();
-        active
+        assert_eq!(active.len(), m, "pool of {}, round {round}", pool.len());
+        assert!(active.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
+        assert!(active.iter().all(|d| sorted.binary_search(d).is_ok()), "in the pool");
     }
 
     /// `active` and `active_among` over contiguous, strided and unsorted
-    /// pools of `len` equal the oracle on rounds `0..rounds`.
-    fn assert_matches_oracle(len: usize, fraction: f32, rounds: usize) {
+    /// pools of `len` return valid samples on rounds `0..rounds`, and the
+    /// contiguous pool's sample is `active`'s.
+    fn assert_samples_are_valid(len: usize, fraction: f32, rounds: usize) {
         let contiguous: Vec<usize> = (0..len).collect();
         let strided: Vec<usize> = (0..len).map(|k| 3 * k + 1).collect();
         // An even-spaced pool in a fixed scrambled order: 11 is coprime to
         // every `len` tested, so `11k + 5 mod len` permutes `0..len`.
         let unsorted: Vec<usize> = (0..len).map(|k| 2 * ((11 * k + 5) % len)).collect();
+        let mut sorted = unsorted.clone();
+        sorted.sort_unstable();
         let s = ParticipationSampler::new(3 * len + 1, fraction, len as u64 ^ 0x5eed);
         let whole = ParticipationSampler::new(len, fraction, 17);
         for round in 0..rounds {
-            assert_eq!(whole.active(round), shuffle_oracle(&whole, round, &contiguous));
-            for pool in [&contiguous, &strided, &unsorted] {
-                assert_eq!(
-                    s.active_among(round, pool),
-                    shuffle_oracle(&s, round, pool),
-                    "len {len}, fraction {fraction}, round {round}"
-                );
+            assert_valid_sample(&whole, round, &contiguous, &contiguous);
+            assert_eq!(whole.active_among(round, &contiguous), whole.active(round));
+            let pools = [(&contiguous, &contiguous), (&strided, &strided), (&unsorted, &sorted)];
+            for (pool, sorted) in pools {
+                assert_valid_sample(&s, round, pool, sorted);
             }
         }
     }
 
+    /// Pearson's χ² of how often `active` picks each subset over
+    /// `rounds` rounds, against the uniform law over all `subsets` of
+    /// them; fails if a subset never shows up.
+    fn subset_chi_square(s: &ParticipationSampler, subsets: usize, rounds: usize) -> f64 {
+        let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
+        for round in 0..rounds {
+            *counts.entry(s.active(round)).or_default() += 1;
+        }
+        assert_eq!(counts.len(), subsets, "every subset is drawn");
+        let expected = rounds as f64 / subsets as f64;
+        counts.values().map(|&c| (c as f64 - expected).powi(2) / expected).sum()
+    }
+
     #[test]
-    fn trace_equals_the_shuffle_oracle() {
+    fn samples_are_sorted_unique_subsets_of_the_pool() {
         for len in [1usize, 2, 3, 63, 64, 65, 1000, 4099] {
             for fraction in [0.001f32, 0.3, 0.5, 0.99, 1.0] {
-                assert_matches_oracle(len, fraction, 20);
+                assert_samples_are_valid(len, fraction, 20);
             }
         }
     }
 
     #[test]
-    fn trace_equals_the_shuffle_oracle_at_one_and_all_but_one() {
+    fn every_three_of_six_subset_is_equally_likely() {
+        // C(6, 3) = 20 subsets, 19 degrees of freedom: χ² stays below
+        // 43.82 with probability 0.999 under the uniform law. The stream
+        // is seeded, so the statistic is a fixed number, not a flake.
+        let s = ParticipationSampler::new(6, 0.5, 0xF10D);
+        let chi2 = subset_chi_square(&s, 20, 24_000);
+        assert!(chi2 < 43.82, "χ² = {chi2:.1} over 20 subsets");
+    }
+
+    #[test]
+    fn one_and_all_but_one_are_valid_and_uniform() {
         for len in [2usize, 3, 63, 64, 65, 1000, 4099] {
             // m = 1 and m = len − 1, by fractions that round to them.
             let one = 1.0 / len as f32;
@@ -172,17 +186,22 @@ mod tests {
             for fraction in [one, all_but_one] {
                 let m = ((len as f32 * fraction).round() as usize).clamp(1, len);
                 assert!(m == 1 || m == len - 1, "len {len}: m = {m}");
-                assert_matches_oracle(len, fraction, 20);
+                assert_samples_are_valid(len, fraction, 20);
             }
+        }
+        // Over 7 devices both extremes have 7 outcomes, 6 degrees of
+        // freedom: χ² < 22.46 with probability 0.999.
+        for fraction in [1.0 / 7.0, 6.0 / 7.0] {
+            let chi2 = subset_chi_square(&ParticipationSampler::new(7, fraction, 3), 7, 14_000);
+            assert!(chi2 < 22.46, "fraction {fraction}: χ² = {chi2:.1} over 7 subsets");
         }
     }
 
     #[test]
-    fn trace_equals_the_shuffle_oracle_on_a_fleet_sized_pool() {
-        // The `mega-fleet` regime: ~750k of 10⁶ devices available. Two
-        // rounds, as each costs eight 750k-draw passes in a debug build.
-        for fraction in [0.001f32, 0.3, 0.5, 0.99, 1.0] {
-            assert_matches_oracle(750_000, fraction, 2);
+    fn a_fleet_sized_pool_is_sampled_validly() {
+        // The `mega-fleet` regime: ~750k of 10⁶ devices available.
+        for fraction in [0.001f32, 0.5, 1.0] {
+            assert_samples_are_valid(750_000, fraction, 2);
         }
     }
 
