@@ -22,10 +22,13 @@
 //!
 //! `serve` is the long-run form of `sweep`: the same grid expansion, but
 //! the queue's state lives on disk in `--out`, so a killed process loses
-//! at most `--checkpoint-every` rounds per in-flight cell. On restart it
-//! skips cells whose `<name>.json` artifact holds all of the cell's
-//! rounds, resumes cells with a `<name>.ckpt` snapshot from that exact
-//! round, and starts the rest fresh; a cell that panics is isolated and
+//! at most `--checkpoint-every` rounds per in-flight cell. Each cell's
+//! `<name>.stamp` holds the FNV-64 of the canonical JSON of the scenario
+//! its artifacts belong to. On restart `serve` skips cells whose stamp
+//! matches and whose `<name>.json` artifact holds all of the cell's
+//! rounds, resumes stamped cells with a `<name>.ckpt` snapshot from that
+//! exact round, and starts the rest fresh, so an edited scenario that
+//! reuses a cell name runs again; a cell that panics is isolated and
 //! reported without taking down the queue.
 //!
 //! `repro <target>` regenerates one artifact of the paper's evaluation
@@ -658,9 +661,34 @@ enum CellStatus {
     Fresh,
 }
 
+/// The file naming the scenario that a serve cell's `.json`, `.csv` and
+/// `.ckpt` belong to. It is written before any of them, and replaced only
+/// after they are removed, so it never vouches for another scenario's.
+fn stamp_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.stamp"))
+}
+
+/// The FNV-1a 64 of the cell's canonical scenario JSON, in hex.
+fn scenario_stamp(cell: &Scenario) -> String {
+    let hash = cell.to_json().bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}\n")
+}
+
+/// Does `<name>.stamp` name this cell's scenario?
+fn stamped(dir: &Path, cell: &Scenario) -> bool {
+    std::fs::read_to_string(stamp_path(dir, &cell.name)).is_ok_and(|s| s == scenario_stamp(cell))
+}
+
 fn cell_status(dir: &Path, cell: &Scenario) -> CellStatus {
-    // Done means a complete log of this cell: a torn file, or one left by
-    // an edited scenario that reuses the cell name, is run again.
+    // Artifacts without this scenario's stamp (an edited scenario that
+    // reuses the cell name, or files `serve` did not write) count for
+    // nothing: the cell starts again.
+    if !stamped(dir, cell) {
+        return CellStatus::Fresh;
+    }
+    // Done means a complete log of this cell: a torn file is run again.
     let done = std::fs::read_to_string(dir.join(format!("{}.json", cell.name)))
         .ok()
         .and_then(|text| RunLog::from_json(&text).ok())
@@ -681,11 +709,27 @@ fn cell_status(dir: &Path, cell: &Scenario) -> CellStatus {
 fn serve_cell(cell: &Scenario, dir: &Path, every: usize) -> Result<String, String> {
     let mut sim = cell.build().map_err(|e| e.to_string())?;
     let ckpt = checkpoint_path(dir, &cell.name);
+    if !stamped(dir, cell) {
+        // Another scenario's artifacts go before this one's stamp lands.
+        for ext in ["json", "csv", "ckpt"] {
+            let path = dir.join(format!("{}.{ext}", cell.name));
+            match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(format!("removing {}: {e}", path.display()));
+                }
+                _ => {}
+            }
+        }
+        // A torn stamp matches no scenario, so it needs no atomic write.
+        let stamp = stamp_path(dir, &cell.name);
+        std::fs::write(&stamp, scenario_stamp(cell))
+            .map_err(|e| format!("writing {}: {e}", stamp.display()))?;
+    }
     let mut resumed = 0;
     if ckpt.exists() {
-        // A snapshot that fails to load or fit (schema drift, an edited
-        // scenario reusing a cell name) falls back to a fresh start — a
-        // stale file must not wedge the queue forever.
+        // A snapshot that fails to load or fit (schema drift, a file from
+        // another build) falls back to a fresh start — a stale file must
+        // not wedge the queue forever.
         match resume(sim.as_mut(), &ckpt) {
             Ok(rounds) => resumed = rounds,
             Err(e) => {

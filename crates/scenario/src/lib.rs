@@ -101,11 +101,14 @@
 //!   expand grid axes into child scenarios and execute them
 //!   fleet-parallel;
 //! * `serve <name|file> [axes]` — the durable form of `sweep`: a job
-//!   queue whose state is the artifact directory itself (`<name>.json`
-//!   holding every round = done, `<name>.ckpt` = half-run, else
-//!   fresh), so a killed process loses at most `--checkpoint-every`
-//!   rounds per in-flight cell and a restart picks up exactly where it
-//!   stopped; panicking cells are isolated and reported, and
+//!   queue whose state is the artifact directory itself (a
+//!   `<name>.stamp` naming the cell's scenario by the FNV-64 of its
+//!   canonical JSON, plus `<name>.json` holding every round = done, or
+//!   `<name>.ckpt` = half-run; anything else, an edited scenario under
+//!   the same name included, = fresh), so a killed process loses at most
+//!   `--checkpoint-every` rounds per in-flight cell and a restart picks
+//!   up exactly where it stopped; panicking cells are isolated and
+//!   reported, and
 //!   `--stop-after N` bounds one invocation's work;
 //! * `repro <target|list> [--scale tiny|quick|paper] [--seed N]
 //!   [--threads N] [--out DIR]` — regenerate one table or figure of the

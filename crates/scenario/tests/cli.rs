@@ -129,3 +129,49 @@ fn serve_reruns_a_cell_whose_log_is_torn() {
     assert_eq!(code, Some(0), "{stdout}{stderr}");
     assert!(stdout.contains("(1 already done,"), "{stdout}");
 }
+
+#[test]
+fn serve_reruns_a_cell_whose_scenario_was_edited() {
+    // A cell used to count as done when `<cell>.json` held the right
+    // number of rounds, whichever scenario wrote it: serving an edited
+    // copy of `tiny` into the same `--out` printed "1 already done" and
+    // kept the old log. Each cell's artifacts carry the hash of the
+    // scenario that made them, and a mismatch runs the cell again.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-edited-scenario");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let tiny = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/tiny.json");
+    let tiny = std::fs::read_to_string(tiny).expect("checked-in tiny scenario");
+    assert!(tiny.contains("\"participation\": 1,"), "tiny's participation moved");
+    let edited = dir.join("tiny-edited.json");
+    std::fs::write(&edited, tiny.replace("\"participation\": 1,", "\"participation\": 0.5,"))
+        .expect("write");
+    let out = dir.join("out");
+    let (edited, out) = (edited.to_str().expect("utf-8"), out.to_str().expect("utf-8"));
+    let active = |log: &fedzkt_fl::RunLog| -> Vec<usize> {
+        log.rounds.iter().map(|r| r.active_devices.len()).collect()
+    };
+    let log = || {
+        let text = std::fs::read_to_string(dir.join("out/tiny.json")).expect("artifact");
+        fedzkt_fl::RunLog::from_json(&text).expect("a complete log")
+    };
+
+    let (code, stdout, stderr) = scenarios(&["serve", "tiny", "--out", out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert_eq!(active(&log()), [3, 3], "tiny fields all three devices");
+
+    let (code, stdout, stderr) = scenarios(&["serve", edited, "--out", out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("(0 already done, 0 resuming, 1 fresh, 0 deferred)"), "{stdout}");
+    assert_eq!(active(&log()), [2, 2], "the edited scenario's log replaced the old one");
+
+    // Its artifacts now vouch for the edited scenario, and no longer for
+    // the original.
+    let (code, stdout, stderr) = scenarios(&["serve", edited, "--out", out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("(1 already done,"), "{stdout}");
+    let (code, stdout, stderr) = scenarios(&["serve", "tiny", "--out", out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("(0 already done, 0 resuming, 1 fresh, 0 deferred)"), "{stdout}");
+    assert_eq!(active(&log()), [3, 3]);
+}
