@@ -26,13 +26,13 @@
 //!
 //! ## Scale model
 //!
-//! Unlike FedZKT, nothing in a FedMD round touches an inactive device:
+//! Unlike FedZKT, nothing in a FedMD round reads an inactive device:
 //! scoring, digest and revisit all run over the active set, and the
 //! consensus accumulates incrementally. The [`DeviceFleet`] (see the
-//! "Scale model" section of [`fedzkt_fl::fleet`]) therefore stays at
-//! O(active-per-round) resident devices on non-evaluation rounds — only
-//! [`prepare_eval`](FederatedAlgorithm::prepare_eval) materializes
-//! everyone.
+//! "Scale model" section of [`fedzkt_fl::fleet`]) materializes a device on
+//! its first read, so it stays at O(active-per-round) resident devices on
+//! non-evaluation rounds — only evaluation, which reads every device
+//! model, materializes everyone.
 
 use fedzkt_autograd::Var;
 use fedzkt_data::{Corpus, Dataset};
@@ -231,9 +231,6 @@ impl FederatedAlgorithm for FedMd {
     /// fold the scores into the consensus one device at a time.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         self.warmed_this_round.iter_mut().for_each(|w| *w = false);
-        for &k in active {
-            self.fleet.ensure_resident(k);
-        }
         self.warmup(active, ctx.threads());
 
         // 1. Server samples the alignment subset of the public data.
@@ -359,13 +356,6 @@ impl FederatedAlgorithm for FedMd {
 
     fn registry(&self) -> Option<&DeviceRegistry> {
         Some(self.fleet.registry())
-    }
-
-    /// Evaluation borrows every device model; nothing else in a FedMD
-    /// round does, so this is the only place the fleet goes beyond
-    /// O(active) resident devices.
-    fn prepare_eval(&mut self) {
-        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {

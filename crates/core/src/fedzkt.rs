@@ -5,10 +5,13 @@
 //! ## Scale model
 //!
 //! Devices live in a [`DeviceFleet`] (see the "Scale model" section of
-//! [`fedzkt_fl::fleet`]). The zero-shot distillation game uses **every**
-//! device model as a teacher (the ensemble of Eq. 2), so FedZKT
-//! materializes the whole fleet for the server phase: its in-round peak is
-//! inherently O(fleet), and only the *between-rounds* footprint is O(1).
+//! [`fedzkt_fl::fleet`]), each materialized by its first read in a round.
+//! The zero-shot distillation game reads **every** device model as a
+//! teacher (the ensemble of Eq. 2), so the server phase materializes the
+//! stragglers too: FedZKT's in-round peak is inherently O(fleet), and only
+//! the *between-rounds* footprint is O(1). A game over fewer teachers
+//! would lower the peak by reading fewer devices, with no residency call
+//! to change.
 
 use crate::{FedZktConfig, GradNormProbe};
 use fedzkt_autograd::loss::kl_div_probs;
@@ -25,8 +28,9 @@ use fedzkt_nn::{
 };
 use fedzkt_tensor::{seeded_rng, split_seed, Prng, Tensor};
 
-/// Every device model, in device order (all must be resident). Borrows
-/// only the fleet, so the caller may hold other fields mutably.
+/// Every device model, in device order, each materialized on its first
+/// read. Borrows only the fleet, so the caller may hold other fields
+/// mutably.
 fn models(fleet: &DeviceFleet<Box<dyn Module>>) -> impl Iterator<Item = &dyn Module> {
     (0..fleet.devices()).map(|k| fleet.model(k).as_ref())
 }
@@ -264,9 +268,6 @@ impl FederatedAlgorithm for FedZkt {
     /// stream, and results are merged back in device order — bit-identical
     /// for any thread count.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
-        for &k in active {
-            self.fleet.ensure_resident(k);
-        }
         let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
             .iter()
@@ -308,14 +309,6 @@ impl FederatedAlgorithm for FedZkt {
     /// Server update (Algorithm 3) and the transfer of `w_k` back to the
     /// active devices (Algorithm 1, line 12).
     fn server_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) {
-        // The game's teacher ensemble (and the Figure-2 probe) forward
-        // every device model, so the whole fleet must be resident for the
-        // server phase — the received ŵ_k are fed into the game's teacher
-        // list one device at a time; what the fleet saves is the
-        // *between-rounds* footprint, not FedZKT's in-game ensemble.
-        if self.cfg.distill_iters > 0 || self.cfg.probe_grad_norms {
-            self.fleet.ensure_all_resident();
-        }
         self.distillation_game(active);
 
         // Charge the game's compute to the simulated clock: the generator
@@ -371,13 +364,6 @@ impl FederatedAlgorithm for FedZkt {
 
     fn registry(&self) -> Option<&DeviceRegistry> {
         Some(self.fleet.registry())
-    }
-
-    /// Evaluation borrows every device model, so the stragglers are
-    /// materialized too (a no-op right after a server phase that ran the
-    /// game, which already made everything resident).
-    fn prepare_eval(&mut self) {
-        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {

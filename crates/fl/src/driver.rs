@@ -264,11 +264,13 @@ pub trait FederatedAlgorithm {
         None
     }
 
-    /// Called by the driver right before it evaluates device models, so
-    /// the fleet can make every model the evaluation will borrow resident
-    /// ([`FederatedAlgorithm::device_model`] hands out `&dyn Module`,
-    /// which cannot materialize on demand). Anything else that reads
-    /// device models between rounds calls this first. Default: no-op.
+    /// Called by the driver right before it evaluates device models on an
+    /// evaluation round. No algorithm of this crate needs it: a
+    /// [`DeviceFleet`](crate::DeviceFleet) materializes a device on its
+    /// first read. It is kept as a provided no-op only because the
+    /// benchmark's timing wrapper delegates it and times that span; it
+    /// goes once the benchmark reads the library's own spans (ROADMAP
+    /// item 6).
     fn prepare_eval(&mut self) {}
 
     /// Called by the driver at the very end of a round — after evaluation
@@ -514,6 +516,9 @@ impl<A: FederatedAlgorithm> Simulation<A> {
     }
 
     /// The wrapped algorithm (for its accessors: models, probes, specs).
+    /// Reading a device model between rounds materializes it until the
+    /// next round ends ([`crate::fleet`]), and the residency gauge counts
+    /// it.
     pub fn algorithm(&self) -> &A {
         &self.algo
     }
@@ -521,16 +526,6 @@ impl<A: FederatedAlgorithm> Simulation<A> {
     /// Mutable access to the wrapped algorithm.
     pub fn algorithm_mut(&mut self) -> &mut A {
         &mut self.algo
-    }
-
-    /// The wrapped algorithm after [`FederatedAlgorithm::prepare_eval`] —
-    /// the form whose [`device_model`](FederatedAlgorithm::device_model)s
-    /// may be read between rounds, where device models are otherwise not
-    /// held ([`crate::fleet`]). The fleet then stays materialized until
-    /// the next round ends, and the residency gauge counts it.
-    pub fn algorithm_for_eval(&mut self) -> &A {
-        self.algo.prepare_eval();
-        &self.algo
     }
 
     /// The simulated clock, when resources are attached.

@@ -173,9 +173,6 @@ impl FederatedAlgorithm for FedEt {
     /// active device uploads its model. The device keeps its bit-exact
     /// trained state; the server receives the wire (decoded) copy.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
-        for &k in active {
-            self.fleet.ensure_resident(k);
-        }
         let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
             .iter()
@@ -351,10 +348,6 @@ impl FederatedAlgorithm for FedEt {
         Some(self.fleet.registry())
     }
 
-    fn prepare_eval(&mut self) {
-        self.fleet.ensure_all_resident();
-    }
-
     fn end_round(&mut self, _round: usize) {
         self.fleet.release_all();
     }
@@ -462,7 +455,7 @@ mod tests {
         let run = |codec: CodecSpec| {
             let mut sim = setup(SimConfig { codec, ..default_sim() });
             sim.round(0);
-            state_dict(sim.algorithm_for_eval().device_model(0))
+            state_dict(sim.algorithm().device_model(0))
         };
         assert_ne!(run(CodecSpec::Raw), run(CodecSpec::QuantQ8));
     }
@@ -473,10 +466,10 @@ mod tests {
         // training + transfer both ran).
         let mut sim = setup(default_sim());
         let before: Vec<StateDict> =
-            (0..3).map(|k| state_dict(sim.algorithm_for_eval().device_model(k))).collect();
+            (0..3).map(|k| state_dict(sim.algorithm().device_model(k))).collect();
         sim.round(0);
         for (k, b) in before.iter().enumerate() {
-            assert_ne!(&state_dict(sim.algorithm_for_eval().device_model(k)), b, "device {k}");
+            assert_ne!(&state_dict(sim.algorithm().device_model(k)), b, "device {k}");
         }
     }
 

@@ -275,9 +275,6 @@ impl FederatedAlgorithm for FedGkt {
     /// split model on the private shard, then uplink the per-sample
     /// feature/logit/label bundle.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
-        for &k in active {
-            self.fleet.ensure_resident(k);
-        }
         let staged = self.shards.stage(active);
         let mut digested = vec![false; self.fleet.devices()];
         let mut pending = Vec::with_capacity(active.len());
@@ -398,10 +395,6 @@ impl FederatedAlgorithm for FedGkt {
 
     fn registry(&self) -> Option<&DeviceRegistry> {
         Some(self.fleet.registry())
-    }
-
-    fn prepare_eval(&mut self) {
-        self.fleet.ensure_all_resident();
     }
 
     fn end_round(&mut self, _round: usize) {
@@ -547,7 +540,7 @@ mod tests {
             sim.round(1);
             (
                 state_dict(sim.algorithm().server_head()),
-                state_dict(sim.algorithm_for_eval().device_model(0)),
+                state_dict(sim.algorithm().device_model(0)),
             )
         };
         let raw = run(CodecSpec::Raw);
@@ -578,11 +571,11 @@ mod tests {
             ..Default::default()
         });
         let before: Vec<StateDict> =
-            (0..3).map(|k| state_dict(sim.algorithm_for_eval().device_model(k))).collect();
+            (0..3).map(|k| state_dict(sim.algorithm().device_model(k))).collect();
         let metrics = sim.round(0);
         assert_eq!(metrics.active_devices.len(), 1);
         for (k, snapshot) in before.iter().enumerate() {
-            let same = state_dict(sim.algorithm_for_eval().device_model(k)) == *snapshot;
+            let same = state_dict(sim.algorithm().device_model(k)) == *snapshot;
             assert_eq!(same, !metrics.active_devices.contains(&k), "device {k}");
             assert_eq!(sim.algorithm().soft[k].is_some(), metrics.active_devices.contains(&k));
         }

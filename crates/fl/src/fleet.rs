@@ -18,27 +18,27 @@
 //!   The cache is not state: a resumed run starts it empty and
 //!   synthesizes the same bits;
 //! * **models** — a [`DeviceFleet`] keeps each device as its `ModelSpec`
-//!   and one slot that is exactly one of *unbuilt*, *resident* (the
-//!   materialized model) or *summary* (its cumulative state dict). A
-//!   device is materialized
-//!   ([`ensure_resident`](DeviceFleet::ensure_resident)) only while a
-//!   phase needs it and every resident device is dropped back to its
+//!   and one slot holding at most one of the materialized model or its
+//!   summary (the cumulative state dict). The first
+//!   [`model`](DeviceFleet::model) read of a device materializes it, and
+//!   it stays resident until every resident device is dropped back to its
 //!   summary at end of round ([`release_all`](DeviceFleet::release_all)).
 //!   The [`DeviceRegistry`] only counts those transitions.
 //!
-//! What "needs it" means is the algorithm's business, and it sets the
-//! in-round peak the registry gauge reports:
+//! Which devices a round reads is the algorithm's business, and it sets
+//! the in-round peak the registry gauge reports:
 //!
-//! | algorithm | resident during a round | on evaluation rounds |
+//! | algorithm | read during a round | on evaluation rounds |
 //! |---|---|---|
 //! | FedAvg / FedProx | no device models at all — devices are stateless between rounds, so a worker copies a sampled device's cached shard out right before training on it (the gauge counts the sampled set) | one shared global model |
-//! | FedMD, Fed-ET, FedGKT | the active set | the whole fleet |
+//! | FedMD, Fed-ET, FedGKT | the active set | the whole fleet: evaluation reads every device |
 //! | FedZKT | the whole fleet: the distillation game uses every device model as a teacher (Eq. 2) | the whole fleet |
 //!
-//! Between rounds nothing is resident, so the standing footprint is one
-//! small slot per registered device plus the summaries of the devices that
-//! have ever trained. Walks over the slots — `release_all` every round,
-//! the checkpoint's [`save_into`](DeviceFleet::save_into) — are
+//! Between rounds nothing is resident unless something read a device
+//! model since the last round ended, so the standing footprint is one
+//! small slot per registered device plus the summaries of the devices
+//! that have ever been read. Walks over the slots — `release_all` every
+//! round, the checkpoint's [`save_into`](DeviceFleet::save_into) — are
 //! O(registered).
 //!
 //! Rematerialization is bit-exact: a first materialization runs the
@@ -47,11 +47,6 @@
 //! round trip the device-parallel fleet dispatcher and the checkpoints
 //! already rely on. `tests/registry_props.rs` holds that property over
 //! both paper zoos and FedGKT's split model.
-//!
-//! [`FederatedAlgorithm::device_model`](crate::FederatedAlgorithm::device_model)
-//! hands out `&dyn Module` and cannot materialize on demand: call
-//! [`prepare_eval`](crate::FederatedAlgorithm::prepare_eval) before
-//! reading device models between rounds, as the driver does.
 
 use crate::checkpoint::AlgoState;
 use crate::registry::DeviceRegistry;
@@ -59,6 +54,7 @@ use fedzkt_data::{Corpus, Dataset};
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
 use fedzkt_tensor::Tensor;
+use std::cell::{Cell, OnceCell};
 
 /// A [`ShardStore`] slot of a device whose shard is not cached yet.
 const UNCACHED: usize = usize::MAX;
@@ -161,19 +157,19 @@ impl ShardStore {
     }
 }
 
-/// One device's model state: exactly one of the three lifecycle stages.
-enum Slot<M> {
-    /// Never materialized: the seeded build alone reproduces it.
-    Unbuilt,
-    /// Materialized for the current phase.
-    Resident(M),
-    /// Released: the cumulative state a rematerialization restores. Boxed
-    /// so the dense per-device vector stays small.
-    Summary(Box<StateDict>),
+/// One device's model state: the model from its first read until
+/// [`DeviceFleet::release_all`], else the summary a rematerialization
+/// restores (none for a device never materialized, which the seeded build
+/// alone reproduces). The first read moves the summary into the model, so
+/// at most one of the two is set. The summary is boxed so the dense
+/// per-device vector stays small.
+struct Slot<M> {
+    model: OnceCell<M>,
+    summary: Cell<Option<Box<StateDict>>>,
 }
 
 /// A fleet of heterogeneous devices with models of type `M`, materialized
-/// on demand (see the [module docs](self)).
+/// on first use (see the [module docs](self)).
 ///
 /// `M` is `Box<dyn Module>` for the algorithms whose devices run a zoo
 /// architecture as is, and a concrete composite for FedGKT's split model.
@@ -196,7 +192,10 @@ impl<M: Module> DeviceFleet<M> {
         assert!(!zoo.is_empty(), "need at least one device");
         DeviceFleet {
             specs: zoo.to_vec(),
-            slots: zoo.iter().map(|_| Slot::Unbuilt).collect(),
+            slots: zoo
+                .iter()
+                .map(|_| Slot { model: OnceCell::new(), summary: Cell::new(None) })
+                .collect(),
             registry: DeviceRegistry::default(),
             build: Box::new(build),
         }
@@ -222,46 +221,34 @@ impl<M: Module> DeviceFleet<M> {
         (self.build)(k, self.specs[k])
     }
 
-    /// Device `k`'s materialized model.
-    ///
-    /// # Panics
-    /// Panics when the device is not resident — a lifecycle bug, since
-    /// every code path that touches a model materializes it first.
+    /// Device `k`'s model, materialized on the first read since the last
+    /// [`DeviceFleet::release_all`]: the seeded build, overlaid with the
+    /// device's summary when it has one.
     pub fn model(&self, k: usize) -> &M {
-        match &self.slots[k] {
-            Slot::Resident(model) => model,
-            _ => panic!("device model must be resident here"),
-        }
-    }
-
-    /// Materialize device `k` if it is not already resident: the seeded
-    /// build, overlaid with its summary when the device has one.
-    pub fn ensure_resident(&mut self, k: usize) {
-        let model = match &self.slots[k] {
-            Slot::Resident(_) => return,
-            Slot::Unbuilt => self.build(k),
-            Slot::Summary(summary) => {
-                let model = self.build(k);
-                load_state_dict(&model, summary).expect("summary matches device architecture");
-                model
+        let slot = &self.slots[k];
+        slot.model.get_or_init(|| {
+            let model = self.build(k);
+            if let Some(summary) = slot.summary.take() {
+                load_state_dict(&model, &summary).expect("summary matches device architecture");
             }
-        };
-        self.slots[k] = Slot::Resident(model);
-        self.registry.checkout();
+            self.registry.checkout();
+            model
+        })
     }
 
-    /// Materialize the whole fleet.
-    pub fn ensure_all_resident(&mut self) {
-        for k in 0..self.slots.len() {
-            self.ensure_resident(k);
-        }
+    /// `f` of device `k`'s summary, when it has one.
+    fn with_summary<R>(&self, k: usize, f: impl FnOnce(&StateDict) -> R) -> Option<R> {
+        let summary = self.slots[k].summary.take()?;
+        let out = f(&summary);
+        self.slots[k].summary.set(Some(summary));
+        Some(out)
     }
 
     /// Drop every resident device back to its summary.
     pub fn release_all(&mut self) {
         for slot in &mut self.slots {
-            if let Slot::Resident(model) = slot {
-                *slot = Slot::Summary(Box::new(state_dict(model)));
+            if let Some(model) = slot.model.take() {
+                *slot.summary.get_mut() = Some(Box::new(state_dict(&model)));
                 self.registry.release();
             }
         }
@@ -269,11 +256,13 @@ impl<M: Module> DeviceFleet<M> {
 
     /// Device `k`'s state, shapes being what matters: from the resident
     /// model, else from its summary, else from a throwaway seeded build.
+    /// Materializes nothing.
     pub fn template(&self, k: usize) -> StateDict {
-        match &self.slots[k] {
-            Slot::Resident(model) => state_dict(model),
-            Slot::Summary(summary) => (**summary).clone(),
-            Slot::Unbuilt => state_dict(&self.build(k)),
+        match self.slots[k].model.get() {
+            Some(model) => state_dict(model),
+            None => {
+                self.with_summary(k, StateDict::clone).unwrap_or_else(|| state_dict(&self.build(k)))
+            }
         }
     }
 
@@ -283,14 +272,12 @@ impl<M: Module> DeviceFleet<M> {
     /// device order — plus the registry counters.
     pub fn save_into(&self, state: &mut AlgoState) {
         for (k, slot) in self.slots.iter().enumerate() {
-            if let Slot::Resident(model) = slot {
+            if let Some(model) = slot.model.get() {
                 state.put_dict(format!("device_{k}"), &state_dict(model));
             }
         }
-        for (k, slot) in self.slots.iter().enumerate() {
-            if let Slot::Summary(summary) = slot {
-                state.put_dict(format!("device_{k}"), summary);
-            }
+        for k in 0..self.slots.len() {
+            self.with_summary(k, |summary| state.put_dict(format!("device_{k}"), summary));
         }
         self.registry.save_into(state);
     }
@@ -304,8 +291,8 @@ impl<M: Module> DeviceFleet<M> {
     /// device `k`'s architecture — a checkpoint from a different zoo —
     /// and a message when the counters entry is missing or malformed.
     pub fn load_from(&mut self, state: &AlgoState) -> Result<(), String> {
-        // Whatever is resident (a `prepare_eval` before the resume) goes
-        // back to summaries first, so the blobs below replace it.
+        // Whatever is resident (a device read before the resume) goes back
+        // to summaries first, so the blobs below replace it.
         self.release_all();
         for k in 0..self.slots.len() {
             let name = format!("device_{k}");
@@ -314,7 +301,7 @@ impl<M: Module> DeviceFleet<M> {
             }
             let sd = state.dict(&name)?;
             load_state_dict(&self.build(k), &sd).map_err(|e| format!("device {k}: {e}"))?;
-            self.slots[k] = Slot::Summary(Box::new(sd));
+            *self.slots[k].summary.get_mut() = Some(Box::new(sd));
         }
         self.registry.load_from(state)
     }
@@ -388,21 +375,25 @@ mod tests {
         assert!(std::mem::size_of::<Slot<Box<dyn Module>>>() <= 24);
     }
 
-    /// A released device keeps its state as a summary, and materializing
-    /// it again moves the summary back into the model rather than keeping
-    /// a copy in the slot.
+    /// A released device keeps its state as a summary, and the first read
+    /// after that moves the summary into the model rather than keeping a
+    /// copy in the slot; a device nobody reads stays unbuilt.
     #[test]
     fn summaries_store_and_take() {
         let mut fleet = fleet(3);
-        fleet.ensure_resident(1);
         let trained = Tensor::full(&fleet.model(1).params()[0].shape(), 0.25);
         fleet.model(1).params()[0].set_value(trained.clone());
         fleet.release_all();
-        assert!(matches!(&fleet.slots[1], Slot::Summary(sd) if sd.params[0] == trained));
-        assert!(matches!(fleet.slots[0], Slot::Unbuilt) && matches!(fleet.slots[2], Slot::Unbuilt));
-        fleet.ensure_resident(1);
-        assert!(matches!(fleet.slots[1], Slot::Resident(_)));
+        let summary = |fleet: &DeviceFleet<_>, k| fleet.with_summary(k, |sd| sd.params[0].clone());
+        let resident = |fleet: &DeviceFleet<_>, k: usize| fleet.slots[k].model.get().is_some();
+        assert_eq!(summary(&fleet, 1), Some(trained.clone()));
+        assert!(!resident(&fleet, 1));
         assert_eq!(fleet.model(1).params()[0].value_clone(), trained);
+        assert!(resident(&fleet, 1));
+        assert_eq!(summary(&fleet, 1), None, "the summary moved into the model");
+        for k in [0, 2] {
+            assert!(!resident(&fleet, k) && summary(&fleet, k).is_none(), "device {k}");
+        }
     }
 
     /// Checkpoint blobs come resident devices first, then summarized
@@ -410,11 +401,11 @@ mod tests {
     #[test]
     fn save_into_orders_resident_before_summarized_devices() {
         let mut fleet = fleet(6);
-        fleet.ensure_resident(4);
-        fleet.ensure_resident(1);
+        fleet.model(4);
+        fleet.model(1);
         fleet.release_all();
-        fleet.ensure_resident(4);
-        fleet.ensure_resident(3);
+        fleet.model(4);
+        fleet.model(3);
         let mut state = AlgoState::new();
         fleet.save_into(&mut state);
         let names: Vec<&str> = state.blobs.iter().map(|(n, _)| n.as_str()).collect();
@@ -426,20 +417,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The gauge follows the slots: after any sequence of
-        /// `ensure_resident` / `ensure_all_resident` / `release_all`, the
-        /// registry's resident count is the number of resident slots.
+        /// The gauge follows the slots: after any sequence of reads of one
+        /// device, reads of every device and `release_all`, the registry's
+        /// resident count is the number of resident slots.
         #[test]
         fn registry_balances_the_slots(ops in proptest::collection::vec(0usize..8, 1..24)) {
             let mut fleet = fleet(6);
             for op in ops {
                 match op {
-                    6 => fleet.ensure_all_resident(),
+                    6 => {
+                        for k in 0..fleet.devices() {
+                            fleet.model(k);
+                        }
+                    }
                     7 => fleet.release_all(),
-                    k => fleet.ensure_resident(k),
+                    k => {
+                        fleet.model(k);
+                    }
                 }
-                let resident =
-                    fleet.slots.iter().filter(|s| matches!(s, Slot::Resident(_))).count();
+                let resident = fleet.slots.iter().filter(|s| s.model.get().is_some()).count();
                 prop_assert_eq!(fleet.registry().resident(), resident);
             }
         }

@@ -25,7 +25,7 @@
 //! * [`fleet`] — the one device fleet every algorithm runs on
 //!   ([`ShardStore`] + [`DeviceFleet`]): a device's shard is synthesized
 //!   the first time it is staged, and its model materialized from its
-//!   spec + deterministic per-device seed only while a phase needs it and
+//!   spec + deterministic per-device seed on its first read in a round and
 //!   dropped back to a state summary at end of round (the "Scale model"
 //!   section there is the reference);
 //! * [`registry`] — the [`DeviceRegistry`] residency gauge: the

@@ -12,6 +12,7 @@
 //! done — not distinct devices.
 
 use crate::checkpoint::AlgoState;
+use std::cell::Cell;
 
 /// Residency counters for a (possibly enormous) registered fleet. It
 /// holds no per-device storage: which devices are resident is the fleet's
@@ -29,20 +30,20 @@ use crate::checkpoint::AlgoState;
 /// reads.
 #[derive(Debug, Default)]
 pub struct DeviceRegistry {
-    resident: usize,
-    peak_resident: usize,
-    touched: usize,
+    resident: Cell<usize>,
+    peak_resident: Cell<usize>,
+    touched: Cell<usize>,
 }
 
 impl DeviceRegistry {
     /// Devices currently materialized.
     pub fn resident(&self) -> usize {
-        self.resident
+        self.resident.get()
     }
 
     /// High-water mark of [`DeviceRegistry::resident`] over the run.
     pub fn peak_resident(&self) -> usize {
-        self.peak_resident
+        self.peak_resident.get()
     }
 
     /// Checkouts so far: every [`DeviceRegistry::checkout`] counts, so a
@@ -50,23 +51,24 @@ impl DeviceRegistry {
     /// resume-consistent meaning — the count absorbed from a checkpoint
     /// plus the checkouts after it equals the uninterrupted run's.
     pub fn touched(&self) -> usize {
-        self.touched
+        self.touched.get()
     }
 
-    /// Count one device materialized.
-    pub fn checkout(&mut self) {
-        self.resident += 1;
-        self.touched += 1;
-        self.peak_resident = self.peak_resident.max(self.resident);
+    /// Count one device materialized. Takes `&self`, so a fleet can count
+    /// a device it materializes behind a shared borrow.
+    pub fn checkout(&self) {
+        self.resident.set(self.resident() + 1);
+        self.touched.set(self.touched() + 1);
+        self.peak_resident.set(self.peak_resident().max(self.resident()));
     }
 
     /// Count one device dropped.
     ///
     /// # Panics
     /// Panics when no device is resident.
-    pub fn release(&mut self) {
-        assert!(self.resident > 0, "device released while none is resident");
-        self.resident -= 1;
+    pub fn release(&self) {
+        assert!(self.resident() > 0, "device released while none is resident");
+        self.resident.set(self.resident() - 1);
     }
 
     /// Merge residency counters restored from a checkpoint into a freshly
@@ -77,13 +79,13 @@ impl DeviceRegistry {
     /// on a fresh registry (`touched == 0`) later checkouts continue the
     /// absorbed count.
     pub fn absorb_counters(&mut self, peak_resident: usize, touched: usize) {
-        self.peak_resident = self.peak_resident.max(peak_resident);
-        self.touched = self.touched.max(touched);
+        *self.peak_resident.get_mut() = self.peak_resident().max(peak_resident);
+        *self.touched.get_mut() = self.touched().max(touched);
     }
 
     /// Store the monotone counters under the `"registry"` entry.
     pub(crate) fn save_into(&self, state: &mut AlgoState) {
-        state.put_words("registry", vec![self.peak_resident as u64, self.touched as u64]);
+        state.put_words("registry", vec![self.peak_resident() as u64, self.touched() as u64]);
     }
 
     /// Merge the counters stored by [`DeviceRegistry::save_into`].
@@ -104,7 +106,7 @@ mod tests {
 
     #[test]
     fn counters_track_checkout_release() {
-        let mut reg = DeviceRegistry::default();
+        let reg = DeviceRegistry::default();
         assert_eq!((reg.resident(), reg.peak_resident(), reg.touched()), (0, 0, 0));
         reg.checkout();
         reg.checkout();
@@ -132,7 +134,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "none is resident")]
     fn release_without_checkout_panics() {
-        let mut reg = DeviceRegistry::default();
+        let reg = DeviceRegistry::default();
         reg.checkout();
         reg.release();
         reg.release();

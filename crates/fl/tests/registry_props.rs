@@ -29,7 +29,7 @@ proptest! {
     fn sampled_residency_is_shard_invariant(devices in 1usize..64, p in 0.01f32..1.0, seed in 0u64..200) {
         let sampler = ParticipationSampler::new(devices, p, seed);
         let again = ParticipationSampler::new(devices, p, seed);
-        let mut reg = DeviceRegistry::default();
+        let reg = DeviceRegistry::default();
         for round in 0..4 {
             let active = sampler.active(round);
             prop_assert!(active.windows(2).all(|w| w[0] < w[1]), "sorted & unique");
@@ -56,14 +56,14 @@ fn eval_bits(model: &dyn Module, x: &Tensor) -> Vec<u32> {
     y.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// The fleet lifecycle on every device of `fleet`: materialize, move every
-/// parameter **and** every buffer (BatchNorm running statistics) off its
-/// seeded value, hold a copy of the state and of an eval-mode forward,
-/// release, rematerialize — the device must come back bit for bit.
+/// The fleet lifecycle on every device of `fleet`: read it (which
+/// materializes it), move every parameter **and** every buffer (BatchNorm
+/// running statistics) off its seeded value, hold a copy of the state and
+/// of an eval-mode forward, release, read again — the device must come
+/// back bit for bit.
 fn assert_rematerializes_bit_exactly<M: Module>(fleet: &mut DeviceFleet<M>, x: &Tensor) {
     let n = fleet.devices();
     for k in 0..n {
-        fleet.ensure_resident(k);
         let fresh = bits(&state_dict(fleet.model(k)));
         assert_eq!(bits(&fleet.template(k)), fresh, "device {k}: template of a resident device");
         for (i, p) in fleet.model(k).params().iter().enumerate() {
@@ -84,7 +84,6 @@ fn assert_rematerializes_bit_exactly<M: Module>(fleet: &mut DeviceFleet<M>, x: &
     assert_eq!(fleet.registry().resident(), 0);
     for (k, (state, logits)) in held.iter().enumerate() {
         assert_eq!(&bits(&fleet.template(k)), state, "device {k}: template of a summarized device");
-        fleet.ensure_resident(k);
         assert_eq!(&bits(&state_dict(fleet.model(k))), state, "device {k}: state bits");
         assert_eq!(&eval_bits(fleet.model(k), x), logits, "device {k}: eval-mode forward");
     }

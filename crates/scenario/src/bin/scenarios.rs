@@ -14,7 +14,10 @@
 //! ```
 //!
 //! `run` and `sweep` write one `<name>.csv` + `<name>.json` artifact pair
-//! per executed scenario. `sweep` expands the requested grid axes (seed,
+//! per executed scenario. A `run` that snapshots writes `<name>.stamp`
+//! (see `serve` below) beside `<name>.ckpt`, and `run --resume FILE`
+//! refuses a checkpoint unless the `.stamp` beside `FILE` names the
+//! scenario being run. `sweep` expands the requested grid axes (seed,
 //! Dirichlet β, quantity-skew c, participation p, device count K, zoo)
 //! into child scenarios and executes them fleet-parallel on the workspace
 //! worker pool (`fedzkt_tensor::par`); results are bit-identical for every
@@ -77,6 +80,7 @@ run durability options:
   --checkpoint-every N  snapshot <out>/<name>.ckpt every N completed rounds
   --halt-at-round K     stop once K rounds are done, leaving a checkpoint
   --resume FILE         restore a checkpoint and run the remaining rounds
+                        (FILE's .stamp must name this scenario)
 
 repro options:
   --scale tiny|quick|paper  workload tier (default quick)
@@ -374,6 +378,18 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(codec) = opts.codec {
         scenario.sim.codec = codec;
     }
+    if let Some(path) = &opts.resume {
+        // Seed, fleet size and depth do not tell scenarios apart; the
+        // stamp written with the checkpoint does.
+        let stamp = path.with_extension("stamp");
+        if !std::fs::read_to_string(&stamp).is_ok_and(|s| s == scenario_stamp(&scenario)) {
+            return Err(format!(
+                "{}: not a checkpoint of this scenario ({} does not name it)",
+                path.display(),
+                stamp.display()
+            ));
+        }
+    }
     println!(
         "running {} ({}, {} rounds, seed {}, codec {})",
         scenario.name,
@@ -396,6 +412,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("resumed from {} ({done} rounds already done)", path.display());
     }
     let ckpt = checkpoint_path(&opts.out_dir, &scenario.name);
+    if halt < total || opts.checkpoint_every.is_some() {
+        // The snapshots this run leaves are resumed only beside its stamp.
+        claim(&opts.out_dir, &scenario)?;
+    }
     println!("{:>6} {:>9} {:>11} {:>12} {:>10}", "round", "avg-acc", "train-loss", "uplink-KiB", "sim-time");
     drive(sim.as_mut(), halt, opts.checkpoint_every, &ckpt, &mut |m, snapshot| {
         println!(
@@ -427,6 +447,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     write_artifacts(&log, &opts.out_dir, &scenario.name)?;
     // The run is complete: its snapshot has nothing left to resume.
     let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(stamp_path(&opts.out_dir, &scenario.name));
     Ok(())
 }
 
@@ -661,24 +682,53 @@ enum CellStatus {
     Fresh,
 }
 
-/// The file naming the scenario that a serve cell's `.json`, `.csv` and
-/// `.ckpt` belong to. It is written before any of them, and replaced only
-/// after they are removed, so it never vouches for another scenario's.
+/// The file naming the scenario that the `.json`, `.csv` and `.ckpt` of
+/// a serve cell or a snapshotting run belong to. It is written before any
+/// of them, and replaced only after they are removed ([`claim`]), so it
+/// never vouches for another scenario's.
 fn stamp_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.stamp"))
 }
 
-/// The FNV-1a 64 of the cell's canonical scenario JSON, in hex.
-fn scenario_stamp(cell: &Scenario) -> String {
-    let hash = cell.to_json().bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+/// The FNV-1a 64 of the scenario's canonical JSON with `sim.threads` at 1,
+/// in hex. The worker count moves no bit of a run, so a snapshot resumes
+/// under any `--threads`; serve cells always run at 1.
+fn scenario_stamp(scenario: &Scenario) -> String {
+    let mut scenario = scenario.clone();
+    scenario.sim.threads = 1;
+    let hash = scenario.to_json().bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
     format!("{hash:016x}\n")
 }
 
-/// Does `<name>.stamp` name this cell's scenario?
-fn stamped(dir: &Path, cell: &Scenario) -> bool {
-    std::fs::read_to_string(stamp_path(dir, &cell.name)).is_ok_and(|s| s == scenario_stamp(cell))
+/// Does `<name>.stamp` name this scenario?
+fn stamped(dir: &Path, scenario: &Scenario) -> bool {
+    std::fs::read_to_string(stamp_path(dir, &scenario.name))
+        .is_ok_and(|s| s == scenario_stamp(scenario))
+}
+
+/// Make `dir`'s `<name>.*` artifacts this scenario's: unless the stamp
+/// already names it, remove another scenario's `.json`, `.csv` and
+/// `.ckpt` of that name, then write the stamp.
+fn claim(dir: &Path, scenario: &Scenario) -> Result<(), String> {
+    if stamped(dir, scenario) {
+        return Ok(());
+    }
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    for ext in ["json", "csv", "ckpt"] {
+        let path = dir.join(format!("{}.{ext}", scenario.name));
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(format!("removing {}: {e}", path.display()));
+            }
+            _ => {}
+        }
+    }
+    // A torn stamp matches no scenario, so it needs no atomic write.
+    let stamp = stamp_path(dir, &scenario.name);
+    std::fs::write(&stamp, scenario_stamp(scenario))
+        .map_err(|e| format!("writing {}: {e}", stamp.display()))
 }
 
 fn cell_status(dir: &Path, cell: &Scenario) -> CellStatus {
@@ -709,22 +759,7 @@ fn cell_status(dir: &Path, cell: &Scenario) -> CellStatus {
 fn serve_cell(cell: &Scenario, dir: &Path, every: usize) -> Result<String, String> {
     let mut sim = cell.build().map_err(|e| e.to_string())?;
     let ckpt = checkpoint_path(dir, &cell.name);
-    if !stamped(dir, cell) {
-        // Another scenario's artifacts go before this one's stamp lands.
-        for ext in ["json", "csv", "ckpt"] {
-            let path = dir.join(format!("{}.{ext}", cell.name));
-            match std::fs::remove_file(&path) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    return Err(format!("removing {}: {e}", path.display()));
-                }
-                _ => {}
-            }
-        }
-        // A torn stamp matches no scenario, so it needs no atomic write.
-        let stamp = stamp_path(dir, &cell.name);
-        std::fs::write(&stamp, scenario_stamp(cell))
-            .map_err(|e| format!("writing {}: {e}", stamp.display()))?;
-    }
+    claim(dir, cell)?;
     let mut resumed = 0;
     if ckpt.exists() {
         // A snapshot that fails to load or fit (schema drift, a file from

@@ -96,7 +96,8 @@
 //!   `--checkpoint-every N` snapshots
 //!   `<out>/<name>.ckpt`, `--halt-at-round K` stops early with a
 //!   checkpoint, and `--resume FILE` continues one — the resumed log is
-//!   bit-identical to an uninterrupted run);
+//!   bit-identical to an uninterrupted run; a snapshot is resumed only
+//!   beside the `<name>.stamp` of the scenario being run);
 //! * `sweep <name|file> --seeds 1,2 --codecs raw,q8,q4,topk:0.1 …` —
 //!   expand grid axes into child scenarios and execute them
 //!   fleet-parallel;

@@ -92,9 +92,11 @@ impl Scale {
 
     /// The standard FedZKT configuration at this scale.
     ///
-    /// Learning rates: the paper's values (0.01 / 1e-3) are tuned for
-    /// `nD` = 200–500 server iterations; the reduced tiers compensate with
-    /// proportionally larger steps.
+    /// Learning rates: only `device_lr` depends on the tier (0.01 at the
+    /// paper tier, 0.05 below it). `server_lr`, `transfer_lr` (0.01) and
+    /// `generator_lr` (1e-3) are the paper's values at every tier, although
+    /// they were tuned for `nD` = 200–500 server iterations and the reduced
+    /// tiers run far fewer.
     pub fn fedzkt_config(&self, family: DataFamily, tier: Tier) -> FedZktConfig {
         let global_model = if family == DataFamily::Cifar10Like {
             ModelSpec::MobileNetV2 { width: 1.0 }

@@ -175,3 +175,61 @@ fn serve_reruns_a_cell_whose_scenario_was_edited() {
     assert!(stdout.contains("(0 already done, 0 resuming, 1 fresh, 0 deferred)"), "{stdout}");
     assert_eq!(active(&log()), [3, 3]);
 }
+
+#[test]
+fn run_resumes_only_its_own_scenarios_checkpoint() {
+    // `run --resume` used to accept any checkpoint whose seed, fleet size
+    // and depth matched: resuming an edited copy of `tiny` from tiny's
+    // snapshot exited 0 with a log that matched neither scenario. A
+    // snapshotting run writes the scenario's stamp beside its checkpoint,
+    // and a resume without this scenario's stamp is refused before
+    // anything is written.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("run-resume-foreign");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let tiny = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/tiny.json");
+    let tiny = std::fs::read_to_string(tiny).expect("checked-in tiny scenario");
+    assert!(tiny.contains("\"participation\": 1,"), "tiny's participation moved");
+    let edited = dir.join("tiny-edited.json");
+    std::fs::write(&edited, tiny.replace("\"participation\": 1,", "\"participation\": 0.5,"))
+        .expect("write");
+    let (killed, straight) = (dir.join("killed"), dir.join("straight"));
+    let edited = edited.to_str().expect("utf-8");
+    let (killed_out, straight_out) =
+        (killed.to_str().expect("utf-8"), straight.to_str().expect("utf-8"));
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&killed)
+            .expect("out dir")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        names.sort();
+        names
+    };
+
+    let (code, stdout, stderr) =
+        scenarios(&["run", "tiny", "--halt-at-round", "1", "--out", killed_out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert_eq!(listing(), ["tiny.ckpt", "tiny.stamp"]);
+    let ckpt = killed.join("tiny.ckpt");
+    let written = std::fs::read(&ckpt).expect("a halted run leaves its checkpoint");
+    let resume = ckpt.to_str().expect("utf-8");
+
+    let (code, stdout, stderr) =
+        scenarios(&["run", edited, "--resume", resume, "--out", killed_out]);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains(&format!("{resume}: not a checkpoint of this scenario")), "{stderr}");
+    assert_eq!(listing(), ["tiny.ckpt", "tiny.stamp"], "nothing written");
+    assert_eq!(std::fs::read(&ckpt).expect("checkpoint kept"), written, "checkpoint rewritten");
+
+    // The worker count is not part of the scenario's identity: tiny
+    // resumes at another `--threads` into the straight run's log, and the
+    // finished run drops its checkpoint and stamp.
+    let (code, stdout, stderr) = scenarios(&["run", "tiny", "--out", straight_out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    let (code, stdout, stderr) =
+        scenarios(&["run", "tiny", "--resume", resume, "--threads", "2", "--out", killed_out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert_eq!(listing(), ["tiny.csv", "tiny.json"]);
+    let json = |dir: &std::path::Path| std::fs::read(dir.join("tiny.json")).expect("artifact");
+    assert_eq!(json(&killed), json(&straight), "the resumed log differs from the straight run's");
+}

@@ -334,11 +334,6 @@ impl Tensor {
         self.zip_map(rhs, |a, b| a * b)
     }
 
-    /// Elementwise quotient. See [`Tensor::zip_map`] for error behaviour.
-    pub fn div(&self, rhs: &Tensor) -> Result<Self> {
-        self.zip_map(rhs, |a, b| a / b)
-    }
-
     /// Add `rhs * scale` into `self` in place (axpy). Shapes must match.
     ///
     /// # Errors

@@ -54,7 +54,7 @@ fn tiny_run() -> Simulation<FedZkt> {
 fn mid_run_device_models_survive_the_wire_format() {
     let mut sim = tiny_run();
     sim.round(0);
-    let fed = sim.algorithm_for_eval();
+    let fed = sim.algorithm();
     // "Transmit" every trained device model through the binary format and
     // load it into a freshly built twin of the same architecture.
     for k in 0..fed.devices() {
@@ -118,22 +118,18 @@ fn fedgkt_split_models_survive_the_wire_format() {
     // differently-seeded twin federation bit for bit.
     let mut sim = tiny_gkt_run(31);
     sim.round(0);
-    let mut twin = tiny_gkt_run(777);
+    let twin = tiny_gkt_run(777);
     for k in 0..sim.devices() {
-        let sd = state_dict(sim.algorithm_for_eval().device_model(k));
+        let sd = state_dict(sim.algorithm().device_model(k));
         let decoded = decode_state_dict(&encode_state_dict(&sd)).unwrap();
         assert_eq!(sd, decoded, "device {k}: split-model wire round-trip lost data");
         assert_ne!(
-            state_dict(twin.algorithm_for_eval().device_model(k)),
+            state_dict(twin.algorithm().device_model(k)),
             sd,
             "device {k}: twin seed must actually differ for the restore to mean anything"
         );
-        load_state_dict(twin.algorithm_for_eval().device_model(k), &decoded).unwrap();
-        assert_eq!(
-            state_dict(twin.algorithm_for_eval().device_model(k)),
-            sd,
-            "device {k}: twin differs"
-        );
+        load_state_dict(twin.algorithm().device_model(k), &decoded).unwrap();
+        assert_eq!(state_dict(twin.algorithm().device_model(k)), sd, "device {k}: twin differs");
     }
     // The server head travels the same path.
     let head = state_dict(sim.algorithm().server_head());
@@ -147,7 +143,7 @@ fn checkpoint_files_resume_training() {
     // Run one round and encode device 0 as a checkpoint file embeds it.
     let mut sim = tiny_run();
     sim.round(0);
-    let fed = sim.algorithm_for_eval();
+    let fed = sim.algorithm();
     let bytes = encode_state_dict(&state_dict(fed.device_model(0)));
 
     // "Restart": rebuild the architecture, restore, verify behavioural
@@ -167,7 +163,7 @@ fn checkpoint_files_resume_training() {
 fn corrupted_checkpoint_is_rejected_not_loaded() {
     let mut sim = tiny_run();
     sim.round(0);
-    let fed = sim.algorithm_for_eval();
+    let fed = sim.algorithm();
     let sd = state_dict(fed.device_model(1));
     let mut bytes = encode_state_dict(&sd).to_vec();
     // Flip a header byte (tensor count) — must fail cleanly.

@@ -19,7 +19,7 @@ use fedzkt::fl::{
     FederatedAlgorithm, PayloadCodec, SimConfig, Simulation,
 };
 use fedzkt::models::{GeneratorSpec, ModelSpec};
-use fedzkt::nn::{param_bytes, state_dict};
+use fedzkt::nn::{param_bytes, state_dict, StateDict};
 
 /// The full codec grid every trait-level invariant is checked under.
 const CODECS: [CodecSpec; 4] = [
@@ -177,8 +177,7 @@ fn fedgkt_sim(sim: SimConfig) -> Simulation<FedGkt> {
 /// updates, in every algorithm.
 fn assert_stragglers_untouched<A: FederatedAlgorithm + 'static>(sim: &mut Simulation<A>) {
     let n = sim.devices();
-    let before: Vec<_> =
-        (0..n).map(|k| state_dict(sim.algorithm_for_eval().device_model(k))).collect();
+    let before: Vec<_> = (0..n).map(|k| state_dict(sim.algorithm().device_model(k))).collect();
     let metrics = sim.round(0);
     assert!(
         metrics.active_devices.len() < n,
@@ -186,7 +185,7 @@ fn assert_stragglers_untouched<A: FederatedAlgorithm + 'static>(sim: &mut Simula
         metrics.active_devices.len()
     );
     for (k, snapshot) in before.iter().enumerate() {
-        let unchanged = state_dict(sim.algorithm_for_eval().device_model(k)) == *snapshot;
+        let unchanged = state_dict(sim.algorithm().device_model(k)) == *snapshot;
         assert_eq!(
             unchanged,
             !metrics.active_devices.contains(&k),
@@ -224,6 +223,43 @@ fn assert_traffic_is_wire_sized<A: FederatedAlgorithm + 'static>(sim: &mut Simul
     assert_eq!(metrics.download_bytes, expected_down, "downlink under {codec:?}");
 }
 
+/// Every f32 of `sd` in transfer order, as raw bits.
+fn bits(sd: &StateDict) -> Vec<u32> {
+    sd.iter_tensors().flat_map(|t| t.data().iter().map(|v| v.to_bits())).collect()
+}
+
+/// Trait-level invariant 3: between rounds, any device model can be read
+/// through [`Simulation::algorithm`] — a straggler as well as an active
+/// device — and the read shows the device's `device_{k}` blob in a
+/// checkpoint taken just before it, or, for a device the checkpoint holds
+/// no blob of, the seeded build (read from `fresh`, a never-run twin).
+/// Each distinct device read raises the residency gauge by exactly one.
+fn assert_device_models_readable_between_rounds<A: FederatedAlgorithm + 'static>(
+    mut sim: Simulation<A>,
+    fresh: Simulation<A>,
+) {
+    let metrics = sim.round(0);
+    let active = metrics.active_devices[0];
+    let straggler = (0..sim.devices())
+        .find(|k| !metrics.active_devices.contains(k))
+        .expect("test needs a straggler");
+    let ck = sim.checkpoint();
+    let registry = || sim.algorithm().registry().expect("a fleet registry");
+    let resident = registry().resident();
+    for (reads, k) in [straggler, active, straggler, active].into_iter().enumerate() {
+        let read = bits(&state_dict(sim.algorithm().device_model(k)));
+        let name = format!("device_{k}");
+        let expected = if ck.algo.has_blob(&name) {
+            ck.algo.dict(&name).expect("a well-formed blob")
+        } else {
+            state_dict(fresh.algorithm().device_model(k))
+        };
+        assert_eq!(read, bits(&expected), "device {k} (straggler {straggler})");
+        let distinct = reads.min(1) + 1;
+        assert_eq!(registry().resident(), resident + distinct, "after reading device {k}");
+    }
+}
+
 // participation 0.34 of 3 devices → exactly 1 active, 2 stragglers.
 fn partial() -> SimConfig {
     SimConfig { rounds: 1, participation: 0.34, seed: 2, ..Default::default() }
@@ -236,6 +272,23 @@ fn full() -> SimConfig {
 #[test]
 fn stragglers_keep_their_stale_models_fedzkt() {
     assert_stragglers_untouched(&mut fedzkt_sim(tiny_cfg(), partial()));
+}
+
+/// Device models are read between rounds with no preparation step,
+/// in every algorithm that keeps its devices in a fleet.
+#[test]
+fn device_models_read_between_rounds_show_their_checkpointed_state() {
+    // Two rounds with no evaluation before the last: after round one a
+    // straggler has been read only where the round itself reads it
+    // (FedZKT's game), so both the blob and the seeded-build case occur.
+    let cfg = || SimConfig { rounds: 2, eval_every: 0, ..partial() };
+    assert_device_models_readable_between_rounds(
+        fedzkt_sim(tiny_cfg(), cfg()),
+        fedzkt_sim(tiny_cfg(), cfg()),
+    );
+    assert_device_models_readable_between_rounds(fedmd_sim(cfg()), fedmd_sim(cfg()));
+    assert_device_models_readable_between_rounds(fedet_sim(cfg()), fedet_sim(cfg()));
+    assert_device_models_readable_between_rounds(fedgkt_sim(cfg()), fedgkt_sim(cfg()));
 }
 
 /// Stragglers stay bit-unchanged even when the codec is lossy: the wire
@@ -253,9 +306,9 @@ fn stragglers_untouched_under_every_lossy_codec() {
         // FedAvg's shared-model degeneration of the invariant, as above:
         // one active device must still be able to move the global model.
         let mut sim = fedavg_sim(SimConfig { codec, ..partial() });
-        let before = state_dict(sim.algorithm_for_eval().device_model(0));
+        let before = state_dict(sim.algorithm().device_model(0));
         sim.round(0);
-        assert_ne!(state_dict(sim.algorithm_for_eval().device_model(0)), before, "{codec:?}");
+        assert_ne!(state_dict(sim.algorithm().device_model(0)), before, "{codec:?}");
     }
 }
 
@@ -266,10 +319,10 @@ fn stragglers_keep_their_stale_models_fedavg() {
     // global model changing only through active devices. A round with one
     // active device must still change it (that device trains).
     let mut sim = fedavg_sim(partial());
-    let before = state_dict(sim.algorithm_for_eval().device_model(0));
+    let before = state_dict(sim.algorithm().device_model(0));
     let metrics = sim.round(0);
     assert_eq!(metrics.active_devices.len(), 1);
-    assert_ne!(state_dict(sim.algorithm_for_eval().device_model(0)), before);
+    assert_ne!(state_dict(sim.algorithm().device_model(0)), before);
 }
 
 #[test]
@@ -370,11 +423,11 @@ fn lossy_codecs_record_less_traffic_than_raw() {
 /// invariant 2 above is not vacuously true.
 #[test]
 fn payload_semantics_per_algorithm() {
-    let mut sim = fedzkt_sim(tiny_cfg(), full());
+    let sim = fedzkt_sim(tiny_cfg(), full());
     for k in 0..sim.devices() {
         assert_eq!(
             sim.algorithm().payload_template(k).byte_size(),
-            state_dict(sim.algorithm_for_eval().device_model(k)).byte_size()
+            state_dict(sim.algorithm().device_model(k)).byte_size()
         );
     }
     let sim = fedmd_sim(full());
@@ -415,13 +468,13 @@ fn device_traffic_independent_of_server_model_sizes() {
 /// parameter layouts, so FedAvg-style element-wise averaging is impossible.
 #[test]
 fn zoo_is_architecturally_incompatible() {
-    let mut sim = fedzkt_sim(tiny_cfg(), full());
+    let sim = fedzkt_sim(tiny_cfg(), full());
     let k = sim.devices();
     for a in 0..k {
         for b in (a + 1)..k {
-            let sa = state_dict(sim.algorithm_for_eval().device_model(a));
-            let sb = state_dict(sim.algorithm_for_eval().device_model(b));
-            let layout = |sd: &fedzkt::nn::StateDict| -> Vec<Vec<usize>> {
+            let sa = state_dict(sim.algorithm().device_model(a));
+            let sb = state_dict(sim.algorithm().device_model(b));
+            let layout = |sd: &StateDict| -> Vec<Vec<usize>> {
                 sd.params.iter().map(|t| t.shape().to_vec()).collect()
             };
             assert_ne!(layout(&sa), layout(&sb), "devices {a} and {b} share a layout");
@@ -437,13 +490,13 @@ fn server_distillation_changes_device_models() {
     let with_server = {
         let mut sim = fedzkt_sim(tiny_cfg(), full());
         sim.round(0);
-        state_dict(sim.algorithm_for_eval().device_model(0))
+        state_dict(sim.algorithm().device_model(0))
     };
     let without_server = {
         let cfg = FedZktConfig { distill_iters: 0, transfer_iters: 0, ..tiny_cfg() };
         let mut sim = fedzkt_sim(cfg, full());
         sim.round(0);
-        state_dict(sim.algorithm_for_eval().device_model(0))
+        state_dict(sim.algorithm().device_model(0))
     };
     assert_ne!(with_server, without_server, "server update had no effect on device 0");
 }
@@ -462,7 +515,7 @@ fn training_stays_finite_under_aggressive_settings() {
     sim.run();
     let k = sim.devices();
     for d in 0..k {
-        for p in sim.algorithm_for_eval().device_model(d).params() {
+        for p in sim.algorithm().device_model(d).params() {
             assert!(p.value().all_finite(), "device {d} has non-finite parameters");
         }
     }
@@ -480,8 +533,8 @@ fn probe_is_side_effect_free() {
     probed.round(0);
     plain.round(0);
     assert_eq!(
-        state_dict(probed.algorithm_for_eval().device_model(0)),
-        state_dict(plain.algorithm_for_eval().device_model(0)),
+        state_dict(probed.algorithm().device_model(0)),
+        state_dict(plain.algorithm().device_model(0)),
         "probe changed training trajectory"
     );
 }
