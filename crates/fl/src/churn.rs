@@ -19,16 +19,31 @@
 //! * evaluating one device costs one SplitMix64 hash for the static
 //!   schedule (arrival round, lifetime, duty phase) plus two per-round
 //!   hashes for the dropout/link draws, which are only taken for sampled
-//!   devices. The availability scan is O(registered) *time* — per device
-//!   one hash, no division and no branch on the answer — and O(1)
-//!   *memory* besides the set it returns, so a million-device fleet with
-//!   churn keeps peak residency O(sampled). Over 10⁶ devices under a
-//!   3-of-4 duty cycle it takes about 2.6 ms a round (one core of a
-//!   2-vCPU x86-64 Xeon, the benchmark's `fl.churn_available_ms` on
-//!   `fleet_wire`; 11–12 ms with two 64-bit divisions and a conditional
-//!   push per device). The participation sampler that then picks from
-//!   the available pool takes one draw per *sampled* device, so it costs
-//!   a small fraction of this scan.
+//!   devices.
+//!
+//! A round's available set is built by one scan,
+//! [`ChurnProcess::availability`]: O(registered) *time* — per device one
+//! hash, no division and no branch on the answer — into an
+//! [`Availability`] bitmap of one bit per device plus a 32-bit prefix
+//! count per 64 devices (1.5 bits a device, 188 KB at 10⁶). The bitmap
+//! answers the sampler's "which device sits at position `p` of the pool"
+//! in O(log registered) ([`Availability::select`]), so a round that
+//! samples 10³ of 10⁶ devices never lists the pool.
+//!
+//! Once lifespans cannot change the answer (no lifetimes, and past the
+//! arrival window), a round's set depends only on its duty phase,
+//! [`ChurnProcess::round_class`]. The simulation driver memoizes one
+//! bitmap per class while they fit in 8 B per registered device (the
+//! size of the `Vec<usize>` pool they replace), so a periodic fleet pays
+//! `duty_period` scans per run rather than one per round. A memo caches
+//! a pure function, so nothing above changes: it is never checkpointed,
+//! and a resumed run rebuilds it. Specs with lifetimes, or periods too
+//! long to memoize, scan once per round. Over 10⁶ devices under a 3-of-4
+//! duty cycle, listing the available set ([`ChurnProcess::available`],
+//! scan plus an 8 MB id vector, the benchmark's `fl.churn_available_ms`
+//! on `fleet_wire`) took 3.1–4.4 ms a round on one core of a 2-vCPU
+//! x86-64 Xeon; the driver now pays that scan, without the vector, four
+//! times per run.
 //!
 //! The per-device static schedule packs three independent draws into one
 //! 64-bit hash (21 + 21 + 22 bits); at those resolutions the arrival and
@@ -210,10 +225,11 @@ impl ChurnProcess {
     /// Build the evaluator for a fleet of `devices` devices.
     ///
     /// # Panics
-    /// Panics when `devices` is 0 or the spec fails
+    /// Panics when `devices` is 0 or above `u32::MAX`, or the spec fails
     /// [`ChurnSpec::validate`].
     pub fn new(spec: ChurnSpec, devices: usize) -> Self {
         assert!(devices > 0, "a churn process needs at least one device");
+        assert!(u32::try_from(devices).is_ok(), "at most u32::MAX devices");
         if let Err(e) = spec.validate() {
             panic!("invalid churn spec: {e}");
         }
@@ -285,11 +301,11 @@ impl ChurnProcess {
         self.spec.duty_period == 0 || (round + s.phase) % self.spec.duty_period < self.spec.duty_on
     }
 
-    /// The sorted set of devices available in `round`: exactly the
-    /// devices [`ChurnProcess::is_available`] accepts, without a division
-    /// per device (see [`DutyWindow`]) and without a branch on the
-    /// answer.
-    pub fn available(&self, round: usize) -> Vec<usize> {
+    /// The devices available in `round`, as a bitmap: exactly the
+    /// devices [`ChurnProcess::is_available`] accepts, found without a
+    /// division per device (see [`DutyWindow`]) and without a branch on
+    /// the answer.
+    pub fn availability(&self, round: usize) -> Availability {
         let duty = DutyWindow::at(&self.spec, round);
         let lifespans = self.spec.arrival_window > 0 || self.spec.mean_lifetime > 0.0;
         let is_available = |k: usize| {
@@ -300,19 +316,45 @@ impl ChurnProcess {
             };
             online && duty.as_ref().is_none_or(|d| d.is_on(h))
         };
-        // Every id is written at the cursor, which moves past available
-        // ones only. To the branch predictor each answer is a coin flip
-        // (3 in 4 under a 3-of-4 duty cycle), so a filter's conditional
-        // push mispredicts on about one device in four, which costs more
-        // than the hash does.
-        let mut out = vec![0; self.devices];
-        let mut len = 0;
-        for k in 0..self.devices {
-            out[len] = k;
-            len += usize::from(is_available(k));
+        // Each answer is or-ed into its word's bit. To the branch
+        // predictor an answer is a coin flip (3 in 4 under a 3-of-4 duty
+        // cycle), so testing it would mispredict on about one device in
+        // four, which costs more than the hash does.
+        let words = self.devices.div_ceil(64);
+        let mut bitmap = Availability {
+            words: Vec::with_capacity(words),
+            ranks: Vec::with_capacity(words),
+            len: 0,
+        };
+        let mut count = 0u32;
+        for base in (0..self.devices).step_by(64) {
+            let mut word = 0u64;
+            for k in base..self.devices.min(base + 64) {
+                word |= u64::from(is_available(k)) << (k - base);
+            }
+            bitmap.words.push(word);
+            bitmap.ranks.push(count);
+            count += word.count_ones();
         }
-        out.truncate(len);
-        out
+        bitmap.len = count as usize;
+        bitmap
+    }
+
+    /// The sorted set of devices available in `round`: the ids
+    /// [`ChurnProcess::availability`] sets.
+    pub fn available(&self, round: usize) -> Vec<usize> {
+        self.availability(round).ids()
+    }
+
+    /// The class of `round` when its available set depends on the round
+    /// only through its duty phase: `round % duty_period` (0 without a
+    /// duty cycle) once no device can depart (`mean_lifetime == 0`) and
+    /// every device has arrived (`round >= arrival_window`); `None`
+    /// before that, or when devices have lifetimes. Rounds of one class
+    /// have one [`ChurnProcess::availability`].
+    pub fn round_class(&self, round: usize) -> Option<usize> {
+        (self.spec.mean_lifetime == 0.0 && round >= self.spec.arrival_window)
+            .then(|| round % self.spec.duty_period.max(1))
     }
 
     /// Mid-round dropout decision for an available, sampled device:
@@ -348,6 +390,115 @@ impl ChurnProcess {
         }
         let h = split_seed(split_seed(split_seed(self.spec.seed, STREAM_LINK), round as u64), k as u64);
         floor + unit(h, 53) * (1.0 - floor)
+    }
+}
+
+/// One round's available devices: a bitmap over the fleet with the
+/// count of set bits before each 64-device word, built by
+/// [`ChurnProcess::availability`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Availability {
+    /// Bit `k % 64` of word `k / 64` is set when device `k` is available.
+    words: Vec<u64>,
+    /// `ranks[i]`: the set bits in `words[..i]`.
+    ranks: Vec<u32>,
+    /// The set bits in all words.
+    len: usize,
+}
+
+impl Availability {
+    /// Number of available devices.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is nobody available?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `pos`-th available device in ascending id order, i.e.
+    /// `ids()[pos]`: a binary search over the word ranks, then a walk over
+    /// one word's set bits.
+    ///
+    /// # Panics
+    /// Panics when `pos >= len()`.
+    pub fn select(&self, pos: usize) -> usize {
+        assert!(pos < self.len, "position {pos} out of range (available: {})", self.len);
+        // The last word whose rank is at most `pos` holds the bit: every
+        // word after it starts past `pos`, and an empty word shares its
+        // rank with the next one.
+        let i = self.ranks.partition_point(|&r| r as usize <= pos) - 1;
+        let mut word = self.words[i];
+        for _ in 0..pos - self.ranks[i] as usize {
+            word &= word - 1;
+        }
+        64 * i + word.trailing_zeros() as usize
+    }
+
+    /// The available devices, ascending.
+    pub fn ids(&self) -> Vec<usize> {
+        let mut ids = Vec::with_capacity(self.len);
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                ids.push(64 * i + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        ids
+    }
+
+    /// Heap bytes of the bitmap of a `devices`-device fleet.
+    fn bytes_for(devices: usize) -> usize {
+        devices.div_ceil(64) * (size_of::<u64>() + size_of::<u32>())
+    }
+}
+
+/// Bound on [`AvailabilityMemo`]'s bitmaps, per registered device: the
+/// size of the `Vec<usize>` pool a round used to list.
+const MEMO_BYTES_PER_DEVICE: usize = size_of::<usize>();
+
+/// A [`ChurnProcess`] with its availability bitmaps memoized by
+/// [`ChurnProcess::round_class`], as the simulation driver holds it.
+///
+/// The memo caches a pure function of `(spec, round)`: it changes no
+/// answer, is never checkpointed, and a resumed run rebuilds it. It keeps
+/// one bitmap per class when all classes fit in [`MEMO_BYTES_PER_DEVICE`]
+/// per device, and otherwise scans once per round.
+#[derive(Debug, Clone)]
+pub(crate) struct AvailabilityMemo {
+    process: ChurnProcess,
+    /// One slot per round class, filled on the class's first round;
+    /// empty when the classes do not fit the bound.
+    classes: Vec<Option<Availability>>,
+    /// The latest round's bitmap when it has no class slot.
+    unclassed: Option<Availability>,
+}
+
+impl AvailabilityMemo {
+    pub(crate) fn new(process: ChurnProcess) -> Self {
+        let spec = process.spec();
+        let classes = if spec.mean_lifetime == 0.0 { spec.duty_period.max(1) } else { 0 };
+        let fits = classes.saturating_mul(Availability::bytes_for(process.devices()))
+            <= MEMO_BYTES_PER_DEVICE * process.devices();
+        let slots = if fits { classes } else { 0 };
+        AvailabilityMemo { process, classes: vec![None; slots], unclassed: None }
+    }
+
+    /// The process whose bitmaps this memoizes.
+    pub(crate) fn process(&self) -> &ChurnProcess {
+        &self.process
+    }
+
+    /// [`ChurnProcess::availability`] of `round`, scanned on the first
+    /// round of its class, or every round when it has none.
+    pub(crate) fn availability(&mut self, round: usize) -> &Availability {
+        let process = &self.process;
+        match process.round_class(round).and_then(|c| self.classes.get_mut(c)) {
+            Some(slot) => slot.get_or_insert_with(|| process.availability(round)),
+            None => self.unclassed.insert(process.availability(round)),
+        }
     }
 }
 
@@ -492,6 +643,65 @@ mod tests {
                 assert_eq!(p.available(round), oracle, "{spec:?} round {round}");
             }
         }
+    }
+
+    /// The memo answers every round as a fresh scan does, fills one slot
+    /// per class when the classes fit its bound, and keeps none when they
+    /// do not (long periods) or when lifetimes leave no classes.
+    #[test]
+    fn memo_matches_the_scan_within_its_bound() {
+        let devices = 1000;
+        let duty = |duty_period, duty_on| ChurnSpec {
+            seed: 4,
+            duty_period,
+            duty_on,
+            dropout: 0.1,
+            ..Default::default()
+        };
+        // (spec, class slots): 16 words of 12 B per class, 8000 B in all.
+        let cases = [
+            (duty(4, 3), 4),
+            (ChurnSpec { arrival_window: 5, ..duty(3, 2) }, 3),
+            (ChurnSpec { arrival_window: 3, ..Default::default() }, 1),
+            (duty(41, 20), 41),
+            (duty(42, 20), 0),
+            (duty(1 << 22, 1 << 21), 0),
+            (ChurnSpec { mean_lifetime: 6.0, ..duty(4, 3) }, 0),
+        ];
+        for (spec, slots) in cases {
+            let p = ChurnProcess::new(spec, devices);
+            let mut memo = AvailabilityMemo::new(p);
+            assert_eq!(memo.classes.len(), slots, "{spec:?}");
+            let bytes = slots * Availability::bytes_for(devices);
+            assert!(bytes <= MEMO_BYTES_PER_DEVICE * devices, "{spec:?}");
+            for round in (0..30).chain([97, 1 << 22, (1 << 22) + 5]) {
+                assert_eq!(*memo.availability(round), p.availability(round), "{spec:?} {round}");
+            }
+            let filled = memo.classes.iter().filter(|c| c.is_some()).count();
+            assert_eq!(filled, slots.min(30), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn select_walks_the_ids_in_order() {
+        let p = ChurnProcess::new(busy_spec(), 300);
+        for round in 0..12 {
+            let a = p.availability(round);
+            let ids = a.ids();
+            assert_eq!(a.len(), ids.len());
+            assert_eq!(a.is_empty(), ids.is_empty());
+            for (pos, &k) in ids.iter().enumerate() {
+                assert_eq!(a.select(pos), k, "round {round} position {pos}");
+            }
+        }
+        // Words with no available device: only device 130 of 200 is on.
+        let sparse = Availability {
+            words: vec![0, 0, 1 << 2, 0],
+            ranks: vec![0, 0, 0, 1],
+            len: 1,
+        };
+        assert_eq!(sparse.select(0), 130);
+        assert_eq!(sparse.ids(), [130]);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! applies to every algorithm.
 
 use crate::checkpoint::{AlgoState, SimCheckpoint, CHECKPOINT_VERSION};
+use crate::churn::AvailabilityMemo;
 use crate::comm::CommTracker;
 use crate::{
     evaluate, AccuracyRow, ChurnProcess, ChurnSpec, CodecSpec, DeviceRegistry, DeviceResources,
@@ -414,7 +415,9 @@ pub struct Simulation<A: FederatedAlgorithm> {
     test: Dataset,
     sampler: ParticipationSampler,
     clock: Option<SimClock>,
-    churn: Option<ChurnProcess>,
+    /// The churn model with its availability bitmaps memoized by round
+    /// class (a cache of a pure function: never checkpointed).
+    churn: Option<AvailabilityMemo>,
     server_seconds: f64,
     log: RunLog,
     last_eval: Option<EvalSnapshot>,
@@ -501,7 +504,7 @@ impl<A: FederatedAlgorithm> SimulationBuilder<A> {
             churn: self
                 .churn
                 .filter(|spec| !spec.is_quiescent())
-                .map(|spec| ChurnProcess::new(spec, devices)),
+                .map(|spec| AvailabilityMemo::new(ChurnProcess::new(spec, devices))),
             server_seconds: self.server_seconds,
             log: RunLog::new(),
             last_eval: None,
@@ -533,9 +536,14 @@ impl<A: FederatedAlgorithm> Simulation<A> {
         self.clock.as_ref()
     }
 
+    /// The participation sampler that picks each round's devices.
+    pub fn sampler(&self) -> &ParticipationSampler {
+        &self.sampler
+    }
+
     /// The churn model, when a non-quiescent one is attached.
     pub fn churn(&self) -> Option<&ChurnProcess> {
-        self.churn.as_ref()
+        self.churn.as_ref().map(AvailabilityMemo::process)
     }
 
     /// Is `round` (0-based) one the evaluation cadence covers?
@@ -590,13 +598,14 @@ impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
             self.log.rounds.len()
         );
         // Sample from the round's available pool. Without churn the pool
-        // is the whole fleet, over which `active_among` and `active` take
-        // the same draws over the same positions and return the same set.
-        let (available, sampled) = match &self.churn {
-            Some(churn) => {
-                let pool = churn.available(round);
-                let sampled = self.sampler.active_among(round, &pool);
-                (pool.len(), sampled)
+        // is the whole fleet, over which `active_in` and `active` take the
+        // same draws over the same positions and return the same set.
+        // Under churn the pool is a bitmap, which the sampler reads only
+        // at the positions it draws.
+        let (available, sampled) = match &mut self.churn {
+            Some(memo) => {
+                let pool = memo.availability(round);
+                (pool.len(), self.sampler.active_in(round, pool.len(), |p| pool.select(p)))
             }
             None => (self.algo.devices(), self.sampler.active(round)),
         };
@@ -605,7 +614,7 @@ impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
         // and partial compute below but never touch algorithm state.
         let mut active = Vec::with_capacity(sampled.len());
         let mut dropouts: Vec<(usize, f64)> = Vec::new();
-        match &self.churn {
+        match self.churn() {
             Some(churn) => {
                 for &k in &sampled {
                     match churn.dropout(k, round) {
@@ -657,7 +666,8 @@ impl<A: FederatedAlgorithm + 'static> ErasedSimulation for Simulation<A> {
 
         if let Some(clock) = &mut self.clock {
             let algo = &self.algo;
-            let participants: Vec<RoundParticipant> = match &self.churn {
+            let churn = self.churn.as_ref().map(AvailabilityMemo::process);
+            let participants: Vec<RoundParticipant> = match churn {
                 Some(churn) => active
                     .iter()
                     .map(|&k| RoundParticipant {

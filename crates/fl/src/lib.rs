@@ -130,7 +130,7 @@ mod training;
 
 pub use aggregate::{average_state_dicts, StreamingAverage};
 pub use checkpoint::{AlgoState, SimCheckpoint};
-pub use churn::{ChurnProcess, ChurnSpec};
+pub use churn::{Availability, ChurnProcess, ChurnSpec};
 pub use codec::{CodecError, CodecSpec, PayloadCodec};
 pub use driver::{
     ErasedSimulation, FederatedAlgorithm, RoundContext, SimConfig, Simulation, SimulationBuilder,

@@ -61,20 +61,37 @@ impl ParticipationSampler {
     /// The subset is drawn over pool *positions* with the draws
     /// [`ParticipationSampler::active`] takes over device ids, so over
     /// the full pool `0..devices` the two agree exactly, and attaching a
-    /// quiescent churn model to a scenario changes nothing. Time and
-    /// memory follow the sample, not the pool.
+    /// quiescent churn model to a scenario changes nothing. This is
+    /// [`ParticipationSampler::active_in`] over the slice.
     pub fn active_among(&self, round: usize, pool: &[usize]) -> Vec<usize> {
-        if pool.is_empty() {
+        let mut active = self.active_in(round, pool.len(), |p| pool[p]);
+        if active.len() < pool.len() {
+            active.sort_unstable();
+        }
+        active
+    }
+
+    /// The active subset of a pool of `len` devices whose `p`-th member
+    /// is `select(p)`, in position order: the positions
+    /// [`ParticipationSampler::active_among`] draws, mapped through
+    /// `select`, which is ascending when `select` is (as
+    /// [`crate::Availability::select`] is). Time and memory follow the
+    /// sample, not the pool: `select` is called once per sampled device,
+    /// and the pool is never listed.
+    pub fn active_in(
+        &self,
+        round: usize,
+        len: usize,
+        select: impl Fn(usize) -> usize,
+    ) -> Vec<usize> {
+        if len == 0 {
             return Vec::new();
         }
-        let m = ((pool.len() as f32 * self.fraction).round() as usize).clamp(1, pool.len());
-        if m == pool.len() {
-            return pool.to_vec();
+        let m = ((len as f32 * self.fraction).round() as usize).clamp(1, len);
+        if m == len {
+            return (0..len).map(select).collect();
         }
-        let mut active: Vec<usize> =
-            self.sample_positions(round, pool.len(), m).into_iter().map(|p| pool[p]).collect();
-        active.sort_unstable();
-        active
+        self.sample_positions(round, len, m).into_iter().map(select).collect()
     }
 
     /// `m < len` positions of `0..len`, ascending, drawn on `round`'s

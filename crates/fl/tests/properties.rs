@@ -1,10 +1,12 @@
 //! Property-based tests on the FL substrate's public API.
 
-use fedzkt_data::{DataFamily, Partition, SynthConfig};
+use fedzkt_data::{DataFamily, Dataset, Partition, SynthConfig};
 use fedzkt_fl::{
-    accuracy, ChurnProcess, ChurnSpec, DeviceResources, ParticipationSampler, RoundParticipant,
-    SimClock,
+    accuracy, ChurnProcess, ChurnSpec, DeviceResources, ErasedSimulation, FederatedAlgorithm,
+    ParticipationSampler, RoundContext, RoundParticipant, SimClock, SimConfig, Simulation,
 };
+use fedzkt_models::ModelSpec;
+use fedzkt_nn::{Module, StateDict};
 use proptest::prelude::*;
 
 /// Duty periods at the edges of the availability scan's phase draw (22
@@ -47,8 +49,72 @@ fn churn_spec() -> impl Strategy<Value = ChurnSpec> {
         })
 }
 
+/// The specs that reach every branch of the availability scan: busy
+/// dynamics, the `fleet_wire` 3-of-4 duty cycle, arrivals with and
+/// without lifetimes, degenerate cycles (period 1, always on), and the
+/// [`WIDE_PERIODS`].
+fn scan_specs() -> Vec<ChurnSpec> {
+    let duty = |duty_period, duty_on| ChurnSpec { seed: 9, duty_period, duty_on, ..Default::default() };
+    let busy = ChurnSpec {
+        seed: 7,
+        arrival_window: 4,
+        mean_lifetime: 6.0,
+        duty_period: 3,
+        duty_on: 2,
+        dropout: 0.3,
+        bandwidth_floor: 0.4,
+    };
+    vec![
+        busy,
+        duty(4, 3),
+        ChurnSpec { arrival_window: 2, dropout: 0.2, ..duty(3, 2) },
+        ChurnSpec { arrival_window: 5, mean_lifetime: 4.0, ..duty(7, 3) },
+        ChurnSpec { seed: 3, arrival_window: 4, mean_lifetime: 8.0, ..Default::default() },
+        duty(1, 1),
+        duty(5, 5),
+        duty(WIDE_PERIODS[0], 1 << 21),
+        duty(WIDE_PERIODS[1], 1 << 21),
+        duty(WIDE_PERIODS[2], 1 << 21),
+        duty(WIDE_PERIODS[3], 3 << 20),
+    ]
+}
+
+/// Fleet sizes around the bitmap's 64-device words, and a large one.
+const SCAN_FLEETS: [usize; 5] = [1, 63, 64, 65, 10_000];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The bitmap is the per-device definition: `availability` holds
+    /// exactly the devices `is_available` accepts, `available` lists them,
+    /// and `select(p)` is the `p`-th of them — at rounds near the start,
+    /// and duty periods deep at a period's start and just before its end.
+    #[test]
+    fn availability_bitmap_is_the_per_device_predicate(
+        spec in 0usize..11,
+        fleet in 0usize..5,
+        round in 0usize..8,
+        depth in 0usize..4,
+        back in 0u8..2,
+    ) {
+        let spec = scan_specs()[spec];
+        let devices = SCAN_FLEETS[fleet];
+        let period = spec.duty_period.max(1);
+        let round = match (depth, back) {
+            (0, _) => round,
+            (_, 0) => depth * period + round.min(period - 1),
+            _ => (depth + 1) * period - 1 - round.min(period - 1),
+        };
+        let p = ChurnProcess::new(spec, devices);
+        let oracle: Vec<usize> = (0..devices).filter(|&k| p.is_available(k, round)).collect();
+        let bitmap = p.availability(round);
+        prop_assert_eq!(bitmap.len(), oracle.len());
+        prop_assert_eq!(bitmap.ids(), oracle.clone());
+        prop_assert_eq!(p.available(round), oracle.clone());
+        for (pos, &k) in oracle.iter().enumerate() {
+            prop_assert_eq!(bitmap.select(pos), k);
+        }
+    }
 
     /// The participation sampler always returns a sorted, deduplicated,
     /// in-range, non-empty subset of the requested size.
@@ -219,6 +285,97 @@ proptest! {
             for shard in &shards {
                 let sub = train.subset(shard);
                 prop_assert_eq!(sub.class_counts().iter().sum::<usize>(), shard.len());
+            }
+        }
+    }
+}
+
+/// Rounds of one class have one bitmap: over the first three duty
+/// periods past the arrival window, every pair of rounds that
+/// `round_class` puts together scans to the same availability.
+#[test]
+fn equal_round_classes_have_equal_bitmaps() {
+    for spec in scan_specs().into_iter().filter(|s| s.duty_period < 1 << 10) {
+        for devices in [1usize, 65, 1000] {
+            let p = ChurnProcess::new(spec, devices);
+            let rounds = 3 * spec.duty_period.max(1) + spec.arrival_window;
+            let mut first: Vec<Option<fedzkt_fl::Availability>> = vec![None; rounds];
+            for round in 0..rounds {
+                let Some(class) = p.round_class(round) else { continue };
+                let bitmap = p.availability(round);
+                match &first[class] {
+                    Some(seen) => assert_eq!(seen, &bitmap, "{spec:?} round {round}"),
+                    None => first[class] = Some(bitmap),
+                }
+            }
+        }
+        // Lifetimes leave no classes; without them every round past the
+        // arrival window has one.
+        let p = ChurnProcess::new(spec, 10);
+        let past = spec.arrival_window;
+        assert_eq!(p.round_class(past).is_some(), spec.mean_lifetime == 0.0, "{spec:?}");
+        if past > 0 {
+            assert_eq!(p.round_class(past - 1), None, "{spec:?}");
+        }
+    }
+}
+
+/// A device-free algorithm for driving the simulation's sampling alone:
+/// one shared model, empty payloads, no training.
+struct Idle {
+    devices: usize,
+    model: Box<dyn Module>,
+}
+
+impl FederatedAlgorithm for Idle {
+    fn devices(&self) -> usize {
+        self.devices
+    }
+    fn local_update(&mut self, _: usize, _: &[usize], _: &mut RoundContext) -> f32 {
+        0.0
+    }
+    fn server_update(&mut self, _: usize, _: &[usize], _: &mut RoundContext) {}
+    fn device_model(&self, _: usize) -> &dyn Module {
+        self.model.as_ref()
+    }
+    fn payload_template(&self, _: usize) -> StateDict {
+        StateDict { params: Vec::new(), buffers: Vec::new() }
+    }
+    fn local_samples(&self, _: usize) -> usize {
+        0
+    }
+}
+
+/// The driver samples each churned round as the sampler does over the
+/// listed pool, `active_among(round, &available(round))`, whether the
+/// round's bitmap comes from the memo (periodic specs), a fresh scan
+/// (arrivals before the window closes, lifetimes, long periods) or a
+/// slot filled rounds earlier; survivors and dropouts split that sample.
+#[test]
+fn churned_rounds_sample_the_listed_pool() {
+    let devices = 2000;
+    let specs = [
+        ChurnSpec { seed: 2, arrival_window: 5, duty_period: 3, duty_on: 2, dropout: 0.2, ..Default::default() },
+        ChurnSpec { seed: 3, duty_period: 4, duty_on: 3, dropout: 0.1, ..Default::default() },
+        ChurnSpec { seed: 4, arrival_window: 3, mean_lifetime: 5.0, duty_period: 2, duty_on: 1, ..Default::default() },
+        ChurnSpec { seed: 5, duty_period: 1 << 22, duty_on: 1 << 21, ..Default::default() },
+    ];
+    let test = Dataset::new(fedzkt_tensor::Tensor::zeros(&[2, 1, 8, 8]), vec![0, 1], 2);
+    for spec in specs {
+        for participation in [0.05f32, 1.0] {
+            let cfg = SimConfig { rounds: 14, participation, eval_every: 0, ..Default::default() };
+            let idle = Idle { devices, model: ModelSpec::Mlp { hidden: 4 }.build(1, 2, 8, 1) };
+            let mut sim = Simulation::builder(idle, test.clone(), cfg).churn(spec).build();
+            let log = sim.run().clone();
+            let (churn, sampler) = (sim.churn().expect("churn attached"), sim.sampler());
+            for (round, metrics) in log.rounds.iter().enumerate() {
+                let pool = churn.available(round);
+                let sampled = sampler.active_among(round, &pool);
+                let survivors: Vec<usize> =
+                    sampled.iter().copied().filter(|&k| churn.dropout(k, round).is_none()).collect();
+                assert_eq!(metrics.available_devices, pool.len(), "{spec:?} round {round}");
+                assert_eq!(metrics.active_devices, survivors, "{spec:?} round {round}");
+                assert_eq!(metrics.dropped_devices, sampled.len() - survivors.len());
             }
         }
     }
