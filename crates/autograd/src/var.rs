@@ -1,7 +1,7 @@
 //! The [`Var`] type: a node in the autodiff DAG.
 
 use fedzkt_tensor::Tensor;
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::HashSet;
 use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,9 +253,26 @@ impl Var {
         *slot = value;
     }
 
+    /// The node's value as a mutable slice, for an in-place optimizer
+    /// step; the shape cannot change through it.
+    ///
+    /// # Panics
+    /// Panics if the value is borrowed elsewhere.
+    pub fn value_mut(&self) -> RefMut<'_, [f32]> {
+        RefMut::map(self.inner.value.borrow_mut(), Tensor::data_mut)
+    }
+
     /// The gradient accumulated by the last [`Var::backward`] call, if any.
     pub fn grad(&self) -> Option<Tensor> {
         self.inner.grad.borrow().clone()
+    }
+
+    /// Borrow the accumulated gradient in place of [`Var::grad`]'s copy.
+    ///
+    /// # Panics
+    /// Panics if a backward pass is accumulating into this node.
+    pub fn grad_ref(&self) -> Ref<'_, Option<Tensor>> {
+        self.inner.grad.borrow()
     }
 
     /// Clear this node's accumulated gradient.

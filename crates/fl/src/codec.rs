@@ -338,21 +338,24 @@ fn encode_tensor_quant(data: &[f32], levels: f32, packed: bool, out: &mut Vec<u8
     let (min, scale) = quant_range(data, levels);
     put_f32(out, min);
     put_f32(out, scale);
+    let q = |v: f32| quantize(v, min, scale, levels);
+    // The indices are written into their pre-sized span of the payload.
+    let start = out.len();
+    out.resize(start + if packed { data.len().div_ceil(2) } else { data.len() }, 0);
+    let span = &mut out[start..];
     if packed {
         // Two values per byte, low nibble first; an odd trailing element
         // fills the low nibble of the final byte on its own.
         let pairs = data.chunks_exact(2);
-        let tail = pairs.remainder();
-        for pair in pairs {
-            let (lo, hi) = (pair[0], pair[1]);
-            out.push(quantize(lo, min, scale, levels) | (quantize(hi, min, scale, levels) << 4));
+        if let (Some(&last), Some(byte)) = (pairs.remainder().first(), span.last_mut()) {
+            *byte = q(last);
         }
-        if let Some(&last) = tail.first() {
-            out.push(quantize(last, min, scale, levels));
+        for (byte, pair) in span.iter_mut().zip(pairs) {
+            *byte = q(pair[0]) | (q(pair[1]) << 4);
         }
     } else {
-        for &v in data {
-            out.push(quantize(v, min, scale, levels));
+        for (byte, &v) in span.iter_mut().zip(data) {
+            *byte = q(v);
         }
     }
 }
@@ -782,6 +785,71 @@ mod tests {
             assert_eq!(codec.encode(&dict).len(), codec.wire_bytes(&dict), "{codec:?}");
             let back = codec.decode(&codec.encode(&dict)).unwrap();
             assert!(back.params.is_empty() && back.buffers.is_empty());
+        }
+    }
+
+    /// The quantizer payload as an element-by-element `push` with
+    /// `f32::round`: the oracle the pre-sized, libm-free encoder matches.
+    fn encode_quant_by_round(codec: CodecSpec, sd: &StateDict) -> Vec<u8> {
+        let (levels, packed) = match codec {
+            CodecSpec::QuantQ8 => (255.0, false),
+            CodecSpec::QuantQ4 => (15.0, true),
+            other => panic!("{other:?} is not a quantizer"),
+        };
+        let q = |v: f32, min: f32, scale: f32| -> u8 {
+            if scale == 0.0 {
+                return 0;
+            }
+            let v = if v.is_nan() { min } else { v };
+            (((v - min) / scale).round().clamp(0.0, levels)) as u8
+        };
+        let mut out = Vec::new();
+        write_header(&codec, sd, &mut out);
+        for t in sd.iter_tensors() {
+            let (min, scale) = quant_range(t.data(), levels);
+            put_f32(&mut out, min);
+            put_f32(&mut out, scale);
+            if packed {
+                for pair in t.data().chunks(2) {
+                    let hi = pair.get(1).map_or(0, |&v| q(v, min, scale) << 4);
+                    out.push(q(pair[0], min, scale) | hi);
+                }
+            } else {
+                out.extend(t.data().iter().map(|&v| q(v, min, scale)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn quantizer_payloads_match_the_f32_round_encoder() {
+        let tensor = |v: Vec<f32>| Tensor::from_vec(v.clone(), &[v.len()]).unwrap();
+        let sub = f32::MIN_POSITIVE / 8.0;
+        // Exact halves of the q8 and q4 grids over [0, 255] and [0, 15].
+        let halves = |top: u32| -> Vec<f32> { (0..=2 * top).map(|i| i as f32 / 2.0).collect() };
+        let mut ramp255 = halves(255);
+        ramp255.push(255.5);
+        let cases = vec![
+            tensor(vec![0.0, -0.0, sub, -sub, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0]),
+            tensor(vec![-0.0, 0.0]),
+            tensor(vec![sub, 2.0 * sub, 3.0 * sub, -sub, 0.0]),
+            tensor(ramp255),
+            tensor(halves(15)),
+            tensor(vec![2.5; 9]),
+            tensor(vec![-7.25; 4]),
+            tensor(vec![f32::NAN, f32::INFINITY]),
+            tensor(vec![255.5, 0.0, 0.5, 1.5, 254.5, 255.0]),
+            tensor(vec![-f32::MAX, f32::MAX, 0.0]),
+            tensor(vec![0.1, 0.2, 0.3]),
+            tensor(vec![]),
+        ];
+        let dict = StateDict { params: cases[..6].to_vec(), buffers: cases[6..].to_vec() };
+        for codec in [CodecSpec::QuantQ8, CodecSpec::QuantQ4] {
+            assert_eq!(codec.encode(&dict), encode_quant_by_round(codec, &dict), "{codec:?}");
+            for case in &cases {
+                let one = sd(vec![case.clone()]);
+                assert_eq!(codec.encode(&one), encode_quant_by_round(codec, &one), "{case:?}");
+            }
         }
     }
 

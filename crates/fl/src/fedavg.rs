@@ -25,10 +25,10 @@
 //! registry counters.
 
 use crate::{
-    train_local_fleet, AlgoState, DeviceRegistry, FederatedAlgorithm, FleetJob, LocalTrainConfig,
-    RoundContext, ShardStore, SimConfig, StreamingAverage,
+    train_local, AlgoState, DeviceRegistry, FederatedAlgorithm, LocalTrainConfig, RoundContext,
+    ShardStore, SimConfig, StreamingAverage,
 };
-use fedzkt_data::Corpus;
+use fedzkt_data::{Corpus, Dataset};
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
 use fedzkt_tensor::{par, split_seed};
@@ -104,6 +104,39 @@ impl FedAvg {
     }
 }
 
+/// Train `n` devices of architecture `spec` from one broadcast
+/// `snapshot`, where device `i` trains on `job(i)`'s data and config,
+/// returning `(final-epoch loss, trained state)` per device in order.
+///
+/// Each of up to `threads` workers takes a contiguous share of the
+/// devices and builds one model for all of them: per device it loads the
+/// snapshot, calls [`train_local`] and reads the state back. That is what
+/// a fresh build per device computes, bit for bit, because no layer holds
+/// state outside its state dict (the build's initialisation is always
+/// overwritten), and it is the same for every thread count.
+pub(crate) fn train_from_snapshot(
+    spec: ModelSpec,
+    io: (usize, usize, usize),
+    snapshot: &StateDict,
+    n: usize,
+    threads: usize,
+    job: impl Fn(usize) -> (Dataset, LocalTrainConfig) + Sync,
+) -> Vec<(f32, StateDict)> {
+    let mut results: Vec<Option<(f32, StateDict)>> = (0..n).map(|_| None).collect();
+    par::for_each_chunk_mut(&mut results, 1, threads, |first, share| {
+        // The initialisation seed is irrelevant: the snapshot overwrites
+        // every parameter and buffer before each device trains.
+        let model = spec.build(io.0, io.1, io.2, 0);
+        for (i, slot) in (first..).zip(share) {
+            let (data, cfg) = job(i);
+            load_state_dict(model.as_ref(), snapshot).expect("broadcast snapshot matches spec");
+            let loss = train_local(model.as_ref(), &data, &cfg);
+            *slot = Some((loss, state_dict(model.as_ref())));
+        }
+    });
+    results.into_iter().map(|r| r.expect("every device is trained")).collect()
+}
+
 impl FederatedAlgorithm for FedAvg {
     fn devices(&self) -> usize {
         self.shards.devices()
@@ -121,42 +154,35 @@ impl FederatedAlgorithm for FedAvg {
         // One broadcast payload: encoded once, every recipient charged its
         // wire size and handed the same decoded state.
         let global_sd = ctx.broadcast(active, state_dict(self.global.as_ref()));
-        // The data is the only per-device state (models are rebuilt from
-        // the broadcast snapshot on the workers). Shards sampled for the
-        // first time are synthesized into the store's cache here, and each
-        // worker copies a device's shard out right before training on it:
-        // at most `threads` shards and snapshots are live at a time,
-        // however many devices the round samples. The registry counts the
-        // whole sampled set, which must not repeat a device (the fold
-        // order below relies on ascending ids too).
+        // The data is the only per-device state (each worker loads the
+        // broadcast snapshot into its one model per device). Shards
+        // sampled for the first time are synthesized into the store's
+        // cache here, and each worker copies a device's shard out right
+        // before training on it: at most `threads` shards and models are
+        // live at a time, however many devices the round samples. The
+        // registry counts the whole sampled set, which must not repeat a
+        // device (the fold order below relies on ascending ids too).
         assert!(active.windows(2).all(|w| w[0] < w[1]), "active ids must be strictly ascending");
         for _ in active {
             self.registry.checkout();
         }
         self.shards.cache(active);
-        let (shards, spec, io, cfg, seed) = (&self.shards, self.spec, self.io, self.cfg, self.seed);
-        let results = par::map_indexed(active.len(), ctx.threads(), |i| {
+        let (shards, cfg, seed) = (&self.shards, self.cfg, self.seed);
+        let job = |i: usize| {
             let dev = active[i];
-            let job = FleetJob {
-                spec,
-                snapshot: global_sd.clone(),
-                data: &shards.shard(dev),
-                cfg: LocalTrainConfig {
-                    epochs: cfg.local_epochs,
-                    batch_size: cfg.batch_size,
-                    lr: cfg.lr,
-                    momentum: cfg.momentum,
-                    weight_decay: 0.0,
-                    prox_mu: cfg.prox_mu,
-                    seed: split_seed(seed, (round * 1000 + dev) as u64),
-                },
-                pretrain: None,
-                digest: None,
-                rebuild_seed: split_seed(seed, 0xB11D_0000 + (round * 1000 + dev) as u64),
+            let local = LocalTrainConfig {
+                epochs: cfg.local_epochs,
+                batch_size: cfg.batch_size,
+                lr: cfg.lr,
+                momentum: cfg.momentum,
+                weight_decay: 0.0,
+                prox_mu: cfg.prox_mu,
+                seed: split_seed(seed, (round * 1000 + dev) as u64),
             };
-            // Already on a worker: the one-job dispatch runs inline.
-            train_local_fleet(std::slice::from_ref(&job), io, 1).pop().expect("one job, one result")
-        });
+            (shards.shard(dev), local)
+        };
+        let results =
+            train_from_snapshot(self.spec, self.io, &global_sd, active.len(), ctx.threads(), job);
         for _ in active {
             self.registry.release();
         }

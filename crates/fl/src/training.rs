@@ -101,6 +101,14 @@ pub fn train_local(model: &dyn Module, data: &Dataset, cfg: &LocalTrainConfig) -
 /// derive `rebuild_seed` from their run seed **per round and device** so
 /// such state gets a fresh deterministic stream each round instead of
 /// replaying one sequence forever.
+///
+/// FedAvg no longer rebuilds per device: its devices share one
+/// architecture and start from one broadcast snapshot, so each worker
+/// loads that snapshot into a single model per device (see
+/// `fedavg::train_from_snapshot`), which is exact because no layer holds
+/// state outside its state dict. The other algorithms still rebuild per
+/// job; per-architecture scratch models for them wait for a shared
+/// teacher set (ROADMAP item 4).
 pub struct FleetJob<'a> {
     /// Architecture to rebuild on the worker thread.
     pub spec: ModelSpec,
@@ -119,6 +127,7 @@ pub struct FleetJob<'a> {
     /// digest→revisit round structure); `None` for plain local SGD.
     pub digest: Option<DigestConfig<'a>>,
     /// Seed for the rebuild's (immediately overwritten) initialisation.
+    /// FedAvg, which builds one model per worker instead, sets none.
     pub rebuild_seed: u64,
 }
 
@@ -361,6 +370,68 @@ mod tests {
         let out = train_local_fleet(&jobs, io, 2);
         assert_eq!(out[0].0.to_bits(), ref_loss.to_bits());
         assert_eq!(out[0].1, state_dict(reference.as_ref()));
+    }
+
+    /// FedAvg's device step — one model per worker, the broadcast
+    /// snapshot loaded before each device — returns per device the loss
+    /// and state a one-job fleet dispatch (a fresh seeded build per
+    /// device) does, bit for bit, at 1 and 4 threads, for a dense, a
+    /// convolutional and a batch-norm model, with and without the
+    /// proximal term and with an empty shard among the devices.
+    #[test]
+    fn per_worker_model_matches_a_rebuild_per_device() {
+        let (train, _) = toy_data(8);
+        let io = (1usize, 4usize, 8usize);
+        let shards: Vec<Dataset> = (0..6)
+            .map(|k| train.subset(&(0..80).filter(|i| i % 6 == k && k != 4).collect::<Vec<_>>()))
+            .collect();
+        let cfg = |k: usize| LocalTrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            lr: 0.05,
+            prox_mu: if k % 2 == 1 { 0.3 } else { 0.0 },
+            seed: 400 + k as u64,
+            ..Default::default()
+        };
+        let specs = [
+            ModelSpec::Mlp { hidden: 8 },
+            ModelSpec::LeNet { scale: 0.5, deep: false },
+            ModelSpec::SmallCnn { base_channels: 4 },
+        ];
+        for spec in specs {
+            let snapshot = state_dict(spec.build(io.0, io.1, io.2, 31).as_ref());
+            let oracle: Vec<(f32, StateDict)> = (0..shards.len())
+                .map(|k| {
+                    let job = FleetJob {
+                        spec,
+                        snapshot: snapshot.clone(),
+                        data: &shards[k],
+                        cfg: cfg(k),
+                        pretrain: None,
+                        digest: None,
+                        rebuild_seed: 900 + k as u64,
+                    };
+                    train_local_fleet(std::slice::from_ref(&job), io, 1).pop().expect("one job")
+                })
+                .collect();
+            for threads in [1usize, 4] {
+                let shared = crate::fedavg::train_from_snapshot(
+                    spec,
+                    io,
+                    &snapshot,
+                    shards.len(),
+                    threads,
+                    |k| (shards[k].clone(), cfg(k)),
+                );
+                assert_eq!(shared.len(), oracle.len());
+                for (k, ((lo, so), (ls, ss))) in oracle.iter().zip(&shared).enumerate() {
+                    assert_eq!(lo.to_bits(), ls.to_bits(), "{spec:?} threads {threads} device {k}");
+                    assert_eq!(so, ss, "{spec:?} threads {threads} device {k}");
+                }
+            }
+            // The devices really differ, so a stale model would show.
+            assert_ne!(oracle[0].1, oracle[2].1, "{spec:?}");
+        }
     }
 
     #[test]

@@ -222,14 +222,15 @@ pub fn load_state_dict(module: &dyn Module, sd: &StateDict) -> Result<(), NnErro
         }
     }
     for (i, (b, t)) in buffers.iter().zip(&sd.buffers).enumerate() {
-        if b.get().shape() != t.shape() {
+        if b.shape() != t.shape() {
             return Err(NnError::StateDictMismatch {
                 detail: format!("buffer {i}: shape mismatch {:?}", t.shape()),
             });
         }
     }
+    // Shapes match, so each parameter is overwritten in place.
     for (p, t) in params.iter().zip(&sd.params) {
-        p.set_value(t.clone());
+        p.value_mut().copy_from_slice(t.data());
     }
     for (b, t) in buffers.iter().zip(&sd.buffers) {
         b.set(t.clone());

@@ -66,29 +66,32 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
+    /// `w ← w − lr·v` with `v ← μ·v + (g + wd·w)` (`v = g + wd·w` without
+    /// momentum), updated in place: no copy of a gradient, velocity or
+    /// weight is made. Per element the float sequence is `g += w·wd`,
+    /// `v *= μ`, `v += g·1`, `w += v·(−lr)`, each rounded to `f32`.
     fn step(&self) {
-        let lr = self.lr.get();
+        let (lr, momentum, decay) = (self.lr.get(), self.momentum, self.weight_decay);
+        let decayed = |g: f32, w: f32| if decay != 0.0 { g + w * decay } else { g };
         let mut velocity = self.velocity.borrow_mut();
         for p in &self.params {
-            let Some(mut g) = p.grad() else { continue };
-            if self.weight_decay != 0.0 {
-                g.add_scaled_inplace(&p.value(), self.weight_decay).expect("weight decay");
-            }
-            let update = if self.momentum != 0.0 {
-                let v = velocity
-                    .entry(p.id())
-                    .or_insert_with(|| Tensor::zeros(&p.shape()));
-                // v = momentum * v + g
-                let mut new_v = v.mul_scalar(self.momentum);
-                new_v.add_scaled_inplace(&g, 1.0).expect("momentum");
-                *v = new_v.clone();
-                new_v
+            let grad = p.grad_ref();
+            let Some(grad) = grad.as_ref() else { continue };
+            let mut w = p.value_mut();
+            assert_eq!(w.len(), grad.len(), "gradient and parameter sizes differ");
+            let pairs = w.iter_mut().zip(grad.data());
+            if momentum == 0.0 {
+                for (w, &g) in pairs {
+                    *w += decayed(g, *w) * -lr;
+                }
             } else {
-                g
-            };
-            let mut w = p.value_clone();
-            w.add_scaled_inplace(&update, -lr).expect("sgd step");
-            p.set_value(w);
+                let v = velocity.entry(p.id()).or_insert_with(|| Tensor::zeros(grad.shape()));
+                for ((w, &g), v) in pairs.zip(v.data_mut()) {
+                    *v *= momentum;
+                    *v += decayed(g, *w) * 1.0;
+                    *w += *v * -lr;
+                }
+            }
         }
     }
 
@@ -330,6 +333,84 @@ mod tests {
         w.scale(0.0).sum_all().backward();
         opt.step();
         assert!(w.value().item() < 1.0);
+    }
+
+    /// The SGD step as it was written before it went in place: clone the
+    /// gradient, decay it, build the new velocity, clone the weight and
+    /// set it back. The in-place step must match it bit for bit.
+    struct CloneSgd {
+        params: Vec<Var>,
+        cfg: SgdConfig,
+        velocity: RefCell<HashMap<u64, Tensor>>,
+    }
+
+    impl CloneSgd {
+        fn step(&self) {
+            let mut velocity = self.velocity.borrow_mut();
+            for p in &self.params {
+                let Some(mut g) = p.grad() else { continue };
+                if self.cfg.weight_decay != 0.0 {
+                    g.add_scaled_inplace(&p.value(), self.cfg.weight_decay).unwrap();
+                }
+                let update = if self.cfg.momentum != 0.0 {
+                    let v = velocity.entry(p.id()).or_insert_with(|| Tensor::zeros(&p.shape()));
+                    let mut new_v = v.mul_scalar(self.cfg.momentum);
+                    new_v.add_scaled_inplace(&g, 1.0).unwrap();
+                    *v = new_v.clone();
+                    new_v
+                } else {
+                    g
+                };
+                let mut w = p.value_clone();
+                w.add_scaled_inplace(&update, -self.cfg.lr).unwrap();
+                p.set_value(w);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_sgd_matches_the_clone_based_step() {
+        let params = |seed: u64| -> Vec<Var> {
+            let mut rng = seeded_rng(seed);
+            vec![
+                Var::parameter(Tensor::randn(&[4, 3], &mut rng)),
+                Var::parameter(Tensor::randn(&[3], &mut rng)),
+                // Never in the loss: no gradient, skipped by both steps.
+                Var::parameter(Tensor::randn(&[2], &mut rng)),
+            ]
+        };
+        let mut rng = seeded_rng(3);
+        let x = Tensor::randn(&[5, 4], &mut rng);
+        let y = Tensor::randn(&[5, 3], &mut rng);
+        let loss = |p: &[Var]| {
+            let pred = Var::constant(x.clone()).matmul(&p[0]).add_bias(&p[1]);
+            mse(&pred, &Var::constant(y.clone()))
+        };
+        for momentum in [0.0f32, 0.9] {
+            for weight_decay in [0.0f32, 1e-4] {
+                let cfg = SgdConfig { lr: 0.1, momentum, weight_decay };
+                let (a, b) = (params(11), params(11));
+                let in_place = Sgd::new(a.clone(), cfg);
+                let cloned =
+                    CloneSgd { params: b.clone(), cfg, velocity: RefCell::new(HashMap::new()) };
+                for step in 0..5 {
+                    in_place.zero_grad();
+                    loss(&a).backward();
+                    in_place.step();
+                    for p in &b {
+                        p.zero_grad();
+                    }
+                    loss(&b).backward();
+                    cloned.step();
+                    for (pa, pb) in a.iter().zip(&b) {
+                        let bits = |p: &Var| -> Vec<u32> {
+                            p.value().data().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(pa), bits(pb), "{cfg:?} step {step}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,12 +40,21 @@ pub fn quant_range(data: &[f32], levels: f32) -> (f32, f32) {
 
 /// Quantize one value to a level index in `[0, levels]`, applying the
 /// non-finite clamp policy (NaN maps to the minimum).
+///
+/// The index is `((v - min) / scale)` rounded half away from zero, then
+/// clamped — computed as clamp, truncate, and add one when the dropped
+/// fraction is at least ½. For an integral `levels` that is the same
+/// number, and it calls no libm `roundf` (the clamped value is below
+/// 2²⁴, so the fraction is exact).
 pub fn quantize(v: f32, min: f32, scale: f32, levels: f32) -> u8 {
     if scale == 0.0 {
         return 0;
     }
     let v = if v.is_nan() { min } else { v };
-    (((v - min) / scale).round().clamp(0.0, levels)) as u8
+    let x = ((v - min) / scale).clamp(0.0, levels);
+    // A NaN `x` (none reaches here with a finite range) truncates to 0.
+    let whole = x as u32;
+    (whole + u32::from(x - whole as f32 >= 0.5)) as u8
 }
 
 /// Reconstruct the value a level index represents: `min + scale · q`.
@@ -84,6 +93,67 @@ mod tests {
         assert_eq!(quantize(f32::NAN, min, scale, Q8_LEVELS), 0);
         assert_eq!(quantize(f32::INFINITY, min, scale, Q8_LEVELS), 255);
         assert_eq!(quantize(f32::NEG_INFINITY, min, scale, Q8_LEVELS), 0);
+    }
+
+    /// The rounding `f32::round` does, then the clamp: the definition
+    /// [`quantize`] must equal bit for bit.
+    fn quantize_by_round(v: f32, min: f32, scale: f32, levels: f32) -> u8 {
+        if scale == 0.0 {
+            return 0;
+        }
+        let v = if v.is_nan() { min } else { v };
+        (((v - min) / scale).round().clamp(0.0, levels)) as u8
+    }
+
+    #[test]
+    fn quantize_rounds_like_f32_round() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::from_bits(1),
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            0.49999997,
+            0.5,
+            1.5,
+            2.5,
+            254.5,
+            255.0,
+            255.49998,
+            255.5,
+            256.0,
+        ];
+        for levels in [Q8_LEVELS, 15.0] {
+            for (min, scale) in [(0.0f32, 1.0f32), (-1.0, 0.5), (3.0, 1e-3), (0.0, 1e-40), (0.0, 0.0)]
+            {
+                // Exact halves between every pair of levels, their
+                // neighbours one ulp off, and the specials.
+                let halves = (0..=2 * levels as u32 + 2).flat_map(|i| {
+                    let x = i as f32 / 2.0;
+                    [x, f32::from_bits(x.to_bits().saturating_sub(1)), f32::from_bits(x.to_bits() + 1)]
+                });
+                for x in halves.chain(specials) {
+                    for v in [x, min + x * scale, -x] {
+                        assert_eq!(
+                            quantize(v, min, scale, levels),
+                            quantize_by_round(v, min, scale, levels),
+                            "v {v:e} min {min} scale {scale:e} levels {levels}"
+                        );
+                    }
+                }
+            }
+        }
+        // A sweep over a dense run of bit patterns around every level.
+        for bits in (0u32..0x4380_0000).step_by(997) {
+            let v = f32::from_bits(bits);
+            assert_eq!(quantize(v, 0.0, 1.0, Q8_LEVELS), quantize_by_round(v, 0.0, 1.0, Q8_LEVELS));
+        }
     }
 
     #[test]
