@@ -56,6 +56,14 @@ fn codec_label(codec: &CodecSpec) -> String {
     }
 }
 
+/// The `--codec` spelling that [`CodecSpec::parse`] reads back as `codec`.
+fn codec_flag(codec: &CodecSpec) -> String {
+    match *codec {
+        CodecSpec::TopK { density } => format!("topk:{density}"),
+        other => other.name().to_string(),
+    }
+}
+
 const USAGE: &str = "\
 usage: scenarios <subcommand> [options]
 
@@ -434,9 +442,18 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         // A deliberate mid-run stop always leaves a snapshot, whether or
         // not a periodic cadence was requested.
         save_checkpoint(sim.as_ref(), &ckpt)?;
+        // The checkpoint resumes only under its stamp, so the hint repeats
+        // every override that enters it (`--threads` does not).
+        let mut overrides = String::new();
+        if let Some(seed) = opts.seed {
+            overrides += &format!(" --seed {seed}");
+        }
+        if let Some(codec) = opts.codec {
+            overrides += &format!(" --codec {}", codec_flag(&codec));
+        }
         println!(
-            "halted after {halt} of {total} rounds; resume with: scenarios run {reference} \
-             --resume {} --out {}",
+            "halted after {halt} of {total} rounds; resume with: scenarios run {reference}\
+             {overrides} --resume {} --out {}",
             ckpt.display(),
             opts.out_dir.display()
         );

@@ -233,3 +233,37 @@ fn run_resumes_only_its_own_scenarios_checkpoint() {
     let json = |dir: &std::path::Path| std::fs::read(dir.join("tiny.json")).expect("artifact");
     assert_eq!(json(&killed), json(&straight), "the resumed log differs from the straight run's");
 }
+
+#[test]
+fn run_prints_a_resume_command_that_resumes() {
+    // The hint printed by a halted run used to drop the `--seed` and
+    // `--codec` overrides, so running it verbatim exited 1: the stamp
+    // beside the checkpoint names the overridden scenario.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("run-resume-hint");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (killed, straight) = (dir.join("killed"), dir.join("straight"));
+    let (killed_out, straight_out) =
+        (killed.to_str().expect("utf-8"), straight.to_str().expect("utf-8"));
+    let overrides = ["--codec", "q8", "--seed", "5"];
+
+    let run = |extra: &[&str]| {
+        let mut args = vec!["run", "tiny"];
+        args.extend_from_slice(&overrides);
+        args.extend_from_slice(extra);
+        scenarios(&args)
+    };
+    let (code, stdout, stderr) = run(&["--halt-at-round", "1", "--out", killed_out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    let hint = stdout
+        .lines()
+        .find_map(|l| l.split_once("resume with: scenarios ").map(|(_, command)| command))
+        .unwrap_or_else(|| panic!("no resume hint in:\n{stdout}"));
+    let args: Vec<&str> = hint.split_whitespace().collect();
+    let (code, stdout, stderr) = scenarios(&args);
+    assert_eq!(code, Some(0), "`scenarios {hint}`: {stdout}{stderr}");
+
+    let (code, stdout, stderr) = run(&["--out", straight_out]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    let json = |dir: &std::path::Path| std::fs::read(dir.join("tiny.json")).expect("artifact");
+    assert_eq!(json(&killed), json(&straight), "the resumed log differs from the straight run's");
+}
