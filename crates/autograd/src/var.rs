@@ -253,8 +253,9 @@ impl Var {
         *slot = value;
     }
 
-    /// The node's value as a mutable slice, for an in-place optimizer
-    /// step; the shape cannot change through it.
+    /// The node's value as a mutable slice, for in-place updates (an
+    /// optimizer step, loading a state dict); the shape cannot change
+    /// through it.
     ///
     /// # Panics
     /// Panics if the value is borrowed elsewhere.

@@ -25,7 +25,7 @@
 //! [`ChurnProcess::availability`]: O(registered) *time* — per device one
 //! hash, no division and no branch on the answer — into an
 //! [`Availability`] bitmap of one bit per device plus a 32-bit prefix
-//! count per 64 devices (1.5 bits a device, 188 KB at 10⁶). The bitmap
+//! count per 512 devices (133 KB at 10⁶ devices). The bitmap
 //! answers the sampler's "which device sits at position `p` of the pool"
 //! in O(log registered) ([`Availability::select`]), so a round that
 //! samples 10³ of 10⁶ devices never lists the pool.
@@ -34,16 +34,20 @@
 //! arrival window), a round's set depends only on its duty phase,
 //! [`ChurnProcess::round_class`]. The simulation driver memoizes one
 //! bitmap per class while they fit in 8 B per registered device (the
-//! size of the `Vec<usize>` pool they replace), so a periodic fleet pays
+//! size of a listed pool holding every device), so a periodic fleet pays
 //! `duty_period` scans per run rather than one per round. A memo caches
 //! a pure function, so nothing above changes: it is never checkpointed,
 //! and a resumed run rebuilds it. Specs with lifetimes, or periods too
-//! long to memoize, scan once per round. Over 10⁶ devices under a 3-of-4
-//! duty cycle, listing the available set ([`ChurnProcess::available`],
-//! scan plus an 8 MB id vector, the benchmark's `fl.churn_available_ms`
-//! on `fleet_wire`) took 3.1–4.4 ms a round on one core of a 2-vCPU
-//! x86-64 Xeon; the driver now pays that scan, without the vector, four
-//! times per run.
+//! long to memoize, scan once per round.
+//!
+//! Over 10⁶ devices under a 3-of-4 duty cycle the scan takes about
+//! 2.8 ms; on the benchmark's `fleet_wire` the driver pays it four
+//! times per 40-round run. Listing the set from the bitmap, as
+//! [`ChurnProcess::available`] does, adds about 0.8 ms and a 6 MB id
+//! vector (one core of a 2-vCPU x86-64 Xeon, best of 200 rounds). The
+//! benchmark's `fl.churn_available_ms` times that listing, a path the
+//! driver no longer takes, so it can move either way without the
+//! round's cost following it.
 //!
 //! The per-device static schedule packs three independent draws into one
 //! 64-bit hash (21 + 21 + 22 bits); at those resolutions the arrival and
@@ -323,17 +327,19 @@ impl ChurnProcess {
         let words = self.devices.div_ceil(64);
         let mut bitmap = Availability {
             words: Vec::with_capacity(words),
-            ranks: Vec::with_capacity(words),
+            ranks: Vec::with_capacity(words.div_ceil(WORDS_PER_RANK)),
             len: 0,
         };
         let mut count = 0u32;
-        for base in (0..self.devices).step_by(64) {
+        for (i, base) in (0..self.devices).step_by(64).enumerate() {
             let mut word = 0u64;
             for k in base..self.devices.min(base + 64) {
                 word |= u64::from(is_available(k)) << (k - base);
             }
+            if i % WORDS_PER_RANK == 0 {
+                bitmap.ranks.push(count);
+            }
             bitmap.words.push(word);
-            bitmap.ranks.push(count);
             count += word.count_ones();
         }
         bitmap.len = count as usize;
@@ -393,14 +399,18 @@ impl ChurnProcess {
     }
 }
 
+/// Words of an [`Availability`] bitmap per prefix count: one 32-bit
+/// count per 512 devices costs 1/16 bit a device.
+const WORDS_PER_RANK: usize = 8;
+
 /// One round's available devices: a bitmap over the fleet with the
-/// count of set bits before each 64-device word, built by
-/// [`ChurnProcess::availability`].
+/// count of set bits before each block of [`WORDS_PER_RANK`] 64-device
+/// words, built by [`ChurnProcess::availability`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Availability {
     /// Bit `k % 64` of word `k / 64` is set when device `k` is available.
     words: Vec<u64>,
-    /// `ranks[i]`: the set bits in `words[..i]`.
+    /// `ranks[b]`: the set bits in `words[..b * WORDS_PER_RANK]`.
     ranks: Vec<u32>,
     /// The set bits in all words.
     len: usize,
@@ -418,19 +428,26 @@ impl Availability {
     }
 
     /// The `pos`-th available device in ascending id order, i.e.
-    /// `ids()[pos]`: a binary search over the word ranks, then a walk over
-    /// one word's set bits.
+    /// `ids()[pos]`: a binary search over the block ranks, then a walk
+    /// over at most [`WORDS_PER_RANK`] word counts and one word's set
+    /// bits.
     ///
     /// # Panics
     /// Panics when `pos >= len()`.
     pub fn select(&self, pos: usize) -> usize {
         assert!(pos < self.len, "position {pos} out of range (available: {})", self.len);
-        // The last word whose rank is at most `pos` holds the bit: every
-        // word after it starts past `pos`, and an empty word shares its
+        // The last block whose rank is at most `pos` holds the bit: every
+        // block after it starts past `pos`, and an empty block shares its
         // rank with the next one.
-        let i = self.ranks.partition_point(|&r| r as usize <= pos) - 1;
+        let block = self.ranks.partition_point(|&r| r as usize <= pos) - 1;
+        let mut rest = pos - self.ranks[block] as usize;
+        let mut i = block * WORDS_PER_RANK;
+        while rest >= self.words[i].count_ones() as usize {
+            rest -= self.words[i].count_ones() as usize;
+            i += 1;
+        }
         let mut word = self.words[i];
-        for _ in 0..pos - self.ranks[i] as usize {
+        for _ in 0..rest {
             word &= word - 1;
         }
         64 * i + word.trailing_zeros() as usize
@@ -451,12 +468,13 @@ impl Availability {
 
     /// Heap bytes of the bitmap of a `devices`-device fleet.
     fn bytes_for(devices: usize) -> usize {
-        devices.div_ceil(64) * (size_of::<u64>() + size_of::<u32>())
+        let words = devices.div_ceil(64);
+        words * size_of::<u64>() + words.div_ceil(WORDS_PER_RANK) * size_of::<u32>()
     }
 }
 
 /// Bound on [`AvailabilityMemo`]'s bitmaps, per registered device: the
-/// size of the `Vec<usize>` pool a round used to list.
+/// size of a listed pool holding every device.
 const MEMO_BYTES_PER_DEVICE: usize = size_of::<usize>();
 
 /// A [`ChurnProcess`] with its availability bitmaps memoized by
@@ -466,7 +484,6 @@ const MEMO_BYTES_PER_DEVICE: usize = size_of::<usize>();
 /// answer, is never checkpointed, and a resumed run rebuilds it. It keeps
 /// one bitmap per class when all classes fit in [`MEMO_BYTES_PER_DEVICE`]
 /// per device, and otherwise scans once per round.
-#[derive(Debug, Clone)]
 pub(crate) struct AvailabilityMemo {
     process: ChurnProcess,
     /// One slot per round class, filled on the class's first round;
@@ -658,13 +675,14 @@ mod tests {
             dropout: 0.1,
             ..Default::default()
         };
-        // (spec, class slots): 16 words of 12 B per class, 8000 B in all.
+        // (spec, class slots): 16 words and 2 ranks, 136 B per class, and
+        // 8000 B in all.
         let cases = [
             (duty(4, 3), 4),
             (ChurnSpec { arrival_window: 5, ..duty(3, 2) }, 3),
             (ChurnSpec { arrival_window: 3, ..Default::default() }, 1),
-            (duty(41, 20), 41),
-            (duty(42, 20), 0),
+            (duty(58, 20), 58),
+            (duty(59, 20), 0),
             (duty(1 << 22, 1 << 21), 0),
             (ChurnSpec { mean_lifetime: 6.0, ..duty(4, 3) }, 0),
         ];
@@ -674,11 +692,16 @@ mod tests {
             assert_eq!(memo.classes.len(), slots, "{spec:?}");
             let bytes = slots * Availability::bytes_for(devices);
             assert!(bytes <= MEMO_BYTES_PER_DEVICE * devices, "{spec:?}");
-            for round in (0..30).chain([97, 1 << 22, (1 << 22) + 5]) {
+            let rounds: Vec<usize> = (0..30).chain([97, 1 << 22, (1 << 22) + 5]).collect();
+            for &round in &rounds {
                 assert_eq!(*memo.availability(round), p.availability(round), "{spec:?} {round}");
             }
+            let mut seen: Vec<usize> =
+                rounds.iter().filter_map(|&r| p.round_class(r)).filter(|&c| c < slots).collect();
+            seen.sort_unstable();
+            seen.dedup();
             let filled = memo.classes.iter().filter(|c| c.is_some()).count();
-            assert_eq!(filled, slots.min(30), "{spec:?}");
+            assert_eq!(filled, seen.len(), "{spec:?}");
         }
     }
 
@@ -694,14 +717,13 @@ mod tests {
                 assert_eq!(a.select(pos), k, "round {round} position {pos}");
             }
         }
-        // Words with no available device: only device 130 of 200 is on.
-        let sparse = Availability {
-            words: vec![0, 0, 1 << 2, 0],
-            ranks: vec![0, 0, 0, 1],
-            len: 1,
-        };
-        assert_eq!(sparse.select(0), 130);
-        assert_eq!(sparse.ids(), [130]);
+        // Empty words and blocks: only devices 130 and 620 of 640 are on.
+        let mut words = vec![0; 10];
+        words[2] = 1 << 2;
+        words[9] = 1 << 44;
+        let sparse = Availability { words, ranks: vec![0, 1], len: 2 };
+        assert_eq!((sparse.select(0), sparse.select(1)), (130, 620));
+        assert_eq!(sparse.ids(), [130, 620]);
     }
 
     #[test]

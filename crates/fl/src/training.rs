@@ -127,7 +127,6 @@ pub struct FleetJob<'a> {
     /// digest→revisit round structure); `None` for plain local SGD.
     pub digest: Option<DigestConfig<'a>>,
     /// Seed for the rebuild's (immediately overwritten) initialisation.
-    /// FedAvg, which builds one model per worker instead, sets none.
     pub rebuild_seed: u64,
 }
 

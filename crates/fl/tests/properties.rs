@@ -54,7 +54,12 @@ fn churn_spec() -> impl Strategy<Value = ChurnSpec> {
 /// without lifetimes, degenerate cycles (period 1, always on), and the
 /// [`WIDE_PERIODS`].
 fn scan_specs() -> Vec<ChurnSpec> {
-    let duty = |duty_period, duty_on| ChurnSpec { seed: 9, duty_period, duty_on, ..Default::default() };
+    let duty = |duty_period, duty_on| ChurnSpec {
+        seed: 9,
+        duty_period,
+        duty_on,
+        ..Default::default()
+    };
     let busy = ChurnSpec {
         seed: 7,
         arrival_window: 4,
@@ -354,11 +359,19 @@ impl FederatedAlgorithm for Idle {
 #[test]
 fn churned_rounds_sample_the_listed_pool() {
     let devices = 2000;
+    let duty = |seed, duty_period, duty_on| ChurnSpec {
+        seed,
+        duty_period,
+        duty_on,
+        ..Default::default()
+    };
     let specs = [
-        ChurnSpec { seed: 2, arrival_window: 5, duty_period: 3, duty_on: 2, dropout: 0.2, ..Default::default() },
-        ChurnSpec { seed: 3, duty_period: 4, duty_on: 3, dropout: 0.1, ..Default::default() },
-        ChurnSpec { seed: 4, arrival_window: 3, mean_lifetime: 5.0, duty_period: 2, duty_on: 1, ..Default::default() },
-        ChurnSpec { seed: 5, duty_period: 1 << 22, duty_on: 1 << 21, ..Default::default() },
+        // Arrivals, then one memoized bitmap per phase.
+        ChurnSpec { arrival_window: 5, dropout: 0.2, ..duty(2, 3, 2) },
+        ChurnSpec { dropout: 0.1, ..duty(3, 4, 3) },
+        // Lifetimes and a period too long to memoize: a scan per round.
+        ChurnSpec { arrival_window: 3, mean_lifetime: 5.0, ..duty(4, 2, 1) },
+        duty(5, 1 << 22, 1 << 21),
     ];
     let test = Dataset::new(fedzkt_tensor::Tensor::zeros(&[2, 1, 8, 8]), vec![0, 1], 2);
     for spec in specs {
@@ -371,8 +384,8 @@ fn churned_rounds_sample_the_listed_pool() {
             for (round, metrics) in log.rounds.iter().enumerate() {
                 let pool = churn.available(round);
                 let sampled = sampler.active_among(round, &pool);
-                let survivors: Vec<usize> =
-                    sampled.iter().copied().filter(|&k| churn.dropout(k, round).is_none()).collect();
+                let survives = |k: &usize| churn.dropout(*k, round).is_none();
+                let survivors: Vec<usize> = sampled.iter().copied().filter(survives).collect();
                 assert_eq!(metrics.available_devices, pool.len(), "{spec:?} round {round}");
                 assert_eq!(metrics.active_devices, survivors, "{spec:?} round {round}");
                 assert_eq!(metrics.dropped_devices, sampled.len() - survivors.len());

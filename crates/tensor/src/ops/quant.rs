@@ -130,13 +130,14 @@ mod tests {
             256.0,
         ];
         for levels in [Q8_LEVELS, 15.0] {
-            for (min, scale) in [(0.0f32, 1.0f32), (-1.0, 0.5), (3.0, 1e-3), (0.0, 1e-40), (0.0, 0.0)]
-            {
+            let ranges = [(0.0f32, 1.0f32), (-1.0, 0.5), (3.0, 1e-3), (0.0, 1e-40), (0.0, 0.0)];
+            for (min, scale) in ranges {
                 // Exact halves between every pair of levels, their
                 // neighbours one ulp off, and the specials.
                 let halves = (0..=2 * levels as u32 + 2).flat_map(|i| {
                     let x = i as f32 / 2.0;
-                    [x, f32::from_bits(x.to_bits().saturating_sub(1)), f32::from_bits(x.to_bits() + 1)]
+                    let below = f32::from_bits(x.to_bits().saturating_sub(1));
+                    [x, below, f32::from_bits(x.to_bits() + 1)]
                 });
                 for x in halves.chain(specials) {
                     for v in [x, min + x * scale, -x] {
@@ -149,7 +150,7 @@ mod tests {
                 }
             }
         }
-        // A sweep over a dense run of bit patterns around every level.
+        // Every 997th bit pattern of the non-negative floats below 256.
         for bits in (0u32..0x4380_0000).step_by(997) {
             let v = f32::from_bits(bits);
             assert_eq!(quantize(v, 0.0, 1.0, Q8_LEVELS), quantize_by_round(v, 0.0, 1.0, Q8_LEVELS));
