@@ -41,6 +41,8 @@
 mod gradcheck;
 pub mod loss;
 mod ops;
+#[cfg(test)]
+mod saved_copies;
 mod var;
 
 pub use gradcheck::{check_gradients, finite_difference};

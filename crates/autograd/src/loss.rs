@@ -35,13 +35,13 @@ pub fn mean_vars(vars: &[&Var]) -> Var {
 /// # Panics
 /// Panics when shapes disagree or a label is out of range.
 pub fn cross_entropy(logits: &Var, labels: &[usize]) -> Var {
-    let values = logits.value_clone();
-    assert_eq!(values.ndim(), 2, "cross_entropy expects [N, K] logits");
-    let (n, k) = (values.shape()[0], values.shape()[1]);
+    let shape = logits.shape();
+    assert_eq!(shape.len(), 2, "cross_entropy expects [N, K] logits");
+    let (n, k) = (shape[0], shape[1]);
     assert_eq!(labels.len(), n, "labels/batch size mismatch");
     assert!(labels.iter().all(|&l| l < k), "label out of range");
 
-    let probs = values.softmax_rows().expect("softmax");
+    let probs = logits.value().softmax_rows().expect("softmax");
     let mut total = 0.0f32;
     for (i, &label) in labels.iter().enumerate() {
         total -= probs.data()[i * k + label].max(1e-30).ln();

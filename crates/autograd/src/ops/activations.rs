@@ -4,38 +4,42 @@ use crate::Var;
 use fedzkt_tensor::Tensor;
 
 impl Var {
-    /// Rectified linear unit `max(x, 0)`.
+    /// Rectified linear unit `max(x, 0)`. NaN propagates, as in PyTorch.
+    #[track_caller]
     pub fn relu(&self) -> Var {
-        let x = self.value_clone();
-        let value = x.map(|v| v.max(0.0));
+        // `f32::max` returns the other operand for NaN, which would hide it.
+        let value = self.value().map(|v| if v.is_nan() { v } else { v.max(0.0) });
+        let x = self.parent_ref("relu");
         Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(
-                g.zip_map(&x, |gi, xi| if xi > 0.0 { gi } else { 0.0 }).expect("relu backward"),
-            )]
+            vec![Some(x.with_value(|x| {
+                g.zip_map(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 }).expect("relu backward")
+            }))]
         })
     }
 
     /// Leaky ReLU with negative slope `slope` (generator default 0.2).
+    #[track_caller]
     pub fn leaky_relu(&self, slope: f32) -> Var {
-        let x = self.value_clone();
-        let value = x.map(|v| if v > 0.0 { v } else { slope * v });
+        let value = self.value().map(|v| if v > 0.0 { v } else { slope * v });
+        let x = self.parent_ref("leaky_relu");
         Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(
-                g.zip_map(&x, |gi, xi| if xi > 0.0 { gi } else { slope * gi })
-                    .expect("leaky_relu backward"),
-            )]
+            vec![Some(x.with_value(|x| {
+                g.zip_map(x, |gi, xi| if xi > 0.0 { gi } else { slope * gi })
+                    .expect("leaky_relu backward")
+            }))]
         })
     }
 
     /// ReLU6 `min(max(x, 0), 6)` — the MobileNetV2 activation.
+    #[track_caller]
     pub fn relu6(&self) -> Var {
-        let x = self.value_clone();
-        let value = x.map(|v| v.clamp(0.0, 6.0));
+        let value = self.value().map(|v| v.clamp(0.0, 6.0));
+        let x = self.parent_ref("relu6");
         Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(
-                g.zip_map(&x, |gi, xi| if xi > 0.0 && xi < 6.0 { gi } else { 0.0 })
-                    .expect("relu6 backward"),
-            )]
+            vec![Some(x.with_value(|x| {
+                g.zip_map(x, |gi, xi| if xi > 0.0 && xi < 6.0 { gi } else { 0.0 })
+                    .expect("relu6 backward")
+            }))]
         })
     }
 
@@ -120,6 +124,24 @@ mod tests {
         assert_eq!(y.value().data(), &[0.0, 2.0]);
         y.sum_all().backward();
         assert_eq!(x.grad().unwrap().data(), &[0.0, 1.0]);
+    }
+
+    /// NaN passes through `relu` as through `relu6` and `leaky_relu`
+    /// (PyTorch's rule), so a diverged value shows where it arises; every
+    /// other input, signed zeros and subnormals included, keeps the bits of
+    /// the plain `max(x, 0)` it replaced.
+    #[test]
+    fn relu_propagates_nan_and_keeps_every_other_bit() {
+        let nan = f32::NAN;
+        for y in [v2(vec![nan], &[1]).relu(), v2(vec![nan], &[1]).relu6()] {
+            assert!(y.value().data()[0].is_nan());
+        }
+        assert!(v2(vec![nan], &[1]).leaky_relu(0.2).value().data()[0].is_nan());
+        let finite = [-0.0, 0.0, -1.0e-39, 1.0e-39, -3.5, 2.25, f32::MAX, f32::NEG_INFINITY];
+        let y = v2(finite.to_vec(), &[finite.len()]).relu();
+        for (v, r) in finite.iter().zip(y.value().data()) {
+            assert_eq!(r.to_bits(), v.max(0.0).to_bits(), "relu({v})");
+        }
     }
 
     #[test]

@@ -38,15 +38,15 @@ impl Var {
     ///
     /// # Panics
     /// Panics on shape mismatch.
+    #[track_caller]
     pub fn mul(&self, rhs: &Var) -> Var {
-        let a = self.value_clone();
-        let b = rhs.value_clone();
-        let value = a.mul(&b).expect("mul");
+        let value = self.value().mul(&rhs.value()).expect("mul");
         let need = (self.requires_grad(), rhs.requires_grad());
+        let (a, b) = (self.parent_ref("mul"), rhs.parent_ref("mul"));
         Var::from_op(value, vec![self.clone(), rhs.clone()], move |g| {
             vec![
-                need.0.then(|| g.mul(&b).expect("mul backward")),
-                need.1.then(|| g.mul(&a).expect("mul backward")),
+                need.0.then(|| b.with_value(|b| g.mul(b).expect("mul backward"))),
+                need.1.then(|| a.with_value(|a| g.mul(a).expect("mul backward"))),
             ]
         })
     }
@@ -69,36 +69,41 @@ impl Var {
     }
 
     /// Elementwise absolute value. The subgradient at zero is taken as 0.
+    #[track_caller]
     pub fn abs(&self) -> Var {
-        let x = self.value_clone();
-        let value = x.map(f32::abs);
+        let value = self.value().map(f32::abs);
+        let x = self.parent_ref("abs");
         Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(
-                g.zip_map(&x, |gi, xi| gi * xi.signum() * f32::from(xi != 0.0))
-                    .expect("abs backward"),
-            )]
+            vec![Some(x.with_value(|x| {
+                g.zip_map(x, |gi, xi| gi * xi.signum() * f32::from(xi != 0.0))
+                    .expect("abs backward")
+            }))]
         })
     }
 
     /// Elementwise square.
+    #[track_caller]
     pub fn square(&self) -> Var {
-        let x = self.value_clone();
-        let value = x.map(|v| v * v);
+        let value = self.value().map(|v| v * v);
+        let x = self.parent_ref("square");
         Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(g.zip_map(&x, |gi, xi| gi * 2.0 * xi).expect("square backward"))]
+            vec![Some(
+                x.with_value(|x| g.zip_map(x, |gi, xi| gi * 2.0 * xi).expect("square backward")),
+            )]
         })
     }
 
     /// Elementwise natural logarithm of `x + eps` (clamped below at `eps`
     /// for numerical safety — used by the KL distillation loss on softmax
     /// probabilities).
+    #[track_caller]
     pub fn ln_eps(&self, eps: f32) -> Var {
-        let x = self.value_clone();
-        let value = x.map(|v| (v.max(0.0) + eps).ln());
+        let value = self.value().map(|v| (v.max(0.0) + eps).ln());
+        let x = self.parent_ref("ln_eps");
         Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(
-                g.zip_map(&x, |gi, xi| gi / (xi.max(0.0) + eps)).expect("ln backward"),
-            )]
+            vec![Some(x.with_value(|x| {
+                g.zip_map(x, |gi, xi| gi / (xi.max(0.0) + eps)).expect("ln backward")
+            }))]
         })
     }
 

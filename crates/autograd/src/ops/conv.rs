@@ -145,11 +145,23 @@
 //!
 //! The backward pass still wants whole-batch column matrices (`dW += go ×
 //! colᵀ` is one big `nt` GEMM), so it **recomputes** `im2col_batch` from
-//! the saved input instead of retaining it from the forward — trading one
+//! the input's value instead of retaining it from the forward — trading one
 //! extra lowering per backward for not holding a `KH·KW`-times-input-sized
 //! buffer across the whole forward/backward gap. The recomputed matrix is
 //! bitwise the one the old code retained, so gradients are unchanged.
+//!
+//! ## What the backward reads
+//!
+//! No path saves a copy of its operands. The backward reads the input (for
+//! `dW`) and the weights (for `dX`) from the tape, through a
+//! [`ParentRef`] on each parent, and only the one a requested gradient
+//! needs: a frozen weight's conv reads no input, a constant input's conv
+//! no weights. The tape keeps both parents alive anyway, so a copy would
+//! only double the conv's operands for the forward/backward gap. Writing
+//! either operand between the forward and the backward (an optimizer
+//! step) makes the backward panic rather than read the new value.
 
+use crate::var::ParentRef;
 use crate::Var;
 use std::borrow::Cow;
 use fedzkt_tensor::ops::{
@@ -191,6 +203,7 @@ impl Var {
     /// # Panics
     /// Panics when shapes are inconsistent, `groups` does not divide both
     /// `C` and `OC`, or the kernel does not fit the padded input.
+    #[track_caller]
     pub fn conv2d(&self, weight: &Var, stride: usize, pad: usize, groups: usize) -> Var {
         let (xs, ws) = (self.shape(), weight.shape());
         assert_eq!(xs.len(), 4, "conv2d input must be [N, C, H, W], got {xs:?}");
@@ -222,17 +235,11 @@ impl Var {
         let (n, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
         assert_eq!(bias.shape(), vec![c], "bias must be [C]");
         let hw = h * w;
-        let mut out = self.value_clone().into_vec();
+        let mut out = Vec::with_capacity(n * c * hw);
         {
-            let b = bias.value();
-            for s in 0..n {
-                for ch in 0..c {
-                    let base = s * c * hw + ch * hw;
-                    let bv = b.data()[ch];
-                    for px in &mut out[base..base + hw] {
-                        *px += bv;
-                    }
-                }
+            let (x, b) = (self.value(), bias.value());
+            for (i, &bv) in (0..n * c).zip(b.data().iter().cycle()) {
+                out.extend(x.data()[i * hw..(i + 1) * hw].iter().map(|&v| v + bv));
             }
         }
         let value = Tensor::from_vec(out, &xs).expect("add_channel_bias");
@@ -256,29 +263,29 @@ impl Var {
 /// Depthwise `conv2d` on the direct kernels: `weight` is `[C, 1, KH, KW]`,
 /// `geom` the single-channel geometry. Bitwise [`conv2d_lowered`] with
 /// `groups = C` for finite weights.
+#[track_caller]
 fn conv2d_depthwise(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
     let geom = *geom;
-    let w = weight.value_clone();
-    let xs = input.shape();
+    let (xs, ws) = (input.shape(), weight.shape());
     let (n, c) = (xs[0], xs[1]);
     let out_shape = [n, c, geom.out_h, geom.out_w];
     let mut out = vec![0.0f32; out_shape.iter().product()];
-    depthwise_conv2d(input.value().data(), w.data(), n, c, &geom, &mut out);
+    depthwise_conv2d(input.value().data(), weight.value().data(), n, c, &geom, &mut out);
     let value = Tensor::from_vec(out, &out_shape).expect("conv2d output");
 
     let need = (input.requires_grad(), weight.param_requires_grad());
-    // Only dW reads the input, and it reads it from the tape.
-    let x = input.parent_ref();
+    // dX reads the weights and dW the input, both from the tape.
+    let (x, w) = (input.parent_ref("conv2d"), weight.parent_ref("conv2d"));
     Var::from_op(value, vec![input.clone(), weight.clone()], move |grad| {
         let gx = need.0.then(|| {
             let mut gx = vec![0.0f32; xs.iter().product()];
-            depthwise_conv2d_dx(grad.data(), w.data(), n, c, &geom, &mut gx);
+            w.with_value(|w| depthwise_conv2d_dx(grad.data(), w.data(), n, c, &geom, &mut gx));
             Tensor::from_vec(gx, &xs).expect("conv2d dX")
         });
         let gw = need.1.then(|| {
-            let mut gw = vec![0.0f32; w.len()];
+            let mut gw = vec![0.0f32; ws.iter().product()];
             x.with_value(|x| depthwise_conv2d_dw(x.data(), grad.data(), n, c, &geom, &mut gw));
-            Tensor::from_vec(gw, w.shape()).expect("conv2d dW")
+            Tensor::from_vec(gw, &ws).expect("conv2d dW")
         });
         vec![gx, gw]
     })
@@ -380,20 +387,21 @@ impl PaddedLayout {
     }
 }
 
-/// What a conv's backward will read, copied out of the tape: the input (for
-/// `dW`) and the weights (for `dX`), each only for a pass that records a
-/// node and asks for that gradient — never on tape-free or frozen forwards.
-fn saved_for_backward(input: &Var, weight: &Var) -> (Option<Tensor>, Option<Tensor>) {
-    let recording = crate::var::grad_enabled();
+/// What a dense conv's backward will read from the tape: the input (for
+/// `dW`) and the weights (for `dX`), each only when that gradient is asked
+/// for — so a frozen forward reads no input and a constant input no weights.
+#[track_caller]
+fn saved_for_backward(input: &Var, weight: &Var) -> (Option<ParentRef>, Option<ParentRef>) {
     (
-        (recording && weight.param_requires_grad()).then(|| input.value_clone()),
-        (recording && input.requires_grad()).then(|| weight.value_clone()),
+        input.parent_ref_if(weight.param_requires_grad(), "conv2d"),
+        weight.parent_ref_if(input.requires_grad(), "conv2d"),
     )
 }
 
 /// Dense stride-1 `conv2d` (`groups = 1`) straight from the zero-padded
 /// batch — no column matrix (module docs). Bitwise [`conv2d_lowered`] for
 /// finite weights.
+#[track_caller]
 fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
     let (x, w) = (input.value(), weight.value());
     let xs = x.shape().to_vec();
@@ -428,91 +436,105 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
     let (saved_x, saved_w) = saved_for_backward(input, weight);
     Var::from_op(value, vec![input.clone(), weight.clone()], move |grad| {
         let gx = saved_w.as_ref().map(|w| {
-            // Per sample: dcol_s [kvol, flat] = W^T x go_s, with go_s in pitch
-            // layout (zeros in the gap columns); then row (c, kh, kw) is one
-            // flat += into the padded gradient at that row's start — the
-            // order col2im scatters in — and the interior is the answer.
-            let mut gx = vec![0.0f32; n * in_len];
-            // W^T once, so every sample's product packs contiguous rows.
-            let mut wt = vec![0.0f32; kvol * oc];
-            for (o, row) in w.data().chunks_exact(kvol).enumerate() {
-                for (t, &v) in row.iter().enumerate() {
-                    wt[t * oc + o] = v;
-                }
-            }
-            par::for_each_chunk_mut(&mut gx, in_len, threads(n * oc * kvol * flat), |s0, chunk| {
-                let mut go_wide = vec![0.0f32; if flat == hw_out { 0 } else { oc * flat }];
-                let mut dcol = vec![0.0f32; kvol * flat];
-                let mut gxp = vec![0.0f32; if l.g.pad == 0 { 0 } else { c * l.plane }];
-                for (s, gx_s) in (s0..).zip(chunk.chunks_exact_mut(in_len)) {
-                    let go_s = &grad.data()[s * oc * hw_out..(s + 1) * oc * hw_out];
-                    let go_s = if flat == hw_out {
-                        go_s
-                    } else {
-                        l.real_columns(&mut go_wide, |r, run| {
-                            run.copy_from_slice(&go_s[r * ow..][..ow]);
-                        });
-                        &go_wide[..]
-                    };
-                    dcol.fill(0.0);
-                    gemm::gemm_nn(&wt, go_s, &mut dcol, kvol, oc, flat);
-                    gxp.fill(0.0);
-                    let acc = if l.g.pad == 0 { &mut *gx_s } else { &mut gxp[..] };
-                    for (row, &start) in dcol.chunks_exact(flat).zip(&starts) {
-                        for (a, &v) in acc[start..start + flat].iter_mut().zip(row) {
-                            *a += v;
-                        }
-                    }
-                    if l.g.pad != 0 {
-                        let (h, w) = (l.g.in_h, l.g.in_w);
-                        for (src, dst) in gxp.chunks_exact_mut(l.plane).zip(gx_s.chunks_exact_mut(h * w)) {
-                            l.interior(src, |y, row| dst[y * w..][..w].copy_from_slice(row));
-                        }
+            w.with_value(|w| {
+                // Per sample: dcol_s [kvol, flat] = W^T x go_s, with go_s in pitch
+                // layout (zeros in the gap columns); then row (c, kh, kw) is one
+                // flat += into the padded gradient at that row's start — the
+                // order col2im scatters in — and the interior is the answer.
+                let mut gx = vec![0.0f32; n * in_len];
+                // W^T once, so every sample's product packs contiguous rows.
+                let mut wt = vec![0.0f32; kvol * oc];
+                for (o, row) in w.data().chunks_exact(kvol).enumerate() {
+                    for (t, &v) in row.iter().enumerate() {
+                        wt[t * oc + o] = v;
                     }
                 }
-            });
-            Tensor::from_vec(gx, &xs).expect("conv2d dX")
+                par::for_each_chunk_mut(
+                    &mut gx,
+                    in_len,
+                    threads(n * oc * kvol * flat),
+                    |s0, chunk| {
+                        let mut go_wide = vec![0.0f32; if flat == hw_out { 0 } else { oc * flat }];
+                        let mut dcol = vec![0.0f32; kvol * flat];
+                        let mut gxp = vec![0.0f32; if l.g.pad == 0 { 0 } else { c * l.plane }];
+                        for (s, gx_s) in (s0..).zip(chunk.chunks_exact_mut(in_len)) {
+                            let go_s = &grad.data()[s * oc * hw_out..(s + 1) * oc * hw_out];
+                            let go_s = if flat == hw_out {
+                                go_s
+                            } else {
+                                l.real_columns(&mut go_wide, |r, run| {
+                                    run.copy_from_slice(&go_s[r * ow..][..ow]);
+                                });
+                                &go_wide[..]
+                            };
+                            dcol.fill(0.0);
+                            gemm::gemm_nn(&wt, go_s, &mut dcol, kvol, oc, flat);
+                            gxp.fill(0.0);
+                            let acc = if l.g.pad == 0 { &mut *gx_s } else { &mut gxp[..] };
+                            for (row, &start) in dcol.chunks_exact(flat).zip(&starts) {
+                                for (a, &v) in acc[start..start + flat].iter_mut().zip(row) {
+                                    *a += v;
+                                }
+                            }
+                            if l.g.pad != 0 {
+                                let (h, w) = (l.g.in_h, l.g.in_w);
+                                for (src, dst) in
+                                    gxp.chunks_exact_mut(l.plane).zip(gx_s.chunks_exact_mut(h * w))
+                                {
+                                    l.interior(src, |y, row| {
+                                        dst[y * w..][..w].copy_from_slice(row)
+                                    });
+                                }
+                            }
+                        }
+                    },
+                );
+                Tensor::from_vec(gx, &xs).expect("conv2d dX")
+            })
         });
         let gw = saved_x.as_ref().map(|x| {
-            // go gathered [OC, N·OHOW] as the lowering gathers it; then the
-            // lowering's column matrix a few compact rows at a time, each
-            // block reduced against go by the same `gemm_nt` dispatch.
-            let ncols = n * hw_out;
-            let mut go = vec![0.0f32; oc * ncols];
-            for s in 0..n {
-                for o in 0..oc {
-                    go[o * ncols + s * hw_out..][..hw_out]
-                        .copy_from_slice(&grad.data()[(s * oc + o) * hw_out..][..hw_out]);
-                }
-            }
-            let xp = l.padded(x.data());
-            let block = (DW_BLOCK / ncols.max(1)).clamp(1, kvol.max(1));
-            let blocks = kvol.div_ceil(block);
-            let parts = par::map_indexed(blocks, threads(oc * kvol * ncols), |b| {
-                let starts = &starts[b * block..kvol.min((b + 1) * block)];
-                let mut cols = vec![0.0f32; starts.len() * ncols];
-                for (&start, col_row) in starts.iter().zip(cols.chunks_exact_mut(ncols.max(1))) {
-                    let mut runs = col_row.chunks_exact_mut(ow);
-                    for xp_s in xp.chunks_exact(c * l.plane) {
-                        // (`rows` first: a spent zip must not draw another run.)
-                        let rows = xp_s[start..].chunks(l.pitch).take(l.g.out_h);
-                        for (src, run) in rows.zip(&mut runs) {
-                            run.copy_from_slice(&src[..ow]);
-                        }
+            x.with_value(|x| {
+                // go gathered [OC, N·OHOW] as the lowering gathers it; then the
+                // lowering's column matrix a few compact rows at a time, each
+                // block reduced against go by the same `gemm_nt` dispatch.
+                let ncols = n * hw_out;
+                let mut go = vec![0.0f32; oc * ncols];
+                for s in 0..n {
+                    for o in 0..oc {
+                        go[o * ncols + s * hw_out..][..hw_out]
+                            .copy_from_slice(&grad.data()[(s * oc + o) * hw_out..][..hw_out]);
                     }
                 }
-                let mut part = vec![0.0f32; oc * starts.len()];
-                gemm::gemm_nt(&go, &cols, &mut part, oc, ncols, starts.len());
-                part
-            });
-            let mut gw = vec![0.0f32; oc * kvol];
-            for (b, part) in parts.iter().enumerate() {
-                let rows = block.min(kvol - b * block);
-                for (o, part_row) in part.chunks_exact(rows).enumerate() {
-                    gw[o * kvol + b * block..][..rows].copy_from_slice(part_row);
+                let xp = l.padded(x.data());
+                let block = (DW_BLOCK / ncols.max(1)).clamp(1, kvol.max(1));
+                let blocks = kvol.div_ceil(block);
+                let parts = par::map_indexed(blocks, threads(oc * kvol * ncols), |b| {
+                    let starts = &starts[b * block..kvol.min((b + 1) * block)];
+                    let mut cols = vec![0.0f32; starts.len() * ncols];
+                    for (&start, col_row) in starts.iter().zip(cols.chunks_exact_mut(ncols.max(1)))
+                    {
+                        let mut runs = col_row.chunks_exact_mut(ow);
+                        for xp_s in xp.chunks_exact(c * l.plane) {
+                            // (`rows` first: a spent zip must not draw another run.)
+                            let rows = xp_s[start..].chunks(l.pitch).take(l.g.out_h);
+                            for (src, run) in rows.zip(&mut runs) {
+                                run.copy_from_slice(&src[..ow]);
+                            }
+                        }
+                    }
+                    let mut part = vec![0.0f32; oc * starts.len()];
+                    gemm::gemm_nt(&go, &cols, &mut part, oc, ncols, starts.len());
+                    part
+                });
+                let mut gw = vec![0.0f32; oc * kvol];
+                for (b, part) in parts.iter().enumerate() {
+                    let rows = block.min(kvol - b * block);
+                    for (o, part_row) in part.chunks_exact(rows).enumerate() {
+                        gw[o * kvol + b * block..][..rows].copy_from_slice(part_row);
+                    }
                 }
-            }
-            Tensor::from_vec(gw, &ws).expect("conv2d dW")
+                Tensor::from_vec(gw, &ws).expect("conv2d dW")
+            })
         });
         vec![gx, gw]
     })
@@ -522,6 +544,7 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
 /// dividing `C` and `OC`; `geom` describes one group (`channels = C/groups`).
 /// Production path for dense and grouped shapes, and the oracle the direct
 /// depthwise kernels are tested against.
+#[track_caller]
 fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usize) -> Var {
     let (x, w) = (input.value(), weight.value());
     let geom = *geom;
@@ -583,73 +606,91 @@ fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usiz
     let value = Tensor::from_vec(out, &[n, oc, oh, ow]).expect("conv2d output");
 
     let (saved_x, saved_w) = saved_for_backward(input, weight);
+    let (xs, ws) = ([n, c, h, width], [oc, c_per_g, kh, kw]);
     Var::from_op(value, vec![input.clone(), weight.clone()], move |grad| {
-        let mut gx = saved_w.as_ref().map(|_| vec![0.0f32; n * sample_stride]);
-        let mut gw = saved_x.as_ref().map(|_| vec![0.0f32; oc * kvol]);
-        // dcol_g is needed per group before the sample-parallel col2im
-        // scatter, so groups are processed in two phases.
-        let mut dcols: Vec<Vec<f32>> = Vec::with_capacity(if gx.is_some() { groups } else { 0 });
-        for g in 0..groups {
-            // Gather grad group g into [OCg, N·OHOW] sample-major columns.
-            let mut go = vec![0.0f32; oc_per_g * ncols];
-            for s in 0..n {
-                for ol in 0..oc_per_g {
-                    let src = &grad.data()
-                        [s * oc * hw_out + (g * oc_per_g + ol) * hw_out..][..hw_out];
-                    go[ol * ncols + s * hw_out..][..hw_out].copy_from_slice(src);
-                }
-            }
-            if let (Some(gw), Some(x)) = (gw.as_mut(), &saved_x) {
-                // Recompute this group's whole-batch column matrix from the
-                // saved input — the forward consumed it panel by panel and
-                // deliberately retained nothing (see module docs). Bitwise
-                // the matrix the pre-fusion code kept alive.
-                let col = im2col_batch(x.data(), g * group_in, sample_stride, n, &geom);
-                // dW_g += go [OCg, N·OHOW] x col_g^T [N·OHOW, kvol].
-                let dst = &mut gw[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
-                gemm::gemm_nt(&go, &col, dst, oc_per_g, ncols, kvol);
-            }
-            if let Some(w) = &saved_w {
-                // dcol_g = W_g^T [kvol, OCg] x go [OCg, N·OHOW]
-                let wg = &w.data()[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
-                let mut dcol = vec![0.0f32; kvol * ncols];
-                gemm::gemm_tn(wg, &go, &mut dcol, oc_per_g, kvol, ncols);
-                dcols.push(dcol);
+        ParentRef::with_opt(saved_x.as_ref(), |x| {
+            ParentRef::with_opt(saved_w.as_ref(), |w| {
+                lowered_grads(grad, x, w, &geom, &xs, &ws, groups)
+            })
+        })
+    })
+}
+
+/// The lowering's backward: `dX` when given the weights `w`, `dW` when given
+/// the input `x`, for the output gradient `grad`. `xs` and `ws` are the
+/// input and weight shapes, `geom` one group's geometry.
+pub(crate) fn lowered_grads(
+    grad: &Tensor,
+    x: Option<&Tensor>,
+    w: Option<&Tensor>,
+    geom: &Conv2dGeometry,
+    xs: &[usize; 4],
+    ws: &[usize; 4],
+    groups: usize,
+) -> Vec<Option<Tensor>> {
+    let ([n, c, h, width], [oc, c_per_g, kh, kw]) = (*xs, *ws);
+    let (hw_out, kvol, oc_per_g) = (geom.col_cols(), c_per_g * kh * kw, oc / groups);
+    let (ncols, sample_stride, group_in) = (n * hw_out, c * h * width, c_per_g * h * width);
+    let mut gx = w.map(|_| vec![0.0f32; n * sample_stride]);
+    let mut gw = x.map(|_| vec![0.0f32; oc * kvol]);
+    // dcol_g is needed per group before the sample-parallel col2im
+    // scatter, so groups are processed in two phases.
+    let mut dcols: Vec<Vec<f32>> = Vec::with_capacity(if gx.is_some() { groups } else { 0 });
+    for g in 0..groups {
+        // Gather grad group g into [OCg, N·OHOW] sample-major columns.
+        let mut go = vec![0.0f32; oc_per_g * ncols];
+        for s in 0..n {
+            for ol in 0..oc_per_g {
+                let src = &grad.data()[s * oc * hw_out + (g * oc_per_g + ol) * hw_out..][..hw_out];
+                go[ol * ncols + s * hw_out..][..hw_out].copy_from_slice(src);
             }
         }
-        if let Some(gx) = gx.as_mut() {
-            // col2im is independent per sample; samples own disjoint
-            // contiguous [C, H, W] gradient slices, so they scatter in
-            // parallel (bit-identical for any thread count).
-            let threads = if n * groups * kvol * hw_out >= par::PAR_MIN_ELEMS {
-                par::max_threads()
-            } else {
-                1
-            };
-            par::for_each_chunk_mut(gx, sample_stride, threads, |s0, chunk| {
-                let mut dcol_s = vec![0.0f32; kvol * hw_out];
-                for (ds, slice) in chunk.chunks_mut(sample_stride).enumerate() {
-                    let s = s0 + ds;
-                    for (g, dcol) in dcols.iter().enumerate() {
-                        for r in 0..kvol {
-                            dcol_s[r * hw_out..(r + 1) * hw_out].copy_from_slice(
-                                &dcol[r * ncols + s * hw_out..][..hw_out],
-                            );
-                        }
-                        let gslice = col2im(&dcol_s, &geom);
-                        let dst = &mut slice[g * group_in..(g + 1) * group_in];
-                        for (d, v) in dst.iter_mut().zip(gslice) {
-                            *d += v;
-                        }
+        if let (Some(gw), Some(x)) = (gw.as_mut(), x) {
+            // Recompute this group's whole-batch column matrix from the
+            // input on the tape — the forward consumed it panel by panel and
+            // deliberately retained nothing (see module docs). Bitwise
+            // the matrix the pre-fusion code kept alive.
+            let col = im2col_batch(x.data(), g * group_in, sample_stride, n, geom);
+            // dW_g += go [OCg, N·OHOW] x col_g^T [N·OHOW, kvol].
+            let dst = &mut gw[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
+            gemm::gemm_nt(&go, &col, dst, oc_per_g, ncols, kvol);
+        }
+        if let Some(w) = w {
+            // dcol_g = W_g^T [kvol, OCg] x go [OCg, N·OHOW]
+            let wg = &w.data()[g * oc_per_g * kvol..(g + 1) * oc_per_g * kvol];
+            let mut dcol = vec![0.0f32; kvol * ncols];
+            gemm::gemm_tn(wg, &go, &mut dcol, oc_per_g, kvol, ncols);
+            dcols.push(dcol);
+        }
+    }
+    if let Some(gx) = gx.as_mut() {
+        // col2im is independent per sample; samples own disjoint
+        // contiguous [C, H, W] gradient slices, so they scatter in
+        // parallel (bit-identical for any thread count).
+        let threads =
+            if n * groups * kvol * hw_out >= par::PAR_MIN_ELEMS { par::max_threads() } else { 1 };
+        par::for_each_chunk_mut(gx, sample_stride, threads, |s0, chunk| {
+            let mut dcol_s = vec![0.0f32; kvol * hw_out];
+            for (ds, slice) in chunk.chunks_mut(sample_stride).enumerate() {
+                let s = s0 + ds;
+                for (g, dcol) in dcols.iter().enumerate() {
+                    for r in 0..kvol {
+                        dcol_s[r * hw_out..(r + 1) * hw_out]
+                            .copy_from_slice(&dcol[r * ncols + s * hw_out..][..hw_out]);
+                    }
+                    let gslice = col2im(&dcol_s, geom);
+                    let dst = &mut slice[g * group_in..(g + 1) * group_in];
+                    for (d, v) in dst.iter_mut().zip(gslice) {
+                        *d += v;
                     }
                 }
-            });
-        }
-        vec![
-            gx.map(|v| Tensor::from_vec(v, &[n, c, h, width]).expect("conv2d dX")),
-            gw.map(|v| Tensor::from_vec(v, &[oc, c_per_g, kh, kw]).expect("conv2d dW")),
-        ]
-    })
+            }
+        });
+    }
+    vec![
+        gx.map(|v| Tensor::from_vec(v, &[n, c, h, width]).expect("conv2d dX")),
+        gw.map(|v| Tensor::from_vec(v, &[oc, c_per_g, kh, kw]).expect("conv2d dW")),
+    ]
 }
 
 #[cfg(test)]

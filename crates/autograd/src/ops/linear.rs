@@ -7,16 +7,16 @@ impl Var {
     ///
     /// # Panics
     /// Panics on rank or inner-dimension mismatch.
+    #[track_caller]
     pub fn matmul(&self, rhs: &Var) -> Var {
-        let a = self.value_clone();
-        let b = rhs.value_clone();
-        let value = a.matmul(&b).expect("matmul");
+        let value = self.value().matmul(&rhs.value()).expect("matmul");
         let need = (self.requires_grad(), rhs.requires_grad());
+        let (a, b) = (self.parent_ref("matmul"), rhs.parent_ref("matmul"));
         Var::from_op(value, vec![self.clone(), rhs.clone()], move |g| {
             // dA = g B^T, dB = A^T g.
             vec![
-                need.0.then(|| g.matmul_nt(&b).expect("matmul backward dA")),
-                need.1.then(|| a.matmul_tn(g).expect("matmul backward dB")),
+                need.0.then(|| b.with_value(|b| g.matmul_nt(b).expect("matmul backward dA"))),
+                need.1.then(|| a.with_value(|a| a.matmul_tn(g).expect("matmul backward dB"))),
             ]
         })
     }
@@ -28,17 +28,17 @@ impl Var {
     ///
     /// # Panics
     /// Panics on dimension mismatch.
+    #[track_caller]
     pub fn linear(&self, weight: &Var, bias: Option<&Var>) -> Var {
-        let x = self.value_clone();
-        let w = weight.value_clone();
-        let value = x.matmul_nt(&w).expect("linear forward");
+        let value = self.value().matmul_nt(&weight.value()).expect("linear forward");
         let need = (self.requires_grad(), weight.param_requires_grad());
+        let (x, w) = (self.parent_ref("linear"), weight.parent_ref("linear"));
         let out = Var::from_op(value, vec![self.clone(), weight.clone()], move |g| {
             vec![
                 // dX = g W
-                need.0.then(|| g.matmul(&w).expect("linear backward dX")),
+                need.0.then(|| w.with_value(|w| g.matmul(w).expect("linear backward dX"))),
                 // dW = g^T X
-                need.1.then(|| g.matmul_tn(&x).expect("linear backward dW")),
+                need.1.then(|| x.with_value(|x| g.matmul_tn(x).expect("linear backward dW"))),
             ]
         });
         match bias {

@@ -17,3 +17,6 @@ mod norm;
 mod pool;
 mod reduce;
 mod shape_ops;
+
+#[cfg(test)]
+pub(crate) use conv::lowered_grads;

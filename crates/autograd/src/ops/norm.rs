@@ -28,8 +28,8 @@
 //!
 //! Nothing is copied out of the tape, and a node that is not recorded
 //! saves nothing: its backward closure, holding only per-channel vectors
-//! and a [`ParentRef`](crate::var::ParentRef) on the input, is dropped with
-//! it.
+//! and a [`ParentRef`](crate::var::ParentRef) on the input and on `γ`, is
+//! dropped with it.
 
 use crate::Var;
 use fedzkt_tensor::Tensor;
@@ -212,6 +212,7 @@ impl Var {
     ///
     /// # Panics
     /// Panics when `self` is not NCHW or `gamma`/`beta` are not `[C]`.
+    #[track_caller]
     pub fn batch_norm2d_train(
         &self,
         gamma: &Var,
@@ -224,24 +225,25 @@ impl Var {
         assert_eq!(gamma.shape(), vec![c], "gamma must be [C]");
         assert_eq!(beta.shape(), vec![c], "beta must be [C]");
         let m = (n * hw) as f32;
-        let gamma_val = gamma.value_clone().into_vec();
         let (mean, var, inv_std, out) = {
-            let (x, bt) = (self.value(), beta.value());
+            let (x, gm, bt) = (self.value(), gamma.value(), beta.value());
             let x = x.data();
             let mean = channel_totals(&plane_sums(x, c, hw, &vec![0.0; c], |_, v| v), c, m);
             let sq = |mu: f32, v: f32| (v - mu) * (v - mu);
             let var = channel_totals(&plane_sums(x, c, hw, &mean, sq), c, m);
             let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
-            let out = normalize(x, c, hw, [&mean, &inv_std, &gamma_val, bt.data()]);
+            let out = normalize(x, c, hw, [&mean, &inv_std, gm.data(), bt.data()]);
             (mean, var, inv_std, out)
         };
         let value = Tensor::from_vec(out, &s).expect("bn output");
         let batch_mean = Tensor::from_vec(mean.clone(), &[c]).expect("bn mean");
         let batch_var = Tensor::from_vec(var, &[c]).expect("bn var");
 
-        let input = self.parent_ref();
         let need =
             (self.requires_grad(), gamma.param_requires_grad(), beta.param_requires_grad());
+        let input = self.parent_ref("batch_norm2d_train");
+        // Only dX reads γ.
+        let gamma_ref = gamma.parent_ref_if(need.0, "batch_norm2d_train");
         let node = Var::from_op(
             value,
             vec![self.clone(), gamma.clone(), beta.clone()],
@@ -251,11 +253,14 @@ impl Var {
                     let xd = x.data();
                     let (dgamma, dbeta) = grad_sums(gd, xd, c, hw, &mean, &inv_std);
                     // dx = (gamma * inv_std / m) * (m*g - dbeta - xhat * dgamma)
-                    let dx = need.0.then(|| {
-                        map_planes(gd, xd, c, hw, |ch| {
-                            let (mu, is, db, dg) = (mean[ch], inv_std[ch], dbeta[ch], dgamma[ch]);
-                            let k = gamma_val[ch] * is / m;
-                            move |gi, v| k * (m * gi - db - (v - mu) * is * dg)
+                    let dx = gamma_ref.as_ref().map(|gamma| {
+                        gamma.with_value(|gm| {
+                            map_planes(gd, xd, c, hw, |ch| {
+                                let (mu, is, db, dg) =
+                                    (mean[ch], inv_std[ch], dbeta[ch], dgamma[ch]);
+                                let k = gm.data()[ch] * is / m;
+                                move |gi, v| k * (m * gi - db - (v - mu) * is * dg)
+                            })
                         })
                     });
                     (dgamma, dbeta, dx)
@@ -275,6 +280,7 @@ impl Var {
     /// # Panics
     /// Panics when shapes are inconsistent (see
     /// [`Var::batch_norm2d_train`]).
+    #[track_caller]
     pub fn batch_norm2d_eval(
         &self,
         gamma: &Var,
@@ -291,31 +297,33 @@ impl Var {
         let mean = running_mean.data().to_vec();
         let inv_std: Vec<f32> =
             running_var.data().iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
-        let gamma_val = gamma.value_clone().into_vec();
         let out = {
-            let (x, bt) = (self.value(), beta.value());
-            normalize(x.data(), c, hw, [&mean, &inv_std, &gamma_val, bt.data()])
+            let (x, gm, bt) = (self.value(), gamma.value(), beta.value());
+            normalize(x.data(), c, hw, [&mean, &inv_std, gm.data(), bt.data()])
         };
         let value = Tensor::from_vec(out, &s).expect("bn eval output");
-        let input = self.parent_ref();
         let need =
             (self.requires_grad(), gamma.param_requires_grad(), beta.param_requires_grad());
+        // dX reads γ and dγ/dβ the input.
+        let input = self.parent_ref_if(need.1 || need.2, "batch_norm2d_eval");
+        let gamma_ref = gamma.parent_ref_if(need.0, "batch_norm2d_eval");
         Var::from_op(
             value,
             vec![self.clone(), gamma.clone(), beta.clone()],
             move |g| {
                 let gd = g.data();
-                let dx = need.0.then(|| {
-                    let dx = map_planes(gd, gd, c, hw, |ch| {
-                        let k = gamma_val[ch] * inv_std[ch];
-                        move |gi, _| k * gi
-                    });
-                    Tensor::from_vec(dx, &s).expect("bn eval dX")
+                let dx = gamma_ref.as_ref().map(|gamma| {
+                    gamma.with_value(|gm| {
+                        let dx = map_planes(gd, gd, c, hw, |ch| {
+                            let k = gm.data()[ch] * inv_std[ch];
+                            move |gi, _| k * gi
+                        });
+                        Tensor::from_vec(dx, &s).expect("bn eval dX")
+                    })
                 });
-                let (dgamma, dbeta) = if need.1 || need.2 {
-                    input.with_value(|x| grad_sums(gd, x.data(), c, hw, &mean, &inv_std))
-                } else {
-                    Default::default()
+                let (dgamma, dbeta) = match &input {
+                    Some(x) => x.with_value(|x| grad_sums(gd, x.data(), c, hw, &mean, &inv_std)),
+                    None => Default::default(),
                 };
                 vec![
                     dx,

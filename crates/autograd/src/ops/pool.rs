@@ -4,53 +4,98 @@ use crate::Var;
 use fedzkt_tensor::ops::Conv2dGeometry;
 use fedzkt_tensor::Tensor;
 
+/// The index of the largest value in each `k`×`k` window of one `h`×`w`
+/// plane, row-major over the `oh`×`ow` windows: `f(window, index)`. Ties go
+/// to the first. A NaN beats every number and a later NaN an earlier one,
+/// so a window holding one pools to NaN (PyTorch's rule); a window of `-∞`s
+/// picks its first element.
+fn window_argmax(
+    plane: &[f32],
+    w: usize,
+    window: (usize, usize),
+    out: (usize, usize),
+    mut f: impl FnMut(usize, usize),
+) {
+    // `v > best` compiles branch-free and never picks a NaN; the NaN test
+    // costs a branch per element (4× the plane's time), so only a plane
+    // that holds a NaN pays for it.
+    if plane.iter().fold(false, |nan, v| nan | v.is_nan()) {
+        scan_windows::<true>(plane, w, window, out, &mut f);
+    } else {
+        scan_windows::<false>(plane, w, window, out, &mut f);
+    }
+}
+
+/// [`window_argmax`], with the NaN rule when `NAN`.
+fn scan_windows<const NAN: bool>(
+    plane: &[f32],
+    w: usize,
+    (k, stride): (usize, usize),
+    (oh, ow): (usize, usize),
+    f: &mut impl FnMut(usize, usize),
+) {
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let first = oy * stride * w + ox * stride;
+            let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+            for ky in 0..k {
+                for kx in 0..k {
+                    let idx = first + ky * w + kx;
+                    let v = plane[idx];
+                    if v > best || (NAN && v.is_nan()) {
+                        (best, best_idx) = (v, idx);
+                    }
+                }
+            }
+            f(oy * ow + ox, best_idx);
+        }
+    }
+}
+
 impl Var {
-    /// Max pooling with a square `k`×`k` window.
+    /// Max pooling with a square `k`×`k` window. A window holding NaN pools
+    /// to NaN, as in PyTorch.
+    ///
+    /// A recorded node keeps each window's argmax (a `u32` per output) for
+    /// its backward; a pass that records nothing — under [`no_grad`], or
+    /// on an input that needs no gradient — fills none.
+    ///
+    /// [`no_grad`]: crate::no_grad
     ///
     /// # Panics
     /// Panics when `self` is not NCHW or the window does not fit.
     pub fn max_pool2d(&self, k: usize, stride: usize) -> Var {
-        let x = self.value_clone();
-        let s = x.shape().to_vec();
+        let s = self.shape();
         assert_eq!(s.len(), 4, "max_pool2d input must be NCHW");
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
         let geom = Conv2dGeometry::new(1, h, w, k, k, stride, 0).expect("max_pool2d geometry");
         let (oh, ow) = (geom.out_h, geom.out_w);
+        assert!(u32::try_from(h * w).is_ok(), "max_pool2d plane of {h}x{w} is too large");
+        let recording = crate::var::grad_enabled() && self.requires_grad();
         let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        for smp in 0..n {
-            for ch in 0..c {
-                let plane = &x.data()[(smp * c + ch) * h * w..(smp * c + ch + 1) * h * w];
-                let base = (smp * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = (oy * stride + ky) * w + ox * stride + kx;
-                                if plane[idx] > best {
-                                    best = plane[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out[base + oy * ow + ox] = best;
-                        argmax[base + oy * ow + ox] = best_idx;
-                    }
+        let mut argmax = vec![0u32; if recording { out.len() } else { 0 }];
+        {
+            let x = self.value();
+            let planes = x.data().chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
+            if recording {
+                for ((plane, dst), arg) in planes.zip(argmax.chunks_exact_mut(oh * ow)) {
+                    window_argmax(plane, w, (k, stride), (oh, ow), |o, i| {
+                        (dst[o], arg[o]) = (plane[i], i as u32);
+                    });
+                }
+            } else {
+                for (plane, dst) in planes {
+                    window_argmax(plane, w, (k, stride), (oh, ow), |o, i| dst[o] = plane[i]);
                 }
             }
         }
         let value = Tensor::from_vec(out, &[n, c, oh, ow]).expect("max_pool2d out");
         Var::from_op(value, vec![self.clone()], move |g| {
             let mut dx = vec![0.0f32; n * c * h * w];
-            for smp in 0..n {
-                for ch in 0..c {
-                    let base = (smp * c + ch) * oh * ow;
-                    let dst = &mut dx[(smp * c + ch) * h * w..(smp * c + ch + 1) * h * w];
-                    for i in 0..oh * ow {
-                        dst[argmax[base + i]] += g.data()[base + i];
-                    }
+            let windows = g.data().chunks_exact(oh * ow).zip(argmax.chunks_exact(oh * ow));
+            for (dst, (go, arg)) in dx.chunks_exact_mut(h * w).zip(windows) {
+                for (&gv, &i) in go.iter().zip(arg) {
+                    dst[i as usize] += gv;
                 }
             }
             vec![Some(Tensor::from_vec(dx, &[n, c, h, w]).expect("max_pool2d dX"))]
@@ -62,15 +107,14 @@ impl Var {
     /// # Panics
     /// Panics when `self` is not NCHW.
     pub fn global_avg_pool(&self) -> Var {
-        let x = self.value_clone();
-        let s = x.shape().to_vec();
+        let s = self.shape();
         assert_eq!(s.len(), 4, "global_avg_pool input must be NCHW");
         let (n, c, hw) = (s[0], s[1], s[2] * s[3]);
         let inv = 1.0 / hw as f32;
-        let mut out = vec![0.0f32; n * c];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = x.data()[i * hw..(i + 1) * hw].iter().sum::<f32>() * inv;
-        }
+        let x = self.value();
+        let out: Vec<f32> =
+            (0..n * c).map(|i| x.data()[i * hw..(i + 1) * hw].iter().sum::<f32>() * inv).collect();
+        drop(x);
         let value = Tensor::from_vec(out, &[n, c]).expect("gap out");
         Var::from_op(value, vec![self.clone()], move |g| {
             let mut dx = vec![0.0f32; n * c * hw];
@@ -91,12 +135,12 @@ impl Var {
     /// Panics when `self` is not NCHW or `factor == 0`.
     pub fn upsample_nearest2d(&self, factor: usize) -> Var {
         assert!(factor > 0, "upsample factor must be positive");
-        let x = self.value_clone();
-        let s = x.shape().to_vec();
+        let s = self.shape();
         assert_eq!(s.len(), 4, "upsample input must be NCHW");
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
         let (oh, ow) = (h * factor, w * factor);
         let mut out = vec![0.0f32; n * c * oh * ow];
+        let x = self.value();
         for plane in 0..n * c {
             let src = &x.data()[plane * h * w..(plane + 1) * h * w];
             let dst = &mut out[plane * oh * ow..(plane + 1) * oh * ow];
@@ -106,6 +150,7 @@ impl Var {
                 }
             }
         }
+        drop(x);
         let value = Tensor::from_vec(out, &[n, c, oh, ow]).expect("upsample out");
         Var::from_op(value, vec![self.clone()], move |g| {
             let mut dx = vec![0.0f32; n * c * h * w];
@@ -145,6 +190,33 @@ mod tests {
         let x = img(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], &[1, 1, 3, 3]);
         let y = x.max_pool2d(2, 1);
         assert_eq!(y.value().data(), &[5.0, 6.0, 8.0, 9.0]);
+    }
+
+    /// A window holding NaN pools to NaN and routes its gradient to the
+    /// (last) NaN, as PyTorch does; an all-NaN window is NaN, not `-∞`.
+    #[test]
+    fn max_pool_propagates_nan() {
+        let nan = f32::NAN;
+        // Windows: all NaN | NaN among numbers | numbers only | all -inf.
+        let ninf = f32::NEG_INFINITY;
+        #[rustfmt::skip]
+        let x = img(vec![
+            nan, nan, 1.0, nan,
+            nan, nan, 3.0, 4.0,
+            5.0, 2.0, ninf, ninf,
+            1.0, 2.0, ninf, ninf,
+        ], &[1, 1, 4, 4]);
+        let y = x.max_pool2d(2, 2);
+        let v = y.value_clone();
+        assert!(v.data()[0].is_nan() && v.data()[1].is_nan(), "{:?}", v.data());
+        assert_eq!(&v.data()[2..], &[5.0, ninf]);
+        y.sum_all().backward();
+        let g = x.grad().unwrap();
+        let mut expected = [0.0; 16];
+        for i in [5, 3, 8, 10] {
+            expected[i] = 1.0;
+        }
+        assert_eq!(g.data(), &expected);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use fedzkt_tensor::Tensor;
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::HashSet;
+use std::panic::Location;
 use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::LocalKey;
@@ -76,6 +77,10 @@ pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>>>;
 pub(crate) struct VarInner {
     id: u64,
     value: RefCell<Tensor>,
+    /// Bumped by every write to `value` ([`Var::set_value`],
+    /// [`Var::value_mut`]); a [`ParentRef`] compares it with the version it
+    /// was recorded at.
+    version: Cell<u64>,
     grad: RefCell<Option<Tensor>>,
     requires_grad: bool,
     parents: Vec<Var>,
@@ -101,22 +106,61 @@ impl Drop for VarInner {
 /// A non-owning handle on an op's parent, held by the op's backward
 /// closure to read the parent's value in place of a copy.
 ///
-/// The node's own parent list keeps the parent alive for as long as the
-/// closure can run. Not owning it keeps teardown iterative: dropping the
-/// closure never drops a parent, so a long chain of such ops is torn down
-/// by [`VarInner`]'s loop rather than by nested drops.
-pub(crate) struct ParentRef(Weak<VarInner>);
+/// **The rule.** No backward closure keeps a copy of a parent's value:
+/// every op that needs one in its backward (the input of an activation,
+/// both operands of a product, a conv's input and weights, batch norm's
+/// input and `γ`) reads it through a `ParentRef`. The node's own parent
+/// list already keeps the parent alive for as long as the closure can run,
+/// so a copy would be a second copy of the same tensor for the whole
+/// forward/backward gap.
+///
+/// **The guard.** Reading in place is only right while the parent still
+/// holds the value the forward used. A handle records the parent's write
+/// version when the op is recorded, and [`ParentRef::with_value`] panics,
+/// naming the op and where it was recorded, if the parent has been written
+/// since — by [`Var::set_value`] or [`Var::value_mut`], as an optimizer
+/// step or loading a state dict does. Without the guard such a backward
+/// would silently differentiate against the new weights.
+///
+/// Not owning the parent keeps teardown iterative: dropping the closure
+/// never drops a parent, so a long chain of such ops is torn down by
+/// [`VarInner`]'s loop rather than by nested drops.
+pub(crate) struct ParentRef {
+    node: Weak<VarInner>,
+    version: u64,
+    op: &'static str,
+    site: &'static Location<'static>,
+}
 
 impl ParentRef {
     /// Run `f` on the parent's value.
     ///
     /// # Panics
-    /// Panics if the parent is gone, which cannot happen while the node
-    /// whose closure holds this handle is alive.
+    /// Panics if the parent's value was written after the op was recorded
+    /// (see the type's docs), or if the parent is gone, which cannot happen
+    /// while the node whose closure holds this handle is alive.
     pub(crate) fn with_value<T>(&self, f: impl FnOnce(&Tensor) -> T) -> T {
-        let parent = self.0.upgrade().expect("a node's parents outlive its backward closure");
+        let parent = self.node.upgrade().expect("a node's parents outlive its backward closure");
+        assert!(
+            parent.version.get() == self.version,
+            "{} recorded at {}: an operand was written (set_value / value_mut, e.g. an \
+             optimizer step or load_state_dict) between the forward and this backward, \
+             which would differentiate against the new value",
+            self.op,
+            self.site,
+        );
         let value = parent.value.borrow();
         f(&value)
+    }
+
+    /// [`ParentRef::with_value`] on an optional handle: `f` gets `None`
+    /// where the op holds no handle because its backward does not read
+    /// that parent.
+    pub(crate) fn with_opt<T>(this: Option<&ParentRef>, f: impl FnOnce(Option<&Tensor>) -> T) -> T {
+        match this {
+            Some(parent) => parent.with_value(|v| f(Some(v))),
+            None => f(None),
+        }
     }
 }
 
@@ -169,6 +213,7 @@ impl Var {
             inner: Rc::new(VarInner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 value: RefCell::new(value),
+                version: Cell::new(0),
                 grad: RefCell::new(None),
                 requires_grad,
                 parents,
@@ -226,11 +271,36 @@ impl Var {
         self.inner.value.borrow().clone()
     }
 
-    /// A handle through which a backward closure of an op reads this node,
+    /// A handle through which the backward closure of `op` reads this node,
     /// one of the op's parents, without copying its value (see
-    /// [`ParentRef`]).
-    pub(crate) fn parent_ref(&self) -> ParentRef {
-        ParentRef(Rc::downgrade(&self.inner))
+    /// [`ParentRef`]). The handle names `op` and the caller's source
+    /// location in its guard's panic.
+    #[track_caller]
+    pub(crate) fn parent_ref(&self, op: &'static str) -> ParentRef {
+        ParentRef {
+            node: Rc::downgrade(&self.inner),
+            version: self.inner.version.get(),
+            op,
+            site: Location::caller(),
+        }
+    }
+
+    /// [`Var::parent_ref`] for a backward that reads this node only when
+    /// `read` holds, and `None` when it does not. (An `if`, not
+    /// `bool::then`: a closure would report its own location, not the
+    /// caller's.)
+    #[track_caller]
+    pub(crate) fn parent_ref_if(&self, read: bool, op: &'static str) -> Option<ParentRef> {
+        if read {
+            Some(self.parent_ref(op))
+        } else {
+            None
+        }
+    }
+
+    /// Mark the value as written: handles taken before this no longer read.
+    fn bump_version(&self) {
+        self.inner.version.set(self.inner.version.get().wrapping_add(1));
     }
 
     /// Shape of the node's value.
@@ -239,6 +309,10 @@ impl Var {
     }
 
     /// Replace the value in place (optimizer step on a parameter).
+    ///
+    /// Ops recorded before the write read this node's value in their
+    /// backward in place, not from a copy, so running such a backward after
+    /// the write panics rather than differentiate against the new value.
     ///
     /// # Panics
     /// Panics when the new value's shape differs from the old one — a
@@ -251,16 +325,23 @@ impl Var {
             "set_value must preserve the parameter shape"
         );
         *slot = value;
+        self.bump_version();
     }
 
     /// The node's value as a mutable slice, for in-place updates (an
     /// optimizer step, loading a state dict); the shape cannot change
     /// through it.
     ///
+    /// Every call counts as a write: a recorded op that reads this node in
+    /// its backward panics if that backward runs afterwards (see
+    /// [`Var::set_value`]).
+    ///
     /// # Panics
     /// Panics if the value is borrowed elsewhere.
     pub fn value_mut(&self) -> RefMut<'_, [f32]> {
-        RefMut::map(self.inner.value.borrow_mut(), Tensor::data_mut)
+        let slot = self.inner.value.borrow_mut();
+        self.bump_version();
+        RefMut::map(slot, Tensor::data_mut)
     }
 
     /// The gradient accumulated by the last [`Var::backward`] call, if any.
@@ -536,6 +617,79 @@ mod tests {
     fn set_value_rejects_shape_change() {
         let p = Var::parameter(t(vec![1.0, 2.0]));
         p.set_value(Tensor::zeros(&[3]));
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the backward must panic");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload.downcast_ref::<&str>().expect("a text payload").to_string(),
+        }
+    }
+
+    /// A write to an operand between a recorded forward and its backward —
+    /// through `set_value` or `value_mut`, to a weight, a batch-norm `γ`, an
+    /// activation's input — makes the backward panic, naming the op and the
+    /// line that recorded it, instead of differentiating against the new
+    /// value.
+    #[test]
+    fn writing_an_operand_before_its_backward_panics_naming_the_op() {
+        type Case = (&'static str, fn(&Var, &Var) -> Var, &'static [usize], &'static [usize]);
+        let cases: [Case; 7] = [
+            ("linear", |x, w| x.linear(w, None), &[2, 3], &[4, 3]),
+            ("conv2d", |x, w| x.conv2d(w, 1, 1, 1), &[2, 3, 5, 5], &[4, 3, 3, 3]),
+            ("conv2d", |x, w| x.conv2d(w, 2, 1, 1), &[2, 3, 5, 5], &[4, 3, 3, 3]),
+            ("conv2d", |x, w| x.conv2d(w, 1, 1, 3), &[2, 3, 5, 5], &[3, 1, 3, 3]),
+            ("batch_norm2d_train", |x, g| x.batch_norm2d_train(g, g, 1e-5).0, &[2, 3, 2, 2], &[3]),
+            ("mul", |x, w| x.mul(w), &[2, 2], &[2, 2]),
+            ("relu", |_, w| w.relu(), &[1], &[2, 2]),
+        ];
+        let mut rng = fedzkt_tensor::seeded_rng(5);
+        for (op, build, xs, ws) in cases {
+            for write in ["set_value", "value_mut"] {
+                let x = Var::parameter(Tensor::randn(xs, &mut rng));
+                let w = Var::parameter(Tensor::randn(ws, &mut rng));
+                let loss = build(&x, &w).square().sum_all();
+                loss.backward();
+                match write {
+                    "set_value" => {
+                        let moved = w.value().map(|v| v + 1.0);
+                        w.set_value(moved);
+                    }
+                    _ => w.value_mut()[0] += 1.0,
+                }
+                let msg = panic_message(|| loss.backward());
+                assert!(
+                    msg.starts_with(&format!("{op} recorded at {}", file!())),
+                    "{write}: {msg}"
+                );
+                assert!(msg.contains("set_value / value_mut"), "{write}: {msg}");
+            }
+        }
+    }
+
+    /// The guard fires only on a value the backward reads: writing an operand
+    /// it does not read (`add`'s, or a weight whose `dX` is not asked for),
+    /// or writing after the backward, is no error.
+    #[test]
+    fn the_write_guard_fires_only_on_values_the_backward_reads() {
+        let x = Var::parameter(t(vec![1.0, 2.0]));
+        let w = Var::parameter(t(vec![3.0, 4.0]));
+        let y = x.add(&w).sum_all();
+        w.set_value(t(vec![0.0, 0.0]));
+        y.backward();
+        assert_eq!(w.grad().unwrap().data(), &[1.0, 1.0]);
+
+        // A constant input: dW = gᵀ·x reads x only.
+        let x = Var::constant(Tensor::ones(&[3, 2]));
+        let w = Var::parameter(Tensor::ones(&[1, 2]));
+        let y = x.linear(&w, None).sum_all();
+        w.value_mut()[0] = 5.0;
+        y.backward();
+        assert_eq!(w.grad().unwrap().data(), &[3.0, 3.0]);
+        w.set_value(Tensor::zeros(&[1, 2]));
     }
 
     #[test]

@@ -413,6 +413,22 @@ mod tests {
         }
     }
 
+    /// An optimizer step between a recorded forward and its backward
+    /// overwrites a weight the backward reads in place: the backward panics,
+    /// naming the op, instead of differentiating against the stepped weight.
+    #[test]
+    #[should_panic(expected = "linear recorded at")]
+    fn a_step_between_forward_and_backward_panics() {
+        let mut rng = seeded_rng(4);
+        let w = Var::parameter(Tensor::randn(&[2, 3], &mut rng));
+        let x = Var::parameter(Tensor::randn(&[4, 3], &mut rng));
+        let opt = Sgd::new(vec![w.clone()], SgdConfig { lr: 0.1, ..Default::default() });
+        let loss = x.linear(&w, None).square().sum_all();
+        loss.backward();
+        opt.step();
+        loss.backward();
+    }
+
     #[test]
     fn adam_fits_linear_regression() {
         let mut rng = seeded_rng(7);
