@@ -41,12 +41,13 @@ impl Var {
     #[track_caller]
     pub fn mul(&self, rhs: &Var) -> Var {
         let value = self.value().mul(&rhs.value()).expect("mul");
-        let need = (self.requires_grad(), rhs.requires_grad());
-        let (a, b) = (self.parent_ref("mul"), rhs.parent_ref("mul"));
+        // Each operand is read only for the other's gradient.
+        let a = self.parent_ref_if(rhs.requires_grad(), "mul");
+        let b = rhs.parent_ref_if(self.requires_grad(), "mul");
         Var::from_op(value, vec![self.clone(), rhs.clone()], move |g| {
             vec![
-                need.0.then(|| b.with_value(|b| g.mul(b).expect("mul backward"))),
-                need.1.then(|| a.with_value(|a| g.mul(a).expect("mul backward"))),
+                b.as_ref().map(|b| b.with_value(|b| g.mul(b).expect("mul backward"))),
+                a.as_ref().map(|a| a.with_value(|a| g.mul(a).expect("mul backward"))),
             ]
         })
     }

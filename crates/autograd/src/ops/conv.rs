@@ -155,8 +155,8 @@
 //! No path saves a copy of its operands. The backward reads the input (for
 //! `dW`) and the weights (for `dX`) from the tape, through a
 //! [`ParentRef`] on each parent, and only the one a requested gradient
-//! needs: a frozen weight's conv reads no input, a constant input's conv
-//! no weights. The tape keeps both parents alive anyway, so a copy would
+//! needs: a frozen weight's conv keeps no input alive, a constant input's
+//! conv no weights. The reader keeps what it reads alive, so a copy would
 //! only double the conv's operands for the forward/backward gap. Writing
 //! either operand between the forward and the backward (an optimizer
 //! step) makes the backward panic rather than read the new value.
@@ -273,16 +273,14 @@ fn conv2d_depthwise(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
     depthwise_conv2d(input.value().data(), weight.value().data(), n, c, &geom, &mut out);
     let value = Tensor::from_vec(out, &out_shape).expect("conv2d output");
 
-    let need = (input.requires_grad(), weight.param_requires_grad());
-    // dX reads the weights and dW the input, both from the tape.
-    let (x, w) = (input.parent_ref("conv2d"), weight.parent_ref("conv2d"));
+    let (saved_x, saved_w) = saved_for_backward(input, weight);
     Var::from_op(value, vec![input.clone(), weight.clone()], move |grad| {
-        let gx = need.0.then(|| {
+        let gx = saved_w.as_ref().map(|w| {
             let mut gx = vec![0.0f32; xs.iter().product()];
             w.with_value(|w| depthwise_conv2d_dx(grad.data(), w.data(), n, c, &geom, &mut gx));
             Tensor::from_vec(gx, &xs).expect("conv2d dX")
         });
-        let gw = need.1.then(|| {
+        let gw = saved_x.as_ref().map(|x| {
             let mut gw = vec![0.0f32; ws.iter().product()];
             x.with_value(|x| depthwise_conv2d_dw(x.data(), grad.data(), n, c, &geom, &mut gw));
             Tensor::from_vec(gw, &ws).expect("conv2d dW")
@@ -387,9 +385,10 @@ impl PaddedLayout {
     }
 }
 
-/// What a dense conv's backward will read from the tape: the input (for
-/// `dW`) and the weights (for `dX`), each only when that gradient is asked
-/// for — so a frozen forward reads no input and a constant input no weights.
+/// What a conv's backward will read from the tape: the input (for `dW`)
+/// and the weights (for `dX`), each only when that gradient is asked for —
+/// so a frozen forward keeps no input alive and a constant input no
+/// weights.
 #[track_caller]
 fn saved_for_backward(input: &Var, weight: &Var) -> (Option<ParentRef>, Option<ParentRef>) {
     (

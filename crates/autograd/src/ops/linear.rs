@@ -10,13 +10,13 @@ impl Var {
     #[track_caller]
     pub fn matmul(&self, rhs: &Var) -> Var {
         let value = self.value().matmul(&rhs.value()).expect("matmul");
-        let need = (self.requires_grad(), rhs.requires_grad());
-        let (a, b) = (self.parent_ref("matmul"), rhs.parent_ref("matmul"));
+        // dA = g B^T reads B, dB = A^T g reads A.
+        let a = self.parent_ref_if(rhs.requires_grad(), "matmul");
+        let b = rhs.parent_ref_if(self.requires_grad(), "matmul");
         Var::from_op(value, vec![self.clone(), rhs.clone()], move |g| {
-            // dA = g B^T, dB = A^T g.
             vec![
-                need.0.then(|| b.with_value(|b| g.matmul_nt(b).expect("matmul backward dA"))),
-                need.1.then(|| a.with_value(|a| a.matmul_tn(g).expect("matmul backward dB"))),
+                b.as_ref().map(|b| b.with_value(|b| g.matmul_nt(b).expect("matmul backward dA"))),
+                a.as_ref().map(|a| a.with_value(|a| a.matmul_tn(g).expect("matmul backward dB"))),
             ]
         })
     }
@@ -31,14 +31,13 @@ impl Var {
     #[track_caller]
     pub fn linear(&self, weight: &Var, bias: Option<&Var>) -> Var {
         let value = self.value().matmul_nt(&weight.value()).expect("linear forward");
-        let need = (self.requires_grad(), weight.param_requires_grad());
-        let (x, w) = (self.parent_ref("linear"), weight.parent_ref("linear"));
+        // dX = g W reads W, dW = g^T X reads X.
+        let x = self.parent_ref_if(weight.param_requires_grad(), "linear");
+        let w = weight.parent_ref_if(self.requires_grad(), "linear");
         let out = Var::from_op(value, vec![self.clone(), weight.clone()], move |g| {
             vec![
-                // dX = g W
-                need.0.then(|| w.with_value(|w| g.matmul(w).expect("linear backward dX"))),
-                // dW = g^T X
-                need.1.then(|| x.with_value(|x| g.matmul_tn(x).expect("linear backward dW"))),
+                w.as_ref().map(|w| w.with_value(|w| g.matmul(w).expect("linear backward dX"))),
+                x.as_ref().map(|x| x.with_value(|x| g.matmul_tn(x).expect("linear backward dW"))),
             ]
         });
         match bias {

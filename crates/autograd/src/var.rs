@@ -58,6 +58,13 @@ pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
 /// The decision is taken when an op is recorded, so [`Var::backward`] may
 /// run inside or outside the scope.
 ///
+/// A frozen forward also keeps only what its input gradient reads: no op
+/// reads an activation for a parameter gradient that is not asked for
+/// (a conv's or linear's input for `dW`, batch norm's input for `dγ`), so
+/// once the caller drops the intermediates the tape holds the inputs of
+/// the activations and of training-mode batch norm, not every op output
+/// (see [`Var`]).
+///
 /// Nesting is supported and composes with [`no_grad`] (which wins: nothing
 /// is recorded at all); the scope ends when the outermost guard exits, even
 /// if `f` panics.
@@ -74,17 +81,48 @@ pub(crate) fn grad_enabled() -> bool {
 /// gradient the op did not compute (because they do not require it).
 pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>>>;
 
+/// A tape node.
+///
+/// **What keeps what.** The node itself lives while a [`Var`] handle on it
+/// or a child's parent list (a tape edge) holds it: an edge keeps the node,
+/// so a backward can still route gradients through it. Its *value* lives
+/// only while a handle or a reader ([`ParentRef`]) can read it. When the
+/// last of both goes, an op output's value is dropped and only its shape
+/// stays; a leaf ([`Var::constant`], [`Var::parameter`]) keeps its value
+/// for as long as the node lives. Nothing reads a value through an edge,
+/// so a forward keeps only the values some backward closure will read
+/// (an activation's input, a product's other operand, …) and the ones
+/// the caller still holds.
 pub(crate) struct VarInner {
     id: u64,
-    value: RefCell<Tensor>,
+    /// `None` once released (op outputs only; see the type's docs).
+    value: RefCell<Option<Tensor>>,
+    shape: Box<[usize]>,
     /// Bumped by every write to `value` ([`Var::set_value`],
     /// [`Var::value_mut`]); a [`ParentRef`] compares it with the version it
     /// was recorded at.
     version: Cell<u64>,
+    /// Live [`Var`] handles on this node.
+    handles: Cell<usize>,
+    /// Live [`ParentRef`] readers of this node's value.
+    readers: Cell<usize>,
     grad: RefCell<Option<Tensor>>,
     requires_grad: bool,
-    parents: Vec<Var>,
+    parents: Vec<Rc<VarInner>>,
     backward_fn: Option<BackwardFn>,
+}
+
+impl VarInner {
+    /// Drop an op output's value once neither a handle nor a reader can
+    /// read it. Runs in `Drop`, so it must not panic: a value still
+    /// borrowed is being read, and stays.
+    fn release_if_unread(&self) {
+        if self.handles.get() == 0 && self.readers.get() == 0 && self.backward_fn.is_some() {
+            if let Ok(mut value) = self.value.try_borrow_mut() {
+                value.take();
+            }
+        }
+    }
 }
 
 impl Drop for VarInner {
@@ -94,8 +132,7 @@ impl Drop for VarInner {
     /// parent's list and drain a worklist.
     fn drop(&mut self) {
         let mut stack = std::mem::take(&mut self.parents);
-        while let Some(var) = stack.pop() {
-            let Var { inner } = var;
+        while let Some(inner) = stack.pop() {
             if let Some(mut inner) = Rc::into_inner(inner) {
                 stack.append(&mut inner.parents);
             }
@@ -103,19 +140,26 @@ impl Drop for VarInner {
     }
 }
 
-/// A non-owning handle on an op's parent, held by the op's backward
+/// A non-owning reader of an op's parent, held by the op's backward
 /// closure to read the parent's value in place of a copy.
 ///
 /// **The rule.** No backward closure keeps a copy of a parent's value:
 /// every op that needs one in its backward (the input of an activation,
-/// both operands of a product, a conv's input and weights, batch norm's
-/// input and `γ`) reads it through a `ParentRef`. The node's own parent
-/// list already keeps the parent alive for as long as the closure can run,
-/// so a copy would be a second copy of the same tensor for the whole
-/// forward/backward gap.
+/// a product's operand, a conv's input or weights, batch norm's input and
+/// `γ`) reads it through a `ParentRef`, and takes one only for the gradient
+/// that reads it: `dW` reads the input and `dX` the weights, so a frozen
+/// forward holds no input and a constant input no weights.
+///
+/// **What it keeps.** The node's parent list keeps the parent *node*
+/// alive for as long as the closure can run; the parent's *value* lives
+/// while a [`Var`] handle or a reader does. A `ParentRef` is such a reader:
+/// it is counted on the parent while it lives, and dropping the last
+/// reader of an op output that no handle holds drops that value (see
+/// [`VarInner`]). A value no backward reads is thus gone as soon as the
+/// caller lets go of it, not when the graph drops.
 ///
 /// **The guard.** Reading in place is only right while the parent still
-/// holds the value the forward used. A handle records the parent's write
+/// holds the value the forward used. A reader records the parent's write
 /// version when the op is recorded, and [`ParentRef::with_value`] panics,
 /// naming the op and where it was recorded, if the parent has been written
 /// since — by [`Var::set_value`] or [`Var::value_mut`], as an optimizer
@@ -137,8 +181,9 @@ impl ParentRef {
     ///
     /// # Panics
     /// Panics if the parent's value was written after the op was recorded
-    /// (see the type's docs), or if the parent is gone, which cannot happen
-    /// while the node whose closure holds this handle is alive.
+    /// (see the type's docs), or if the parent or its value is gone, which
+    /// cannot happen while the node whose closure holds this reader is
+    /// alive.
     pub(crate) fn with_value<T>(&self, f: impl FnOnce(&Tensor) -> T) -> T {
         let parent = self.node.upgrade().expect("a node's parents outlive its backward closure");
         assert!(
@@ -150,16 +195,34 @@ impl ParentRef {
             self.site,
         );
         let value = parent.value.borrow();
-        f(&value)
+        let value = value.as_ref().unwrap_or_else(|| {
+            panic!(
+                "{} recorded at {}: its operand's value was released while this reader held it",
+                self.op, self.site,
+            )
+        });
+        f(value)
     }
 
-    /// [`ParentRef::with_value`] on an optional handle: `f` gets `None`
-    /// where the op holds no handle because its backward does not read
+    /// [`ParentRef::with_value`] on an optional reader: `f` gets `None`
+    /// where the op holds no reader because its backward does not read
     /// that parent.
     pub(crate) fn with_opt<T>(this: Option<&ParentRef>, f: impl FnOnce(Option<&Tensor>) -> T) -> T {
         match this {
             Some(parent) => parent.with_value(|v| f(Some(v))),
             None => f(None),
+        }
+    }
+}
+
+impl Drop for ParentRef {
+    /// Count the reader out; the last one releases an op output no handle
+    /// holds. A parent already torn down (the graph is dropping) has
+    /// nothing left to release.
+    fn drop(&mut self) {
+        if let Some(parent) = self.node.upgrade() {
+            parent.readers.set(parent.readers.get() - 1);
+            parent.release_if_unread();
         }
     }
 }
@@ -175,9 +238,27 @@ impl ParentRef {
 ///   [`Var::backward`] and consumed by optimizers;
 /// * op outputs — created by the methods in this crate, which record how to
 ///   route gradients back to their parents.
-#[derive(Clone)]
+///
+/// Handles are counted: an op output's value lives while a handle or a
+/// backward that reads it does (see [`ParentRef`]), so dropping the
+/// handles on intermediates a backward does not read frees them before the
+/// graph drops. A handle always reads its value.
 pub struct Var {
     inner: Rc<VarInner>,
+}
+
+impl Clone for Var {
+    fn clone(&self) -> Var {
+        self.inner.handles.set(self.inner.handles.get() + 1);
+        Var { inner: Rc::clone(&self.inner) }
+    }
+}
+
+impl Drop for Var {
+    fn drop(&mut self) {
+        self.inner.handles.set(self.inner.handles.get() - 1);
+        self.inner.release_if_unread();
+    }
 }
 
 impl std::fmt::Debug for Var {
@@ -212,11 +293,15 @@ impl Var {
         Var {
             inner: Rc::new(VarInner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                value: RefCell::new(value),
+                shape: value.shape().into(),
+                value: RefCell::new(Some(value)),
                 version: Cell::new(0),
+                handles: Cell::new(1),
+                readers: Cell::new(0),
                 grad: RefCell::new(None),
                 requires_grad,
-                parents,
+                // Tape edges, not handles: `parents` drops with this call.
+                parents: parents.iter().map(|p| Rc::clone(&p.inner)).collect(),
                 backward_fn,
             }),
         }
@@ -263,20 +348,22 @@ impl Var {
     /// Panics if the value is already mutably borrowed (only possible via
     /// [`Var::set_value`] re-entrancy, which no public API does).
     pub fn value(&self) -> Ref<'_, Tensor> {
-        self.inner.value.borrow()
+        Ref::map(self.inner.value.borrow(), |v| v.as_ref().expect("a handle keeps its value"))
     }
 
     /// Clone the node's value out of the tape.
     pub fn value_clone(&self) -> Tensor {
-        self.inner.value.borrow().clone()
+        self.value().clone()
     }
 
-    /// A handle through which the backward closure of `op` reads this node,
+    /// A reader through which the backward closure of `op` reads this node,
     /// one of the op's parents, without copying its value (see
-    /// [`ParentRef`]). The handle names `op` and the caller's source
-    /// location in its guard's panic.
+    /// [`ParentRef`]). The reader keeps this node's value alive while it
+    /// lives, and names `op` and the caller's source location in its
+    /// guards' panics.
     #[track_caller]
     pub(crate) fn parent_ref(&self, op: &'static str) -> ParentRef {
+        self.inner.readers.set(self.inner.readers.get() + 1);
         ParentRef {
             node: Rc::downgrade(&self.inner),
             version: self.inner.version.get(),
@@ -298,14 +385,14 @@ impl Var {
         }
     }
 
-    /// Mark the value as written: handles taken before this no longer read.
+    /// Mark the value as written: readers taken before this no longer read.
     fn bump_version(&self) {
         self.inner.version.set(self.inner.version.get().wrapping_add(1));
     }
 
     /// Shape of the node's value.
     pub fn shape(&self) -> Vec<usize> {
-        self.inner.value.borrow().shape().to_vec()
+        self.inner.shape.to_vec()
     }
 
     /// Replace the value in place (optimizer step on a parameter).
@@ -318,13 +405,12 @@ impl Var {
     /// Panics when the new value's shape differs from the old one — a
     /// parameter's geometry is fixed at construction.
     pub fn set_value(&self, value: Tensor) {
-        let mut slot = self.inner.value.borrow_mut();
         assert_eq!(
-            slot.shape(),
+            &*self.inner.shape,
             value.shape(),
             "set_value must preserve the parameter shape"
         );
-        *slot = value;
+        *self.inner.value.borrow_mut() = Some(value);
         self.bump_version();
     }
 
@@ -341,7 +427,7 @@ impl Var {
     pub fn value_mut(&self) -> RefMut<'_, [f32]> {
         let slot = self.inner.value.borrow_mut();
         self.bump_version();
-        RefMut::map(slot, Tensor::data_mut)
+        RefMut::map(slot, |v| v.as_mut().expect("a handle keeps its value").data_mut())
     }
 
     /// The gradient accumulated by the last [`Var::backward`] call, if any.
@@ -387,9 +473,7 @@ impl Var {
     pub fn backward_with(&self, seed: Tensor) {
         assert_eq!(seed.shape(), self.shape().as_slice(), "backward seed shape mismatch");
         accumulate(&self.inner, seed);
-        let order = topo_order(self);
-        for var in order {
-            let inner = &var.inner;
+        for inner in topo_order(&self.inner) {
             let Some(backward_fn) = &inner.backward_fn else { continue };
             // Intermediate gradients are consumed; only leaves accumulate
             // across backward calls (PyTorch semantics — optimizers read
@@ -399,8 +483,8 @@ impl Var {
             debug_assert_eq!(parent_grads.len(), inner.parents.len());
             for (parent, pg) in inner.parents.iter().zip(parent_grads) {
                 if let Some(pg) = pg {
-                    if parent.inner.requires_grad {
-                        accumulate(&parent.inner, pg);
+                    if parent.requires_grad {
+                        accumulate(parent, pg);
                     }
                 }
             }
@@ -420,24 +504,25 @@ fn accumulate(inner: &VarInner, grad: Tensor) {
     }
 }
 
-/// Reverse topological order (output first) over the grad-requiring subgraph.
-fn topo_order(root: &Var) -> Vec<Var> {
+/// Reverse topological order (output first) over the grad-requiring
+/// subgraph. It walks tape edges, not handles: a node whose value was
+/// released is visited like any other.
+fn topo_order(root: &Rc<VarInner>) -> Vec<Rc<VarInner>> {
     let mut order = Vec::new();
     let mut visited: HashSet<u64> = HashSet::new();
     // Iterative post-order DFS; deep nets would overflow a recursive walk.
-    let mut stack: Vec<(Var, usize)> = vec![(root.clone(), 0)];
+    let mut stack: Vec<(Rc<VarInner>, usize)> = vec![(Rc::clone(root), 0)];
     while let Some((var, child_idx)) = stack.pop() {
         if child_idx == 0 {
-            if visited.contains(&var.inner.id) {
+            if visited.contains(&var.id) {
                 continue;
             }
-            visited.insert(var.inner.id);
+            visited.insert(var.id);
         }
-        let parents = &var.inner.parents;
-        if let Some(parent) = parents.get(child_idx) {
-            let parent = parent.clone();
+        if let Some(parent) = var.parents.get(child_idx) {
+            let parent = Rc::clone(parent);
             stack.push((var, child_idx + 1));
-            if !visited.contains(&parent.inner.id) && parent.inner.requires_grad {
+            if !visited.contains(&parent.id) && parent.requires_grad {
                 stack.push((parent, 0));
             }
         } else {
@@ -717,5 +802,153 @@ mod tests {
         }
         y.sum_all().backward();
         assert_eq!(x.grad().unwrap().data(), &[1.0]);
+    }
+
+    /// Whether the node behind `edge` has had its value released.
+    fn released(edge: &Rc<VarInner>) -> bool {
+        edge.value.borrow().is_none()
+    }
+
+    /// The tape edge `child` keeps on its `i`-th parent.
+    fn edge(child: &Var, i: usize) -> Rc<VarInner> {
+        Rc::clone(&child.inner.parents[i])
+    }
+
+    #[test]
+    fn a_held_handle_keeps_its_value_and_the_last_one_releases_it() {
+        let x = Var::parameter(t(vec![1.0, -2.0]));
+        // `add_scalar`'s backward reads nothing, so only handles keep `h`.
+        let h = x.scale(2.0);
+        let h2 = h.clone();
+        let y = h.add_scalar(1.0);
+        drop(h);
+        assert!(!released(&edge(&y, 0)), "a second handle still holds the value");
+        assert_eq!(h2.value().data(), &[2.0, -4.0]);
+        drop(h2);
+        assert!(released(&edge(&y, 0)), "an unread op output outlived its handles");
+        // The node itself stays on the tape: the backward routes through it.
+        assert_eq!(edge(&y, 0).shape.as_ref(), &[2]);
+        y.sum_all().backward();
+        assert_eq!(x.grad().unwrap().data(), &[2.0, 2.0]);
+    }
+
+    #[test]
+    fn a_reader_keeps_its_parents_value_until_it_drops() {
+        let x = Var::parameter(t(vec![1.0, -2.0]));
+        let h = x.scale(2.0);
+        let y = h.square();
+        drop(h);
+        let parent = edge(&y, 0);
+        assert!(!released(&parent), "square's backward reads its input");
+        y.sum_all().backward();
+        assert_eq!(x.grad().unwrap().data(), &[8.0, -16.0]);
+        // Dropping the reader (with its node) releases the value even
+        // while an edge still holds the node.
+        drop(y);
+        assert!(released(&parent));
+    }
+
+    #[test]
+    fn leaves_are_never_released() {
+        let c = Var::constant(t(vec![1.0, 2.0]));
+        let p = Var::parameter(t(vec![3.0, 4.0]));
+        // `mul` reads `c` for `dp` and nothing for the constant's gradient,
+        // so `p` has neither a reader nor, once dropped, a handle.
+        let y = c.mul(&p);
+        let (ce, pe) = (edge(&y, 0), edge(&y, 1));
+        assert_eq!((ce.readers.get(), pe.readers.get()), (1, 0));
+        drop((c, p));
+        assert!(!released(&ce) && !released(&pe));
+        assert_eq!(pe.value.borrow().as_ref().unwrap().data(), &[3.0, 4.0]);
+    }
+
+    #[test]
+    fn backward_runs_twice_over_released_intermediates() {
+        let x = Var::parameter(t(vec![0.5, -1.5]));
+        let loss = x.scale(3.0).relu().add_scalar(1.0).square().sum_all();
+        loss.backward();
+        let once = x.grad().unwrap();
+        loss.backward();
+        assert_eq!(x.grad().unwrap().data(), once.map(|g| 2.0 * g).data());
+    }
+
+    #[test]
+    fn reading_a_released_value_panics_naming_the_op() {
+        let h = Var::parameter(t(vec![1.0])).scale(2.0);
+        let reader = h.parent_ref("probe");
+        // Not reachable through the public API: a reader keeps its value.
+        h.inner.value.borrow_mut().take();
+        let msg = panic_message(|| reader.with_value(|_| ()));
+        assert!(msg.starts_with(&format!("probe recorded at {}", file!())), "{msg}");
+        assert!(msg.contains("released"), "{msg}");
+    }
+
+    /// conv → batch norm (eval, then train) → ReLU6 → depthwise conv →
+    /// linear. Returns the parameters, the loss and every intermediate.
+    fn chain(x: &Var) -> (Vec<Var>, Var, Vec<Var>) {
+        let mut rng = fedzkt_tensor::seeded_rng(17);
+        let mut p = |shape: &[usize]| Var::parameter(Tensor::randn(shape, &mut rng));
+        let ps = vec![
+            p(&[4, 3, 3, 3]),
+            p(&[4]),
+            p(&[4]),
+            p(&[4]),
+            p(&[4]),
+            p(&[4, 1, 3, 3]),
+            p(&[5, 64]),
+            p(&[5]),
+        ];
+        let (mean, var) = (Tensor::full(&[4], 0.1), Tensor::full(&[4], 2.0));
+        let mut held = vec![x.conv2d(&ps[0], 1, 1, 1)];
+        let last = |held: &Vec<Var>| held.last().unwrap().clone();
+        held.push(last(&held).batch_norm2d_eval(&ps[1], &ps[2], &mean, &var, 1e-5));
+        held.push(last(&held).batch_norm2d_train(&ps[3], &ps[4], 1e-5).0);
+        held.push(last(&held).relu6());
+        held.push(last(&held).conv2d(&ps[5], 2, 1, 4));
+        held.push(last(&held).flatten_batch());
+        held.push(last(&held).linear(&ps[6], None));
+        held.push(last(&held).add_bias(&ps[7]));
+        held.push(last(&held).square());
+        let loss = last(&held).sum_all();
+        (ps, loss, held)
+    }
+
+    /// Op outputs on `loss`'s tape whose value was released.
+    fn released_on_tape(loss: &Var) -> usize {
+        topo_order(&loss.inner).iter().filter(|n| released(n)).count()
+    }
+
+    /// Holding every intermediate keeps every value (the no-release
+    /// oracle); dropping them releases the ones no backward reads. The
+    /// gradients must not tell the two apart.
+    #[test]
+    fn releasing_intermediates_keeps_every_gradient_bit() {
+        let bits = |t: Option<Tensor>| t.map(|t| t.data().iter().map(|v| v.to_bits()).collect());
+        let run = |release: bool, frozen: bool| -> Vec<Option<Vec<u32>>> {
+            let x = Var::parameter(Tensor::randn(&[2, 3, 8, 8], &mut fedzkt_tensor::seeded_rng(4)));
+            let (params, loss, held) = if frozen { frozen_params(|| chain(&x)) } else { chain(&x) };
+            if release {
+                drop(held);
+                // Live, the outputs of the depthwise conv, the linear and
+                // the square go (a reshape, a bias and a sum read nothing);
+                // frozen, also those of the conv, the ReLU6 and the reshape,
+                // whose readers read them only for a parameter gradient.
+                assert_eq!(released_on_tape(&loss), if frozen { 6 } else { 3 });
+            } else {
+                assert_eq!(released_on_tape(&loss), 0);
+            }
+            loss.backward();
+            std::iter::once(&x).chain(&params).map(|v| bits(v.grad())).collect()
+        };
+        for threads in [1, 4] {
+            fedzkt_tensor::par::set_threads(threads);
+            for frozen in [false, true] {
+                let oracle = run(false, frozen);
+                assert!(oracle[0].is_some());
+                assert!(oracle[1..].iter().all(|g| g.is_some() != frozen));
+                assert_eq!(run(true, frozen), oracle, "threads={threads} frozen={frozen}");
+            }
+        }
+        fedzkt_tensor::par::set_threads(0);
     }
 }

@@ -163,19 +163,23 @@ impl FedZkt {
             // the student AND the teachers into x = G(z), then into θ; the
             // student's and teachers' own parameters are frozen for the
             // pass, so their gradients are never computed and their
-            // optimizers have nothing to discard.
-            self.generator_opt.zero_grad();
-            let z = Var::constant(self.generator.sample_z(self.cfg.distill_batch, &mut self.rng));
-            let x = self.generator.forward(&z);
-            let (student, teacher_logits) = frozen_params(|| {
-                let student = self.global.forward(&x);
-                let teachers: Vec<Var> = models(&self.fleet).map(|m| m.forward(&x)).collect();
-                (student, teachers)
-            });
-            let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
-            let l_g = self.cfg.loss.eval(&student, &teacher_refs).neg();
-            l_g.backward();
-            self.generator_opt.step();
+            // optimizers have nothing to discard. The block ends the
+            // step's graph before the global step records its own.
+            {
+                self.generator_opt.zero_grad();
+                let z =
+                    Var::constant(self.generator.sample_z(self.cfg.distill_batch, &mut self.rng));
+                let x = self.generator.forward(&z);
+                let (student, teacher_logits) = frozen_params(|| {
+                    let student = self.global.forward(&x);
+                    let teachers: Vec<Var> = models(&self.fleet).map(|m| m.forward(&x)).collect();
+                    (student, teachers)
+                });
+                let teacher_refs: Vec<&Var> = teacher_logits.iter().collect();
+                let l_g = self.cfg.loss.eval(&student, &teacher_refs).neg();
+                l_g.backward();
+                self.generator_opt.step();
+            }
 
             // Global-model step: minimise disagreement on a fresh batch.
             // x is fixed here, so the generator and teachers run without

@@ -22,13 +22,16 @@
 //!
 //! [`max_threads`] resolves, in order: a programmatic override set via
 //! [`set_threads`], the `FEDZKT_THREADS` environment variable, and finally
-//! [`std::thread::available_parallelism`]. Nested parallel regions run
+//! [`std::thread::available_parallelism`], asked once per process: on Linux
+//! it reads cgroup files, and the resolution runs before every parallel
+//! kernel. Nested parallel regions run
 //! serially (a worker that reaches another `par` call just executes it
 //! inline), so device-level parallelism does not multiply with kernel-level
 //! parallelism.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Programmatic thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -54,18 +57,33 @@ pub fn set_threads(threads: usize) {
 /// environment variable (a positive integer), then
 /// [`std::thread::available_parallelism`]. Never returns 0.
 pub fn max_threads() -> usize {
-    let overridden = THREAD_OVERRIDE.load(Ordering::Relaxed);
+    resolve_max_threads(
+        THREAD_OVERRIDE.load(Ordering::Relaxed),
+        || std::env::var("FEDZKT_THREADS").ok(),
+        host_threads,
+    )
+}
+
+/// [`max_threads`]' resolution over its three sources, each consulted only
+/// when the ones before it are unset.
+fn resolve_max_threads(
+    overridden: usize,
+    env: impl FnOnce() -> Option<String>,
+    host: impl FnOnce() -> usize,
+) -> usize {
     if overridden > 0 {
         return overridden;
     }
-    if let Ok(s) = std::env::var("FEDZKT_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    match env().and_then(|s| s.trim().parse::<usize>().ok()) {
+        Some(n) if n > 0 => n,
+        _ => host(),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The host's available parallelism, resolved on first use.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Resolve a configured thread count: 0 means "workspace default"
@@ -200,6 +218,23 @@ mod tests {
         assert_eq!(max_threads(), 3);
         set_threads(0);
         assert!(max_threads() >= 1);
+    }
+
+    #[test]
+    fn thread_count_resolves_override_then_env_then_host() {
+        let env = |s: &'static str| move || Some(s.to_string());
+        let unset = || None;
+        let no_host = || -> usize { panic!("the host is asked only when nothing is set") };
+        assert_eq!(resolve_max_threads(3, || panic!("an override skips the env"), no_host), 3);
+        assert_eq!(resolve_max_threads(0, env(" 5 "), no_host), 5);
+        for bad in ["0", "", "two", "-1"] {
+            assert_eq!(resolve_max_threads(0, env(bad), || 7), 7, "FEDZKT_THREADS={bad:?}");
+        }
+        assert_eq!(resolve_max_threads(0, unset, || 7), 7);
+        // The host value is resolved once and is what the standard library
+        // reports.
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!((host_threads(), host_threads()), (host, host));
     }
 
     #[test]
