@@ -21,7 +21,11 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f32 {
 /// running statistics) without building autograd tape.
 ///
 /// Restores the module to training mode before returning.
+///
+/// # Panics
+/// Panics when `batch_size` is 0.
 pub fn evaluate(model: &dyn Module, data: &Dataset, batch_size: usize) -> f32 {
+    assert!(batch_size > 0, "batch size must be positive");
     if data.is_empty() {
         return 0.0;
     }
@@ -67,6 +71,14 @@ mod tests {
         let before = model.buffers()[0].get();
         let _ = model.forward(&fedzkt_autograd::Var::constant(Tensor::ones(&[2, 1, 8, 8])));
         assert_ne!(before, model.buffers()[0].get());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn evaluate_rejects_a_zero_batch() {
+        let model = ModelSpec::Mlp { hidden: 4 }.build(1, 2, 8, 1);
+        let data = Dataset::new(Tensor::zeros(&[2, 1, 8, 8]), vec![0, 1], 2);
+        evaluate(model.as_ref(), &data, 0);
     }
 
     #[test]
