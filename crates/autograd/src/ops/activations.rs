@@ -5,61 +5,64 @@ use fedzkt_tensor::Tensor;
 
 impl Var {
     /// Rectified linear unit `max(x, 0)`. NaN propagates, as in PyTorch.
-    #[track_caller]
     pub fn relu(&self) -> Var {
         // `f32::max` returns the other operand for NaN, which would hide it.
-        let value = self.value().map(|v| if v.is_nan() { v } else { v.max(0.0) });
-        let x = self.parent_ref("relu");
-        Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(x.with_value(|x| {
-                g.zip_map(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 }).expect("relu backward")
-            }))]
-        })
+        self.masked(|v| if v.is_nan() { v } else { v.max(0.0) }, |v| v > 0.0, |_| 0.0)
     }
 
     /// Leaky ReLU with negative slope `slope` (generator default 0.2).
-    #[track_caller]
     pub fn leaky_relu(&self, slope: f32) -> Var {
-        let value = self.value().map(|v| if v > 0.0 { v } else { slope * v });
-        let x = self.parent_ref("leaky_relu");
-        Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(x.with_value(|x| {
-                g.zip_map(x, |gi, xi| if xi > 0.0 { gi } else { slope * gi })
-                    .expect("leaky_relu backward")
-            }))]
-        })
+        self.masked(move |v| if v > 0.0 { v } else { slope * v }, |v| v > 0.0, move |g| slope * g)
     }
 
     /// ReLU6 `min(max(x, 0), 6)` — the MobileNetV2 activation.
-    #[track_caller]
     pub fn relu6(&self) -> Var {
-        let value = self.value().map(|v| v.clamp(0.0, 6.0));
-        let x = self.parent_ref("relu6");
+        self.masked(|v| v.clamp(0.0, 6.0), |v| v > 0.0 && v < 6.0, |_| 0.0)
+    }
+
+    /// The activation `f`, whose gradient is `g` where `pass(x)` holds and
+    /// `stop(g)` elsewhere. A recorded op writes the one-byte mask `pass(x)`
+    /// in the pass that writes its output, and its backward reads the mask,
+    /// not `x`: the input is free to go with its last handle. An op that is
+    /// not recorded builds no mask.
+    fn masked(
+        &self,
+        f: impl Fn(f32) -> f32,
+        pass: impl Fn(f32) -> bool,
+        stop: impl Fn(f32) -> f32 + 'static,
+    ) -> Var {
+        let x = self.value();
+        if !Var::records(std::slice::from_ref(self)) {
+            return Var::constant(x.map(f));
+        }
+        // One pass writes both; only the mask is zeroed first.
+        let mut mask = vec![0u8; x.len()];
+        let out = x.data().iter().zip(&mut mask).map(|(&v, m)| {
+            *m = u8::from(pass(v));
+            f(v)
+        });
+        let value = Tensor::from_vec(out.collect(), x.shape()).expect("activation output");
         Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(x.with_value(|x| {
-                g.zip_map(x, |gi, xi| if xi > 0.0 && xi < 6.0 { gi } else { 0.0 })
-                    .expect("relu6 backward")
-            }))]
+            let dx = g.data().iter().zip(&mask).map(|(&gi, &m)| if m != 0 { gi } else { stop(gi) });
+            vec![Some(Tensor::from_vec(dx.collect(), g.shape()).expect("activation backward"))]
         })
     }
 
     /// Hyperbolic tangent (generator output squashing).
+    #[track_caller]
     pub fn tanh(&self) -> Var {
         let value = self.value().map(f32::tanh);
-        let y = value.clone();
-        Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(g.zip_map(&y, |gi, yi| gi * (1.0 - yi * yi)).expect("tanh backward"))]
+        Var::from_op_reading_output(value, vec![self.clone()], "tanh", |g, y| {
+            vec![Some(g.zip_map(y, |gi, yi| gi * (1.0 - yi * yi)).expect("tanh backward"))]
         })
     }
 
     /// Logistic sigmoid.
+    #[track_caller]
     pub fn sigmoid(&self) -> Var {
         let value = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
-        let y = value.clone();
-        Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(
-                g.zip_map(&y, |gi, yi| gi * yi * (1.0 - yi)).expect("sigmoid backward"),
-            )]
+        Var::from_op_reading_output(value, vec![self.clone()], "sigmoid", |g, y| {
+            vec![Some(g.zip_map(y, |gi, yi| gi * yi * (1.0 - yi)).expect("sigmoid backward"))]
         })
     }
 
@@ -67,10 +70,10 @@ impl Var {
     ///
     /// # Panics
     /// Panics when the node is not 2-D.
+    #[track_caller]
     pub fn softmax(&self) -> Var {
         let value = self.value().softmax_rows().expect("softmax requires [N, K]");
-        let y = value.clone();
-        Var::from_op(value, vec![self.clone()], move |g| {
+        Var::from_op_reading_output(value, vec![self.clone()], "softmax", |g, y| {
             let (n, k) = (y.shape()[0], y.shape()[1]);
             let mut out = vec![0.0f32; n * k];
             for i in 0..n {

@@ -109,11 +109,11 @@ impl Var {
     }
 
     /// Elementwise exponential.
+    #[track_caller]
     pub fn exp(&self) -> Var {
         let value = self.value().map(f32::exp);
-        let y = value.clone();
-        Var::from_op(value, vec![self.clone()], move |g| {
-            vec![Some(g.mul(&y).expect("exp backward"))]
+        Var::from_op_reading_output(value, vec![self.clone()], "exp", |g, y| {
+            vec![Some(g.mul(y).expect("exp backward"))]
         })
     }
 

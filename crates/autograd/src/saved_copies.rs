@@ -1,10 +1,11 @@
 //! The ops as they were recorded before backward closures read their
-//! parents in place: each closure owned a copy of every parent value it
-//! reads, taken when the op was recorded. Kept as the oracle the in-place
-//! closures ([`ParentRef`](crate::var::ParentRef)) are pinned against:
-//! forward, `dX` and `dW` keep these bits, at one worker and at four, with
-//! parameter operands live and frozen, and with each operand in turn a
-//! constant.
+//! values in place: each closure owned a copy of every value it reads (a
+//! parent's, or for `tanh`, `sigmoid`, `exp` and `softmax` its own
+//! output), taken when the op was recorded. Kept as the oracle the
+//! in-place closures ([`ParentRef`](crate::var::ParentRef)) and the
+//! activations' masks are pinned against: forward, `dX` and `dW` keep
+//! these bits, at one worker and at four, with parameter operands live and
+//! frozen, and with each operand in turn a constant.
 //!
 //! Batch norm's copy-based oracle lives with its kernels (`ops/norm.rs`),
 //! and is run the same way there.
@@ -22,8 +23,16 @@ fn unary(x: &Var, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static
     Var::from_op(value, vec![x.clone()], move |g| vec![Some(g.zip_map(&xv, &df).unwrap())])
 }
 
+/// `x.map(f)`, with a backward `g ⊙ df(g, y)` over a copy of the output `y`.
+fn unary_of_output(x: &Var, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
+    let value = x.value_clone().map(f);
+    let yv = value.clone();
+    Var::from_op(value, vec![x.clone()], move |g| vec![Some(g.zip_map(&yv, &df).unwrap())])
+}
+
+/// NaN passes through, as in `Var::relu`.
 fn relu(x: &Var) -> Var {
-    unary(x, |v| v.max(0.0), |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+    unary(x, |v| if v.is_nan() { v } else { v.max(0.0) }, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
 }
 
 fn leaky_relu(x: &Var, slope: f32) -> Var {
@@ -48,6 +57,34 @@ fn square(x: &Var) -> Var {
 
 fn ln_eps(x: &Var, eps: f32) -> Var {
     unary(x, move |v| (v.max(0.0) + eps).ln(), move |gi, xi| gi / (xi.max(0.0) + eps))
+}
+
+fn tanh(x: &Var) -> Var {
+    unary_of_output(x, f32::tanh, |gi, yi| gi * (1.0 - yi * yi))
+}
+
+fn sigmoid(x: &Var) -> Var {
+    unary_of_output(x, |v| 1.0 / (1.0 + (-v).exp()), |gi, yi| gi * yi * (1.0 - yi))
+}
+
+fn exp(x: &Var) -> Var {
+    unary_of_output(x, f32::exp, |gi, yi| gi * yi)
+}
+
+fn softmax(x: &Var) -> Var {
+    let value = x.value_clone().softmax_rows().unwrap();
+    let y = value.clone();
+    Var::from_op(value, vec![x.clone()], move |g| {
+        let k = y.shape()[1];
+        let mut out = vec![0.0f32; y.len()];
+        for ((o, yr), gr) in out.chunks_mut(k).zip(y.data().chunks(k)).zip(g.data().chunks(k)) {
+            let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
+            for j in 0..k {
+                o[j] = yr[j] * (gr[j] - dot);
+            }
+        }
+        vec![Some(Tensor::from_vec(out, y.shape()).unwrap())]
+    })
 }
 
 fn mul(lhs: &Var, rhs: &Var) -> Var {
@@ -223,26 +260,61 @@ fn laced(shape: &[usize], rng: &mut Prng) -> Tensor {
     t
 }
 
+/// Normal values laced with the inputs an elementwise op must keep the
+/// bits of: NaN, `±0.0`, the activations' kinks at exactly 0 and 6 and
+/// either side of them, and `±∞`.
+fn special(shape: &[usize], rng: &mut Prng) -> Tensor {
+    const SPECIAL: [f32; 10] = [
+        f32::NAN,
+        -0.0,
+        0.0,
+        6.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        5.999_999_5,
+        6.000_000_5,
+        -1.0e-39,
+        1.0e-39,
+    ];
+    let mut t = laced(shape, rng);
+    for (i, v) in t.data_mut().iter_mut().enumerate().filter(|(i, _)| i % 3 != 1) {
+        *v = SPECIAL[(i / 3 + i) % SPECIAL.len()];
+    }
+    t
+}
+
 #[test]
 fn elementwise_ops_match_their_copying_reference() {
     let mut rng = seeded_rng(61);
-    let one: Vec<Vec<Tensor>> =
-        [&[7][..], &[3, 5], &[2, 3, 4, 5]].iter().map(|s| vec![laced(s, &mut rng)]).collect();
+    let one: Vec<Vec<Tensor>> = [&[7][..], &[3, 5], &[2, 3, 4, 5]]
+        .iter()
+        .flat_map(|s| [vec![laced(s, &mut rng)], vec![special(s, &mut rng)]])
+        .collect();
     type Pair = (&'static str, fn(&Var) -> Var, fn(&Var) -> Var);
-    let unaries: [Pair; 6] = [
+    let unaries: [Pair; 9] = [
         ("relu", Var::relu, relu),
         ("relu6", Var::relu6, relu6),
         ("leaky_relu", |x| x.leaky_relu(0.2), |x| leaky_relu(x, 0.2)),
         ("abs", Var::abs, abs),
         ("square", Var::square, square),
         ("ln_eps", |x| x.ln_eps(1e-8), |x| ln_eps(x, 1e-8)),
+        ("tanh", Var::tanh, tanh),
+        ("sigmoid", Var::sigmoid, sigmoid),
+        ("exp", Var::exp, exp),
     ];
     for (name, production, reference) in unaries {
         check(name, &|v| production(&v[0]), &|v| reference(&v[0]), &one);
     }
+    let rows: Vec<Vec<Tensor>> = one.iter().filter(|c| c[0].ndim() == 2).cloned().collect();
+    check("softmax", &|v| v[0].softmax(), &|v| softmax(&v[0]), &rows);
     let two: Vec<Vec<Tensor>> = [&[7][..], &[2, 3, 4, 5]]
         .iter()
-        .map(|s| vec![laced(s, &mut rng), laced(s, &mut rng)])
+        .flat_map(|s| {
+            [
+                vec![laced(s, &mut rng), laced(s, &mut rng)],
+                vec![special(s, &mut rng), special(s, &mut rng)],
+            ]
+        })
         .collect();
     check("mul", &|v| v[0].mul(&v[1]), &|v| mul(&v[0], &v[1]), &two);
     check("mul (self)", &|v| v[0].mul(&v[0]), &|v| mul(&v[0], &v[0]), &one);

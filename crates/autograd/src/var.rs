@@ -61,9 +61,9 @@ pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
 /// A frozen forward also keeps only what its input gradient reads: no op
 /// reads an activation for a parameter gradient that is not asked for
 /// (a conv's or linear's input for `dW`, batch norm's input for `dγ`), so
-/// once the caller drops the intermediates the tape holds the inputs of
-/// the activations and of training-mode batch norm, not every op output
-/// (see [`Var`]).
+/// once the caller drops the intermediates the tape holds the activations'
+/// one-byte masks and the inputs of training-mode batch norm, not every
+/// op output (see [`Var`]).
 ///
 /// Nesting is supported and composes with [`no_grad`] (which wins: nothing
 /// is recorded at all); the scope ends when the outermost guard exits, even
@@ -92,6 +92,20 @@ struct Node {
     backward_fn: Option<BackwardFn>,
 }
 
+impl Node {
+    fn new(requires_grad: bool, parents: &[Var], backward_fn: Option<BackwardFn>) -> Node {
+        Node {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            grad: RefCell::new(None),
+            requires_grad,
+            // A fresh list, not `parents` collected in place: that would
+            // keep its allocation, twice the size of the edges.
+            parents: parents.iter().map(|p| Rc::clone(&p.node)).collect(),
+            backward_fn,
+        }
+    }
+}
+
 impl Drop for Node {
     /// Iterative teardown of the parent chain. A deep tape (tens of
     /// thousands of nodes) dropped naively would recurse through `Rc` drops
@@ -117,26 +131,36 @@ struct Value {
     version: Cell<u64>,
 }
 
-/// A reader of an op's parent's value, held by the op's backward closure
-/// to read that value in place of a copy.
+impl Value {
+    fn new(tensor: Tensor) -> Rc<Value> {
+        Rc::new(Value { tensor: RefCell::new(tensor), version: Cell::new(0) })
+    }
+}
+
+/// A reader of a value an op's backward reads, a parent's or the op's own
+/// output's, held by the backward closure to read that value in place of
+/// a copy.
 ///
-/// **The rule.** No backward closure keeps a copy of a parent's value:
-/// every op that needs one in its backward (the input of an activation,
-/// a product's operand, a conv's input or weights, batch norm's input and
-/// `γ`) reads it through a `ParentRef`, and takes one only for the gradient
-/// that reads it: `dW` reads the input and `dX` the weights, so a frozen
-/// forward holds no input and a constant input no weights.
+/// **The rule.** No backward closure keeps a copy of a value: every op
+/// whose backward reads one (a product's operand, a conv's input or
+/// weights, batch norm's input and `γ`; the output of `tanh`, `sigmoid`,
+/// `exp` and `softmax`, see [`Var::from_op_reading_output`]) reads it
+/// through a `ParentRef`, and takes one only for the gradient that reads
+/// it: `dW` reads the input and `dX` the weights, so a frozen forward
+/// holds no input and a constant input no weights. An activation (`relu`,
+/// `relu6`, `leaky_relu`) reads no value at all: its forward writes a
+/// one-byte mask of where the gradient passes, and the backward reads that.
 ///
-/// **What it keeps.** A reader holds the parent's [`Value`], not its node:
-/// the op's parent list holds that (see [`Var`]).
+/// **What it keeps.** A reader holds a [`Value`], not a node: the op's
+/// parent list holds those (see [`Var`]).
 ///
-/// **The guard.** Reading in place is only right while the parent still
-/// holds the value the forward used. A reader records the parent's write
-/// version when the op is recorded, and [`ParentRef::with_value`] panics,
-/// naming the op and where it was recorded, if the parent has been written
-/// since — by [`Var::set_value`] or [`Var::value_mut`], as an optimizer
-/// step or loading a state dict does. Without the guard such a backward
-/// would silently differentiate against the new weights.
+/// **The guard.** Reading in place is only right while the value is still
+/// the one the forward used. A reader records the value's write version
+/// when the op is recorded, and [`ParentRef::with_value`] panics, naming
+/// the op and where it was recorded, if the value has been written since —
+/// by [`Var::set_value`] or [`Var::value_mut`], as an optimizer step or
+/// loading a state dict does. Without the guard such a backward would
+/// silently differentiate against the new weights.
 pub(crate) struct ParentRef {
     value: Rc<Value>,
     version: u64,
@@ -145,17 +169,23 @@ pub(crate) struct ParentRef {
 }
 
 impl ParentRef {
-    /// Run `f` on the parent's value.
+    #[track_caller]
+    fn new(value: &Rc<Value>, op: &'static str) -> ParentRef {
+        let site = Location::caller();
+        ParentRef { value: Rc::clone(value), version: value.version.get(), op, site }
+    }
+
+    /// Run `f` on the value read.
     ///
     /// # Panics
-    /// Panics if the parent's value was written after the op was recorded
+    /// Panics if the value was written after the op was recorded
     /// (see the type's docs).
     pub(crate) fn with_value<T>(&self, f: impl FnOnce(&Tensor) -> T) -> T {
         assert!(
             self.value.version.get() == self.version,
-            "{} recorded at {}: an operand was written (set_value / value_mut, e.g. an \
-             optimizer step or load_state_dict) between the forward and this backward, \
-             which would differentiate against the new value",
+            "{} recorded at {}: a value its backward reads was written (set_value / \
+             value_mut, e.g. an optimizer step or load_state_dict) between the forward and \
+             this backward, which would differentiate against the new value",
             self.op,
             self.site,
         );
@@ -189,8 +219,10 @@ impl ParentRef {
 /// holds nodes only, so a backward still routes gradients through a node
 /// nobody holds, and a value lives exactly while a handle or a backward
 /// reader ([`ParentRef`]) holds it: `Rc` drops it with the last one. An
-/// intermediate or a constant that no backward reads is thus freed when
-/// the caller drops its last handle, not when the graph drops.
+/// activation holds no reader, only its one-byte mask. An intermediate or
+/// a constant that no backward reads (a batch norm's output feeding a
+/// ReLU, say) is thus freed when the caller drops its last handle, not
+/// when the graph drops.
 #[derive(Clone)]
 pub struct Var {
     node: Rc<Node>,
@@ -227,31 +259,49 @@ impl Var {
         backward_fn: Option<BackwardFn>,
     ) -> Var {
         Var {
-            node: Rc::new(Node {
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                grad: RefCell::new(None),
-                requires_grad,
-                // A fresh list: collecting `parents` in place would keep
-                // its allocation, twice the size of the edges.
-                parents: parents.iter().map(|p| Rc::clone(&p.node)).collect(),
-                backward_fn,
-            }),
-            value: Rc::new(Value { tensor: RefCell::new(value), version: Cell::new(0) }),
+            node: Rc::new(Node::new(requires_grad, &parents, backward_fn)),
+            value: Value::new(value),
         }
     }
 
-    /// Create an op-output node. Falls back to a constant when gradients are
-    /// globally disabled ([`no_grad`]) or no parent requires them, so dead
-    /// tape is never allocated.
+    /// Whether an op on these parents is recorded: gradients are enabled
+    /// ([`no_grad`]) and some parent requires one.
+    pub(crate) fn records(parents: &[Var]) -> bool {
+        grad_enabled() && parents.iter().any(|p| p.node.requires_grad)
+    }
+
+    /// Create an op-output node. Falls back to a constant when the op is
+    /// not recorded ([`Var::records`]), so dead tape is never allocated.
     pub(crate) fn from_op(
         value: Tensor,
         parents: Vec<Var>,
         backward_fn: impl Fn(&Tensor) -> Vec<Option<Tensor>> + 'static,
     ) -> Var {
-        if !grad_enabled() || !parents.iter().any(|p| p.node.requires_grad) {
+        if !Var::records(&parents) {
             return Var::constant(value);
         }
         Var::new(value, true, parents, Some(Box::new(backward_fn)))
+    }
+
+    /// [`Var::from_op`] for a backward that reads the op's own output:
+    /// `backward_fn(g, y)` gets the output `y` through a [`ParentRef`] on
+    /// this node's value, so the closure keeps no copy of it, and an op
+    /// that is not recorded builds no reader. The guard names `op` and the
+    /// caller's source location.
+    #[track_caller]
+    pub(crate) fn from_op_reading_output(
+        value: Tensor,
+        parents: Vec<Var>,
+        op: &'static str,
+        backward_fn: impl Fn(&Tensor, &Tensor) -> Vec<Option<Tensor>> + 'static,
+    ) -> Var {
+        if !Var::records(&parents) {
+            return Var::constant(value);
+        }
+        let value = Value::new(value);
+        let y = ParentRef::new(&value, op);
+        let backward: BackwardFn = Box::new(move |g| y.with_value(|y| backward_fn(g, y)));
+        Var { node: Rc::new(Node::new(true, &parents, Some(backward))), value }
     }
 
     /// Stable identity of this node (used as a key by optimizers).
@@ -295,12 +345,7 @@ impl Var {
     /// guard's panic.
     #[track_caller]
     pub(crate) fn parent_ref(&self, op: &'static str) -> ParentRef {
-        ParentRef {
-            value: Rc::clone(&self.value),
-            version: self.value.version.get(),
-            op,
-            site: Location::caller(),
-        }
+        ParentRef::new(&self.value, op)
     }
 
     /// [`Var::parent_ref`] for a backward that reads this node only when
@@ -648,21 +693,20 @@ mod tests {
     }
 
     /// A write to an operand between a recorded forward and its backward —
-    /// through `set_value` or `value_mut`, to a weight, a batch-norm `γ`, an
-    /// activation's input — makes the backward panic, naming the op and the
+    /// through `set_value` or `value_mut`, to a weight, a batch-norm `γ`, a
+    /// product's operand — makes the backward panic, naming the op and the
     /// line that recorded it, instead of differentiating against the new
     /// value.
     #[test]
     fn writing_an_operand_before_its_backward_panics_naming_the_op() {
         type Case = (&'static str, fn(&Var, &Var) -> Var, &'static [usize], &'static [usize]);
-        let cases: [Case; 7] = [
+        let cases: [Case; 6] = [
             ("linear", |x, w| x.linear(w, None), &[2, 3], &[4, 3]),
             ("conv2d", |x, w| x.conv2d(w, 1, 1, 1), &[2, 3, 5, 5], &[4, 3, 3, 3]),
             ("conv2d", |x, w| x.conv2d(w, 2, 1, 1), &[2, 3, 5, 5], &[4, 3, 3, 3]),
             ("conv2d", |x, w| x.conv2d(w, 1, 1, 3), &[2, 3, 5, 5], &[3, 1, 3, 3]),
             ("batch_norm2d_train", |x, g| x.batch_norm2d_train(g, g, 1e-5).0, &[2, 3, 2, 2], &[3]),
             ("mul", |x, w| x.mul(w), &[2, 2], &[2, 2]),
-            ("relu", |_, w| w.relu(), &[1], &[2, 2]),
         ];
         let mut rng = fedzkt_tensor::seeded_rng(5);
         for (op, build, xs, ws) in cases {
@@ -685,6 +729,52 @@ mod tests {
                 );
                 assert!(msg.contains("set_value / value_mut"), "{write}: {msg}");
             }
+        }
+    }
+
+    type Unary = (&'static str, fn(&Var) -> Var);
+
+    /// The same for a write to the output of an op whose backward reads
+    /// that output.
+    #[test]
+    fn writing_an_output_its_backward_reads_panics_naming_the_op() {
+        let cases: [Unary; 4] = [
+            ("tanh", |x| x.tanh()),
+            ("sigmoid", |x| x.sigmoid()),
+            ("exp", |x| x.exp()),
+            ("softmax", |x| x.softmax()),
+        ];
+        for (op, build) in cases {
+            let x = Var::parameter(Tensor::randn(&[2, 3], &mut fedzkt_tensor::seeded_rng(6)));
+            let y = build(&x);
+            // `sum_all` reads nothing, so only `op`'s reader sees the write.
+            let loss = y.sum_all();
+            y.value_mut()[0] += 1.0;
+            let msg = panic_message(|| loss.backward());
+            assert!(msg.starts_with(&format!("{op} recorded at {}", file!())), "{msg}");
+        }
+    }
+
+    /// An activation's backward reads the mask its forward wrote, not its
+    /// input: writing the input between the two changes no gradient bit.
+    #[test]
+    fn writing_an_activations_input_before_its_backward_keeps_its_gradient() {
+        let cases: [Unary; 3] =
+            [("relu", Var::relu), ("relu6", Var::relu6), ("leaky_relu", |x| x.leaky_relu(0.2))];
+        for (op, build) in cases {
+            let dx = |write: bool| {
+                let data = vec![-1.5, 0.0, 0.5, 3.0, 6.0, 7.5, -0.0, 2.0];
+                let x = Var::parameter(t(data));
+                let loss = build(&x).square().sum_all();
+                if write {
+                    x.value_mut().iter_mut().for_each(|v| *v = 3.0 - *v);
+                    let negated = x.value().map(|v| -v);
+                    x.set_value(negated);
+                }
+                loss.backward();
+                x.grad().unwrap().data().iter().map(|g| g.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(dx(true), dx(false), "{op}");
         }
     }
 
@@ -852,11 +942,13 @@ mod tests {
             let released = || values.iter().filter(|v| !alive(v)).count();
             if release {
                 drop(held);
-                // Live, the outputs of the depthwise conv, the linear and
-                // the square go (a reshape, a bias and a sum read nothing);
-                // frozen, also those of the conv, the ReLU6 and the reshape,
-                // whose readers read them only for a parameter gradient.
-                assert_eq!(released(), if frozen { 6 } else { 3 });
+                // Live, the outputs of the training-mode batch norm, the
+                // depthwise conv, the linear and the square go (a ReLU6
+                // reads its mask, and a reshape, a bias and a sum read
+                // nothing); frozen, also those of the conv, the ReLU6 and
+                // the reshape, whose readers read them only for a parameter
+                // gradient.
+                assert_eq!(released(), if frozen { 7 } else { 4 });
             } else {
                 assert_eq!(released(), 0);
             }

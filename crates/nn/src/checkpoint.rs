@@ -59,7 +59,9 @@ pub fn decode_state_dict(mut data: &[u8]) -> Result<StateDict, NnError> {
     }
     let n_params = data.get_u32_le() as usize;
     let n_buffers = data.get_u32_le() as usize;
-    if n_params + n_buffers > 1_000_000 {
+    // Every tensor needs at least its 4-byte rank, so a count the bytes
+    // cannot hold is rejected before the tensor list is sized by it.
+    if n_params + n_buffers > 1_000_000 || n_params + n_buffers > data.remaining() / 4 {
         return Err(fail("implausible tensor count"));
     }
     let mut tensors = Vec::with_capacity(n_params + n_buffers);

@@ -12,8 +12,8 @@
 //!
 //! The same is pinned for a frozen, eval-mode forward (what the generator
 //! step of the distillation game records for each teacher), whose backward
-//! to the input reads only the activations' inputs, and for the peak of a
-//! whole FedZKT round.
+//! to the input reads only the activations' one-byte masks, and for the
+//! peak of a whole FedZKT round.
 //!
 //! The file holds one test, so no other test allocates while it counts.
 
@@ -119,20 +119,21 @@ fn a_recorded_forward_holds_no_copies_of_its_operands() {
     // reading the operands in place held 2 305 918 / 964 960 / 322 336 /
     // 1 307 368 B while the graph kept every op output. Keeping a value
     // only while a handle or a reader does held 2 168 718 / 767 368 /
-    // 144 168 / 947 808 B under hand-kept counts, and holds
-    // 2 166 014 / 763 112 / 142 856 / 946 336 B now that the handles and
-    // readers own the values (LeNet's max pools keep a `u32` argmax per
-    // output).
+    // 144 168 / 947 808 B under hand-kept counts, and 2 166 014 / 763 112 /
+    // 142 856 / 946 336 B once the handles and readers owned the values.
+    // With the activations keeping a one-byte mask in place of their input
+    // it holds 1 704 574 / 601 832 / 76 040 / 761 592 B (LeNet's max pools
+    // keep a `u32` argmax per output).
     let generator = GeneratorSpec::default().build(3, img, 1);
     let z = Var::constant(generator.sample_z(batch, &mut rng));
     let mobilenet = ModelSpec::MobileNetV2 { width: 0.6 }.build(3, classes, img, 1);
     let shufflenet = ModelSpec::ShuffleNetV2 { size: 0.5 }.build(3, classes, img, 1);
     let lenet = ModelSpec::LeNet { scale: 1.0, deep: true }.build(3, classes, img, 1);
     let cases: [(&str, Box<dyn Module>, &Var, isize); 4] = [
-        ("MobileNetV2 0.6", mobilenet, &images, 2_209_000),
-        ("ShuffleNetV2 0.5", shufflenet, &images, 778_000),
-        ("LeNet-deep", lenet, &images, 145_000),
-        ("generator", Box::new(generator), &z, 965_000),
+        ("MobileNetV2 0.6", mobilenet, &images, 1_738_000),
+        ("ShuffleNetV2 0.5", shufflenet, &images, 613_000),
+        ("LeNet-deep", lenet, &images, 77_000),
+        ("generator", Box::new(generator), &z, 776_000),
     ];
     let mut report = Vec::new();
     for (name, model, input, bound) in &cases {
@@ -146,14 +147,15 @@ fn a_recorded_forward_holds_no_copies_of_its_operands() {
     }
 
     // A teacher in the generator step: eval mode, parameters frozen, the
-    // input a node that wants its gradient. Only each ReLU's input stays
-    // for the backward to `x`; a conv, batch norm, linear or residual add
-    // reads no activation when no parameter gradient is asked for. This
-    // holds 636 494 / 238 104 / 115 448 B (641 758 / 245 080 / 117 080 B
-    // under hand-kept counts); the graph that kept every op output held
-    // what the training-mode forward held.
+    // input a node that wants its gradient. Only each ReLU's one-byte mask
+    // stays for the backward to `x`; a conv, batch norm, linear or residual
+    // add reads no activation when no parameter gradient is asked for.
+    // This holds 175 054 / 76 824 / 48 632 B; it was 636 494 / 238 104 /
+    // 115 448 B while each ReLU kept its input (641 758 / 245 080 /
+    // 117 080 B under hand-kept counts), and the graph that kept every op
+    // output held what the training-mode forward held.
     let x = Var::parameter(images.value_clone());
-    let frozen_bounds: [isize; 3] = [649_000, 242_000, 117_000];
+    let frozen_bounds: [isize; 3] = [178_000, 78_000, 49_000];
     for ((name, model, _, _), bound) in cases.iter().zip(frozen_bounds) {
         model.set_training(false);
         let (held, after) = retained(|| frozen_params(|| model.forward(&x)));
@@ -166,15 +168,16 @@ fn a_recorded_forward_holds_no_copies_of_its_operands() {
     // around a MobileNetV2 global model): local training, the distillation
     // game and the transfer back. The generator step's graph ends before
     // the global step records its own, and neither keeps what its backward
-    // does not read: the peak is 3 090 686 B (3 120 294 B under hand-kept
-    // counts). It was 8 037 922 B when both graphs lived together and
-    // kept every op output.
+    // does not read: the peak is 2 419 276 B with the activations' masks
+    // (3 090 686 B while they kept their inputs, 3 120 294 B under
+    // hand-kept counts). It was 8 037 922 B when both graphs lived
+    // together and kept every op output.
     let mut scenario = Scenario::standard(DataFamily::Cifar10Like, Partition::Iid, Tier::Tiny, 3);
     scenario.sim.rounds = 1;
     scenario.sim.threads = 1;
     let peak = peak_of(|| drop(scenario.run().expect("the tiny scenario runs")));
     report.push(format!("one FedZKT round: {peak} B at the peak"));
-    let round_bound: isize = 3_152_000;
+    let round_bound: isize = 2_467_000;
     assert!(peak <= round_bound, "one round peaks at {peak} B, over its bound of {round_bound} B");
     eprintln!("{}", report.join("\n"));
 
@@ -189,6 +192,28 @@ fn a_recorded_forward_holds_no_copies_of_its_operands() {
     assert!(
         allocated < out_bytes + 512,
         "max_pool2d under no_grad allocated {allocated} B for a {out_bytes} B output"
+    );
+
+    // A recorded activation keeps its output and a one-byte mask, not its
+    // input: the input here is an intermediate nobody else holds, which
+    // goes at once. Beyond the two, only the nodes and the closure remain
+    // (412 B).
+    let x = Var::parameter(Tensor::randn(&[batch, 16, 16, 16], &mut rng));
+    let elements = batch * 16 * 16 * 16;
+    let out_bytes = elements * std::mem::size_of::<f32>();
+    let (held, _) = retained(|| x.scale(1.0).relu6());
+    assert!(
+        held < (out_bytes + elements + 1024) as isize,
+        "a recorded relu6 holds {held} B for a {out_bytes} B output and {elements} elements"
+    );
+    // Under `no_grad` it builds no mask: it allocates its output and a shape.
+    let start = total();
+    let y = no_grad(|| x.relu6());
+    let allocated = total() - start;
+    assert_eq!(y.shape(), vec![batch, 16, 16, 16]);
+    assert!(
+        allocated < out_bytes + 512,
+        "relu6 under no_grad allocated {allocated} B for a {out_bytes} B output"
     );
     par::set_threads(0);
 }
