@@ -165,8 +165,8 @@ impl FedMd {
     /// Transfer-learning warm-up for the not-yet-warmed devices of
     /// `active`: public data, then private data, both phases in **one**
     /// device-parallel fleet dispatch (the public pass rides as the job's
-    /// `pretrain`, so each cold device pays the snapshot→rebuild→load
-    /// round-trip once). Lazy so stragglers that never participate stay
+    /// `pretrain`, so each cold device pays the snapshot→load→read round
+    /// trip once). Lazy so stragglers that never participate stay
     /// untouched.
     fn warmup(&mut self, active: &[usize], threads: usize) {
         let cold: Vec<usize> = active.iter().copied().filter(|&k| !self.warmed_up[k]).collect();
@@ -193,7 +193,7 @@ impl FedMd {
                     cfg: phase_cfg(self.cfg.private_warmup_epochs, 400),
                     pretrain: Some((&self.public, phase_cfg(self.cfg.public_warmup_epochs, 300))),
                     digest: None,
-                    rebuild_seed: split_seed(self.seed, 0xFD_0000 + k as u64),
+                    rebuild_seed: 0,
                 }
             })
             .collect();
@@ -310,7 +310,7 @@ impl FederatedAlgorithm for FedMd {
                     lr: self.cfg.lr * 0.2,
                     seed: split_seed(self.seed, 600 + (round * 31 + k) as u64),
                 }),
-                rebuild_seed: split_seed(self.seed, 0xB11D_0000 + (round * 31 + k) as u64),
+                rebuild_seed: 0,
             })
             .collect();
         let results = train_local_fleet(&jobs, self.io, ctx.threads());

@@ -56,8 +56,8 @@ fn models(fleet: &DeviceFleet<Box<dyn Module>>) -> impl Iterator<Item = &dyn Mod
 pub struct FedZkt {
     cfg: FedZktConfig,
     seed: u64,
-    /// Data geometry `(channels, classes, img_size)`; worker threads rebuild
-    /// device models against it during the parallel device update.
+    /// Data geometry `(channels, classes, img_size)`; the fleet dispatch
+    /// builds its workers' scratch models against it.
     io: (usize, usize, usize),
     /// One device per zoo entry, each with an architecture chosen
     /// independently of its peers (the paper's core premise).
@@ -267,10 +267,10 @@ impl FederatedAlgorithm for FedZkt {
 
     /// On-device update (Algorithm 2). Devices are independent (the
     /// paper's premise), so the active set trains as a fleet on worker
-    /// threads: each worker rebuilds its device's model from a snapshot
-    /// (the tape is thread-local), trains on the device's own `split_seed`
-    /// stream, and results are merged back in device order — bit-identical
-    /// for any thread count.
+    /// threads: each worker loads a device's snapshot into its scratch
+    /// model of the device's architecture (the tape is thread-local),
+    /// trains on the device's own `split_seed` stream, and results are
+    /// merged back in device order — bit-identical for any thread count.
     fn local_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) -> f32 {
         let staged = self.shards.stage(active);
         let jobs: Vec<FleetJob> = active
@@ -291,7 +291,7 @@ impl FederatedAlgorithm for FedZkt {
                 },
                 pretrain: None,
                 digest: None,
-                rebuild_seed: split_seed(self.seed, 0xB11D_0000 + (round * 1009 + k) as u64),
+                rebuild_seed: 0,
             })
             .collect();
         let results = train_local_fleet(&jobs, self.io, ctx.threads());
@@ -413,17 +413,24 @@ impl FederatedAlgorithm for FedZkt {
             .map_err(|e| format!("generator: {e}"))?;
         let t = state.words("adam")?.first().copied().ok_or("empty \"adam\" entry")?;
         let mask = state.words("adam_mask")?;
-        let mut packed = state.dict("adam_moments")?.params.into_iter();
+        let packed = state.dict("adam_moments")?;
+        if !packed.buffers.is_empty() {
+            return Err("\"adam_moments\" holds buffers".into());
+        }
+        let mut packed = packed.params.into_iter();
         let mut moments = Vec::with_capacity(mask.len());
         for &m in mask {
-            moments.push(if m != 0 {
-                match (packed.next(), packed.next()) {
+            moments.push(match m {
+                0 => None,
+                1 => match (packed.next(), packed.next()) {
                     (Some(first), Some(second)) => Some((first, second)),
                     _ => return Err("truncated \"adam_moments\"".into()),
-                }
-            } else {
-                None
+                },
+                other => return Err(format!("\"adam_mask\" word {other} is neither 0 nor 1")),
             });
+        }
+        if packed.len() > 0 {
+            return Err(format!("\"adam_moments\" holds {} tensors beyond the mask", packed.len()));
         }
         self.generator_opt
             .import_state(t, moments)
@@ -551,6 +558,39 @@ mod tests {
         resumed.resume_from(&ck).expect("resume");
         let log = resumed.run().clone();
         assert_eq!(log.to_json(), reference.to_json());
+    }
+
+    /// The generator's Adam state is a 0/1 word per parameter and two
+    /// moment tensors per 1: a checkpoint that adds a tensor, a buffer or
+    /// another mask word is refused with an error naming the entry.
+    #[test]
+    fn checkpoint_with_surplus_adam_state_is_refused_on_resume() {
+        let mut first = tiny_setup(tiny_cfg(), tiny_sim());
+        first.round(0);
+        let saved = first.checkpoint();
+        let moments = saved.algo.dict("adam_moments").expect("moments saved");
+        assert!(!moments.params.is_empty(), "the game ran, so the generator has moments");
+        let with_moments = |edit: &dyn Fn(&mut StateDict)| {
+            let mut ck = saved.clone();
+            let mut edited = moments.clone();
+            edit(&mut edited);
+            ck.algo.blobs.retain(|(name, _)| name != "adam_moments");
+            ck.algo.put_dict("adam_moments", &edited);
+            ck
+        };
+        let mut bad_mask = saved.clone();
+        let mask = bad_mask.algo.words.iter_mut().find(|(name, _)| name == "adam_mask");
+        mask.expect("mask saved").1[0] = 2;
+        let cases = [
+            (with_moments(&|sd| sd.params.push(Tensor::zeros(&[1]))), "beyond the mask"),
+            (with_moments(&|sd| sd.buffers.push(Tensor::zeros(&[1]))), "holds buffers"),
+            (bad_mask, "neither 0 nor 1"),
+        ];
+        for (ck, named) in cases {
+            let ck = fedzkt_fl::SimCheckpoint::from_json(&ck.to_json()).unwrap();
+            let err = tiny_setup(tiny_cfg(), tiny_sim()).resume_from(&ck).unwrap_err();
+            assert!(err.contains(named), "{err}");
+        }
     }
 
     #[test]

@@ -24,14 +24,15 @@
 //! bound the workspace memory-bound regression test enforces on the
 //! registry counters.
 
+use crate::training::on_scratch;
 use crate::{
     train_local, AlgoState, DeviceRegistry, FederatedAlgorithm, LocalTrainConfig, RoundContext,
     ShardStore, SimConfig, StreamingAverage,
 };
-use fedzkt_data::{Corpus, Dataset};
+use fedzkt_data::Corpus;
 use fedzkt_models::ModelSpec;
 use fedzkt_nn::{load_state_dict, state_dict, Module, StateDict};
-use fedzkt_tensor::{par, split_seed};
+use fedzkt_tensor::split_seed;
 
 /// Hyperparameters of [`FedAvg`]'s update rules. Protocol-level knobs
 /// (rounds, participation, seed, threads, evaluation) live in
@@ -104,39 +105,6 @@ impl FedAvg {
     }
 }
 
-/// Train `n` devices of architecture `spec` from one broadcast
-/// `snapshot`, where device `i` trains on `job(i)`'s data and config,
-/// returning `(final-epoch loss, trained state)` per device in order.
-///
-/// Each of up to `threads` workers takes a contiguous share of the
-/// devices and builds one model for all of them: per device it loads the
-/// snapshot, calls [`train_local`] and reads the state back. That is what
-/// a fresh build per device computes, bit for bit, because no layer holds
-/// state outside its state dict (the build's initialisation is always
-/// overwritten), and it is the same for every thread count.
-pub(crate) fn train_from_snapshot(
-    spec: ModelSpec,
-    io: (usize, usize, usize),
-    snapshot: &StateDict,
-    n: usize,
-    threads: usize,
-    job: impl Fn(usize) -> (Dataset, LocalTrainConfig) + Sync,
-) -> Vec<(f32, StateDict)> {
-    let mut results: Vec<Option<(f32, StateDict)>> = (0..n).map(|_| None).collect();
-    par::for_each_chunk_mut(&mut results, 1, threads, |first, share| {
-        // The initialisation seed is irrelevant: the snapshot overwrites
-        // every parameter and buffer before each device trains.
-        let model = spec.build(io.0, io.1, io.2, 0);
-        for (i, slot) in (first..).zip(share) {
-            let (data, cfg) = job(i);
-            load_state_dict(model.as_ref(), snapshot).expect("broadcast snapshot matches spec");
-            let loss = train_local(model.as_ref(), &data, &cfg);
-            *slot = Some((loss, state_dict(model.as_ref())));
-        }
-    });
-    results.into_iter().map(|r| r.expect("every device is trained")).collect()
-}
-
 impl FederatedAlgorithm for FedAvg {
     fn devices(&self) -> usize {
         self.shards.devices()
@@ -154,21 +122,22 @@ impl FederatedAlgorithm for FedAvg {
         // One broadcast payload: encoded once, every recipient charged its
         // wire size and handed the same decoded state.
         let global_sd = ctx.broadcast(active, state_dict(self.global.as_ref()));
-        // The data is the only per-device state (each worker loads the
-        // broadcast snapshot into its one model per device). Shards
-        // sampled for the first time are synthesized into the store's
-        // cache here, and each worker copies a device's shard out right
-        // before training on it: at most `threads` shards and models are
-        // live at a time, however many devices the round samples. The
-        // registry counts the whole sampled set, which must not repeat a
-        // device (the fold order below relies on ascending ids too).
+        // The data is the only per-device state: each worker loads the
+        // broadcast snapshot into its one scratch model before each device
+        // it trains. Shards sampled for the first time are synthesized into
+        // the store's cache here, and each worker copies a device's shard
+        // out right before training on it: at most `threads` shards and
+        // models are live at a time, however many devices the round
+        // samples. The registry counts the whole sampled set, which must
+        // not repeat a device (the fold order below relies on ascending
+        // ids too).
         assert!(active.windows(2).all(|w| w[0] < w[1]), "active ids must be strictly ascending");
         for _ in active {
             self.registry.checkout();
         }
         self.shards.cache(active);
-        let (shards, cfg, seed) = (&self.shards, self.cfg, self.seed);
-        let job = |i: usize| {
+        let (shards, cfg, seed, spec) = (&self.shards, self.cfg, self.seed, self.spec);
+        let results = on_scratch(active.len(), self.io, ctx.threads(), |_| spec, |i, model| {
             let dev = active[i];
             let local = LocalTrainConfig {
                 epochs: cfg.local_epochs,
@@ -179,10 +148,10 @@ impl FederatedAlgorithm for FedAvg {
                 prox_mu: cfg.prox_mu,
                 seed: split_seed(seed, (round * 1000 + dev) as u64),
             };
-            (shards.shard(dev), local)
-        };
-        let results =
-            train_from_snapshot(self.spec, self.io, &global_sd, active.len(), ctx.threads(), job);
+            load_state_dict(model, &global_sd).expect("broadcast snapshot matches spec");
+            let loss = train_local(model, &shards.shard(dev), &local);
+            (loss, state_dict(model))
+        });
         for _ in active {
             self.registry.release();
         }

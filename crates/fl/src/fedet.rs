@@ -30,6 +30,7 @@
 
 use crate::checkpoint::AlgoState;
 use crate::registry::DeviceRegistry;
+use crate::training::on_scratch;
 use crate::{
     digest_logits, train_local_fleet, DeviceFleet, DigestConfig, FederatedAlgorithm, FleetJob,
     LocalTrainConfig, RoundContext, ShardStore, SimConfig,
@@ -191,7 +192,7 @@ impl FederatedAlgorithm for FedEt {
                 },
                 pretrain: None,
                 digest: None,
-                rebuild_seed: split_seed(self.seed, 0xE7_2000 + (round * 31 + k) as u64),
+                rebuild_seed: 0,
             })
             .collect();
         let results = train_local_fleet(&jobs, self.io, ctx.threads());
@@ -215,7 +216,6 @@ impl FederatedAlgorithm for FedEt {
     fn server_update(&mut self, round: usize, active: &[usize], ctx: &mut RoundContext) {
         debug_assert_eq!(self.pending.len(), active.len());
         let uploads = std::mem::take(&mut self.pending);
-        let (channels, classes, img) = self.io;
 
         // 1. Sample the transfer subset of the public data.
         let mut rng = seeded_rng(split_seed(self.seed, 0xE7_3000 + round as u64));
@@ -223,25 +223,17 @@ impl FederatedAlgorithm for FedEt {
         indices.shuffle(&mut rng);
         indices.truncate(self.transfer_len());
         let (align_x, _) = self.public.batch(&indices);
-        let align_var = Var::constant(align_x.clone());
 
         // 2. Ensemble logits, from what the wire delivered: each uploaded
-        // (decoded) state is loaded into a scratch rebuild and scored.
-        let scores: Vec<Tensor> = uploads
-            .iter()
-            .map(|(k, sd)| {
-                let scratch = self.fleet.spec(*k).build(
-                    channels,
-                    classes,
-                    img,
-                    split_seed(self.seed, 0xE7_7000 + (round * 31 + k) as u64),
-                );
-                load_state_dict(scratch.as_ref(), sd)
-                    .expect("uploaded state matches device architecture");
-                scratch.set_training(false);
-                no_grad(|| scratch.forward(&align_var).value_clone())
-            })
-            .collect();
+        // (decoded) state is loaded into the scratch model of its
+        // architecture and scored.
+        let specs: Vec<ModelSpec> = uploads.iter().map(|(k, _)| self.fleet.spec(*k)).collect();
+        let scores: Vec<Tensor> = on_scratch(uploads.len(), self.io, 1, |i| specs[i], |i, scratch| {
+            load_state_dict(scratch, &uploads[i].1)
+                .expect("uploaded state matches device architecture");
+            scratch.set_training(false);
+            no_grad(|| scratch.forward(&Var::constant(align_x.clone())).value_clone())
+        });
 
         // 3. Diversity-weighted consensus, `α_k ∝ n_k (1 + λ d_k)` where
         // `d_k` is device k's mean absolute deviation from the uniform
@@ -284,7 +276,8 @@ impl FederatedAlgorithm for FedEt {
 
         // 5. The refreshed server knowledge on the transfer subset.
         self.server.set_training(false);
-        let teacher = no_grad(|| self.server.forward(&align_var).value_clone());
+        let teacher =
+            no_grad(|| self.server.forward(&Var::constant(align_x.clone())).value_clone());
         self.server.set_training(true);
 
         // 6. Transfer back into each device architecture (on the fleet —
@@ -311,7 +304,7 @@ impl FederatedAlgorithm for FedEt {
                     lr: self.cfg.lr * 0.2,
                     seed: split_seed(self.seed, 0xE7_5000 + (round * 31 + k) as u64),
                 }),
-                rebuild_seed: split_seed(self.seed, 0xE7_6000 + (round * 31 + k) as u64),
+                rebuild_seed: 0,
             })
             .collect();
         let results = train_local_fleet(&jobs, self.io, ctx.threads());

@@ -22,9 +22,10 @@
 //! under a lossy codec the *decoded* features train the server head and
 //! the *decoded* soft labels teach the device.
 //!
-//! Device models here are composites (extractor + head) that the
-//! single-spec fleet dispatcher cannot rebuild, so local training runs
-//! serially on the driver thread; every step is a pure function of
+//! Device models here are composites (extractor + head) that the fleet
+//! dispatcher's one-`ModelSpec` scratch models cannot hold, so local
+//! training runs serially on the driver thread, in place on each device's
+//! model; every step is a pure function of
 //! `(seed, round, k)`, which keeps runs bit-identical across thread
 //! counts and kill/resume boundaries.
 //!

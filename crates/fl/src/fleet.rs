@@ -43,8 +43,9 @@
 //!
 //! Rematerialization is bit-exact: a first materialization runs the
 //! device's seeded build; a later one runs the same build and overlays the
-//! stored summary through `load_state_dict`, the snapshot→rebuild→load
-//! round trip the device-parallel fleet dispatcher and the checkpoints
+//! stored summary through `load_state_dict`, the snapshot→load round trip
+//! the device-parallel fleet dispatcher (which loads each job into a
+//! worker's scratch model of its architecture) and the checkpoints
 //! already rely on. `tests/registry_props.rs` holds that property over
 //! both paper zoos and FedGKT's split model.
 

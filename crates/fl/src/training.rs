@@ -87,32 +87,15 @@ pub fn train_local(model: &dyn Module, data: &Dataset, cfg: &LocalTrainConfig) -
 
 /// One device's unit of work for [`train_local_fleet`].
 ///
-/// The autodiff tape is `Rc`-based and cannot cross threads, so a fleet job
-/// carries everything needed to *rebuild* the device's model on a worker: the
-/// architecture, a [`StateDict`] snapshot of its current parameters and
-/// buffers (the snapshot round trip restores both bit-for-bit — guarded by
-/// the checkpoint tests in `fedzkt-nn`), and `rebuild_seed`.
-///
-/// `rebuild_seed` seeds the rebuild's construction: the weight/buffer
-/// initialisation it produces is immediately overwritten by the snapshot,
-/// but any layer state *outside* the state dict (e.g. a stochastic layer's
-/// internal RNG — no layer in the workspace has one) is re-derived from it
-/// rather than carried over from the live model. Callers must therefore
-/// derive `rebuild_seed` from their run seed **per round and device** so
-/// such state gets a fresh deterministic stream each round instead of
-/// replaying one sequence forever.
-///
-/// FedAvg no longer rebuilds per device: its devices share one
-/// architecture and start from one broadcast snapshot, so each worker
-/// loads that snapshot into a single model per device (see
-/// `fedavg::train_from_snapshot`), which is exact because no layer holds
-/// state outside its state dict. The other algorithms still rebuild per
-/// job; per-architecture scratch models for them wait for a shared
-/// teacher set (ROADMAP item 4).
+/// The autodiff tape is `Rc`-based and cannot cross threads, so a job
+/// carries the device's architecture and a [`StateDict`] snapshot of its
+/// parameters and buffers (the round trip restores both bit-for-bit —
+/// guarded by the checkpoint tests in `fedzkt-nn`), which a worker loads
+/// into its one scratch model of that architecture.
 pub struct FleetJob<'a> {
-    /// Architecture to rebuild on the worker thread.
+    /// The device's architecture: picks the worker's scratch model.
     pub spec: ModelSpec,
-    /// Parameter/buffer snapshot loaded into the rebuilt model.
+    /// Parameter/buffer snapshot loaded into the scratch model.
     pub snapshot: StateDict,
     /// The device's private shard.
     pub data: &'a Dataset,
@@ -121,12 +104,14 @@ pub struct FleetJob<'a> {
     /// Optional extra training pass over another dataset run *first*
     /// (FedMD's public→private transfer-learning warm-up); one fleet
     /// dispatch then covers both phases instead of paying the
-    /// snapshot→rebuild→load round-trip twice.
+    /// snapshot→load→read round trip twice.
     pub pretrain: Option<(&'a Dataset, LocalTrainConfig)>,
     /// Optional consensus-digest phase run *before* local training (FedMD's
     /// digest→revisit round structure); `None` for plain local SGD.
     pub digest: Option<DigestConfig<'a>>,
-    /// Seed for the rebuild's (immediately overwritten) initialisation.
+    /// Unread: the scratch model's initialisation is always overwritten
+    /// by `snapshot`, so no seed reaches the result. Library callers pass
+    /// 0; the field stays until the benchmark harness stops setting it.
     pub rebuild_seed: u64,
 }
 
@@ -176,16 +161,49 @@ pub fn digest_logits(model: &dyn Module, cfg: &DigestConfig<'_>) {
     }
 }
 
+/// Run `work(i, model)` for every `i` in `0..n` on up to `threads` scoped
+/// workers, returning the results in index order.
+///
+/// Each worker takes a contiguous share of the indices, as
+/// [`par::for_each_chunk_mut`] splits them, and builds a model of geometry
+/// `io` the first time it meets an architecture `spec_of(i)` in its share.
+/// That scratch model serves every index of the architecture, so `work`
+/// loads each state it reads first; this computes what a fresh build per
+/// index would, bit for bit, because no layer holds state outside its state
+/// dict except the training flag. The gradients `work` leaves are dropped,
+/// so an idle scratch model holds its state only.
+pub(crate) fn on_scratch<R: Send>(
+    n: usize,
+    io: (usize, usize, usize),
+    threads: usize,
+    spec_of: impl Fn(usize) -> ModelSpec + Sync,
+    work: impl Fn(usize, &dyn Module) -> R + Sync,
+) -> Vec<R> {
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    par::for_each_chunk_mut(&mut results, 1, threads, |first, share| {
+        let mut scratch: Vec<(ModelSpec, Box<dyn Module>)> = Vec::new();
+        for (i, slot) in (first..).zip(share) {
+            let spec = spec_of(i);
+            let at = scratch.iter().position(|(s, _)| *s == spec).unwrap_or_else(|| {
+                scratch.push((spec, spec.build(io.0, io.1, io.2, 0)));
+                scratch.len() - 1
+            });
+            let model = scratch[at].1.as_ref();
+            *slot = Some(work(i, model));
+            model.params().iter().for_each(Var::zero_grad);
+        }
+    });
+    results.into_iter().map(|r| r.expect("every index is run")).collect()
+}
+
 /// Train a fleet of devices concurrently on up to `threads` scoped worker
 /// threads, returning `(final-epoch loss, trained snapshot)` per job **in
-/// job order**.
+/// job order**, bit-identical for every thread count.
 ///
-/// `io` is the data geometry `(channels, classes, img_size)` every model is
-/// built for. Each job is an independent computation seeded by its own
-/// `cfg.seed` stream, and every thread count — including 1 — runs the same
-/// rebuild-load-pretrain-digest-train-snapshot sequence, so results are bit-identical
-/// regardless of `threads` (the workspace determinism suite asserts this
-/// across whole federated runs).
+/// `io` is the data geometry `(channels, classes, img_size)`. Each job
+/// loads its snapshot into its worker's scratch model of its architecture,
+/// runs its pretrain, digest and training phases, each seeded by its own
+/// config, and reads the state back.
 ///
 /// # Panics
 /// Panics when a snapshot does not match its spec's architecture.
@@ -194,26 +212,27 @@ pub fn train_local_fleet(
     io: (usize, usize, usize),
     threads: usize,
 ) -> Vec<(f32, StateDict)> {
-    let (channels, classes, img) = io;
-    par::map_indexed(jobs.len(), threads, |i| {
+    on_scratch(jobs.len(), io, threads, |i| jobs[i].spec, |i, model| {
         let job = &jobs[i];
-        let model = job.spec.build(channels, classes, img, job.rebuild_seed);
-        load_state_dict(model.as_ref(), &job.snapshot).expect("fleet snapshot matches spec");
+        load_state_dict(model, &job.snapshot).expect("fleet snapshot matches spec");
         if let Some((data, cfg)) = &job.pretrain {
-            train_local(model.as_ref(), data, cfg);
+            train_local(model, data, cfg);
         }
         if let Some(digest) = &job.digest {
-            digest_logits(model.as_ref(), digest);
+            digest_logits(model, digest);
         }
-        let loss = train_local(model.as_ref(), job.data, &job.cfg);
-        (loss, state_dict(model.as_ref()))
+        let loss = train_local(model, job.data, &job.cfg);
+        (loss, state_dict(model))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
+    use crate::{
+        evaluate, CodecSpec, FedAvg, FedAvgConfig, FederatedAlgorithm, RoundContext, SimConfig,
+        StreamingAverage,
+    };
     use fedzkt_data::{DataFamily, SynthConfig};
     use fedzkt_models::ModelSpec;
 
@@ -290,7 +309,7 @@ mod tests {
                     cfg: LocalTrainConfig { epochs: 1, seed: 90 + k, ..Default::default() },
                     pretrain: None,
                     digest: None,
-                    rebuild_seed: 1000 + k,
+                    rebuild_seed: 0,
                 })
                 .collect();
             train_local_fleet(&jobs, io, threads)
@@ -308,128 +327,136 @@ mod tests {
         assert_ne!(serial[0].1, serial[1].1);
     }
 
-    #[test]
-    fn fleet_matches_direct_local_training() {
-        let (train, _) = toy_data(5);
-        let spec = ModelSpec::Mlp { hidden: 8 };
-        let io = (1usize, 4usize, 8usize);
-        let cfg = LocalTrainConfig { epochs: 2, seed: 7, ..Default::default() };
-        // Reference: train a model in place.
-        let reference = spec.build(io.0, io.1, io.2, 42);
-        let snapshot = state_dict(reference.as_ref());
-        let ref_loss = train_local(reference.as_ref(), &train, &cfg);
-        // Fleet: same snapshot, rebuilt on a worker.
-        let jobs =
-            [FleetJob {
-                spec,
-                snapshot,
-                data: &train,
-                cfg,
-                pretrain: None,
-                digest: None,
-                rebuild_seed: 9,
-            }];
-        let out = train_local_fleet(&jobs, io, 2);
-        assert_eq!(out[0].0.to_bits(), ref_loss.to_bits());
-        assert_eq!(out[0].1, state_dict(reference.as_ref()));
-    }
-
-    #[test]
-    fn fleet_digest_matches_direct_digest() {
-        let (train, _) = toy_data(6);
-        let spec = ModelSpec::Mlp { hidden: 8 };
-        let io = (1usize, 4usize, 8usize);
-        let mut rng = fedzkt_tensor::seeded_rng(11);
-        let inputs = Tensor::randn(&[12, 1, 8, 8], &mut rng);
-        let targets = Tensor::randn(&[12, 4], &mut rng);
-        let digest_cfg = DigestConfig {
-            inputs: &inputs,
-            targets: &targets,
-            epochs: 2,
-            batch_size: 4,
-            lr: 0.01,
-            seed: 5,
-        };
-        let cfg = LocalTrainConfig { epochs: 1, seed: 8, ..Default::default() };
-        // Reference: digest then train, in place.
-        let reference = spec.build(io.0, io.1, io.2, 77);
-        let snapshot = state_dict(reference.as_ref());
-        digest_logits(reference.as_ref(), &digest_cfg);
-        let ref_loss = train_local(reference.as_ref(), &train, &cfg);
-        // Fleet: identical job, rebuilt on a worker.
-        let jobs = [FleetJob {
-            spec,
-            snapshot,
-            data: &train,
-            cfg,
-            pretrain: None,
-            digest: Some(digest_cfg),
-            rebuild_seed: 3,
-        }];
-        let out = train_local_fleet(&jobs, io, 2);
-        assert_eq!(out[0].0.to_bits(), ref_loss.to_bits());
-        assert_eq!(out[0].1, state_dict(reference.as_ref()));
-    }
-
-    /// FedAvg's device step — one model per worker, the broadcast
-    /// snapshot loaded before each device — returns per device the loss
-    /// and state a one-job fleet dispatch (a fresh seeded build per
-    /// device) does, bit for bit, at 1 and 4 threads, for a dense, a
-    /// convolutional and a batch-norm model, with and without the
-    /// proximal term and with an empty shard among the devices.
+    /// Every device-side dispatch trains on one scratch model per
+    /// architecture per worker, and returns what a fresh seeded build per
+    /// job computes with `train_local` / `digest_logits` called directly,
+    /// bit for bit, at 1 and 4 threads. `train_local_fleet` runs interleaved
+    /// architectures of both paper zoos (the batch-norm MobileNetV2 and
+    /// ShuffleNetV2 among them) with pretrain and digest phases, an empty
+    /// shard, and proximal and plain configs; FedAvg's round runs a
+    /// small-zoo and a batch-norm architecture, plain and proximal, over
+    /// shards that include an empty one.
     #[test]
     fn per_worker_model_matches_a_rebuild_per_device() {
         let (train, _) = toy_data(8);
         let io = (1usize, 4usize, 8usize);
-        let shards: Vec<Dataset> = (0..6)
-            .map(|k| train.subset(&(0..80).filter(|i| i % 6 == k && k != 4).collect::<Vec<_>>()))
+        let empty = train.subset(&[]);
+        let shards: Vec<Dataset> = (0..4)
+            .map(|k| train.subset(&(0..40).filter(|i| i % 4 == k).collect::<Vec<_>>()))
             .collect();
-        let cfg = |k: usize| LocalTrainConfig {
-            epochs: 2,
-            batch_size: 8,
+        let mut rng = fedzkt_tensor::seeded_rng(11);
+        let inputs = Tensor::randn(&[6, 1, 8, 8], &mut rng);
+        let targets = Tensor::randn(&[6, 4], &mut rng);
+        let cfg = |j: usize| LocalTrainConfig {
+            epochs: 1,
+            batch_size: 4,
             lr: 0.05,
-            prox_mu: if k % 2 == 1 { 0.3 } else { 0.0 },
-            seed: 400 + k as u64,
+            prox_mu: if j % 3 == 1 { 0.3 } else { 0.0 },
+            seed: 400 + j as u64,
             ..Default::default()
         };
-        let specs = [
-            ModelSpec::Mlp { hidden: 8 },
-            ModelSpec::LeNet { scale: 0.5, deep: false },
-            ModelSpec::SmallCnn { base_channels: 4 },
-        ];
-        for spec in specs {
-            let snapshot = state_dict(spec.build(io.0, io.1, io.2, 31).as_ref());
-            let oracle: Vec<(f32, StateDict)> = (0..shards.len())
-                .map(|k| {
-                    let job = FleetJob {
-                        spec,
-                        snapshot: snapshot.clone(),
-                        data: &shards[k],
-                        cfg: cfg(k),
-                        pretrain: None,
-                        digest: None,
-                        rebuild_seed: 900 + k as u64,
-                    };
-                    train_local_fleet(std::slice::from_ref(&job), io, 1).pop().expect("one job")
-                })
-                .collect();
-            for threads in [1usize, 4] {
-                let shared = crate::fedavg::train_from_snapshot(
+        let (small, cifar) = (ModelSpec::paper_zoo_small(), ModelSpec::paper_zoo_cifar());
+        // Sixteen jobs in four shares of four at 4 threads, each share two
+        // architectures of each zoo visited twice, so every scratch model
+        // is reused with another job's state.
+        let jobs: Vec<FleetJob> = (0..16)
+            .map(|j| {
+                let spec = if j % 2 == 0 { small[j / 4] } else { cifar[j / 4] };
+                FleetJob {
                     spec,
-                    io,
-                    &snapshot,
-                    shards.len(),
-                    threads,
-                    |k| (shards[k].clone(), cfg(k)),
-                );
-                assert_eq!(shared.len(), oracle.len());
-                for (k, ((lo, so), (ls, ss))) in oracle.iter().zip(&shared).enumerate() {
-                    assert_eq!(lo.to_bits(), ls.to_bits(), "{spec:?} threads {threads} device {k}");
-                    assert_eq!(so, ss, "{spec:?} threads {threads} device {k}");
+                    snapshot: state_dict(spec.build(io.0, io.1, io.2, 50 + j as u64).as_ref()),
+                    data: if j == 6 { &empty } else { &shards[j % 4] },
+                    cfg: cfg(j),
+                    pretrain: (j % 4 == 2).then(|| (&shards[(j + 1) % 4], cfg(j + 100))),
+                    digest: (j % 4 == 3).then_some(DigestConfig {
+                        inputs: &inputs,
+                        targets: &targets,
+                        epochs: 1,
+                        batch_size: 3,
+                        lr: 0.01,
+                        seed: 700 + j as u64,
+                    }),
+                    rebuild_seed: 0,
                 }
+            })
+            .collect();
+        let oracle: Vec<(f32, StateDict)> = jobs
+            .iter()
+            .enumerate()
+            .map(|(j, job)| {
+                let model = job.spec.build(io.0, io.1, io.2, 900 + j as u64);
+                load_state_dict(model.as_ref(), &job.snapshot).unwrap();
+                if let Some((data, cfg)) = &job.pretrain {
+                    train_local(model.as_ref(), data, cfg);
+                }
+                if let Some(digest) = &job.digest {
+                    digest_logits(model.as_ref(), digest);
+                }
+                let loss = train_local(model.as_ref(), job.data, &job.cfg);
+                (loss, state_dict(model.as_ref()))
+            })
+            .collect();
+        // The jobs really differ, so a stale model would show.
+        assert_ne!(oracle[0].1, oracle[2].1);
+        for threads in [1usize, 4] {
+            let fleet = train_local_fleet(&jobs, io, threads);
+            for (j, ((lo, so), (lf, sf))) in oracle.iter().zip(&fleet).enumerate() {
+                assert_eq!(lo.to_bits(), lf.to_bits(), "threads {threads} job {j}");
+                assert_eq!(so, sf, "threads {threads} job {j}");
             }
-            // The devices really differ, so a stale model would show.
-            assert_ne!(oracle[0].1, oracle[2].1, "{spec:?}");
+        }
+
+        // FedAvg: one round, then the global model, which is the
+        // shard-weighted fold of every device's trained state.
+        let (corpus, _) = SynthConfig {
+            family: DataFamily::MnistLike,
+            img: 8,
+            train_n: 50,
+            test_n: 4,
+            classes: 4,
+            seed: 8,
+            ..Default::default()
+        }
+        .generate_corpus();
+        let index: Vec<Vec<usize>> = (0..6)
+            .map(|k| (0..50).filter(|i| i % 6 == k && k != 4).collect())
+            .collect();
+        let sim = SimConfig { seed: 21, ..Default::default() };
+        let (round, active) = (3usize, [0usize, 1, 2, 3, 4, 5]);
+        for (spec, prox_mu) in [(small[2], 0.0), (cifar[0], 0.3)] {
+            let fcfg = FedAvgConfig { batch_size: 4, prox_mu, ..Default::default() };
+            let fedavg = || FedAvg::new(spec, &corpus, &index, fcfg, &sim);
+            let reference = fedavg();
+            let broadcast = state_dict(reference.global_model().unwrap());
+            let total: usize = index.iter().map(Vec::len).sum();
+            let mut fold = StreamingAverage::new(total as f32);
+            let mut loss_sum = 0.0f32;
+            for dev in active {
+                let model = spec.build(io.0, io.1, io.2, 900 + dev as u64);
+                load_state_dict(model.as_ref(), &broadcast).unwrap();
+                let local = LocalTrainConfig {
+                    epochs: fcfg.local_epochs,
+                    batch_size: fcfg.batch_size,
+                    lr: fcfg.lr,
+                    momentum: fcfg.momentum,
+                    weight_decay: 0.0,
+                    prox_mu,
+                    seed: fedzkt_tensor::split_seed(sim.seed, (round * 1000 + dev) as u64),
+                };
+                let shard = reference.shards().shard(dev);
+                loss_sum += train_local(model.as_ref(), &shard, &local);
+                fold.fold(shard.len() as f32, &state_dict(model.as_ref()));
+            }
+            let (loss, global) = (loss_sum / active.len() as f32, fold.finish());
+            for threads in [1usize, 4] {
+                let mut fed = fedavg();
+                let mut ctx = RoundContext::new(active.len(), CodecSpec::Raw, threads);
+                let got = fed.local_update(round, &active, &mut ctx);
+                fed.server_update(round, &active, &mut ctx);
+                assert_eq!(got.to_bits(), loss.to_bits(), "{spec:?} threads {threads}");
+                let got = state_dict(fed.global_model().unwrap());
+                assert_eq!(got, global, "{spec:?} threads {threads}");
+            }
         }
     }
 

@@ -142,8 +142,8 @@ impl<M: Module + ?Sized> Module for Box<M> {
 /// It is also the unit of **thread transfer**: the autodiff tape is
 /// `Rc`-based and cannot cross threads, so the device-parallel fleet driver
 /// in `fedzkt-fl` moves models between workers as `StateDict`s (plain
-/// tensors are `Send`) and rebuilds the module on the destination thread.
-/// The snapshot-rebuild round trip is lossless
+/// tensors are `Send`) and loads each into a worker's module of the same
+/// architecture. The snapshot-load round trip is lossless
 /// ([`state_dict`] → [`load_state_dict`] restores every parameter and
 /// buffer bit-for-bit), which the checkpoint tests guard.
 #[derive(Debug, Clone, PartialEq)]

@@ -168,8 +168,10 @@ fn a_recorded_forward_holds_no_copies_of_its_operands() {
     // around a MobileNetV2 global model): local training, the distillation
     // game and the transfer back. The generator step's graph ends before
     // the global step records its own, and neither keeps what its backward
-    // does not read: the peak is 2 419 276 B with the activations' masks
-    // (3 090 686 B while they kept their inputs, 3 120 294 B under
+    // does not read: the peak is 2 442 622 B with the activations' masks
+    // and one scratch model per architecture for the local training
+    // (2 419 276 B while each job built a model of its own, 3 090 686 B
+    // while the activations kept their inputs, 3 120 294 B under
     // hand-kept counts). It was 8 037 922 B when both graphs lived
     // together and kept every op output.
     let mut scenario = Scenario::standard(DataFamily::Cifar10Like, Partition::Iid, Tier::Tiny, 3);
