@@ -34,8 +34,11 @@
 //! 468 shapes (planes 2–16, kernels 1/3/5, 3–64 → 8–256 channels, batch 2
 //! and 32), and half of that leaves every shape taken a win, forward alone
 //! and whole step. One training step at batch 32 (forward + `dX` + `dW`,
-//! one thread, AVX2, µs; the lowering column already has this change's own
-//! GEMM fixes, without which it is slower still):
+//! one thread, AVX2, µs; the lowering column already has the padded path's
+//! own GEMM fixes, without which it is slower still). The table was measured
+//! before the paired `nt` kernel and the in-register short copies
+//! (`fedzkt_tensor::ops::copy_run`), which speed up both paths' copies and
+//! `dW`; it has not been re-measured since, and the rule is unchanged:
 //!
 //! | shape | lowering | padded | lowering / padded | taken |
 //! |---|---|---|---|---|
@@ -165,8 +168,8 @@ use crate::var::ParentRef;
 use crate::Var;
 use std::borrow::Cow;
 use fedzkt_tensor::ops::{
-    col2im, depthwise_conv2d, depthwise_conv2d_dw, depthwise_conv2d_dx, gemm, im2col_batch,
-    im2col_panel, Conv2dGeometry,
+    col2im, copy_run, depthwise_conv2d, depthwise_conv2d_dw, depthwise_conv2d_dx, gemm,
+    im2col_batch, im2col_panel, Conv2dGeometry,
 };
 use fedzkt_tensor::{par, Tensor};
 
@@ -359,7 +362,7 @@ impl PaddedLayout {
         }
         let mut xp = vec![0.0f32; self.n * g.channels * self.plane];
         for (src, dst) in x.chunks_exact(g.in_h * g.in_w).zip(xp.chunks_exact_mut(self.plane)) {
-            self.interior(dst, |y, row| row.copy_from_slice(&src[y * g.in_w..][..g.in_w]));
+            self.interior(dst, |y, row| copy_run(row, &src[y * g.in_w..][..g.in_w]));
         }
         Cow::Owned(xp)
     }
@@ -426,7 +429,7 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
             }
             wide.fill(0.0);
             gemm::gemm_nn_rows(wd, xp_s, &starts, &mut wide, oc, kvol, flat);
-            l.real_columns(&mut wide, |r, run| out_s[r * ow..][..ow].copy_from_slice(run));
+            l.real_columns(&mut wide, |r, run| copy_run(&mut out_s[r * ow..][..ow], run));
         }
     });
     drop(xp);
@@ -462,7 +465,7 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
                                 go_s
                             } else {
                                 l.real_columns(&mut go_wide, |r, run| {
-                                    run.copy_from_slice(&go_s[r * ow..][..ow]);
+                                    copy_run(run, &go_s[r * ow..][..ow]);
                                 });
                                 &go_wide[..]
                             };
@@ -481,7 +484,7 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
                                     gxp.chunks_exact_mut(l.plane).zip(gx_s.chunks_exact_mut(h * w))
                                 {
                                     l.interior(src, |y, row| {
-                                        dst[y * w..][..w].copy_from_slice(row)
+                                        copy_run(&mut dst[y * w..][..w], row)
                                     });
                                 }
                             }
@@ -500,8 +503,10 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
                 let mut go = vec![0.0f32; oc * ncols];
                 for s in 0..n {
                     for o in 0..oc {
-                        go[o * ncols + s * hw_out..][..hw_out]
-                            .copy_from_slice(&grad.data()[(s * oc + o) * hw_out..][..hw_out]);
+                        copy_run(
+                            &mut go[o * ncols + s * hw_out..][..hw_out],
+                            &grad.data()[(s * oc + o) * hw_out..][..hw_out],
+                        );
                     }
                 }
                 let xp = l.padded(x.data());
@@ -517,7 +522,7 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
                             // (`rows` first: a spent zip must not draw another run.)
                             let rows = xp_s[start..].chunks(l.pitch).take(l.g.out_h);
                             for (src, run) in rows.zip(&mut runs) {
-                                run.copy_from_slice(&src[..ow]);
+                                copy_run(run, &src[..ow]);
                             }
                         }
                     }
@@ -529,7 +534,7 @@ fn conv2d_padded(input: &Var, weight: &Var, geom: &Conv2dGeometry) -> Var {
                 for (b, part) in parts.iter().enumerate() {
                     let rows = block.min(kvol - b * block);
                     for (o, part_row) in part.chunks_exact(rows).enumerate() {
-                        gw[o * kvol + b * block..][..rows].copy_from_slice(part_row);
+                        copy_run(&mut gw[o * kvol + b * block..][..rows], part_row);
                     }
                 }
                 Tensor::from_vec(gw, &ws).expect("conv2d dW")
@@ -595,8 +600,10 @@ fn conv2d_lowered(input: &Var, weight: &Var, geom: &Conv2dGeometry, groups: usiz
                     let s = (c0 + j) / hw_out;
                     let px = (c0 + j) % hw_out;
                     let run = (hw_out - px).min(pw - j);
-                    out[s * oc * hw_out + (g * oc_per_g + ol) * hw_out + px..][..run]
-                        .copy_from_slice(&src_row[j..j + run]);
+                    copy_run(
+                        &mut out[s * oc * hw_out + (g * oc_per_g + ol) * hw_out + px..][..run],
+                        &src_row[j..j + run],
+                    );
                     j += run;
                 }
             }
@@ -641,7 +648,7 @@ pub(crate) fn lowered_grads(
         for s in 0..n {
             for ol in 0..oc_per_g {
                 let src = &grad.data()[s * oc * hw_out + (g * oc_per_g + ol) * hw_out..][..hw_out];
-                go[ol * ncols + s * hw_out..][..hw_out].copy_from_slice(src);
+                copy_run(&mut go[ol * ncols + s * hw_out..][..hw_out], src);
             }
         }
         if let (Some(gw), Some(x)) = (gw.as_mut(), x) {
@@ -674,8 +681,10 @@ pub(crate) fn lowered_grads(
                 let s = s0 + ds;
                 for (g, dcol) in dcols.iter().enumerate() {
                     for r in 0..kvol {
-                        dcol_s[r * hw_out..(r + 1) * hw_out]
-                            .copy_from_slice(&dcol[r * ncols + s * hw_out..][..hw_out]);
+                        copy_run(
+                            &mut dcol_s[r * hw_out..(r + 1) * hw_out],
+                            &dcol[r * ncols + s * hw_out..][..hw_out],
+                        );
                     }
                     let gslice = col2im(&dcol_s, geom);
                     let dst = &mut slice[g * group_in..(g + 1) * group_in];
@@ -835,6 +844,8 @@ mod tests {
             (3, 5, 9, 7, 3, 3, 3, 1, false),
             (3, 5, 8, 8, 3, 3, 2, 1, false),
             (2, 3, 5, 1, 3, 3, 2, 1, false),
+            (2, 3, 5, 1, 3, 3, 1, 1, false),
+            (2, 3, 2, 2, 3, 3, 1, 1, false),
         ]);
         for n in [1usize, 32] {
             for c in [6usize, 13, 48, 64] {

@@ -39,13 +39,14 @@
 //! the scratch costs as much as the arithmetic, so every move follows a
 //! plan made once per call, [`Placement`]. It holds the scratch index of
 //! each element of the dense plane. Rows that are contiguous in the scratch
-//! and at least [`BLOCK_COPY_MIN`] long move as block copies. The others
-//! move element by element through the indices: a stride-2 phase split,
-//! and 3-wide rows.
+//! and at least [`BLOCK_COPY_MIN`] long move as block copies, each one
+//! [`copy_run`] (in registers, not a libc call). The others move element by
+//! element through the indices: a stride-2 phase split, and 3-wide rows.
 //!
 //! `dW` needs each tap's row dense, so it copies twice as much. At stride 1
-//! with an output the size of its input (the zoo's `k3 p1`), tap `(ky, kx)`'s
-//! row is the plane itself moved by `(ky − p)·W + kx − p`. That is one block
+//! with an output the size of its input (the zoo's `k3 p1`, on planes of any
+//! width), tap `(ky, kx)`'s row is the plane itself moved by
+//! `(ky − p)·W + kx − p`. That is one block
 //! copy per tap and plane, followed by writing zeros at the positions where
 //! the tap falls on padding, the row's ends and its wraps across a row edge.
 //! Other geometries split the plane once and gather each tap's row out of
@@ -59,8 +60,8 @@
 //! exactly one worker with a fixed float sequence, so results are
 //! bit-identical for every thread count.
 
-use super::gemm;
 use super::image::Conv2dGeometry;
+use super::{copy_run, gemm};
 use crate::par;
 
 /// Elements per register-tiled block of [`correlate`]'s main loop.
@@ -73,7 +74,10 @@ const TAIL: usize = 8;
 /// Rows at least this long move as block copies; shorter rows, and rows
 /// that are not contiguous in the scratch (stride > 1), move element by
 /// element through an index map. On the zoo's planes a block copy pays
-/// from 6-wide rows on and loses on 3-wide ones.
+/// from 6-wide rows on. A 3-wide row is two overlapping 2-float moves
+/// ([`copy_run`]), and as such it is no faster than three indexed ones:
+/// 32 × 64 and 32 × 96 channels of 3×3 planes ran 3–13 % slower forward
+/// and in `dX` with 3-wide block copies (one thread, AVX2 host).
 const BLOCK_COPY_MIN: usize = 4;
 
 /// Where each element of a dense `[rows, len]` plane sits in a scratch
@@ -101,7 +105,7 @@ impl Placement {
         match self.block {
             Some(len) => {
                 for (row, &at) in src.chunks_exact(len).zip(self.at.iter().step_by(len)) {
-                    buf[at..at + len].copy_from_slice(row);
+                    copy_run(&mut buf[at..at + len], row);
                 }
             }
             None => {
@@ -117,7 +121,7 @@ impl Placement {
         match self.block {
             Some(len) => {
                 for (row, &at) in dst.chunks_exact_mut(len).zip(self.at.iter().step_by(len)) {
-                    row.copy_from_slice(&buf[at..at + len]);
+                    copy_run(row, &buf[at..at + len]);
                 }
             }
             None => {
@@ -360,8 +364,10 @@ pub fn depthwise_conv2d_dw(
         for (dc, dst) in chunk.chunks_exact_mut(ktaps).enumerate() {
             let ch = c0 + dc;
             for s in 0..n {
-                go_row[s * hw_out..][..hw_out]
-                    .copy_from_slice(&go[(s * c + ch) * hw_out..][..hw_out]);
+                copy_run(
+                    &mut go_row[s * hw_out..][..hw_out],
+                    &go[(s * c + ch) * hw_out..][..hw_out],
+                );
                 let plane = &x[(s * c + ch) * hw_in..][..hw_in];
                 let at = s * hw_out..(s + 1) * hw_out;
                 let tap_rows = cols.chunks_exact_mut(ncols).map(|r| &mut r[at.clone()]);
@@ -375,10 +381,11 @@ pub fn depthwise_conv2d_dw(
 /// How [`depthwise_conv2d_dw`] writes the `KH·KW` column-matrix rows of
 /// one plane, each `OH·OW` long.
 enum ColumnRows {
-    /// Stride 1 with an output the size of the input (the zoo's `k3 p1`),
-    /// rows long enough for block copies: tap `t`'s row is the plane itself
-    /// moved by a fixed shift, one block copy, with zeros written where the
-    /// tap falls on padding.
+    /// Stride 1 with an output the size of the input (the zoo's `k3 p1`):
+    /// tap `t`'s row is the plane itself moved by a fixed shift, one block
+    /// copy, with zeros written where the tap falls on padding. Its copies
+    /// are whole planes, so a plane of any width takes it; on 3×3 planes it
+    /// is a quarter faster than the split.
     Shifted(Vec<(isize, Vec<usize>)>),
     /// Every other geometry: split the plane once, then gather each tap's
     /// row out of the scratch at the tap's offset.
@@ -388,7 +395,7 @@ enum ColumnRows {
 impl ColumnRows {
     fn new(g: &Conv2dGeometry) -> Self {
         let taps = (0..g.kernel_h).flat_map(|ky| (0..g.kernel_w).map(move |kx| (ky, kx)));
-        if g.stride == 1 && (g.out_h, g.out_w) == (g.in_h, g.in_w) && g.in_w >= BLOCK_COPY_MIN {
+        if g.stride == 1 && (g.out_h, g.out_w) == (g.in_h, g.in_w) {
             let (h, w, pad) = (g.in_h as isize, g.in_w as isize, g.pad as isize);
             ColumnRows::Shifted(
                 taps.map(|(ky, kx)| {
@@ -434,9 +441,9 @@ impl ColumnRows {
                     // row edge, fall on padding and are zeroed after.
                     let (len, by) = (plane.len(), shift.unsigned_abs().min(plane.len()));
                     if *shift < 0 {
-                        row[by..].copy_from_slice(&plane[..len - by]);
+                        copy_run(&mut row[by..], &plane[..len - by]);
                     } else {
-                        row[..len - by].copy_from_slice(&plane[by..]);
+                        copy_run(&mut row[..len - by], &plane[by..]);
                     }
                     for &j in padding {
                         row[j] = 0.0;

@@ -95,12 +95,15 @@
 //!    each row ends inside `b`; the kernel reads no float past
 //!    `b_row(t) + n`.
 //!    Copying a row's tail into a scratch panel is fine — packing never
-//!    changes bits.
+//!    changes bits. Copy short rows with [`crate::ops::copy_run`], not
+//!    `copy_from_slice`: a run whose length is known only at run time
+//!    becomes a libc `memcpy` call, and on a 6–16-float edge the call
+//!    costs more than the bytes it moves.
 //! 2. **State its numerics.** Either reproduce the scalar reference's
 //!    per-element float sequence exactly (load-accumulate-store register
 //!    tiles, ascending k, no FMA contraction — see `vector::tile`), in
 //!    which case nothing else changes; or document the new fixed reduction
-//!    (as `vector::dot_tree` does) and regenerate benchmark artifacts. A
+//!    (as `vector::dot_trees` does) and regenerate benchmark artifacts. A
 //!    kernel whose result depends on thread count is a bug the
 //!    `parallel_path_is_bit_identical_to_serial` test will catch.
 //! 3. **Gate it.** CPU features are runtime-detected once (see
@@ -486,6 +489,63 @@ mod tests {
                 assert_eq!(x.to_bits(), z.to_bits(), "dispatched vs scalar ({m},{k},{n})");
             }
         }
+    }
+
+    /// The documented `nt` reduction tree (`vector` module docs), one
+    /// element at a time: `out += tree(A row · B row)`.
+    fn nt_tree_model(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+        for (i, or) in out.chunks_exact_mut(n).enumerate() {
+            for (j, o) in or.iter_mut().enumerate() {
+                let mut lanes = [0.0f32; 32];
+                for t in 0..k {
+                    lanes[t % 32] += a[i * k + t] * b[j * k + t];
+                }
+                for width in [16, 8, 4, 2, 1] {
+                    for l in 0..width {
+                        lanes[l] += lanes[l + width];
+                    }
+                }
+                *o += lanes[0];
+            }
+        }
+    }
+
+    /// The dispatched `nt` kernel on an AVX2 host is bitwise the documented
+    /// tree for every output, whichever output it is paired with, over
+    /// contractions empty, shorter than, equal to and past one 32-lane pass
+    /// (1152 is the zoo's widest), odd and even `n`, and at one worker and at
+    /// four (`m ≥ 4, k = 1152, n = 255` crosses the fork threshold).
+    #[test]
+    fn nt_tree_model_matches_gemm_nt() {
+        if !vector_available() {
+            return; // The scalar backend's single-accumulator dot is the reference there.
+        }
+        let _guard = crate::par::TEST_OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for threads in [1usize, 4] {
+            crate::par::set_threads(threads);
+            for m in 1..=5 {
+                for k in [0usize, 1, 31, 32, 33, 95, 1152] {
+                    for n in [1usize, 2, 7, 16, 255] {
+                        let a = rand_vec(m * k, 41);
+                        let b = rand_vec(n * k, 42);
+                        let mut dispatched = rand_vec(m * n, 43);
+                        let mut model = dispatched.clone();
+                        gemm_nt(&a, &b, &mut dispatched, m, k, n);
+                        nt_tree_model(&a, &b, &mut model, k, n);
+                        for (j, (x, y)) in dispatched.iter().zip(&model).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "output {j} of (m={m}, k={k}, n={n}) at {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        crate::par::set_threads(0);
     }
 
     #[test]

@@ -38,10 +38,19 @@
 //! results change bits when the vectorized path is active, which is why
 //! the backend is fixed per host and benchmark artifacts were regenerated
 //! when this module landed.
+//!
+//! The kernel computes the outputs of a row **in pairs**: one pass over the
+//! `A` row feeds two `B` rows, each into its own 32 lanes and its own
+//! halving (`dot_trees`), so every output keeps the tree above whatever it
+//! is paired with, and an odd last column takes the tree alone. The pair
+//! shares the loads of the `A` row and runs eight independent add chains
+//! instead of four; the test suite pins every output bitwise against a
+//! scalar model of the tree.
 
 #![cfg(target_arch = "x86_64")]
 
 use super::K_BLOCK;
+use crate::ops::copy_run;
 
 /// Vector register width in f32 lanes the microkernels are shaped for
 /// (AVX2 ymm = 8 × f32).
@@ -113,8 +122,15 @@ pub unsafe fn nt_chunk_avx2(
 ) {
     for (i, or) in rows.chunks_exact_mut(n).enumerate() {
         let ar = &a[(row0 + i) * k..(row0 + i + 1) * k];
-        for (j, o) in or.iter_mut().enumerate() {
-            *o += dot_tree(ar, &b[j * k..(j + 1) * k]);
+        let mut pairs = or.chunks_exact_mut(2);
+        for (p, o) in (&mut pairs).enumerate() {
+            let [d0, d1] = dot_trees(ar, [&b[2 * p * k..][..k], &b[(2 * p + 1) * k..][..k]]);
+            o[0] += d0;
+            o[1] += d1;
+        }
+        if let [o] = pairs.into_remainder() {
+            let [d] = dot_trees(ar, [&b[(n - 1) * k..][..k]]);
+            *o += d;
         }
     }
 }
@@ -173,7 +189,7 @@ fn blocked_chunk(
         let kl = k1 - k0;
         if let Some(edge) = &mut edge {
             for (t, dst) in edge.chunks_exact_mut(NR).take(kl).enumerate() {
-                dst[..n - n_main].copy_from_slice(&b[b_row(k0 + t)..][n_main..n]);
+                copy_run(&mut dst[..n - n_main], &b[b_row(k0 + t)..][n_main..n]);
             }
         }
         let mut i0 = 0;
@@ -229,7 +245,7 @@ fn tile<'b>(
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     for (r, accr) in acc.iter_mut().enumerate() {
-        accr[..width].copy_from_slice(&rows[(i0 + r) * n + j0..][..width]);
+        copy_run(&mut accr[..width], &rows[(i0 + r) * n + j0..][..width]);
     }
     for t in 0..kl {
         let br = b_at(t);
@@ -241,32 +257,50 @@ fn tile<'b>(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        rows[(i0 + r) * n + j0..][..width].copy_from_slice(&accr[..width]);
+        copy_run(&mut rows[(i0 + r) * n + j0..][..width], &accr[..width]);
     }
 }
 
-/// Multi-accumulator dot product with the fixed reduction tree documented
-/// in the module docs: element `t` lands in lane `t mod NT_ACCS`, lanes
-/// combine by pairwise halving.
+/// `P` multi-accumulator dot products of `x` with each of `ys`, in one pass
+/// over `x`, each by the fixed reduction tree documented in the module docs:
+/// element `t` lands in lane `t mod NT_ACCS`, lanes combine by pairwise
+/// halving. The outputs share loads of `x` and nothing else, so each is
+/// bitwise what it would be computed alone.
 #[inline(always)]
-fn dot_tree(x: &[f32], y: &[f32]) -> f32 {
-    let mut acc = [0.0f32; NT_ACCS];
-    let mut xc = x.chunks_exact(NT_ACCS);
-    let mut yc = y.chunks_exact(NT_ACCS);
-    for (xs, ys) in (&mut xc).zip(&mut yc) {
-        for (a, (&xv, &yv)) in acc.iter_mut().zip(xs.iter().zip(ys)) {
+fn dot_trees<const P: usize>(x: &[f32], ys: [&[f32]; P]) -> [f32; P] {
+    let mut acc = [[0.0f32; NT_ACCS]; P];
+    let whole = x.len() - x.len() % NT_ACCS;
+    for t0 in (0..whole).step_by(NT_ACCS) {
+        let xs = x[t0..].first_chunk::<NT_ACCS>().expect("a whole pass of x");
+        for (lanes, y) in acc.iter_mut().zip(ys) {
+            let ys = y[t0..].first_chunk::<NT_ACCS>().expect("each y as long as x");
+            for (a, (&xv, &yv)) in lanes.iter_mut().zip(xs.iter().zip(ys)) {
+                *a += xv * yv;
+            }
+        }
+    }
+    for (lanes, y) in acc.iter_mut().zip(ys) {
+        for (a, (&xv, &yv)) in lanes.iter_mut().zip(x[whole..].iter().zip(&y[whole..])) {
             *a += xv * yv;
         }
     }
-    for (a, (&xv, &yv)) in acc.iter_mut().zip(xc.remainder().iter().zip(yc.remainder())) {
-        *a += xv * yv;
+    let mut dots = [0.0f32; P];
+    for (dot, lanes) in dots.iter_mut().zip(acc) {
+        *dot = halve(lanes);
     }
+    dots
+}
+
+/// The tree's last stage: lanes combine by pairwise halving, 32 → 16 → 8 →
+/// 4 → 2 → 1, `lanes[l] += lanes[l + width]` at each step.
+#[inline(always)]
+fn halve(mut lanes: [f32; NT_ACCS]) -> f32 {
     let mut width = NT_ACCS / 2;
     while width > 0 {
         for l in 0..width {
-            acc[l] += acc[l + width];
+            lanes[l] += lanes[l + width];
         }
         width /= 2;
     }
-    acc[0]
+    lanes[0]
 }
